@@ -10,8 +10,7 @@ where the distribution fails to be contact.
 from .jets import (BudgetExhausted, Jet, JetError, MAX_ORDER, MIN_ORDER,
                    jet_seed, multi_indices, n_coeffs)
 from .fields import (DEFAULT_ORDER, FieldProgram, MetricField, OneForm,
-                     ParseError, ScalarField, TwoFormValue, contact_defect,
-                     exterior_derivative)
+                     ParseError, TwoFormValue, contact_defect, exterior_derivative)
 from .frame import (AdaptedFrame, NoncontactError, StructureFunctions,
                     build_contact_frame, delta_basis, lie_bracket,
                     nonholonomity, nonholonomity_program)
@@ -34,7 +33,7 @@ __all__ = [
     "AdaptedFrame", "BudgetExhausted", "DEFAULT_ORDER",
     "DegeneratePointError", "FieldProgram", "InvariantValues", "Jet",
     "JetError", "MAX_ORDER", "MIN_ORDER", "MetricField", "NoncontactError",
-    "OneForm", "ParseError", "PointReport", "RunConfig", "ScalarField",
+    "OneForm", "ParseError", "PointReport", "RunConfig",
     "SigmaInvariants", "SigmaPoint", "SingularFrameError",
     "StructureFunctions", "SymmetryField", "SymmetrySystem", "TwoFormValue",
     "assemble_and_verify_V", "build_contact_frame", "build_singular_frame",

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List
 
 from .fields import MetricField, OneForm
@@ -17,8 +16,8 @@ from .report import (PointReport, RunConfig, csv_header, csv_row, parse_grid,
 from .selftest import run_selftest
 from .singular import (build_singular_frame, lambda_identities, locate_sigma,
                        sigma_invariants)
-from .symmetry import (DegeneratePointError, RESIDUAL_MIN_ORDER, build_system,
-                       integrability_residuals, reconstruct_lnf)
+from .symmetry import (RESIDUAL_MIN_ORDER, build_system, integrability_residuals,
+                       reconstruct_lnf, reconstructed_V)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -38,7 +37,6 @@ def _add_common(p: argparse.ArgumentParser, default_order: int = 4):
     p.add_argument("--tol-quad", type=float, default=1e-9)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--workers", type=int, default=1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,7 +77,6 @@ def _config_from_args(args) -> RunConfig:
         root_tol=args.tol_root,
         quad_tol=args.tol_quad,
         out_format=args.format,
-        workers=max(1, args.workers),
     )
     if args.metric_file:
         with open(args.metric_file) as fh:
@@ -97,21 +94,19 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
-def _emit(reports: List[PointReport], cfg: RunConfig, stream):
+def _emit(reports: List[PointReport], cfg: RunConfig, path):
+    """Render every record, then write them all, so that a record that
+    cannot be rendered (a non-finite value in JSON) writes nothing."""
     if cfg.out_format == "csv":
-        print(csv_header(), file=stream)
-        for r in reports:
-            print(csv_row(r), file=stream)
+        lines = [csv_header()] + [csv_row(r) for r in reports]
     else:
-        for r in reports:
-            print(r.to_json(), file=stream)
-
-
-def _map_points(fn, points, workers: int):
-    if workers <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
+        lines = [r.to_json() for r in reports]
+    text = "".join(line + "\n" for line in lines)
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _diag(order: int, jets) -> dict:
@@ -135,7 +130,7 @@ def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
                            lam=frame.lam.value, M=vals.M.value, K=vals.K.value,
                            diagnostics=_diag(cfg.jet_order, (vals.M, vals.K)))
 
-    return _map_points(one, cfg.points, cfg.workers)
+    return [one(p) for p in cfg.points]
 
 
 def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
@@ -161,8 +156,7 @@ def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
         rep.EQ1 = sys_.EQ1.value
         rep.EQ2 = sys_.EQ2.value
         try:
-            rep.residuals = integrability_residuals(
-                omega, metric, p, cfg.jet_order, eps_D=cfg.eps_D)
+            rep.residuals = integrability_residuals(sys_)
         except JetError as exc:
             rep.diagnostics["residual_error"] = str(exc)
         if cfg.reconstruct:
@@ -170,20 +164,13 @@ def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
                 rep.lnf = reconstruct_lnf(omega, metric, cfg.base, p,
                                           cfg.jet_order, quad_tol=cfg.quad_tol,
                                           eps_D=cfg.eps_D)
-                import numpy as np
-                from .symmetry import frame_to_coordinate_gradient
-                fv = float(np.exp(rep.lnf))
-                fr = sys_.frame
-                e1f = fv * sys_.EQ1.value
-                e2f = fv * sys_.EQ2.value
-                rep.V = tuple(-e2f * fr.E1[i].value + e1f * fr.E2[i].value
-                              + fv * fr.E3[i].value for i in range(3))
-            except (DegeneratePointError, JetError) as exc:
+                _, rep.V = reconstructed_V(sys_, rep.lnf)
+            except JetError as exc:
                 rep.diagnostics["reconstruct_error"] = str(exc)
         rep.diagnostics.update(_diag(cfg.jet_order, (sys_.D,)))
         return rep
 
-    return _map_points(one, cfg.points, cfg.workers)
+    return [one(p) for p in cfg.points]
 
 
 def cmd_singular(cfg: RunConfig) -> List[PointReport]:
@@ -206,7 +193,7 @@ def cmd_singular(cfg: RunConfig) -> List[PointReport]:
         try:
             frame, c = build_singular_frame(omega, metric, sp.point,
                                             cfg.jet_order)
-            q = sigma_invariants(omega, metric, sp, cfg.jet_order)
+            q = sigma_invariants(c)
             r1, r2 = lambda_identities(frame, c)
             rep.Q112, rep.Q212 = q.Q112, q.Q212
             rep.diagnostics["lambda_identity_residuals"] = [r1, r2]
@@ -238,22 +225,13 @@ def main(argv=None) -> int:
 
     try:
         cfg = _config_from_args(args)
-        omega_check = OneForm.parse(cfg.omega_text)  # fail fast on syntax
-        MetricField.from_text(cfg.metric_text)
-        del omega_check
         handler = {"invariants": cmd_invariants,
                    "symmetry": cmd_symmetry,
                    "singular": cmd_singular}[args.command]
-        reports = handler(cfg)
+        _emit(handler(cfg), cfg, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    if args.out:
-        with open(args.out, "w") as fh:
-            _emit(reports, cfg, fh)
-    else:
-        _emit(reports, cfg, sys.stdout)
     return EXIT_OK
 
 

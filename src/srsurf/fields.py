@@ -420,9 +420,6 @@ class FieldProgram:
         return FieldProgram(lambda p, n: self._fn(p, n).log())
 
 
-ScalarField = FieldProgram
-
-
 # --------------------------------------------------------------------------
 # One-forms, metrics, two-form values
 
@@ -456,7 +453,7 @@ class OneForm:
     def evaluate(self, point, order: int = DEFAULT_ORDER):
         jets = tuple(c(point, order) for c in self.components)
         if all(abs(j.value) < 1e-300 for j in jets):
-            raise JetError(f"one-form vanishes at {tuple(point)}")
+            raise JetError(f"one-form vanishes at {jets[0].point}")
         return jets
 
     def scale(self, factor: FieldProgram) -> "OneForm":
@@ -510,7 +507,7 @@ class MetricField:
               - g[0][1].value * (g[0][1].value * g[2][2].value - g[1][2].value * g[0][2].value)
               + g[0][2].value * (g[0][1].value * g[1][2].value - g[1][1].value * g[0][2].value))
         if m1 <= 0 or m2 <= 0 or m3 <= 0:
-            raise JetError(f"metric not positive definite at {tuple(point)}")
+            raise JetError(f"metric not positive definite at {g[0][0].point}")
         return g
 
 

@@ -9,6 +9,8 @@ from typing import Optional, Tuple
 
 import math
 
+import numpy as np
+
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
 from .jets import Jet, JetError
 
@@ -129,9 +131,6 @@ class StructureFunctions:
     C3_31: Jet
     C3_12: Jet
 
-    def get(self, a: int, bc: str) -> Jet:
-        return getattr(self, f"C{a}_{bc}")
-
 
 # --------------------------------------------------------------------------
 # constructions
@@ -154,10 +153,10 @@ def _unit(g, u: JetVector) -> JetVector:
     return tuple(c / n for c in u)
 
 
-def delta_basis(omega: OneForm, metric: MetricField, point,
-                order: int = DEFAULT_ORDER, seed: Optional[str] = None,
+def delta_basis(w: JetVector, g, seed: Optional[str] = None,
                 rotation: float = 0.0):
-    """Oriented g-orthonormal basis (E1, E2) of ker omega at a point.
+    """Oriented g-orthonormal basis (E1, E2) of ker omega, from the jets
+    w = omega and g = metric evaluated at one point and order.
 
     E1 is the normalized g-orthogonal projection onto the kernel of the
     coordinate field with the largest projection norm (tie-break x, y, z);
@@ -166,14 +165,13 @@ def delta_basis(omega: OneForm, metric: MetricField, point,
     `rotation` applies an extra SO(2) gauge rotation — both exist for
     gauge-invariance testing and for pinning a frame to golden values.
     """
-    w = omega.evaluate(point, order)
-    g = metric.evaluate(point, order)
+    point, order = w[0].point, w[0].order
     wsharp = metric_inverse_apply(g, w)
     wnorm2 = jvec_dot(w, wsharp)  # = g(wsharp, wsharp) > 0
 
     projections = []
     for i in range(3):
-        e_i = tuple(Jet.constant(1.0 if a == i else 0.0, tuple(point), order)
+        e_i = tuple(Jet.constant(1.0 if a == i else 0.0, point, order)
                     for a in range(3))
         p_i = jvec_sub(e_i, jvec_scale(w[i] / wnorm2, wsharp))
         projections.append(p_i)
@@ -184,7 +182,7 @@ def delta_basis(omega: OneForm, metric: MetricField, point,
     else:
         seed_idx = max(range(3), key=lambda i: (norms[i], -i))
     if norms[seed_idx] <= 1e-24:
-        raise JetError(f"degenerate projection seed at {tuple(point)}")
+        raise JetError(f"degenerate projection seed at {point}")
     e1 = _unit(g, projections[seed_idx])
 
     omega_hat = jvec_scale(1.0 / wnorm2.sqrt(), wsharp)
@@ -199,7 +197,7 @@ def delta_basis(omega: OneForm, metric: MetricField, point,
         if best is None or n2 > best[1]:
             best = (cand, n2)
     if best[1] <= 1e-24:
-        raise JetError(f"could not complete kernel basis at {tuple(point)}")
+        raise JetError(f"could not complete kernel basis at {point}")
     e2 = _unit(g, best[0])
 
     orient = float_det3([jvec_values(e1), jvec_values(e2), jvec_values(omega_hat)])
@@ -213,13 +211,21 @@ def delta_basis(omega: OneForm, metric: MetricField, point,
     return e1, e2
 
 
+def basis_and_lambda(omega: OneForm, metric: MetricField, point,
+                     order: int = DEFAULT_ORDER, seed: Optional[str] = None,
+                     rotation: float = 0.0):
+    """(w, g, E1, E2, lambda) at a point, evaluating omega and g once."""
+    w = omega.evaluate(point, order)
+    g = metric.evaluate(point, order)
+    e1, e2 = delta_basis(w, g, seed=seed, rotation=rotation)
+    return w, g, e1, e2, jvec_dot(w, lie_bracket(e1, e2))
+
+
 def nonholonomity(omega: OneForm, metric: MetricField, point,
                   order: int = DEFAULT_ORDER, seed: Optional[str] = None,
                   rotation: float = 0.0) -> Jet:
     """lambda = omega([E1, E2]) as a jet; vanishes exactly on Sigma."""
-    e1, e2 = delta_basis(omega, metric, point, order, seed=seed, rotation=rotation)
-    w = omega.evaluate(point, order)
-    return jvec_dot(w, lie_bracket(e1, e2))
+    return basis_and_lambda(omega, metric, point, order, seed, rotation)[-1]
 
 
 def nonholonomity_program(omega: OneForm, metric: MetricField) -> FieldProgram:
@@ -262,14 +268,17 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     """Adapted frame and structure functions at a contact point.
 
     eta3 = -omega / lambda (normalized so d(eta3)(E1, E2) = 1), E3 is the
-    Reeb field of eta3, eta1/eta2 complete the dual coframe.
+    Reeb field of eta3, eta1/eta2 complete the dual coframe.  The point
+    counts as contact when |lambda| / |omega|_g >= eps_contact, a ratio that
+    omega -> e^phi omega leaves unchanged.
     """
-    e1, e2 = delta_basis(omega, metric, point, order, seed=seed, rotation=rotation)
-    w = omega.evaluate(point, order)
-    lam = jvec_dot(w, lie_bracket(e1, e2))
-    if abs(lam.value) < eps_contact:
-        raise NoncontactError(
-            f"point {tuple(point)} is noncontact (|lambda| = {abs(lam.value):.3e})")
+    w, g, e1, e2, lam = basis_and_lambda(omega, metric, point, order, seed, rotation)
+    wv = np.array(jvec_values(w))
+    gv = np.array([[gij.value for gij in row] for row in g])
+    contact = abs(lam.value) / math.sqrt(wv @ np.linalg.solve(gv, wv))
+    if contact < eps_contact:
+        raise NoncontactError(f"point {lam.point} is noncontact "
+                              f"(|lambda| / |omega|_g = {contact:.3e})")
 
     eta3 = tuple(-c / lam for c in w)
 
@@ -290,7 +299,7 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     try:
         e3 = solve3(rows, rhs)
     except JetError as exc:
-        raise NoncontactError(f"Reeb solve failed at {tuple(point)}: {exc}") from exc
+        raise NoncontactError(f"Reeb solve failed at {lam.point}: {exc}") from exc
 
     eta1, eta2, eta3_dual = dual_coframe(e1, e2, e3)
     frame = AdaptedFrame(E1=e1, E2=e2, E3=e3,

@@ -222,16 +222,12 @@ class Jet:
             result = result * u + d
         return self._like(result.coeffs)
 
-    def _univariate(self, derivs_at_value) -> "Jet":
-        """Compose with a function given its Taylor coefficients at value."""
-        return self.compose_series(derivs_at_value)
-
     def reciprocal(self) -> "Jet":
         v = self.value
         if v == 0.0:
             raise JetError("division by a jet with zero value")
         series = [(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)]
-        return self._univariate(series)
+        return self.compose_series(series)
 
     def sqrt(self) -> "Jet":
         v = self.value
@@ -242,12 +238,12 @@ class Jet:
         for k in range(self.order + 1):
             series.append(coeff * c / v ** k)
             coeff *= (0.5 - k) / (k + 1)
-        return self._univariate(series)
+        return self.compose_series(series)
 
     def exp(self) -> "Jet":
         e = math.exp(self.value)
         series = [e / math.factorial(k) for k in range(self.order + 1)]
-        return self._univariate(series)
+        return self.compose_series(series)
 
     def log(self) -> "Jet":
         v = self.value
@@ -256,19 +252,19 @@ class Jet:
         series = [math.log(v)]
         for k in range(1, self.order + 1):
             series.append((-1.0) ** (k + 1) / (k * v ** k))
-        return self._univariate(series)
+        return self.compose_series(series)
 
     def sin(self) -> "Jet":
         v = self.value
         cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
         series = [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
-        return self._univariate(series)
+        return self.compose_series(series)
 
     def cos(self) -> "Jet":
         v = self.value
         cycle = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
         series = [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
-        return self._univariate(series)
+        return self.compose_series(series)
 
     def pow(self, r: float) -> "Jet":
         """Real power; requires a positive value."""
@@ -279,7 +275,7 @@ class Jet:
         for k in range(self.order + 1):
             series.append(coeff * v ** (r - k))
             coeff *= (r - k) / (k + 1)
-        return self._univariate(series)
+        return self.compose_series(series)
 
     # -- differentiation ---------------------------------------------------
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -50,7 +51,9 @@ class PointReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """One JSON line; a non-finite value raises ValueError, because
+        NaN and Infinity are not JSON."""
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_json(text: str) -> "PointReport":
@@ -100,7 +103,6 @@ class RunConfig:
     reconstruct: bool = False
     base: Optional[Point] = None
     out_format: str = "json"
-    workers: int = 1
 
     def validate(self):
         if not (1 <= self.jet_order <= 6):
@@ -108,15 +110,22 @@ class RunConfig:
         if self.out_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.out_format!r}")
         for tol_name in ("eps_contact", "eps_D", "root_tol", "quad_tol"):
-            if getattr(self, tol_name) <= 0:
+            if not getattr(self, tol_name) > 0:  # also rejects NaN
                 raise ValueError(f"{tol_name} must be positive")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"coordinate must be finite, got {text.strip()!r}")
+    return value
 
 
 def parse_point(text: str) -> Point:
     parts = [p for p in text.replace(" ", "").split(",") if p]
     if len(parts) != 3:
         raise ValueError(f"point must have 3 coordinates: {text!r}")
-    return tuple(float(p) for p in parts)
+    return tuple(_finite(p) for p in parts)
 
 
 def parse_points(text: str) -> List[Point]:
@@ -150,9 +159,9 @@ def parse_grid(text: str) -> List[Point]:
             n = int(cnt)
             if n < 1:
                 raise ValueError(f"grid count must be >= 1 on axis {name!r}")
-            axes[name] = list(np.linspace(float(lo), float(hi), n))
+            axes[name] = list(np.linspace(_finite(lo), _finite(hi), n))
         else:
-            axes[name] = [float(spec)]
+            axes[name] = [_finite(spec)]
     for name in "xyz":
         if name not in axes:
             raise ValueError(f"grid is missing axis {name!r}")

@@ -6,6 +6,7 @@ values and reports its maximum deviation against a tolerance.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import List
@@ -13,10 +14,10 @@ from typing import List
 import numpy as np
 
 from .fields import FieldProgram, MetricField, OneForm, exterior_derivative
-from .frame import (build_contact_frame, jvec_dot, lie_bracket, metric_dot,
-                    nonholonomity, nonholonomity_program)
-from .invariants import invariant_K, invariant_M, invariants_at
-from .jets import BudgetExhausted, jet_seed
+from .frame import (basis_and_lambda, build_contact_frame, jvec_dot,
+                    metric_dot, nonholonomity, nonholonomity_program)
+from .invariants import directional_derivative, invariant_M, invariants_at
+from .jets import BudgetExhausted
 from .singular import (build_singular_frame, characteristic_field,
                        lambda_identities, locate_sigma, sigma_invariants)
 from .symmetry import (assemble_and_verify_V, build_system,
@@ -153,13 +154,11 @@ def check_nonholonomity_properties(order: int = 4) -> CheckResult:
         omega = OneForm.parse(text)
         scaled = omega.scale(phi.exp())
         for p in _box_points(rng, 8, scale=1.2):
-            lam = nonholonomity(omega, g, p, order)
+            _, _, e1, e2, lam = basis_and_lambda(omega, g, p, order)
             lam_s = nonholonomity(scaled, g, p, order)
             factor = math.exp(phi(p, 1).value)
             devs.append(abs(lam_s.value - factor * lam.value)
                         / (1 + abs(factor * lam.value)))
-            from .frame import delta_basis
-            e1, e2 = delta_basis(omega, g, p, order)
             dw = exterior_derivative(omega, p, order)
             devs.append(abs(dw.apply(e1, e2).value + lam.value)
                         / (1 + abs(lam.value)))
@@ -207,7 +206,6 @@ def check_symmetry_reconstruction(order: int = 5) -> CheckResult:
     omega = OneForm.parse(CARTAN)
     devs = []
     pts = [(0.4, 0.3, 0.1), (1.0, -0.5, 0.2), (-0.7, 0.8, 0.0), (0.2, 0.9, -0.3)]
-    from .invariants import directional_derivative
     for p in pts:
         sys_ = build_system(omega, g, p, order=order)
         if sys_.degenerate:
@@ -217,7 +215,7 @@ def check_symmetry_reconstruction(order: int = 5) -> CheckResult:
         for eq, e in ((sys_.EQ1, sys_.frame.E1), (sys_.EQ2, sys_.frame.E2)):
             ref = -directional_derivative(lam, e).value / lam.value
             devs.append(abs(eq.value - ref))
-        devs += [abs(r) for r in integrability_residuals(omega, g, p, order=order)]
+        devs += [abs(r) for r in integrability_residuals(sys_)]
     base, target = (0.1, 0.2, 0.0), (0.9, -0.4, 0.3)
     lnf = reconstruct_lnf(omega, g, base, target, order=order)
     ref = math.log(nonholonomity(omega, g, base, order).value
@@ -246,11 +244,11 @@ def check_singular_fixture(order: int = 4) -> CheckResult:
         r1, r2 = lambda_identities(frame, c)
         devs += [abs(r1), abs(r2), abs(c.C3_12.value + frame.lam.value),
                  abs(c.C3_23.value), abs(c.C3_31.value)]
-    q = sigma_invariants(omega, g, (0, 0, 0))
+    q = sigma_invariants(build_singular_frame(omega, g, (0, 0, 0))[1])
     devs += [abs(q.Q112), abs(q.Q212)]
     lam_prog = nonholonomity_program(omega, g)
     scaled = omega.scale((lam_prog * lam_prog).exp())
-    q2 = sigma_invariants(scaled, g, (0, 0, 0))
+    q2 = sigma_invariants(build_singular_frame(scaled, g, (0, 0, 0))[1])
     devs += [abs(q2.Q112 - q.Q112), abs(q2.Q212 - q.Q212)]
     return _result("singular-fixture", devs, 1e-6)
 
@@ -260,7 +258,7 @@ def check_budget_failure_mode() -> CheckResult:
     g = MetricField.from_upper_triangle(["1 + x^2", "0", "0", "1", "0", "1"])
     omega = OneForm.parse(CARTAN)
     try:
-        integrability_residuals(omega, g, (0.4, 0.3, 0.1), order=2)
+        integrability_residuals(build_system(omega, g, (0.4, 0.3, 0.1), order=2))
     except BudgetExhausted:
         return CheckResult("budget-exhaustion-designed-failure", 0.0, 1.0, True)
     except Exception as exc:  # pragma: no cover
@@ -285,8 +283,6 @@ ALL_CHECKS = (
 
 
 def run_selftest(jet_order=None) -> List[CheckResult]:
-    import inspect
-
     results = []
     for fn in ALL_CHECKS:
         kwargs = {}

@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from .fields import (DEFAULT_ORDER, FieldProgram, MetricField, OneForm,
                      exterior_derivative)
-from .frame import (AdaptedFrame, StructureFunctions, delta_basis,
+from .frame import (AdaptedFrame, StructureFunctions, basis_and_lambda,
                     dual_coframe, float_det3, jvec_cross, jvec_dot, jvec_scale,
                     jvec_sub, jvec_values, metric_dot, metric_inverse_apply,
                     nonholonomity, structure_functions)
@@ -38,13 +38,10 @@ class SigmaInvariants:
     Q212: float
 
 
-def _lambda_on_delta(omega: OneForm, metric: MetricField, point,
-                     order: int = DEFAULT_ORDER):
-    """Values (E1 lambda, E2 lambda) for a kernel basis at the point."""
-    e1, e2 = delta_basis(omega, metric, point, order)
-    lam = nonholonomity(omega, metric, point, order)
-    return (directional_derivative(lam, e1).value,
-            directional_derivative(lam, e2).value)
+def _norm_on_delta(f: Jet, e1, e2) -> float:
+    """Norm of d(f) restricted to Delta: hypot(E1 f, E2 f)."""
+    return float(np.hypot(directional_derivative(f, e1).value,
+                          directional_derivative(f, e2).value))
 
 
 def locate_sigma(omega: OneForm, metric: MetricField, segment,
@@ -81,9 +78,9 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
     residual = abs(lam(t_root))
     if residual > root_tol:
         return None
-    point = tuple(p0 + t_root * (p1 - p0))
-    g1, g2 = _lambda_on_delta(omega, metric, point, order)
-    grad_norm = float(np.hypot(g1, g2))
+    point = tuple(float(c) for c in p0 + t_root * (p1 - p0))
+    _, _, e1, e2, lam_jet = basis_and_lambda(omega, metric, point, order)
+    grad_norm = _norm_on_delta(lam_jet, e1, e2)
     return SigmaPoint(point=point, lambda_residual=residual,
                       transversal=grad_norm > trans_eps,
                       lambda_gradient_on_delta=grad_norm)
@@ -98,8 +95,7 @@ def _sigma_normal(omega: OneForm, point, order: int):
     grad = np.array([mu.partial(a).value for a in range(3)])
     n = np.linalg.norm(grad)
     if n < 1e-12:
-        raise SingularFrameError(
-            f"cannot estimate a Sigma-normal at {tuple(point)}")
+        raise SingularFrameError(f"cannot estimate a Sigma-normal at {mu.point}")
     return grad / n
 
 
@@ -118,7 +114,7 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
         return tuple(c / omw for c in w)
     if w_scale > w_tol:
         raise SingularFrameError(
-            f"omega(w) = 0 with w != 0 at {tuple(point)}: no normalized "
+            f"omega(w) = 0 with w != 0 at {omw.point}: no normalized "
             "characteristic field")
     # removable degeneration: extrapolate across Sigma
     n = _sigma_normal(omega, point, order)
@@ -132,7 +128,7 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
             omwq = jvec_dot(omega.evaluate(q, order), wq)
             if abs(omwq.value) < 1e-14:
                 raise SingularFrameError(
-                    f"characteristic field degenerate off Sigma near {tuple(point)}")
+                    f"characteristic field degenerate off Sigma near {omw.point}")
             jets.append(tuple(c / omwq for c in wq))
         coeffs = [0.5 * (jets[0][a].coeffs + jets[1][a].coeffs) for a in range(3)]
         valid = min(j.valid_order for side in jets for j in side)
@@ -153,13 +149,9 @@ def check_special_rescale(omega: OneForm, phi: FieldProgram, sigma_points,
     report = []
     for sp in sigma_points:
         p = sp.point if isinstance(sp, SigmaPoint) else tuple(sp)
-        e1, e2 = delta_basis(omega, metric, p, order)
-        pj = phi(p, order)
-        d1 = directional_derivative(pj, e1).value
-        d2 = directional_derivative(pj, e2).value
-        dphi_norm = float(np.hypot(d1, d2))
-        g1, g2 = _lambda_on_delta(omega, metric, p, order)
-        lam_scale = max(1.0, float(np.hypot(g1, g2)))
+        _, _, e1, e2, lam = basis_and_lambda(omega, metric, p, order)
+        dphi_norm = _norm_on_delta(phi(p, order), e1, e2)
+        lam_scale = max(1.0, _norm_on_delta(lam, e1, e2))
         report.append({
             "point": p,
             "dphi_on_delta": dphi_norm,
@@ -177,17 +169,11 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     nonzero component (x, y, z order) is positive; E2 completes the oriented
     orthonormal basis of Delta; E3 is the characteristic field.
     """
-    w = omega.evaluate(point, order)
-    g = metric.evaluate(point, order)
-    lam = nonholonomity(omega, metric, point, order)
+    w, g, e1c, e2c, lam = basis_and_lambda(omega, metric, point, order)
     dlam = tuple(lam.partial(a) for a in range(3))
-
-    e1c, e2c = delta_basis(omega, metric, point, order)
-    trans_norm = float(np.hypot(directional_derivative(lam, e1c).value,
-                                directional_derivative(lam, e2c).value))
-    if trans_norm <= trans_eps:
+    if _norm_on_delta(lam, e1c, e2c) <= trans_eps:
         raise SingularFrameError(
-            f"d(lambda)|_Delta vanishes at {tuple(point)}: not transversal")
+            f"d(lambda)|_Delta vanishes at {lam.point}: not transversal")
 
     direction = jvec_cross(w, dlam)  # annihilated by both omega and d(lambda)
     vals = jvec_values(direction)
@@ -198,7 +184,7 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
             break
     if sign == 0.0:
         raise SingularFrameError(
-            f"Delta and ker d(lambda) do not intersect cleanly at {tuple(point)}")
+            f"Delta and ker d(lambda) do not intersect cleanly at {lam.point}")
     direction = jvec_scale(sign, direction)
     norm = metric_dot(g, direction, direction).sqrt()
     e1 = tuple(c / norm for c in direction)
@@ -231,12 +217,10 @@ def lambda_identities(frame: AdaptedFrame, c: StructureFunctions):
     return r1, r2
 
 
-def sigma_invariants(omega: OneForm, metric: MetricField, sp,
-                     order: int = DEFAULT_ORDER) -> SigmaInvariants:
+def sigma_invariants(c: StructureFunctions) -> SigmaInvariants:
     """Q1_12 = C1_12 restricted to Sigma, Q2_12 = C2_12 restricted to Sigma
-    (invariants of the surface along the singular locus)."""
-    p = sp.point if isinstance(sp, SigmaPoint) else tuple(sp)
-    _, c = build_singular_frame(omega, metric, p, order)
+    (invariants of the surface along the singular locus), from the structure
+    functions of a singular frame built at a Sigma point."""
     return SigmaInvariants(Q112=c.C1_12.value, Q212=c.C2_12.value)
 
 
@@ -247,6 +231,10 @@ def sigma_invariant_derivative(omega: OneForm, metric: MetricField, p,
     to Sigma; expected ~0 along the flow of a true symmetry."""
     d = np.array([float(c) for c in direction])
     p = np.array([float(c) for c in p])
-    qp = sigma_invariants(omega, metric, tuple(p + h * d), order)
-    qm = sigma_invariants(omega, metric, tuple(p - h * d), order)
+
+    def q(step: float) -> SigmaInvariants:
+        _, c = build_singular_frame(omega, metric, tuple(p + step * d), order)
+        return sigma_invariants(c)
+
+    qp, qm = q(h), q(-h)
     return ((qp.Q112 - qm.Q112) / (2 * h), (qp.Q212 - qm.Q212) / (2 * h))

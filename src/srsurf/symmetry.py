@@ -10,10 +10,9 @@ from typing import Optional
 import numpy as np
 
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
-from .frame import (AdaptedFrame, JetVector, StructureFunctions, jvec_add,
-                    jvec_scale, lie_bracket)
+from .frame import (AdaptedFrame, StructureFunctions, build_contact_frame,
+                    jvec_add, jvec_scale, jvec_values, lie_bracket)
 from .invariants import directional_derivative, invariant_K, invariant_M
-from .frame import build_contact_frame
 from .jets import Jet, JetError
 
 RESIDUAL_MIN_ORDER = 5  # one derivative level deeper than the EQ system
@@ -64,15 +63,12 @@ def build_system(omega: OneForm, metric: MetricField, point,
                           frame=frame, C=c, M=m, K=k)
 
 
-def integrability_residuals(omega: OneForm, metric: MetricField, point,
-                            order: int = RESIDUAL_MIN_ORDER,
-                            eps_D: float = 1e-9, **frame_kwargs):
+def integrability_residuals(sys_: SymmetrySystem):
     """The three compatibility residuals of the EQ system; zero (numerically)
     whenever a symmetry exists.  Needs one derivative level beyond the EQ
-    system, hence the deeper default jet order."""
-    sys_ = build_system(omega, metric, point, order, eps_D, **frame_kwargs)
+    system: build the system at order RESIDUAL_MIN_ORDER or higher."""
     if sys_.degenerate:
-        raise DegeneratePointError(f"system degenerate at {tuple(point)}")
+        raise DegeneratePointError(f"system degenerate at {sys_.D.point}")
     fr, c = sys_.frame, sys_.C
     eq1, eq2 = sys_.EQ1, sys_.EQ2
     # Signs follow from the bracket relations [E_b, E_c] = -C^a_{bc} E_a
@@ -101,7 +97,8 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
                     eps_D: float = 1e-9, max_depth: int = 14) -> float:
     """ln f(target) with ln f(base) = 0, as the line integral of the
     coordinate gradient along the straight segment base -> target
-    (adaptive 32-node Gauss-Legendre, bisected until panels agree)."""
+    (adaptive 32-node Gauss-Legendre, bisected until panels agree within
+    quad_tol; raises JetError when a panel still disagrees at max_depth)."""
     base = np.array([float(c) for c in base])
     delta = np.array([float(c) for c in target]) - base
     if not delta.any():
@@ -124,8 +121,14 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
     def adaptive(a: float, b: float, whole: float, depth: int) -> float:
         mid = 0.5 * (a + b)
         left, right = panel(a, mid), panel(mid, b)
-        if abs(left + right - whole) < quad_tol or depth >= max_depth:
+        gap = abs(left + right - whole)
+        if gap < quad_tol:
             return left + right
+        if depth >= max_depth:
+            raise JetError(
+                f"quadrature did not converge on panel t = [{a:.6g}, {b:.6g}]: "
+                f"halves differ by {gap:.3e}, quad_tol = {quad_tol:g}, "
+                f"max_depth = {max_depth}")
         return (adaptive(a, mid, left, depth + 1)
                 + adaptive(mid, b, right, depth + 1))
 
@@ -146,8 +149,15 @@ class SymmetryField:
     bracket_defect_2: Optional[float]
 
 
-def _jet_vector_values(v: JetVector):
-    return tuple(c.value for c in v)
+def reconstructed_V(sys_: SymmetrySystem, lnf: float):
+    """(f, V) from a reconstructed ln f: f = e^{ln f}, E1 f = f EQ1,
+    E2 f = f EQ2 and V = -E2(f) E1 + E1(f) E2 + f E3, as values."""
+    fv = float(np.exp(lnf))
+    fr = sys_.frame
+    e1f = fv * sys_.EQ1.value
+    e2f = fv * sys_.EQ2.value
+    return fv, tuple(-e2f * fr.E1[i].value + e1f * fr.E2[i].value
+                     + fv * fr.E3[i].value for i in range(3))
 
 
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
@@ -161,12 +171,14 @@ def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
     reconstructed from `base` via the EQ system and only pointwise data
     (f, gradient, V components, VK, VM) is produced.
     """
+    if f is None and base is None:
+        raise ValueError("either an injected f or a base point is required")
     out = []
     for p in points:
-        frame, c = build_contact_frame(omega, metric, p, order, **frame_kwargs)
-        m = invariant_M(c)
-        k = invariant_K(c, frame)
         if f is not None:
+            frame, c = build_contact_frame(omega, metric, p, order, **frame_kwargs)
+            m = invariant_M(c)
+            k = invariant_K(c, frame)
             fj = f(p, order)
             e1f = directional_derivative(fj, frame.E1)
             e2f = directional_derivative(fj, frame.E2)
@@ -185,20 +197,15 @@ def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
                                  for i in range(3)])
             out.append(SymmetryField(
                 point=tuple(p), f_value=fj.value, lnf_gradient=None,
-                V=_jet_vector_values(v), lambda_mult=lam_mult, VK=vk, VM=vm,
+                V=jvec_values(v), lambda_mult=lam_mult, VK=vk, VM=vm,
                 E3f=e3f.value, bracket_defect_1=float(d1),
                 bracket_defect_2=float(d2)))
         else:
-            if base is None:
-                raise ValueError("either an injected f or a base point is required")
             lnf = reconstruct_lnf(omega, metric, base, p, order)
-            fv = float(np.exp(lnf))
             sys_ = build_system(omega, metric, p, order, **frame_kwargs)
             grad = frame_to_coordinate_gradient(sys_)
-            e1f = fv * sys_.EQ1.value
-            e2f = fv * sys_.EQ2.value
-            v = tuple(-e2f * frame.E1[i].value + e1f * frame.E2[i].value
-                      + fv * frame.E3[i].value for i in range(3))
+            fv, v = reconstructed_V(sys_, lnf)
+            k, m = sys_.K, sys_.M
             grad_k = np.array([k.partial_value((1, 0, 0)), k.partial_value((0, 1, 0)),
                                k.partial_value((0, 0, 1))])
             grad_m = np.array([m.partial_value((1, 0, 0)), m.partial_value((0, 1, 0)),

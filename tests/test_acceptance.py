@@ -21,6 +21,7 @@ from srsurf import (DegeneratePointError, FieldProgram, MetricField, OneForm,
                     invariants_at, jet_seed, lambda_identities, locate_sigma,
                     nonholonomity, reconstruct_lnf, sigma_invariants)
 from srsurf.frame import jvec_values
+from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
 from conftest import (AXIAL_FORM, AXIAL_METRIC, cartan_K, cartan_M, heis_K,
                       heis_M)
@@ -128,13 +129,14 @@ def test_criterion5_residuals_at_nondegenerate_points():
         f"Heisenberg point {heis_pts[0]} reported non-degenerate, "
         "but D cancels identically there")
     with pytest.raises(DegeneratePointError):
-        integrability_residuals(HEIS, EUCLID, sample_points(1, 5)[0])
+        integrability_residuals(build_system(HEIS, EUCLID, sample_points(1, 5)[0],
+                                             RESIDUAL_MIN_ORDER))
 
     pts = _nondegenerate_points(AXIAL, AXIAL_G, 50)
     assert len(pts) == 50, (
         f"protocol needs 50 non-degenerate points, found {len(pts)}/400")
     for p in pts:
-        r = integrability_residuals(AXIAL, AXIAL_G, p)
+        r = integrability_residuals(build_system(AXIAL, AXIAL_G, p, RESIDUAL_MIN_ORDER))
         assert max(abs(v) for v in r) < 1e-6, f"residuals {r} at {p}"
 
 
@@ -231,12 +233,12 @@ def test_criterion7_singular_fixture():
         assert abs(r1) < 1e-8
         assert abs(r2) < 1e-8
 
-    q = sigma_invariants(OMEGA_1, EUCLID, (0, 0, 0))
+    q = sigma_invariants(build_singular_frame(OMEGA_1, EUCLID, (0, 0, 0))[1])
     assert abs(q.Q112) < 1e-8 and abs(q.Q212) < 1e-8
 
     lam = FieldProgram(lambda p, n: nonholonomity(OMEGA_1, EUCLID, p, n))
     scaled = OMEGA_1.scale((lam * lam).exp())
-    q1 = sigma_invariants(scaled, EUCLID, (0, 0, 0))
+    q1 = sigma_invariants(build_singular_frame(scaled, EUCLID, (0, 0, 0))[1])
     assert abs(q.Q112 - q1.Q112) < 1e-6
     assert abs(q.Q212 - q1.Q212) < 1e-6
 
@@ -252,7 +254,7 @@ def test_criterion8_nonholonomity_properties():
             lam_s = nonholonomity(scaled, EUCLID, p).value
             want = math.exp(phi.value(p)) * lam
             assert abs(lam_s - want) <= 1e-9 * (1 + abs(want))
-            e1, e2 = delta_basis(omega, EUCLID, p)
+            e1, e2 = delta_basis(omega.evaluate(p), EUCLID.evaluate(p))
             b = exterior_derivative(omega, p)
             val = b.apply(jvec_values(e1), jvec_values(e2)).value
             assert abs(val + lam) <= 1e-9 * (1 + abs(lam))

@@ -69,6 +69,21 @@ def test_invariants_noncontact_branch(capsys):
     assert rec["contact"] is False
 
 
+def test_contact_test_is_scale_free(capsys):
+    # omega -> 1e-12 omega scales lambda by 1e-12 but leaves the distribution,
+    # M and K unchanged, so the point stays on the contact branch
+    recs = []
+    for omega in (HEIS, "1e-12*dz + 1e-12*y*dx - 1e-12*x*dy"):
+        code, out, _ = run_cli(capsys, "invariants", "--omega", omega,
+                               "--points", "0.5,0.5,0")
+        assert code == 0
+        recs += ndjson(out)
+    plain, scaled = recs
+    assert scaled["branch"] == "regular" and scaled["contact"] is True
+    for key in ("M", "K"):
+        assert abs(scaled[key] - plain[key]) <= 1e-8 * abs(plain[key])
+
+
 def test_invariants_grid_and_csv(capsys):
     code, out, _ = run_cli(capsys, "invariants", "--omega", HEIS,
                            "--grid", "x=-1:1:3, y=-1:1:3, z=0",
@@ -84,13 +99,6 @@ def test_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
-
-
-def test_workers_match_serial(capsys):
-    argv = ["invariants", "--omega", HEIS, "--points", "0.3,0.4,-0.2;1,1,1;0,1,0"]
-    _, serial, _ = run_cli(capsys, *argv)
-    _, parallel, _ = run_cli(capsys, *argv, "--workers", "3")
-    assert serial == parallel
 
 
 def test_out_file(capsys, tmp_path):
@@ -129,6 +137,37 @@ def test_bad_grid_exits_1(capsys):
     code, _, err = run_cli(capsys, "invariants", "--omega", HEIS,
                            "--grid", "x=1:2, y=0, z=0")
     assert code == 1
+
+
+@pytest.mark.parametrize("command, option, value, message", [
+    ("invariants", "--points", "nan,0,0;inf,1,0", "finite"),
+    ("invariants", "--points", "0,-inf,0", "finite"),
+    ("invariants", "--grid", "x=0:nan:3, y=0, z=0", "finite"),
+    ("invariants", "--grid", "x=0:1:3, y=inf, z=0", "finite"),
+    ("symmetry", "--base", "nan,0,0", "finite"),
+    ("singular", "--probe", "-1,0,0 : inf,0,0", "finite"),
+    ("invariants", "--tol-contact", "nan", "positive"),
+])
+def test_nonfinite_input_exits_1(capsys, command, option, value, message):
+    argv = [command, "--omega", W1, "--points", "1,0,0", option, value]
+    if option == "--base":
+        argv.append("--reconstruct")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+def test_nonfinite_record_writes_nothing(capsys, monkeypatch):
+    good = PointReport(point=(0.0, 0.0, 0.0), lam=1.0)
+    bad = PointReport(point=(1.0, 0.0, 0.0), lam=float("nan"))
+    with pytest.raises(ValueError):
+        bad.to_json()
+    monkeypatch.setattr("srsurf.cli.cmd_invariants", lambda cfg: [good, bad])
+    code, out, err = run_cli(capsys, "invariants", "--omega", HEIS)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_reconstruct_without_base_exits_1(capsys):
@@ -207,6 +246,17 @@ def test_singular_probe_without_crossing(capsys):
     assert code == 0
     (rec,) = ndjson(out)
     assert rec["error"] == "no Sigma crossing on probe"
+
+
+def test_singular_error_formats_plain_floats(capsys):
+    # lambda is proportional to x^2 here, so d(lambda)|_Delta vanishes on Sigma
+    code, out, _ = run_cli(capsys, "singular", "--omega", "dy + x^3*dz",
+                           "--probe", "-1,0,0 : 1,0,0")
+    assert code == 0
+    (rec,) = ndjson(out)
+    assert rec["error"] == ("d(lambda)|_Delta vanishes at (0.0, 0.0, 0.0): "
+                            "not transversal")
+    assert "np.float64" not in out
 
 
 # -- selftest subcommand ---------------------------------------------------

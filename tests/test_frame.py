@@ -29,17 +29,18 @@ def _field(point, fns, order=4):
 
 def test_delta_basis_origin(heisenberg, cartan, euclid):
     for w in (heisenberg, cartan):
-        e1, e2 = delta_basis(w, euclid, (0, 0, 0))
+        e1, e2 = delta_basis(w.evaluate((0, 0, 0)), euclid.evaluate((0, 0, 0)))
         assert np.allclose(_vals(e1), [1, 0, 0], atol=1e-14)
         assert np.allclose(_vals(e2), [0, 1, 0], atol=1e-14)
 
 
 def test_delta_basis_seed_override(heisenberg, euclid):
     # at (0,1,0) the documented largest-projection rule seeds from y
-    e1, e2 = delta_basis(heisenberg, euclid, (0, 1, 0))
+    w, g = heisenberg.evaluate((0, 1, 0)), euclid.evaluate((0, 1, 0))
+    e1, e2 = delta_basis(w, g)
     assert np.allclose(_vals(e1), [0, 1, 0], atol=1e-14)
     # the x-seeded gauge gives the unit projection of dx into the kernel
-    e1, e2 = delta_basis(heisenberg, euclid, (0, 1, 0), seed="x")
+    e1, e2 = delta_basis(w, g, seed="x")
     r = 1 / math.sqrt(2)
     assert np.allclose(_vals(e1), [r, 0, -r], atol=1e-14)
     assert np.allclose(_vals(e2), [0, 1, 0], atol=1e-14)
@@ -50,12 +51,11 @@ def test_delta_basis_orthonormal_random(heisenberg, euclid, rng):
         ["1 + x^2", "0", "0", "1 + z^2", "0", "2"])
     for metric in (euclid, g):
         for p in box_points(rng, 10):
-            e1, e2 = delta_basis(heisenberg, metric, p)
-            gm = metric.evaluate(p)
+            w, gm = heisenberg.evaluate(p), metric.evaluate(p)
+            e1, e2 = delta_basis(w, gm)
             assert abs(metric_dot(gm, e1, e1).value - 1) < 1e-10
             assert abs(metric_dot(gm, e2, e2).value - 1) < 1e-10
             assert abs(metric_dot(gm, e1, e2).value) < 1e-10
-            w = heisenberg.evaluate(p)
             assert abs(jvec_dot(w, e1).value) < 1e-10
             assert abs(jvec_dot(w, e2).value) < 1e-10
 
@@ -63,7 +63,7 @@ def test_delta_basis_orthonormal_random(heisenberg, euclid, rng):
 def test_delta_basis_vanishing_form(euclid):
     w = OneForm.parse("x*dx + y*dy + z*dz")
     with pytest.raises(JetError):
-        delta_basis(w, euclid, (0, 0, 0))
+        delta_basis(w.evaluate((0, 0, 0)), euclid.evaluate((0, 0, 0)))
 
 
 # -- lie_bracket -----------------------------------------------------------

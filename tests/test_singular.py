@@ -5,7 +5,7 @@ import pytest
 
 from srsurf import (FieldProgram, OneForm, SingularFrameError,
                     build_singular_frame, characteristic_field,
-                    check_special_rescale, exterior_derivative,
+                    check_special_rescale, delta_basis, exterior_derivative,
                     lambda_identities, locate_sigma, nonholonomity,
                     sigma_invariant_derivative, sigma_invariants)
 from srsurf.frame import jvec_dot, jvec_values
@@ -104,7 +104,7 @@ def test_singular_frame_origin(omega1, euclid):
     assert np.allclose(jvec_values(frame.E1), [0, 0, 1], atol=1e-12)
     assert np.allclose(jvec_values(frame.E3), [0, 1, 0], atol=1e-8)
     assert frame.kind == "singular"
-    q = sigma_invariants(omega1, euclid, (0, 0, 0))
+    q = sigma_invariants(c)
     assert abs(q.Q112) < 1e-7 and abs(q.Q212) < 1e-7
 
 
@@ -141,8 +141,8 @@ def test_sigma_invariants_rescale_invariance(omega1, euclid):
     lam = FieldProgram(lambda p, n: nonholonomity(omega1, euclid, p, n))
     scaled = omega1.scale((lam * lam).exp())
     for p in ((0.0, 0.0, 0.0), (0.0, 0.5, -0.3)):
-        q0 = sigma_invariants(omega1, euclid, p)
-        q1 = sigma_invariants(scaled, euclid, p)
+        q0 = sigma_invariants(build_singular_frame(omega1, euclid, p)[1])
+        q1 = sigma_invariants(build_singular_frame(scaled, euclid, p)[1])
         assert abs(q0.Q112 - q1.Q112) < 1e-6
         assert abs(q0.Q212 - q1.Q212) < 1e-6
 
@@ -180,10 +180,9 @@ def test_lambda_conformal_homogeneity(omega1, euclid, rng):
 
 def test_domega_on_delta_is_minus_lambda(omega1, heisenberg, euclid, rng):
     # d(omega)(E1, E2) + lambda = 0 for the oriented kernel basis
-    from srsurf import delta_basis
     for omega in (omega1, heisenberg):
         for p in box_points(rng, 5):
-            e1, e2 = delta_basis(omega, euclid, p)
+            e1, e2 = delta_basis(omega.evaluate(p), euclid.evaluate(p))
             b = exterior_derivative(omega, p)
             val = b.apply(jvec_values(e1), jvec_values(e2)).value
             lam = nonholonomity(omega, euclid, p).value

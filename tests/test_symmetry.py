@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srsurf import (BudgetExhausted, DegeneratePointError, FieldProgram,
-                    MetricField, OneForm, assemble_and_verify_V, build_system,
+                    JetError, MetricField, OneForm, assemble_and_verify_V, build_system,
                     frame_to_coordinate_gradient, integrability_residuals,
                     nonholonomity, nonholonomity_program, reconstruct_lnf)
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
@@ -87,27 +87,28 @@ def test_quotient_identity(axial):
 def test_axial_residuals_vanish(axial):
     omega, metric = axial
     for p in AXIAL_POINTS:
-        r = integrability_residuals(omega, metric, p)
+        r = integrability_residuals(build_system(omega, metric, p, RESIDUAL_MIN_ORDER))
         assert max(abs(v) for v in r) < 1e-10
 
 
 def test_residuals_need_order_five(axial):
     omega, metric = axial
     with pytest.raises(BudgetExhausted):
-        integrability_residuals(omega, metric, AXIAL_POINTS[0], order=4)
+        integrability_residuals(build_system(omega, metric, AXIAL_POINTS[0], 4))
     assert RESIDUAL_MIN_ORDER == 5
 
 
 def test_residuals_degenerate_point_raises(cartan, euclid):
     with pytest.raises(DegeneratePointError):
-        integrability_residuals(cartan, euclid, (0.3, 0.4, 0.1))
+        integrability_residuals(
+            build_system(cartan, euclid, (0.3, 0.4, 0.1), RESIDUAL_MIN_ORDER))
 
 
 def test_residuals_deterministic_on_perturbed_form(euclid):
     omega = OneForm.parse("dz + y*dx - x*dy + 0.1*x^2*dz")
     p = (0.9, 0.4, -0.3)
-    a = integrability_residuals(omega, euclid, p)
-    b = integrability_residuals(omega, euclid, p)
+    a = integrability_residuals(build_system(omega, euclid, p, RESIDUAL_MIN_ORDER))
+    b = integrability_residuals(build_system(omega, euclid, p, RESIDUAL_MIN_ORDER))
     assert a == b
 
 
@@ -140,6 +141,13 @@ def test_reconstruct_lnf_oracle(axial):
         got = reconstruct_lnf(omega, metric, base, p)
         want = math.log(lam0 / lam_prog.value(p))
         assert abs(got - want) < 1e-8
+
+
+def test_reconstruct_lnf_raises_when_quadrature_does_not_converge(axial):
+    omega, metric = axial
+    with pytest.raises(JetError, match=r"did not converge on panel t = \[0, 1\].*quad_tol = 1e-300"):
+        reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), AXIAL_POINTS[0],
+                        quad_tol=1e-300, max_depth=0)
 
 
 def test_reconstruct_lnf_base_equals_target(axial):
