@@ -5,17 +5,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import List
 
 from .fields import MetricField, OneForm
 from .frame import NoncontactError
-from .invariants import invariants_at
+from .invariants import INVARIANTS_ORDER, invariants_at
 from .jets import JetError
 from .report import (PointReport, RunConfig, csv_header, csv_row, parse_grid,
                      parse_points, parse_probe)
 from .selftest import run_selftest
-from .singular import (build_singular_frame, lambda_identities, locate_sigma,
-                       sigma_invariants)
+from .singular import (SINGULAR_FRAME_ORDER, build_singular_frame,
+                       lambda_identities, locate_sigma, sigma_invariants)
 from .symmetry import (RESIDUAL_MIN_ORDER, build_system, integrability_residuals,
                        reconstruct_lnf, reconstructed_V)
 
@@ -24,13 +25,12 @@ EXIT_CONFIG = 1
 EXIT_SELFTEST = 2
 
 
-def _add_common(p: argparse.ArgumentParser, default_order: int = 4):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--omega", required=True, help="1-form, e.g. 'dz + y*dx - x*dy'")
     p.add_argument("--metric-file", help="file with 6 upper-triangle metric entries")
     p.add_argument("--points", action="append", default=[],
                    help="semicolon-separated points 'x,y,z;x,y,z' (repeatable)")
     p.add_argument("--grid", help="grid spec 'x=-1:1:5, y=-1:1:5, z=0'")
-    p.add_argument("--jet-order", type=int, default=default_order)
     p.add_argument("--tol-contact", type=float, default=1e-9)
     p.add_argument("--tol-degenerate", type=float, default=1e-9)
     p.add_argument("--tol-root", type=float, default=1e-10)
@@ -52,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("symmetry",
                        help="symmetry system D/EQ/residuals per point")
-    _add_common(p, default_order=RESIDUAL_MIN_ORDER)
+    _add_common(p)
     p.add_argument("--reconstruct", action="store_true",
                    help="reconstruct ln f relative to --base")
     p.add_argument("--base", help="base point for ln f reconstruction")
@@ -64,14 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the built-in fixture checks")
     p.add_argument("--json", action="store_true", dest="as_json")
-    p.add_argument("--jet-order", type=int, default=None)
     return ap
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(
         omega_text=args.omega,
-        jet_order=args.jet_order,
         eps_contact=args.tol_contact,
         eps_D=args.tol_degenerate,
         root_tol=args.tol_root,
@@ -109,9 +107,10 @@ def _emit(reports: List[PointReport], cfg: RunConfig, path):
         sys.stdout.write(text)
 
 
-def _diag(order: int, jets) -> dict:
+def _diag(jets) -> dict:
+    """The jet order a quantity was computed at and its budget left."""
     left = min(j.valid_order for j in jets)
-    return {"jet_order": order, "budget_remaining": left}
+    return {"jet_order": jets[0].order, "budget_remaining": left}
 
 
 def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
@@ -120,7 +119,7 @@ def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
 
     def one(p) -> PointReport:
         try:
-            vals, frame, _ = invariants_at(omega, metric, p, cfg.jet_order,
+            vals, frame, _ = invariants_at(omega, metric, p, INVARIANTS_ORDER,
                                            eps_contact=cfg.eps_contact)
         except NoncontactError:
             return PointReport(point=tuple(p), branch="noncontact", contact=False)
@@ -128,7 +127,7 @@ def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
             return PointReport(point=tuple(p), branch="regular", error=str(exc))
         return PointReport(point=tuple(p), branch="regular", contact=True,
                            lam=frame.lam.value, M=vals.M.value, K=vals.K.value,
-                           diagnostics=_diag(cfg.jet_order, (vals.M, vals.K)))
+                           diagnostics=_diag((vals.M, vals.K)))
 
     return [one(p) for p in cfg.points]
 
@@ -141,7 +140,7 @@ def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
 
     def one(p) -> PointReport:
         try:
-            sys_ = build_system(omega, metric, p, cfg.jet_order,
+            sys_ = build_system(omega, metric, p, RESIDUAL_MIN_ORDER,
                                 eps_D=cfg.eps_D, eps_contact=cfg.eps_contact)
         except NoncontactError:
             return PointReport(point=tuple(p), branch="noncontact", contact=False)
@@ -155,19 +154,15 @@ def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
         rep.branch = "regular"
         rep.EQ1 = sys_.EQ1.value
         rep.EQ2 = sys_.EQ2.value
-        try:
-            rep.residuals = integrability_residuals(sys_)
-        except JetError as exc:
-            rep.diagnostics["residual_error"] = str(exc)
+        rep.residuals = integrability_residuals(sys_)
         if cfg.reconstruct:
             try:
                 rep.lnf = reconstruct_lnf(omega, metric, cfg.base, p,
-                                          cfg.jet_order, quad_tol=cfg.quad_tol,
-                                          eps_D=cfg.eps_D)
+                                          quad_tol=cfg.quad_tol, eps_D=cfg.eps_D)
                 _, rep.V = reconstructed_V(sys_, rep.lnf)
             except JetError as exc:
                 rep.diagnostics["reconstruct_error"] = str(exc)
-        rep.diagnostics.update(_diag(cfg.jet_order, (sys_.D,)))
+        rep.diagnostics.update(_diag((sys_.D,)))
         return rep
 
     return [one(p) for p in cfg.points]
@@ -178,8 +173,7 @@ def cmd_singular(cfg: RunConfig) -> List[PointReport]:
     metric = MetricField.from_text(cfg.metric_text)
     reports = []
     for seg in cfg.probes:
-        sp = locate_sigma(omega, metric, seg, cfg.jet_order,
-                          root_tol=cfg.root_tol)
+        sp = locate_sigma(omega, metric, seg, root_tol=cfg.root_tol)
         if sp is None:
             rep = PointReport(point=seg[0], branch="regular",
                               error="no Sigma crossing on probe")
@@ -192,7 +186,7 @@ def cmd_singular(cfg: RunConfig) -> List[PointReport]:
         rep.diagnostics["lambda_gradient_on_delta"] = sp.lambda_gradient_on_delta
         try:
             frame, c = build_singular_frame(omega, metric, sp.point,
-                                            cfg.jet_order)
+                                            SINGULAR_FRAME_ORDER)
             q = sigma_invariants(c)
             r1, r2 = lambda_identities(frame, c)
             rep.Q112, rep.Q212 = q.Q112, q.Q212
@@ -207,11 +201,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "selftest":
-        results = run_selftest(jet_order=args.jet_order)
+        results = run_selftest()
         ok = all(r.passed for r in results)
         if args.as_json:
             doc = {"schema": "srs/1", "passed": ok,
-                   "checks": [r.to_dict() for r in results]}
+                   "checks": [asdict(r) for r in results]}
             print(json.dumps(doc, sort_keys=True))
         else:
             for r in results:

@@ -87,17 +87,9 @@ def eval_ast(node, env) -> Jet:
         if node.op == "*":
             return a * b
         return a / b
-    if isinstance(node, Fun):
+    if isinstance(node, Fun):  # a name from _FUNCTIONS; ln is Jet.log
         a = eval_ast(node.arg, env)
-        if node.name == "sqrt":
-            return a.sqrt()
-        if node.name == "exp":
-            return a.exp()
-        if node.name == "sin":
-            return a.sin()
-        if node.name == "cos":
-            return a.cos()
-        return a.log()
+        return getattr(a, "log" if node.name == "ln" else node.name)()
     if isinstance(node, Pow):
         base = eval_ast(node.base, env)
         e = node.exponent
@@ -436,19 +428,13 @@ class OneForm:
 
     @staticmethod
     def parse(text: str) -> "OneForm":
-        terms = _Parser(text).parse_oneform()
-        per_diff = {d: [] for d in _DIFFERENTIALS}
-        for sign, coeff, diff in terms:
-            per_diff[diff].append((sign, coeff))
-        comps = []
-        for d in _DIFFERENTIALS:
-            prog = FieldProgram.constant(0.0)
-            for sign, coeff in per_diff[d]:
-                c = FieldProgram.constant(sign) if coeff is None \
-                    else sign * FieldProgram.from_ast(coeff)
-                prog = prog + c
-            comps.append(prog)
-        return OneForm(tuple(comps), source=text)
+        # one AST per component, 0 +/- t1 +/- t2 ..., wrapped once
+        asts = {d: Num(0.0) for d in _DIFFERENTIALS}
+        for sign, coeff, diff in _Parser(text).parse_oneform():
+            asts[diff] = Bin("+" if sign > 0 else "-", asts[diff],
+                             Num(1.0) if coeff is None else coeff)
+        return OneForm(tuple(FieldProgram.from_ast(asts[d]) for d in _DIFFERENTIALS),
+                       source=text)
 
     def evaluate(self, point, order: int = DEFAULT_ORDER):
         jets = tuple(c(point, order) for c in self.components)
@@ -500,7 +486,10 @@ class MetricField:
                                                else block.split())
 
     def evaluate(self, point, order: int = DEFAULT_ORDER):
-        g = [[self.entries[i][j](point, order) for j in range(3)] for i in range(3)]
+        g = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):  # symmetric: evaluate the upper triangle
+                g[i][j] = g[j][i] = self.entries[i][j](point, order)
         m1 = g[0][0].value
         m2 = g[0][0].value * g[1][1].value - g[0][1].value ** 2
         m3 = (g[0][0].value * (g[1][1].value * g[2][2].value - g[1][2].value ** 2)

@@ -221,6 +221,14 @@ def basis_and_lambda(omega: OneForm, metric: MetricField, point,
     return w, g, e1, e2, jvec_dot(w, lie_bracket(e1, e2))
 
 
+def omega_norm(w: JetVector, g) -> float:
+    """|omega|_g from the jets w = omega and g; lambda / |omega|_g and
+    d(lambda) / |omega|_g do not change under omega -> c omega."""
+    wv = np.array(jvec_values(w))
+    gv = np.array([[gij.value for gij in row] for row in g])
+    return math.sqrt(wv @ np.linalg.solve(gv, wv))
+
+
 def nonholonomity(omega: OneForm, metric: MetricField, point,
                   order: int = DEFAULT_ORDER, seed: Optional[str] = None,
                   rotation: float = 0.0) -> Jet:
@@ -273,9 +281,7 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     omega -> e^phi omega leaves unchanged.
     """
     w, g, e1, e2, lam = basis_and_lambda(omega, metric, point, order, seed, rotation)
-    wv = np.array(jvec_values(w))
-    gv = np.array([[gij.value for gij in row] for row in g])
-    contact = abs(lam.value) / math.sqrt(wv @ np.linalg.solve(gv, wv))
+    contact = abs(lam.value) / omega_norm(w, g)
     if contact < eps_contact:
         raise NoncontactError(f"point {lam.point} is noncontact "
                               f"(|lambda| / |omega|_g = {contact:.3e})")

@@ -9,6 +9,10 @@ from .fields import DEFAULT_ORDER, MetricField, OneForm
 from .frame import AdaptedFrame, JetVector, StructureFunctions, build_contact_frame
 from .jets import Jet
 
+# Least jet order of M and K: E3 needs d(eta3), the structure functions
+# bracket E3, and K differentiates C, three derivative levels in all.
+INVARIANTS_ORDER = 3
+
 
 def directional_derivative(f: Jet, e: JetVector) -> Jet:
     """E(f) = E^a d_a f as a jet; consumes one derivative level."""

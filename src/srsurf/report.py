@@ -93,7 +93,6 @@ def csv_row(r: PointReport) -> str:
 class RunConfig:
     omega_text: str = ""
     metric_text: str = ""
-    jet_order: int = 4
     eps_contact: float = 1e-9
     eps_D: float = 1e-9
     root_tol: float = 1e-10
@@ -105,8 +104,6 @@ class RunConfig:
     out_format: str = "json"
 
     def validate(self):
-        if not (1 <= self.jet_order <= 6):
-            raise ValueError(f"jet order must be in 1..6, got {self.jet_order}")
         if self.out_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.out_format!r}")
         for tol_name in ("eps_contact", "eps_D", "root_tol", "quad_tol"):

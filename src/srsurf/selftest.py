@@ -6,7 +6,6 @@ values and reports its maximum deviation against a tolerance.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import List
@@ -20,12 +19,32 @@ from .invariants import directional_derivative, invariant_M, invariants_at
 from .jets import BudgetExhausted
 from .singular import (build_singular_frame, characteristic_field,
                        lambda_identities, locate_sigma, sigma_invariants)
-from .symmetry import (assemble_and_verify_V, build_system,
+from .symmetry import (RESIDUAL_MIN_ORDER, assemble_and_verify_V, build_system,
                        integrability_residuals, reconstruct_lnf)
 
 HEISENBERG = "dz + y*dx - x*dy"
 CARTAN = "dz + y*dx"
 OMEGA_1 = "dy + x^2*dz"
+
+
+# Closed forms of M and K on the Euclidean Heisenberg and Cartan fixtures.
+# Plain arithmetic, so that they also take sympy symbols.
+
+def heis_M(x, y, z):
+    return 2.25 * (x * x + y * y) ** 2 / (1 + x * x + y * y) ** 4
+
+
+def heis_K(x, y, z):
+    r2 = x * x + y * y
+    return 3 * (3 * r2 + 4) / (2 * (1 + r2) ** 2)
+
+
+def cartan_M(x, y, z):
+    return 0.25 * (1 - 2 * y * y) ** 2 / (1 + y * y) ** 4
+
+
+def cartan_K(x, y, z):
+    return (2 * y * y + 5) / (2 * (1 + y * y) ** 2)
 
 
 @dataclass
@@ -35,10 +54,6 @@ class CheckResult:
     tol: float
     passed: bool
     note: str = ""
-
-    def to_dict(self):
-        return {"name": self.name, "max_dev": self.max_dev, "tol": self.tol,
-                "passed": self.passed, "note": self.note}
 
 
 def _result(name, devs, tol, note=""):
@@ -54,7 +69,7 @@ def _box_points(rng, n, scale=2.0):
     return [tuple(rng.uniform(-scale, scale, 3)) for _ in range(n)]
 
 
-def check_jet_oracle(order: int = 4) -> CheckResult:
+def check_jet_oracle() -> CheckResult:
     """Jet partials of sample expressions vs central finite differences."""
     rng = _rng()
     exprs = ["x^2*y + sin(z)", "sqrt(1 + x^2 + y^2)", "exp(x*y)/(1 + z^2)",
@@ -65,7 +80,7 @@ def check_jet_oracle(order: int = 4) -> CheckResult:
     for prog in progs:
         for _ in range(3):
             p = tuple(rng.uniform(-1, 1, 3))
-            j = prog(p, order)
+            j = prog(p)
             for axis in range(3):
                 pp = list(p)
                 pm = list(p)
@@ -78,25 +93,22 @@ def check_jet_oracle(order: int = 4) -> CheckResult:
     return _result("jet-vs-finite-difference", devs, 1e-5)
 
 
-def check_invariant_M_closed_forms(order: int = 4) -> CheckResult:
-    """M against the closed forms for the two contact fixtures."""
+def check_invariant_M_K_closed_forms() -> CheckResult:
+    """M and K against the closed forms for the two contact fixtures."""
     rng = _rng()
     g = MetricField.identity()
     devs = []
-    heis = OneForm.parse(HEISENBERG)
-    cart = OneForm.parse(CARTAN)
+    fixtures = ((OneForm.parse(HEISENBERG), heis_M, heis_K),
+                (OneForm.parse(CARTAN), cartan_M, cartan_K))
     for p in _box_points(rng, 20):
-        x, y, _ = p
-        vals, _, _ = invariants_at(heis, g, p, order=order)
-        m_ref = 2.25 * (x * x + y * y) ** 2 / (1 + x * x + y * y) ** 4
-        devs.append(abs(vals.M.value - m_ref) / (1 + abs(m_ref)))
-        vals, _, _ = invariants_at(cart, g, p, order=order)
-        m_ref = 0.25 * (1 - 2 * y * y) ** 2 / (1 + y * y) ** 4
-        devs.append(abs(vals.M.value - m_ref) / (1 + abs(m_ref)))
-    return _result("invariant-M-closed-forms", devs, 1e-8)
+        for omega, m_ref, k_ref in fixtures:
+            vals, _, _ = invariants_at(omega, g, p)
+            for got, ref in ((vals.M, m_ref(*p)), (vals.K, k_ref(*p))):
+                devs.append(abs(got.value - ref) / (1 + abs(ref)))
+    return _result("invariant-M-K-closed-forms", devs, 1e-8)
 
 
-def check_frame_identities(order: int = 4) -> CheckResult:
+def check_frame_identities() -> CheckResult:
     """Orthonormality, duality, C3 row and C1_31 = C2_23 on both fixtures."""
     rng = _rng()
     g = MetricField.identity()
@@ -104,8 +116,8 @@ def check_frame_identities(order: int = 4) -> CheckResult:
     for text in (HEISENBERG, CARTAN):
         omega = OneForm.parse(text)
         for p in _box_points(rng, 10):
-            frame, c = build_contact_frame(omega, g, p, order=order)
-            gm = g.evaluate(p, order)
+            frame, c = build_contact_frame(omega, g, p)
+            gm = g.evaluate(p)
             devs.append(abs(metric_dot(gm, frame.E1, frame.E1).value - 1))
             devs.append(abs(metric_dot(gm, frame.E2, frame.E2).value - 1))
             devs.append(abs(metric_dot(gm, frame.E1, frame.E2).value))
@@ -123,7 +135,7 @@ def check_frame_identities(order: int = 4) -> CheckResult:
     return _result("frame-identities", devs, 1e-8)
 
 
-def check_gauge_invariance(order: int = 4) -> CheckResult:
+def check_gauge_invariance() -> CheckResult:
     """M and K under conformal rescaling, sign flip and SO(2) re-gauging."""
     rng = _rng()
     g = MetricField.identity()
@@ -134,17 +146,16 @@ def check_gauge_invariance(order: int = 4) -> CheckResult:
         scaled = omega.scale(phi.exp())
         flipped = -omega
         for p in _box_points(rng, 8, scale=1.5):
-            ref, _, _ = invariants_at(omega, g, p, order=order)
+            ref, _, _ = invariants_at(omega, g, p)
             for other_kwargs, other_form in ((dict(), scaled), (dict(), flipped),
                                              (dict(rotation=0.7), omega)):
-                vals, _, _ = invariants_at(other_form, g, p, order=order,
-                                           **other_kwargs)
+                vals, _, _ = invariants_at(other_form, g, p, **other_kwargs)
                 devs.append(abs(vals.M.value - ref.M.value) / (1 + abs(ref.M.value)))
                 devs.append(abs(vals.K.value - ref.K.value) / (1 + abs(ref.K.value)))
     return _result("gauge-invariance-M-K", devs, 1e-8)
 
 
-def check_nonholonomity_properties(order: int = 4) -> CheckResult:
+def check_nonholonomity_properties() -> CheckResult:
     """lambda homogeneity under e^phi and d(omega)(E1,E2) = -lambda."""
     rng = _rng()
     g = MetricField.identity()
@@ -154,51 +165,48 @@ def check_nonholonomity_properties(order: int = 4) -> CheckResult:
         omega = OneForm.parse(text)
         scaled = omega.scale(phi.exp())
         for p in _box_points(rng, 8, scale=1.2):
-            _, _, e1, e2, lam = basis_and_lambda(omega, g, p, order)
-            lam_s = nonholonomity(scaled, g, p, order)
+            _, _, e1, e2, lam = basis_and_lambda(omega, g, p)
+            lam_s = nonholonomity(scaled, g, p)
             factor = math.exp(phi(p, 1).value)
             devs.append(abs(lam_s.value - factor * lam.value)
                         / (1 + abs(factor * lam.value)))
-            dw = exterior_derivative(omega, p, order)
+            dw = exterior_derivative(omega, p)
             devs.append(abs(dw.apply(e1, e2).value + lam.value)
                         / (1 + abs(lam.value)))
     return _result("nonholonomity-properties", devs, 1e-9)
 
 
-def check_cartan_degenerate(order: int = 5) -> CheckResult:
+def check_cartan_degenerate() -> CheckResult:
     """The EQ-system denominator D vanishes identically on the y-only fixture."""
     rng = _rng()
     g = MetricField.identity()
     omega = OneForm.parse(CARTAN)
     devs = []
     for p in _box_points(rng, 15):
-        sys_ = build_system(omega, g, p, order=order)
+        sys_ = build_system(omega, g, p, RESIDUAL_MIN_ORDER)
         devs.append(abs(sys_.D.value))
         if not sys_.degenerate:
             devs.append(1.0)
     return _result("cartan-degenerate-branch", devs, 1e-12)
 
 
-def check_injected_symmetries(order: int = 5) -> CheckResult:
+def check_injected_symmetries() -> CheckResult:
     """Injected true symmetries verify: VK, VM, E3 f and bracket defects."""
     rng = _rng()
     g = MetricField.identity()
     devs = []
-    heis = OneForm.parse(HEISENBERG)
-    f_heis = FieldProgram.parse("sqrt(1 + x^2 + y^2)")
     pts = _box_points(rng, 12, scale=1.5)
-    for r in assemble_and_verify_V(heis, g, pts, f=f_heis, order=order):
-        devs += [abs(r.VK), abs(r.VM), abs(r.E3f),
-                 r.bracket_defect_1, r.bracket_defect_2]
-    cart = OneForm.parse(CARTAN)
-    f_cart = FieldProgram.parse("-sqrt(1 + y^2)*y")
-    for r in assemble_and_verify_V(cart, g, pts, f=f_cart, order=order):
-        devs += [abs(r.VK), abs(r.VM), abs(r.E3f),
-                 r.bracket_defect_1, r.bracket_defect_2]
+    for text, f in ((HEISENBERG, "sqrt(1 + x^2 + y^2)"),
+                    (CARTAN, "-sqrt(1 + y^2)*y")):
+        for r in assemble_and_verify_V(OneForm.parse(text), g, pts,
+                                       f=FieldProgram.parse(f),
+                                       order=RESIDUAL_MIN_ORDER):
+            devs += [abs(r.VK), abs(r.VM), abs(r.E3f),
+                     r.bracket_defect_1, r.bracket_defect_2]
     return _result("injected-symmetry-verification", devs, 1e-7)
 
 
-def check_symmetry_reconstruction(order: int = 5) -> CheckResult:
+def check_symmetry_reconstruction() -> CheckResult:
     """Regular fixture with a known symmetry (z-translation): EQ equals
     -E(lambda)/lambda, residuals vanish, and the reconstructed ln f equals
     ln(lambda(base)/lambda(target))."""
@@ -207,7 +215,7 @@ def check_symmetry_reconstruction(order: int = 5) -> CheckResult:
     devs = []
     pts = [(0.4, 0.3, 0.1), (1.0, -0.5, 0.2), (-0.7, 0.8, 0.0), (0.2, 0.9, -0.3)]
     for p in pts:
-        sys_ = build_system(omega, g, p, order=order)
+        sys_ = build_system(omega, g, p, RESIDUAL_MIN_ORDER)
         if sys_.degenerate:
             devs.append(1.0)
             continue
@@ -217,14 +225,14 @@ def check_symmetry_reconstruction(order: int = 5) -> CheckResult:
             devs.append(abs(eq.value - ref))
         devs += [abs(r) for r in integrability_residuals(sys_)]
     base, target = (0.1, 0.2, 0.0), (0.9, -0.4, 0.3)
-    lnf = reconstruct_lnf(omega, g, base, target, order=order)
-    ref = math.log(nonholonomity(omega, g, base, order).value
-                   / nonholonomity(omega, g, target, order).value)
+    lnf = reconstruct_lnf(omega, g, base, target)
+    ref = math.log(nonholonomity(omega, g, base).value
+                   / nonholonomity(omega, g, target).value)
     devs.append(abs(lnf - ref))
     return _result("symmetry-reconstruction-fixture", devs, 1e-7)
 
 
-def check_singular_fixture(order: int = 4) -> CheckResult:
+def check_singular_fixture() -> CheckResult:
     """Sigma location, characteristic field, lambda identities and
     Q-invariants for the singular fixture, plus rescale invariance."""
     g = MetricField.identity()
@@ -236,11 +244,11 @@ def check_singular_fixture(order: int = 4) -> CheckResult:
                            "Sigma root not found")
     devs.append(float(np.linalg.norm(sp.point)))
     for p in [(0.5, 0, 0), (0, 0, 0), (0, 0.4, 0.2)]:
-        v = characteristic_field(omega, p, order)
+        v = characteristic_field(omega, p)
         devs.append(float(np.linalg.norm(np.array([c.value for c in v])
                                          - np.array([0.0, 1.0, 0.0]))))
     for p in [(0.3, 0, 0), (0, 0.5, -0.3)]:
-        frame, c = build_singular_frame(omega, g, p, order=order)
+        frame, c = build_singular_frame(omega, g, p)
         r1, r2 = lambda_identities(frame, c)
         devs += [abs(r1), abs(r2), abs(c.C3_12.value + frame.lam.value),
                  abs(c.C3_23.value), abs(c.C3_31.value)]
@@ -270,7 +278,7 @@ def check_budget_failure_mode() -> CheckResult:
 
 ALL_CHECKS = (
     check_jet_oracle,
-    check_invariant_M_closed_forms,
+    check_invariant_M_K_closed_forms,
     check_frame_identities,
     check_gauge_invariance,
     check_nonholonomity_properties,
@@ -282,14 +290,11 @@ ALL_CHECKS = (
 )
 
 
-def run_selftest(jet_order=None) -> List[CheckResult]:
+def run_selftest() -> List[CheckResult]:
     results = []
     for fn in ALL_CHECKS:
-        kwargs = {}
-        if jet_order is not None and "order" in inspect.signature(fn).parameters:
-            kwargs["order"] = jet_order
         try:
-            results.append(fn(**kwargs))
+            results.append(fn())
         except Exception as exc:
             results.append(CheckResult(name=fn.__name__.replace("check_", "").replace("_", "-"),
                                        max_dev=math.inf, tol=0.0, passed=False,

@@ -15,9 +15,16 @@ from .fields import (DEFAULT_ORDER, FieldProgram, MetricField, OneForm,
 from .frame import (AdaptedFrame, StructureFunctions, basis_and_lambda,
                     dual_coframe, float_det3, jvec_cross, jvec_dot, jvec_scale,
                     jvec_sub, jvec_values, metric_dot, metric_inverse_apply,
-                    nonholonomity, structure_functions)
+                    nonholonomity, omega_norm, structure_functions)
 from .invariants import directional_derivative
 from .jets import Jet, JetError
+
+# Least jet orders, from the derivative budget: lambda = omega([E1, E2])
+# takes one level; d(lambda) one more; the singular frame's E1 is built
+# from d(lambda), and its structure functions bracket E1.
+SIGMA_SCAN_ORDER = 1
+TRANSVERSALITY_ORDER = SIGMA_SCAN_ORDER + 1
+SINGULAR_FRAME_ORDER = TRANSVERSALITY_ORDER + 1
 
 
 class SingularFrameError(JetError):
@@ -45,56 +52,60 @@ def _norm_on_delta(f: Jet, e1, e2) -> float:
 
 
 def locate_sigma(omega: OneForm, metric: MetricField, segment,
-                 order: int = DEFAULT_ORDER, root_tol: float = 1e-10,
-                 scan: int = 33, trans_eps: float = 1e-8) -> Optional[SigmaPoint]:
+                 root_tol: float = 1e-10, scan: int = 33,
+                 trans_eps: float = 1e-8) -> Optional[SigmaPoint]:
     """Root of lambda along the straight segment (p0, p1), or None.
 
     The segment is scanned for a sign change, then the bracketed root is
-    polished (Brent) until |lambda| < root_tol.
+    polished (Brent).  It is accepted when |lambda| / |omega|_g <= root_tol
+    and is transversal when |d(lambda)|_Delta| / |omega|_g > trans_eps.
     """
     p0 = np.array([float(c) for c in segment[0]])
     p1 = np.array([float(c) for c in segment[1]])
 
     def lam(t: float) -> float:
-        return nonholonomity(omega, metric, tuple(p0 + t * (p1 - p0)), order).value
+        return nonholonomity(omega, metric, tuple(p0 + t * (p1 - p0)),
+                             SIGMA_SCAN_ORDER).value
 
     ts = np.linspace(0.0, 1.0, scan)
     vals = [lam(t) for t in ts]
-    bracket = None
-    for a, b, fa, fb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            bracket = (a, a)
+    for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
+        if fa == 0.0 or fa * fb < 0.0:
+            t_root = a if fa == 0.0 else \
+                brentq(lam, a, b, xtol=1e-15, rtol=8.9e-16)
             break
-        if fa * fb < 0.0:
-            bracket = (a, b)
-            break
-    if bracket is None:
-        if vals[-1] == 0.0:
-            bracket = (ts[-1], ts[-1])
-        else:
+    else:
+        if vals[-1] != 0.0:
             return None
-    t_root = bracket[0] if bracket[0] == bracket[1] else \
-        brentq(lam, bracket[0], bracket[1], xtol=1e-15, rtol=8.9e-16)
+        t_root = ts[-1]
     residual = abs(lam(t_root))
-    if residual > root_tol:
-        return None
     point = tuple(float(c) for c in p0 + t_root * (p1 - p0))
-    _, _, e1, e2, lam_jet = basis_and_lambda(omega, metric, point, order)
+    w, g, e1, e2, lam_jet = basis_and_lambda(omega, metric, point,
+                                             TRANSVERSALITY_ORDER)
+    scale = omega_norm(w, g)
+    if residual / scale > root_tol:
+        return None
     grad_norm = _norm_on_delta(lam_jet, e1, e2)
     return SigmaPoint(point=point, lambda_residual=residual,
-                      transversal=grad_norm > trans_eps,
+                      transversal=grad_norm / scale > trans_eps,
                       lambda_gradient_on_delta=grad_norm)
+
+
+def _dw_vector(omega: OneForm, point, order: int):
+    """(|omega|, w, omega(w)) with w the (d omega)-vector; omega -> c omega
+    scales them by c, c and c^2, so every test below compares ratios."""
+    form = omega.evaluate(point, order)
+    w = exterior_derivative(omega, point, order).as_vector()
+    return float(np.linalg.norm(jvec_values(form))), w, jvec_dot(form, w)
 
 
 def _sigma_normal(omega: OneForm, point, order: int):
     """Unit normal direction to Sigma from the gradient of the contact
-    defect mu = omega . (d omega)-vector (vanishes exactly on Sigma)."""
-    w = omega.evaluate(point, order)
-    b = exterior_derivative(omega, point, order).as_vector()
-    mu = jvec_dot(w, b)
+    defect mu = omega(w) (vanishes exactly on Sigma)."""
+    size, _, mu = _dw_vector(omega, point, order)
     grad = np.array([mu.partial(a).value for a in range(3)])
     n = np.linalg.norm(grad)
-    if n < 1e-12:
+    if n < 1e-12 * size ** 2:
         raise SingularFrameError(f"cannot estimate a Sigma-normal at {mu.point}")
     return grad / n
 
@@ -107,12 +118,11 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
     value is recovered by second-order Richardson extrapolation from
     p +/- eps*n and p +/- (eps/2)*n along the Sigma-normal n.
     """
-    w = exterior_derivative(omega, point, order).as_vector()
-    omw = jvec_dot(omega.evaluate(point, order), w)
-    w_scale = max(abs(c.value) for c in w)
-    if abs(omw.value) > w_tol * (1.0 + w_scale):
+    size, w, omw = _dw_vector(omega, point, order)
+    w_max = max(abs(c.value) for c in w)
+    if abs(omw.value) > w_tol * size * (size + w_max):
         return tuple(c / omw for c in w)
-    if w_scale > w_tol:
+    if w_max > w_tol * size:
         raise SingularFrameError(
             f"omega(w) = 0 with w != 0 at {omw.point}: no normalized "
             "characteristic field")
@@ -123,10 +133,8 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
     def side_average(h: float):
         jets = []
         for sgn in (+1.0, -1.0):
-            q = tuple(p + sgn * h * n)
-            wq = exterior_derivative(omega, q, order).as_vector()
-            omwq = jvec_dot(omega.evaluate(q, order), wq)
-            if abs(omwq.value) < 1e-14:
+            size_q, wq, omwq = _dw_vector(omega, tuple(p + sgn * h * n), order)
+            if abs(omwq.value) < 1e-14 * size_q ** 2:
                 raise SingularFrameError(
                     f"characteristic field degenerate off Sigma near {omw.point}")
             jets.append(tuple(c / omwq for c in wq))
@@ -167,19 +175,21 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
 
     E1 spans Delta intersected with ker(d lambda), sign fixed so its first
     nonzero component (x, y, z order) is positive; E2 completes the oriented
-    orthonormal basis of Delta; E3 is the characteristic field.
+    orthonormal basis of Delta; E3 is the characteristic field.  Needs
+    order SINGULAR_FRAME_ORDER for the structure functions.
     """
     w, g, e1c, e2c, lam = basis_and_lambda(omega, metric, point, order)
     dlam = tuple(lam.partial(a) for a in range(3))
-    if _norm_on_delta(lam, e1c, e2c) <= trans_eps:
+    if _norm_on_delta(lam, e1c, e2c) / omega_norm(w, g) <= trans_eps:
         raise SingularFrameError(
             f"d(lambda)|_Delta vanishes at {lam.point}: not transversal")
 
     direction = jvec_cross(w, dlam)  # annihilated by both omega and d(lambda)
     vals = jvec_values(direction)
+    largest = max(abs(v) for v in vals)
     sign = 0.0
     for v in vals:
-        if abs(v) > 1e-12:
+        if abs(v) > 1e-12 * largest:
             sign = 1.0 if v > 0 else -1.0
             break
     if sign == 0.0:

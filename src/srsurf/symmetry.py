@@ -12,10 +12,14 @@ import numpy as np
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
 from .frame import (AdaptedFrame, StructureFunctions, build_contact_frame,
                     jvec_add, jvec_scale, jvec_values, lie_bracket)
-from .invariants import directional_derivative, invariant_K, invariant_M
+from .invariants import (INVARIANTS_ORDER, directional_derivative,
+                         invariant_K, invariant_M)
 from .jets import Jet, JetError
 
-RESIDUAL_MIN_ORDER = 5  # one derivative level deeper than the EQ system
+# Least jet orders, from the derivative budget: D and EQ differentiate K
+# once, the residuals differentiate EQ once more.
+EQ_ORDER = INVARIANTS_ORDER + 1
+RESIDUAL_MIN_ORDER = EQ_ORDER + 1
 
 
 class DegeneratePointError(JetError):
@@ -93,12 +97,13 @@ def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
 
 
 def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
-                    order: int = DEFAULT_ORDER, quad_tol: float = 1e-9,
-                    eps_D: float = 1e-9, max_depth: int = 14) -> float:
+                    quad_tol: float = 1e-9, eps_D: float = 1e-9,
+                    max_depth: int = 14) -> float:
     """ln f(target) with ln f(base) = 0, as the line integral of the
     coordinate gradient along the straight segment base -> target
     (adaptive 32-node Gauss-Legendre, bisected until panels agree within
-    quad_tol; raises JetError when a panel still disagrees at max_depth)."""
+    quad_tol; raises JetError when a panel still disagrees at max_depth).
+    The integrand is the EQ system at EQ_ORDER."""
     base = np.array([float(c) for c in base])
     delta = np.array([float(c) for c in target]) - base
     if not delta.any():
@@ -106,7 +111,7 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
     nodes, weights = np.polynomial.legendre.leggauss(32)
 
     def integrand(t: float) -> float:
-        sys_ = build_system(omega, metric, tuple(base + t * delta), order,
+        sys_ = build_system(omega, metric, tuple(base + t * delta), EQ_ORDER,
                             eps_D=eps_D)
         if sys_.degenerate:
             raise DegeneratePointError(
@@ -201,15 +206,13 @@ def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
                 E3f=e3f.value, bracket_defect_1=float(d1),
                 bracket_defect_2=float(d2)))
         else:
-            lnf = reconstruct_lnf(omega, metric, base, p, order)
+            lnf = reconstruct_lnf(omega, metric, base, p)
             sys_ = build_system(omega, metric, p, order, **frame_kwargs)
             grad = frame_to_coordinate_gradient(sys_)
             fv, v = reconstructed_V(sys_, lnf)
-            k, m = sys_.K, sys_.M
-            grad_k = np.array([k.partial_value((1, 0, 0)), k.partial_value((0, 1, 0)),
-                               k.partial_value((0, 0, 1))])
-            grad_m = np.array([m.partial_value((1, 0, 0)), m.partial_value((0, 1, 0)),
-                               m.partial_value((0, 0, 1))])
+            grad_k, grad_m = (np.array([j.partial_value(mi) for mi in
+                                        ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
+                              for j in (sys_.K, sys_.M))
             out.append(SymmetryField(
                 point=tuple(p), f_value=fv, lnf_gradient=grad,
                 V=v, lambda_mult=None, VK=float(np.dot(v, grad_k)),

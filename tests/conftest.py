@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from srsurf import MetricField, OneForm
+# closed forms of M and K on the Euclidean Heisenberg and Cartan fixtures;
+# test_invariants.py derives all four symbolically from the definitions
+from srsurf.selftest import cartan_K, cartan_M, heis_K, heis_M  # noqa: F401
 
 HEISENBERG = "dz + y*dx - x*dy"
 CARTAN = "dz + y*dx"
@@ -45,23 +48,3 @@ def rng():
 
 def box_points(rng, n, scale=2.0):
     return [tuple(rng.uniform(-scale, scale, 3)) for _ in range(n)]
-
-
-# closed forms of M and K on the Euclidean Heisenberg and Cartan fixtures;
-# test_invariants.py derives all four symbolically from the definitions
-
-def heis_M(x, y, z):
-    return 2.25 * (x * x + y * y) ** 2 / (1 + x * x + y * y) ** 4
-
-
-def heis_K(x, y, z):
-    r2 = x * x + y * y
-    return 3 * (3 * r2 + 4) / (2 * (1 + r2) ** 2)
-
-
-def cartan_M(x, y, z):
-    return 0.25 * (1 - 2 * y * y) ** 2 / (1 + y * y) ** 4
-
-
-def cartan_K(x, y, z):
-    return (2 * y * y + 5) / (2 * (1 + y * y) ** 2)

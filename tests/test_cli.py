@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from srsurf import selftest
 from srsurf.cli import main
 from srsurf.report import (PointReport, parse_grid, parse_points, parse_probe)
 
@@ -126,11 +127,13 @@ def test_bad_omega_exits_1(capsys):
     assert "error" in err
 
 
-def test_bad_jet_order_exits_1(capsys):
-    code, _, err = run_cli(capsys, "invariants", "--omega", HEIS,
-                           "--points", "0,0,0", "--jet-order", "9")
-    assert code == 1
-    assert "jet order" in err
+@pytest.mark.parametrize("command", ["invariants", "symmetry", "singular",
+                                     "selftest"])
+def test_no_jet_order_option(capsys, command):
+    # each quantity runs at the least order its derivative budget needs
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--jet-order" not in capsys.readouterr().out
 
 
 def test_bad_grid_exits_1(capsys):
@@ -216,17 +219,6 @@ def test_symmetry_reconstruct(capsys, axial_metric_file):
     assert len(rec["V"]) == 3
 
 
-def test_symmetry_budget_diagnostic_at_order_4(capsys, axial_metric_file):
-    # the residuals need jet order 5; at 4 they are skipped with a note
-    code, out, _ = run_cli(capsys, "symmetry", "--omega", "dz + y*dx",
-                           "--metric-file", axial_metric_file,
-                           "--points", "0.4,0.7,-0.2", "--jet-order", "4")
-    assert code == 0
-    (rec,) = ndjson(out)
-    assert "residuals" not in rec
-    assert "residual_error" in rec["diagnostics"]
-
-
 # -- singular subcommand ---------------------------------------------------
 
 def test_singular_probe(capsys):
@@ -238,6 +230,28 @@ def test_singular_probe(capsys):
     assert abs(rec["point"][0]) < 1e-9
     assert abs(rec["Q112"]) < 1e-6 and abs(rec["Q212"]) < 1e-6
     assert rec["diagnostics"]["transversal"] is True
+
+
+@pytest.mark.parametrize("scale", ["1e-12", "1e6"])
+@pytest.mark.parametrize("coeff", ["x^2", "(x - 0.3)^2"])
+def test_singular_sigma_decisions_are_scale_free(capsys, scale, coeff):
+    # omega -> c omega moves neither the root, the transversality branch
+    # nor the Q-invariants; only lambda scales with c
+    probe = "-1,0.2,0.1 : 1,0.2,0.1"
+    _, out, _ = run_cli(capsys, "singular", "--probe", probe,
+                        "--omega", f"dy + {coeff}*dz")
+    (want,) = ndjson(out)
+    code, out, _ = run_cli(capsys, "singular", "--probe", probe,
+                           "--omega", f"{scale}*dy + {scale}*{coeff}*dz")
+    assert code == 0
+    (got,) = ndjson(out)
+    assert got["diagnostics"]["transversal"] is True
+    assert got.pop("lam") == pytest.approx(float(scale) * want.pop("lam"),
+                                           rel=1e-12, abs=0)
+    for key in ("Q112", "Q212"):
+        assert got.pop(key) == pytest.approx(want.pop(key), rel=1e-9, abs=1e-12)
+    del got["diagnostics"], want["diagnostics"]
+    assert got == want  # point, branch, contact
 
 
 def test_singular_probe_without_crossing(capsys):
@@ -270,10 +284,20 @@ def test_selftest_passes(capsys):
     assert len(doc["checks"]) >= 10
 
 
-def test_selftest_low_order_exits_2(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--jet-order", "2")
+def test_selftest_failing_check_exits_2(capsys, monkeypatch):
+    def check_always_fails():
+        return selftest.CheckResult("always-fails", 1.0, 0.5, False)
+
+    def check_raises():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(selftest, "ALL_CHECKS",
+                        (check_always_fails, check_raises))
+    code, out, _ = run_cli(capsys, "selftest")
     assert code == 2
-    assert "FAIL" in out
+    assert "FAIL  always-fails" in out
+    assert "FAIL  raises" in out and "error: boom" in out
+    assert out.rstrip().endswith("selftest: FAIL")
 
 
 # -- report round-trip -----------------------------------------------------

@@ -53,6 +53,16 @@ def test_characteristic_field_omega1_on_sigma(omega1):
     assert np.allclose(jvec_values(v), [0, 1, 0], atol=1e-8)
 
 
+@pytest.mark.parametrize("c", ["1e-12", "1e6"])
+def test_characteristic_field_is_scale_free(omega1, c):
+    # omega -> c omega scales V = w / omega(w) by 1/c, off and on Sigma
+    scaled = OneForm.parse(f"{c}*dy + {c}*x^2*dz")
+    for p in [(0.5, 0.1, 0.0), (0.0, 0.3, -0.1)]:
+        want = jvec_values(characteristic_field(omega1, p))
+        got = np.array(jvec_values(characteristic_field(scaled, p))) * float(c)
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_characteristic_field_contract(omega1, rng):
     # iota_V d(omega) = 0 componentwise and omega(V) = 1 off Sigma
     for _ in range(6):
@@ -72,6 +82,13 @@ def test_characteristic_field_nonexistent():
     # omega = x dy has w = dx^dy-direction with omega(w) = 0 but w != 0
     omega = OneForm.parse("x*dy")
     with pytest.raises(SingularFrameError):
+        characteristic_field(omega, (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("c", ["1e-12", "1e6"])
+def test_characteristic_field_nonexistent_is_scale_free(c):
+    omega = OneForm.parse(f"{c}*x*dy")
+    with pytest.raises(SingularFrameError, match="no normalized"):
         characteristic_field(omega, (1.0, 0.0, 0.0))
 
 
