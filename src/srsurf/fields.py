@@ -91,11 +91,7 @@ def eval_ast(node, env) -> Jet:
         a = eval_ast(node.arg, env)
         return getattr(a, "log" if node.name == "ln" else node.name)()
     if isinstance(node, Pow):
-        base = eval_ast(node.base, env)
-        e = node.exponent
-        if e.denominator == 1:
-            return base ** int(e)
-        return base.pow(float(e))
+        return eval_ast(node.base, env) ** node.exponent
     raise TypeError(f"unknown AST node {node!r}")
 
 
@@ -399,8 +395,8 @@ class FieldProgram:
     def __neg__(self):
         return FieldProgram(lambda p, n: -self._fn(p, n))
 
-    def __pow__(self, k: int):
-        return FieldProgram(lambda p, n: self._fn(p, n) ** int(k))
+    def __pow__(self, k):
+        return FieldProgram(lambda p, n: self._fn(p, n) ** k)
 
     def exp(self):
         return FieldProgram(lambda p, n: self._fn(p, n).exp())
@@ -518,21 +514,24 @@ class TwoFormValue:
         return (self.beta23, self.beta31, self.beta12)
 
 
+def curl(f):
+    """(beta23, beta31, beta12) of d(f1 dx + f2 dy + f3 dz) from the jets
+    f = (f1, f2, f3): d(f)(U, V) = curl(f) . (U x V)."""
+    return (f[2].partial(1) - f[1].partial(2),
+            f[0].partial(2) - f[2].partial(0),
+            f[1].partial(0) - f[0].partial(1))
+
+
 def exterior_derivative(omega: OneForm, point, order: int = DEFAULT_ORDER) -> TwoFormValue:
     """d(omega) at a point, in the convention without the 1/2 factor:
     d(eta)(X, Y) = X eta(Y) - Y eta(X) - eta([X, Y])."""
-    f1, f2, f3 = omega.evaluate(point, order)
-    return TwoFormValue(
-        beta23=f3.partial(1) - f2.partial(2),
-        beta31=f1.partial(2) - f3.partial(0),
-        beta12=f2.partial(0) - f1.partial(1),
-    )
+    return TwoFormValue(*curl(omega.evaluate(point, order)))
 
 
 def contact_defect(omega: OneForm, point, order: int = DEFAULT_ORDER) -> float:
     """Coefficient of omega ^ d(omega) against dx^dy^dz; zero exactly on the
     singular locus."""
     f = omega.evaluate(point, order)
-    b = exterior_derivative(omega, point, order).as_vector()
+    b = curl(f)
     total = f[0] * b[0] + f[1] * b[1] + f[2] * b[2]
     return total.value

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
+from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm, curl
 from .jets import Jet, JetError
 
 JetVector = Tuple[Jet, Jet, Jet]
@@ -51,45 +51,19 @@ def jvec_values(u: JetVector):
     return tuple(a.value for a in u)
 
 
-def det3(m) -> Jet:
-    """Determinant of a 3x3 matrix of jets (rows)."""
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+def jvec_div(u: JetVector, s: Jet) -> JetVector:
+    """u / s with one reciprocal of s."""
+    r = s.reciprocal()
+    return tuple(c * r for c in u)
 
 
-def solve3(m, rhs: JetVector) -> JetVector:
-    """Cramer solve of a 3x3 jet system m @ x = rhs."""
-    d = det3(m)
-    if d.value == 0.0:
-        raise JetError("singular 3x3 jet system")
-    cols = []
-    for j in range(3):
-        mj = [[rhs[i] if k == j else m[i][k] for k in range(3)] for i in range(3)]
-        cols.append(det3(mj) / d)
-    return tuple(cols)
+def metric_apply(g, u: JetVector) -> JetVector:
+    """g u: the covector of a vector."""
+    return tuple(g[i][0] * u[0] + g[i][1] * u[1] + g[i][2] * u[2] for i in range(3))
 
 
 def metric_dot(g, u: JetVector, v: JetVector) -> Jet:
-    total = None
-    for i in range(3):
-        for j in range(3):
-            term = g[i][j] * u[i] * v[j]
-            total = term if total is None else total + term
-    return total
-
-
-def metric_inverse_apply(g, covec: JetVector) -> JetVector:
-    """g^{-1} applied to a covector (raises the index)."""
-    rows = [tuple(g[i][j] for j in range(3)) for i in range(3)]
-    return solve3(rows, covec)
-
-
-def float_det3(rows) -> float:
-    a, b, c = rows
-    return (a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    return jvec_dot(u, metric_apply(g, v))
 
 
 # --------------------------------------------------------------------------
@@ -148,9 +122,18 @@ def lie_bracket(v: JetVector, w: JetVector) -> JetVector:
     return tuple(out)
 
 
-def _unit(g, u: JetVector) -> JetVector:
-    n = metric_dot(g, u, u).sqrt()
-    return tuple(c / n for c in u)
+def unit(g, u: JetVector):
+    """(u / |u|_g, g u / |u|_g): a g-unit vector and its covector."""
+    gu = metric_apply(g, u)
+    r = jvec_dot(u, gu).pow(-0.5)
+    return jvec_scale(r, u), jvec_scale(r, gu)
+
+
+def kernel_complement(w: JetVector, g, ge1: JetVector) -> JetVector:
+    """E2 = unit(omega x g E1) for a g-unit E1 in ker omega.  E2 lies in
+    ker omega, is g-orthogonal to E1, and E1 x (omega x g E1) = omega, so
+    (E1, E2, g^-1 omega) is positively oriented."""
+    return unit(g, jvec_cross(w, ge1))[0]
 
 
 def delta_basis(w: JetVector, g, seed: Optional[str] = None,
@@ -159,50 +142,26 @@ def delta_basis(w: JetVector, g, seed: Optional[str] = None,
     w = omega and g = metric evaluated at one point and order.
 
     E1 is the normalized g-orthogonal projection onto the kernel of the
-    coordinate field with the largest projection norm (tie-break x, y, z);
-    E2 completes the basis with (E1, E2, omega-hat) positively oriented
-    against dx^dy^dz.  `seed` overrides the seed choice ("x"|"y"|"z") and
-    `rotation` applies an extra SO(2) gauge rotation — both exist for
-    gauge-invariance testing and for pinning a frame to golden values.
+    coordinate field e_s with the largest projection norm
+    |p_s|^2 = g_ss - omega_s^2 / |omega|_g^2 (tie-break x, y, z):
+    E1 = unit((g n) x omega) with n = omega x g e_s, whose g-product with e_s
+    is |n|_g^2 > 0.  E2 = unit(omega x g E1) completes the basis with
+    (E1, E2, g^-1 omega) positively oriented against dx^dy^dz.  `seed`
+    overrides the seed choice ("x"|"y"|"z") and `rotation` applies an extra
+    SO(2) gauge rotation — both exist for gauge-invariance testing and for
+    pinning a frame to golden values.
     """
-    point, order = w[0].point, w[0].order
-    wsharp = metric_inverse_apply(g, w)
-    wnorm2 = jvec_dot(w, wsharp)  # = g(wsharp, wsharp) > 0
-
-    projections = []
-    for i in range(3):
-        e_i = tuple(Jet.constant(1.0 if a == i else 0.0, point, order)
-                    for a in range(3))
-        p_i = jvec_sub(e_i, jvec_scale(w[i] / wnorm2, wsharp))
-        projections.append(p_i)
-    norms = [metric_dot(g, p, p).value for p in projections]
-
+    wnorm2 = omega_norm(w, g) ** 2
+    norms = [g[i][i].value - w[i].value ** 2 / wnorm2 for i in range(3)]
     if seed is not None:
         seed_idx = "xyz".index(seed)
     else:
         seed_idx = max(range(3), key=lambda i: (norms[i], -i))
     if norms[seed_idx] <= 1e-24:
-        raise JetError(f"degenerate projection seed at {point}")
-    e1 = _unit(g, projections[seed_idx])
-
-    omega_hat = jvec_scale(1.0 / wnorm2.sqrt(), wsharp)
-
-    # complement within the kernel, Gram-Schmidt against E1
-    best = None
-    for j in range(3):
-        if j == seed_idx:
-            continue
-        cand = jvec_sub(projections[j], jvec_scale(metric_dot(g, projections[j], e1), e1))
-        n2 = metric_dot(g, cand, cand).value
-        if best is None or n2 > best[1]:
-            best = (cand, n2)
-    if best[1] <= 1e-24:
-        raise JetError(f"could not complete kernel basis at {point}")
-    e2 = _unit(g, best[0])
-
-    orient = float_det3([jvec_values(e1), jvec_values(e2), jvec_values(omega_hat)])
-    if orient < 0.0:
-        e2 = jvec_scale(-1.0, e2)
+        raise JetError(f"degenerate projection seed at {w[0].point}")
+    n = jvec_cross(w, g[seed_idx])  # g e_s is row s of the symmetric g
+    e1, ge1 = unit(g, jvec_cross(metric_apply(g, n), w))
+    e2 = kernel_complement(w, g, ge1)
 
     if rotation != 0.0:
         c, s = math.cos(rotation), math.sin(rotation)
@@ -240,18 +199,15 @@ def nonholonomity_program(omega: OneForm, metric: MetricField) -> FieldProgram:
     return FieldProgram(lambda p, n: nonholonomity(omega, metric, p, n))
 
 
-def dual_coframe(e1: JetVector, e2: JetVector, e3: JetVector):
-    """Covectors eta^a with eta^a(E_b) = delta^a_b, by Cramer inversion."""
-    # eta^a(E_b) = sum_i E_b^i eta^a_i = delta^a_b, i.e. M eta^a = unit_a
-    # with M the matrix whose rows are the frame vectors.
-    m = [list(e) for e in (e1, e2, e3)]
-    template = e1[0]
+def adapted_coframe(g, e1: JetVector, e2: JetVector, e3: JetVector,
+                    eta3: JetVector):
+    """Coframe dual to (E1, E2, E3), for g-orthonormal E1, E2 in ker eta3
+    and eta3(E3) = 1: eta^a = g E_a - g(E_a, E3) eta3 for a = 1, 2."""
     etas = []
-    for a in range(3):
-        rhs = tuple(Jet.constant(1.0 if b == a else 0.0, template.point, template.order)
-                    for b in range(3))
-        etas.append(solve3(m, rhs))
-    return tuple(etas)
+    for e in (e1, e2):
+        ge = metric_apply(g, e)
+        etas.append(jvec_sub(ge, jvec_scale(jvec_dot(ge, e3), eta3)))
+    return etas[0], etas[1], eta3
 
 
 def structure_functions(frame: AdaptedFrame) -> StructureFunctions:
@@ -276,9 +232,10 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     """Adapted frame and structure functions at a contact point.
 
     eta3 = -omega / lambda (normalized so d(eta3)(E1, E2) = 1), E3 is the
-    Reeb field of eta3, eta1/eta2 complete the dual coframe.  The point
-    counts as contact when |lambda| / |omega|_g >= eps_contact, a ratio that
-    omega -> e^phi omega leaves unchanged.
+    Reeb field of eta3, eta1/eta2 complete the dual coframe
+    (`adapted_coframe`).  The point counts as contact when
+    |lambda| / |omega|_g >= eps_contact, a ratio that omega -> e^phi omega
+    leaves unchanged.
     """
     w, g, e1, e2, lam = basis_and_lambda(omega, metric, point, order, seed, rotation)
     contact = abs(lam.value) / omega_norm(w, g)
@@ -286,29 +243,17 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
         raise NoncontactError(f"point {lam.point} is noncontact "
                               f"(|lambda| / |omega|_g = {contact:.3e})")
 
-    eta3 = tuple(-c / lam for c in w)
+    eta3 = jvec_div(w, -lam)
+    # Reeb field: d(eta3)(U, V) = b . (U x V) with b = curl(eta3), so
+    # d(eta3)(b, .) = 0 and E3 = b / eta3(b).
+    b = curl(eta3)
+    eta3_b = jvec_dot(eta3, b)
+    if eta3_b.value == 0.0:
+        raise NoncontactError(f"no Reeb field at {lam.point}: eta3(b) = 0")
+    e3 = jvec_div(b, eta3_b)
 
-    # d(eta3) as a 2-form vector b = (beta23, beta31, beta12)
-    b = (eta3[2].partial(1) - eta3[1].partial(2),
-         eta3[0].partial(2) - eta3[2].partial(0),
-         eta3[1].partial(0) - eta3[0].partial(1))
-
-    # Reeb field: eta3(E3) = 1, d(eta3)(E3, E1) = 0, d(eta3)(E3, E2) = 0.
-    # d(eta3)(U, V) = b . (U x V), so the last two rows are E1 x b, E2 x b.
-    template = lam
-    rows = [list(eta3),
-            list(jvec_cross(e1, b)),
-            list(jvec_cross(e2, b))]
-    rhs = (Jet.constant(1.0, template.point, template.order),
-           Jet.constant(0.0, template.point, template.order),
-           Jet.constant(0.0, template.point, template.order))
-    try:
-        e3 = solve3(rows, rhs)
-    except JetError as exc:
-        raise NoncontactError(f"Reeb solve failed at {lam.point}: {exc}") from exc
-
-    eta1, eta2, eta3_dual = dual_coframe(e1, e2, e3)
+    eta1, eta2, eta3 = adapted_coframe(g, e1, e2, e3, eta3)
     frame = AdaptedFrame(E1=e1, E2=e2, E3=e3,
-                         eta1=eta1, eta2=eta2, eta3=eta3_dual,
+                         eta1=eta1, eta2=eta2, eta3=eta3,
                          lam=lam, kind="contact")
     return frame, structure_functions(frame)

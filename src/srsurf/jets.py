@@ -200,6 +200,10 @@ class Jet:
         return self.reciprocal() * float(other)
 
     def __pow__(self, exponent):
+        """Integral exponents (2, 2.0, Fraction(2)) multiply, so they work
+        at any value; other exponents go to `pow`."""
+        if not isinstance(exponent, int) and float(exponent).is_integer():
+            exponent = int(exponent)
         if isinstance(exponent, int):
             if exponent == 0:
                 return Jet.constant(1.0, self.point, self.order)

@@ -10,12 +10,11 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .fields import (DEFAULT_ORDER, FieldProgram, MetricField, OneForm,
-                     exterior_derivative)
-from .frame import (AdaptedFrame, StructureFunctions, basis_and_lambda,
-                    dual_coframe, float_det3, jvec_cross, jvec_dot, jvec_scale,
-                    jvec_sub, jvec_values, metric_dot, metric_inverse_apply,
-                    nonholonomity, omega_norm, structure_functions)
+from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm, curl
+from .frame import (AdaptedFrame, StructureFunctions, adapted_coframe,
+                    basis_and_lambda, jvec_cross, jvec_div, jvec_dot,
+                    jvec_scale, jvec_values, kernel_complement, nonholonomity,
+                    omega_norm, structure_functions, unit)
 from .invariants import directional_derivative
 from .jets import Jet, JetError
 
@@ -95,7 +94,7 @@ def _dw_vector(omega: OneForm, point, order: int):
     """(|omega|, w, omega(w)) with w the (d omega)-vector; omega -> c omega
     scales them by c, c and c^2, so every test below compares ratios."""
     form = omega.evaluate(point, order)
-    w = exterior_derivative(omega, point, order).as_vector()
+    w = curl(form)
     return float(np.linalg.norm(jvec_values(form))), w, jvec_dot(form, w)
 
 
@@ -121,7 +120,7 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
     size, w, omw = _dw_vector(omega, point, order)
     w_max = max(abs(c.value) for c in w)
     if abs(omw.value) > w_tol * size * (size + w_max):
-        return tuple(c / omw for c in w)
+        return jvec_div(w, omw)
     if w_max > w_tol * size:
         raise SingularFrameError(
             f"omega(w) = 0 with w != 0 at {omw.point}: no normalized "
@@ -137,7 +136,7 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
             if abs(omwq.value) < 1e-14 * size_q ** 2:
                 raise SingularFrameError(
                     f"characteristic field degenerate off Sigma near {omw.point}")
-            jets.append(tuple(c / omwq for c in wq))
+            jets.append(jvec_div(wq, omwq))
         coeffs = [0.5 * (jets[0][a].coeffs + jets[1][a].coeffs) for a in range(3)]
         valid = min(j.valid_order for side in jets for j in side)
         return coeffs, valid
@@ -152,14 +151,16 @@ def check_special_rescale(omega: OneForm, phi: FieldProgram, sigma_points,
                           metric: Optional[MetricField] = None,
                           order: int = DEFAULT_ORDER, tol: float = 1e-6):
     """Necessary condition for e^phi omega to stay special: d(phi)|_Delta
-    must vanish on Sigma (it must be a lambda-multiple off Sigma)."""
+    must vanish on Sigma (it must be a lambda-multiple off Sigma).  The
+    bound scales with max(1, |d(lambda)|_Delta| / |omega|_g), a ratio that
+    omega -> c omega leaves unchanged."""
     metric = metric or MetricField.identity()
     report = []
     for sp in sigma_points:
         p = sp.point if isinstance(sp, SigmaPoint) else tuple(sp)
-        _, _, e1, e2, lam = basis_and_lambda(omega, metric, p, order)
+        w, g, e1, e2, lam = basis_and_lambda(omega, metric, p, order)
         dphi_norm = _norm_on_delta(phi(p, order), e1, e2)
-        lam_scale = max(1.0, _norm_on_delta(lam, e1, e2))
+        lam_scale = max(1.0, _norm_on_delta(lam, e1, e2) / omega_norm(w, g))
         report.append({
             "point": p,
             "dphi_on_delta": dphi_norm,
@@ -195,23 +196,10 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     if sign == 0.0:
         raise SingularFrameError(
             f"Delta and ker d(lambda) do not intersect cleanly at {lam.point}")
-    direction = jvec_scale(sign, direction)
-    norm = metric_dot(g, direction, direction).sqrt()
-    e1 = tuple(c / norm for c in direction)
-
-    # complete the Delta basis, oriented against (E1, E2, omega-hat)
-    wsharp = metric_inverse_apply(g, w)
-    omega_hat = jvec_scale(1.0 / jvec_dot(w, wsharp).sqrt(), wsharp)
-    cand = jvec_cross(w, e1)
-    cand = jvec_sub(cand, jvec_scale(metric_dot(g, cand, e1), e1))
-    cn = metric_dot(g, cand, cand).sqrt()
-    e2 = tuple(c / cn for c in cand)
-    if float_det3([jvec_values(e1), jvec_values(e2), jvec_values(omega_hat)]) < 0:
-        e2 = jvec_scale(-1.0, e2)
-
+    e1, ge1 = unit(g, jvec_scale(sign, direction))
+    e2 = kernel_complement(w, g, ge1)
     e3 = characteristic_field(omega, point, order)
-
-    eta1, eta2, eta3 = dual_coframe(e1, e2, e3)
+    eta1, eta2, eta3 = adapted_coframe(g, e1, e2, e3, jvec_div(w, jvec_dot(w, e3)))
     frame = AdaptedFrame(E1=e1, E2=e2, E3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
                          lam=lam, kind="singular")
     return frame, structure_functions(frame)
@@ -219,11 +207,12 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
 
 def lambda_identities(frame: AdaptedFrame, c: StructureFunctions):
     """Residuals of the singular-frame identities: E1(lambda) = 0 and
-    lambda_3 = lambda (C1_31 - C2_23)."""
+    lambda_3 = -lambda (C1_31 - C2_23), from d(d eta3) = 0 with
+    d eta3 = C3_12 eta1^eta2 = -lambda eta1^eta2."""
     lam = frame.lam
     r1 = directional_derivative(lam, frame.E1).value
     lam3 = directional_derivative(lam, frame.E3).value
-    r2 = lam3 - lam.value * (c.C1_31.value - c.C2_23.value)
+    r2 = lam3 + lam.value * (c.C1_31.value - c.C2_23.value)
     return r1, r2
 
 

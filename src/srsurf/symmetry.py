@@ -61,8 +61,9 @@ def build_system(omega: OneForm, metric: MetricField, point,
     if degenerate:
         return SymmetrySystem(D=d, EQ1=None, EQ2=None, degenerate=True,
                               frame=frame, C=c, M=m, K=k)
-    eq1 = (e3k * e1m - e1k * e3m) / d
-    eq2 = (e3k * e2m - e2k * e3m) / d
+    rd = d.reciprocal()
+    eq1 = (e3k * e1m - e1k * e3m) * rd
+    eq2 = (e3k * e2m - e2k * e3m) * rd
     return SymmetrySystem(D=d, EQ1=eq1, EQ2=eq2, degenerate=False,
                           frame=frame, C=c, M=m, K=k)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from srsurf import (FieldProgram, JetError, MetricField, OneForm, ParseError,
-                    contact_defect, exterior_derivative)
+                    contact_defect, exterior_derivative, jet_seed)
 from srsurf.fields import parse_scalar_ast, pretty
 from srsurf.fields import Bin, Fun, Neg, Num, Pow, Var
 from fractions import Fraction
@@ -70,6 +70,15 @@ def test_rational_exponent():
 def test_negative_integer_exponent():
     f = FieldProgram.parse("(1 + y^2)^-2")
     assert abs(f.value((0, 1, 0)) - 0.25) < 1e-14
+
+
+def test_program_power_keeps_the_exponent():
+    x = FieldProgram.parse("x")
+    assert (x ** 0.5).value((4, 0, 0)) == 2.0
+    assert FieldProgram.parse("x^(1/2)").value((4, 0, 0)) == 2.0
+    # integral floats multiply, so they work at negative values
+    assert (x ** 2.0).value((-3, 0, 0)) == 9.0
+    assert (jet_seed((-3, 0, 0), "x") ** 2.0).value == 9.0
 
 
 def test_precedence():
@@ -148,6 +157,16 @@ def test_product_rule_d_of_f_omega(heisenberg, rng):
         for a in range(3):
             rhs = wedge[a] + fj * dw[a]
             assert abs(lhs[a].value - rhs.value) < 1e-10 * (1 + abs(rhs.value))
+
+
+def test_exterior_calculus_evaluates_omega_once(omega1, monkeypatch):
+    calls = []
+    evaluate = OneForm.evaluate
+    monkeypatch.setattr(OneForm, "evaluate",
+                        lambda self, *args: calls.append(args) or evaluate(self, *args))
+    exterior_derivative(omega1, (0.7, 0.1, -0.4))
+    contact_defect(omega1, (0.7, 0.1, -0.4))
+    assert len(calls) == 2
 
 
 def test_contact_defect_conformal_scaling(heisenberg, omega1, rng):

@@ -8,7 +8,7 @@ from srsurf import (JetError, MetricField, NoncontactError, OneForm,
                     nonholonomity, nonholonomity_program)
 from srsurf.frame import jvec_dot, jvec_values, metric_dot
 
-from conftest import box_points
+from conftest import OFF_DIAGONAL_METRIC, assert_adapted, box_points
 
 
 def _vals(u):
@@ -159,25 +159,20 @@ def test_contact_frame_heisenberg_slice_structure(heisenberg, euclid):
 
 
 def test_frame_identities_random(heisenberg, cartan, euclid, rng):
+    off_diagonal = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
     for omega in (heisenberg, cartan):
-        for p in box_points(rng, 15):
-            try:
-                frame, C = build_contact_frame(omega, euclid, p)
-            except NoncontactError:
-                continue
-            gm = euclid.evaluate(p)
-            assert abs(metric_dot(gm, frame.E1, frame.E1).value - 1) < 1e-10
-            assert abs(metric_dot(gm, frame.E2, frame.E2).value - 1) < 1e-10
-            assert abs(metric_dot(gm, frame.E1, frame.E2).value) < 1e-10
-            for a, eta in enumerate(frame.coframe):
-                for b, e in enumerate(frame.frame):
-                    want = 1.0 if a == b else 0.0
-                    assert abs(jvec_dot(eta, e).value - want) < 1e-10
-            # contact kind: C3_23 = C3_31 = 0, C3_12 = 1, C1_31 = C2_23
-            assert abs(C.C3_23.value) < 1e-8
-            assert abs(C.C3_31.value) < 1e-8
-            assert abs(C.C3_12.value - 1.0) < 1e-8
-            assert abs(C.C1_31.value - C.C2_23.value) < 1e-8
+        for metric in (euclid, off_diagonal):
+            for p in box_points(rng, 15):
+                try:
+                    frame, C = build_contact_frame(omega, metric, p)
+                except NoncontactError:
+                    continue
+                assert_adapted(frame, omega.evaluate(p), metric.evaluate(p))
+                # contact kind: C3_23 = C3_31 = 0, C3_12 = 1, C1_31 = C2_23
+                assert abs(C.C3_23.value) < 1e-8
+                assert abs(C.C3_31.value) < 1e-8
+                assert abs(C.C3_12.value - 1.0) < 1e-8
+                assert abs(C.C1_31.value - C.C2_23.value) < 1e-8
 
 
 def test_noncontact_point_flagged(omega1, euclid):
@@ -199,3 +194,4 @@ def test_deta3_on_e1_e2_is_one(heisenberg, cartan, euclid, rng):
             cross = np.cross(u, v)
             val = sum(b[i].value * cross[i] for i in range(3))
             assert abs(val - 1.0) < 1e-9
+

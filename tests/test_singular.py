@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from srsurf import (FieldProgram, OneForm, SingularFrameError,
+from srsurf import (FieldProgram, MetricField, OneForm, SingularFrameError,
                     build_singular_frame, characteristic_field,
                     check_special_rescale, delta_basis, exterior_derivative,
                     lambda_identities, locate_sigma, nonholonomity,
                     sigma_invariant_derivative, sigma_invariants)
 from srsurf.frame import jvec_dot, jvec_values
 
-from conftest import box_points
+from conftest import OFF_DIAGONAL_METRIC, assert_adapted, box_points
 
 
 # -- locate_sigma ----------------------------------------------------------
@@ -85,6 +85,22 @@ def test_characteristic_field_nonexistent():
         characteristic_field(omega, (1.0, 0.0, 0.0))
 
 
+def test_characteristic_field_evaluates_omega_once_per_point(omega1, monkeypatch):
+    points = []
+    evaluate = OneForm.evaluate
+
+    def counted(self, point, order):
+        points.append(point)
+        return evaluate(self, point, order)
+
+    monkeypatch.setattr(OneForm, "evaluate", counted)
+    characteristic_field(omega1, (0.0, 0.3, -0.1))
+    # on Sigma: the point, again for the Sigma-normal, and the four
+    # extrapolation points, each evaluated once for omega and d(omega)
+    assert len(points) == 6
+    assert len(set(points)) == 5
+
+
 @pytest.mark.parametrize("c", ["1e-12", "1e6"])
 def test_characteristic_field_nonexistent_is_scale_free(c):
     omega = OneForm.parse(f"{c}*x*dy")
@@ -108,10 +124,14 @@ def test_check_special_rescale_const(omega1):
         assert entry["passes"]
 
 
-def test_check_special_rescale_x_fails(omega1):
+@pytest.mark.parametrize("c", ["1", "1e-12", "1e6"])
+def test_check_special_rescale_x_fails(c):
+    # d(x)|_Delta = 1 on Sigma; the bound must not grow with omega -> c omega
+    omega = OneForm.parse(f"{c}*dy + {c}*x^2*dz")
     phi = FieldProgram.parse("x")
-    for entry in check_special_rescale(omega1, phi, [(0.0, 0.1, -0.2)]):
+    for entry in check_special_rescale(omega, phi, [(0.0, 0.1, -0.2)]):
         assert not entry["passes"]
+        assert entry["lambda_scale"] == pytest.approx(2.0, rel=1e-12)
 
 
 # -- singular frame --------------------------------------------------------
@@ -126,15 +146,19 @@ def test_singular_frame_origin(omega1, euclid):
 
 
 def test_singular_frame_near_sigma_identities(omega1, euclid):
-    for p in ((0.3, 0.0, 0.0), (-0.25, 0.4, 0.1)):
-        frame, c = build_singular_frame(omega1, euclid, p)
-        r1, r2 = lambda_identities(frame, c)
-        assert abs(r1) < 1e-10
-        assert abs(r2) < 1e-8
-        # C3_23 = C3_31 = 0 and c3_12 = lambda, i.e. C3_12 = -lambda
-        assert abs(c.C3_23.value) < 1e-8
-        assert abs(c.C3_31.value) < 1e-8
-        assert abs(c.C3_12.value + frame.lam.value) < 1e-8
+    off_diagonal = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
+    for metric in (euclid, off_diagonal):
+        for p in ((0.3, 0.0, 0.0), (-0.25, 0.4, 0.1),
+                  (0.0, 0.2, -0.4), (0.0, -0.7, 0.5)):
+            frame, c = build_singular_frame(omega1, metric, p)
+            assert_adapted(frame, omega1.evaluate(p), metric.evaluate(p))
+            r1, r2 = lambda_identities(frame, c)
+            assert abs(r1) < 1e-10
+            assert abs(r2) < 1e-8
+            # C3_23 = C3_31 = 0 and c3_12 = lambda, i.e. C3_12 = -lambda
+            assert abs(c.C3_23.value) < 1e-8
+            assert abs(c.C3_31.value) < 1e-8
+            assert abs(c.C3_12.value + frame.lam.value) < 1e-8
 
 
 def test_singular_frame_duality(omega1, euclid):

@@ -144,9 +144,12 @@ def test_reconstruct_lnf_oracle(axial):
 
 
 def test_reconstruct_lnf_raises_when_quadrature_does_not_converge(axial):
+    # a long segment, so that one 32-node panel and its halves differ by a
+    # real quadrature error (about 6e-11) and not only by rounding, which
+    # can come out exactly 0 on a short one
     omega, metric = axial
     with pytest.raises(JetError, match=r"did not converge on panel t = \[0, 1\].*quad_tol = 1e-300"):
-        reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), AXIAL_POINTS[0],
+        reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0),
                         quad_tol=1e-300, max_depth=0)
 
 
