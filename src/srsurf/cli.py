@@ -28,15 +28,17 @@ EXIT_SELFTEST = 2
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--omega", required=True, help="1-form, e.g. 'dz + y*dx - x*dy'")
     p.add_argument("--metric-file", help="file with 6 upper-triangle metric entries")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", help="output file (default stdout)")
+
+
+def _add_pointwise(p: argparse.ArgumentParser):
+    """The options of the subcommands that work point by point."""
+    _add_common(p)
     p.add_argument("--points", action="append", default=[],
                    help="semicolon-separated points 'x,y,z;x,y,z' (repeatable)")
     p.add_argument("--grid", help="grid spec 'x=-1:1:5, y=-1:1:5, z=0'")
-    p.add_argument("--tol-contact", type=float, default=1e-9)
-    p.add_argument("--tol-degenerate", type=float, default=1e-9)
-    p.add_argument("--tol-root", type=float, default=1e-10)
-    p.add_argument("--tol-quad", type=float, default=1e-9)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="output file (default stdout)")
+    p.add_argument("--tol-contact", type=float)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,19 +50,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="lambda, M, K per point")
-    _add_common(p)
+    _add_pointwise(p)
 
     p = sub.add_parser("symmetry",
                        help="symmetry system D/EQ/residuals per point")
-    _add_common(p)
+    _add_pointwise(p)
+    p.add_argument("--tol-degenerate", type=float)
     p.add_argument("--reconstruct", action="store_true",
                    help="reconstruct ln f relative to --base")
     p.add_argument("--base", help="base point for ln f reconstruction")
+    p.add_argument("--tol-quad", type=float,
+                   help="ln f quadrature tolerance (with --reconstruct)")
 
     p = sub.add_parser("singular", help="Sigma roots and Q-invariants on probes")
     _add_common(p)
     p.add_argument("--probe", action="append", default=[],
                    help="segment 'x0,y0,z0 : x1,y1,z1' (repeatable)")
+    p.add_argument("--tol-root", type=float)
 
     p = sub.add_parser("selftest", help="run the built-in fixture checks")
     p.add_argument("--json", action="store_true", dest="as_json")
@@ -68,26 +74,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(
-        omega_text=args.omega,
-        eps_contact=args.tol_contact,
-        eps_D=args.tol_degenerate,
-        root_tol=args.tol_root,
-        quad_tol=args.tol_quad,
-        out_format=args.format,
-    )
+    """The run configuration from the options the subcommand has; the
+    others keep their RunConfig defaults."""
+    cfg = RunConfig(omega_text=args.omega, out_format=args.format)
+    for option, name in (("tol_contact", "eps_contact"), ("tol_degenerate", "eps_D"),
+                         ("tol_root", "root_tol"), ("tol_quad", "quad_tol"),
+                         ("reconstruct", "reconstruct")):
+        if getattr(args, option, None) is not None:
+            setattr(cfg, name, getattr(args, option))
     if args.metric_file:
         with open(args.metric_file) as fh:
             cfg.metric_text = fh.read()
-    for chunk in args.points:
+    for chunk in getattr(args, "points", []):
         cfg.points.extend(parse_points(chunk))
-    if args.grid:
+    if getattr(args, "grid", None):
         cfg.points.extend(parse_grid(args.grid))
     for probe in getattr(args, "probe", []):
         cfg.probes.append(parse_probe(probe))
-    cfg.reconstruct = getattr(args, "reconstruct", False)
     if getattr(args, "base", None):
         cfg.base = parse_points(args.base)[0]
+    if getattr(args, "tol_quad", None) is not None and not cfg.reconstruct:
+        raise ValueError("--tol-quad requires --reconstruct")
     cfg.validate()
     return cfg
 
@@ -135,8 +142,6 @@ def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
 def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
     omega = OneForm.parse(cfg.omega_text)
     metric = MetricField.from_text(cfg.metric_text)
-    if cfg.reconstruct and cfg.base is None:
-        raise ValueError("--reconstruct requires --base")
 
     def one(p) -> PointReport:
         try:

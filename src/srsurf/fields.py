@@ -1,25 +1,38 @@
 """Expression DSL for scalar fields, 1-forms and metrics on 3-space.
 
-Everything user-facing is parsed into a small AST and wrapped into
-field programs: deterministic evaluators from a point to a Jet.
-Derived quantities produced elsewhere in the pipeline (nonholonomity,
-invariants, ...) reuse the same FieldProgram interface, so they compose
-with the helpers here.
+An expression is Python's expression syntax with `^` for powers, held to a
+whitelist (README, "Expression syntax").  Each expression is parsed by the
+stdlib `ast`, checked against the whitelist and compiled once into a
+function of the coordinate jets; field programs wrap these as deterministic
+evaluators from a point to a Jet.  Derived quantities produced elsewhere in
+the pipeline (nonholonomity, invariants, ...) reuse the same FieldProgram
+interface, so they compose with the helpers here.
 """
 
 from __future__ import annotations
 
+import ast
 import json
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import methodcaller
 from typing import Callable, Tuple
 
-from .jets import Jet, JetError, jet_seed
+from .jets import VARIABLES, Jet, JetError
 
 DEFAULT_ORDER = 4
 
-_FUNCTIONS = ("sqrt", "exp", "sin", "cos", "ln")
 _DIFFERENTIALS = ("dx", "dy", "dz")
+# Each whitelisted function, as the Jet method it calls.
+_FUNCTIONS = {"sqrt": "sqrt", "exp": "exp", "sin": "sin", "cos": "cos", "ln": "log"}
+_NAMESPACE = {"__builtins__": {},
+              **{name: methodcaller(method) for name, method in _FUNCTIONS.items()}}
+# The parameter that builds each number as a constant jet at the point, so
+# that constant-only subexpressions (1/0, ln(-1)) raise JetError like any
+# other jet operation.
+_CONSTANT = "_c"
+_PARAMETERS = ast.parse(f"lambda x, y, z, {_CONSTANT}: 0", mode="eval").body.args
 
 
 class ParseError(ValueError):
@@ -31,294 +44,122 @@ class ParseError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# AST
+# Parsing
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+def _source(text: str):
+    """Python source for `text`, with `^` spelled `**` and whitespace as
+    spaces, and for each source column the position in `text` it came from.
+
+    A literal `**` and a `#` are rejected: the tree could not tell the first
+    from `^`, and would drop whatever follows the second.  So is a character
+    outside printable ASCII, because tree columns count UTF-8 bytes."""
+    if "**" in text:
+        raise ParseError("write powers with ^, not **", text.index("**"))
+    src, where = [], []
+    for i, c in enumerate(text):
+        if c.isspace():
+            if not src:
+                continue  # an indented expression is a Python syntax error
+            c = " "
+        elif c == "#" or not (c.isascii() and c.isprintable()):
+            raise ParseError(f"unexpected character {c!r}", i)
+        s = "**" if c == "^" else c
+        src.append(s)
+        where += [i] * len(s)
+    return "".join(src) + "\n", where + [len(text)]
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+def _is_differential(node) -> bool:
+    return isinstance(node, ast.Name) and node.id in _DIFFERENTIALS
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str  # '+', '-', '*', '/'
-    left: object
-    right: object
+def _constant(value: float):
+    """A number, as a call that builds its constant jet at the point."""
+    return ast.Call(ast.Name(_CONSTANT, ast.Load()), [ast.Constant(value)], [])
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class _Parsed:
+    """The tree of one text; every ParseError position indexes the text."""
 
-
-@dataclass(frozen=True)
-class Fun:
-    name: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: Fraction
-
-
-def eval_ast(node, env) -> Jet:
-    """Evaluate an AST against an environment of coordinate jets."""
-    if isinstance(node, Num):
-        x = env["x"]
-        return Jet.constant(node.value, x.point, x.order)
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -eval_ast(node.arg, env)
-    if isinstance(node, Bin):
-        a = eval_ast(node.left, env)
-        b = eval_ast(node.right, env)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        return a / b
-    if isinstance(node, Fun):  # a name from _FUNCTIONS; ln is Jet.log
-        a = eval_ast(node.arg, env)
-        return getattr(a, "log" if node.name == "ln" else node.name)()
-    if isinstance(node, Pow):
-        return eval_ast(node.base, env) ** node.exponent
-    raise TypeError(f"unknown AST node {node!r}")
-
-
-def pretty(node) -> str:
-    """Canonical fully parenthesized rendering; parse(pretty(a)) == a."""
-    if isinstance(node, Num):
-        v = node.value
-        return repr(int(v)) if float(v).is_integer() else repr(v)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{pretty(node.arg)})"
-    if isinstance(node, Bin):
-        return f"({pretty(node.left)} {node.op} {pretty(node.right)})"
-    if isinstance(node, Fun):
-        return f"{node.name}({pretty(node.arg)})"
-    if isinstance(node, Pow):
-        e = node.exponent
-        base = pretty(node.base)
-        if isinstance(node.base, Pow):
-            base = f"({base})"
-        if e.denominator == 1:
-            return f"{base}^{e.numerator}"
-        return f"{base}^({e.numerator}/{e.denominator})"
-    raise TypeError(f"unknown AST node {node!r}")
-
-
-# --------------------------------------------------------------------------
-# Tokenizer / parser
-
-
-class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.tokens = []
-        self._scan()
-        self.idx = 0
+        src, self.where = _source(text)
+        try:
+            with warnings.catch_warnings():  # a ParseError, not a line on stderr
+                warnings.simplefilter("error", SyntaxWarning)
+                self.tree = ast.parse(src, mode="eval").body
+        except SyntaxError as exc:
+            col = min(max((exc.offset or 1) - 1, 0), len(self.where) - 1)
+            raise ParseError(exc.msg, self.where[col]) from None
 
-    def _scan(self):
-        t, i, n = self.text, 0, len(self.text)
-        while i < n:
-            c = t[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit() or (c == "." and i + 1 < n and t[i + 1].isdigit()):
-                j = i
-                while j < n and (t[j].isdigit() or t[j] == "."):
-                    j += 1
-                if j < n and t[j] in "eE" and (
-                    j + 1 < n and (t[j + 1].isdigit() or
-                                   (t[j + 1] in "+-" and j + 2 < n and t[j + 2].isdigit()))
-                ):
-                    j += 2
-                    while j < n and t[j].isdigit():
-                        j += 1
-                try:
-                    val = float(t[i:j])
-                except ValueError:
-                    raise ParseError(f"bad number {t[i:j]!r}", i)
-                self.tokens.append(("num", val, i))
-                i = j
-                continue
-            if c.isalpha() or c == "_":
-                j = i
-                while j < n and (t[j].isalnum() or t[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", t[i:j], i))
-                i = j
-                continue
-            if c in "+-*/^()":
-                self.tokens.append((c, c, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character {c!r}", i)
-        self.tokens.append(("end", None, n))
+    def error(self, message: str, node, at_end: bool = False) -> ParseError:
+        return ParseError(message,
+                          self.where[node.end_col_offset if at_end else node.col_offset])
 
-    def peek(self):
-        return self.tokens[self.idx]
+    def scalar(self, node):
+        """The node checked against the whitelist, with every number
+        outside an exponent built as a constant jet."""
+        if isinstance(node, ast.Name):
+            if node.id in VARIABLES:
+                return node
+            if node.id in _DIFFERENTIALS:
+                raise self.error(f"differential {node.id!r} not allowed inside "
+                                 "an expression", node)
+            raise self.error(f"unknown identifier {node.id!r}", node)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            try:
+                return _constant(float(node.value))
+            except OverflowError:
+                raise self.error("number out of range", node) from None
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            operand = self.scalar(node.operand)
+            return operand if isinstance(node.op, ast.UAdd) else ast.UnaryOp(node.op, operand)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            return ast.BinOp(self.scalar(node.left), node.op,
+                             ast.Constant(self.exponent(node.right)))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub,
+                                                                ast.Mult, ast.Div)):
+            return ast.BinOp(self.scalar(node.left), node.op, self.scalar(node.right))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _FUNCTIONS and len(node.args) == 1
+                and not node.keywords):
+            return ast.Call(node.func, [self.scalar(node.args[0])], [])
+        segment = self.text[self.where[node.col_offset]:self.where[node.end_col_offset]]
+        raise self.error(f"unsupported syntax {segment!r}", node)
 
-    def next(self):
-        tok = self.tokens[self.idx]
-        if tok[0] != "end":
-            self.idx += 1
-        return tok
+    def exponent(self, node):
+        """An integer or (p/q) exponent: an int, or the float of p/q when
+        it is not integral."""
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+            return self.integer(node)
+        p, q = self.integer(node.left), self.integer(node.right)
+        if q == 0:
+            raise self.error("zero denominator in exponent", node.right)
+        e = Fraction(p, q)
+        return e.numerator if e.denominator == 1 else float(e)
 
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-
-class _Parser:
-    """Recursive descent over: add > mul > unary > power > atom."""
-
-    def __init__(self, text: str):
-        self.tk = _Tokenizer(text)
-
-    def parse_scalar(self):
-        node = self._additive()
-        tok = self.tk.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return node
-
-    def parse_oneform(self):
-        """List of (sign, coefficient-AST-or-None, differential) terms."""
-        terms = []
-        sign = 1.0
-        if self.tk.peek()[0] in "+-":
-            if self.tk.next()[0] == "-":
-                sign = -1.0
-        terms.append(self._oneform_term(sign))
-        while self.tk.peek()[0] in "+-":
-            sign = 1.0 if self.tk.next()[0] == "+" else -1.0
-            terms.append(self._oneform_term(sign))
-        tok = self.tk.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {tok[1]!r}", tok[2])
-        return terms
-
-    def _oneform_term(self, sign):
-        tok = self.tk.peek()
-        if tok[0] == "ident" and tok[1] in _DIFFERENTIALS:
-            self.tk.next()
-            return (sign, None, tok[1])
-        coeff = self._multiplicative(stop_at_differential=True)
-        tok = self.tk.peek()
-        if tok[0] == "ident" and tok[1] in _DIFFERENTIALS:
-            self.tk.next()
-            return (sign, coeff, tok[1])
-        raise ParseError("one-form term lacks a differential dx/dy/dz", tok[2])
-
-    def _additive(self):
-        node = self._multiplicative()
-        while self.tk.peek()[0] in "+-":
-            op = self.tk.next()[0]
-            node = Bin(op, node, self._multiplicative())
-        return node
-
-    def _multiplicative(self, stop_at_differential=False):
-        node = self._unary()
-        while True:
-            tok = self.tk.peek()
-            if tok[0] in "*/":
-                if stop_at_differential and tok[0] == "*":
-                    nxt = self.tk.tokens[self.tk.idx + 1]
-                    if nxt[0] == "ident" and nxt[1] in _DIFFERENTIALS:
-                        self.tk.next()  # consume '*', leave differential
-                        return node
-                op = self.tk.next()[0]
-                node = Bin(op, node, self._unary())
-                continue
-            return node
-
-    def _unary(self):
-        tok = self.tk.peek()
-        if tok[0] == "-":
-            self.tk.next()
-            return Neg(self._unary())
-        if tok[0] == "+":
-            self.tk.next()
-            return self._unary()
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self.tk.peek()[0] == "^":
-            self.tk.next()
-            return Pow(base, self._exponent())
-        return base
-
-    def _exponent(self) -> Fraction:
-        tok = self.tk.peek()
-        neg = False
-        if tok[0] == "-":
-            self.tk.next()
-            neg = True
-            tok = self.tk.peek()
-        if tok[0] == "num":
-            self.tk.next()
-            if not float(tok[1]).is_integer():
-                raise ParseError("exponent must be an integer or (p/q)", tok[2])
-            e = Fraction(int(tok[1]))
-            return -e if neg else e
-        if tok[0] == "(" and not neg:
-            self.tk.next()
-            psign = 1
-            if self.tk.peek()[0] == "-":
-                self.tk.next()
-                psign = -1
-            p = self.tk.expect("num")
-            self.tk.expect("/")
-            q = self.tk.expect("num")
-            self.tk.expect(")")
-            if not (float(p[1]).is_integer() and float(q[1]).is_integer()):
-                raise ParseError("rational exponent must be (integer/integer)", p[2])
-            return Fraction(psign * int(p[1]), int(q[1]))
-        raise ParseError("expected integer or (p/q) exponent", tok[2])
-
-    def _atom(self):
-        tok = self.tk.next()
-        if tok[0] == "num":
-            return Num(float(tok[1]))
-        if tok[0] == "ident":
-            name = tok[1]
-            if name in ("x", "y", "z"):
-                return Var(name)
-            if name in _FUNCTIONS:
-                self.tk.expect("(")
-                arg = self._additive()
-                self.tk.expect(")")
-                return Fun(name, arg)
-            if name in _DIFFERENTIALS:
-                raise ParseError(f"differential {name!r} not allowed inside an expression", tok[2])
-            raise ParseError(f"unknown identifier {name!r}", tok[2])
-        if tok[0] == "(":
-            node = self._additive()
-            self.tk.expect(")")
-            return node
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+    def integer(self, node) -> int:
+        sign = 1
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            sign, node = -1, node.operand
+        if isinstance(node, ast.Constant) and (
+                type(node.value) is int
+                or type(node.value) is float and node.value.is_integer()):
+            return sign * int(node.value)
+        raise self.error("exponent must be an integer or (p/q)", node)
 
 
-def parse_scalar_ast(text: str):
-    return _Parser(text).parse_scalar()
+def _program(body) -> "FieldProgram":
+    """Compile a checked expression once into a program of the point."""
+    tree = ast.Expression(ast.Lambda(_PARAMETERS, body))
+    fn = eval(compile(ast.fix_missing_locations(tree), "<expression>", "eval"),
+              _NAMESPACE)
+
+    def at(p, n):
+        return fn(*(Jet.variable(axis, p, n) for axis in range(3)),
+                  lambda value: Jet.constant(value, p, n))
+    return FieldProgram(at)
 
 
 # --------------------------------------------------------------------------
@@ -346,19 +187,9 @@ class FieldProgram:
         return FieldProgram(lambda p, n: Jet.constant(float(value), p, n))
 
     @staticmethod
-    def coordinate(name: str) -> "FieldProgram":
-        return FieldProgram(lambda p, n: jet_seed(p, name, n))
-
-    @staticmethod
-    def from_ast(node) -> "FieldProgram":
-        def fn(p, n):
-            env = {v: jet_seed(p, v, n) for v in ("x", "y", "z")}
-            return eval_ast(node, env)
-        return FieldProgram(fn)
-
-    @staticmethod
     def parse(text: str) -> "FieldProgram":
-        return FieldProgram.from_ast(parse_scalar_ast(text))
+        parsed = _Parsed(text)
+        return _program(parsed.scalar(parsed.tree))
 
     @staticmethod
     def _lift(other) -> "FieldProgram":
@@ -401,12 +232,6 @@ class FieldProgram:
     def exp(self):
         return FieldProgram(lambda p, n: self._fn(p, n).exp())
 
-    def sqrt(self):
-        return FieldProgram(lambda p, n: self._fn(p, n).sqrt())
-
-    def log(self):
-        return FieldProgram(lambda p, n: self._fn(p, n).log())
-
 
 # --------------------------------------------------------------------------
 # One-forms, metrics, two-form values
@@ -424,13 +249,32 @@ class OneForm:
 
     @staticmethod
     def parse(text: str) -> "OneForm":
-        # one AST per component, 0 +/- t1 +/- t2 ..., wrapped once
-        asts = {d: Num(0.0) for d in _DIFFERENTIALS}
-        for sign, coeff, diff in _Parser(text).parse_oneform():
-            asts[diff] = Bin("+" if sign > 0 else "-", asts[diff],
-                             Num(1.0) if coeff is None else coeff)
-        return OneForm(tuple(FieldProgram.from_ast(asts[d]) for d in _DIFFERENTIALS),
-                       source=text)
+        """Terms `[+-]d` or `coeff*d` of the top-level +/- chain, d one of
+        dx, dy, dz; each component, 0 +/- t1 +/- t2 ..., compiles once."""
+        parsed = _Parsed(text)
+        node, terms = parsed.tree, []
+        while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            terms.append((node.op, node.right))
+            node = node.left
+        terms.append((ast.Add(), node))
+        sums = {d: _constant(0.0) for d in _DIFFERENTIALS}
+        for op, term in reversed(terms):
+            if (isinstance(term, ast.UnaryOp) and isinstance(term.op, (ast.UAdd, ast.USub))
+                    and _is_differential(term.operand)):
+                if isinstance(term.op, ast.USub):
+                    op = ast.Add() if isinstance(op, ast.Sub) else ast.Sub()
+                term = term.operand
+            if _is_differential(term):
+                d, coeff = term.id, _constant(1.0)
+            elif (isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+                  and _is_differential(term.right)):
+                d, coeff = term.right.id, parsed.scalar(term.left)
+            else:
+                parsed.scalar(term)  # an error inside the term comes first
+                raise parsed.error("one-form term lacks a differential dx/dy/dz",
+                                   term, at_end=True)
+            sums[d] = ast.BinOp(sums[d], op, coeff)
+        return OneForm(tuple(_program(sums[d]) for d in _DIFFERENTIALS), source=text)
 
     def evaluate(self, point, order: int = DEFAULT_ORDER):
         jets = tuple(c(point, order) for c in self.components)

@@ -109,6 +109,8 @@ class RunConfig:
         for tol_name in ("eps_contact", "eps_D", "root_tol", "quad_tol"):
             if not getattr(self, tol_name) > 0:  # also rejects NaN
                 raise ValueError(f"{tol_name} must be positive")
+        if self.reconstruct != (self.base is not None):
+            raise ValueError("--reconstruct and --base need each other")
 
 
 def _finite(text: str) -> float:

@@ -98,10 +98,9 @@ def _dw_vector(omega: OneForm, point, order: int):
     return float(np.linalg.norm(jvec_values(form))), w, jvec_dot(form, w)
 
 
-def _sigma_normal(omega: OneForm, point, order: int):
+def _sigma_normal(size: float, mu: Jet):
     """Unit normal direction to Sigma from the gradient of the contact
-    defect mu = omega(w) (vanishes exactly on Sigma)."""
-    size, _, mu = _dw_vector(omega, point, order)
+    defect mu = omega(w) (vanishes exactly on Sigma); size is |omega|."""
     grad = np.array([mu.partial(a).value for a in range(3)])
     n = np.linalg.norm(grad)
     if n < 1e-12 * size ** 2:
@@ -126,7 +125,7 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
             f"omega(w) = 0 with w != 0 at {omw.point}: no normalized "
             "characteristic field")
     # removable degeneration: extrapolate across Sigma
-    n = _sigma_normal(omega, point, order)
+    n = _sigma_normal(size, omw)
     p = np.array([float(c) for c in point])
 
     def side_average(h: float):

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -152,7 +154,9 @@ def test_bad_grid_exits_1(capsys):
     ("invariants", "--tol-contact", "nan", "positive"),
 ])
 def test_nonfinite_input_exits_1(capsys, command, option, value, message):
-    argv = [command, "--omega", W1, "--points", "1,0,0", option, value]
+    argv = [command, "--omega", W1, option, value]
+    if command != "singular":
+        argv += ["--points", "1,0,0"]
     if option == "--base":
         argv.append("--reconstruct")
     code, out, err = run_cli(capsys, *argv)
@@ -177,6 +181,44 @@ def test_reconstruct_without_base_exits_1(capsys):
     code, _, err = run_cli(capsys, "symmetry", "--omega", HEIS,
                            "--points", "1,0,0", "--reconstruct")
     assert code == 1
+
+
+@pytest.mark.parametrize("option, value", [("--base", "0,0,0"),
+                                           ("--tol-quad", "1e-6")])
+def test_reconstruct_option_without_reconstruct_exits_1(capsys, option, value):
+    code, out, err = run_cli(capsys, "symmetry", "--omega", HEIS,
+                             "--points", "1,0,0", option, value)
+    assert code == 1
+    assert out == "" and "--reconstruct" in err
+
+
+# Every option of every subcommand, with a value, and the options each
+# subcommand reads; each one it does not read is an argparse error.
+OPTIONS = {"--omega": W1, "--metric-file": "metric.txt", "--format": "json",
+           "--out": "out.ndjson", "--points": "1,0,0", "--grid": "x=0, y=0, z=0",
+           "--tol-contact": "1e-9", "--tol-degenerate": "1e-9",
+           "--reconstruct": None, "--base": "0,0,0", "--tol-quad": "1e-9",
+           "--probe": "-1,0,0 : 1,0,0", "--tol-root": "1e-10", "--json": None}
+COMMON = {"--omega", "--metric-file", "--format", "--out"}
+POINTWISE = COMMON | {"--points", "--grid", "--tol-contact"}
+READS = {"invariants": POINTWISE,
+         "symmetry": POINTWISE | {"--tol-degenerate", "--reconstruct", "--base",
+                                  "--tol-quad"},
+         "singular": COMMON | {"--probe", "--tol-root"},
+         "selftest": {"--json"}}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, reads in READS.items()
+    for option in OPTIONS if option not in reads])
+def test_unread_option_exits_2(capsys, command, option):
+    argv = [command] + (["--omega", W1] if "--omega" in READS[command] else [])
+    value = OPTIONS[option]
+    argv.append(option if value is None else f"{option}={value}")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -- symmetry subcommand ---------------------------------------------------
@@ -298,6 +340,29 @@ def test_selftest_failing_check_exits_2(capsys, monkeypatch):
     assert "FAIL  always-fails" in out
     assert "FAIL  raises" in out and "error: boom" in out
     assert out.rstrip().endswith("selftest: FAIL")
+
+
+# -- README examples -------------------------------------------------------
+
+def readme_commands():
+    """argv of each `srsurf ...` line of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    words = (shlex.split(line, comments=True) for line in block.splitlines())
+    return [w[1:] for w in words if w[:1] == ["srsurf"]]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "metric.txt").write_text("1 + x^2\n0\n0\n1\n0\n1\n")
+    commands = readme_commands()
+    assert len(commands) >= 5
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+        recs = ndjson(out)
+        assert recs and all(r["schema"] == "srs/1" for r in recs), argv
 
 
 # -- report round-trip -----------------------------------------------------

@@ -1,14 +1,13 @@
 import math
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from srsurf import (FieldProgram, JetError, MetricField, OneForm, ParseError,
                     contact_defect, exterior_derivative, jet_seed)
-from srsurf.fields import parse_scalar_ast, pretty
-from srsurf.fields import Bin, Fun, Neg, Num, Pow, Var
-from fractions import Fraction
 
 from conftest import box_points
 
@@ -88,28 +87,98 @@ def test_precedence():
     assert g.value((3, 0, 0)) == 1.5
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("x^2 + q", 6),      # each ^ before the error counts as one character
+    ("x^2 + y^3 + q", 12),
+    ("x**2", 1),         # ^ is the only way to write a power
+    ("1j*x", 0),
+    ("True*x", 0),
+    ("x.real", 0),
+    ("sin(x, y)", 0),
+    ("x # comment", 2),
+])
+def test_parse_error_positions_index_the_text(text, pos):
+    with pytest.raises(ParseError) as exc:
+        FieldProgram.parse(text)
+    assert exc.value.pos == pos
+
+
+@pytest.mark.parametrize("text", ["1/0", "(-8)^(1/3)", "ln(-1)", "sqrt(0)"])
+def test_constant_domain_errors_raise_jet_error(text):
+    program = FieldProgram.parse(text)  # numbers are constant jets
+    with pytest.raises(JetError):
+        program.value((0.0, 0.0, 0.0))
+
+
+# An expression as (DSL text, math oracle); the oracle rounds as a jet's
+# value does (a/b as a*(1/b), x^k as a product), so the two agree to the
+# last bit and 1e-12 tells a wrong tree from rounding.  Out of the window
+# (1e-20, 1e20) the oracle raises OverflowError and the example is dropped,
+# so that the scalar terms of every series (up to v^-7) stay finite.
+
+def _tame(v: float) -> float:
+    if v != 0.0 and not 1e-20 < abs(v) < 1e20:
+        raise OverflowError(v)
+    return v
+
+
+def _positive(v: float) -> float:
+    if not v > 0.0:  # sqrt and real powers need derivatives at the point
+        raise ValueError(f"non-positive {v}")
+    return v
+
+
+_BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a * (1.0 / b)}
+_UNARY = {"sqrt": lambda a: math.sqrt(_positive(a)), "exp": math.exp,
+          "sin": math.sin, "cos": math.cos, "ln": math.log}
+
+
+def _power(a: float, p: int, q: int) -> float:
+    if p % q:
+        return math.pow(_positive(a), p / q)
+    k = p // q
+    return reduce(mul, [a if k > 0 else 1.0 / a] * abs(k), 1.0) if k else 1.0
+
+
 _LEAVES = st.one_of(
-    st.integers(0, 9).map(lambda n: Num(float(n))),
-    st.sampled_from(["x", "y", "z"]).map(Var))
+    st.integers(0, 9).map(lambda n: (str(n), lambda p: float(n))),
+    st.integers(0, 2).map(lambda a: ("xyz"[a], lambda p: p[a])))
 
 
 def _exprs(children):
     return st.one_of(
-        st.tuples(st.sampled_from("+-*/"), children, children).map(
-            lambda t: Bin(t[0], t[1], t[2])),
-        children.map(Neg),
-        st.tuples(st.sampled_from(["sqrt", "exp", "sin", "cos", "ln"]),
-                  children).map(lambda t: Fun(t[0], t[1])),
-        st.tuples(children, st.integers(-3, 3),
-                  st.integers(1, 3)).map(
-            lambda t: Pow(t[0], Fraction(t[1], t[2]))),
+        st.tuples(st.sampled_from(sorted(_BINARY)), children, children).map(
+            lambda t: (f"({t[1][0]} {t[0]} {t[2][0]})",
+                       lambda p: _tame(_BINARY[t[0]](t[1][1](p), t[2][1](p))))),
+        children.map(lambda c: (f"(-{c[0]})", lambda p: -c[1](p))),
+        st.tuples(st.sampled_from(sorted(_UNARY)), children).map(
+            lambda t: (f"{t[0]}({t[1][0]})",
+                       lambda p: _tame(_UNARY[t[0]](t[1][1](p))))),
+        st.tuples(children, st.integers(-3, 3), st.integers(1, 3)).map(
+            lambda t: (f"({t[0][0]})^({t[1]}/{t[2]})" if t[1] % t[2]
+                       else f"({t[0][0]})^{t[1] // t[2]}",
+                       lambda p: _tame(_power(t[0][1](p), t[1], t[2])))),
     )
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.recursive(_LEAVES, _exprs, max_leaves=12))
-def test_parser_round_trip(ast):
-    assert parse_scalar_ast(pretty(ast)) == ast
+@given(st.recursive(_LEAVES, _exprs, max_leaves=12),
+       st.sampled_from([(0.7, -1.3, 0.4), (0.0, 2.0, -0.5), (-1.5, 0.25, 1.0)]))
+def test_parse_matches_math_oracle(expr, point):
+    text, oracle = expr
+    program = FieldProgram.parse(text)
+    try:
+        want = oracle(point)
+    except OverflowError:
+        assume(False)
+    except (ValueError, ZeroDivisionError):  # a domain error
+        with pytest.raises(JetError), np.errstate(all="ignore"):
+            program.value(point)
+        return
+    with np.errstate(all="ignore"):  # only higher coefficients can overflow
+        got = program.value(point)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # -- exterior calculus -----------------------------------------------------
