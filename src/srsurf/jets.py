@@ -69,6 +69,16 @@ def _degrees(order: int):
     return np.array([sum(mi) for mi in multi_indices(order)])
 
 
+@lru_cache(maxsize=None)
+def _partial_map(order: int, axis: int):
+    """(src, scale): d/d(axis) sends coeffs[src[k]] * scale[k] to k, for the
+    leading n_coeffs(order - 1) coefficients (the lower degrees, graded)."""
+    e = tuple(int(a == axis) for a in range(3))
+    up = [tuple(m + d for m, d in zip(mi, e)) for mi in multi_indices(order - 1)]
+    return (np.array([_index_map(order)[mi] for mi in up]),
+            np.array([mi[axis] for mi in up], dtype=float))
+
+
 def n_coeffs(order: int) -> int:
     return math.comb(order + 3, 3)
 
@@ -141,10 +151,19 @@ class Jet:
 
     # -- helpers -----------------------------------------------------------
 
+    @classmethod
+    def _new(cls, point, order: int, coeffs: np.ndarray, valid_order: int) -> "Jet":
+        """Unchecked constructor for results of operations on valid jets: a
+        float-tuple point, float coeffs and 0 <= valid_order <= order."""
+        jet = object.__new__(cls)
+        jet.point, jet.order, jet.coeffs = point, order, coeffs
+        jet.valid_order = valid_order
+        return jet
+
     def _like(self, coeffs, valid_order=None) -> "Jet":
         if valid_order is None:
             valid_order = self.valid_order
-        return Jet(self.point, self.order, coeffs, valid_order)
+        return Jet._new(self.point, self.order, coeffs, valid_order)
 
     def _check_compatible(self, other: "Jet"):
         if self.order != other.order:
@@ -185,8 +204,8 @@ class Jet:
             return self._like(self.coeffs * float(other))
         self._check_compatible(other)
         ia, ib, io = _mul_table(self.order)
-        out = np.zeros_like(self.coeffs)
-        np.add.at(out, io, self.coeffs[ia] * other.coeffs[ib])
+        out = np.bincount(io, weights=self.coeffs[ia] * other.coeffs[ib],
+                          minlength=len(self.coeffs))
         return self._like(out, min(self.valid_order, other.valid_order))
 
     __rmul__ = __mul__
@@ -209,10 +228,12 @@ class Jet:
                 return Jet.constant(1.0, self.point, self.order)
             if exponent < 0:
                 return self.reciprocal() ** (-exponent)
-            result = self
-            for _ in range(exponent - 1):
-                result = result * self
-            return result
+            if exponent == 1:
+                return self
+            # repeated squaring, square on the left: x^3 is (x * x) * x
+            square = self ** (exponent // 2)
+            square = square * square
+            return square * self if exponent % 2 else square
         return self.pow(float(exponent))
 
     # -- univariate compositions ------------------------------------------
@@ -293,15 +314,9 @@ class Jet:
             raise JetError(f"axis must be 0, 1 or 2, got {axis}")
         if self.valid_order < 1:
             raise BudgetExhausted("cannot differentiate: jet budget exhausted")
-        mis = multi_indices(self.order)
-        imap = _index_map(self.order)
-        out = np.zeros_like(self.coeffs)
-        for k, mi in enumerate(mis):
-            if sum(mi) >= self.order:
-                continue
-            up = list(mi)
-            up[axis] += 1
-            out[k] = self.coeffs[imap[tuple(up)]] * up[axis]
+        src, scale = _partial_map(self.order, axis)
+        out = np.zeros(len(self.coeffs))
+        out[:len(src)] = self.coeffs[src] * scale
         new_valid = self.valid_order - 1
         out[_degrees(self.order) > new_valid] = 0.0
         return self._like(out, new_valid)

@@ -90,10 +90,10 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
                       lambda_gradient_on_delta=grad_norm)
 
 
-def _dw_vector(omega: OneForm, point, order: int):
-    """(|omega|, w, omega(w)) with w the (d omega)-vector; omega -> c omega
-    scales them by c, c and c^2, so every test below compares ratios."""
-    form = omega.evaluate(point, order)
+def _dw_vector(form):
+    """(|omega|, w, omega(w)) from the jets of omega, with w the
+    (d omega)-vector; omega -> c omega scales them by c, c and c^2, so every
+    test below compares ratios."""
     w = curl(form)
     return float(np.linalg.norm(jvec_values(form))), w, jvec_dot(form, w)
 
@@ -109,14 +109,17 @@ def _sigma_normal(size: float, mu: Jet):
 
 
 def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
-                         eps: float = 1e-3, w_tol: float = 1e-6):
+                         eps: float = 1e-3, w_tol: float = 1e-6, *, form=None):
     """V = w / omega(w) with w the (d omega)-vector spanning ker(d omega).
 
     Where both w and omega(w) vanish (on Sigma for a special form), the
     value is recovered by second-order Richardson extrapolation from
-    p +/- eps*n and p +/- (eps/2)*n along the Sigma-normal n.
+    p +/- eps*n and p +/- (eps/2)*n along the Sigma-normal n.  `form`, the
+    jets of omega at the point at `order`, saves evaluating omega again.
     """
-    size, w, omw = _dw_vector(omega, point, order)
+    if form is None:
+        form = omega.evaluate(point, order)
+    size, w, omw = _dw_vector(form)
     w_max = max(abs(c.value) for c in w)
     if abs(omw.value) > w_tol * size * (size + w_max):
         return jvec_div(w, omw)
@@ -131,7 +134,8 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
     def side_average(h: float):
         jets = []
         for sgn in (+1.0, -1.0):
-            size_q, wq, omwq = _dw_vector(omega, tuple(p + sgn * h * n), order)
+            size_q, wq, omwq = _dw_vector(
+                omega.evaluate(tuple(p + sgn * h * n), order))
             if abs(omwq.value) < 1e-14 * size_q ** 2:
                 raise SingularFrameError(
                     f"characteristic field degenerate off Sigma near {omw.point}")
@@ -197,7 +201,7 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
             f"Delta and ker d(lambda) do not intersect cleanly at {lam.point}")
     e1, ge1 = unit(g, jvec_scale(sign, direction))
     e2 = kernel_complement(w, g, ge1)
-    e3 = characteristic_field(omega, point, order)
+    e3 = characteristic_field(omega, point, order, form=w)
     eta1, eta2, eta3 = adapted_coframe(g, e1, e2, e3, jvec_div(w, jvec_dot(w, e3)))
     frame = AdaptedFrame(E1=e1, E2=e2, E3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
                          lam=lam, kind="singular")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srsurf import BudgetExhausted, Jet, JetError, jet_seed, multi_indices, n_coeffs
+from srsurf import (BudgetExhausted, FieldProgram, Jet, JetError, jet_seed,
+                    multi_indices, n_coeffs)
+from srsurf.jets import _index_map, _mul_table
 
 
 def test_multi_index_enumeration_graded():
@@ -217,3 +219,96 @@ def test_mixed_partials_match_finite_differences(rng):
         # a second-order mixed partial via nested differences
         fd = _fd_partial(lambda q: _fd_partial(fn, q, 0, 1e-4), p, 1, 1e-4)
         assert abs(j.partial_value((1, 1, 0)) - fd) <= 1e-4 * (1 + abs(fd))
+
+
+# -- the table-driven kernels against the loops they replaced --------------
+
+def _loop_partial(jet, axis):
+    """(coeffs, valid_order) of d/d(axis), one coefficient at a time."""
+    imap = _index_map(jet.order)
+    out = np.zeros_like(jet.coeffs)
+    for k, mi in enumerate(multi_indices(jet.order)):
+        if sum(mi) >= jet.order:
+            continue
+        up = list(mi)
+        up[axis] += 1
+        out[k] = jet.coeffs[imap[tuple(up)]] * up[axis]
+    valid = jet.valid_order - 1
+    out[[sum(mi) > valid for mi in multi_indices(jet.order)]] = 0.0
+    return out, valid
+
+
+def _add_at_product(a, b):
+    ia, ib, io = _mul_table(a.order)
+    out = np.zeros_like(a.coeffs)
+    np.add.at(out, io, a.coeffs[ia] * b.coeffs[ib])
+    return out, min(a.valid_order, b.valid_order)
+
+
+@st.composite
+def random_jets(draw):
+    order = draw(st.integers(1, 6))
+    point = tuple(draw(st.floats(-2, 2)) for _ in range(3))
+    coeffs = st.lists(st.floats(-1e3, 1e3), min_size=n_coeffs(order),
+                      max_size=n_coeffs(order))
+    return [Jet(point, order, np.array(draw(coeffs)), draw(st.integers(0, order)))
+            for _ in range(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_jets())
+def test_kernels_match_reference_loops_bit_for_bit(jets):
+    a, b = jets
+    prod = a * b
+    coeffs, valid = _add_at_product(a, b)
+    assert np.array_equal(prod.coeffs, coeffs) and prod.valid_order == valid
+    for axis in range(3):
+        if a.valid_order == 0:
+            with pytest.raises(BudgetExhausted):
+                a.partial(axis)
+            continue
+        d = a.partial(axis)
+        coeffs, valid = _loop_partial(a, axis)
+        assert np.array_equal(d.coeffs, coeffs) and d.valid_order == valid
+
+
+def test_public_constructor_checks():
+    point = (0.0, 0.0, 0.0)
+    for order in (0, 7):
+        with pytest.raises(JetError):
+            Jet(point, order, np.zeros(n_coeffs(max(order, 1))), 0)
+    with pytest.raises(JetError):
+        Jet(point, 3, np.zeros(n_coeffs(3) - 1), 3)
+    with pytest.raises(BudgetExhausted):
+        Jet(point, 3, np.zeros(n_coeffs(3)), -1)
+
+
+def test_results_keep_a_point_of_plain_floats():
+    x = Jet.variable(0, np.array([1, 2, 3]), 3)
+    for result in (x * x, x + 1, -x, x.partial(0), x.exp(), x / 2, x ** 3):
+        assert type(result.point) is tuple
+        assert all(type(c) is float for c in result.point)
+
+
+def test_integer_power_squares(monkeypatch):
+    calls = []
+    mul = Jet.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    k, v = 100000, 1.000001
+    assert math.isclose(FieldProgram.parse(f"x^{k}").value((v, 0.0, 0.0)),
+                        v ** k, rel_tol=1e-9)
+    assert 0 < len(calls) <= 2 * math.ceil(math.log2(k))
+
+
+def test_small_powers_multiply_as_products():
+    x, y, z = (jet_seed((0.7, -0.3, 1.1), v, 5) for v in "xyz")
+    x = (x + 0.3 * y * z).exp()
+    # here the order of the factors shows in the last bits
+    assert not np.array_equal((x * (x * x)).coeffs, ((x * x) * x).coeffs)
+    assert np.array_equal((x ** 2).coeffs, (x * x).coeffs)
+    assert np.array_equal((x ** 3).coeffs, ((x * x) * x).coeffs)

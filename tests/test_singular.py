@@ -85,7 +85,9 @@ def test_characteristic_field_nonexistent():
         characteristic_field(omega, (1.0, 0.0, 0.0))
 
 
-def test_characteristic_field_evaluates_omega_once_per_point(omega1, monkeypatch):
+@pytest.fixture
+def evaluated_points(monkeypatch):
+    """The points of every OneForm.evaluate call made during the test."""
     points = []
     evaluate = OneForm.evaluate
 
@@ -94,10 +96,21 @@ def test_characteristic_field_evaluates_omega_once_per_point(omega1, monkeypatch
         return evaluate(self, point, order)
 
     monkeypatch.setattr(OneForm, "evaluate", counted)
+    return points
+
+
+def test_characteristic_field_evaluates_omega_once_per_point(omega1, evaluated_points):
     characteristic_field(omega1, (0.0, 0.3, -0.1))
     # on Sigma: the point, whose jets also give the Sigma-normal, and the
     # four extrapolation points, each evaluated once for omega and d(omega)
-    assert len(points) == 5 == len(set(points))
+    assert len(evaluated_points) == 5 == len(set(evaluated_points))
+
+
+def test_singular_frame_evaluates_omega_once_per_point(omega1, euclid, evaluated_points):
+    build_singular_frame(omega1, euclid, (0.0, 0.3, -0.1), order=3)
+    # the Sigma point, whose jets give lambda, the Sigma-normal and E3, and
+    # the four extrapolation points of E3
+    assert len(evaluated_points) == 5 == len(set(evaluated_points))
 
 
 @pytest.mark.parametrize("c", ["1e-12", "1e6"])
