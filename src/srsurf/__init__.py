@@ -13,7 +13,7 @@ from .fields import (DEFAULT_ORDER, FieldProgram, MetricField, OneForm,
                      ParseError, TwoFormValue, contact_defect, exterior_derivative)
 from .frame import (AdaptedFrame, NoncontactError, StructureFunctions,
                     build_contact_frame, delta_basis, lie_bracket,
-                    nonholonomity, nonholonomity_program)
+                    nonholonomity)
 from .invariants import (InvariantValues, directional_derivative, invariant_K,
                          invariant_M, invariants_at,
                          torsion_and_connection_coeffs)
@@ -42,7 +42,7 @@ __all__ = [
     "exterior_derivative", "frame_to_coordinate_gradient",
     "integrability_residuals", "invariant_K", "invariant_M", "invariants_at",
     "jet_seed", "lambda_identities", "lie_bracket", "locate_sigma",
-    "multi_indices", "n_coeffs", "nonholonomity", "nonholonomity_program",
+    "multi_indices", "n_coeffs", "nonholonomity",
     "reconstruct_lnf", "sigma_invariant_derivative", "sigma_invariants",
     "torsion_and_connection_coeffs",
 ]

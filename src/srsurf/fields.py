@@ -372,10 +372,14 @@ def exterior_derivative(omega: OneForm, point, order: int = DEFAULT_ORDER) -> Tw
     return TwoFormValue(*curl(omega.evaluate(point, order)))
 
 
-def contact_defect(omega: OneForm, point, order: int = DEFAULT_ORDER) -> float:
-    """Coefficient of omega ^ d(omega) against dx^dy^dz; zero exactly on the
-    singular locus."""
-    f = omega.evaluate(point, order)
+def curl_and_defect(f):
+    """(curl(f), mu) from the jets f = omega, with mu = omega . curl(omega)
+    the contact defect: the coefficient of omega ^ d(omega) against
+    dx^dy^dz, zero exactly on the singular locus."""
     b = curl(f)
-    total = f[0] * b[0] + f[1] * b[1] + f[2] * b[2]
-    return total.value
+    return b, f[0] * b[0] + f[1] * b[1] + f[2] * b[2]
+
+
+def contact_defect(omega: OneForm, point, order: int = DEFAULT_ORDER) -> float:
+    """The contact defect mu at a point (`curl_and_defect`)."""
+    return curl_and_defect(omega.evaluate(point, order))[1].value

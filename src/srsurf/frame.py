@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm, curl
+from .fields import DEFAULT_ORDER, MetricField, OneForm, curl, curl_and_defect
 from .jets import Jet, JetError
 
 JetVector = Tuple[Jet, Jet, Jet]
@@ -170,6 +170,16 @@ def delta_basis(w: JetVector, g, seed: Optional[str] = None,
     return e1, e2
 
 
+def lambda_jet(w: JetVector, g) -> Jet:
+    """lambda = -mu / sqrt(omega^T adj(g) omega) from the jets w = omega and
+    g, with mu = omega . curl(omega); consumes one jet order.  For any
+    g-orthonormal, positively oriented E1, E2 in ker omega, E1 x E2 =
+    omega / sqrt(omega^T adj(g) omega), so omega([E1, E2]) =
+    -curl(omega) . (E1 x E2) is this, whatever the gauge."""
+    adj = [jvec_cross(g[(i + 1) % 3], g[(i + 2) % 3]) for i in range(3)]
+    return -(curl_and_defect(w)[1] * jvec_dot(w, metric_apply(adj, w)).pow(-0.5))
+
+
 def basis_and_lambda(omega: OneForm, metric: MetricField, point,
                      order: int = DEFAULT_ORDER, seed: Optional[str] = None,
                      rotation: float = 0.0):
@@ -177,7 +187,7 @@ def basis_and_lambda(omega: OneForm, metric: MetricField, point,
     w = omega.evaluate(point, order)
     g = metric.evaluate(point, order)
     e1, e2 = delta_basis(w, g, seed=seed, rotation=rotation)
-    return w, g, e1, e2, jvec_dot(w, lie_bracket(e1, e2))
+    return w, g, e1, e2, lambda_jet(w, g)
 
 
 def omega_norm(w: JetVector, g) -> float:
@@ -189,14 +199,9 @@ def omega_norm(w: JetVector, g) -> float:
 
 
 def nonholonomity(omega: OneForm, metric: MetricField, point,
-                  order: int = DEFAULT_ORDER, seed: Optional[str] = None,
-                  rotation: float = 0.0) -> Jet:
-    """lambda = omega([E1, E2]) as a jet; vanishes exactly on Sigma."""
-    return basis_and_lambda(omega, metric, point, order, seed, rotation)[-1]
-
-
-def nonholonomity_program(omega: OneForm, metric: MetricField) -> FieldProgram:
-    return FieldProgram(lambda p, n: nonholonomity(omega, metric, p, n))
+                  order: int = DEFAULT_ORDER) -> Jet:
+    """lambda as a jet (`lambda_jet`); vanishes exactly on Sigma."""
+    return lambda_jet(omega.evaluate(point, order), metric.evaluate(point, order))
 
 
 def adapted_coframe(g, e1: JetVector, e2: JetVector, e3: JetVector,

@@ -173,9 +173,13 @@ class Jet:
 
     @staticmethod
     def _coerce(other, template: "Jet"):
+        """A jet as is; a number as `Jet.constant` at the template's point
+        and order would build it, without re-checking them."""
         if isinstance(other, Jet):
             return other
-        return Jet.constant(float(other), template.point, template.order)
+        c = np.zeros(len(template.coeffs))
+        c[0] = float(other)
+        return Jet._new(template.point, template.order, c, template.order)
 
     # -- ring operations ---------------------------------------------------
 
@@ -242,7 +246,7 @@ class Jet:
         """Horner evaluation of sum_k series[k] * (self - value)^k."""
         u = self._like(self.coeffs.copy())
         u.coeffs[0] = 0.0  # nilpotent part; safe: u is a fresh array
-        result = Jet.constant(series[-1], self.point, self.order)
+        result = Jet._coerce(series[-1], self)
         for d in reversed(series[:-1]):
             result = result * u + d
         return self._like(result.coeffs)

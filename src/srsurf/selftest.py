@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import FieldProgram, MetricField, OneForm, exterior_derivative
 from .frame import (basis_and_lambda, build_contact_frame, jvec_dot,
-                    metric_dot, nonholonomity, nonholonomity_program)
+                    metric_dot, nonholonomity)
 from .invariants import directional_derivative, invariant_M, invariants_at
 from .jets import BudgetExhausted
 from .singular import (build_singular_frame, characteristic_field,
@@ -254,7 +254,7 @@ def check_singular_fixture() -> CheckResult:
                  abs(c.C3_23.value), abs(c.C3_31.value)]
     q = sigma_invariants(build_singular_frame(omega, g, (0, 0, 0))[1])
     devs += [abs(q.Q112), abs(q.Q212)]
-    lam_prog = nonholonomity_program(omega, g)
+    lam_prog = FieldProgram(lambda p, n: nonholonomity(omega, g, p, n))
     scaled = omega.scale((lam_prog * lam_prog).exp())
     q2 = sigma_invariants(build_singular_frame(scaled, g, (0, 0, 0))[1])
     devs += [abs(q2.Q112 - q.Q112), abs(q2.Q212 - q.Q212)]

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm, curl
+from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm, curl_and_defect
 from .frame import (AdaptedFrame, StructureFunctions, adapted_coframe,
                     basis_and_lambda, jvec_cross, jvec_div, jvec_dot,
                     jvec_scale, jvec_values, kernel_complement, nonholonomity,
@@ -18,9 +18,9 @@ from .frame import (AdaptedFrame, StructureFunctions, adapted_coframe,
 from .invariants import directional_derivative
 from .jets import Jet, JetError
 
-# Least jet orders, from the derivative budget: lambda = omega([E1, E2])
-# takes one level; d(lambda) one more; the singular frame's E1 is built
-# from d(lambda), and its structure functions bracket E1.
+# Least jet orders, from the derivative budget: lambda takes one level (the
+# curl of omega in its numerator); d(lambda) one more; the singular frame's
+# E1 is built from d(lambda), and its structure functions bracket E1.
 SIGMA_SCAN_ORDER = 1
 TRANSVERSALITY_ORDER = SIGMA_SCAN_ORDER + 1
 SINGULAR_FRAME_ORDER = TRANSVERSALITY_ORDER + 1
@@ -92,10 +92,10 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
 
 def _dw_vector(form):
     """(|omega|, w, omega(w)) from the jets of omega, with w the
-    (d omega)-vector; omega -> c omega scales them by c, c and c^2, so every
-    test below compares ratios."""
-    w = curl(form)
-    return float(np.linalg.norm(jvec_values(form))), w, jvec_dot(form, w)
+    (d omega)-vector and omega(w) the contact defect; omega -> c omega scales
+    them by c, c and c^2, so every test below compares ratios."""
+    w, mu = curl_and_defect(form)
+    return float(np.linalg.norm(jvec_values(form))), w, mu
 
 
 def _sigma_normal(size: float, mu: Jet):

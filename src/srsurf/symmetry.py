@@ -145,14 +145,13 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 class SymmetryField:
     point: tuple
     f_value: float
-    lnf_gradient: Optional[np.ndarray]
     V: tuple  # component values
-    lambda_mult: Optional[float]
-    VK: Optional[float]
-    VM: Optional[float]
-    E3f: Optional[float]
-    bracket_defect_1: Optional[float]
-    bracket_defect_2: Optional[float]
+    lambda_mult: float
+    VK: float
+    VM: float
+    E3f: float
+    bracket_defect_1: float
+    bracket_defect_2: float
 
 
 def reconstructed_V(sys_: SymmetrySystem, lnf: float):
@@ -167,56 +166,36 @@ def reconstructed_V(sys_: SymmetrySystem, lnf: float):
 
 
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
-                          f: Optional[FieldProgram] = None, base=None,
-                          order: int = DEFAULT_ORDER, **frame_kwargs):
-    """Assemble V = -E2(f) E1 + E1(f) E2 + f E3 at each point and verify it.
-
-    With an injected scalar program `f`, everything runs in jets and the
-    report includes |VK|, |VM|, |E3 f| and the bracket defects
-    ||[E1,V] - lambda E2||, ||[E2,V] + lambda E1||.  Without `f`, ln f is
-    reconstructed from `base` via the EQ system and only pointwise data
-    (f, gradient, V components, VK, VM) is produced.
-    """
-    if f is None and base is None:
-        raise ValueError("either an injected f or a base point is required")
+                          f: FieldProgram, order: int = DEFAULT_ORDER,
+                          **frame_kwargs):
+    """Assemble V = -E2(f) E1 + E1(f) E2 + f E3 from the injected scalar
+    program `f` at each point and verify it, all in jets: the report holds
+    |VK|, |VM|, |E3 f| and the bracket defects ||[E1,V] - lambda E2||,
+    ||[E2,V] + lambda E1||.  A V from a reconstructed ln f comes from
+    `reconstructed_V`."""
     out = []
     for p in points:
-        if f is not None:
-            frame, c = build_contact_frame(omega, metric, p, order, **frame_kwargs)
-            m = invariant_M(c)
-            k = invariant_K(c, frame)
-            fj = f(p, order)
-            e1f = directional_derivative(fj, frame.E1)
-            e2f = directional_derivative(fj, frame.E2)
-            e3f = directional_derivative(fj, frame.E3)
-            v = jvec_add(jvec_add(jvec_scale(-e2f, frame.E1),
-                                  jvec_scale(e1f, frame.E2)),
-                         jvec_scale(fj, frame.E3))
-            vk = directional_derivative(k, v).value
-            vm = directional_derivative(m, v).value
-            br1 = lie_bracket(frame.E1, v)
-            br2 = lie_bracket(frame.E2, v)
-            lam_mult = sum(frame.eta2[i].value * br1[i].value for i in range(3))
-            d1 = np.linalg.norm([br1[i].value - lam_mult * frame.E2[i].value
-                                 for i in range(3)])
-            d2 = np.linalg.norm([br2[i].value + lam_mult * frame.E1[i].value
-                                 for i in range(3)])
-            out.append(SymmetryField(
-                point=tuple(p), f_value=fj.value, lnf_gradient=None,
-                V=jvec_values(v), lambda_mult=lam_mult, VK=vk, VM=vm,
-                E3f=e3f.value, bracket_defect_1=float(d1),
-                bracket_defect_2=float(d2)))
-        else:
-            lnf = reconstruct_lnf(omega, metric, base, p)
-            sys_ = build_system(omega, metric, p, order, **frame_kwargs)
-            grad = frame_to_coordinate_gradient(sys_)
-            fv, v = reconstructed_V(sys_, lnf)
-            grad_k, grad_m = (np.array([j.partial_value(mi) for mi in
-                                        ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
-                              for j in (sys_.K, sys_.M))
-            out.append(SymmetryField(
-                point=tuple(p), f_value=fv, lnf_gradient=grad,
-                V=v, lambda_mult=None, VK=float(np.dot(v, grad_k)),
-                VM=float(np.dot(v, grad_m)), E3f=None,
-                bracket_defect_1=None, bracket_defect_2=None))
+        frame, c = build_contact_frame(omega, metric, p, order, **frame_kwargs)
+        m = invariant_M(c)
+        k = invariant_K(c, frame)
+        fj = f(p, order)
+        e1f = directional_derivative(fj, frame.E1)
+        e2f = directional_derivative(fj, frame.E2)
+        e3f = directional_derivative(fj, frame.E3)
+        v = jvec_add(jvec_add(jvec_scale(-e2f, frame.E1),
+                              jvec_scale(e1f, frame.E2)),
+                     jvec_scale(fj, frame.E3))
+        vk = directional_derivative(k, v).value
+        vm = directional_derivative(m, v).value
+        br1 = lie_bracket(frame.E1, v)
+        br2 = lie_bracket(frame.E2, v)
+        lam_mult = sum(frame.eta2[i].value * br1[i].value for i in range(3))
+        d1 = np.linalg.norm([br1[i].value - lam_mult * frame.E2[i].value
+                             for i in range(3)])
+        d2 = np.linalg.norm([br2[i].value + lam_mult * frame.E1[i].value
+                             for i in range(3)])
+        out.append(SymmetryField(
+            point=tuple(p), f_value=fj.value, V=jvec_values(v),
+            lambda_mult=lam_mult, VK=vk, VM=vm, E3f=e3f.value,
+            bracket_defect_1=float(d1), bracket_defect_2=float(d2)))
     return out

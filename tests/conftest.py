@@ -12,7 +12,7 @@ CARTAN = "dz + y*dx"
 OMEGA_0 = "dz + x*dy"
 OMEGA_1 = "dy + x^2*dz"
 # the Cartan form under a metric stretched along x: dz is a symmetry with
-# f = -1/lambda = sqrt(1 + x^2 + y^2), and D != 0 off the planes x = 0, y = 0
+# f = -1/lambda = -sqrt(1 + x^2 + y^2), and D != 0 off the planes x = 0, y = 0
 AXIAL_FORM = CARTAN
 AXIAL_METRIC = ("1 + x^2", "0", "0", "1", "0", "1")
 # neither diagonal nor constant, positive definite on |x|, |y|, |z| <= 2

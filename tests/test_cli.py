@@ -353,6 +353,19 @@ def readme_commands():
     return [w[1:] for w in words if w[:1] == ["srsurf"]]
 
 
+def readme_library_block():
+    """The fenced python block under README's "## Library" heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_block_runs():
+    code = readme_library_block()
+    assert "import" in code
+    exec(compile(code, "README.md (Library)", "exec"), {})
+
+
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "metric.txt").write_text("1 + x^2\n0\n0\n1\n0\n1\n")

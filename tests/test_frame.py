@@ -5,10 +5,12 @@ import pytest
 
 from srsurf import (JetError, MetricField, NoncontactError, OneForm,
                     build_contact_frame, delta_basis, jet_seed, lie_bracket,
-                    nonholonomity, nonholonomity_program)
+                    nonholonomity)
 from srsurf.frame import jvec_dot, jvec_values, metric_dot
+from srsurf.jets import _degrees
 
-from conftest import OFF_DIAGONAL_METRIC, assert_adapted, box_points
+from conftest import (CARTAN, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1,
+                      assert_adapted, box_points)
 
 
 def _vals(u):
@@ -120,18 +122,41 @@ def test_nonholonomity_oracles(heisenberg, cartan, omega1, euclid):
         assert abs(lam - 2 * x / math.sqrt(1 + x ** 4)) < 1e-12
 
 
-def test_nonholonomity_so2_invariant(heisenberg, euclid, rng):
+def _bracket_lambda(w, g, **gauge):
+    """omega([E1, E2]) in the delta_basis gauge `gauge`."""
+    e1, e2 = delta_basis(w, g, **gauge)
+    return jvec_dot(w, lie_bracket(e1, e2))
+
+
+def test_bracket_lambda_so2_invariant(heisenberg, euclid, rng):
     for p in box_points(rng, 6):
-        base = nonholonomity(heisenberg, euclid, p).value
+        w, g = heisenberg.evaluate(p), euclid.evaluate(p)
+        base = _bracket_lambda(w, g).value
         for theta in rng.uniform(0, 2 * math.pi, 3):
-            rot = nonholonomity(heisenberg, euclid, p, rotation=theta).value
+            rot = _bracket_lambda(w, g, rotation=theta).value
             assert abs(rot - base) < 1e-10
 
 
-def test_nonholonomity_program_wraps(omega1, euclid):
-    lam = nonholonomity_program(omega1, euclid)
-    assert abs(lam.value((0.5, 0.1, -0.2))
-               - nonholonomity(omega1, euclid, (0.5, 0.1, -0.2)).value) < 1e-15
+def test_nonholonomity_identity_matches_bracket(rng):
+    # lambda = -(omega . curl omega) / sqrt(omega^T adj(g) omega) against
+    # omega([E1, E2]) in every seed axis and three rotations of the gauge
+    metric = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
+    forms = [OneForm.parse(t) for t in
+             (HEISENBERG, CARTAN, OMEGA_1, "dy + x^3*dz + sin(z)*dx")]
+    for omega in forms:
+        for p in box_points(rng, 4):
+            for order in (1, 3, 5):
+                w, g = omega.evaluate(p, order), metric.evaluate(p, order)
+                lam = nonholonomity(omega, metric, p, order)
+                kept = _degrees(order) <= lam.valid_order
+                for seed in "xyz":
+                    for theta in (0.0, 1.1, -2.6):
+                        ref = _bracket_lambda(w, g, seed=seed, rotation=theta)
+                        assert lam.valid_order == ref.valid_order
+                        assert abs(lam.value - ref.value) <= 1e-13 * abs(ref.value)
+                        scale = np.abs(ref.coeffs[kept]).max()
+                        assert np.abs(lam.coeffs[kept]
+                                      - ref.coeffs[kept]).max() <= 1e-11 * scale
 
 
 # -- build_contact_frame ---------------------------------------------------

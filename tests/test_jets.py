@@ -312,3 +312,23 @@ def test_small_powers_multiply_as_products():
     assert not np.array_equal((x * (x * x)).coeffs, ((x * x) * x).coeffs)
     assert np.array_equal((x ** 2).coeffs, (x * x).coeffs)
     assert np.array_equal((x ** 3).coeffs, ((x * x) * x).coeffs)
+
+
+def test_number_operands_are_unchecked_constants(monkeypatch):
+    x, y = (jet_seed((0.7, -0.3, 1.1), v, 4) for v in "xy")
+    a = (x * y).exp().partial(0)  # valid_order 3 of 4
+    consts = {c: Jet.constant(c, a.point, a.order) for c in (1.0, -2.5, 3)}
+    want_exp = a.exp()
+
+    def no_init(*args):
+        raise AssertionError("Jet.__init__ reached")
+
+    monkeypatch.setattr(Jet, "__init__", no_init)
+    for c, k in consts.items():
+        for got, want in ((a + c, a + k), (c + a, k + a), (a - c, a - k),
+                          (c - a, k - a)):
+            assert np.array_equal(got.coeffs, want.coeffs)
+            assert got.valid_order == want.valid_order
+            assert got.point == want.point and got.order == want.order
+    # compose_series: the leading constant and every Horner step
+    assert np.array_equal(a.exp().coeffs, want_exp.coeffs)

@@ -6,8 +6,8 @@ import pytest
 from srsurf import (BudgetExhausted, DegeneratePointError, FieldProgram,
                     JetError, MetricField, OneForm, assemble_and_verify_V, build_system,
                     frame_to_coordinate_gradient, integrability_residuals,
-                    nonholonomity, nonholonomity_program, reconstruct_lnf)
-from srsurf.symmetry import RESIDUAL_MIN_ORDER
+                    nonholonomity, reconstruct_lnf)
+from srsurf.symmetry import RESIDUAL_MIN_ORDER, reconstructed_V
 
 from conftest import AXIAL_FORM, AXIAL_METRIC, box_points
 
@@ -25,7 +25,7 @@ AXIAL_POINTS = [(0.4, 0.7, -0.2), (-0.3, 0.5, 0.1), (0.8, -0.6, 0.3),
 
 
 def _axial_lambda(omega, metric):
-    return nonholonomity_program(omega, metric)
+    return FieldProgram(lambda p, n: nonholonomity(omega, metric, p, n))
 
 
 # -- build_system ----------------------------------------------------------
@@ -219,17 +219,16 @@ def test_reconstruction_branch_assembles_symmetry(axial):
     base = (0.0, 0.0, 0.0)
     lam_prog = _axial_lambda(omega, metric)
     lam0 = lam_prog.value(base)
-    for rep in assemble_and_verify_V(omega, metric, AXIAL_POINTS, base=base):
+    for p in AXIAL_POINTS:
+        sys_ = build_system(omega, metric, p)
+        f, v = reconstructed_V(sys_, reconstruct_lnf(omega, metric, base, p))
         # f is normalized to f(base) = 1, so f = lambda(base)/lambda and
         # V is the corresponding multiple of the true symmetry dz
-        want_f = lam0 / lam_prog.value(rep.point)
-        assert abs(rep.f_value - want_f) < 1e-7
+        want_f = lam0 / lam_prog.value(p)
+        assert abs(f - want_f) < 1e-7
         scale = -lam0  # sign flip from normalizing the negative true f
-        assert np.allclose(rep.V, [0, 0, scale], atol=1e-6)
-        assert abs(rep.VK) < 1e-8
-        assert abs(rep.VM) < 1e-8
-
-
-def test_assemble_requires_f_or_base(heisenberg, euclid):
-    with pytest.raises(ValueError):
-        assemble_and_verify_V(heisenberg, euclid, [(0.1, 0.2, 0.3)])
+        assert np.allclose(v, [0, 0, scale], atol=1e-6)
+        for inv in (sys_.K, sys_.M):
+            grad = [inv.partial_value(mi)
+                    for mi in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+            assert abs(np.dot(v, grad)) < 1e-8
