@@ -176,7 +176,10 @@ def lambda_jet(w: JetVector, g) -> Jet:
     g-orthonormal, positively oriented E1, E2 in ker omega, E1 x E2 =
     omega / sqrt(omega^T adj(g) omega), so omega([E1, E2]) =
     -curl(omega) . (E1 x E2) is this, whatever the gauge."""
-    adj = [jvec_cross(g[(i + 1) % 3], g[(i + 2) % 3]) for i in range(3)]
+    (a, b, c), (_, d, e), (_, _, f) = g  # adj(g) from 6 distinct cofactors
+    a01, a02, a12 = e * c - b * f, b * e - d * c, c * b - e * a
+    adj = ((d * f - e * e, a01, a02), (a01, f * a - c * c, a12),
+           (a02, a12, a * d - b * b))
     return -(curl_and_defect(w)[1] * jvec_dot(w, metric_apply(adj, w)).pow(-0.5))
 
 

@@ -91,54 +91,51 @@ def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
     E3 lnf = 0, by solving against the frame matrix B (rows E_a)."""
     if sys_.degenerate:
         raise DegeneratePointError("no EQ system at a degenerate point")
-    fr = sys_.frame
-    b = np.array([[c.value for c in e] for e in (fr.E1, fr.E2, fr.E3)])
-    rhs = np.array([sys_.EQ1.value, sys_.EQ2.value, 0.0])
-    return np.linalg.solve(b, rhs)
+    b = np.array([jvec_values(e) for e in sys_.frame.frame])
+    return np.linalg.solve(b, [sys_.EQ1.value, sys_.EQ2.value, 0.0])
 
 
 def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
                     quad_tol: float = 1e-9, eps_D: float = 1e-9,
                     max_depth: int = 14) -> float:
-    """ln f(target) with ln f(base) = 0, as the line integral of the
-    coordinate gradient along the straight segment base -> target
-    (adaptive 32-node Gauss-Legendre, bisected until panels agree within
-    quad_tol; raises JetError when a panel still disagrees at max_depth).
-    The integrand is the EQ system at EQ_ORDER."""
-    base = np.array([float(c) for c in base])
-    delta = np.array([float(c) for c in target]) - base
+    """ln f(target) with ln f(base) = 0: the line integral of the coordinate
+    gradient (the EQ system at EQ_ORDER) along base -> target by QUADPACK's
+    QAGS (`scipy.integrate.quad`, 21-point Gauss-Kronrod, at most
+    2 ** max_depth panels) to an absolute error estimate below quad_tol,
+    else JetError.  A segment that meets a degenerate point is retried once
+    via base + delta/2 + |delta|/2 e_k, k = argmin |delta_k|, else raised."""
+    base, target = (np.array(p, dtype=float) for p in (base, target))
+    delta = target - base
     if not delta.any():
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(32)
+    from scipy.integrate import quad  # kept out of the CLI's start-up
 
-    def integrand(t: float) -> float:
-        sys_ = build_system(omega, metric, tuple(base + t * delta), EQ_ORDER,
-                            eps_D=eps_D)
-        if sys_.degenerate:
-            raise DegeneratePointError(
-                f"degenerate point on segment at t = {t:.6f}")
-        return float(delta @ frame_to_coordinate_gradient(sys_))
+    def segment(a: np.ndarray, d: np.ndarray) -> float:  # from a to a + d
+        def integrand(t: float) -> float:
+            sys_ = build_system(omega, metric, tuple(a + t * d), EQ_ORDER, eps_D=eps_D)
+            if sys_.degenerate:
+                raise DegeneratePointError(
+                    f"degenerate point on segment at t = {t:.6f}")
+            return float(d @ frame_to_coordinate_gradient(sys_))
 
-    def panel(a: float, b: float) -> float:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * sum(w * integrand(mid + half * t)
-                          for t, w in zip(nodes, weights))
+        value, abserr, info, *failed = quad(
+            integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=0.0,
+            limit=2 ** max_depth, full_output=1)
+        if failed:
+            raise JetError(f"quadrature did not converge on panel t = [0, 1]: "
+                           f"abserr = {abserr:.3e}, neval = {info['neval']}, "
+                           f"quad_tol = {quad_tol:g}, max_depth = {max_depth}")
+        return value
 
-    def adaptive(a: float, b: float, whole: float, depth: int) -> float:
-        mid = 0.5 * (a + b)
-        left, right = panel(a, mid), panel(mid, b)
-        gap = abs(left + right - whole)
-        if gap < quad_tol:
-            return left + right
-        if depth >= max_depth:
-            raise JetError(
-                f"quadrature did not converge on panel t = [{a:.6g}, {b:.6g}]: "
-                f"halves differ by {gap:.3e}, quad_tol = {quad_tol:g}, "
-                f"max_depth = {max_depth}")
-        return (adaptive(a, mid, left, depth + 1)
-                + adaptive(mid, b, right, depth + 1))
-
-    return adaptive(0.0, 1.0, panel(0.0, 1.0), 0)
+    try:
+        return segment(base, delta)
+    except DegeneratePointError as direct:
+        leg = 0.5 * delta
+        leg[np.argmin(np.abs(delta))] += 0.5 * np.linalg.norm(delta)
+        try:
+            return segment(base, leg) + segment(base + leg, delta - leg)
+        except DegeneratePointError:
+            raise direct from None
 
 
 @dataclass

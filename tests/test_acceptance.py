@@ -159,7 +159,7 @@ def test_criterion5_lnf_half_ln2():
     # ln f(1,0,0) - ln f(0,0,0), routed through an off-plane base.  The direct
     # segment lies in the plane y = 0, where D = 0: the reflection
     # (y, z) -> (-y, 2c - z) preserves the structure and fixes (x, 0, c), so
-    # the in-plane gradients of M and K are parallel there.  Gauss-Legendre
+    # the in-plane gradients of M and K are parallel there.  Gauss-Kronrod
     # nodes never touch the endpoints, so both segments below avoid it.
     base = (0.5, 0.5, 0.3)
     lnf = (reconstruct_lnf(AXIAL, AXIAL_G, base, (1, 0, 0))

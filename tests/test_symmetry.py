@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import srsurf.symmetry
 from srsurf import (BudgetExhausted, DegeneratePointError, FieldProgram,
                     JetError, MetricField, OneForm, assemble_and_verify_V, build_system,
                     frame_to_coordinate_gradient, integrability_residuals,
@@ -26,6 +29,21 @@ AXIAL_POINTS = [(0.4, 0.7, -0.2), (-0.3, 0.5, 0.1), (0.8, -0.6, 0.3),
 
 def _axial_lambda(omega, metric):
     return FieldProgram(lambda p, n: nonholonomity(omega, metric, p, n))
+
+
+@pytest.fixture
+def system_points(monkeypatch):
+    """The points of every build_system call that reconstruct_lnf makes
+    during the test."""
+    points = []
+    build = srsurf.symmetry.build_system
+
+    def counted(omega, metric, point, *args, **kwargs):
+        points.append(point)
+        return build(omega, metric, point, *args, **kwargs)
+
+    monkeypatch.setattr(srsurf.symmetry, "build_system", counted)
+    return points
 
 
 # -- build_system ----------------------------------------------------------
@@ -144,13 +162,71 @@ def test_reconstruct_lnf_oracle(axial):
 
 
 def test_reconstruct_lnf_raises_when_quadrature_does_not_converge(axial):
-    # a long segment, so that one 32-node panel and its halves differ by a
-    # real quadrature error (about 6e-11) and not only by rounding, which
-    # can come out exactly 0 on a short one
+    # a long segment, so that the error estimate of one 21-point
+    # Gauss-Kronrod panel is a real quadrature error (about 5e-3) and not
+    # only rounding, which can come out exactly 0 on a short one
     omega, metric = axial
     with pytest.raises(JetError, match=r"did not converge on panel t = \[0, 1\].*quad_tol = 1e-300"):
         reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0),
                         quad_tol=1e-300, max_depth=0)
+
+
+def test_reconstruct_lnf_failure_reports_progress(axial):
+    omega, metric = axial
+    with pytest.raises(JetError, match=r"abserr = \S+, neval = 21,"):
+        reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0),
+                        quad_tol=1e-300, max_depth=0)
+
+
+def test_reconstruct_lnf_one_kronrod_panel(axial, system_points):
+    # the integrand is smooth, so QAGS stops after its first 21 nodes
+    omega, metric = axial
+    reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), AXIAL_POINTS[0])
+    assert len(system_points) == 21 == len(set(system_points))
+
+
+def test_reconstruct_lnf_closed_form(axial):
+    omega, metric = axial
+    base = (0.0, 0.0, 0.0)
+    lam_prog = _axial_lambda(omega, metric)
+    lam0 = lam_prog.value(base)
+    for p in AXIAL_POINTS:
+        want = math.log(lam0 / lam_prog.value(p))
+        assert abs(reconstruct_lnf(omega, metric, base, p) - want) < 1e-12
+
+
+def test_reconstruct_lnf_detours_around_degenerate_segment(axial, system_points):
+    # (0,0,0) -> (1,0,0) lies in the degenerate plane y = 0, and the
+    # Kronrod node t = 0.5 is on it; the route through the waypoint
+    # (0.5, 0.5, 0) leaves the plane, and f = -sqrt(1 + x^2 + y^2) there
+    omega, metric = axial
+    got = reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    assert abs(got - 0.5 * math.log(2)) < 1e-12
+    # the direct segment fails at its first node, the midpoint; each leg
+    # then takes one 21-point panel, starting at its own midpoint
+    assert len(system_points) == 43
+    assert system_points[0] == (0.5, 0.0, 0.0)
+    assert system_points[1] == (0.25, 0.25, 0.0)
+    assert system_points[22] == (0.75, 0.25, 0.0)
+
+
+def test_reconstruct_lnf_detour_failure_raises_direct_error(heisenberg, euclid,
+                                                           system_points):
+    # degenerate everywhere: the direct segment fails at its midpoint, the
+    # detour at the midpoint of its first leg, and the direct segment's
+    # error is raised again, with the detour's as its suppressed context
+    with pytest.raises(DegeneratePointError) as info:
+        reconstruct_lnf(heisenberg, euclid, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    assert system_points == [(0.5, 0.0, 0.0), (0.25, 0.25, 0.0)]
+    assert info.value.__suppress_context__
+    assert isinstance(info.value.__context__, DegeneratePointError)
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    code = "import sys, srsurf.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_reconstruct_lnf_base_equals_target(axial):
