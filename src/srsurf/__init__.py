@@ -8,9 +8,9 @@ where the distribution fails to be contact.
 """
 
 from .jets import (BudgetExhausted, Jet, JetError, MAX_ORDER, MIN_ORDER,
-                   jet_seed, multi_indices, n_coeffs)
+                   multi_indices, n_coeffs)
 from .fields import (DEFAULT_ORDER, FieldProgram, MetricField, OneForm,
-                     ParseError, TwoFormValue, contact_defect, exterior_derivative)
+                     ParseError)
 from .frame import (AdaptedFrame, NoncontactError, StructureFunctions,
                     build_contact_frame, delta_basis, lie_bracket,
                     nonholonomity)
@@ -35,13 +35,12 @@ __all__ = [
     "JetError", "MAX_ORDER", "MIN_ORDER", "MetricField", "NoncontactError",
     "OneForm", "ParseError", "PointReport", "RunConfig",
     "SigmaInvariants", "SigmaPoint", "SingularFrameError",
-    "StructureFunctions", "SymmetryField", "SymmetrySystem", "TwoFormValue",
+    "StructureFunctions", "SymmetryField", "SymmetrySystem",
     "assemble_and_verify_V", "build_contact_frame", "build_singular_frame",
     "build_system", "characteristic_field", "check_special_rescale",
-    "contact_defect", "delta_basis", "directional_derivative",
-    "exterior_derivative", "frame_to_coordinate_gradient",
+    "delta_basis", "directional_derivative", "frame_to_coordinate_gradient",
     "integrability_residuals", "invariant_K", "invariant_M", "invariants_at",
-    "jet_seed", "lambda_identities", "lie_bracket", "locate_sigma",
+    "lambda_identities", "lie_bracket", "locate_sigma",
     "multi_indices", "n_coeffs", "nonholonomity",
     "reconstruct_lnf", "sigma_invariant_derivative", "sigma_invariants",
     "torsion_and_connection_coeffs",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import ast
 import json
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import methodcaller
 from typing import Callable, Tuple
@@ -179,9 +178,6 @@ class FieldProgram:
     def __call__(self, point, order: int = DEFAULT_ORDER) -> Jet:
         return self._fn(tuple(float(c) for c in point), int(order))
 
-    def value(self, point, order: int = DEFAULT_ORDER) -> float:
-        return self(point, order).value
-
     @staticmethod
     def constant(value: float) -> "FieldProgram":
         return FieldProgram(lambda p, n: Jet.constant(float(value), p, n))
@@ -234,7 +230,7 @@ class FieldProgram:
 
 
 # --------------------------------------------------------------------------
-# One-forms, metrics, two-form values
+# One-forms and metrics
 
 
 class OneForm:
@@ -340,36 +336,13 @@ class MetricField:
         return g
 
 
-@dataclass
-class TwoFormValue:
-    """Components (beta23, beta31, beta12) in the dy^dz, dz^dx, dx^dy basis."""
-
-    beta23: Jet
-    beta31: Jet
-    beta12: Jet
-
-    def apply(self, u, v) -> Jet:
-        """Evaluate on a pair of (jet- or float-)component vectors."""
-        return (self.beta23 * (u[1] * v[2] - u[2] * v[1])
-                + self.beta31 * (u[2] * v[0] - u[0] * v[2])
-                + self.beta12 * (u[0] * v[1] - u[1] * v[0]))
-
-    def as_vector(self):
-        return (self.beta23, self.beta31, self.beta12)
-
-
 def curl(f):
-    """(beta23, beta31, beta12) of d(f1 dx + f2 dy + f3 dz) from the jets
-    f = (f1, f2, f3): d(f)(U, V) = curl(f) . (U x V)."""
+    """(beta23, beta31, beta12) of d(f1 dx + f2 dy + f3 dz) in the dy^dz,
+    dz^dx, dx^dy basis from the jets f = (f1, f2, f3), with no 1/2 factor:
+    d(f)(U, V) = curl(f) . (U x V) = U f(V) - V f(U) - f([U, V])."""
     return (f[2].partial(1) - f[1].partial(2),
             f[0].partial(2) - f[2].partial(0),
             f[1].partial(0) - f[0].partial(1))
-
-
-def exterior_derivative(omega: OneForm, point, order: int = DEFAULT_ORDER) -> TwoFormValue:
-    """d(omega) at a point, in the convention without the 1/2 factor:
-    d(eta)(X, Y) = X eta(Y) - Y eta(X) - eta([X, Y])."""
-    return TwoFormValue(*curl(omega.evaluate(point, order)))
 
 
 def curl_and_defect(f):
@@ -378,8 +351,3 @@ def curl_and_defect(f):
     dx^dy^dz, zero exactly on the singular locus."""
     b = curl(f)
     return b, f[0] * b[0] + f[1] * b[1] + f[2] * b[2]
-
-
-def contact_defect(omega: OneForm, point, order: int = DEFAULT_ORDER) -> float:
-    """The contact defect mu at a point (`curl_and_defect`)."""
-    return curl_and_defect(omega.evaluate(point, order))[1].value

@@ -55,10 +55,12 @@ class InvariantValues:
 
 
 def invariants_at(omega: OneForm, metric: MetricField, point,
-                  order: int = DEFAULT_ORDER, **frame_kwargs):
+                  order: int = DEFAULT_ORDER, rotation: float = 0.0,
+                  eps_contact: float = 1e-9):
     """Convenience driver: frame, structure functions and invariants at a
     contact point, sharing one set of jets."""
-    frame, c = build_contact_frame(omega, metric, point, order, **frame_kwargs)
+    frame, c = build_contact_frame(omega, metric, point, order, rotation=rotation,
+                                   eps_contact=eps_contact)
     a1, a2, p1, p2, p3 = torsion_and_connection_coeffs(c)
     vals = InvariantValues(M=invariant_M(c), K=invariant_K(c, frame),
                            a1=a1, a2=a2, p1=p1, p2=p2, p3=p3)

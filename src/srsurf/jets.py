@@ -325,17 +325,3 @@ class Jet:
         out[_degrees(self.order) > new_valid] = 0.0
         return self._like(out, new_valid)
 
-
-def jet_seed(point, which, order: int = 4) -> Jet:
-    """Seed a jet of a coordinate function or a constant.
-
-    `which` is "x"/"y"/"z" (or axis index 0..2) for a coordinate, or a
-    number for a constant.
-    """
-    if isinstance(which, str):
-        if which not in VARIABLES:
-            raise JetError(f"unknown coordinate {which!r}")
-        return Jet.variable(VARIABLES.index(which), point, order)
-    if isinstance(which, int) and which in (0, 1, 2):
-        return Jet.variable(which, point, order)
-    return Jet.constant(float(which), point, order)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -36,18 +36,12 @@ class PointReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {"schema": SCHEMA, "point": list(self.point), "branch": self.branch}
-        for key in ("contact", "lam", "M", "K", "D", "EQ1", "EQ2", "lnf",
-                    "Q112", "Q212", "error"):
+        """The fields that are set, vectors as lists; None and {} are left out."""
+        out = {"schema": SCHEMA}
+        for key in _FIELDS:
             val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.residuals is not None:
-            out["residuals"] = list(self.residuals)
-        if self.V is not None:
-            out["V"] = list(self.V)
-        if self.diagnostics:
-            out["diagnostics"] = self.diagnostics
+            if val is not None and val != {}:
+                out[key] = list(val) if isinstance(val, tuple) else val
         return out
 
     def to_json(self) -> str:
@@ -55,30 +49,13 @@ class PointReport:
         NaN and Infinity are not JSON."""
         return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
-    @staticmethod
-    def from_json(text: str) -> "PointReport":
-        d = json.loads(text)
-        return PointReport(
-            point=tuple(d["point"]), branch=d["branch"],
-            contact=d.get("contact"), lam=d.get("lam"), M=d.get("M"),
-            K=d.get("K"), D=d.get("D"), EQ1=d.get("EQ1"), EQ2=d.get("EQ2"),
-            residuals=tuple(d["residuals"]) if "residuals" in d else None,
-            lnf=d.get("lnf"), V=tuple(d["V"]) if "V" in d else None,
-            Q112=d.get("Q112"), Q212=d.get("Q212"), error=d.get("error"),
-            diagnostics=d.get("diagnostics", {}))
 
-    def to_csv_row(self, columns) -> str:
-        vals = []
-        for c in columns:
-            v = getattr(self, c)
-            if isinstance(v, (tuple, list)):
-                v = None  # csv flattens scalars only
-            vals.append("" if v is None else str(v))
-        return ",".join(vals)
-
-
-CSV_COLUMNS = ("branch", "contact", "lam", "M", "K", "D", "EQ1", "EQ2",
-               "lnf", "Q112", "Q212", "error")
+_FIELDS = tuple(f.name for f in fields(PointReport))
+# CSV flattens scalars only: the point is its x,y,z columns, and the vectors
+# and diagnostics have none.
+CSV_COLUMNS = tuple(f.name for f in fields(PointReport)
+                    if f.type in ("str", "Optional[bool]", "Optional[float]",
+                                  "Optional[str]"))
 
 
 def csv_header() -> str:
@@ -86,7 +63,8 @@ def csv_header() -> str:
 
 
 def csv_row(r: PointReport) -> str:
-    return (",".join(str(c) for c in r.point) + "," + r.to_csv_row(CSV_COLUMNS))
+    vals = [*r.point, *(getattr(r, c) for c in CSV_COLUMNS)]
+    return ",".join("" if v is None else str(v) for v in vals)
 
 
 @dataclass

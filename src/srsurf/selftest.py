@@ -12,9 +12,9 @@ from typing import List
 
 import numpy as np
 
-from .fields import FieldProgram, MetricField, OneForm, exterior_derivative
-from .frame import (basis_and_lambda, build_contact_frame, jvec_dot,
-                    metric_dot, nonholonomity)
+from .fields import FieldProgram, MetricField, OneForm, curl
+from .frame import (basis_and_lambda, build_contact_frame, jvec_cross,
+                    jvec_dot, metric_dot, nonholonomity)
 from .invariants import directional_derivative, invariant_M, invariants_at
 from .jets import BudgetExhausted
 from .singular import (build_singular_frame, characteristic_field,
@@ -25,6 +25,10 @@ from .symmetry import (RESIDUAL_MIN_ORDER, assemble_and_verify_V, build_system,
 HEISENBERG = "dz + y*dx - x*dy"
 CARTAN = "dz + y*dx"
 OMEGA_1 = "dy + x^2*dz"
+# the Cartan form under a metric stretched along x: dz is a symmetry with
+# f = -1/lambda = -sqrt(1 + x^2 + y^2), and D != 0 off the planes x = 0, y = 0
+AXIAL_FORM = CARTAN
+AXIAL_METRIC = ("1 + x^2", "0", "0", "1", "0", "1")
 
 
 # Closed forms of M and K on the Euclidean Heisenberg and Cartan fixtures.
@@ -170,8 +174,8 @@ def check_nonholonomity_properties() -> CheckResult:
             factor = math.exp(phi(p, 1).value)
             devs.append(abs(lam_s.value - factor * lam.value)
                         / (1 + abs(factor * lam.value)))
-            dw = exterior_derivative(omega, p)
-            devs.append(abs(dw.apply(e1, e2).value + lam.value)
+            dw = curl(omega.evaluate(p))
+            devs.append(abs(jvec_dot(dw, jvec_cross(e1, e2)).value + lam.value)
                         / (1 + abs(lam.value)))
     return _result("nonholonomity-properties", devs, 1e-9)
 
@@ -210,8 +214,8 @@ def check_symmetry_reconstruction() -> CheckResult:
     """Regular fixture with a known symmetry (z-translation): EQ equals
     -E(lambda)/lambda, residuals vanish, and the reconstructed ln f equals
     ln(lambda(base)/lambda(target))."""
-    g = MetricField.from_upper_triangle(["1 + x^2", "0", "0", "1", "0", "1"])
-    omega = OneForm.parse(CARTAN)
+    g = MetricField.from_upper_triangle(AXIAL_METRIC)
+    omega = OneForm.parse(AXIAL_FORM)
     devs = []
     pts = [(0.4, 0.3, 0.1), (1.0, -0.5, 0.2), (-0.7, 0.8, 0.0), (0.2, 0.9, -0.3)]
     for p in pts:
@@ -263,8 +267,8 @@ def check_singular_fixture() -> CheckResult:
 
 def check_budget_failure_mode() -> CheckResult:
     """Designed failure: residuals at jet order 2 must exhaust the budget."""
-    g = MetricField.from_upper_triangle(["1 + x^2", "0", "0", "1", "0", "1"])
-    omega = OneForm.parse(CARTAN)
+    g = MetricField.from_upper_triangle(AXIAL_METRIC)
+    omega = OneForm.parse(AXIAL_FORM)
     try:
         integrability_residuals(build_system(omega, g, (0.4, 0.3, 0.1), order=2))
     except BudgetExhausted:

@@ -13,8 +13,8 @@ from scipy.optimize import brentq
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm, curl_and_defect
 from .frame import (AdaptedFrame, StructureFunctions, adapted_coframe,
                     basis_and_lambda, jvec_cross, jvec_div, jvec_dot,
-                    jvec_scale, jvec_values, kernel_complement, nonholonomity,
-                    omega_norm, structure_functions, unit)
+                    jvec_scale, jvec_values, kernel_complement, lambda_jet,
+                    nonholonomity, omega_norm, structure_functions, unit)
 from .invariants import directional_derivative
 from .jets import Jet, JetError
 
@@ -24,6 +24,14 @@ from .jets import Jet, JetError
 SIGMA_SCAN_ORDER = 1
 TRANSVERSALITY_ORDER = SIGMA_SCAN_ORDER + 1
 SINGULAR_FRAME_ORDER = TRANSVERSALITY_ORDER + 1
+
+# Thresholds (of ratios that omega -> c omega leaves unchanged) and steps.
+SIGMA_SCAN_NODES = 33      # equally spaced lambda samples on a probe segment
+TRANSVERSALITY_EPS = 1e-8  # transversal: |d(lambda)|_Delta| / |omega|_g above it
+CHARACTERISTIC_TOL = 1e-6  # w and omega(w) below it (relative) count as zero
+EXTRAPOLATION_STEP = 1e-3  # h of the extrapolation of V across Sigma
+RESCALE_TOL = 1e-6         # bound on d(phi)|_Delta in check_special_rescale
+SIGMA_FD_STEP = 1e-4       # step of sigma_invariant_derivative
 
 
 class SingularFrameError(JetError):
@@ -51,13 +59,12 @@ def _norm_on_delta(f: Jet, e1, e2) -> float:
 
 
 def locate_sigma(omega: OneForm, metric: MetricField, segment,
-                 root_tol: float = 1e-10, scan: int = 33,
-                 trans_eps: float = 1e-8) -> Optional[SigmaPoint]:
+                 root_tol: float = 1e-10) -> Optional[SigmaPoint]:
     """Root of lambda along the straight segment (p0, p1), or None.
 
     The segment is scanned for a sign change, then the bracketed root is
     polished (Brent).  It is accepted when |lambda| / |omega|_g <= root_tol
-    and is transversal when |d(lambda)|_Delta| / |omega|_g > trans_eps.
+    and is transversal when |d(lambda)|_Delta| / |omega|_g > TRANSVERSALITY_EPS.
     """
     p0 = np.array([float(c) for c in segment[0]])
     p1 = np.array([float(c) for c in segment[1]])
@@ -66,7 +73,7 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
         return nonholonomity(omega, metric, tuple(p0 + t * (p1 - p0)),
                              SIGMA_SCAN_ORDER).value
 
-    ts = np.linspace(0.0, 1.0, scan)
+    ts = np.linspace(0.0, 1.0, SIGMA_SCAN_NODES)
     vals = [lam(t) for t in ts]
     for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
         if fa == 0.0 or fa * fb < 0.0:
@@ -86,7 +93,7 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
         return None
     grad_norm = _norm_on_delta(lam_jet, e1, e2)
     return SigmaPoint(point=point, lambda_residual=residual,
-                      transversal=grad_norm / scale > trans_eps,
+                      transversal=grad_norm / scale > TRANSVERSALITY_EPS,
                       lambda_gradient_on_delta=grad_norm)
 
 
@@ -109,21 +116,21 @@ def _sigma_normal(size: float, mu: Jet):
 
 
 def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
-                         eps: float = 1e-3, w_tol: float = 1e-6, *, form=None):
+                         *, form=None):
     """V = w / omega(w) with w the (d omega)-vector spanning ker(d omega).
 
     Where both w and omega(w) vanish (on Sigma for a special form), the
-    value is recovered by second-order Richardson extrapolation from
-    p +/- eps*n and p +/- (eps/2)*n along the Sigma-normal n.  `form`, the
-    jets of omega at the point at `order`, saves evaluating omega again.
+    value is recovered by second-order Richardson extrapolation from p +/- h n
+    and p +/- (h/2) n along the Sigma-normal n, h = EXTRAPOLATION_STEP.
+    `form`, the jets of omega at the point at `order`, saves evaluating it.
     """
     if form is None:
         form = omega.evaluate(point, order)
     size, w, omw = _dw_vector(form)
     w_max = max(abs(c.value) for c in w)
-    if abs(omw.value) > w_tol * size * (size + w_max):
+    if abs(omw.value) > CHARACTERISTIC_TOL * size * (size + w_max):
         return jvec_div(w, omw)
-    if w_max > w_tol * size:
+    if w_max > CHARACTERISTIC_TOL * size:
         raise SingularFrameError(
             f"omega(w) = 0 with w != 0 at {omw.point}: no normalized "
             "characteristic field")
@@ -144,23 +151,21 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
         valid = min(j.valid_order for side in jets for j in side)
         return coeffs, valid
 
-    c1, v1 = side_average(eps)
-    c2, v2 = side_average(eps / 2.0)
+    c1, v1 = side_average(EXTRAPOLATION_STEP)
+    c2, v2 = side_average(EXTRAPOLATION_STEP / 2.0)
     return tuple(Jet(point, order, (4.0 * c2[a] - c1[a]) / 3.0, min(v1, v2))
                  for a in range(3))
 
 
-def check_special_rescale(omega: OneForm, phi: FieldProgram, sigma_points,
-                          metric: Optional[MetricField] = None,
-                          order: int = DEFAULT_ORDER, tol: float = 1e-6):
+def check_special_rescale(omega: OneForm, metric: MetricField,
+                          phi: FieldProgram, sigma_points,
+                          order: int = DEFAULT_ORDER):
     """Necessary condition for e^phi omega to stay special: d(phi)|_Delta
-    must vanish on Sigma (it must be a lambda-multiple off Sigma).  The
-    bound scales with max(1, |d(lambda)|_Delta| / |omega|_g), a ratio that
-    omega -> c omega leaves unchanged."""
-    metric = metric or MetricField.identity()
+    must vanish at the Sigma points (it must be a lambda-multiple off
+    Sigma).  The bound RESCALE_TOL scales with max(1, |d(lambda)|_Delta| /
+    |omega|_g), a ratio that omega -> c omega leaves unchanged."""
     report = []
-    for sp in sigma_points:
-        p = sp.point if isinstance(sp, SigmaPoint) else tuple(sp)
+    for p in map(tuple, sigma_points):
         w, g, e1, e2, lam = basis_and_lambda(omega, metric, p, order)
         dphi_norm = _norm_on_delta(phi(p, order), e1, e2)
         lam_scale = max(1.0, _norm_on_delta(lam, e1, e2) / omega_norm(w, g))
@@ -168,39 +173,37 @@ def check_special_rescale(omega: OneForm, phi: FieldProgram, sigma_points,
             "point": p,
             "dphi_on_delta": dphi_norm,
             "lambda_scale": lam_scale,
-            "passes": dphi_norm <= tol * lam_scale,
+            "passes": dphi_norm <= RESCALE_TOL * lam_scale,
         })
     return report
 
 
 def build_singular_frame(omega: OneForm, metric: MetricField, point,
-                         order: int = DEFAULT_ORDER, trans_eps: float = 1e-8):
+                         order: int = DEFAULT_ORDER):
     """Adapted frame at/near Sigma for a special form omega.
 
     E1 spans Delta intersected with ker(d lambda), sign fixed so its first
     nonzero component (x, y, z order) is positive; E2 completes the oriented
-    orthonormal basis of Delta; E3 is the characteristic field.  Needs
-    order SINGULAR_FRAME_ORDER for the structure functions.
+    orthonormal basis of Delta; E3 is the characteristic field.  Sigma must
+    be transversal there (TRANSVERSALITY_EPS).  Needs order
+    SINGULAR_FRAME_ORDER for the structure functions.
     """
-    w, g, e1c, e2c, lam = basis_and_lambda(omega, metric, point, order)
-    dlam = tuple(lam.partial(a) for a in range(3))
-    if _norm_on_delta(lam, e1c, e2c) / omega_norm(w, g) <= trans_eps:
-        raise SingularFrameError(
-            f"d(lambda)|_Delta vanishes at {lam.point}: not transversal")
-
-    direction = jvec_cross(w, dlam)  # annihilated by both omega and d(lambda)
+    w = omega.evaluate(point, order)
+    g = metric.evaluate(point, order)
+    lam = lambda_jet(w, g)
+    # annihilated by both omega and d(lambda), and zero where d(lambda)|_Delta is
+    direction = jvec_cross(w, tuple(lam.partial(a) for a in range(3)))
     vals = jvec_values(direction)
     largest = max(abs(v) for v in vals)
-    sign = 0.0
-    for v in vals:
-        if abs(v) > 1e-12 * largest:
-            sign = 1.0 if v > 0 else -1.0
-            break
-    if sign == 0.0:
+    transversal = largest > 0.0
+    if transversal:
+        sign = next(1.0 if v > 0 else -1.0 for v in vals if abs(v) > 1e-12 * largest)
+        e1, ge1 = unit(g, jvec_scale(sign, direction))
+        e2 = kernel_complement(w, g, ge1)
+        transversal = _norm_on_delta(lam, e1, e2) / omega_norm(w, g) > TRANSVERSALITY_EPS
+    if not transversal:
         raise SingularFrameError(
-            f"Delta and ker d(lambda) do not intersect cleanly at {lam.point}")
-    e1, ge1 = unit(g, jvec_scale(sign, direction))
-    e2 = kernel_complement(w, g, ge1)
+            f"d(lambda)|_Delta vanishes at {lam.point}: not transversal")
     e3 = characteristic_field(omega, point, order, form=w)
     eta1, eta2, eta3 = adapted_coframe(g, e1, e2, e3, jvec_div(w, jvec_dot(w, e3)))
     frame = AdaptedFrame(E1=e1, E2=e2, E3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
@@ -227,8 +230,7 @@ def sigma_invariants(c: StructureFunctions) -> SigmaInvariants:
 
 
 def sigma_invariant_derivative(omega: OneForm, metric: MetricField, p,
-                               direction, h: float = 1e-4,
-                               order: int = DEFAULT_ORDER):
+                               direction, order: int = DEFAULT_ORDER):
     """Central finite difference of (Q1_12, Q2_12) along a direction tangent
     to Sigma; expected ~0 along the flow of a true symmetry."""
     d = np.array([float(c) for c in direction])
@@ -238,5 +240,6 @@ def sigma_invariant_derivative(omega: OneForm, metric: MetricField, p,
         _, c = build_singular_frame(omega, metric, tuple(p + step * d), order)
         return sigma_invariants(c)
 
+    h = SIGMA_FD_STEP
     qp, qm = q(h), q(-h)
     return ((qp.Q112 - qm.Q112) / (2 * h), (qp.Q212 - qm.Q212) / (2 * h))

@@ -40,13 +40,13 @@ class SymmetrySystem:
 
 def build_system(omega: OneForm, metric: MetricField, point,
                  order: int = DEFAULT_ORDER, eps_D: float = 1e-9,
-                 **frame_kwargs) -> SymmetrySystem:
+                 eps_contact: float = 1e-9) -> SymmetrySystem:
     """D = E1K E2M - E2K E1M; EQ1, EQ2 as the quotients of the cross
     numerators by D.  The degeneracy test is relative to the product of the
     in-plane gradient norms ||(E1K, E2K)|| * ||(E1M, E2M)|| (|D| <= eps_D *
     scale flags degenerate), so that both near-parallel gradients and
     vanishing gradients are reported as degenerate."""
-    frame, c = build_contact_frame(omega, metric, point, order, **frame_kwargs)
+    frame, c = build_contact_frame(omega, metric, point, order, eps_contact=eps_contact)
     m = invariant_M(c)
     k = invariant_K(c, frame)
     e1k = directional_derivative(k, frame.E1)
@@ -163,8 +163,7 @@ def reconstructed_V(sys_: SymmetrySystem, lnf: float):
 
 
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
-                          f: FieldProgram, order: int = DEFAULT_ORDER,
-                          **frame_kwargs):
+                          f: FieldProgram, order: int = DEFAULT_ORDER):
     """Assemble V = -E2(f) E1 + E1(f) E2 + f E3 from the injected scalar
     program `f` at each point and verify it, all in jets: the report holds
     |VK|, |VM|, |E3 f| and the bracket defects ||[E1,V] - lambda E2||,
@@ -172,7 +171,7 @@ def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
     `reconstructed_V`."""
     out = []
     for p in points:
-        frame, c = build_contact_frame(omega, metric, p, order, **frame_kwargs)
+        frame, c = build_contact_frame(omega, metric, p, order)
         m = invariant_M(c)
         k = invariant_K(c, frame)
         fj = f(p, order)

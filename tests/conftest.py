@@ -3,18 +3,14 @@ import pytest
 
 from srsurf import MetricField, OneForm
 from srsurf.frame import jvec_dot, jvec_values, metric_dot
-# closed forms of M and K on the Euclidean Heisenberg and Cartan fixtures;
-# test_invariants.py derives all four symbolically from the definitions
-from srsurf.selftest import cartan_K, cartan_M, heis_K, heis_M  # noqa: F401
+# The fixtures the selftest also checks, and the closed forms of M and K on
+# the Euclidean Heisenberg and Cartan fixtures; test_invariants.py derives
+# all four symbolically from the definitions.
+from srsurf.selftest import (AXIAL_FORM, AXIAL_METRIC, CARTAN,  # noqa: F401
+                             HEISENBERG, OMEGA_1, cartan_K, cartan_M, heis_K,
+                             heis_M)
 
-HEISENBERG = "dz + y*dx - x*dy"
-CARTAN = "dz + y*dx"
 OMEGA_0 = "dz + x*dy"
-OMEGA_1 = "dy + x^2*dz"
-# the Cartan form under a metric stretched along x: dz is a symmetry with
-# f = -1/lambda = -sqrt(1 + x^2 + y^2), and D != 0 off the planes x = 0, y = 0
-AXIAL_FORM = CARTAN
-AXIAL_METRIC = ("1 + x^2", "0", "0", "1", "0", "1")
 # neither diagonal nor constant, positive definite on |x|, |y|, |z| <= 2
 OFF_DIAGONAL_METRIC = ("2 + x^2", "0.3*x", "0.2", "1 + y^2", "0.1*z", "1.5")
 

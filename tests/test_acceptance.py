@@ -14,23 +14,23 @@ import math
 import numpy as np
 import pytest
 
-from srsurf import (DegeneratePointError, FieldProgram, MetricField, OneForm,
-                    assemble_and_verify_V, build_system, build_singular_frame,
-                    characteristic_field, delta_basis, exterior_derivative,
+from srsurf import (DegeneratePointError, FieldProgram, Jet, MetricField,
+                    OneForm, assemble_and_verify_V, build_system,
+                    build_singular_frame, characteristic_field, delta_basis,
                     frame_to_coordinate_gradient, integrability_residuals,
-                    invariants_at, jet_seed, lambda_identities, locate_sigma,
+                    invariants_at, lambda_identities, locate_sigma,
                     nonholonomity, reconstruct_lnf, sigma_invariants)
-from srsurf.frame import jvec_values
+from srsurf.fields import curl
+from srsurf.frame import jvec_cross, jvec_dot, jvec_values
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
-from conftest import (AXIAL_FORM, AXIAL_METRIC, cartan_K, cartan_M, heis_K,
-                      heis_M)
+import conftest
+from conftest import AXIAL_METRIC, cartan_K, cartan_M, heis_K, heis_M
 
 EUCLID = MetricField.identity()
-HEIS = OneForm.parse("dz + y*dx - x*dy")
-CARTAN = OneForm.parse("dz + y*dx")
-OMEGA_1 = OneForm.parse("dy + x^2*dz")
-AXIAL = OneForm.parse(AXIAL_FORM)
+HEIS, CARTAN, OMEGA_1, AXIAL = (
+    OneForm.parse(text) for text in (conftest.HEISENBERG, conftest.CARTAN,
+                                     conftest.OMEGA_1, conftest.AXIAL_FORM))
 AXIAL_G = MetricField.from_upper_triangle(AXIAL_METRIC)
 
 
@@ -252,11 +252,11 @@ def test_criterion8_nonholonomity_properties():
         for p in sample_points(50, seed):
             lam = nonholonomity(omega, EUCLID, p).value
             lam_s = nonholonomity(scaled, EUCLID, p).value
-            want = math.exp(phi.value(p)) * lam
+            want = math.exp(phi(p).value) * lam
             assert abs(lam_s - want) <= 1e-9 * (1 + abs(want))
             e1, e2 = delta_basis(omega.evaluate(p), EUCLID.evaluate(p))
-            b = exterior_derivative(omega, p)
-            val = b.apply(jvec_values(e1), jvec_values(e2)).value
+            b = curl(omega.evaluate(p))
+            val = jvec_dot(b, jvec_cross(jvec_values(e1), jvec_values(e2))).value
             assert abs(val + lam) <= 1e-9 * (1 + abs(lam))
 
 
@@ -293,7 +293,7 @@ def test_criterion9_jet_oracle():
         tree = random_tree()
         for _ in range(10):
             p = tuple(rng.uniform(-1, 1, 3))
-            jets = tuple(jet_seed(p, v, 4) for v in "xyz")
+            jets = tuple(Jet.variable(axis, p, 4) for axis in range(3))
             j = tree(*jets)
             for axis in range(3):
                 mi = [0, 0, 0]

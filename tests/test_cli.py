@@ -8,8 +8,9 @@ from srsurf import selftest
 from srsurf.cli import main
 from srsurf.report import (PointReport, parse_grid, parse_points, parse_probe)
 
-HEIS = "dz + y*dx - x*dy"
-W1 = "dy + x^2*dz"
+from conftest import AXIAL_METRIC, CARTAN, HEISENBERG, OMEGA_1
+
+AXIAL_METRIC_TEXT = "".join(e + "\n" for e in AXIAL_METRIC)
 
 
 def run_cli(capsys, *argv):
@@ -50,7 +51,7 @@ def test_parse_grid():
 # -- invariants subcommand -------------------------------------------------
 
 def test_invariants_smoke(capsys):
-    code, out, err = run_cli(capsys, "invariants", "--omega", HEIS,
+    code, out, err = run_cli(capsys, "invariants", "--omega", HEISENBERG,
                              "--points", "1,0,0; 0,0,0")
     assert code == 0
     recs = ndjson(out)
@@ -64,7 +65,7 @@ def test_invariants_smoke(capsys):
 
 
 def test_invariants_noncontact_branch(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--omega", W1,
+    code, out, _ = run_cli(capsys, "invariants", "--omega", OMEGA_1,
                            "--points", "0,0.3,0.1")
     assert code == 0
     (rec,) = ndjson(out)
@@ -76,7 +77,7 @@ def test_contact_test_is_scale_free(capsys):
     # omega -> 1e-12 omega scales lambda by 1e-12 but leaves the distribution,
     # M and K unchanged, so the point stays on the contact branch
     recs = []
-    for omega in (HEIS, "1e-12*dz + 1e-12*y*dx - 1e-12*x*dy"):
+    for omega in (HEISENBERG, "1e-12*dz + 1e-12*y*dx - 1e-12*x*dy"):
         code, out, _ = run_cli(capsys, "invariants", "--omega", omega,
                                "--points", "0.5,0.5,0")
         assert code == 0
@@ -88,7 +89,7 @@ def test_contact_test_is_scale_free(capsys):
 
 
 def test_invariants_grid_and_csv(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--omega", HEIS,
+    code, out, _ = run_cli(capsys, "invariants", "--omega", HEISENBERG,
                            "--grid", "x=-1:1:3, y=-1:1:3, z=0",
                            "--format", "csv")
     assert code == 0
@@ -98,7 +99,7 @@ def test_invariants_grid_and_csv(capsys):
 
 
 def test_deterministic_output(capsys):
-    argv = ("invariants", "--omega", HEIS, "--points", "0.3,0.4,-0.2;1,1,1")
+    argv = ("invariants", "--omega", HEISENBERG, "--points", "0.3,0.4,-0.2;1,1,1")
     _, out1, _ = run_cli(capsys, *argv)
     _, out2, _ = run_cli(capsys, *argv)
     assert out1 == out2
@@ -106,7 +107,7 @@ def test_deterministic_output(capsys):
 
 def test_out_file(capsys, tmp_path):
     target = tmp_path / "report.ndjson"
-    code, out, _ = run_cli(capsys, "invariants", "--omega", HEIS,
+    code, out, _ = run_cli(capsys, "invariants", "--omega", HEISENBERG,
                            "--points", "1,0,0", "--out", str(target))
     assert code == 0
     assert out == ""
@@ -115,7 +116,7 @@ def test_out_file(capsys, tmp_path):
 
 
 def test_empty_point_list_ok(capsys):
-    code, out, _ = run_cli(capsys, "invariants", "--omega", HEIS)
+    code, out, _ = run_cli(capsys, "invariants", "--omega", HEISENBERG)
     assert code == 0
     assert out == ""
 
@@ -139,7 +140,7 @@ def test_no_jet_order_option(capsys, command):
 
 
 def test_bad_grid_exits_1(capsys):
-    code, _, err = run_cli(capsys, "invariants", "--omega", HEIS,
+    code, _, err = run_cli(capsys, "invariants", "--omega", HEISENBERG,
                            "--grid", "x=1:2, y=0, z=0")
     assert code == 1
 
@@ -154,7 +155,7 @@ def test_bad_grid_exits_1(capsys):
     ("invariants", "--tol-contact", "nan", "positive"),
 ])
 def test_nonfinite_input_exits_1(capsys, command, option, value, message):
-    argv = [command, "--omega", W1, option, value]
+    argv = [command, "--omega", OMEGA_1, option, value]
     if command != "singular":
         argv += ["--points", "1,0,0"]
     if option == "--base":
@@ -171,14 +172,14 @@ def test_nonfinite_record_writes_nothing(capsys, monkeypatch):
     with pytest.raises(ValueError):
         bad.to_json()
     monkeypatch.setattr("srsurf.cli.cmd_invariants", lambda cfg: [good, bad])
-    code, out, err = run_cli(capsys, "invariants", "--omega", HEIS)
+    code, out, err = run_cli(capsys, "invariants", "--omega", HEISENBERG)
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
 
 
 def test_reconstruct_without_base_exits_1(capsys):
-    code, _, err = run_cli(capsys, "symmetry", "--omega", HEIS,
+    code, _, err = run_cli(capsys, "symmetry", "--omega", HEISENBERG,
                            "--points", "1,0,0", "--reconstruct")
     assert code == 1
 
@@ -186,7 +187,7 @@ def test_reconstruct_without_base_exits_1(capsys):
 @pytest.mark.parametrize("option, value", [("--base", "0,0,0"),
                                            ("--tol-quad", "1e-6")])
 def test_reconstruct_option_without_reconstruct_exits_1(capsys, option, value):
-    code, out, err = run_cli(capsys, "symmetry", "--omega", HEIS,
+    code, out, err = run_cli(capsys, "symmetry", "--omega", HEISENBERG,
                              "--points", "1,0,0", option, value)
     assert code == 1
     assert out == "" and "--reconstruct" in err
@@ -194,7 +195,7 @@ def test_reconstruct_option_without_reconstruct_exits_1(capsys, option, value):
 
 # Every option of every subcommand, with a value, and the options each
 # subcommand reads; each one it does not read is an argparse error.
-OPTIONS = {"--omega": W1, "--metric-file": "metric.txt", "--format": "json",
+OPTIONS = {"--omega": OMEGA_1, "--metric-file": "metric.txt", "--format": "json",
            "--out": "out.ndjson", "--points": "1,0,0", "--grid": "x=0, y=0, z=0",
            "--tol-contact": "1e-9", "--tol-degenerate": "1e-9",
            "--reconstruct": None, "--base": "0,0,0", "--tol-quad": "1e-9",
@@ -212,7 +213,7 @@ READS = {"invariants": POINTWISE,
     (command, option) for command, reads in READS.items()
     for option in OPTIONS if option not in reads])
 def test_unread_option_exits_2(capsys, command, option):
-    argv = [command] + (["--omega", W1] if "--omega" in READS[command] else [])
+    argv = [command] + (["--omega", OMEGA_1] if "--omega" in READS[command] else [])
     value = OPTIONS[option]
     argv.append(option if value is None else f"{option}={value}")
     with pytest.raises(SystemExit) as exc:
@@ -226,12 +227,12 @@ def test_unread_option_exits_2(capsys, command, option):
 @pytest.fixture
 def axial_metric_file(tmp_path):
     path = tmp_path / "metric.txt"
-    path.write_text("1 + x^2\n0\n0\n1\n0\n1\n")
+    path.write_text(AXIAL_METRIC_TEXT)
     return str(path)
 
 
 def test_symmetry_degenerate_branch(capsys):
-    code, out, _ = run_cli(capsys, "symmetry", "--omega", "dz + y*dx",
+    code, out, _ = run_cli(capsys, "symmetry", "--omega", CARTAN,
                            "--points", "0.3,0.4,0.1")
     assert code == 0
     (rec,) = ndjson(out)
@@ -240,7 +241,7 @@ def test_symmetry_degenerate_branch(capsys):
 
 
 def test_symmetry_regular_branch(capsys, axial_metric_file):
-    code, out, _ = run_cli(capsys, "symmetry", "--omega", "dz + y*dx",
+    code, out, _ = run_cli(capsys, "symmetry", "--omega", CARTAN,
                            "--metric-file", axial_metric_file,
                            "--points", "0.4,0.7,-0.2")
     assert code == 0
@@ -251,7 +252,7 @@ def test_symmetry_regular_branch(capsys, axial_metric_file):
 
 
 def test_symmetry_reconstruct(capsys, axial_metric_file):
-    code, out, _ = run_cli(capsys, "symmetry", "--omega", "dz + y*dx",
+    code, out, _ = run_cli(capsys, "symmetry", "--omega", CARTAN,
                            "--metric-file", axial_metric_file,
                            "--points", "0.4,0.7,-0.2",
                            "--reconstruct", "--base", "0,0,0")
@@ -264,7 +265,7 @@ def test_symmetry_reconstruct(capsys, axial_metric_file):
 # -- singular subcommand ---------------------------------------------------
 
 def test_singular_probe(capsys):
-    code, out, _ = run_cli(capsys, "singular", "--omega", W1,
+    code, out, _ = run_cli(capsys, "singular", "--omega", OMEGA_1,
                            "--probe", "-1,0.2,0.1 : 1,0.2,0.1")
     assert code == 0
     (rec,) = ndjson(out)
@@ -297,7 +298,7 @@ def test_singular_sigma_decisions_are_scale_free(capsys, scale, coeff):
 
 
 def test_singular_probe_without_crossing(capsys):
-    code, out, _ = run_cli(capsys, "singular", "--omega", W1,
+    code, out, _ = run_cli(capsys, "singular", "--omega", OMEGA_1,
                            "--probe", "0.5,0,0 : 1,0,0")
     assert code == 0
     (rec,) = ndjson(out)
@@ -368,7 +369,7 @@ def test_readme_library_block_runs():
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "metric.txt").write_text("1 + x^2\n0\n0\n1\n0\n1\n")
+    (tmp_path / "metric.txt").write_text(AXIAL_METRIC_TEXT)
     commands = readme_commands()
     assert len(commands) >= 5
     for argv in commands:
@@ -385,5 +386,8 @@ def test_point_report_round_trip():
                       lam=2.0, M=0.5, K=1.5, D=0.01, EQ1=0.1, EQ2=-0.2,
                       residuals=(1e-12, 0.0, -1e-12), lnf=0.25,
                       V=(0.0, 0.0, 1.0), diagnostics={"jet_order": 4})
-    back = PointReport.from_json(rep.to_json())
-    assert back == rep
+    assert json.loads(rep.to_json()) == {
+        "schema": "srs/1", "point": [1.0, 2.0, 3.0], "branch": "regular",
+        "contact": True, "lam": 2.0, "M": 0.5, "K": 1.5, "D": 0.01,
+        "EQ1": 0.1, "EQ2": -0.2, "residuals": [1e-12, 0.0, -1e-12],
+        "lnf": 0.25, "V": [0.0, 0.0, 1.0], "diagnostics": {"jet_order": 4}}

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from srsurf import (FieldProgram, JetError, MetricField, OneForm, ParseError,
-                    contact_defect, exterior_derivative, jet_seed)
+from srsurf import FieldProgram, Jet, JetError, MetricField, OneForm, ParseError
+from srsurf.fields import curl, curl_and_defect
+from srsurf.frame import jvec_cross, jvec_dot
 
 from conftest import box_points
 
@@ -17,27 +18,27 @@ from conftest import box_points
 def test_parse_heisenberg_components():
     w = OneForm.parse("dz + y*dx - x*dy")
     p = (0.7, -1.3, 0.2)
-    f1, f2, f3 = (c.value(p) for c in w.components)
+    f1, f2, f3 = (c(p).value for c in w.components)
     assert (f1, f2, f3) == (-1.3, -0.7, 1.0)
 
 
 def test_parse_omega1_components():
     w = OneForm.parse("dy + x^2*dz")
     p = (0.5, 1.0, 2.0)
-    f1, f2, f3 = (c.value(p) for c in w.components)
+    f1, f2, f3 = (c(p).value for c in w.components)
     assert (f1, f2, f3) == (0.0, 1.0, 0.25)
 
 
 def test_parse_plain_dz():
     w = OneForm.parse("dz")
-    f1, f2, f3 = (c.value((1, 2, 3)) for c in w.components)
+    f1, f2, f3 = (c((1, 2, 3)).value for c in w.components)
     assert (f1, f2, f3) == (0.0, 0.0, 1.0)
 
 
 def test_parse_coefficient_expressions():
     w = OneForm.parse("sqrt(1 + y^2)*dx + exp(x)*dy - (x + z)^3*dz")
     p = (1.0, 1.0, 0.5)
-    f1, f2, f3 = (c.value(p) for c in w.components)
+    f1, f2, f3 = (c(p).value for c in w.components)
     assert abs(f1 - math.sqrt(2)) < 1e-14
     assert abs(f2 - math.e) < 1e-14
     assert abs(f3 + 1.5 ** 3) < 1e-14
@@ -59,32 +60,32 @@ def test_syntax_error_has_position():
 
 def test_rational_exponent():
     f = FieldProgram.parse("(1 + x^2)^(1/2)")
-    assert abs(f.value((1, 0, 0)) - math.sqrt(2)) < 1e-14
+    assert abs(f((1, 0, 0)).value - math.sqrt(2)) < 1e-14
     g = FieldProgram.parse("(1 + x^2)^(-3/2)")
-    assert abs(g.value((1, 0, 0)) - 2 ** -1.5) < 1e-14
+    assert abs(g((1, 0, 0)).value - 2 ** -1.5) < 1e-14
     with pytest.raises(ParseError):
         FieldProgram.parse("x^1.5")
 
 
 def test_negative_integer_exponent():
     f = FieldProgram.parse("(1 + y^2)^-2")
-    assert abs(f.value((0, 1, 0)) - 0.25) < 1e-14
+    assert abs(f((0, 1, 0)).value - 0.25) < 1e-14
 
 
 def test_program_power_keeps_the_exponent():
     x = FieldProgram.parse("x")
-    assert (x ** 0.5).value((4, 0, 0)) == 2.0
-    assert FieldProgram.parse("x^(1/2)").value((4, 0, 0)) == 2.0
+    assert (x ** 0.5)((4, 0, 0)).value == 2.0
+    assert FieldProgram.parse("x^(1/2)")((4, 0, 0)).value == 2.0
     # integral floats multiply, so they work at negative values
-    assert (x ** 2.0).value((-3, 0, 0)) == 9.0
-    assert (jet_seed((-3, 0, 0), "x") ** 2.0).value == 9.0
+    assert (x ** 2.0)((-3, 0, 0)).value == 9.0
+    assert (Jet.variable(0, (-3, 0, 0), 4) ** 2.0).value == 9.0
 
 
 def test_precedence():
     f = FieldProgram.parse("-x^2 + 2*3")  # -(x^2) + 6
-    assert f.value((2, 0, 0)) == 2.0
+    assert f((2, 0, 0)).value == 2.0
     g = FieldProgram.parse("1/2*x")
-    assert g.value((3, 0, 0)) == 1.5
+    assert g((3, 0, 0)).value == 1.5
 
 
 @pytest.mark.parametrize("text, pos", [
@@ -107,7 +108,7 @@ def test_parse_error_positions_index_the_text(text, pos):
 def test_constant_domain_errors_raise_jet_error(text):
     program = FieldProgram.parse(text)  # numbers are constant jets
     with pytest.raises(JetError):
-        program.value((0.0, 0.0, 0.0))
+        program((0.0, 0.0, 0.0))
 
 
 # An expression as (DSL text, math oracle); the oracle rounds as a jet's
@@ -174,40 +175,48 @@ def test_parse_matches_math_oracle(expr, point):
         assume(False)
     except (ValueError, ZeroDivisionError):  # a domain error
         with pytest.raises(JetError), np.errstate(all="ignore"):
-            program.value(point)
+            program(point)
         return
     with np.errstate(all="ignore"):  # only higher coefficients can overflow
-        got = program.value(point)
+        got = program(point).value
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # -- exterior calculus -----------------------------------------------------
 
+# d(omega) is the triple curl(omega), with d(omega)(U, V) = curl . (U x V)
+
 def test_exterior_derivative_examples(omega0, omega1):
-    d0 = exterior_derivative(omega0, (0.3, -0.2, 0.5))
-    assert (d0.beta23.value, d0.beta31.value, d0.beta12.value) == (0.0, 0.0, 1.0)
-    d1 = exterior_derivative(omega1, (0.7, 0.1, -0.4))
-    assert abs(d1.beta31.value + 2 * 0.7) < 1e-14
-    assert d1.beta23.value == 0.0 and d1.beta12.value == 0.0
+    d0 = curl(omega0.evaluate((0.3, -0.2, 0.5)))
+    assert tuple(b.value for b in d0) == (0.0, 0.0, 1.0)
+    d1 = curl(omega1.evaluate((0.7, 0.1, -0.4)))
+    assert abs(d1[1].value + 2 * 0.7) < 1e-14
+    assert d1[0].value == 0.0 and d1[2].value == 0.0
     closed = OneForm.parse("2*dx - 3*dy + dz")
-    dc = exterior_derivative(closed, (1, 2, 3))
-    assert all(b.value == 0.0 for b in dc.as_vector())
+    dc = curl(closed.evaluate((1, 2, 3)))
+    assert all(b.value == 0.0 for b in dc)
 
 
 def test_two_form_alternating(omega1, rng):
-    d1 = exterior_derivative(omega1, (0.7, 0.1, -0.4))
+    d1 = curl(omega1.evaluate((0.7, 0.1, -0.4)))
     u = rng.uniform(-1, 1, 3)
     v = rng.uniform(-1, 1, 3)
-    assert abs(d1.apply(u, v).value + d1.apply(v, u).value) < 1e-14
-    assert abs(d1.apply(u, u).value) < 1e-14
+    assert abs(jvec_dot(d1, jvec_cross(u, v)).value
+               + jvec_dot(d1, jvec_cross(v, u)).value) < 1e-14
+    assert abs(jvec_dot(d1, jvec_cross(u, u)).value) < 1e-14
+
+
+def _defect(omega, p) -> float:
+    """The contact defect omega . curl(omega) at p."""
+    return curl_and_defect(omega.evaluate(p))[1].value
 
 
 def test_contact_defect_examples(omega0, omega1, heisenberg):
-    assert abs(contact_defect(omega0, (1.2, -0.3, 4.0)) - 1.0) < 1e-14
-    assert abs(contact_defect(omega1, (0.0, 0.7, -0.2))) < 1e-14
+    assert abs(_defect(omega0, (1.2, -0.3, 4.0)) - 1.0) < 1e-14
+    assert abs(_defect(omega1, (0.0, 0.7, -0.2))) < 1e-14
     # omega = dz + y dx - x dy has d(omega) = -2 dx^dy, so the coefficient
     # of omega^d(omega) at the origin is -2.
-    assert abs(contact_defect(heisenberg, (0, 0, 0)) + 2.0) < 1e-14
+    assert abs(_defect(heisenberg, (0, 0, 0)) + 2.0) < 1e-14
 
 
 def test_product_rule_d_of_f_omega(heisenberg, rng):
@@ -215,11 +224,11 @@ def test_product_rule_d_of_f_omega(heisenberg, rng):
     f = FieldProgram.parse("exp(x) * (1 + y^2)")
     fw = heisenberg.scale(f)
     for p in box_points(rng, 5):
-        lhs = exterior_derivative(fw, p).as_vector()
+        lhs = curl(fw.evaluate(p))
         fj = f(p, 4)
         df = tuple(fj.partial(a) for a in range(3))
         w = heisenberg.evaluate(p, 4)
-        dw = exterior_derivative(heisenberg, p).as_vector()
+        dw = curl(w)
         wedge = (df[1] * w[2] - df[2] * w[1],
                  df[2] * w[0] - df[0] * w[2],
                  df[0] * w[1] - df[1] * w[0])
@@ -228,24 +237,14 @@ def test_product_rule_d_of_f_omega(heisenberg, rng):
             assert abs(lhs[a].value - rhs.value) < 1e-10 * (1 + abs(rhs.value))
 
 
-def test_exterior_calculus_evaluates_omega_once(omega1, monkeypatch):
-    calls = []
-    evaluate = OneForm.evaluate
-    monkeypatch.setattr(OneForm, "evaluate",
-                        lambda self, *args: calls.append(args) or evaluate(self, *args))
-    exterior_derivative(omega1, (0.7, 0.1, -0.4))
-    contact_defect(omega1, (0.7, 0.1, -0.4))
-    assert len(calls) == 2
-
-
 def test_contact_defect_conformal_scaling(heisenberg, omega1, rng):
     phi = FieldProgram.parse("x - 0.5*y + 0.2*z")
     for omega in (heisenberg, omega1):
         scaled = omega.scale(phi.exp())
         for p in box_points(rng, 5, scale=1.5):
-            factor = math.exp(2 * phi.value(p))
-            lhs = contact_defect(scaled, p)
-            rhs = factor * contact_defect(omega, p)
+            factor = math.exp(2 * phi(p).value)
+            lhs = _defect(scaled, p)
+            rhs = factor * _defect(omega, p)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
 

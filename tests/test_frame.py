@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from srsurf import (JetError, MetricField, NoncontactError, OneForm,
-                    build_contact_frame, delta_basis, jet_seed, lie_bracket,
+from srsurf import (Jet, JetError, MetricField, NoncontactError, OneForm,
+                    build_contact_frame, delta_basis, lie_bracket,
                     nonholonomity)
 from srsurf.frame import jvec_dot, jvec_values, metric_dot
 from srsurf.jets import _degrees
@@ -18,12 +18,12 @@ def _vals(u):
 
 
 def _const_field(point, comps, order=4):
-    return tuple(jet_seed(point, float(c), order) for c in comps)
+    return tuple(Jet.constant(float(c), point, order) for c in comps)
 
 
 def _field(point, fns, order=4):
     """Vector field given by componentwise closures of coordinate jets."""
-    x, y, z = (jet_seed(point, v, order) for v in "xyz")
+    x, y, z = (Jet.variable(axis, point, order) for axis in range(3))
     return tuple(f(x, y, z) for f in fns)
 
 

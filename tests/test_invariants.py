@@ -2,10 +2,9 @@ import math
 
 import pytest
 
-from srsurf import (FieldProgram, MetricField, NoncontactError, OneForm,
+from srsurf import (FieldProgram, Jet, MetricField, NoncontactError, OneForm,
                     build_contact_frame, directional_derivative, invariant_K,
-                    invariant_M, invariants_at, jet_seed,
-                    torsion_and_connection_coeffs)
+                    invariant_M, invariants_at, torsion_and_connection_coeffs)
 
 from conftest import (AXIAL_METRIC, box_points, cartan_K, cartan_M, heis_K,
                       heis_M)
@@ -13,8 +12,8 @@ from conftest import (AXIAL_METRIC, box_points, cartan_K, cartan_M, heis_K,
 
 def test_directional_derivative_example():
     p = (3.0, 0.0, 0.0)
-    x = jet_seed(p, "x", 4)
-    e = tuple(jet_seed(p, float(v), 4) for v in (1, 0, 0))
+    x = Jet.variable(0, p, 4)
+    e = tuple(Jet.constant(float(v), p, 4) for v in (1, 0, 0))
     assert abs(directional_derivative(x * x, e).value - 6.0) < 1e-14
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srsurf import (BudgetExhausted, FieldProgram, Jet, JetError, jet_seed,
-                    multi_indices, n_coeffs)
+from srsurf import (BudgetExhausted, FieldProgram, Jet, JetError, multi_indices,
+                    n_coeffs)
 from srsurf.jets import _index_map, _mul_table
 
 
@@ -19,18 +19,18 @@ def test_multi_index_enumeration_graded():
 
 
 def test_seed_constant():
-    j = jet_seed((1.0, 2.0, 3.0), 4.0, 4)
+    j = Jet.constant(4.0, (1.0, 2.0, 3.0), 4)
     assert j.value == 4.0
     assert np.count_nonzero(j.coeffs) == 1
     assert j.valid_order == 4
 
 
 def test_seed_coordinates():
-    j = jet_seed((2, 0, 0), "x", 4)
+    j = Jet.variable(0, (2, 0, 0), 4)
     assert j.value == 2.0
     assert j.coeff((1, 0, 0)) == 1.0
     assert np.count_nonzero(j.coeffs) == 2
-    j = jet_seed((0, 1, 5), "y", 4)
+    j = Jet.variable(1, (0, 1, 5), 4)
     assert j.value == 1.0
     assert j.coeff((0, 1, 0)) == 1.0
     assert np.count_nonzero(j.coeffs) == 2
@@ -38,13 +38,13 @@ def test_seed_coordinates():
 
 def test_seed_order_out_of_range():
     with pytest.raises(JetError):
-        jet_seed((0, 0, 0), "x", 0)
+        Jet.variable(0, (0, 0, 0), 0)
     with pytest.raises(JetError):
-        jet_seed((0, 0, 0), "x", 7)
+        Jet.variable(0, (0, 0, 0), 7)
 
 
 def test_square_of_x():
-    x = jet_seed((2, 0, 0), "x", 4)
+    x = Jet.variable(0, (2, 0, 0), 4)
     sq = x * x
     assert sq.value == 4.0
     assert sq.coeff((1, 0, 0)) == 4.0
@@ -53,13 +53,13 @@ def test_square_of_x():
 
 
 def test_subtraction_cancels():
-    y = jet_seed((0.3, -1.2, 0.8), "y", 4)
+    y = Jet.variable(1, (0.3, -1.2, 0.8), 4)
     f = (1 + y * y).sqrt() * y.exp()
     assert np.allclose((f - f).coeffs, 0.0)
 
 
 def test_product_with_reciprocal_is_one():
-    y = jet_seed((0, 1, 0), "y", 4)
+    y = Jet.variable(1, (0, 1, 0), 4)
     f = 1 + y * y
     prod = f * f.reciprocal()
     expect = np.zeros_like(prod.coeffs)
@@ -68,22 +68,22 @@ def test_product_with_reciprocal_is_one():
 
 
 def test_base_point_mismatch():
-    a = jet_seed((0, 0, 0), "x", 4)
-    b = jet_seed((1, 0, 0), "x", 4)
+    a = Jet.variable(0, (0, 0, 0), 4)
+    b = Jet.variable(0, (1, 0, 0), 4)
     with pytest.raises(JetError):
         a + b
 
 
 def test_division_by_zero_value():
-    x = jet_seed((0, 0, 0), "x", 4)
+    x = Jet.variable(0, (0, 0, 0), 4)
     with pytest.raises(JetError):
         (1 + x) / x
 
 
 def test_sqrt_example():
-    j = jet_seed((0, 0, 0), 4.0, 4).sqrt()
+    j = Jet.constant(4.0, (0, 0, 0), 4).sqrt()
     assert j.value == 2.0
-    y = jet_seed((0, 1, 0), "y", 4)
+    y = Jet.variable(1, (0, 1, 0), 4)
     s = (1 + y * y).sqrt()
     assert abs(s.value - math.sqrt(2)) < 1e-14
     # d/dy sqrt(1+y^2) = y / sqrt(1+y^2)
@@ -92,20 +92,20 @@ def test_sqrt_example():
 
 def test_sqrt_domain_error():
     with pytest.raises(JetError):
-        jet_seed((0, 0, 0), -1.0, 4).sqrt()
+        Jet.constant(-1.0, (0, 0, 0), 4).sqrt()
     with pytest.raises(JetError):
-        jet_seed((0, 0, 0), 0.0, 3).log()
+        Jet.constant(0.0, (0, 0, 0), 3).log()
 
 
 def test_exp_taylor_coefficients():
-    x = jet_seed((0, 0, 0), "x", 4)
+    x = Jet.variable(0, (0, 0, 0), 4)
     e = x.exp()
     for k in range(5):
         assert abs(e.coeff((k, 0, 0)) - 1 / math.factorial(k)) < 1e-14
 
 
 def test_trig_values():
-    z = jet_seed((0.3, 0.1, 0.7), "z", 4)
+    z = Jet.variable(2, (0.3, 0.1, 0.7), 4)
     s, c = z.sin(), z.cos()
     assert abs(s.value - math.sin(0.7)) < 1e-14
     assert abs(c.value - math.cos(0.7)) < 1e-14
@@ -117,13 +117,13 @@ def test_trig_values():
 
 
 def test_partial_extraction_examples():
-    x = jet_seed((3, 0, 0), "x", 4)
+    x = Jet.variable(0, (3, 0, 0), 4)
     d = (x * x).partial(0)
     assert d.value == 6.0
     assert d.coeff((1, 0, 0)) == 2.0
-    const = jet_seed((3, 0, 0), 5.0, 4)
+    const = Jet.constant(5.0, (3, 0, 0), 4)
     assert np.allclose(const.partial(1).coeffs, 0.0)
-    y = jet_seed((0, 1, 0), "y", 4)
+    y = Jet.variable(1, (0, 1, 0), 4)
     dy = (1 + y * y).sqrt().partial(1)
     assert abs(dy.value - 1 / math.sqrt(2)) < 1e-13
     # d/dy (y / sqrt(1+y^2)) = (1+y^2)^{-3/2}
@@ -131,9 +131,9 @@ def test_partial_extraction_examples():
 
 
 def test_partials_commute_exactly():
-    x = jet_seed((0.5, -0.2, 0.9), "x", 5)
-    y = jet_seed((0.5, -0.2, 0.9), "y", 5)
-    z = jet_seed((0.5, -0.2, 0.9), "z", 5)
+    x = Jet.variable(0, (0.5, -0.2, 0.9), 5)
+    y = Jet.variable(1, (0.5, -0.2, 0.9), 5)
+    z = Jet.variable(2, (0.5, -0.2, 0.9), 5)
     f = (x * y + z).exp() * (2 + y).log()
     a = f.partial(0).partial(1)
     b = f.partial(1).partial(0)
@@ -141,7 +141,7 @@ def test_partials_commute_exactly():
 
 
 def test_budget_bookkeeping():
-    x = jet_seed((1, 2, 3), "x", 3)
+    x = Jet.variable(0, (1, 2, 3), 3)
     j = x * x * x
     for k in range(3):
         assert j.valid_order == 3 - k
@@ -152,7 +152,7 @@ def test_budget_bookkeeping():
 
 
 def test_valid_order_min_propagates():
-    x = jet_seed((1, 0, 0), "x", 4)
+    x = Jet.variable(0, (1, 0, 0), 4)
     worn = x.partial(0)  # valid_order 3
     assert (x + worn).valid_order == 3
     assert (x * worn).valid_order == 3
@@ -164,7 +164,7 @@ def jet_pair(draw):
     order = draw(st.integers(2, 5))
 
     def rand_jet():
-        x, y, z = (jet_seed(point, v, order) for v in "xyz")
+        x, y, z = (Jet.variable(axis, point, order) for axis in range(3))
         c = [draw(st.floats(-3, 3)) for _ in range(4)]
         return c[0] + c[1] * x + c[2] * y * z + c[3] * x * x
     return rand_jet(), rand_jet(), rand_jet()
@@ -205,7 +205,7 @@ def test_mixed_partials_match_finite_differences(rng):
         return math.exp(0.3 * x * y) * math.sqrt(1 + z * z) + math.sin(x + 2 * z)
 
     def jet_of(p, order=4):
-        x, y, z = (jet_seed(tuple(p), v, order) for v in "xyz")
+        x, y, z = (Jet.variable(axis, tuple(p), order) for axis in range(3))
         return (0.3 * x * y).exp() * (1 + z * z).sqrt() + (x + 2 * z).sin()
 
     for _ in range(10):
@@ -300,13 +300,13 @@ def test_integer_power_squares(monkeypatch):
 
     monkeypatch.setattr(Jet, "__mul__", counted)
     k, v = 100000, 1.000001
-    assert math.isclose(FieldProgram.parse(f"x^{k}").value((v, 0.0, 0.0)),
+    assert math.isclose(FieldProgram.parse(f"x^{k}")((v, 0.0, 0.0)).value,
                         v ** k, rel_tol=1e-9)
     assert 0 < len(calls) <= 2 * math.ceil(math.log2(k))
 
 
 def test_small_powers_multiply_as_products():
-    x, y, z = (jet_seed((0.7, -0.3, 1.1), v, 5) for v in "xyz")
+    x, y, z = (Jet.variable(axis, (0.7, -0.3, 1.1), 5) for axis in range(3))
     x = (x + 0.3 * y * z).exp()
     # here the order of the factors shows in the last bits
     assert not np.array_equal((x * (x * x)).coeffs, ((x * x) * x).coeffs)
@@ -315,7 +315,7 @@ def test_small_powers_multiply_as_products():
 
 
 def test_number_operands_are_unchecked_constants(monkeypatch):
-    x, y = (jet_seed((0.7, -0.3, 1.1), v, 4) for v in "xy")
+    x, y = (Jet.variable(axis, (0.7, -0.3, 1.1), 4) for axis in range(2))
     a = (x * y).exp().partial(0)  # valid_order 3 of 4
     consts = {c: Jet.constant(c, a.point, a.order) for c in (1.0, -2.5, 3)}
     want_exp = a.exp()

@@ -5,10 +5,11 @@ import pytest
 
 from srsurf import (FieldProgram, MetricField, OneForm, SingularFrameError,
                     build_singular_frame, characteristic_field,
-                    check_special_rescale, delta_basis, exterior_derivative,
-                    lambda_identities, locate_sigma, nonholonomity,
-                    sigma_invariant_derivative, sigma_invariants)
-from srsurf.frame import jvec_dot, jvec_values
+                    check_special_rescale, delta_basis, lambda_identities,
+                    locate_sigma, nonholonomity, sigma_invariant_derivative,
+                    sigma_invariants)
+from srsurf.fields import curl
+from srsurf.frame import jvec_cross, jvec_dot, jvec_values
 
 from conftest import OFF_DIAGONAL_METRIC, assert_adapted, box_points
 
@@ -68,11 +69,8 @@ def test_characteristic_field_contract(omega1, rng):
     for _ in range(6):
         p = tuple(rng.uniform(0.2, 1.5, 3))
         v = characteristic_field(omega1, p)
-        b = exterior_derivative(omega1, p)
-        vv = jvec_values(v)
-        contraction = (b.beta12.value * vv[1] - b.beta31.value * vv[2],
-                       b.beta23.value * vv[2] - b.beta12.value * vv[0],
-                       b.beta31.value * vv[0] - b.beta23.value * vv[1])
+        b = jvec_values(curl(omega1.evaluate(p)))
+        contraction = jvec_cross(jvec_values(v), b)  # d(omega)(V, .)
         assert max(abs(c) for c in contraction) < 1e-9
         w = omega1.evaluate(p)
         assert abs(jvec_dot(w, v).value - 1.0) < 1e-12
@@ -126,14 +124,24 @@ def test_check_special_rescale_lambda_squared(omega1, euclid):
     lam = FieldProgram(lambda p, n: nonholonomity(omega1, euclid, p, n))
     phi = lam * lam
     pts = [(0.0, 0.2, 0.1), (0.0, -0.4, 0.3)]
-    for entry in check_special_rescale(omega1, phi, pts):
+    for entry in check_special_rescale(omega1, euclid, phi, pts):
         assert entry["passes"]
 
 
-def test_check_special_rescale_const(omega1):
+def test_check_special_rescale_const(omega1, euclid):
     phi = FieldProgram.constant(2.5)
-    for entry in check_special_rescale(omega1, phi, [(0.0, 0.1, -0.2)]):
+    for entry in check_special_rescale(omega1, euclid, phi, [(0.0, 0.1, -0.2)]):
         assert entry["passes"]
+
+
+def test_check_special_rescale_off_diagonal_metric(omega1):
+    metric = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
+    lam = FieldProgram(lambda p, n: nonholonomity(omega1, metric, p, n))
+    pts = [(0.0, 0.2, 0.1), (0.0, -0.4, 0.3)]
+    for entry in check_special_rescale(omega1, metric, lam * lam, pts):
+        assert entry["passes"]
+    for entry in check_special_rescale(omega1, metric, FieldProgram.parse("x"), pts):
+        assert not entry["passes"]
 
 
 @pytest.mark.parametrize("c", ["1", "1e-12", "1e6"])
@@ -141,7 +149,8 @@ def test_check_special_rescale_x_fails(c):
     # d(x)|_Delta = 1 on Sigma; the bound must not grow with omega -> c omega
     omega = OneForm.parse(f"{c}*dy + {c}*x^2*dz")
     phi = FieldProgram.parse("x")
-    for entry in check_special_rescale(omega, phi, [(0.0, 0.1, -0.2)]):
+    for entry in check_special_rescale(omega, MetricField.identity(), phi,
+                                       [(0.0, 0.1, -0.2)]):
         assert not entry["passes"]
         assert entry["lambda_scale"] == pytest.approx(2.0, rel=1e-12)
 
@@ -183,9 +192,19 @@ def test_singular_frame_duality(omega1, euclid):
 
 def test_singular_frame_transversality_failure(heisenberg, euclid):
     # lambda for the rotationally symmetric fixture has a critical point at
-    # the origin, so d(lambda)|_Delta vanishes there
-    with pytest.raises(SingularFrameError):
+    # the origin, so d(lambda)|_Delta vanishes there exactly
+    with pytest.raises(SingularFrameError, match="not transversal"):
         build_singular_frame(heisenberg, euclid, (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("p", [(1e-10, 0.0, 0.0), (1e-10, -2e-10, 0.3)])
+def test_singular_frame_transversality_below_tolerance(heisenberg, euclid, p):
+    # next to the critical point d(lambda)|_Delta is nonzero but tiny
+    lam = nonholonomity(heisenberg, euclid, p, 2)
+    dlam = tuple(lam.partial(a) for a in range(3))
+    assert any(jvec_values(jvec_cross(heisenberg.evaluate(p, 2), dlam)))
+    with pytest.raises(SingularFrameError, match="not transversal"):
+        build_singular_frame(heisenberg, euclid, p)
 
 
 # -- Sigma invariants ------------------------------------------------------
@@ -208,7 +227,7 @@ def test_coframe_change_consistency(omega1, euclid):
     for p in ((0.0, 0.0, 0.0), (0.0, 0.4, 0.2)):
         f0, _ = build_singular_frame(omega1, euclid, p)
         f1, _ = build_singular_frame(scaled, euclid, p)
-        factor = math.exp(-phi.value(p))
+        factor = math.exp(-phi(p).value)
         for a in range(3):
             assert abs(f0.eta3[a].value - factor * f1.eta3[a].value) < 1e-8
 
@@ -227,7 +246,7 @@ def test_lambda_conformal_homogeneity(omega1, euclid, rng):
     for p in box_points(rng, 10):
         lam0 = nonholonomity(omega1, euclid, p).value
         lam1 = nonholonomity(scaled, euclid, p).value
-        want = math.exp(phi.value(p)) * lam0
+        want = math.exp(phi(p).value) * lam0
         assert abs(lam1 - want) <= 1e-9 * (1 + abs(want))
 
 
@@ -236,7 +255,7 @@ def test_domega_on_delta_is_minus_lambda(omega1, heisenberg, euclid, rng):
     for omega in (omega1, heisenberg):
         for p in box_points(rng, 5):
             e1, e2 = delta_basis(omega.evaluate(p), euclid.evaluate(p))
-            b = exterior_derivative(omega, p)
-            val = b.apply(jvec_values(e1), jvec_values(e2)).value
+            b = curl(omega.evaluate(p))
+            val = jvec_dot(b, jvec_cross(jvec_values(e1), jvec_values(e2))).value
             lam = nonholonomity(omega, euclid, p).value
             assert abs(val + lam) < 1e-9

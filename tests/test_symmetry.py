@@ -154,10 +154,10 @@ def test_reconstruct_lnf_oracle(axial):
     omega, metric = axial
     base = (0.0, 0.0, 0.0)
     lam_prog = _axial_lambda(omega, metric)
-    lam0 = lam_prog.value(base)
+    lam0 = lam_prog(base).value
     for p in AXIAL_POINTS:
         got = reconstruct_lnf(omega, metric, base, p)
-        want = math.log(lam0 / lam_prog.value(p))
+        want = math.log(lam0 / lam_prog(p).value)
         assert abs(got - want) < 1e-8
 
 
@@ -189,9 +189,9 @@ def test_reconstruct_lnf_closed_form(axial):
     omega, metric = axial
     base = (0.0, 0.0, 0.0)
     lam_prog = _axial_lambda(omega, metric)
-    lam0 = lam_prog.value(base)
+    lam0 = lam_prog(base).value
     for p in AXIAL_POINTS:
-        want = math.log(lam0 / lam_prog.value(p))
+        want = math.log(lam0 / lam_prog(p).value)
         assert abs(reconstruct_lnf(omega, metric, base, p) - want) < 1e-12
 
 
@@ -248,7 +248,7 @@ def test_reconstruct_quadrature_convergence(axial):
     omega, metric = axial
     base, p = (0.0, 0.0, 0.0), AXIAL_POINTS[2]
     lam_prog = _axial_lambda(omega, metric)
-    want = math.log(lam_prog.value(base) / lam_prog.value(p))
+    want = math.log(lam_prog(base).value / lam_prog(p).value)
     errs = [abs(reconstruct_lnf(omega, metric, base, p, quad_tol=tol) - want)
             for tol in (1e-3, 1e-6, 1e-9)]
     assert errs[-1] <= errs[0] + 1e-12
@@ -294,13 +294,13 @@ def test_reconstruction_branch_assembles_symmetry(axial):
     omega, metric = axial
     base = (0.0, 0.0, 0.0)
     lam_prog = _axial_lambda(omega, metric)
-    lam0 = lam_prog.value(base)
+    lam0 = lam_prog(base).value
     for p in AXIAL_POINTS:
         sys_ = build_system(omega, metric, p)
         f, v = reconstructed_V(sys_, reconstruct_lnf(omega, metric, base, p))
         # f is normalized to f(base) = 1, so f = lambda(base)/lambda and
         # V is the corresponding multiple of the true symmetry dz
-        want_f = lam0 / lam_prog.value(p)
+        want_f = lam0 / lam_prog(p).value
         assert abs(f - want_f) < 1e-7
         scale = -lam0  # sign flip from normalizing the negative true f
         assert np.allclose(v, [0, 0, scale], atol=1e-6)
