@@ -23,8 +23,7 @@ from .symmetry import (DegeneratePointError, SymmetryField, SymmetrySystem,
                        reconstruct_lnf)
 from .singular import (SigmaInvariants, SigmaPoint, SingularFrameError,
                        build_singular_frame, characteristic_field,
-                       check_special_rescale, lambda_identities, locate_sigma,
-                       sigma_invariant_derivative, sigma_invariants)
+                       lambda_identities, locate_sigma, sigma_invariants)
 from .report import PointReport, RunConfig
 
 __version__ = "1.0.0"
@@ -37,11 +36,11 @@ __all__ = [
     "SigmaInvariants", "SigmaPoint", "SingularFrameError",
     "StructureFunctions", "SymmetryField", "SymmetrySystem",
     "assemble_and_verify_V", "build_contact_frame", "build_singular_frame",
-    "build_system", "characteristic_field", "check_special_rescale",
+    "build_system", "characteristic_field",
     "delta_basis", "directional_derivative", "frame_to_coordinate_gradient",
     "integrability_residuals", "invariant_K", "invariant_M", "invariants_at",
     "lambda_identities", "lie_bracket", "locate_sigma",
     "multi_indices", "n_coeffs", "nonholonomity",
-    "reconstruct_lnf", "sigma_invariant_derivative", "sigma_invariants",
+    "reconstruct_lnf", "sigma_invariants",
     "torsion_and_connection_coeffs",
 ]

@@ -114,10 +114,10 @@ def _emit(reports: List[PointReport], cfg: RunConfig, path):
         sys.stdout.write(text)
 
 
-def _diag(jets) -> dict:
-    """The jet order a quantity was computed at and its budget left."""
-    left = min(j.valid_order for j in jets)
-    return {"jet_order": jets[0].order, "budget_remaining": left}
+def _diag(jet_order: int, jets) -> dict:
+    """The jet order a command works at and the derivative budget left in
+    the quantities it reports: the lowest order among their jets."""
+    return {"jet_order": jet_order, "budget_remaining": min(j.order for j in jets)}
 
 
 def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
@@ -134,7 +134,7 @@ def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
             return PointReport(point=tuple(p), branch="regular", error=str(exc))
         return PointReport(point=tuple(p), branch="regular", contact=True,
                            lam=frame.lam.value, M=vals.M.value, K=vals.K.value,
-                           diagnostics=_diag((vals.M, vals.K)))
+                           diagnostics=_diag(INVARIANTS_ORDER, (vals.M, vals.K)))
 
     return [one(p) for p in cfg.points]
 
@@ -163,11 +163,12 @@ def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
         if cfg.reconstruct:
             try:
                 rep.lnf = reconstruct_lnf(omega, metric, cfg.base, p,
-                                          quad_tol=cfg.quad_tol, eps_D=cfg.eps_D)
+                                          quad_tol=cfg.quad_tol, eps_D=cfg.eps_D,
+                                          eps_contact=cfg.eps_contact)
                 _, rep.V = reconstructed_V(sys_, rep.lnf)
             except JetError as exc:
                 rep.diagnostics["reconstruct_error"] = str(exc)
-        rep.diagnostics.update(_diag((sys_.D,)))
+        rep.diagnostics.update(_diag(RESIDUAL_MIN_ORDER, (sys_.D,)))
         return rep
 
     return [one(p) for p in cfg.points]

@@ -1,9 +1,10 @@
 """Truncated multivariate Taylor ("jet") arithmetic in three variables.
 
 A Jet carries the Taylor coefficients of a scalar quantity around a base
-point, up to a configurable total degree, together with a derivative
-budget (`valid_order`): every partial-derivative extraction consumes one
-level, and exhausting the budget is a hard error rather than silent
+point, up to a total degree, its order.  The order is also the jet's
+derivative budget: a partial derivative is a jet one order lower, a sum or
+product of two jets is known only to the lower of their orders, and
+differentiating a jet of order 0 is a hard error rather than silent
 garbage.
 """
 
@@ -25,7 +26,7 @@ class JetError(Exception):
 
 
 class BudgetExhausted(JetError):
-    """Derivative budget (valid_order) would drop below zero."""
+    """Derivative budget (the jet's order) would drop below zero."""
 
 
 @lru_cache(maxsize=None)
@@ -65,14 +66,9 @@ def _mul_table(order: int):
 
 
 @lru_cache(maxsize=None)
-def _degrees(order: int):
-    return np.array([sum(mi) for mi in multi_indices(order)])
-
-
-@lru_cache(maxsize=None)
 def _partial_map(order: int, axis: int):
-    """(src, scale): d/d(axis) sends coeffs[src[k]] * scale[k] to k, for the
-    leading n_coeffs(order - 1) coefficients (the lower degrees, graded)."""
+    """(src, scale): d/d(axis) of an order-`order` jet sends
+    coeffs[src[k]] * scale[k] to coefficient k of an order-(order - 1) jet."""
     e = tuple(int(a == axis) for a in range(3))
     up = [tuple(m + d for m, d in zip(mi, e)) for mi in multi_indices(order - 1)]
     return (np.array([_index_map(order)[mi] for mi in up]),
@@ -91,22 +87,21 @@ def _check_order(order: int):
 class Jet:
     """Taylor expansion of a scalar at a base point, truncated at `order`.
 
-    Jets are immutable values; all arithmetic returns new instances.
-    `valid_order` tracks how many derivative levels remain trustworthy.
+    Jets are immutable values; all arithmetic returns new instances.  The
+    order is the derivative budget: `partial` costs one order, and the
+    graded coefficients of a jet of order m are the leading n_coeffs(m) of
+    the same quantity at any higher order.
     """
 
-    __slots__ = ("point", "order", "coeffs", "valid_order")
+    __slots__ = ("point", "order", "coeffs")
 
-    def __init__(self, point, order: int, coeffs: np.ndarray, valid_order: int):
+    def __init__(self, point, order: int, coeffs: np.ndarray):
         _check_order(order)
-        if valid_order < 0:
-            raise BudgetExhausted("valid_order must be >= 0")
         self.point = tuple(float(c) for c in point)
         self.order = order
         self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.shape != (n_coeffs(order),):
             raise JetError("coefficient array has wrong length for order")
-        self.valid_order = min(valid_order, order)
 
     # -- constructors ------------------------------------------------------
 
@@ -115,7 +110,7 @@ class Jet:
         _check_order(order)
         c = np.zeros(n_coeffs(order))
         c[0] = value
-        return Jet(point, order, c, order)
+        return Jet(point, order, c)
 
     @staticmethod
     def variable(axis: int, point, order: int) -> "Jet":
@@ -127,7 +122,7 @@ class Jet:
         mi = [0, 0, 0]
         mi[axis] = 1
         c[_index_map(order)[tuple(mi)]] = 1.0
-        return Jet(point, order, c, order)
+        return Jet(point, order, c)
 
     # -- basic queries -----------------------------------------------------
 
@@ -137,7 +132,11 @@ class Jet:
 
     def coeff(self, mi) -> float:
         """Taylor coefficient for multi-index mi (derivative / factorials)."""
-        return float(self.coeffs[_index_map(self.order)[tuple(mi)]])
+        mi = tuple(mi)
+        if sum(mi) > self.order:
+            raise BudgetExhausted(
+                f"no coefficient {mi} in a jet of order {self.order}")
+        return float(self.coeffs[_index_map(self.order)[mi]])
 
     def partial_value(self, mi) -> float:
         """Mixed partial derivative value (coefficient times factorials)."""
@@ -147,47 +146,48 @@ class Jet:
 
     def __repr__(self):
         return (f"Jet(point={self.point}, order={self.order}, "
-                f"valid={self.valid_order}, value={self.value!r})")
+                f"value={self.value!r})")
 
     # -- helpers -----------------------------------------------------------
 
     @classmethod
-    def _new(cls, point, order: int, coeffs: np.ndarray, valid_order: int) -> "Jet":
+    def _new(cls, point, order: int, coeffs: np.ndarray) -> "Jet":
         """Unchecked constructor for results of operations on valid jets: a
-        float-tuple point, float coeffs and 0 <= valid_order <= order."""
+        float-tuple point, 0 <= order <= MAX_ORDER and n_coeffs(order)
+        float coeffs."""
         jet = object.__new__(cls)
         jet.point, jet.order, jet.coeffs = point, order, coeffs
-        jet.valid_order = valid_order
         return jet
 
-    def _like(self, coeffs, valid_order=None) -> "Jet":
-        if valid_order is None:
-            valid_order = self.valid_order
-        return Jet._new(self.point, self.order, coeffs, valid_order)
+    def _like(self, coeffs) -> "Jet":
+        return Jet._new(self.point, self.order, coeffs)
 
-    def _check_compatible(self, other: "Jet"):
-        if self.order != other.order:
-            raise JetError("jet order mismatch")
+    def _truncated(self, other: "Jet"):
+        """(order, a, b): the lower order of two jets at one base point and
+        the coefficients of each, cut to that order."""
         if self.point != other.point:
             raise JetError(f"base point mismatch: {self.point} vs {other.point}")
+        if self.order == other.order:
+            return self.order, self.coeffs, other.coeffs
+        order = min(self.order, other.order)
+        n = n_coeffs(order)
+        return order, self.coeffs[:n], other.coeffs[:n]
 
     @staticmethod
     def _coerce(other, template: "Jet"):
-        """A jet as is; a number as `Jet.constant` at the template's point
-        and order would build it, without re-checking them."""
+        """A jet as is; a number as a constant at the template's point and
+        order, without re-checking them."""
         if isinstance(other, Jet):
             return other
         c = np.zeros(len(template.coeffs))
         c[0] = float(other)
-        return Jet._new(template.point, template.order, c, template.order)
+        return template._like(c)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = Jet._coerce(other, self)
-        self._check_compatible(other)
-        return self._like(self.coeffs + other.coeffs,
-                          min(self.valid_order, other.valid_order))
+        order, a, b = self._truncated(Jet._coerce(other, self))
+        return Jet._new(self.point, order, a + b)
 
     __radd__ = __add__
 
@@ -195,10 +195,8 @@ class Jet:
         return self._like(-self.coeffs)
 
     def __sub__(self, other):
-        other = Jet._coerce(other, self)
-        self._check_compatible(other)
-        return self._like(self.coeffs - other.coeffs,
-                          min(self.valid_order, other.valid_order))
+        order, a, b = self._truncated(Jet._coerce(other, self))
+        return Jet._new(self.point, order, a - b)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -206,11 +204,10 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self._like(self.coeffs * float(other))
-        self._check_compatible(other)
-        ia, ib, io = _mul_table(self.order)
-        out = np.bincount(io, weights=self.coeffs[ia] * other.coeffs[ib],
-                          minlength=len(self.coeffs))
-        return self._like(out, min(self.valid_order, other.valid_order))
+        order, a, b = self._truncated(other)
+        ia, ib, io = _mul_table(order)
+        out = np.bincount(io, weights=a[ia] * b[ib], minlength=len(a))
+        return Jet._new(self.point, order, out)
 
     __rmul__ = __mul__
 
@@ -229,7 +226,7 @@ class Jet:
             exponent = int(exponent)
         if isinstance(exponent, int):
             if exponent == 0:
-                return Jet.constant(1.0, self.point, self.order)
+                return Jet._coerce(1.0, self)
             if exponent < 0:
                 return self.reciprocal() ** (-exponent)
             if exponent == 1:
@@ -249,7 +246,7 @@ class Jet:
         result = Jet._coerce(series[-1], self)
         for d in reversed(series[:-1]):
             result = result * u + d
-        return self._like(result.coeffs)
+        return result
 
     def reciprocal(self) -> "Jet":
         v = self.value
@@ -309,19 +306,10 @@ class Jet:
     # -- differentiation ---------------------------------------------------
 
     def partial(self, axis: int) -> "Jet":
-        """Jet of the partial derivative along `axis`; costs one budget level.
-
-        Coefficients at total degree >= valid_order of the result are zeroed,
-        they are no longer backed by real derivative information.
-        """
+        """Jet of the partial derivative along `axis`, one order lower."""
         if axis not in (0, 1, 2):
             raise JetError(f"axis must be 0, 1 or 2, got {axis}")
-        if self.valid_order < 1:
+        if self.order < 1:
             raise BudgetExhausted("cannot differentiate: jet budget exhausted")
         src, scale = _partial_map(self.order, axis)
-        out = np.zeros(len(self.coeffs))
-        out[:len(src)] = self.coeffs[src] * scale
-        new_valid = self.valid_order - 1
-        out[_degrees(self.order) > new_valid] = 0.0
-        return self._like(out, new_valid)
-
+        return Jet._new(self.point, self.order - 1, self.coeffs[src] * scale)

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm, curl_and_defect
+from .fields import DEFAULT_ORDER, MetricField, OneForm, curl_and_defect
 from .frame import (AdaptedFrame, StructureFunctions, adapted_coframe,
                     basis_and_lambda, jvec_cross, jvec_div, jvec_dot,
                     jvec_scale, jvec_values, kernel_complement, lambda_jet,
@@ -30,8 +30,6 @@ SIGMA_SCAN_NODES = 33      # equally spaced lambda samples on a probe segment
 TRANSVERSALITY_EPS = 1e-8  # transversal: |d(lambda)|_Delta| / |omega|_g above it
 CHARACTERISTIC_TOL = 1e-6  # w and omega(w) below it (relative) count as zero
 EXTRAPOLATION_STEP = 1e-3  # h of the extrapolation of V across Sigma
-RESCALE_TOL = 1e-6         # bound on d(phi)|_Delta in check_special_rescale
-SIGMA_FD_STEP = 1e-4       # step of sigma_invariant_derivative
 
 
 class SingularFrameError(JetError):
@@ -139,43 +137,23 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
     p = np.array([float(c) for c in point])
 
     def side_average(h: float):
-        jets = []
+        """w / omega(w) averaged over p +/- h n: (order, coefficients) of
+        each component."""
+        sides = []
         for sgn in (+1.0, -1.0):
             size_q, wq, omwq = _dw_vector(
                 omega.evaluate(tuple(p + sgn * h * n), order))
             if abs(omwq.value) < 1e-14 * size_q ** 2:
                 raise SingularFrameError(
                     f"characteristic field degenerate off Sigma near {omw.point}")
-            jets.append(jvec_div(wq, omwq))
-        coeffs = [0.5 * (jets[0][a].coeffs + jets[1][a].coeffs) for a in range(3)]
-        valid = min(j.valid_order for side in jets for j in side)
-        return coeffs, valid
+            sides.append(jvec_div(wq, omwq))
+        return [(j.order, 0.5 * (j.coeffs + k.coeffs)) for j, k in zip(*sides)]
 
-    c1, v1 = side_average(EXTRAPOLATION_STEP)
-    c2, v2 = side_average(EXTRAPOLATION_STEP / 2.0)
-    return tuple(Jet(point, order, (4.0 * c2[a] - c1[a]) / 3.0, min(v1, v2))
-                 for a in range(3))
-
-
-def check_special_rescale(omega: OneForm, metric: MetricField,
-                          phi: FieldProgram, sigma_points,
-                          order: int = DEFAULT_ORDER):
-    """Necessary condition for e^phi omega to stay special: d(phi)|_Delta
-    must vanish at the Sigma points (it must be a lambda-multiple off
-    Sigma).  The bound RESCALE_TOL scales with max(1, |d(lambda)|_Delta| /
-    |omega|_g), a ratio that omega -> c omega leaves unchanged."""
-    report = []
-    for p in map(tuple, sigma_points):
-        w, g, e1, e2, lam = basis_and_lambda(omega, metric, p, order)
-        dphi_norm = _norm_on_delta(phi(p, order), e1, e2)
-        lam_scale = max(1.0, _norm_on_delta(lam, e1, e2) / omega_norm(w, g))
-        report.append({
-            "point": p,
-            "dphi_on_delta": dphi_norm,
-            "lambda_scale": lam_scale,
-            "passes": dphi_norm <= RESCALE_TOL * lam_scale,
-        })
-    return report
+    c1 = side_average(EXTRAPOLATION_STEP)
+    c2 = side_average(EXTRAPOLATION_STEP / 2.0)
+    at = tuple(float(c) for c in point)
+    return tuple(Jet._new(at, m, (4.0 * b - a) / 3.0)
+                 for (_, a), (m, b) in zip(c1, c2))
 
 
 def build_singular_frame(omega: OneForm, metric: MetricField, point,
@@ -227,19 +205,3 @@ def sigma_invariants(c: StructureFunctions) -> SigmaInvariants:
     (invariants of the surface along the singular locus), from the structure
     functions of a singular frame built at a Sigma point."""
     return SigmaInvariants(Q112=c.C1_12.value, Q212=c.C2_12.value)
-
-
-def sigma_invariant_derivative(omega: OneForm, metric: MetricField, p,
-                               direction, order: int = DEFAULT_ORDER):
-    """Central finite difference of (Q1_12, Q2_12) along a direction tangent
-    to Sigma; expected ~0 along the flow of a true symmetry."""
-    d = np.array([float(c) for c in direction])
-    p = np.array([float(c) for c in p])
-
-    def q(step: float) -> SigmaInvariants:
-        _, c = build_singular_frame(omega, metric, tuple(p + step * d), order)
-        return sigma_invariants(c)
-
-    h = SIGMA_FD_STEP
-    qp, qm = q(h), q(-h)
-    return ((qp.Q112 - qm.Q112) / (2 * h), (qp.Q212 - qm.Q212) / (2 * h))

@@ -97,13 +97,15 @@ def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
 
 def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
                     quad_tol: float = 1e-9, eps_D: float = 1e-9,
-                    max_depth: int = 14) -> float:
+                    eps_contact: float = 1e-9, max_depth: int = 14) -> float:
     """ln f(target) with ln f(base) = 0: the line integral of the coordinate
     gradient (the EQ system at EQ_ORDER) along base -> target by QUADPACK's
     QAGS (`scipy.integrate.quad`, 21-point Gauss-Kronrod, at most
     2 ** max_depth panels) to an absolute error estimate below quad_tol,
     else JetError.  A segment that meets a degenerate point is retried once
-    via base + delta/2 + |delta|/2 e_k, k = argmin |delta_k|, else raised."""
+    via base + delta/2 + |delta|/2 e_k, k = argmin |delta_k|, else raised;
+    one that meets a noncontact point (eps_contact, as in build_system)
+    raises NoncontactError."""
     base, target = (np.array(p, dtype=float) for p in (base, target))
     delta = target - base
     if not delta.any():
@@ -112,7 +114,8 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 
     def segment(a: np.ndarray, d: np.ndarray) -> float:  # from a to a + d
         def integrand(t: float) -> float:
-            sys_ = build_system(omega, metric, tuple(a + t * d), EQ_ORDER, eps_D=eps_D)
+            sys_ = build_system(omega, metric, tuple(a + t * d), EQ_ORDER,
+                                eps_D=eps_D, eps_contact=eps_contact)
             if sys_.degenerate:
                 raise DegeneratePointError(
                     f"degenerate point on segment at t = {t:.6f}")

@@ -262,6 +262,37 @@ def test_symmetry_reconstruct(capsys, axial_metric_file):
     assert len(rec["V"]) == 3
 
 
+def test_reconstruct_honours_tol_contact(capsys, axial_metric_file):
+    # the base is noncontact at --tol-contact 0.5, and so is the segment's
+    # midpoint: the target gets an error, not an ln f
+    code, out, _ = run_cli(capsys, "symmetry", "--omega", CARTAN,
+                           "--metric-file", axial_metric_file,
+                           "--tol-contact", "0.5", "--reconstruct",
+                           "--base", "2,2,0", "--points", "0.1,0.1,0; 2,2,0")
+    assert code == 0
+    target, base = ndjson(out)
+    assert base["branch"] == "noncontact"
+    assert target["branch"] == "regular"
+    assert "noncontact" in target["diagnostics"]["reconstruct_error"]
+    assert "lnf" not in target and "V" not in target
+
+
+def test_diagnostics_give_the_order_and_the_budget_left(capsys, axial_metric_file):
+    # jet_order is the command's jet order, budget_remaining the lowest
+    # order among the jets a record reports
+    code, out, _ = run_cli(capsys, "invariants", "--omega", HEISENBERG,
+                           "--points", "1,0,0")
+    assert code == 0
+    (rec,) = ndjson(out)
+    assert rec["diagnostics"] == {"jet_order": 3, "budget_remaining": 0}
+    code, out, _ = run_cli(capsys, "symmetry", "--omega", CARTAN,
+                           "--metric-file", axial_metric_file,
+                           "--points", "0.4,0.7,-0.2")
+    assert code == 0
+    (rec,) = ndjson(out)
+    assert rec["diagnostics"] == {"jet_order": 5, "budget_remaining": 1}
+
+
 # -- singular subcommand ---------------------------------------------------
 
 def test_singular_probe(capsys):

@@ -7,7 +7,6 @@ from srsurf import (Jet, JetError, MetricField, NoncontactError, OneForm,
                     build_contact_frame, delta_basis, lie_bracket,
                     nonholonomity)
 from srsurf.frame import jvec_dot, jvec_values, metric_dot
-from srsurf.jets import _degrees
 
 from conftest import (CARTAN, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1,
                       assert_adapted, box_points)
@@ -96,7 +95,7 @@ def test_lie_bracket_consumes_one_order():
                    lambda x, y, z: z,
                    lambda x, y, z: x), order=3)
     br = lie_bracket(v, v)
-    assert br[0].valid_order == 2
+    assert br[0].order == 2
 
 
 def test_bracket_structure_relation_cartan(cartan, euclid):
@@ -148,15 +147,15 @@ def test_nonholonomity_identity_matches_bracket(rng):
             for order in (1, 3, 5):
                 w, g = omega.evaluate(p, order), metric.evaluate(p, order)
                 lam = nonholonomity(omega, metric, p, order)
-                kept = _degrees(order) <= lam.valid_order
+                assert lam.order == order - 1
                 for seed in "xyz":
                     for theta in (0.0, 1.1, -2.6):
                         ref = _bracket_lambda(w, g, seed=seed, rotation=theta)
-                        assert lam.valid_order == ref.valid_order
+                        assert lam.order == ref.order
                         assert abs(lam.value - ref.value) <= 1e-13 * abs(ref.value)
-                        scale = np.abs(ref.coeffs[kept]).max()
-                        assert np.abs(lam.coeffs[kept]
-                                      - ref.coeffs[kept]).max() <= 1e-11 * scale
+                        scale = np.abs(ref.coeffs).max()
+                        assert np.abs(lam.coeffs
+                                      - ref.coeffs).max() <= 1e-11 * scale
 
 
 # -- build_contact_frame ---------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srsurf import (BudgetExhausted, FieldProgram, Jet, JetError, multi_indices,
-                    n_coeffs)
+from srsurf import (BudgetExhausted, FieldProgram, Jet, JetError, MAX_ORDER,
+                    multi_indices, n_coeffs)
 from srsurf.jets import _index_map, _mul_table
 
 
@@ -22,7 +22,7 @@ def test_seed_constant():
     j = Jet.constant(4.0, (1.0, 2.0, 3.0), 4)
     assert j.value == 4.0
     assert np.count_nonzero(j.coeffs) == 1
-    assert j.valid_order == 4
+    assert j.order == 4
 
 
 def test_seed_coordinates():
@@ -144,18 +144,29 @@ def test_budget_bookkeeping():
     x = Jet.variable(0, (1, 2, 3), 3)
     j = x * x * x
     for k in range(3):
-        assert j.valid_order == 3 - k
+        assert j.order == 3 - k
         j = j.partial(0)
-    assert j.valid_order == 0
+    assert j.order == 0
     with pytest.raises(BudgetExhausted):
         j.partial(0)
 
 
-def test_valid_order_min_propagates():
+def test_order_min_propagates():
     x = Jet.variable(0, (1, 0, 0), 4)
-    worn = x.partial(0)  # valid_order 3
-    assert (x + worn).valid_order == 3
-    assert (x * worn).valid_order == 3
+    worn = x.partial(0)  # order 3
+    assert (x + worn).order == 3
+    assert (x * worn).order == 3
+
+
+def test_coefficients_above_the_order_are_out_of_budget():
+    x = Jet.variable(0, (1, 2, 3), 2)
+    d = (x * x * x).partial(0)  # 3 x^2, order 1
+    assert d.coeff((1, 0, 0)) == 6.0
+    for mi in ((2, 0, 0), (0, 1, 1)):
+        with pytest.raises(BudgetExhausted):
+            d.coeff(mi)
+        with pytest.raises(BudgetExhausted):
+            d.partial_value(mi)
 
 
 @st.composite
@@ -221,66 +232,72 @@ def test_mixed_partials_match_finite_differences(rng):
         assert abs(j.partial_value((1, 1, 0)) - fd) <= 1e-4 * (1 + abs(fd))
 
 
-# -- the table-driven kernels against the loops they replaced --------------
+# -- a jet of order m is the leading part of the same jet at any order n ----
+# (and the table-driven kernels agree with the loops they replaced)
 
 def _loop_partial(jet, axis):
-    """(coeffs, valid_order) of d/d(axis), one coefficient at a time."""
+    """Coefficients of d/d(axis), one order lower, one at a time."""
     imap = _index_map(jet.order)
-    out = np.zeros_like(jet.coeffs)
-    for k, mi in enumerate(multi_indices(jet.order)):
-        if sum(mi) >= jet.order:
-            continue
+    out = np.zeros(n_coeffs(jet.order - 1))
+    for k, mi in enumerate(multi_indices(jet.order - 1)):
         up = list(mi)
         up[axis] += 1
         out[k] = jet.coeffs[imap[tuple(up)]] * up[axis]
-    valid = jet.valid_order - 1
-    out[[sum(mi) > valid for mi in multi_indices(jet.order)]] = 0.0
-    return out, valid
+    return out
 
 
 def _add_at_product(a, b):
     ia, ib, io = _mul_table(a.order)
     out = np.zeros_like(a.coeffs)
     np.add.at(out, io, a.coeffs[ia] * b.coeffs[ib])
-    return out, min(a.valid_order, b.valid_order)
+    return out
 
 
 @st.composite
-def random_jets(draw):
-    order = draw(st.integers(1, 6))
+def prefixed_jets(draw):
+    """(A, B, C, m): jets of order n, m <= n, C with a value in [0.5, 4]."""
+    n = draw(st.integers(1, MAX_ORDER))
     point = tuple(draw(st.floats(-2, 2)) for _ in range(3))
-    coeffs = st.lists(st.floats(-1e3, 1e3), min_size=n_coeffs(order),
-                      max_size=n_coeffs(order))
-    return [Jet(point, order, np.array(draw(coeffs)), draw(st.integers(0, order)))
-            for _ in range(2)]
+    coeffs = st.lists(st.floats(-1e3, 1e3), min_size=n_coeffs(n),
+                      max_size=n_coeffs(n))
+    a, b, c = (np.array(draw(coeffs)) for _ in range(3))
+    c[0] = draw(st.floats(0.5, 4))
+    return (*(Jet(point, n, x) for x in (a, b, c)), draw(st.integers(1, n)))
+
+
+def _prefix(jet, m):
+    return Jet(jet.point, m, jet.coeffs[:n_coeffs(m)])
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_jets())
-def test_kernels_match_reference_loops_bit_for_bit(jets):
-    a, b = jets
-    prod = a * b
-    coeffs, valid = _add_at_product(a, b)
-    assert np.array_equal(prod.coeffs, coeffs) and prod.valid_order == valid
+@given(prefixed_jets())
+def test_prefix_law(jets):
+    big_a, big_b, big_c, m = jets
+    a, b, c, k = (_prefix(big_a, m), _prefix(big_b, m), _prefix(big_c, m),
+                  n_coeffs(m))
+    for got, want in ((big_a * b, big_a * big_b), (b * big_a, big_b * big_a),
+                      (big_a + b, big_a + big_b), (big_a - b, big_a - big_b),
+                      (b - big_a, big_b - big_a), (c.exp(), big_c.exp()),
+                      (c.sqrt(), big_c.sqrt()),
+                      (c.reciprocal(), big_c.reciprocal())):
+        assert got.order == m
+        assert np.array_equal(got.coeffs, want.coeffs[:k])
+    assert np.array_equal((big_a * big_b).coeffs, _add_at_product(big_a, big_b))
     for axis in range(3):
-        if a.valid_order == 0:
-            with pytest.raises(BudgetExhausted):
-                a.partial(axis)
-            continue
+        assert np.array_equal(big_a.partial(axis).coeffs, _loop_partial(big_a, axis))
         d = a.partial(axis)
-        coeffs, valid = _loop_partial(a, axis)
-        assert np.array_equal(d.coeffs, coeffs) and d.valid_order == valid
+        assert d.order == m - 1
+        assert np.array_equal(d.coeffs,
+                              big_a.partial(axis).coeffs[:n_coeffs(m - 1)])
 
 
 def test_public_constructor_checks():
     point = (0.0, 0.0, 0.0)
     for order in (0, 7):
         with pytest.raises(JetError):
-            Jet(point, order, np.zeros(n_coeffs(max(order, 1))), 0)
+            Jet(point, order, np.zeros(n_coeffs(order)))
     with pytest.raises(JetError):
-        Jet(point, 3, np.zeros(n_coeffs(3) - 1), 3)
-    with pytest.raises(BudgetExhausted):
-        Jet(point, 3, np.zeros(n_coeffs(3)), -1)
+        Jet(point, 3, np.zeros(n_coeffs(3) - 1))
 
 
 def test_results_keep_a_point_of_plain_floats():
@@ -316,7 +333,7 @@ def test_small_powers_multiply_as_products():
 
 def test_number_operands_are_unchecked_constants(monkeypatch):
     x, y = (Jet.variable(axis, (0.7, -0.3, 1.1), 4) for axis in range(2))
-    a = (x * y).exp().partial(0)  # valid_order 3 of 4
+    a = (x * y).exp().partial(0)  # order 3
     consts = {c: Jet.constant(c, a.point, a.order) for c in (1.0, -2.5, 3)}
     want_exp = a.exp()
 
@@ -328,7 +345,6 @@ def test_number_operands_are_unchecked_constants(monkeypatch):
         for got, want in ((a + c, a + k), (c + a, k + a), (a - c, a - k),
                           (c - a, k - a)):
             assert np.array_equal(got.coeffs, want.coeffs)
-            assert got.valid_order == want.valid_order
-            assert got.point == want.point and got.order == want.order
+            assert got.point == want.point and got.order == want.order == 3
     # compose_series: the leading constant and every Horner step
     assert np.array_equal(a.exp().coeffs, want_exp.coeffs)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from srsurf import (FieldProgram, MetricField, OneForm, SingularFrameError,
-                    build_singular_frame, characteristic_field,
-                    check_special_rescale, delta_basis, lambda_identities,
-                    locate_sigma, nonholonomity, sigma_invariant_derivative,
+                    build_singular_frame, characteristic_field, delta_basis,
+                    lambda_identities, locate_sigma, nonholonomity,
                     sigma_invariants)
 from srsurf.fields import curl
 from srsurf.frame import jvec_cross, jvec_dot, jvec_values
@@ -118,43 +117,6 @@ def test_characteristic_field_nonexistent_is_scale_free(c):
         characteristic_field(omega, (1.0, 0.0, 0.0))
 
 
-# -- special-form rescale checks -------------------------------------------
-
-def test_check_special_rescale_lambda_squared(omega1, euclid):
-    lam = FieldProgram(lambda p, n: nonholonomity(omega1, euclid, p, n))
-    phi = lam * lam
-    pts = [(0.0, 0.2, 0.1), (0.0, -0.4, 0.3)]
-    for entry in check_special_rescale(omega1, euclid, phi, pts):
-        assert entry["passes"]
-
-
-def test_check_special_rescale_const(omega1, euclid):
-    phi = FieldProgram.constant(2.5)
-    for entry in check_special_rescale(omega1, euclid, phi, [(0.0, 0.1, -0.2)]):
-        assert entry["passes"]
-
-
-def test_check_special_rescale_off_diagonal_metric(omega1):
-    metric = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
-    lam = FieldProgram(lambda p, n: nonholonomity(omega1, metric, p, n))
-    pts = [(0.0, 0.2, 0.1), (0.0, -0.4, 0.3)]
-    for entry in check_special_rescale(omega1, metric, lam * lam, pts):
-        assert entry["passes"]
-    for entry in check_special_rescale(omega1, metric, FieldProgram.parse("x"), pts):
-        assert not entry["passes"]
-
-
-@pytest.mark.parametrize("c", ["1", "1e-12", "1e6"])
-def test_check_special_rescale_x_fails(c):
-    # d(x)|_Delta = 1 on Sigma; the bound must not grow with omega -> c omega
-    omega = OneForm.parse(f"{c}*dy + {c}*x^2*dz")
-    phi = FieldProgram.parse("x")
-    for entry in check_special_rescale(omega, MetricField.identity(), phi,
-                                       [(0.0, 0.1, -0.2)]):
-        assert not entry["passes"]
-        assert entry["lambda_scale"] == pytest.approx(2.0, rel=1e-12)
-
-
 # -- singular frame --------------------------------------------------------
 
 def test_singular_frame_origin(omega1, euclid):
@@ -230,14 +192,6 @@ def test_coframe_change_consistency(omega1, euclid):
         factor = math.exp(-phi(p).value)
         for a in range(3):
             assert abs(f0.eta3[a].value - factor * f1.eta3[a].value) < 1e-8
-
-
-def test_sigma_invariant_derivative_along_symmetry(omega1, euclid):
-    # translations in y and z preserve omega1, so Q is constant along them
-    for d in ((0, 1, 0), (0, 0, 1)):
-        dq1, dq2 = sigma_invariant_derivative(omega1, euclid, (0, 0.2, 0.1), d)
-        assert abs(dq1) < 1e-6
-        assert abs(dq2) < 1e-6
 
 
 def test_lambda_conformal_homogeneity(omega1, euclid, rng):
