@@ -14,11 +14,12 @@ import numpy as np
 
 from .fields import FieldProgram, MetricField, OneForm, curl
 from .frame import (basis_and_lambda, build_contact_frame, jvec_cross,
-                    jvec_dot, metric_dot, nonholonomity)
+                    jvec_dot, jvec_values, metric_dot, nonholonomity)
 from .invariants import directional_derivative, invariant_M, invariants_at
-from .jets import BudgetExhausted
-from .singular import (build_singular_frame, characteristic_field,
-                       lambda_identities, locate_sigma, sigma_invariants)
+from .jets import MAX_ORDER, BudgetExhausted
+from .singular import (SINGULAR_FRAME_ORDER, build_singular_frame,
+                       characteristic_field, lambda_identities, locate_sigma,
+                       sigma_invariants)
 from .symmetry import (RESIDUAL_MIN_ORDER, assemble_and_verify_V, build_system,
                        integrability_residuals, reconstruct_lnf)
 
@@ -29,6 +30,15 @@ OMEGA_1 = "dy + x^2*dz"
 # f = -1/lambda = -sqrt(1 + x^2 + y^2), and D != 0 off the planes x = 0, y = 0
 AXIAL_FORM = CARTAN
 AXIAL_METRIC = ("1 + x^2", "0", "0", "1", "0", "1")
+# a special form with nonzero Q on Sigma = {x = -sin(y)}, where E3 = d_z
+SPECIAL_FORM = "dz + (x + sin(y))^2*dx"
+SPECIAL_METRIC = ("2 + y^2", "0.3*z", "0.2*y", "1 + y^2 + z", "0.1*y*z",
+                  "1.5 + sin(y)")
+SPECIAL_POINT = (-math.sin(0.3), 0.3, -0.2)
+# its pullback by (x, y, z) -> (-x, -y, z), and the preimage of SPECIAL_POINT
+TURNED_FORM = "dz - (x + sin(y))^2*dx"
+TURNED_METRIC = SPECIAL_METRIC[:5] + ("1.5 - sin(y)",)
+TURNED_POINT = (math.sin(0.3), -0.3, -0.2)
 
 
 # Closed forms of M and K on the Euclidean Heisenberg and Cartan fixtures.
@@ -83,16 +93,11 @@ def check_jet_oracle() -> CheckResult:
     h = 1e-5
     for prog in progs:
         for _ in range(3):
-            p = tuple(rng.uniform(-1, 1, 3))
-            j = prog(p)
-            for axis in range(3):
-                pp = list(p)
-                pm = list(p)
-                pp[axis] += h
-                pm[axis] -= h
-                fd = (prog(tuple(pp), 1).value - prog(tuple(pm), 1).value) / (2 * h)
-                mi = [0, 0, 0]
-                mi[axis] = 1
+            p = rng.uniform(-1, 1, 3)
+            j = prog(tuple(p))
+            for axis, e in enumerate(h * np.eye(3)):
+                fd = (prog(tuple(p + e), 1).value - prog(tuple(p - e), 1).value) / (2 * h)
+                mi = tuple(int(a == axis) for a in range(3))
                 devs.append(abs(j.partial_value(mi) - fd) / (1 + abs(fd)))
     return _result("jet-vs-finite-difference", devs, 1e-5)
 
@@ -237,8 +242,9 @@ def check_symmetry_reconstruction() -> CheckResult:
 
 
 def check_singular_fixture() -> CheckResult:
-    """Sigma location, characteristic field, lambda identities and
-    Q-invariants for the singular fixture, plus rescale invariance."""
+    """Sigma location, characteristic field, lambda identities, Q and its
+    rescale invariance for the singular fixture; E3 = d_z at every order and
+    Q under (x, y, z) -> (-x, -y, z) for the special form with nonzero Q."""
     g = MetricField.identity()
     omega = OneForm.parse(OMEGA_1)
     devs = []
@@ -248,9 +254,8 @@ def check_singular_fixture() -> CheckResult:
                            "Sigma root not found")
     devs.append(float(np.linalg.norm(sp.point)))
     for p in [(0.5, 0, 0), (0, 0, 0), (0, 0.4, 0.2)]:
-        v = characteristic_field(omega, p)
-        devs.append(float(np.linalg.norm(np.array([c.value for c in v])
-                                         - np.array([0.0, 1.0, 0.0]))))
+        v = jvec_values(characteristic_field(omega, p))
+        devs.append(float(np.linalg.norm(np.subtract(v, (0.0, 1.0, 0.0)))))
     for p in [(0.3, 0, 0), (0, 0.5, -0.3)]:
         frame, c = build_singular_frame(omega, g, p)
         r1, r2 = lambda_identities(frame, c)
@@ -262,6 +267,15 @@ def check_singular_fixture() -> CheckResult:
     scaled = omega.scale((lam_prog * lam_prog).exp())
     q2 = sigma_invariants(build_singular_frame(scaled, g, (0, 0, 0))[1])
     devs += [abs(q2.Q112 - q.Q112), abs(q2.Q212 - q.Q212)]
+    special, turned = ((OneForm.parse(f), MetricField.from_upper_triangle(m), p)
+                       for f, m, p in ((SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT),
+                                       (TURNED_FORM, TURNED_METRIC, TURNED_POINT)))
+    for order in range(SINGULAR_FRAME_ORDER, MAX_ORDER + 1):
+        e3 = np.stack([e.coeffs for e in build_singular_frame(*special, order)[0].E3])
+        e3[2, 0] -= 1.0  # E3 = d_z
+        devs.append(float(np.abs(e3).max()))
+    q, q2 = (sigma_invariants(build_singular_frame(*f)[1]) for f in (special, turned))
+    devs += [abs(q2.Q112 / q.Q112 - 1.0), abs(q2.Q212 / q.Q212 - 1.0)]
     return _result("singular-fixture", devs, 1e-6)
 
 

@@ -13,10 +13,10 @@ from scipy.optimize import brentq
 from .fields import DEFAULT_ORDER, MetricField, OneForm, curl_and_defect
 from .frame import (AdaptedFrame, StructureFunctions, adapted_coframe,
                     basis_and_lambda, jvec_cross, jvec_div, jvec_dot,
-                    jvec_scale, jvec_values, kernel_complement, lambda_jet,
+                    jvec_values, kernel_complement, lambda_jet,
                     nonholonomity, omega_norm, structure_functions, unit)
 from .invariants import directional_derivative
-from .jets import Jet, JetError
+from .jets import Jet, JetError, _mul_table, n_coeffs
 
 # Least jet orders, from the derivative budget: lambda takes one level (the
 # curl of omega in its numerator); d(lambda) one more; the singular frame's
@@ -25,11 +25,10 @@ SIGMA_SCAN_ORDER = 1
 TRANSVERSALITY_ORDER = SIGMA_SCAN_ORDER + 1
 SINGULAR_FRAME_ORDER = TRANSVERSALITY_ORDER + 1
 
-# Thresholds (of ratios that omega -> c omega leaves unchanged) and steps.
+# Thresholds (of ratios that omega -> c omega leaves unchanged).
 SIGMA_SCAN_NODES = 33      # equally spaced lambda samples on a probe segment
 TRANSVERSALITY_EPS = 1e-8  # transversal: |d(lambda)|_Delta| / |omega|_g above it
-CHARACTERISTIC_TOL = 1e-6  # w and omega(w) below it (relative) count as zero
-EXTRAPOLATION_STEP = 1e-3  # h of the extrapolation of V across Sigma
+CHARACTERISTIC_TOL = 1e-6  # w, omega(w) and w mod omega(w) below it vanish
 
 
 class SingularFrameError(JetError):
@@ -48,12 +47,6 @@ class SigmaPoint:
 class SigmaInvariants:
     Q112: float
     Q212: float
-
-
-def _norm_on_delta(f: Jet, e1, e2) -> float:
-    """Norm of d(f) restricted to Delta: hypot(E1 f, E2 f)."""
-    return float(np.hypot(directional_derivative(f, e1).value,
-                          directional_derivative(f, e2).value))
 
 
 def locate_sigma(omega: OneForm, metric: MetricField, segment,
@@ -89,42 +82,47 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
     scale = omega_norm(w, g)
     if residual / scale > root_tol:
         return None
-    grad_norm = _norm_on_delta(lam_jet, e1, e2)
+    grad_norm = float(np.hypot(directional_derivative(lam_jet, e1).value,
+                               directional_derivative(lam_jet, e2).value))
     return SigmaPoint(point=point, lambda_residual=residual,
                       transversal=grad_norm / scale > TRANSVERSALITY_EPS,
                       lambda_gradient_on_delta=grad_norm)
 
 
-def _dw_vector(form):
-    """(|omega|, w, omega(w)) from the jets of omega, with w the
-    (d omega)-vector and omega(w) the contact defect; omega -> c omega scales
-    them by c, c and c^2, so every test below compares ratios."""
-    w, mu = curl_and_defect(form)
-    return float(np.linalg.norm(jvec_values(form))), w, mu
-
-
-def _sigma_normal(size: float, mu: Jet):
-    """Unit normal direction to Sigma from the gradient of the contact
-    defect mu = omega(w) (vanishes exactly on Sigma); size is |omega|."""
-    grad = np.array([mu.partial(a).value for a in range(3)])
-    n = np.linalg.norm(grad)
-    if n < 1e-12 * size ** 2:
-        raise SingularFrameError(f"cannot estimate a Sigma-normal at {mu.point}")
-    return grad / n
+def _jet_quotient(w, mu: Jet):
+    """(u, r): u, one order below mu, fits w = u mu degree by degree by
+    least squares against the linear part of mu (mu(p) is dropped), and r
+    is the largest coefficient, degree 1 and up, of the remainder w - u mu."""
+    n, nu = mu.order, n_coeffs(mu.order - 1)
+    ia, ib, io = _mul_table(n)
+    keep = (ia < nu) & (ib > 0)
+    mul = np.zeros((len(mu.coeffs), nu))  # column j: the coefficients of x^j mu
+    mul[io[keep], ia[keep]] = mu.coeffs[ib[keep]]
+    wc, u, r = np.stack([c.coeffs for c in w], axis=1), np.zeros((nu, 3)), 0.0
+    for d in range(n):  # degree d of u fits degree d + 1 of w
+        lo, hi, top = n_coeffs(d - 1), n_coeffs(d), n_coeffs(d + 1)
+        rhs = wc[hi:top] - mul[hi:top, :lo] @ u[:lo]
+        u[lo:hi] = np.linalg.lstsq(mul[hi:top, lo:hi], rhs, rcond=None)[0]
+        r = max(r, np.abs(rhs - mul[hi:top, lo:hi] @ u[lo:hi]).max())
+    return tuple(Jet._new(mu.point, n - 1, c.copy()) for c in u.T), r
 
 
 def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
                          *, form=None):
     """V = w / omega(w) with w the (d omega)-vector spanning ker(d omega).
 
-    Where both w and omega(w) vanish (on Sigma for a special form), the
-    value is recovered by second-order Richardson extrapolation from p +/- h n
-    and p +/- (h/2) n along the Sigma-normal n, h = EXTRAPOLATION_STEP.
-    `form`, the jets of omega at the point at `order`, saves evaluating it.
+    Where w and omega(w) both vanish (on Sigma for a special form), V is the
+    exact quotient `_jet_quotient`, one order lower; the form is not special
+    there if omega(w) has no linear part or the remainder is above
+    CHARACTERISTIC_TOL times the largest coefficient of w.  `form`, the jets
+    of omega at the point at `order`, saves evaluating it.
     """
     if form is None:
         form = omega.evaluate(point, order)
-    size, w, omw = _dw_vector(form)
+    # omega -> c omega scales |omega|, w and omega(w) by c, c and c^2, so
+    # every test below compares ratios
+    size = float(np.linalg.norm(jvec_values(form)))
+    w, omw = curl_and_defect(form)
     w_max = max(abs(c.value) for c in w)
     if abs(omw.value) > CHARACTERISTIC_TOL * size * (size + w_max):
         return jvec_div(w, omw)
@@ -132,53 +130,41 @@ def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
         raise SingularFrameError(
             f"omega(w) = 0 with w != 0 at {omw.point}: no normalized "
             "characteristic field")
-    # removable degeneration: extrapolate across Sigma
-    n = _sigma_normal(size, omw)
-    p = np.array([float(c) for c in point])
-
-    def side_average(h: float):
-        """w / omega(w) averaged over p +/- h n: (order, coefficients) of
-        each component."""
-        sides = []
-        for sgn in (+1.0, -1.0):
-            size_q, wq, omwq = _dw_vector(
-                omega.evaluate(tuple(p + sgn * h * n), order))
-            if abs(omwq.value) < 1e-14 * size_q ** 2:
-                raise SingularFrameError(
-                    f"characteristic field degenerate off Sigma near {omw.point}")
-            sides.append(jvec_div(wq, omwq))
-        return [(j.order, 0.5 * (j.coeffs + k.coeffs)) for j, k in zip(*sides)]
-
-    c1 = side_average(EXTRAPOLATION_STEP)
-    c2 = side_average(EXTRAPOLATION_STEP / 2.0)
-    at = tuple(float(c) for c in point)
-    return tuple(Jet._new(at, m, (4.0 * b - a) / 3.0)
-                 for (_, a), (m, b) in zip(c1, c2))
+    w_scale = max(np.abs(c.coeffs).max() for c in w)
+    if max(abs(omw.partial(a).value) for a in range(3)) <= \
+            CHARACTERISTIC_TOL * size * w_scale:
+        raise SingularFrameError(
+            f"omega(w) has no linear part at {omw.point}: not special")
+    v, remainder = _jet_quotient(w, omw)
+    if remainder > CHARACTERISTIC_TOL * w_scale:
+        raise SingularFrameError(
+            f"omega(w) does not divide w at {omw.point}: not special")
+    return v
 
 
 def build_singular_frame(omega: OneForm, metric: MetricField, point,
                          order: int = DEFAULT_ORDER):
     """Adapted frame at/near Sigma for a special form omega.
 
-    E1 spans Delta intersected with ker(d lambda), sign fixed so its first
-    nonzero component (x, y, z order) is positive; E2 completes the oriented
-    orthonormal basis of Delta; E3 is the characteristic field.  Sigma must
-    be transversal there (TRANSVERSALITY_EPS).  Needs order
+    E1 spans Delta intersected with ker(d lambda), oriented so that
+    E2(lambda) > 0; E2 completes the oriented orthonormal basis of Delta; E3
+    is the characteristic field.  Sigma must be transversal there:
+    E2(lambda) / |omega|_g above TRANSVERSALITY_EPS.  Needs order
     SINGULAR_FRAME_ORDER for the structure functions.
     """
     w = omega.evaluate(point, order)
     g = metric.evaluate(point, order)
     lam = lambda_jet(w, g)
-    # annihilated by both omega and d(lambda), and zero where d(lambda)|_Delta is
-    direction = jvec_cross(w, tuple(lam.partial(a) for a in range(3)))
-    vals = jvec_values(direction)
-    largest = max(abs(v) for v in vals)
-    transversal = largest > 0.0
+    # D = d(lambda) x omega is annihilated by omega and d(lambda), and zero
+    # where d(lambda)|_Delta is; with E1 along D, E2 = unit(omega x g E1) and
+    # d(lambda) . (omega x g D) = g(D, D), so E2(lambda) > 0
+    direction = jvec_cross(tuple(lam.partial(a) for a in range(3)), w)
+    transversal = any(jvec_values(direction))
     if transversal:
-        sign = next(1.0 if v > 0 else -1.0 for v in vals if abs(v) > 1e-12 * largest)
-        e1, ge1 = unit(g, jvec_scale(sign, direction))
+        e1, ge1 = unit(g, direction)
         e2 = kernel_complement(w, g, ge1)
-        transversal = _norm_on_delta(lam, e1, e2) / omega_norm(w, g) > TRANSVERSALITY_EPS
+        transversal = (directional_derivative(lam, e2).value / omega_norm(w, g)
+                       > TRANSVERSALITY_EPS)
     if not transversal:
         raise SingularFrameError(
             f"d(lambda)|_Delta vanishes at {lam.point}: not transversal")

@@ -7,8 +7,9 @@ from srsurf.frame import jvec_dot, jvec_values, metric_dot
 # the Euclidean Heisenberg and Cartan fixtures; test_invariants.py derives
 # all four symbolically from the definitions.
 from srsurf.selftest import (AXIAL_FORM, AXIAL_METRIC, CARTAN,  # noqa: F401
-                             HEISENBERG, OMEGA_1, cartan_K, cartan_M, heis_K,
-                             heis_M)
+                             HEISENBERG, OMEGA_1, SPECIAL_FORM, SPECIAL_METRIC,
+                             SPECIAL_POINT, TURNED_FORM, TURNED_METRIC,
+                             TURNED_POINT, cartan_K, cartan_M, heis_K, heis_M)
 
 OMEGA_0 = "dz + x*dy"
 # neither diagonal nor constant, positive definite on |x|, |y|, |z| <= 2
@@ -47,6 +48,37 @@ def rng():
 
 def box_points(rng, n, scale=2.0):
     return [tuple(rng.uniform(-scale, scale, 3)) for _ in range(n)]
+
+
+def pullback(omega, metric, phi):
+    """(Phi*omega, Phi*g) as the texts OneForm.parse and
+    MetricField.from_upper_triangle read, for a one-form text, the six
+    upper-triangle texts of g and the three coordinate texts of the map Phi:
+    Phi*omega = (omega o Phi) J and Phi*g = J^T (g o Phi) J, J = dPhi."""
+    sp = pytest.importorskip("sympy")
+    xyz, dxyz = sp.symbols("x y z"), sp.symbols("dx dy dz")
+    names = {str(s): s for s in xyz + dxyz}
+
+    def parse(text):
+        return sp.sympify(text.replace("^", "**"), locals=names)
+
+    phi = [parse(t) for t in phi]
+
+    def at_phi(expr):
+        return expr.subs(dict(zip(xyz, phi)), simultaneous=True)
+
+    jac = sp.Matrix(3, 3, lambda i, j: sp.diff(phi[i], xyz[j]))
+    form = parse(omega)
+    pulled = sp.Matrix([[at_phi(form.diff(d)) for d in dxyz]]) * jac
+    g11, g12, g13, g22, g23, g33 = (at_phi(parse(t)) for t in metric)
+    g = sp.Matrix([[g11, g12, g13], [g12, g22, g23], [g13, g23, g33]])
+    g = jac.T * g * jac
+
+    def text(expr):
+        return str(expr).replace("**", "^")
+
+    return (" + ".join(f"({text(c)})*{d}" for c, d in zip(pulled, dxyz)),
+            tuple(text(g[i, j]) for i in range(3) for j in range(i, 3)))
 
 
 def assert_adapted(frame, w, gm, tol=1e-10):

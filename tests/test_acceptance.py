@@ -225,7 +225,7 @@ def test_criterion7_singular_fixture():
 
     for p in ((0.0, 0.2, 0.1), (0.4, 0.2, 0.1)):
         v = characteristic_field(OMEGA_1, p)
-        assert np.allclose(jvec_values(v), [0, 1, 0], atol=1e-8)
+        assert np.allclose(jvec_values(v), [0, 1, 0], atol=1e-13)
 
     for p in ((0.3, 0.0, 0.0), (-0.2, 0.5, 0.1)):
         frame, c = build_singular_frame(OMEGA_1, EUCLID, p)
@@ -234,7 +234,7 @@ def test_criterion7_singular_fixture():
         assert abs(r2) < 1e-8
 
     q = sigma_invariants(build_singular_frame(OMEGA_1, EUCLID, (0, 0, 0))[1])
-    assert abs(q.Q112) < 1e-8 and abs(q.Q212) < 1e-8
+    assert abs(q.Q112) < 1e-12 and abs(q.Q212) < 1e-12
 
     lam = FieldProgram(lambda p, n: nonholonomity(OMEGA_1, EUCLID, p, n))
     scaled = OMEGA_1.scale((lam * lam).exp())

@@ -17,15 +17,18 @@ from srsurf.singular import (SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
                              TRANSVERSALITY_ORDER)
 from srsurf.symmetry import EQ_ORDER, RESIDUAL_MIN_ORDER
 
-from conftest import AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OMEGA_1
+from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OMEGA_1,
+                      SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT)
 
 FIXTURES = {
     "heisenberg": (HEISENBERG, None, (0.4, -0.3, 0.2)),
     "axial": (AXIAL_FORM, AXIAL_METRIC, (0.4, 0.7, -0.2)),
     "omega1": (OMEGA_1, None, (0.3, 0.4, -0.1)),
 }
-# lambda and the singular frame are also used on Sigma = {x = 0}
-WITH_SIGMA = dict(FIXTURES, omega1_sigma=(OMEGA_1, None, (0.0, 0.4, -0.1)))
+# lambda and the singular frame are also used on Sigma: {x = 0} for omega1,
+# {x = -sin(y)} for the special form with nonzero Q
+WITH_SIGMA = dict(FIXTURES, omega1_sigma=(OMEGA_1, None, (0.0, 0.4, -0.1)),
+                  special_sigma=(SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT))
 
 
 def _lambda(omega, g, p, order):

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from srsurf import (FieldProgram, MetricField, OneForm, SingularFrameError,
-                    build_singular_frame, characteristic_field, delta_basis,
+from srsurf import (MAX_ORDER, FieldProgram, MetricField, OneForm,
+                    SingularFrameError, build_singular_frame,
+                    characteristic_field, delta_basis, directional_derivative,
                     lambda_identities, locate_sigma, nonholonomity,
                     sigma_invariants)
 from srsurf.fields import curl
 from srsurf.frame import jvec_cross, jvec_dot, jvec_values
+from srsurf.singular import SINGULAR_FRAME_ORDER
 
-from conftest import OFF_DIAGONAL_METRIC, assert_adapted, box_points
+from conftest import (OFF_DIAGONAL_METRIC, SPECIAL_FORM, SPECIAL_METRIC,
+                      SPECIAL_POINT, TURNED_FORM, TURNED_METRIC, TURNED_POINT,
+                      assert_adapted, box_points, pullback)
 
 
 # -- locate_sigma ----------------------------------------------------------
@@ -50,7 +54,7 @@ def test_characteristic_field_omega1_off_sigma(omega1):
 
 def test_characteristic_field_omega1_on_sigma(omega1):
     v = characteristic_field(omega1, (0.0, 0.3, -0.1))
-    assert np.allclose(jvec_values(v), [0, 1, 0], atol=1e-8)
+    assert np.allclose(jvec_values(v), [0, 1, 0], atol=1e-13)
 
 
 @pytest.mark.parametrize("c", ["1e-12", "1e6"])
@@ -98,16 +102,14 @@ def evaluated_points(monkeypatch):
 
 def test_characteristic_field_evaluates_omega_once_per_point(omega1, evaluated_points):
     characteristic_field(omega1, (0.0, 0.3, -0.1))
-    # on Sigma: the point, whose jets also give the Sigma-normal, and the
-    # four extrapolation points, each evaluated once for omega and d(omega)
-    assert len(evaluated_points) == 5 == len(set(evaluated_points))
+    # on Sigma the jets at the point alone give w / omega(w)
+    assert evaluated_points == [(0.0, 0.3, -0.1)]
 
 
 def test_singular_frame_evaluates_omega_once_per_point(omega1, euclid, evaluated_points):
     build_singular_frame(omega1, euclid, (0.0, 0.3, -0.1), order=3)
-    # the Sigma point, whose jets give lambda, the Sigma-normal and E3, and
-    # the four extrapolation points of E3
-    assert len(evaluated_points) == 5 == len(set(evaluated_points))
+    # the Sigma point, whose jets give lambda and E3
+    assert evaluated_points == [(0.0, 0.3, -0.1)]
 
 
 @pytest.mark.parametrize("c", ["1e-12", "1e6"])
@@ -117,15 +119,29 @@ def test_characteristic_field_nonexistent_is_scale_free(c):
         characteristic_field(omega, (1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize("c", ["1", "1e-12", "1e6"])
+@pytest.mark.parametrize("text, why", [
+    # w = (x, y, -2z) and omega(w) = -2z vanish at the origin, but omega(w)
+    # does not divide w
+    ("{c}*y*z*dx - {c}*x*z*dy + {c}*dz", "does not divide"),
+    # w = (0, -2x, 0) vanishes at the origin, and omega(w) everywhere
+    ("{c}*(1 + x^2)*dz", "no linear part"),
+])
+def test_characteristic_field_not_special(text, why, c):
+    omega = OneForm.parse(text.format(c=c))
+    with pytest.raises(SingularFrameError, match=f"{why}.*not special"):
+        characteristic_field(omega, (0.0, 0.0, 0.0))
+
+
 # -- singular frame --------------------------------------------------------
 
 def test_singular_frame_origin(omega1, euclid):
     frame, c = build_singular_frame(omega1, euclid, (0, 0, 0))
     assert np.allclose(jvec_values(frame.E1), [0, 0, 1], atol=1e-12)
-    assert np.allclose(jvec_values(frame.E3), [0, 1, 0], atol=1e-8)
+    assert np.allclose(jvec_values(frame.E3), [0, 1, 0], atol=1e-13)
     assert frame.kind == "singular"
     q = sigma_invariants(c)
-    assert abs(q.Q112) < 1e-7 and abs(q.Q212) < 1e-7
+    assert abs(q.Q112) < 1e-12 and abs(q.Q212) < 1e-12
 
 
 def test_singular_frame_near_sigma_identities(omega1, euclid):
@@ -213,3 +229,55 @@ def test_domega_on_delta_is_minus_lambda(omega1, heisenberg, euclid, rng):
             val = jvec_dot(b, jvec_cross(jvec_values(e1), jvec_values(e2))).value
             lam = nonholonomity(omega, euclid, p).value
             assert abs(val + lam) < 1e-9
+
+
+# -- a special form with nonzero Q -----------------------------------------
+
+def _sigma_frame(form, metric, p, order=4):
+    return build_singular_frame(OneForm.parse(form),
+                                MetricField.from_upper_triangle(metric), p, order)
+
+
+@pytest.mark.parametrize("order", range(SINGULAR_FRAME_ORDER, MAX_ORDER + 1))
+def test_special_form_frame_on_sigma(order):
+    frame, c = _sigma_frame(SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT, order)
+    # w = omega(w) d_z, so E3 = d_z in every coefficient
+    e3 = np.stack([e.coeffs for e in frame.E3])
+    e3[2, 0] -= 1.0
+    assert np.abs(e3).max() < 1e-13
+    assert directional_derivative(frame.lam, frame.E2).value > 0
+    q = sigma_invariants(c)
+    assert q.Q112 == pytest.approx(0.0087890, abs=1e-7)
+    assert q.Q212 == pytest.approx(-0.75248, abs=1e-5)
+
+
+def _shear_preimage(p):
+    """The point that Phi2 = (x + z^2/5, y, z + x y/4) maps to p."""
+    x, y = p[0], p[1]
+    for _ in range(8):  # Newton on x + (p_z - x y/4)^2 / 5 = p_x
+        z = p[2] - x * y / 4
+        x -= (x + z * z / 5 - p[0]) / (1 - z * y / 10)
+    return x, y, p[2] - x * y / 4
+
+
+@pytest.mark.parametrize("phi", [("-x", "-y", "z"), ("x + z^2/5", "y", "z + x*y/4")],
+                         ids=["turn", "shear"])
+def test_sigma_invariants_under_pullback(phi):
+    # Q(Phi*omega, Phi*g)(q) = Q(omega, g)(Phi(q)) for orientation-preserving Phi
+    want = sigma_invariants(_sigma_frame(SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT)[1])
+    form, metric = pullback(SPECIAL_FORM, SPECIAL_METRIC, phi)
+    q = TURNED_POINT if phi[0] == "-x" else _shear_preimage(SPECIAL_POINT)
+    got = sigma_invariants(_sigma_frame(form, metric, q)[1])
+    assert got.Q112 == pytest.approx(want.Q112, rel=1e-12, abs=0)
+    assert got.Q212 == pytest.approx(want.Q212, rel=1e-12, abs=0)
+
+
+def test_turned_fixture_is_the_pullback():
+    # the selftest's hand-written pullback by (-x, -y, z) against sympy's
+    form, metric = pullback(SPECIAL_FORM, SPECIAL_METRIC, ("-x", "-y", "z"))
+    for a, b in ((OneForm.parse(TURNED_FORM), OneForm.parse(form)),
+                 (MetricField.from_upper_triangle(TURNED_METRIC),
+                  MetricField.from_upper_triangle(metric))):
+        for p in ((0.3, -0.2, 0.5), TURNED_POINT):
+            for ja, jb in zip(np.ravel(a.evaluate(p, 3)), np.ravel(b.evaluate(p, 3))):
+                assert np.allclose(ja.coeffs, jb.coeffs, rtol=1e-14, atol=1e-14)
