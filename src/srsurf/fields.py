@@ -2,17 +2,17 @@
 
 An expression is Python's expression syntax with `^` for powers, held to a
 whitelist (README, "Expression syntax").  Each expression is parsed by the
-stdlib `ast`, checked against the whitelist and compiled once into a
-function of the coordinate jets; field programs wrap these as deterministic
-evaluators from a point to a Jet.  Derived quantities produced elsewhere in
-the pipeline (nonholonomity, invariants, ...) reuse the same FieldProgram
-interface, so they compose with the helpers here.
+stdlib `ast` and checked against the whitelist, and each field is compiled
+once into one function (point, order) -> the jets of all its components,
+which seeds the coordinate jets once per call.  A derived field (e^phi omega,
+-1/lambda, ...) is a plain (point, order) closure over these.
 """
 
 from __future__ import annotations
 
 import ast
 import json
+import sys
 import warnings
 from fractions import Fraction
 from operator import methodcaller
@@ -149,104 +149,52 @@ class _Parsed:
         raise self.error("exponent must be an integer or (p/q)", node)
 
 
-def _program(body) -> "FieldProgram":
-    """Compile a checked expression once into a program of the point."""
+def _compile(body):
+    """Compile a checked expression once into a function (point, order) ->
+    its jets.  Each call normalizes the point and seeds the three coordinate
+    jets once; a one-form or metric passes its components as one tuple."""
     tree = ast.Expression(ast.Lambda(_PARAMETERS, body))
     fn = eval(compile(ast.fix_missing_locations(tree), "<expression>", "eval"),
               _NAMESPACE)
 
-    def at(p, n):
+    def at(point, order):
+        p, n = tuple(float(c) for c in point), int(order)
         return fn(*(Jet.variable(axis, p, n) for axis in range(3)),
                   lambda value: Jet.constant(value, p, n))
-    return FieldProgram(at)
+    return at
 
 
 # --------------------------------------------------------------------------
-# Field programs
+# Scalar fields, one-forms and metrics
 
 
 class FieldProgram:
-    """Deterministic evaluator point -> Jet.
-
-    Wraps a callable (point, order) -> Jet.  Supports pointwise algebra so
-    derived quantities stay composable.
-    """
+    """A scalar field: a function (point, order) -> Jet, called as
+    `prog(p, order)`.  Compose fields with plain (point, order) closures."""
 
     def __init__(self, fn: Callable[[Tuple[float, float, float], int], Jet]):
         self._fn = fn
 
     def __call__(self, point, order: int = DEFAULT_ORDER) -> Jet:
-        return self._fn(tuple(float(c) for c in point), int(order))
-
-    @staticmethod
-    def constant(value: float) -> "FieldProgram":
-        return FieldProgram(lambda p, n: Jet.constant(float(value), p, n))
+        return self._fn(point, order)
 
     @staticmethod
     def parse(text: str) -> "FieldProgram":
         parsed = _Parsed(text)
-        return _program(parsed.scalar(parsed.tree))
-
-    @staticmethod
-    def _lift(other) -> "FieldProgram":
-        if isinstance(other, FieldProgram):
-            return other
-        return FieldProgram.constant(float(other))
-
-    def _zip(self, other, op) -> "FieldProgram":
-        other = FieldProgram._lift(other)
-        return FieldProgram(lambda p, n: op(self._fn(p, n), other._fn(p, n)))
-
-    def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return FieldProgram._lift(other)._zip(self, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._zip(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._zip(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return FieldProgram._lift(other)._zip(self, lambda a, b: a / b)
-
-    def __neg__(self):
-        return FieldProgram(lambda p, n: -self._fn(p, n))
-
-    def __pow__(self, k):
-        return FieldProgram(lambda p, n: self._fn(p, n) ** k)
-
-    def exp(self):
-        return FieldProgram(lambda p, n: self._fn(p, n).exp())
-
-
-# --------------------------------------------------------------------------
-# One-forms and metrics
+        return FieldProgram(_compile(parsed.scalar(parsed.tree)))
 
 
 class OneForm:
-    """omega = f1 dx + f2 dy + f3 dz with field-program components."""
+    """omega = f1 dx + f2 dy + f3 dz, held as one function
+    (point, order) -> (f1, f2, f3) jets."""
 
-    def __init__(self, components, source: str | None = None):
-        f1, f2, f3 = components
-        self.components = (FieldProgram._lift(f1),
-                           FieldProgram._lift(f2),
-                           FieldProgram._lift(f3))
-        self.source = source
+    def __init__(self, fn):
+        self._fn = fn
 
     @staticmethod
     def parse(text: str) -> "OneForm":
         """Terms `[+-]d` or `coeff*d` of the top-level +/- chain, d one of
-        dx, dy, dz; each component, 0 +/- t1 +/- t2 ..., compiles once."""
+        dx, dy, dz; the components, 0 +/- t1 +/- t2 ..., compile once."""
         parsed = _Parsed(text)
         node, terms = parsed.tree, []
         while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
@@ -270,49 +218,60 @@ class OneForm:
                 raise parsed.error("one-form term lacks a differential dx/dy/dz",
                                    term, at_end=True)
             sums[d] = ast.BinOp(sums[d], op, coeff)
-        return OneForm(tuple(_program(sums[d]) for d in _DIFFERENTIALS), source=text)
+        return OneForm(_compile(ast.Tuple([sums[d] for d in _DIFFERENTIALS], ast.Load())))
 
     def evaluate(self, point, order: int = DEFAULT_ORDER):
-        jets = tuple(c(point, order) for c in self.components)
+        jets = self._fn(point, order)
         if all(abs(j.value) < 1e-300 for j in jets):
             raise JetError(f"one-form vanishes at {jets[0].point}")
         return jets
 
-    def scale(self, factor: FieldProgram) -> "OneForm":
-        """Pointwise rescaling factor * omega (factor a scalar program)."""
-        return OneForm(tuple(factor * c for c in self.components))
+    def scale(self, factor) -> "OneForm":
+        """factor * omega, for a scalar field factor(point, order) -> Jet,
+        which is evaluated once per evaluation of the form."""
+        def scaled(p, n):
+            s = factor(p, n)
+            return tuple(s * c for c in self._fn(p, n))
+        return OneForm(scaled)
 
     def __neg__(self) -> "OneForm":
-        return OneForm(tuple(-c for c in self.components))
+        return OneForm(lambda p, n: tuple(-c for c in self._fn(p, n)))
 
 
 class MetricField:
-    """Ambient 3x3 symmetric metric; only its restriction to the plane
-    distribution matters downstream.  Defaults to the identity."""
+    """Ambient 3x3 symmetric metric, held as one function (point, order) ->
+    its upper triangle g11, g12, g13, g22, g23, g33; only its restriction to
+    the plane distribution matters downstream.  Defaults to the identity."""
 
-    def __init__(self, entries):
-        # entries: 3x3 of programs (must be symmetric by construction)
-        self.entries = tuple(tuple(FieldProgram._lift(e) for e in row) for row in entries)
+    def __init__(self, fn):
+        self._fn = fn
 
     @staticmethod
     def identity() -> "MetricField":
-        one, zero = 1.0, 0.0
-        return MetricField(((one, zero, zero), (zero, one, zero), (zero, zero, one)))
+        return MetricField.from_upper_triangle((1, 0, 0, 1, 0, 1))
 
     @staticmethod
-    def from_upper_triangle(exprs) -> "MetricField":
-        """Six expressions: g11, g12, g13, g22, g23, g33 (text or programs)."""
-        if len(exprs) != 6:
+    def from_upper_triangle(entries) -> "MetricField":
+        """Six entries g11, g12, g13, g22, g23, g33, each an expression text
+        or a finite number (the constant it denotes)."""
+        if len(entries) != 6:
             raise ValueError("metric needs exactly 6 upper-triangle entries")
-        progs = [FieldProgram.parse(e) if isinstance(e, str) else FieldProgram._lift(e)
-                 for e in exprs]
-        g11, g12, g13, g22, g23, g33 = progs
-        return MetricField(((g11, g12, g13), (g12, g22, g23), (g13, g23, g33)))
+
+        def checked(i, e):
+            if isinstance(e, str):
+                parsed = _Parsed(e)
+                return parsed.scalar(parsed.tree)
+            if type(e) in (int, float) and abs(e) <= sys.float_info.max:
+                return _constant(float(e))
+            raise ValueError(f"metric entry {i + 1} ({e!r}) is neither an "
+                             "expression nor a finite number")
+        body = ast.Tuple([checked(i, e) for i, e in enumerate(entries)], ast.Load())
+        return MetricField(_compile(body))
 
     @staticmethod
     def from_text(block: str) -> "MetricField":
         """Plain text (6 whitespace/newline-separated expressions) or a JSON
-        array of 6 expression strings."""
+        array of 6 expression strings or numbers."""
         block = block.strip()
         if not block:
             return MetricField.identity()
@@ -322,18 +281,12 @@ class MetricField:
                                                else block.split())
 
     def evaluate(self, point, order: int = DEFAULT_ORDER):
-        g = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):  # symmetric: evaluate the upper triangle
-                g[i][j] = g[j][i] = self.entries[i][j](point, order)
-        m1 = g[0][0].value
-        m2 = g[0][0].value * g[1][1].value - g[0][1].value ** 2
-        m3 = (g[0][0].value * (g[1][1].value * g[2][2].value - g[1][2].value ** 2)
-              - g[0][1].value * (g[0][1].value * g[2][2].value - g[1][2].value * g[0][2].value)
-              + g[0][2].value * (g[0][1].value * g[1][2].value - g[1][1].value * g[0][2].value))
-        if m1 <= 0 or m2 <= 0 or m3 <= 0:
-            raise JetError(f"metric not positive definite at {g[0][0].point}")
-        return g
+        g11, g12, g13, g22, g23, g33 = jets = self._fn(point, order)
+        a, b, c, d, e, f = (j.value for j in jets)
+        if a <= 0 or a * d - b ** 2 <= 0 or (
+                a * (d * f - e ** 2) - b * (b * f - e * c) + c * (b * e - d * c) <= 0):
+            raise JetError(f"metric not positive definite at {g11.point}")
+        return ((g11, g12, g13), (g12, g22, g23), (g13, g23, g33))
 
 
 def curl(f):

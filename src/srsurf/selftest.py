@@ -152,7 +152,7 @@ def check_gauge_invariance() -> CheckResult:
     devs = []
     for text in (HEISENBERG, CARTAN):
         omega = OneForm.parse(text)
-        scaled = omega.scale(phi.exp())
+        scaled = omega.scale(lambda p, n: phi(p, n).exp())
         flipped = -omega
         for p in _box_points(rng, 8, scale=1.5):
             ref, _, _ = invariants_at(omega, g, p)
@@ -172,7 +172,7 @@ def check_nonholonomity_properties() -> CheckResult:
     devs = []
     for text in (HEISENBERG, CARTAN, OMEGA_1):
         omega = OneForm.parse(text)
-        scaled = omega.scale(phi.exp())
+        scaled = omega.scale(lambda p, n: phi(p, n).exp())
         for p in _box_points(rng, 8, scale=1.2):
             _, _, e1, e2, lam = basis_and_lambda(omega, g, p)
             lam_s = nonholonomity(scaled, g, p)
@@ -263,8 +263,7 @@ def check_singular_fixture() -> CheckResult:
                  abs(c.C3_23.value), abs(c.C3_31.value)]
     q = sigma_invariants(build_singular_frame(omega, g, (0, 0, 0))[1])
     devs += [abs(q.Q112), abs(q.Q212)]
-    lam_prog = FieldProgram(lambda p, n: nonholonomity(omega, g, p, n))
-    scaled = omega.scale((lam_prog * lam_prog).exp())
+    scaled = omega.scale(lambda p, n: (nonholonomity(omega, g, p, n) ** 2).exp())
     q2 = sigma_invariants(build_singular_frame(scaled, g, (0, 0, 0))[1])
     devs += [abs(q2.Q112 - q.Q112), abs(q2.Q212 - q.Q212)]
     special, turned = ((OneForm.parse(f), MetricField.from_upper_triangle(m), p)

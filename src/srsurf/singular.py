@@ -75,10 +75,10 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
         if vals[-1] != 0.0:
             return None
         t_root = ts[-1]
-    residual = abs(lam(t_root))
     point = tuple(float(c) for c in p0 + t_root * (p1 - p0))
     w, g, e1, e2, lam_jet = basis_and_lambda(omega, metric, point,
                                              TRANSVERSALITY_ORDER)
+    residual = abs(lam_jet.value)
     scale = omega_norm(w, g)
     if residual / scale > root_tol:
         return None

@@ -91,7 +91,7 @@ def test_criterion3_frame_identities():
 def test_criterion4_gauge_invariance():
     phi = FieldProgram.parse("x + 2*y")
     for omega, seed in ((HEIS, 41), (CARTAN, 42)):
-        scaled = omega.scale(phi.exp())
+        scaled = omega.scale(lambda p, n: phi(p, n).exp())
         for p in sample_points(25, seed):
             v0, _, _ = invariants_at(omega, EUCLID, p)
             for variant in (scaled, -omega):
@@ -189,8 +189,11 @@ def test_criterion6_cartan_degenerate():
 def test_criterion6_injected_f_y():
     # f = y is omega(dx), the x-translation measured by omega; the program
     # parametrizes V by f = eta3(V) = -omega(V)/lambda, so inject -y/lambda
-    lam = FieldProgram(lambda q, n: nonholonomity(CARTAN, EUCLID, q, n))
-    f = -FieldProgram.parse("y") / lam
+    y = FieldProgram.parse("y")
+
+    def f(q, n):
+        return -y(q, n) / nonholonomity(CARTAN, EUCLID, q, n)
+
     pts = sample_points(20, 61)
     for rep in assemble_and_verify_V(CARTAN, EUCLID, pts, f=f, order=5):
         assert np.allclose(rep.V, [1, 0, 0], atol=1e-6), (
@@ -236,8 +239,7 @@ def test_criterion7_singular_fixture():
     q = sigma_invariants(build_singular_frame(OMEGA_1, EUCLID, (0, 0, 0))[1])
     assert abs(q.Q112) < 1e-12 and abs(q.Q212) < 1e-12
 
-    lam = FieldProgram(lambda p, n: nonholonomity(OMEGA_1, EUCLID, p, n))
-    scaled = OMEGA_1.scale((lam * lam).exp())
+    scaled = OMEGA_1.scale(lambda p, n: (nonholonomity(OMEGA_1, EUCLID, p, n) ** 2).exp())
     q1 = sigma_invariants(build_singular_frame(scaled, EUCLID, (0, 0, 0))[1])
     assert abs(q.Q112 - q1.Q112) < 1e-6
     assert abs(q.Q212 - q1.Q212) < 1e-6
@@ -248,7 +250,7 @@ def test_criterion7_singular_fixture():
 def test_criterion8_nonholonomity_properties():
     phi = FieldProgram.parse("x + 2*y")
     for omega, seed in ((HEIS, 81), (OMEGA_1, 82)):
-        scaled = omega.scale(phi.exp())
+        scaled = omega.scale(lambda p, n: phi(p, n).exp())
         for p in sample_points(50, seed):
             lam = nonholonomity(omega, EUCLID, p).value
             lam_s = nonholonomity(scaled, EUCLID, p).value

@@ -145,6 +145,38 @@ def test_bad_grid_exits_1(capsys):
     assert code == 1
 
 
+
+def test_json_metric_numbers_are_the_constants_they_denote(capsys, tmp_path):
+    outs = []
+    for name, text in (("text", "2 0 0 1 0 1"), ("json", "[2, 0, 0, 1, 0, 1]")):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "invariants", "--omega", HEISENBERG,
+                               "--metric-file", str(path),
+                               "--points", "0.3,-0.2,0.1;1,0.5,-0.4")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("entries, bad", [
+    ('[[1], "0", "0", "1", "0", "1"]', "entry 1 ([1])"),
+    ("[1, 0, 0, 1, 0, true]", "entry 6 (True)"),
+    ('[1, 0, {"a": 1}, 1, 0, 1]', "entry 3 ({'a': 1})"),
+    ("[1, null, 0, 1, 0, 1]", "entry 2 (None)"),
+    ("[1, 0, 0, NaN, 0, 1]", "entry 4 (nan)"),
+    ("[1, 0, 0, 1, 0, 1e999]", "entry 6 (inf)"),
+])
+def test_json_metric_entry_not_text_or_number_exits_1(capsys, tmp_path,
+                                                      entries, bad):
+    path = tmp_path / "metric.json"
+    path.write_text(entries)
+    code, out, err = run_cli(capsys, "invariants", "--omega", HEISENBERG,
+                             "--metric-file", str(path), "--points", "0,0,0")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and bad in err
+
 @pytest.mark.parametrize("command, option, value, message", [
     ("invariants", "--points", "nan,0,0;inf,1,0", "finite"),
     ("invariants", "--points", "0,-inf,0", "finite"),

@@ -18,27 +18,27 @@ from conftest import box_points
 def test_parse_heisenberg_components():
     w = OneForm.parse("dz + y*dx - x*dy")
     p = (0.7, -1.3, 0.2)
-    f1, f2, f3 = (c(p).value for c in w.components)
+    f1, f2, f3 = (c.value for c in w.evaluate(p))
     assert (f1, f2, f3) == (-1.3, -0.7, 1.0)
 
 
 def test_parse_omega1_components():
     w = OneForm.parse("dy + x^2*dz")
     p = (0.5, 1.0, 2.0)
-    f1, f2, f3 = (c(p).value for c in w.components)
+    f1, f2, f3 = (c.value for c in w.evaluate(p))
     assert (f1, f2, f3) == (0.0, 1.0, 0.25)
 
 
 def test_parse_plain_dz():
     w = OneForm.parse("dz")
-    f1, f2, f3 = (c((1, 2, 3)).value for c in w.components)
+    f1, f2, f3 = (c.value for c in w.evaluate((1, 2, 3)))
     assert (f1, f2, f3) == (0.0, 0.0, 1.0)
 
 
 def test_parse_coefficient_expressions():
     w = OneForm.parse("sqrt(1 + y^2)*dx + exp(x)*dy - (x + z)^3*dz")
     p = (1.0, 1.0, 0.5)
-    f1, f2, f3 = (c(p).value for c in w.components)
+    f1, f2, f3 = (c.value for c in w.evaluate(p))
     assert abs(f1 - math.sqrt(2)) < 1e-14
     assert abs(f2 - math.e) < 1e-14
     assert abs(f3 + 1.5 ** 3) < 1e-14
@@ -73,11 +73,9 @@ def test_negative_integer_exponent():
 
 
 def test_program_power_keeps_the_exponent():
-    x = FieldProgram.parse("x")
-    assert (x ** 0.5)((4, 0, 0)).value == 2.0
+    assert (Jet.variable(0, (4, 0, 0), 4) ** 0.5).value == 2.0
     assert FieldProgram.parse("x^(1/2)")((4, 0, 0)).value == 2.0
     # integral floats multiply, so they work at negative values
-    assert (x ** 2.0)((-3, 0, 0)).value == 9.0
     assert (Jet.variable(0, (-3, 0, 0), 4) ** 2.0).value == 9.0
 
 
@@ -240,13 +238,47 @@ def test_product_rule_d_of_f_omega(heisenberg, rng):
 def test_contact_defect_conformal_scaling(heisenberg, omega1, rng):
     phi = FieldProgram.parse("x - 0.5*y + 0.2*z")
     for omega in (heisenberg, omega1):
-        scaled = omega.scale(phi.exp())
+        scaled = omega.scale(lambda p, n: phi(p, n).exp())
         for p in box_points(rng, 5, scale=1.5):
             factor = math.exp(2 * phi(p).value)
             lhs = _defect(scaled, p)
             rhs = factor * _defect(omega, p)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
+
+
+def test_fields_seed_the_coordinate_jets_once(monkeypatch):
+    seeded = []
+    variable = Jet.variable
+
+    def counted(axis, point, order):
+        seeded.append(axis)
+        return variable(axis, point, order)
+
+    monkeypatch.setattr(Jet, "variable", staticmethod(counted))
+    p = (0.3, -0.4, 0.5)
+    OneForm.parse("sin(x)*dz + y*dx - x*z*dy").evaluate(p)
+    assert seeded == [0, 1, 2]
+    seeded.clear()
+    MetricField.from_upper_triangle(
+        ["2 + x^2", "0.1*y", "0", "1 + z^2", "0.2*x", "3"]).evaluate(p)
+    assert seeded == [0, 1, 2]
+
+
+def test_scale_evaluates_the_factor_once(heisenberg):
+    f = FieldProgram.parse("exp(x) * (1 + y^2)")
+    calls = []
+
+    def factor(p, n):
+        calls.append(p)
+        return f(p, n)
+
+    p = (0.4, -0.7, 1.1)
+    scaled = heisenberg.scale(FieldProgram(factor)).evaluate(p)
+    assert len(calls) == 1
+    fj = f(p, 4)
+    for got, c in zip(scaled, heisenberg.evaluate(p)):
+        assert np.array_equal(got.coeffs, (fj * c).coeffs)
 
 # -- metric ----------------------------------------------------------------
 

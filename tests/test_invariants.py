@@ -65,7 +65,7 @@ def test_gauge_invariance_quantified(heisenberg, cartan, euclid, rng):
     for omega in (heisenberg, cartan):
         pts = box_points(rng, 8)
         for phi in phis:
-            scaled = omega.scale(phi.exp())
+            scaled = omega.scale(lambda p, n: phi(p, n).exp())
             for p in pts:
                 try:
                     v0, _, _ = invariants_at(omega, euclid, p)

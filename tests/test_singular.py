@@ -188,8 +188,7 @@ def test_singular_frame_transversality_below_tolerance(heisenberg, euclid, p):
 # -- Sigma invariants ------------------------------------------------------
 
 def test_sigma_invariants_rescale_invariance(omega1, euclid):
-    lam = FieldProgram(lambda p, n: nonholonomity(omega1, euclid, p, n))
-    scaled = omega1.scale((lam * lam).exp())
+    scaled = omega1.scale(lambda p, n: (nonholonomity(omega1, euclid, p, n) ** 2).exp())
     for p in ((0.0, 0.0, 0.0), (0.0, 0.5, -0.3)):
         q0 = sigma_invariants(build_singular_frame(omega1, euclid, p)[1])
         q1 = sigma_invariants(build_singular_frame(scaled, euclid, p)[1])
@@ -199,9 +198,8 @@ def test_sigma_invariants_rescale_invariance(omega1, euclid):
 
 def test_coframe_change_consistency(omega1, euclid):
     # for omega-tilde = e^{lambda^2} omega, eta3 = e^{-phi} eta3-tilde at Sigma
-    lam = FieldProgram(lambda p, n: nonholonomity(omega1, euclid, p, n))
-    phi = lam * lam
-    scaled = omega1.scale(phi.exp())
+    phi = FieldProgram(lambda p, n: nonholonomity(omega1, euclid, p, n) ** 2)
+    scaled = omega1.scale(lambda p, n: phi(p, n).exp())
     for p in ((0.0, 0.0, 0.0), (0.0, 0.4, 0.2)):
         f0, _ = build_singular_frame(omega1, euclid, p)
         f1, _ = build_singular_frame(scaled, euclid, p)
@@ -212,7 +210,7 @@ def test_coframe_change_consistency(omega1, euclid):
 
 def test_lambda_conformal_homogeneity(omega1, euclid, rng):
     phi = FieldProgram.parse("x + 2*y")
-    scaled = omega1.scale(phi.exp())
+    scaled = omega1.scale(lambda p, n: phi(p, n).exp())
     for p in box_points(rng, 10):
         lam0 = nonholonomity(omega1, euclid, p).value
         lam1 = nonholonomity(scaled, euclid, p).value

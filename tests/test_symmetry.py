@@ -259,7 +259,10 @@ def test_reconstruct_quadrature_convergence(axial):
 
 def test_injected_axial_symmetry(axial):
     omega, metric = axial
-    f = -1 / FieldProgram(lambda q, n: nonholonomity(omega, metric, q, n))
+
+    def f(q, n):
+        return -1 / nonholonomity(omega, metric, q, n)
+
     for rep in assemble_and_verify_V(omega, metric, AXIAL_POINTS, f=f, order=5):
         assert np.allclose(rep.V, [0, 0, 1], atol=1e-12)
         assert abs(rep.VK) < 1e-10
@@ -283,7 +286,7 @@ def test_injected_heisenberg_symmetry(heisenberg, euclid, rng):
 
 
 def test_injected_zero_f_gives_zero_V(heisenberg, euclid):
-    f = FieldProgram.constant(0.0)
+    f = FieldProgram.parse("0")
     rep = assemble_and_verify_V(heisenberg, euclid, [(0.5, 0.2, 0.1)],
                                 f=f, order=5)[0]
     assert np.allclose(rep.V, [0, 0, 0], atol=1e-15)
