@@ -8,10 +8,12 @@ import sys
 from dataclasses import asdict
 from typing import List
 
+import numpy as np
+
 from .fields import MetricField, OneForm
 from .frame import NoncontactError
 from .invariants import INVARIANTS_ORDER, invariants_at
-from .jets import JetError
+from .jets import JetError, _mul_table
 from .report import (PointReport, RunConfig, csv_header, csv_row, parse_grid,
                      parse_points, parse_probe)
 from .selftest import run_selftest
@@ -23,6 +25,10 @@ from .symmetry import (RESIDUAL_MIN_ORDER, build_system, integrability_residuals
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SELFTEST = 2
+
+# Points per `invariants` batch: the most whose product temporaries (a float
+# per product-table term and point) stay under glibc's 128 KiB mmap threshold.
+INVARIANTS_CHUNK = 128 * 1024 // (8 * len(_mul_table(INVARIANTS_ORDER)[0]))
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -124,19 +130,28 @@ def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
     omega = OneForm.parse(cfg.omega_text)
     metric = MetricField.from_text(cfg.metric_text)
 
-    def one(p) -> PointReport:
+    def records(points) -> List[PointReport]:
+        """One pass over `points`, batched if more than one; a failing batch reruns per point."""
+        reports = [PointReport(point=tuple(p), branch="noncontact", contact=False) for p in points]
         try:
-            vals, frame, _ = invariants_at(omega, metric, p, INVARIANTS_ORDER,
-                                           eps_contact=cfg.eps_contact)
+            vals, frame, _ = invariants_at(
+                omega, metric, np.array(points, dtype=float) if len(points) > 1 else points[0],
+                INVARIANTS_ORDER, eps_contact=cfg.eps_contact)
         except NoncontactError:
-            return PointReport(point=tuple(p), branch="noncontact", contact=False)
+            return reports
         except (JetError, ValueError) as exc:
-            return PointReport(point=tuple(p), branch="regular", error=str(exc))
-        return PointReport(point=tuple(p), branch="regular", contact=True,
-                           lam=frame.lam.value, M=vals.M.value, K=vals.K.value,
-                           diagnostics=_diag(INVARIANTS_ORDER, (vals.M, vals.K)))
+            if len(points) > 1:  # so that each error record keeps its own text
+                return [r for p in points for r in records([p])]
+            return [PointReport(point=tuple(points[0]), branch="regular", error=str(exc))]
+        for r, lam, m, k in zip(frame.rows.tolist(), *(
+                np.atleast_1d(j.value).tolist() for j in (frame.lam, vals.M, vals.K))):
+            reports[r] = PointReport(point=tuple(points[r]), branch="regular", contact=True,
+                                     lam=lam, M=m, K=k,
+                                     diagnostics=_diag(INVARIANTS_ORDER, (vals.M, vals.K)))
+        return reports
 
-    return [one(p) for p in cfg.points]
+    n = INVARIANTS_CHUNK
+    return [r for i in range(0, len(cfg.points), n) for r in records(cfg.points[i:i + n])]
 
 
 def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
@@ -179,10 +194,13 @@ def cmd_singular(cfg: RunConfig) -> List[PointReport]:
     metric = MetricField.from_text(cfg.metric_text)
     reports = []
     for seg in cfg.probes:
-        sp = locate_sigma(omega, metric, seg, root_tol=cfg.root_tol)
+        try:
+            sp, error = locate_sigma(omega, metric, seg, root_tol=cfg.root_tol), None
+        except JetError as exc:
+            sp, error = None, str(exc)
         if sp is None:
             rep = PointReport(point=seg[0], branch="regular",
-                              error="no Sigma crossing on probe")
+                              error=error or "no Sigma crossing on probe")
             rep.diagnostics["probe"] = [list(seg[0]), list(seg[1])]
             reports.append(rep)
             continue

@@ -18,6 +18,8 @@ from fractions import Fraction
 from operator import methodcaller
 from typing import Callable, Tuple
 
+import numpy as np
+
 from .jets import VARIABLES, Jet, JetError
 
 DEFAULT_ORDER = 4
@@ -107,10 +109,9 @@ class _Parsed:
                                  "an expression", node)
             raise self.error(f"unknown identifier {node.id!r}", node)
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-            try:
-                return _constant(float(node.value))
-            except OverflowError:
-                raise self.error("number out of range", node) from None
+            if not abs(node.value) <= sys.float_info.max:  # 1e400 parses as inf
+                raise self.error("number out of range", node)
+            return _constant(float(node.value))
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             operand = self.scalar(node.operand)
             return operand if isinstance(node.op, ast.UAdd) else ast.UnaryOp(node.op, operand)
@@ -151,16 +152,16 @@ class _Parsed:
 
 def _compile(body):
     """Compile a checked expression once into a function (point, order) ->
-    its jets.  Each call normalizes the point and seeds the three coordinate
-    jets once; a one-form or metric passes its components as one tuple."""
+    its jets, at one point or an (N, 3) batch.  Each call seeds the three
+    coordinate jets once; a one-form or metric returns them as a tuple."""
     tree = ast.Expression(ast.Lambda(_PARAMETERS, body))
     fn = eval(compile(ast.fix_missing_locations(tree), "<expression>", "eval"),
               _NAMESPACE)
 
     def at(point, order):
-        p, n = tuple(float(c) for c in point), int(order)
-        return fn(*(Jet.variable(axis, p, n) for axis in range(3)),
-                  lambda value: Jet.constant(value, p, n))
+        x = Jet.variable(0, point, int(order))
+        y, z = (Jet.variable(axis, x.point, x.order) for axis in (1, 2))
+        return fn(x, y, z, lambda value: Jet.constant(value, x.point, x.order))
     return at
 
 
@@ -222,7 +223,8 @@ class OneForm:
 
     def evaluate(self, point, order: int = DEFAULT_ORDER):
         jets = self._fn(point, order)
-        if all(abs(j.value) < 1e-300 for j in jets):
+        f1, f2, f3 = (abs(j.value) < 1e-300 for j in jets)
+        if np.any(f1 & f2 & f3):
             raise JetError(f"one-form vanishes at {jets[0].point}")
         return jets
 
@@ -283,8 +285,8 @@ class MetricField:
     def evaluate(self, point, order: int = DEFAULT_ORDER):
         g11, g12, g13, g22, g23, g33 = jets = self._fn(point, order)
         a, b, c, d, e, f = (j.value for j in jets)
-        if a <= 0 or a * d - b ** 2 <= 0 or (
-                a * (d * f - e ** 2) - b * (b * f - e * c) + c * (b * e - d * c) <= 0):
+        if np.any((a <= 0) | (a * d - b ** 2 <= 0) | (
+                a * (d * f - e ** 2) - b * (b * f - e * c) + c * (b * e - d * c) <= 0)):
             raise JetError(f"metric not positive definite at {g11.point}")
         return ((g11, g12, g13), (g12, g22, g23), (g13, g23, g33))
 

@@ -80,6 +80,7 @@ class AdaptedFrame:
     eta3: JetVector
     lam: Jet
     kind: str  # "contact" | "singular"
+    rows: Optional[np.ndarray] = None  # the rows of a batch's points it covers
 
     @property
     def frame(self):
@@ -139,7 +140,7 @@ def kernel_complement(w: JetVector, g, ge1: JetVector) -> JetVector:
 def delta_basis(w: JetVector, g, seed: Optional[str] = None,
                 rotation: float = 0.0):
     """Oriented g-orthonormal basis (E1, E2) of ker omega, from the jets
-    w = omega and g = metric evaluated at one point and order.
+    w = omega and g = metric evaluated at one point (or batch) and order.
 
     E1 is the normalized g-orthogonal projection onto the kernel of the
     coordinate field e_s with the largest projection norm
@@ -152,14 +153,13 @@ def delta_basis(w: JetVector, g, seed: Optional[str] = None,
     pinning a frame to golden values.
     """
     wnorm2 = omega_norm(w, g) ** 2
-    norms = [g[i][i].value - w[i].value ** 2 / wnorm2 for i in range(3)]
-    if seed is not None:
-        seed_idx = "xyz".index(seed)
-    else:
-        seed_idx = max(range(3), key=lambda i: (norms[i], -i))
-    if norms[seed_idx] <= 1e-24:
+    norms = np.array([g[i][i].value - w[i].value ** 2 / wnorm2 for i in range(3)])
+    seed_idx = "xyz".index(seed) if seed is not None else norms.argmax(axis=0)
+    if np.any((norms[seed_idx] if seed is not None else norms.max(axis=0)) <= 1e-24):
         raise JetError(f"degenerate projection seed at {w[0].point}")
-    n = jvec_cross(w, g[seed_idx])  # g e_s is row s of the symmetric g
+    # g e_s is row s of the symmetric g; a batch takes row s[k] at point k
+    n = jvec_cross(w, g[seed_idx] if np.ndim(seed_idx) == 0 else [
+        Jet._new(c[0].point, c[0].order, np.choose(seed_idx, [j.coeffs for j in c])) for c in g])
     e1, ge1 = unit(g, jvec_cross(metric_apply(g, n), w))
     e2 = kernel_complement(w, g, ge1)
 
@@ -176,11 +176,14 @@ def lambda_jet(w: JetVector, g) -> Jet:
     g-orthonormal, positively oriented E1, E2 in ker omega, E1 x E2 =
     omega / sqrt(omega^T adj(g) omega), so omega([E1, E2]) =
     -curl(omega) . (E1 x E2) is this, whatever the gauge."""
-    (a, b, c), (_, d, e), (_, _, f) = g  # adj(g) from 6 distinct cofactors
+    return -(curl_and_defect(w)[1] * jvec_dot(w, metric_apply(adjugate(g), w)).pow(-0.5))
+
+
+def adjugate(g):
+    """adj(g) of a symmetric 3x3 g of jets or of values, from 6 cofactors."""
+    (a, b, c), (_, d, e), (_, _, f) = g
     a01, a02, a12 = e * c - b * f, b * e - d * c, c * b - e * a
-    adj = ((d * f - e * e, a01, a02), (a01, f * a - c * c, a12),
-           (a02, a12, a * d - b * b))
-    return -(curl_and_defect(w)[1] * jvec_dot(w, metric_apply(adj, w)).pow(-0.5))
+    return ((d * f - e * e, a01, a02), (a01, f * a - c * c, a12), (a02, a12, a * d - b * b))
 
 
 def basis_and_lambda(omega: OneForm, metric: MetricField, point,
@@ -193,12 +196,13 @@ def basis_and_lambda(omega: OneForm, metric: MetricField, point,
     return w, g, e1, e2, lambda_jet(w, g)
 
 
-def omega_norm(w: JetVector, g) -> float:
-    """|omega|_g from the jets w = omega and g; lambda / |omega|_g and
+def omega_norm(w: JetVector, g):
+    """|omega|_g = sqrt(omega^T adj(g) omega / det g) from the values of the
+    jets w = omega and g (one per point of a batch); lambda / |omega|_g and
     d(lambda) / |omega|_g do not change under omega -> c omega."""
-    wv = np.array(jvec_values(w))
-    gv = np.array([[gij.value for gij in row] for row in g])
-    return math.sqrt(wv @ np.linalg.solve(gv, wv))
+    wv, gv = jvec_values(w), [jvec_values(row) for row in g]
+    adj = adjugate(gv)
+    return np.sqrt(jvec_dot(wv, metric_apply(adj, wv)) / jvec_dot(gv[0], adj[0]))
 
 
 def nonholonomity(omega: OneForm, metric: MetricField, point,
@@ -241,27 +245,32 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
 
     eta3 = -omega / lambda (normalized so d(eta3)(E1, E2) = 1), E3 is the
     Reeb field of eta3, eta1/eta2 complete the dual coframe
-    (`adapted_coframe`).  The point counts as contact when
-    |lambda| / |omega|_g >= eps_contact, a ratio that omega -> e^phi omega
-    leaves unchanged.
+    (`adapted_coframe`).  A point is contact when |lambda| / |omega|_g >=
+    eps_contact, a ratio that omega -> e^phi omega leaves unchanged; the
+    frame of a batch covers its contact points, `frame.rows`, if any.
     """
     w, g, e1, e2, lam = basis_and_lambda(omega, metric, point, order, seed, rotation)
     contact = abs(lam.value) / omega_norm(w, g)
-    if contact < eps_contact:
+    rows = np.flatnonzero(~(contact < eps_contact))
+    if not len(rows):
         raise NoncontactError(f"point {lam.point} is noncontact "
-                              f"(|lambda| / |omega|_g = {contact:.3e})")
+                              f"(|lambda| / |omega|_g = {np.max(contact):.3e})")
+    if len(rows) < np.size(contact):  # a batch keeps its contact points
+        def take(j):
+            return (Jet(kept, j.order, j.coeffs[:, rows]) if isinstance(j, Jet)
+                    else tuple(map(take, j)))
+        kept = lam.point[rows]
+        w, g, e1, e2, lam = take((w, g, e1, e2, lam))
 
     eta3 = jvec_div(w, -lam)
     # Reeb field: d(eta3)(U, V) = b . (U x V) with b = curl(eta3), so
-    # d(eta3)(b, .) = 0 and E3 = b / eta3(b).
+    # d(eta3)(b, .) = 0 and E3 = b / eta3(b), where eta3(b) = mu / lambda^2
+    # = -sqrt(omega^T adj(g) omega) / lambda is nonzero at a contact point.
     b = curl(eta3)
-    eta3_b = jvec_dot(eta3, b)
-    if eta3_b.value == 0.0:
-        raise NoncontactError(f"no Reeb field at {lam.point}: eta3(b) = 0")
-    e3 = jvec_div(b, eta3_b)
+    e3 = jvec_div(b, jvec_dot(eta3, b))
 
     eta1, eta2, eta3 = adapted_coframe(g, e1, e2, e3, eta3)
     frame = AdaptedFrame(E1=e1, E2=e2, E3=e3,
                          eta1=eta1, eta2=eta2, eta3=eta3,
-                         lam=lam, kind="contact")
+                         lam=lam, kind="contact", rows=rows)
     return frame, structure_functions(frame)

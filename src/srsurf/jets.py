@@ -6,6 +6,10 @@ derivative budget: a partial derivative is a jet one order lower, a sum or
 product of two jets is known only to the lower of their orders, and
 differentiating a jet of order 0 is a hard error rather than silent
 garbage.
+
+A jet holds one point (a float 3-tuple) or a batch of N points (an (N, 3)
+array its jets share, coefficients (n_coeffs, N), values per point), each
+column its point's jet bit for bit: series come from `math` point by point.
 """
 
 from __future__ import annotations
@@ -48,9 +52,13 @@ def _index_map(order: int):
     return {mi: k for k, mi in enumerate(multi_indices(order))}
 
 
-@lru_cache(maxsize=None)
-def _mul_table(order: int):
-    """Triples (ia, ib, iout) with mi[iout] = mi[ia] + mi[ib]."""
+@lru_cache(maxsize=32)  # bounded: a batch's table grows with its size
+def _mul_table(order: int, batch: int = 0):
+    """Triples (ia, ib, iout) with mi[iout] = mi[ia] + mi[ib]; for a batch
+    of N points, iout indexes the flattened (n_coeffs, N) result."""
+    if batch:
+        ia, ib, io = _mul_table(order)
+        return ia, ib, (io[:, None] * batch + np.arange(batch)).ravel()
     mis = multi_indices(order)
     imap = _index_map(order)
     table = []
@@ -59,10 +67,7 @@ def _mul_table(order: int):
             s = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
             if sum(s) <= order:
                 table.append((ia, ib, imap[s]))
-    ia_arr = np.array([t[0] for t in table])
-    ib_arr = np.array([t[1] for t in table])
-    io_arr = np.array([t[2] for t in table])
-    return ia_arr, ib_arr, io_arr
+    return tuple(np.array(table).T.copy())
 
 
 @lru_cache(maxsize=None)
@@ -84,6 +89,27 @@ def _check_order(order: int):
         raise JetError(f"jet order must be in {MIN_ORDER}..{MAX_ORDER}, got {order}")
 
 
+def _as_point(point):
+    """A float 3-tuple, or an (N >= 1, 3) float array for a batch; kept if already one."""
+    if isinstance(point, np.ndarray) and point.ndim == 2:
+        if len(point) and point.shape[1] == 3:
+            return np.asarray(point, dtype=float)
+        raise JetError(f"a batch of points must have shape (N, 3), got {point.shape}")
+    if type(point) is tuple and len(point) == 3 and \
+            type(point[0]) is type(point[1]) is type(point[2]) is float:
+        return point
+    return tuple(float(c) for c in point)
+
+
+def _series(terms):
+    """A univariate jet method from its series terms(v, order, ...) at each value."""
+    def compose(self: "Jet", *args) -> "Jet":
+        v = self.value
+        return self.compose_series(terms(v, self.order, *args) if isinstance(v, float) else
+                                   np.array([terms(x, self.order, *args) for x in v.tolist()]).T)
+    return compose
+
+
 class Jet:
     """Taylor expansion of a scalar at a base point, truncated at `order`.
 
@@ -97,46 +123,46 @@ class Jet:
 
     def __init__(self, point, order: int, coeffs: np.ndarray):
         _check_order(order)
-        self.point = tuple(float(c) for c in point)
+        self.point = _as_point(point)
         self.order = order
         self.coeffs = np.asarray(coeffs, dtype=float)
-        if self.coeffs.shape != (n_coeffs(order),):
-            raise JetError("coefficient array has wrong length for order")
+        n = n_coeffs(order)
+        if self.coeffs.shape != ((n,) if type(self.point) is tuple else (n, len(self.point))):
+            raise JetError("coefficient array has wrong shape for order and point")
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def constant(value: float, point, order: int) -> "Jet":
+    def constant(value, point, order: int) -> "Jet":
         _check_order(order)
-        c = np.zeros(n_coeffs(order))
+        point = _as_point(point)
+        c = np.zeros(n_coeffs(order) if type(point) is tuple else (n_coeffs(order), len(point)))
         c[0] = value
         return Jet(point, order, c)
 
     @staticmethod
     def variable(axis: int, point, order: int) -> "Jet":
-        _check_order(order)
         if axis not in (0, 1, 2):
             raise JetError(f"axis must be 0, 1 or 2, got {axis}")
-        c = np.zeros(n_coeffs(order))
-        c[0] = point[axis]
-        mi = [0, 0, 0]
-        mi[axis] = 1
-        c[_index_map(order)[tuple(mi)]] = 1.0
-        return Jet(point, order, c)
+        point = _as_point(point)
+        jet = Jet.constant(point[axis] if type(point) is tuple else point[:, axis], point, order)
+        jet.coeffs[axis + 1] = 1.0  # the first-degree indices are x, y, z
+        return jet
 
     # -- basic queries -----------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        return float(self.coeffs[0]) if self.coeffs.ndim == 1 else self.coeffs[0]
 
-    def coeff(self, mi) -> float:
+    def coeff(self, mi):
         """Taylor coefficient for multi-index mi (derivative / factorials)."""
         mi = tuple(mi)
         if sum(mi) > self.order:
             raise BudgetExhausted(
                 f"no coefficient {mi} in a jet of order {self.order}")
-        return float(self.coeffs[_index_map(self.order)[mi]])
+        c = self.coeffs[_index_map(self.order)[mi]]
+        return float(c) if c.ndim == 0 else c
 
     def partial_value(self, mi) -> float:
         """Mixed partial derivative value (coefficient times factorials)."""
@@ -163,10 +189,11 @@ class Jet:
         return Jet._new(self.point, self.order, coeffs)
 
     def _truncated(self, other: "Jet"):
-        """(order, a, b): the lower order of two jets at one base point and
-        the coefficients of each, cut to that order."""
-        if self.point != other.point:
-            raise JetError(f"base point mismatch: {self.point} vs {other.point}")
+        """(order, a, b): the lower order of two jets at one point (for a
+        batch, one shared array) and their coefficients, cut to that order."""
+        p, q = self.point, other.point
+        if p is not q and not (type(p) is type(q) is tuple and p == q):
+            raise JetError(f"base point mismatch: {p} vs {q}")
         if self.order == other.order:
             return self.order, self.coeffs, other.coeffs
         order = min(self.order, other.order)
@@ -175,12 +202,12 @@ class Jet:
 
     @staticmethod
     def _coerce(other, template: "Jet"):
-        """A jet as is; a number as a constant at the template's point and
-        order, without re-checking them."""
+        """A jet as is; a number, or one per point, as a constant at the
+        template's point and order, without re-checking them."""
         if isinstance(other, Jet):
             return other
-        c = np.zeros(len(template.coeffs))
-        c[0] = float(other)
+        c = np.zeros(template.coeffs.shape)
+        c[0] = other
         return template._like(c)
 
     # -- ring operations ---------------------------------------------------
@@ -205,9 +232,13 @@ class Jet:
         if not isinstance(other, Jet):
             return self._like(self.coeffs * float(other))
         order, a, b = self._truncated(other)
-        ia, ib, io = _mul_table(order)
-        out = np.bincount(io, weights=a[ia] * b[ib], minlength=len(a))
-        return Jet._new(self.point, order, out)
+        if a.ndim == 1:
+            ia, ib, io = _mul_table(order)
+            return Jet._new(self.point, order,
+                            np.bincount(io, weights=a[ia] * b[ib], minlength=len(a)))
+        ia, ib, io = _mul_table(order, a.shape[1])
+        out = np.bincount(io, weights=(a[ia] * b[ib]).ravel(), minlength=a.size)
+        return Jet._new(self.point, order, out.reshape(a.shape))
 
     __rmul__ = __mul__
 
@@ -248,60 +279,57 @@ class Jet:
             result = result * u + d
         return result
 
-    def reciprocal(self) -> "Jet":
-        v = self.value
+    @_series
+    def reciprocal(v, order):
         if v == 0.0:
             raise JetError("division by a jet with zero value")
-        series = [(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)]
-        return self.compose_series(series)
+        return [(-1.0) ** k / v ** (k + 1) for k in range(order + 1)]
 
-    def sqrt(self) -> "Jet":
-        v = self.value
+    @_series
+    def sqrt(v, order):
         if v <= 0.0:
             raise JetError(f"sqrt of jet with non-positive value {v}")
         series, c = [], math.sqrt(v)
         coeff = 1.0
-        for k in range(self.order + 1):
+        for k in range(order + 1):
             series.append(coeff * c / v ** k)
             coeff *= (0.5 - k) / (k + 1)
-        return self.compose_series(series)
+        return series
 
-    def exp(self) -> "Jet":
-        e = math.exp(self.value)
-        series = [e / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose_series(series)
+    @_series
+    def exp(v, order):
+        e = math.exp(v)
+        return [e / math.factorial(k) for k in range(order + 1)]
 
-    def log(self) -> "Jet":
-        v = self.value
+    @_series
+    def log(v, order):
         if v <= 0.0:
             raise JetError(f"log of jet with non-positive value {v}")
         series = [math.log(v)]
-        for k in range(1, self.order + 1):
+        for k in range(1, order + 1):
             series.append((-1.0) ** (k + 1) / (k * v ** k))
-        return self.compose_series(series)
+        return series
 
-    def sin(self) -> "Jet":
-        v = self.value
+    @_series
+    def sin(v, order):
         cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
-        series = [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose_series(series)
+        return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
-    def cos(self) -> "Jet":
-        v = self.value
+    @_series
+    def cos(v, order):
         cycle = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
-        series = [cycle[k % 4] / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose_series(series)
+        return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
 
-    def pow(self, r: float) -> "Jet":
-        """Real power; requires a positive value."""
-        v = self.value
+    @_series
+    def pow(v, order, r: float):
+        """Real power r; requires a positive value."""
         if v <= 0.0:
             raise JetError(f"real power of jet with non-positive value {v}")
         series, coeff = [], 1.0
-        for k in range(self.order + 1):
+        for k in range(order + 1):
             series.append(coeff * v ** (r - k))
             coeff *= (r - k) / (k + 1)
-        return self.compose_series(series)
+        return series
 
     # -- differentiation ---------------------------------------------------
 
@@ -312,4 +340,7 @@ class Jet:
         if self.order < 1:
             raise BudgetExhausted("cannot differentiate: jet budget exhausted")
         src, scale = _partial_map(self.order, axis)
-        return Jet._new(self.point, self.order - 1, self.coeffs[src] * scale)
+        c = self.coeffs[src]
+        return Jet._new(self.point, self.order - 1,
+                        c * scale if c.ndim == 1 else c * scale[:, None])
+

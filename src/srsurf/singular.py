@@ -53,19 +53,22 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
                  root_tol: float = 1e-10) -> Optional[SigmaPoint]:
     """Root of lambda along the straight segment (p0, p1), or None.
 
-    The segment is scanned for a sign change, then the bracketed root is
-    polished (Brent).  It is accepted when |lambda| / |omega|_g <= root_tol
-    and is transversal when |d(lambda)|_Delta| / |omega|_g > TRANSVERSALITY_EPS.
+    The segment is scanned for a sign change in one batch, then the
+    bracketed root is polished (Brent).  It is accepted when |lambda| /
+    |omega|_g <= root_tol and is transversal when |d(lambda)|_Delta| /
+    |omega|_g > TRANSVERSALITY_EPS.
     """
-    p0 = np.array([float(c) for c in segment[0]])
-    p1 = np.array([float(c) for c in segment[1]])
+    p0, p1 = (np.array(p, dtype=float) for p in segment)
 
-    def lam(t: float) -> float:
-        return nonholonomity(omega, metric, tuple(p0 + t * (p1 - p0)),
+    def lam(t):  # at one t, or at a batch of them
+        return nonholonomity(omega, metric, p0 + np.multiply.outer(t, p1 - p0),
                              SIGMA_SCAN_ORDER).value
 
     ts = np.linspace(0.0, 1.0, SIGMA_SCAN_NODES)
-    vals = [lam(t) for t in ts]
+    try:
+        vals = lam(ts).tolist()
+    except JetError:  # again point by point, to raise the first bad node's error
+        vals = [lam(t) for t in ts]
     for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
         if fa == 0.0 or fa * fb < 0.0:
             t_root = a if fa == 0.0 else \
@@ -85,7 +88,7 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
     grad_norm = float(np.hypot(directional_derivative(lam_jet, e1).value,
                                directional_derivative(lam_jet, e2).value))
     return SigmaPoint(point=point, lambda_residual=residual,
-                      transversal=grad_norm / scale > TRANSVERSALITY_EPS,
+                      transversal=bool(grad_norm / scale > TRANSVERSALITY_EPS),
                       lambda_gradient_on_delta=grad_norm)
 
 

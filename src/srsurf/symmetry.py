@@ -114,7 +114,7 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 
     def segment(a: np.ndarray, d: np.ndarray) -> float:  # from a to a + d
         def integrand(t: float) -> float:
-            sys_ = build_system(omega, metric, tuple(a + t * d), EQ_ORDER,
+            sys_ = build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER,
                                 eps_D=eps_D, eps_contact=eps_contact)
             if sys_.degenerate:
                 raise DegeneratePointError(

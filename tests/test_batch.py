@@ -1,0 +1,210 @@
+"""The batch axis of Jet and the chunked `srsurf invariants`: every batch
+column, and every record of a chunked call, equals its one-point result bit
+for bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+from srsurf import Jet, JetError, MAX_ORDER, MetricField, OneForm, n_coeffs
+from srsurf.cli import INVARIANTS_CHUNK, main
+from srsurf.frame import omega_norm
+
+from conftest import HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1
+
+SIGMA_METRIC = "1 + x^2\n0\n0\n1\n0\n1\n"  # with OMEGA_1: Sigma = {x = 0}
+
+
+def _ufunc_disagreements(rng):
+    """Values at which numpy's exp, log or x ** -0.5 differ from math's in
+    the last bit on this machine (none on some): a batch that took its
+    series from numpy would show there."""
+    v = rng.uniform(0.3, 3.0, 20000)
+    bad = ((np.exp(v) != [math.exp(x) for x in v])
+           | (np.log(v) != [math.log(x) for x in v])
+           | (v ** -0.5 != [x ** -0.5 for x in v]))
+    return v[bad][:40]
+
+
+def _batch_and_columns(order, rng):
+    """Three jets a, b, c of one batch (a and c with positive values, c one
+    order lower), and the same jets one point at a time."""
+    values = np.concatenate([rng.uniform(0.3, 3.0, 24), _ufunc_disagreements(rng)])
+    points = rng.uniform(-1, 1, (len(values), 3))
+    batch = []
+    for k, m in enumerate((order, order, max(order - 1, 1))):
+        coeffs = rng.uniform(-1, 1, (n_coeffs(m), len(points)))
+        if k != 1:
+            coeffs[0] = rng.permutation(values)
+        batch.append(Jet(points, m, coeffs))
+    columns = [[Jet(points[i], j.order, j.coeffs[:, i]) for j in batch]
+               for i in range(len(points))]
+    return batch, columns
+
+
+OPERATIONS = {
+    "add": lambda a, b, c: a + b, "sub": lambda a, b, c: b - a,
+    "mul": lambda a, b, c: a * b, "mul_lower": lambda a, b, c: b * c,
+    "add_number": lambda a, b, c: 2.5 - a, "mul_number": lambda a, b, c: a * 1.5,
+    "div": lambda a, b, c: b / a, "rdiv": lambda a, b, c: 3.0 / a,
+    "square": lambda a, b, c: b ** 2, "cube": lambda a, b, c: b ** 3,
+    "power_7": lambda a, b, c: b ** 7, "power_minus_2": lambda a, b, c: a ** -2,
+    "partial_x": lambda a, b, c: b.partial(0), "partial_y": lambda a, b, c: b.partial(1),
+    "partial_z": lambda a, b, c: b.partial(2),
+    "reciprocal": lambda a, b, c: a.reciprocal(), "sqrt": lambda a, b, c: a.sqrt(),
+    "pow_half": lambda a, b, c: a ** 0.5, "pow": lambda a, b, c: c.pow(-1.5),
+    "exp": lambda a, b, c: b.exp(), "log": lambda a, b, c: a.log(),
+    "sin": lambda a, b, c: b.sin(), "cos": lambda a, b, c: b.cos(),
+    "chain": lambda a, b, c: ((a * b).exp() + c.sin() * a.sqrt()).partial(0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_batch_columns_are_the_one_point_jets(name):
+    op = OPERATIONS[name]
+    for order in range(1, MAX_ORDER + 1):
+        batch, columns = _batch_and_columns(order, np.random.default_rng(order))
+        got = op(*batch)
+        assert got.coeffs.shape == (n_coeffs(got.order), len(columns))
+        assert got.point is batch[0].point
+        for i, jets in enumerate(columns):
+            want = op(*jets)
+            assert got.order == want.order
+            assert np.array_equal(got.coeffs[:, i], want.coeffs), (order, i)
+            assert got.value[i] == want.value
+
+
+def test_batch_value_and_seeds():
+    points = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -3.0]])
+    for axis in range(3):
+        x = Jet.variable(axis, points, 3)
+        assert x.point is points
+        assert np.array_equal(x.value, points[:, axis])
+        assert np.array_equal(x.partial(axis).value, [1.0, 1.0])
+    c = Jet.constant(np.array([2.0, -1.0]), points, 2)
+    assert np.array_equal(c.value, [2.0, -1.0])
+    assert Jet.constant(4.0, points, 2).coeffs.shape == (n_coeffs(2), 2)
+
+
+def test_batch_errors():
+    points = np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    x = Jet.variable(0, points, 2)
+    # the first bad point's error, as one point at a time
+    with pytest.raises(JetError, match=r"sqrt of jet with non-positive value -0\.5"):
+        x.sqrt()
+    with pytest.raises(JetError, match="base point mismatch"):
+        x + Jet.variable(0, points.copy(), 2)  # a batch shares one point array
+    with pytest.raises(JetError, match="base point mismatch"):
+        x + Jet.variable(0, (0.5, 0.0, 0.0), 2)
+    for bad in (np.zeros((0, 3)), np.zeros((2, 2))):
+        with pytest.raises(JetError, match="shape"):
+            Jet.variable(0, bad, 2)
+    with pytest.raises(JetError, match="wrong shape"):
+        Jet(points, 2, np.zeros(n_coeffs(2)))
+
+
+def test_omega_norm_matches_the_solve():
+    """sqrt(omega^T adj(g) omega / det g) against omega^T g^-1 omega by
+    np.linalg.solve, on random metrics with condition number at most 4 at
+    scales 1e-3..1e3 (both carry rounding errors that grow with it)."""
+    rng = np.random.default_rng(7)
+    point = (0.0, 0.0, 0.0)
+    for _ in range(300):
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        g = (q * rng.uniform(0.5, 2.0, 3)) @ q.T * 10 ** rng.uniform(-3, 3)
+        g = (g + g.T) / 2
+        w = rng.normal(size=3) * 10 ** rng.uniform(-3, 3)
+        got = omega_norm(tuple(Jet.constant(c, point, 1) for c in w),
+                         tuple(tuple(Jet.constant(c, point, 1) for c in row) for row in g))
+        want = math.sqrt(w @ np.linalg.solve(g, w))
+        assert abs(got / want - 1) <= 1e-15
+
+
+# -- chunked `srsurf invariants` -----------------------------------------------
+
+def _invariants(capsys, omega, points, metric_file, *options):
+    text = ";".join(",".join(repr(float(c)) for c in p) for p in points)
+    argv = ["invariants", "--omega", omega, "--points=" + text, *options]
+    if metric_file:
+        argv += ["--metric-file", str(metric_file)]
+    assert main(argv) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def _assert_one_point_records(capsys, omega, points, metric_file=None, *options):
+    """The records of one call over `points` are, byte for byte, those of
+    one call per point; returns them."""
+    lines = _invariants(capsys, omega, points, metric_file, *options)
+    assert len(lines) == len(points)
+    for p, line in zip(points, lines):
+        assert [line] == _invariants(capsys, omega, [p], metric_file, *options), p
+    return lines
+
+
+@pytest.fixture
+def sigma_metric(tmp_path):
+    path = tmp_path / "metric.txt"
+    path.write_text(SIGMA_METRIC)
+    return path
+
+
+def _sigma_fixture_points(n, rng):
+    """n points, every fifth on Sigma = {x = 0}."""
+    points = rng.uniform(-1.5, 1.5, (n, 3))
+    points[::5, 0] = 0.0
+    return points
+
+
+@pytest.mark.parametrize("n", [1, INVARIANTS_CHUNK - 1, INVARIANTS_CHUNK,
+                               INVARIANTS_CHUNK + 1])
+def test_chunk_lengths(capsys, sigma_metric, n):
+    points = _sigma_fixture_points(n, np.random.default_rng(n))
+    lines = _assert_one_point_records(capsys, OMEGA_1, points, sigma_metric)
+    assert sum('"noncontact"' in line for line in lines) == len(range(0, n, 5))
+
+
+def test_chunk_of_sigma_points_only(capsys, sigma_metric):
+    points = _sigma_fixture_points(INVARIANTS_CHUNK + 3, np.random.default_rng(3))
+    points[:, 0] = 0.0
+    lines = _assert_one_point_records(capsys, OMEGA_1, points, sigma_metric)
+    assert all('"noncontact"' in line for line in lines)
+
+
+def test_sigma_and_noncontact_points_mixed(capsys, sigma_metric):
+    # below --tol-contact 0.3 a point off Sigma is noncontact too
+    points = _sigma_fixture_points(60, np.random.default_rng(4))
+    points[1::5, 0] = np.linspace(-0.2, 0.2, 12)
+    lines = _assert_one_point_records(capsys, OMEGA_1, points, sigma_metric,
+                                      "--tol-contact", "0.3")
+    noncontact = sum('"noncontact"' in line for line in lines)
+    assert len(range(0, 60, 5)) < noncontact < 60
+
+
+def test_rows_with_errors_rerun_one_point_at_a_time(capsys, tmp_path):
+    metric = tmp_path / "metric.txt"
+    metric.write_text("x 0 0 1 0 1")  # not positive definite at x <= 0
+    points = _sigma_fixture_points(40, np.random.default_rng(5))
+    lines = _assert_one_point_records(capsys, OMEGA_1, points, metric)
+    errors = [line for line in lines if "metric not positive definite at" in line]
+    assert len(errors) == sum(points[:, 0] <= 0) > 0
+
+
+def test_seed_axis_varies_from_row_to_row(capsys, tmp_path):
+    metric = tmp_path / "metric.txt"
+    metric.write_text("\n".join(OFF_DIAGONAL_METRIC))
+    points = np.random.default_rng(6).uniform(-2, 2, (50, 3))
+    # the seed of delta_basis: the largest g_ss - omega_s^2 / |omega|_g^2
+    w = OneForm.parse(HEISENBERG).evaluate(points, 1)
+    g = MetricField.from_text(metric.read_text()).evaluate(points, 1)
+    norms = [g[i][i].value - w[i].value ** 2 / omega_norm(w, g) ** 2 for i in range(3)]
+    assert len(set(np.argmax(norms, axis=0))) == 2
+    _assert_one_point_records(capsys, HEISENBERG, points, metric)
+
+
+def test_transcendental_form(capsys, tmp_path):
+    metric = tmp_path / "metric.txt"
+    metric.write_text("\n".join(OFF_DIAGONAL_METRIC))
+    points = np.random.default_rng(8).uniform(-1, 1, (30, 3))
+    _assert_one_point_records(capsys, "dz + sin(x)*exp(y)*dx + ln(2 + z)*dy - x*dy",
+                              points, metric)

@@ -368,6 +368,36 @@ def test_singular_probe_without_crossing(capsys):
     assert rec["error"] == "no Sigma crossing on probe"
 
 
+@pytest.mark.parametrize("omega, metric, probe, error", [
+    # omega vanishes at x = 0
+    ("x*dy + x*dz", "", "-1,0,0 : 1,0,0", "one-form vanishes at (0.0, 0.0, 0.0)"),
+    # the metric is not positive definite at x <= 0
+    (OMEGA_1, "x 0 0 1 0 1", "-1,0,0 : 1,0,0",
+     "metric not positive definite at (-1.0, 0.0, 0.0)"),
+])
+def test_singular_bad_scan_point_fails_its_own_probe(capsys, tmp_path, omega,
+                                                      metric, probe, error):
+    metric_file = tmp_path / "metric.txt"
+    metric_file.write_text(metric)
+    common = ("singular", "--omega", omega, "--metric-file", str(metric_file))
+    good = "0.5,-1,0 : 1,1,0"
+    code, out, _ = run_cli(capsys, *common, "--probe", good, "--probe", probe,
+                           "--probe", good)
+    assert code == 0
+    first, bad, last = ndjson(out)
+    assert bad["error"] == error
+    assert bad["diagnostics"]["probe"] == [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+    _, alone, _ = run_cli(capsys, *common, "--probe", good)
+    assert ndjson(alone) == [first] == [last]
+
+
+def test_invariants_number_out_of_range_exits_1(capsys):
+    code, out, err = run_cli(capsys, "invariants", "--omega", "1e400*dz + y*dx",
+                             "--points", "0.1,0.2,0.3")
+    assert (code, out) == (1, "")
+    assert err == "error: number out of range (at position 0)\n"
+
+
 def test_singular_error_formats_plain_floats(capsys):
     # lambda is proportional to x^2 here, so d(lambda)|_Delta vanishes on Sigma
     code, out, _ = run_cli(capsys, "singular", "--omega", "dy + x^3*dz",

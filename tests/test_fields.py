@@ -102,6 +102,19 @@ def test_parse_error_positions_index_the_text(text, pos):
     assert exc.value.pos == pos
 
 
+@pytest.mark.parametrize("text, pos", [
+    ("1e400*dz + y*dx", 0),        # a float literal that overflows to inf
+    ("dz + y*dx - 2.5e308*dy", 12),
+    ("dz + 10" + "0" * 400 + "*dx", 5),  # an integer too large for a float
+], ids=["inf", "inf-later", "huge-int"])
+def test_number_out_of_range_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError, match="number out of range") as exc:
+        OneForm.parse(text)
+    assert exc.value.pos == pos
+    with pytest.raises(ParseError, match="number out of range"):
+        MetricField.from_text("1e400 0 0 1 0 1")
+
+
 @pytest.mark.parametrize("text", ["1/0", "(-8)^(1/3)", "ln(-1)", "sqrt(0)"])
 def test_constant_domain_errors_raise_jet_error(text):
     program = FieldProgram.parse(text)  # numbers are constant jets
