@@ -82,12 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     """The run configuration from the options the subcommand has; the
     others keep their RunConfig defaults."""
-    cfg = RunConfig(omega_text=args.omega, out_format=args.format)
-    for option, name in (("tol_contact", "eps_contact"), ("tol_degenerate", "eps_D"),
-                         ("tol_root", "root_tol"), ("tol_quad", "quad_tol"),
-                         ("reconstruct", "reconstruct")):
-        if getattr(args, option, None) is not None:
-            setattr(cfg, name, getattr(args, option))
+    cfg = RunConfig(omega_text=args.omega, out_format=args.format,
+                    reconstruct=getattr(args, "reconstruct", False))
+    for name, option in RunConfig.TOLERANCE_OPTIONS.items():
+        value = getattr(args, option[2:].replace("-", "_"), None)
+        if value is not None:
+            setattr(cfg, name, value)
     if args.metric_file:
         with open(args.metric_file) as fh:
             cfg.metric_text = fh.read()

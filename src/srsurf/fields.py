@@ -20,7 +20,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .jets import VARIABLES, Jet, JetError
+from .jets import VARIABLES, Jet, JetError, fail_where
 
 DEFAULT_ORDER = 4
 
@@ -224,8 +224,7 @@ class OneForm:
     def evaluate(self, point, order: int = DEFAULT_ORDER):
         jets = self._fn(point, order)
         f1, f2, f3 = (abs(j.value) < 1e-300 for j in jets)
-        if np.any(f1 & f2 & f3):
-            raise JetError(f"one-form vanishes at {jets[0].point}")
+        fail_where(f1 & f2 & f3, jets[0].point, "one-form vanishes")
         return jets
 
     def scale(self, factor) -> "OneForm":
@@ -285,10 +284,19 @@ class MetricField:
     def evaluate(self, point, order: int = DEFAULT_ORDER):
         g11, g12, g13, g22, g23, g33 = jets = self._fn(point, order)
         a, b, c, d, e, f = (j.value for j in jets)
-        if np.any((a <= 0) | (a * d - b ** 2 <= 0) | (
-                a * (d * f - e ** 2) - b * (b * f - e * c) + c * (b * e - d * c) <= 0)):
-            raise JetError(f"metric not positive definite at {g11.point}")
+        # leading minors g11, cofactor 33, det g; one that is inf or NaN fails, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            adj = adjugate(((a, b, c), (b, d, e), (c, e, f)))
+            ok = (a > 0) & (adj[2][2] > 0) & (a * adj[0][0] + b * adj[0][1] + c * adj[0][2] > 0)
+            fail_where(np.logical_not(ok), g11.point, "metric not positive definite")
         return ((g11, g12, g13), (g12, g22, g23), (g13, g23, g33))
+
+
+def adjugate(g):
+    """adj(g) of a symmetric 3x3 g of jets or of values, from 6 cofactors."""
+    (a, b, c), (_, d, e), (_, _, f) = g
+    a01, a02, a12 = e * c - b * f, b * e - d * c, c * b - e * a
+    return ((d * f - e * e, a01, a02), (a01, f * a - c * c, a12), (a02, a12, a * d - b * b))
 
 
 def curl(f):

@@ -7,12 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import math
-
 import numpy as np
 
-from .fields import DEFAULT_ORDER, MetricField, OneForm, curl, curl_and_defect
-from .jets import Jet, JetError
+from .fields import DEFAULT_ORDER, MetricField, OneForm, adjugate, curl, curl_and_defect
+from .jets import Jet, JetError, fail_where
 
 JetVector = Tuple[Jet, Jet, Jet]
 
@@ -23,10 +21,6 @@ class NoncontactError(JetError):
 
 # --------------------------------------------------------------------------
 # small dense jet linear algebra
-
-
-def jvec_add(u: JetVector, v: JetVector) -> JetVector:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def jvec_sub(u: JetVector, v: JetVector) -> JetVector:
@@ -130,44 +124,34 @@ def unit(g, u: JetVector):
     return jvec_scale(r, u), jvec_scale(r, gu)
 
 
-def kernel_complement(w: JetVector, g, ge1: JetVector) -> JetVector:
-    """E2 = unit(omega x g E1) for a g-unit E1 in ker omega.  E2 lies in
-    ker omega, is g-orthogonal to E1, and E1 x (omega x g E1) = omega, so
+def kernel_basis(w: JetVector, g, v: JetVector):
+    """(E1, E2) = (unit(v), unit(omega x g E1)) for v in ker omega.  E2 lies
+    in ker omega, is g-orthogonal to E1, and E1 x (omega x g E1) = omega, so
     (E1, E2, g^-1 omega) is positively oriented."""
-    return unit(g, jvec_cross(w, ge1))[0]
+    e1, ge1 = unit(g, v)
+    return e1, unit(g, jvec_cross(w, ge1))[0]
 
 
-def delta_basis(w: JetVector, g, seed: Optional[str] = None,
-                rotation: float = 0.0):
+def delta_basis(w: JetVector, g):
     """Oriented g-orthonormal basis (E1, E2) of ker omega, from the jets
     w = omega and g = metric evaluated at one point (or batch) and order.
 
     E1 is the normalized g-orthogonal projection onto the kernel of the
     coordinate field e_s with the largest projection norm
-    |p_s|^2 = g_ss - omega_s^2 / |omega|_g^2 (tie-break x, y, z):
-    E1 = unit((g n) x omega) with n = omega x g e_s, whose g-product with e_s
-    is |n|_g^2 > 0.  E2 = unit(omega x g E1) completes the basis with
-    (E1, E2, g^-1 omega) positively oriented against dx^dy^dz.  `seed`
-    overrides the seed choice ("x"|"y"|"z") and `rotation` applies an extra
-    SO(2) gauge rotation — both exist for gauge-invariance testing and for
-    pinning a frame to golden values.
+    |p_s|^2 = g_ss - omega_s^2 / |omega|_g^2 (tie-break x, y, z), chosen at
+    each point: E1 = unit((g n) x omega) with n = omega x g e_s, whose
+    g-product with e_s is |n|_g^2 > 0.  E2 = unit(omega x g E1) completes the
+    basis with (E1, E2, g^-1 omega) positively oriented (`kernel_basis`).
+    Any other gauge is a rotation of this one, which M and K do not see.
     """
     wnorm2 = omega_norm(w, g) ** 2
     norms = np.array([g[i][i].value - w[i].value ** 2 / wnorm2 for i in range(3)])
-    seed_idx = "xyz".index(seed) if seed is not None else norms.argmax(axis=0)
-    if np.any((norms[seed_idx] if seed is not None else norms.max(axis=0)) <= 1e-24):
-        raise JetError(f"degenerate projection seed at {w[0].point}")
-    # g e_s is row s of the symmetric g; a batch takes row s[k] at point k
-    n = jvec_cross(w, g[seed_idx] if np.ndim(seed_idx) == 0 else [
-        Jet._new(c[0].point, c[0].order, np.choose(seed_idx, [j.coeffs for j in c])) for c in g])
-    e1, ge1 = unit(g, jvec_cross(metric_apply(g, n), w))
-    e2 = kernel_complement(w, g, ge1)
-
-    if rotation != 0.0:
-        c, s = math.cos(rotation), math.sin(rotation)
-        e1, e2 = (jvec_add(jvec_scale(c, e1), jvec_scale(s, e2)),
-                  jvec_add(jvec_scale(-s, e1), jvec_scale(c, e2)))
-    return e1, e2
+    fail_where(norms.max(axis=0) <= 1e-24, w[0].point, "degenerate projection seed")
+    # component i of g e_s is g[i][s]; a batch takes s point by point
+    s = norms.argmax(axis=0)
+    n = jvec_cross(w, [Jet._new(row[0].point, row[0].order,
+                                np.choose(s, [j.coeffs for j in row])) for row in g])
+    return kernel_basis(w, g, jvec_cross(metric_apply(g, n), w))
 
 
 def lambda_jet(w: JetVector, g) -> Jet:
@@ -179,20 +163,12 @@ def lambda_jet(w: JetVector, g) -> Jet:
     return -(curl_and_defect(w)[1] * jvec_dot(w, metric_apply(adjugate(g), w)).pow(-0.5))
 
 
-def adjugate(g):
-    """adj(g) of a symmetric 3x3 g of jets or of values, from 6 cofactors."""
-    (a, b, c), (_, d, e), (_, _, f) = g
-    a01, a02, a12 = e * c - b * f, b * e - d * c, c * b - e * a
-    return ((d * f - e * e, a01, a02), (a01, f * a - c * c, a12), (a02, a12, a * d - b * b))
-
-
 def basis_and_lambda(omega: OneForm, metric: MetricField, point,
-                     order: int = DEFAULT_ORDER, seed: Optional[str] = None,
-                     rotation: float = 0.0):
+                     order: int = DEFAULT_ORDER):
     """(w, g, E1, E2, lambda) at a point, evaluating omega and g once."""
     w = omega.evaluate(point, order)
     g = metric.evaluate(point, order)
-    e1, e2 = delta_basis(w, g, seed=seed, rotation=rotation)
+    e1, e2 = delta_basis(w, g)
     return w, g, e1, e2, lambda_jet(w, g)
 
 
@@ -211,17 +187,6 @@ def nonholonomity(omega: OneForm, metric: MetricField, point,
     return lambda_jet(omega.evaluate(point, order), metric.evaluate(point, order))
 
 
-def adapted_coframe(g, e1: JetVector, e2: JetVector, e3: JetVector,
-                    eta3: JetVector):
-    """Coframe dual to (E1, E2, E3), for g-orthonormal E1, E2 in ker eta3
-    and eta3(E3) = 1: eta^a = g E_a - g(E_a, E3) eta3 for a = 1, 2."""
-    etas = []
-    for e in (e1, e2):
-        ge = metric_apply(g, e)
-        etas.append(jvec_sub(ge, jvec_scale(jvec_dot(ge, e3), eta3)))
-    return etas[0], etas[1], eta3
-
-
 def structure_functions(frame: AdaptedFrame) -> StructureFunctions:
     """C^a_{bc} = -eta^a([E_b, E_c])."""
     e = frame.frame
@@ -238,18 +203,28 @@ def structure_functions(frame: AdaptedFrame) -> StructureFunctions:
     return StructureFunctions(**vals)
 
 
+def adapted_frame(g, e1: JetVector, e2: JetVector, e3: JetVector, eta3: JetVector,
+                  lam: Jet, kind: str, rows: Optional[np.ndarray] = None):
+    """(frame, C): the frame with its dual coframe eta^a = g E_a - g(E_a, E3) eta3,
+    a = 1, 2 (E1, E2 g-orthonormal in ker eta3, eta3(E3) = 1), and its C."""
+    eta1, eta2 = (jvec_sub(ge, jvec_scale(jvec_dot(ge, e3), eta3))
+                  for ge in (metric_apply(g, e1), metric_apply(g, e2)))
+    frame = AdaptedFrame(E1=e1, E2=e2, E3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
+                         lam=lam, kind=kind, rows=rows)
+    return frame, structure_functions(frame)
+
+
 def build_contact_frame(omega: OneForm, metric: MetricField, point,
-                        order: int = DEFAULT_ORDER, seed: Optional[str] = None,
-                        rotation: float = 0.0, eps_contact: float = 1e-9):
+                        order: int = DEFAULT_ORDER, eps_contact: float = 1e-9):
     """Adapted frame and structure functions at a contact point.
 
     eta3 = -omega / lambda (normalized so d(eta3)(E1, E2) = 1), E3 is the
     Reeb field of eta3, eta1/eta2 complete the dual coframe
-    (`adapted_coframe`).  A point is contact when |lambda| / |omega|_g >=
+    (`adapted_frame`).  A point is contact when |lambda| / |omega|_g >=
     eps_contact, a ratio that omega -> e^phi omega leaves unchanged; the
     frame of a batch covers its contact points, `frame.rows`, if any.
     """
-    w, g, e1, e2, lam = basis_and_lambda(omega, metric, point, order, seed, rotation)
+    w, g, e1, e2, lam = basis_and_lambda(omega, metric, point, order)
     contact = abs(lam.value) / omega_norm(w, g)
     rows = np.flatnonzero(~(contact < eps_contact))
     if not len(rows):
@@ -268,9 +243,4 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     # = -sqrt(omega^T adj(g) omega) / lambda is nonzero at a contact point.
     b = curl(eta3)
     e3 = jvec_div(b, jvec_dot(eta3, b))
-
-    eta1, eta2, eta3 = adapted_coframe(g, e1, e2, e3, eta3)
-    frame = AdaptedFrame(E1=e1, E2=e2, E3=e3,
-                         eta1=eta1, eta2=eta2, eta3=eta3,
-                         lam=lam, kind="contact", rows=rows)
-    return frame, structure_functions(frame)
+    return adapted_frame(g, e1, e2, e3, eta3, lam, "contact", rows)

@@ -55,12 +55,10 @@ class InvariantValues:
 
 
 def invariants_at(omega: OneForm, metric: MetricField, point,
-                  order: int = DEFAULT_ORDER, rotation: float = 0.0,
-                  eps_contact: float = 1e-9):
-    """Convenience driver: frame, structure functions and invariants at a
-    contact point, sharing one set of jets."""
-    frame, c = build_contact_frame(omega, metric, point, order, rotation=rotation,
-                                   eps_contact=eps_contact)
+                  order: int = DEFAULT_ORDER, eps_contact: float = 1e-9):
+    """Frame, structure functions and invariants at a contact point (or the
+    contact points of a batch), sharing one set of jets."""
+    frame, c = build_contact_frame(omega, metric, point, order, eps_contact=eps_contact)
     a1, a2, p1, p2, p3 = torsion_and_connection_coeffs(c)
     vals = InvariantValues(M=invariant_M(c), K=invariant_K(c, frame),
                            a1=a1, a2=a2, p1=p1, p2=p2, p3=p3)

@@ -101,6 +101,14 @@ def _as_point(point):
     return tuple(float(c) for c in point)
 
 
+def fail_where(bad, point, what: str):
+    """Raise JetError("<what> at <point>") where `bad` holds: at the point,
+    or at a batch's first such row, named as a one-point call names it."""
+    if (bad if type(point) is tuple else bad.any()):  # np.any is slow on a scalar
+        row = point if type(point) is tuple else tuple(point[np.argmax(bad)].tolist())
+        raise JetError(f"{what} at {row}")
+
+
 def _series(terms):
     """A univariate jet method from its series terms(v, order, ...) at each value."""
     def compose(self: "Jet", *args) -> "Jet":

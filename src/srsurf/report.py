@@ -69,6 +69,9 @@ def csv_row(r: PointReport) -> str:
 
 @dataclass
 class RunConfig:
+    # The command-line option that sets each tolerance (not a field).
+    TOLERANCE_OPTIONS = {"eps_contact": "--tol-contact", "eps_D": "--tol-degenerate",
+                         "root_tol": "--tol-root", "quad_tol": "--tol-quad"}
     omega_text: str = ""
     metric_text: str = ""
     eps_contact: float = 1e-9
@@ -84,9 +87,9 @@ class RunConfig:
     def validate(self):
         if self.out_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.out_format!r}")
-        for tol_name in ("eps_contact", "eps_D", "root_tol", "quad_tol"):
-            if not getattr(self, tol_name) > 0:  # also rejects NaN
-                raise ValueError(f"{tol_name} must be positive")
+        for name, option in self.TOLERANCE_OPTIONS.items():
+            if not getattr(self, name) > 0:  # also rejects NaN
+                raise ValueError(f"{option} must be positive")
         if self.reconstruct != (self.base is not None):
             raise ValueError("--reconstruct and --base need each other")
 

@@ -7,16 +7,16 @@ values and reports its maximum deviation against a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
 
 from .fields import FieldProgram, MetricField, OneForm, curl
-from .frame import (basis_and_lambda, build_contact_frame, jvec_cross,
-                    jvec_dot, jvec_values, metric_dot, nonholonomity)
-from .invariants import directional_derivative, invariant_M, invariants_at
-from .jets import MAX_ORDER, BudgetExhausted
+from .frame import (basis_and_lambda, build_contact_frame, jvec_cross, jvec_dot,
+                    jvec_values, metric_dot, nonholonomity, structure_functions)
+from .invariants import directional_derivative, invariant_K, invariant_M, invariants_at
+from .jets import MAX_ORDER, BudgetExhausted, Jet
 from .singular import (SINGULAR_FRAME_ORDER, build_singular_frame,
                        characteristic_field, lambda_identities, locate_sigma,
                        sigma_invariants)
@@ -39,6 +39,8 @@ SPECIAL_POINT = (-math.sin(0.3), 0.3, -0.2)
 TURNED_FORM = "dz - (x + sin(y))^2*dx"
 TURNED_METRIC = SPECIAL_METRIC[:5] + ("1.5 - sin(y)",)
 TURNED_POINT = (math.sin(0.3), -0.3, -0.2)
+# a point-dependent SO(2) gauge angle, for `rotated`
+GAUGE_ANGLE = "0.3 + x*y - z^2"
 
 
 # Closed forms of M and K on the Euclidean Heisenberg and Cartan fixtures.
@@ -81,6 +83,24 @@ def _rng():
 
 def _box_points(rng, n, scale=2.0):
     return [tuple(rng.uniform(-scale, scale, 3)) for _ in range(n)]
+
+
+def turn(theta, u, v):
+    """(c u + s v, c v - s u), (c, s) = (cos, sin)(theta), theta a number or a jet."""
+    c, s = (theta.cos(), theta.sin()) if isinstance(theta, Jet) else \
+        (math.cos(theta), math.sin(theta))
+    return (tuple(c * a + s * b for a, b in zip(u, v)),
+            tuple(c * b - s * a for a, b in zip(u, v)))
+
+
+def rotated(frame, theta):
+    """(frame, C, M, K) of `frame` with (E1, E2) and (eta1, eta2) turned by
+    the angle theta (`turn`), so the coframe stays dual; M and K do not see it."""
+    e1, e2 = turn(theta, frame.E1, frame.E2)
+    eta1, eta2 = turn(theta, frame.eta1, frame.eta2)
+    frame = replace(frame, E1=e1, E2=e2, eta1=eta1, eta2=eta2)
+    c = structure_functions(frame)
+    return frame, c, invariant_M(c), invariant_K(c, frame)
 
 
 def check_jet_oracle() -> CheckResult:
@@ -145,22 +165,22 @@ def check_frame_identities() -> CheckResult:
 
 
 def check_gauge_invariance() -> CheckResult:
-    """M and K under conformal rescaling, sign flip and SO(2) re-gauging."""
+    """M and K under rescaling, sign flip and constant or point-dependent re-gauging."""
     rng = _rng()
     g = MetricField.identity()
     phi = FieldProgram.parse("x + 2*y")
+    theta = FieldProgram.parse(GAUGE_ANGLE)
     devs = []
     for text in (HEISENBERG, CARTAN):
         omega = OneForm.parse(text)
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
-        flipped = -omega
         for p in _box_points(rng, 8, scale=1.5):
-            ref, _, _ = invariants_at(omega, g, p)
-            for other_kwargs, other_form in ((dict(), scaled), (dict(), flipped),
-                                             (dict(rotation=0.7), omega)):
-                vals, _, _ = invariants_at(other_form, g, p, **other_kwargs)
-                devs.append(abs(vals.M.value - ref.M.value) / (1 + abs(ref.M.value)))
-                devs.append(abs(vals.K.value - ref.K.value) / (1 + abs(ref.K.value)))
+            ref, frame, _ = invariants_at(omega, g, p)
+            got = [invariants_at(form, g, p)[0] for form in (scaled, -omega)]
+            got = [(v.M, v.K) for v in got] + [rotated(frame, a)[2:] for a in (0.7, theta(p))]
+            for m, k in got:
+                devs.append(abs(m.value - ref.M.value) / (1 + abs(ref.M.value)))
+                devs.append(abs(k.value - ref.K.value) / (1 + abs(ref.K.value)))
     return _result("gauge-invariance-M-K", devs, 1e-8)
 
 

@@ -11,10 +11,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm, curl_and_defect
-from .frame import (AdaptedFrame, StructureFunctions, adapted_coframe,
+from .frame import (AdaptedFrame, StructureFunctions, adapted_frame,
                     basis_and_lambda, jvec_cross, jvec_div, jvec_dot,
-                    jvec_values, kernel_complement, lambda_jet,
-                    nonholonomity, omega_norm, structure_functions, unit)
+                    jvec_values, kernel_basis, lambda_jet, nonholonomity,
+                    omega_norm)
 from .invariants import directional_derivative
 from .jets import Jet, JetError, _mul_table, n_coeffs
 
@@ -65,10 +65,7 @@ def locate_sigma(omega: OneForm, metric: MetricField, segment,
                              SIGMA_SCAN_ORDER).value
 
     ts = np.linspace(0.0, 1.0, SIGMA_SCAN_NODES)
-    try:
-        vals = lam(ts).tolist()
-    except JetError:  # again point by point, to raise the first bad node's error
-        vals = [lam(t) for t in ts]
+    vals = lam(ts).tolist()
     for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
         if fa == 0.0 or fa * fb < 0.0:
             t_root = a if fa == 0.0 else \
@@ -164,18 +161,14 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     direction = jvec_cross(tuple(lam.partial(a) for a in range(3)), w)
     transversal = any(jvec_values(direction))
     if transversal:
-        e1, ge1 = unit(g, direction)
-        e2 = kernel_complement(w, g, ge1)
+        e1, e2 = kernel_basis(w, g, direction)
         transversal = (directional_derivative(lam, e2).value / omega_norm(w, g)
                        > TRANSVERSALITY_EPS)
     if not transversal:
         raise SingularFrameError(
             f"d(lambda)|_Delta vanishes at {lam.point}: not transversal")
     e3 = characteristic_field(omega, point, order, form=w)
-    eta1, eta2, eta3 = adapted_coframe(g, e1, e2, e3, jvec_div(w, jvec_dot(w, e3)))
-    frame = AdaptedFrame(E1=e1, E2=e2, E3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
-                         lam=lam, kind="singular")
-    return frame, structure_functions(frame)
+    return adapted_frame(g, e1, e2, e3, jvec_div(w, jvec_dot(w, e3)), lam, "singular")
 
 
 def lambda_identities(frame: AdaptedFrame, c: StructureFunctions):

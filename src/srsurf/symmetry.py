@@ -10,10 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
-from .frame import (AdaptedFrame, StructureFunctions, build_contact_frame,
-                    jvec_add, jvec_scale, jvec_values, lie_bracket)
-from .invariants import (INVARIANTS_ORDER, directional_derivative,
-                         invariant_K, invariant_M)
+from .frame import AdaptedFrame, StructureFunctions, jvec_values, lie_bracket
+from .invariants import INVARIANTS_ORDER, directional_derivative, invariants_at
 from .jets import Jet, JetError
 
 # Least jet orders, from the derivative budget: D and EQ differentiate K
@@ -46,25 +44,19 @@ def build_system(omega: OneForm, metric: MetricField, point,
     in-plane gradient norms ||(E1K, E2K)|| * ||(E1M, E2M)|| (|D| <= eps_D *
     scale flags degenerate), so that both near-parallel gradients and
     vanishing gradients are reported as degenerate."""
-    frame, c = build_contact_frame(omega, metric, point, order, eps_contact=eps_contact)
-    m = invariant_M(c)
-    k = invariant_K(c, frame)
-    e1k = directional_derivative(k, frame.E1)
-    e2k = directional_derivative(k, frame.E2)
-    e3k = directional_derivative(k, frame.E3)
-    e1m = directional_derivative(m, frame.E1)
-    e2m = directional_derivative(m, frame.E2)
-    e3m = directional_derivative(m, frame.E3)
+    vals, frame, c = invariants_at(omega, metric, point, order, eps_contact=eps_contact)
+    m, k = vals.M, vals.K
+    e1k, e2k, e3k = (directional_derivative(k, e) for e in frame.frame)
+    e1m, e2m, e3m = (directional_derivative(m, e) for e in frame.frame)
     d = e1k * e2m - e2k * e1m
     scale = (np.hypot(e1k.value, e2k.value) * np.hypot(e1m.value, e2m.value))
-    degenerate = abs(d.value) <= eps_D * scale
-    if degenerate:
-        return SymmetrySystem(D=d, EQ1=None, EQ2=None, degenerate=True,
-                              frame=frame, C=c, M=m, K=k)
-    rd = d.reciprocal()
-    eq1 = (e3k * e1m - e1k * e3m) * rd
-    eq2 = (e3k * e2m - e2k * e3m) * rd
-    return SymmetrySystem(D=d, EQ1=eq1, EQ2=eq2, degenerate=False,
+    degenerate = bool(abs(d.value) <= eps_D * scale)
+    eq1 = eq2 = None
+    if not degenerate:
+        rd = d.reciprocal()
+        eq1 = (e3k * e1m - e1k * e3m) * rd
+        eq2 = (e3k * e2m - e2k * e3m) * rd
+    return SymmetrySystem(D=d, EQ1=eq1, EQ2=eq2, degenerate=degenerate,
                           frame=frame, C=c, M=m, K=k)
 
 
@@ -87,12 +79,12 @@ def integrability_residuals(sys_: SymmetrySystem):
 
 
 def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
-    """Coordinate gradient of ln f from E1 lnf = EQ1, E2 lnf = EQ2,
-    E3 lnf = 0, by solving against the frame matrix B (rows E_a)."""
+    """Coordinate gradient of ln f from E1 lnf = EQ1, E2 lnf = EQ2 and
+    E3 lnf = 0: d(ln f) = EQ1 eta1 + EQ2 eta2 in the dual coframe."""
     if sys_.degenerate:
         raise DegeneratePointError("no EQ system at a degenerate point")
-    b = np.array([jvec_values(e) for e in sys_.frame.frame])
-    return np.linalg.solve(b, [sys_.EQ1.value, sys_.EQ2.value, 0.0])
+    eta = np.array([jvec_values(e) for e in sys_.frame.coframe])
+    return sys_.EQ1.value * eta[0] + sys_.EQ2.value * eta[1]
 
 
 def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
@@ -154,38 +146,35 @@ class SymmetryField:
     bracket_defect_2: float
 
 
+def assemble_V(f, e1f, e2f, frame):
+    """V = -E2(f) E1 + E1(f) E2 + f E3 from f, E1(f), E2(f) and the frame
+    (E1, E2, E3), all jets or all values."""
+    return tuple(-e2f * a + e1f * b + f * c for a, b, c in zip(*frame))
+
+
 def reconstructed_V(sys_: SymmetrySystem, lnf: float):
-    """(f, V) from a reconstructed ln f: f = e^{ln f}, E1 f = f EQ1,
-    E2 f = f EQ2 and V = -E2(f) E1 + E1(f) E2 + f E3, as values."""
+    """(f, V) from a reconstructed ln f: f = e^{ln f}, E1 f = f EQ1 and
+    E2 f = f EQ2, as values."""
     fv = float(np.exp(lnf))
-    fr = sys_.frame
-    e1f = fv * sys_.EQ1.value
-    e2f = fv * sys_.EQ2.value
-    return fv, tuple(-e2f * fr.E1[i].value + e1f * fr.E2[i].value
-                     + fv * fr.E3[i].value for i in range(3))
+    return fv, assemble_V(fv, fv * sys_.EQ1.value, fv * sys_.EQ2.value,
+                          [jvec_values(e) for e in sys_.frame.frame])
 
 
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
                           f: FieldProgram, order: int = DEFAULT_ORDER):
-    """Assemble V = -E2(f) E1 + E1(f) E2 + f E3 from the injected scalar
-    program `f` at each point and verify it, all in jets: the report holds
+    """Assemble V (`assemble_V`) from the injected scalar program `f` at
+    each point and verify it, all in jets: the report holds
     |VK|, |VM|, |E3 f| and the bracket defects ||[E1,V] - lambda E2||,
     ||[E2,V] + lambda E1||.  A V from a reconstructed ln f comes from
     `reconstructed_V`."""
     out = []
     for p in points:
-        frame, c = build_contact_frame(omega, metric, p, order)
-        m = invariant_M(c)
-        k = invariant_K(c, frame)
+        vals, frame, _ = invariants_at(omega, metric, p, order)
         fj = f(p, order)
-        e1f = directional_derivative(fj, frame.E1)
-        e2f = directional_derivative(fj, frame.E2)
-        e3f = directional_derivative(fj, frame.E3)
-        v = jvec_add(jvec_add(jvec_scale(-e2f, frame.E1),
-                              jvec_scale(e1f, frame.E2)),
-                     jvec_scale(fj, frame.E3))
-        vk = directional_derivative(k, v).value
-        vm = directional_derivative(m, v).value
+        e1f, e2f, e3f = (directional_derivative(fj, e) for e in frame.frame)
+        v = assemble_V(fj, e1f, e2f, frame.frame)
+        vk = directional_derivative(vals.K, v).value
+        vm = directional_derivative(vals.M, v).value
         br1 = lie_bracket(frame.E1, v)
         br2 = lie_bracket(frame.E2, v)
         lam_mult = sum(frame.eta2[i].value * br1[i].value for i in range(3))

@@ -22,6 +22,7 @@ from srsurf import (DegeneratePointError, FieldProgram, Jet, MetricField,
                     nonholonomity, reconstruct_lnf, sigma_invariants)
 from srsurf.fields import curl
 from srsurf.frame import jvec_cross, jvec_dot, jvec_values
+from srsurf.selftest import rotated
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
 import conftest
@@ -93,14 +94,14 @@ def test_criterion4_gauge_invariance():
     for omega, seed in ((HEIS, 41), (CARTAN, 42)):
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
         for p in sample_points(25, seed):
-            v0, _, _ = invariants_at(omega, EUCLID, p)
+            v0, frame, _ = invariants_at(omega, EUCLID, p)
             for variant in (scaled, -omega):
                 v1, _, _ = invariants_at(variant, EUCLID, p)
                 assert abs(v1.M.value - v0.M.value) <= 1e-8 * (1 + abs(v0.M.value))
                 assert abs(v1.K.value - v0.K.value) <= 1e-8 * (1 + abs(v0.K.value))
-            v2, _, _ = invariants_at(omega, EUCLID, p, rotation=0.7)
-            assert abs(v2.M.value - v0.M.value) <= 1e-8 * (1 + abs(v0.M.value))
-            assert abs(v2.K.value - v0.K.value) <= 1e-8 * (1 + abs(v0.K.value))
+            _, _, m2, k2 = rotated(frame, 0.7)
+            assert abs(m2.value - v0.M.value) <= 1e-8 * (1 + abs(v0.M.value))
+            assert abs(k2.value - v0.K.value) <= 1e-8 * (1 + abs(v0.K.value))
 
 
 # -- criterion 5: symmetry system -----------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from srsurf import Jet, JetError, MAX_ORDER, MetricField, OneForm, n_coeffs
+from srsurf import Jet, JetError, MAX_ORDER, MetricField, OneForm, delta_basis, n_coeffs
 from srsurf.cli import INVARIANTS_CHUNK, main
 from srsurf.frame import omega_norm
 
@@ -188,6 +188,23 @@ def test_rows_with_errors_rerun_one_point_at_a_time(capsys, tmp_path):
     lines = _assert_one_point_records(capsys, OMEGA_1, points, metric)
     errors = [line for line in lines if "metric not positive definite at" in line]
     assert len(errors) == sum(points[:, 0] <= 0) > 0
+
+
+@pytest.mark.parametrize("omega, metric, message", [
+    ("x*dy + x*dz", "1 0 0 1 0 1", "one-form vanishes at"),
+    (HEISENBERG, "x 0 0 1 0 1", "metric not positive definite at"),
+    # positive definite, but every projection norm is below 1e-24 at x = 0
+    (HEISENBERG, "1e-30+x^2 0 0 1e-30+x^2 0 1e-30+x^2", "degenerate projection seed at"),
+])
+def test_batch_error_names_its_first_failing_row(omega, metric, message):
+    rows = np.array([[1.0, 0.5, 0.0], [0.0, 0.25, 0.0], [-1.0, 0.0, 0.0]])
+    omega, metric = OneForm.parse(omega), MetricField.from_text(metric)
+
+    def error(points):
+        with pytest.raises(JetError) as info:
+            delta_basis(omega.evaluate(points), metric.evaluate(points))
+        return str(info.value)
+    assert error(rows) == error(tuple(rows[1])) == f"{message} (0.0, 0.25, 0.0)"
 
 
 def test_seed_axis_varies_from_row_to_row(capsys, tmp_path):

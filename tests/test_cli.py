@@ -198,6 +198,41 @@ def test_nonfinite_input_exits_1(capsys, command, option, value, message):
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("invariants", "--tol-contact", "0"),
+    ("symmetry", "--tol-degenerate", "-1"),
+    ("singular", "--tol-root", "-1"),
+    ("symmetry", "--tol-quad", "0"),
+])
+def test_nonpositive_tolerance_names_its_option(capsys, command, option, value):
+    argv = [command, "--omega", CARTAN, f"{option}={value}"]
+    argv += (["--probe", "-1,0,0 : 1,0,0"] if command == "singular"
+             else ["--points", "1,0,0"])
+    if option == "--tol-quad":
+        argv += ["--reconstruct", "--base", "0,0,0"]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {option} must be positive\n")
+
+
+@pytest.mark.parametrize("command, where", [
+    ("invariants", ["--points", "0.1,0.2,0.3"]),
+    ("invariants", ["--points", "0.1,0.2,0.3; 0.4,0.5,0.6"]),
+    ("symmetry", ["--points", "0.1,0.2,0.3"]),
+    ("singular", ["--probe", "0.1,0.2,0.3 : 1,1,1"]),
+])
+def test_overflowing_metric_entry_is_not_positive_definite(capsys, tmp_path,
+                                                          command, where):
+    # g12^2 overflows: the minors of g become -inf or NaN and fail the test
+    metric = tmp_path / "metric.txt"
+    metric.write_text("1 1e200 0 1 0 1")
+    code, out, err = run_cli(capsys, command, "--omega", CARTAN,
+                             "--metric-file", str(metric), *where)
+    assert (code, err) == (0, "")
+    recs = ndjson(out)
+    assert len(recs) == len(where[1].split(";"))
+    for rec in recs:
+        assert rec["error"] == f"metric not positive definite at {tuple(rec['point'])}"
+
+
 def test_nonfinite_record_writes_nothing(capsys, monkeypatch):
     good = PointReport(point=(0.0, 0.0, 0.0), lam=1.0)
     bad = PointReport(point=(1.0, 0.0, 0.0), lam=float("nan"))

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from srsurf import (Jet, JetError, MetricField, NoncontactError, OneForm,
-                    build_contact_frame, delta_basis, lie_bracket,
+from srsurf import (FieldProgram, Jet, JetError, MetricField, NoncontactError,
+                    OneForm, build_contact_frame, delta_basis, lie_bracket,
                     nonholonomity)
 from srsurf.frame import jvec_dot, jvec_values, metric_dot
+from srsurf.selftest import GAUGE_ANGLE, turn
 
 from conftest import (CARTAN, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1,
                       assert_adapted, box_points)
@@ -40,11 +41,9 @@ def test_delta_basis_seed_override(heisenberg, euclid):
     w, g = heisenberg.evaluate((0, 1, 0)), euclid.evaluate((0, 1, 0))
     e1, e2 = delta_basis(w, g)
     assert np.allclose(_vals(e1), [0, 1, 0], atol=1e-14)
-    # the x-seeded gauge gives the unit projection of dx into the kernel
-    e1, e2 = delta_basis(w, g, seed="x")
+    # E2 = unit(omega x E1) with omega = (1, 0, 1) there
     r = 1 / math.sqrt(2)
-    assert np.allclose(_vals(e1), [r, 0, -r], atol=1e-14)
-    assert np.allclose(_vals(e2), [0, 1, 0], atol=1e-14)
+    assert np.allclose(_vals(e2), [-r, 0, r], atol=1e-14)
 
 
 def test_delta_basis_orthonormal_random(heisenberg, euclid, rng):
@@ -121,9 +120,9 @@ def test_nonholonomity_oracles(heisenberg, cartan, omega1, euclid):
         assert abs(lam - 2 * x / math.sqrt(1 + x ** 4)) < 1e-12
 
 
-def _bracket_lambda(w, g, **gauge):
-    """omega([E1, E2]) in the delta_basis gauge `gauge`."""
-    e1, e2 = delta_basis(w, g, **gauge)
+def _bracket_lambda(w, g, theta=0.0):
+    """omega([E1, E2]) in the delta_basis gauge turned by the angle theta."""
+    e1, e2 = turn(theta, *delta_basis(w, g))
     return jvec_dot(w, lie_bracket(e1, e2))
 
 
@@ -132,14 +131,16 @@ def test_bracket_lambda_so2_invariant(heisenberg, euclid, rng):
         w, g = heisenberg.evaluate(p), euclid.evaluate(p)
         base = _bracket_lambda(w, g).value
         for theta in rng.uniform(0, 2 * math.pi, 3):
-            rot = _bracket_lambda(w, g, rotation=theta).value
+            rot = _bracket_lambda(w, g, theta).value
             assert abs(rot - base) < 1e-10
 
 
 def test_nonholonomity_identity_matches_bracket(rng):
     # lambda = -(omega . curl omega) / sqrt(omega^T adj(g) omega) against
-    # omega([E1, E2]) in every seed axis and three rotations of the gauge
+    # omega([E1, E2]) in the gauge turned by three constant angles and by a
+    # point-dependent one
     metric = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
+    angle = FieldProgram.parse(GAUGE_ANGLE)
     forms = [OneForm.parse(t) for t in
              (HEISENBERG, CARTAN, OMEGA_1, "dy + x^3*dz + sin(z)*dx")]
     for omega in forms:
@@ -148,14 +149,12 @@ def test_nonholonomity_identity_matches_bracket(rng):
                 w, g = omega.evaluate(p, order), metric.evaluate(p, order)
                 lam = nonholonomity(omega, metric, p, order)
                 assert lam.order == order - 1
-                for seed in "xyz":
-                    for theta in (0.0, 1.1, -2.6):
-                        ref = _bracket_lambda(w, g, seed=seed, rotation=theta)
-                        assert lam.order == ref.order
-                        assert abs(lam.value - ref.value) <= 1e-13 * abs(ref.value)
-                        scale = np.abs(ref.coeffs).max()
-                        assert np.abs(lam.coeffs
-                                      - ref.coeffs).max() <= 1e-11 * scale
+                for theta in (0.0, 1.1, -2.6, angle(p, order)):
+                    ref = _bracket_lambda(w, g, theta)
+                    assert lam.order == ref.order
+                    assert abs(lam.value - ref.value) <= 1e-13 * abs(ref.value)
+                    scale = np.abs(ref.coeffs).max()
+                    assert np.abs(lam.coeffs - ref.coeffs).max() <= 1e-11 * scale
 
 
 # -- build_contact_frame ---------------------------------------------------
@@ -175,11 +174,15 @@ def test_contact_frame_cartan_origin_structure(cartan, euclid):
 
 
 def test_contact_frame_heisenberg_slice_structure(heisenberg, euclid):
-    # regression pin in the x-seeded gauge at (0,1,0)
-    frame, C = build_contact_frame(heisenberg, euclid, (0, 1, 0), seed="x")
-    assert abs(C.C1_23.value - 0.25) < 1e-12
+    # regression pin at (0,1,0), where the frame seeds from y; the values
+    # are those of sympy on the same closed-form frame: E1 the unit
+    # projection of d_y onto ker omega, E2 = unit(omega x E1)
+    frame, C = build_contact_frame(heisenberg, euclid, (0, 1, 0))
+    assert abs(C.C1_23.value + 0.25) < 1e-12
     assert abs(C.C1_31.value) < 1e-12
-    assert abs(C.C1_12.value + 1.0) < 1e-12
+    assert abs(C.C1_12.value) < 1e-12
+    assert abs(C.C2_31.value - 0.5) < 1e-12
+    assert abs(C.C2_12.value - 1.5) < 1e-12
 
 
 def test_frame_identities_random(heisenberg, cartan, euclid, rng):

@@ -4,10 +4,13 @@ import pytest
 
 from srsurf import (FieldProgram, Jet, MetricField, NoncontactError, OneForm,
                     build_contact_frame, directional_derivative, invariant_K,
-                    invariant_M, invariants_at, torsion_and_connection_coeffs)
+                    invariant_M, invariants_at, lie_bracket,
+                    torsion_and_connection_coeffs)
+from srsurf.frame import jvec_dot
+from srsurf.selftest import GAUGE_ANGLE, rotated
 
-from conftest import (AXIAL_METRIC, box_points, cartan_K, cartan_M, heis_K,
-                      heis_M)
+from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC,
+                      box_points, cartan_K, cartan_M, heis_K, heis_M)
 
 
 def test_directional_derivative_example():
@@ -86,11 +89,26 @@ def test_sign_flip_invariance(heisenberg, euclid, rng):
 
 def test_so2_invariance(cartan, euclid, rng):
     for p in box_points(rng, 6):
-        v0, _, _ = invariants_at(cartan, euclid, p)
+        v0, frame, _ = invariants_at(cartan, euclid, p)
         for theta in rng.uniform(0, 2 * math.pi, 2):
-            v1, _, _ = invariants_at(cartan, euclid, p, rotation=float(theta))
-            assert abs(v1.M.value - v0.M.value) < 1e-9
-            assert abs(v1.K.value - v0.K.value) < 1e-9
+            _, _, m1, k1 = rotated(frame, float(theta))
+            assert abs(m1.value - v0.M.value) < 1e-9
+            assert abs(k1.value - v0.K.value) < 1e-9
+
+
+@pytest.mark.parametrize("text", [HEISENBERG, AXIAL_FORM])
+def test_point_dependent_gauge_invariance(text, rng):
+    # M, K and lambda = omega([E1, E2]) do not see a rotation of the frame
+    # by an angle that varies from point to point
+    omega = OneForm.parse(text)
+    metric = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
+    angle = FieldProgram.parse(GAUGE_ANGLE)
+    for p in box_points(rng, 6):
+        v0, frame, _ = invariants_at(omega, metric, p)
+        turned, _, m, k = rotated(frame, angle(p))
+        lam = jvec_dot(omega.evaluate(p), lie_bracket(turned.E1, turned.E2))
+        for got, want in ((m, v0.M), (k, v0.K), (lam, frame.lam)):
+            assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
 
 
 def test_EK_jets_match_finite_differences(heisenberg, euclid, rng):
