@@ -17,8 +17,9 @@ from .jets import JetError, _mul_table
 from .report import (PointReport, RunConfig, csv_header, csv_row, parse_grid,
                      parse_points, parse_probe)
 from .selftest import run_selftest
-from .singular import (SINGULAR_FRAME_ORDER, build_singular_frame,
-                       lambda_identities, locate_sigma, sigma_invariants)
+from .singular import (SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
+                       build_singular_frame, lambda_identities, locate_sigma,
+                       sigma_invariants)
 from .symmetry import (RESIDUAL_MIN_ORDER, build_system, integrability_residuals,
                        reconstruct_lnf, reconstructed_V)
 
@@ -26,9 +27,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_SELFTEST = 2
 
-# Points per `invariants` batch: the most whose product temporaries (a float
-# per product-table term and point) stay under glibc's 128 KiB mmap threshold.
-INVARIANTS_CHUNK = 128 * 1024 // (8 * len(_mul_table(INVARIANTS_ORDER)[0]))
+
+def _chunk_width(order: int, rows: int = 1) -> int:
+    """Items per batch: the most whose product temporaries (a float per product-table
+    term and batch row, `rows` rows per item) stay under glibc's 128 KiB mmap threshold."""
+    return 128 * 1024 // (8 * len(_mul_table(order)[0]) * rows)
+
+
+INVARIANTS_CHUNK = _chunk_width(INVARIANTS_ORDER)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -120,105 +126,112 @@ def _emit(reports: List[PointReport], cfg: RunConfig, path):
         sys.stdout.write(text)
 
 
-def _diag(jet_order: int, jets) -> dict:
-    """The jet order a command works at and the derivative budget left in
-    the quantities it reports: the lowest order among their jets."""
-    return {"jet_order": jet_order, "budget_remaining": min(j.order for j in jets)}
+def _chunked(items, width: int, records, default, failed) -> List[PointReport]:
+    """The records of `items`, `width` at a time: each starts as `default(item)`;
+    `records(chunk, reports)` sets those a batch covers (none on NoncontactError).
+    A chunk that raises JetError or ValueError runs again item by item, so that
+    each error record, `failed(item, text)`, keeps its own text."""
+    def run(chunk):
+        reports = [default(item) for item in chunk]
+        try:
+            records(chunk, reports)
+        except NoncontactError:
+            pass
+        except (JetError, ValueError) as exc:
+            if len(chunk) > 1:
+                return [r for item in chunk for r in run([item])]
+            return [failed(chunk[0], str(exc))]
+        return reports
+    return [r for i in range(0, len(items), width) for r in run(items[i:i + width])]
+
+
+def _batch(points):  # a point alone stays a point: the one-point jets are faster
+    return np.array(points, dtype=float) if len(points) > 1 else points[0]
+
+
+def _noncontact(p) -> PointReport:
+    return PointReport(point=tuple(p), branch="noncontact", contact=False)
+
+
+def _point_error(p, text: str) -> PointReport:
+    return PointReport(point=tuple(p), branch="regular", error=text)
 
 
 def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
     omega = OneForm.parse(cfg.omega_text)
     metric = MetricField.from_text(cfg.metric_text)
 
-    def records(points) -> List[PointReport]:
-        """One pass over `points`, batched if more than one; a failing batch reruns per point."""
-        reports = [PointReport(point=tuple(p), branch="noncontact", contact=False) for p in points]
-        try:
-            vals, frame, _ = invariants_at(
-                omega, metric, np.array(points, dtype=float) if len(points) > 1 else points[0],
-                INVARIANTS_ORDER, eps_contact=cfg.eps_contact)
-        except NoncontactError:
-            return reports
-        except (JetError, ValueError) as exc:
-            if len(points) > 1:  # so that each error record keeps its own text
-                return [r for p in points for r in records([p])]
-            return [PointReport(point=tuple(points[0]), branch="regular", error=str(exc))]
-        for r, lam, m, k in zip(frame.rows.tolist(), *(
-                np.atleast_1d(j.value).tolist() for j in (frame.lam, vals.M, vals.K))):
-            reports[r] = PointReport(point=tuple(points[r]), branch="regular", contact=True,
-                                     lam=lam, M=m, K=k,
-                                     diagnostics=_diag(INVARIANTS_ORDER, (vals.M, vals.K)))
-        return reports
+    def records(points, reports):
+        vals, frame, _ = invariants_at(omega, metric, _batch(points), INVARIANTS_ORDER,
+                                       eps_contact=cfg.eps_contact)
+        budget = min(vals.M.order, vals.K.order)  # the least left in what is reported
+        for i, r in enumerate(frame.rows.tolist()):
+            reports[r] = PointReport(
+                point=tuple(points[r]), branch="regular", contact=True,
+                lam=frame.lam.value_at(i), M=vals.M.value_at(i), K=vals.K.value_at(i),
+                diagnostics={"jet_order": INVARIANTS_ORDER, "budget_remaining": budget})
 
-    n = INVARIANTS_CHUNK
-    return [r for i in range(0, len(cfg.points), n) for r in records(cfg.points[i:i + n])]
+    return _chunked(cfg.points, INVARIANTS_CHUNK, records, _noncontact, _point_error)
 
 
 def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
     omega = OneForm.parse(cfg.omega_text)
     metric = MetricField.from_text(cfg.metric_text)
 
-    def one(p) -> PointReport:
-        try:
-            sys_ = build_system(omega, metric, p, RESIDUAL_MIN_ORDER,
-                                eps_D=cfg.eps_D, eps_contact=cfg.eps_contact)
-        except NoncontactError:
-            return PointReport(point=tuple(p), branch="noncontact", contact=False)
-        except (JetError, ValueError) as exc:
-            return PointReport(point=tuple(p), branch="regular", error=str(exc))
-        rep = PointReport(point=tuple(p), contact=True, lam=sys_.frame.lam.value,
-                          M=sys_.M.value, K=sys_.K.value, D=sys_.D.value)
-        if sys_.degenerate:
-            rep.branch = "degenerate"
-            return rep
-        rep.branch = "regular"
-        rep.EQ1 = sys_.EQ1.value
-        rep.EQ2 = sys_.EQ2.value
-        rep.residuals = integrability_residuals(sys_)
-        if cfg.reconstruct:
-            try:
-                rep.lnf = reconstruct_lnf(omega, metric, cfg.base, p,
-                                          quad_tol=cfg.quad_tol, eps_D=cfg.eps_D,
-                                          eps_contact=cfg.eps_contact)
-                _, rep.V = reconstructed_V(sys_, rep.lnf)
-            except JetError as exc:
-                rep.diagnostics["reconstruct_error"] = str(exc)
-        rep.diagnostics.update(_diag(RESIDUAL_MIN_ORDER, (sys_.D,)))
-        return rep
+    def records(points, reports):
+        sys_ = build_system(omega, metric, _batch(points), RESIDUAL_MIN_ORDER,
+                            eps_D=cfg.eps_D, eps_contact=cfg.eps_contact)
+        degenerate = np.atleast_1d(sys_.degenerate)
+        eq = None if degenerate.all() else np.reshape(  # per row: EQ1, EQ2 and the residuals
+            [sys_.EQ1.value, sys_.EQ2.value, *integrability_residuals(sys_)], (5, -1)).T.tolist()
+        for i, r in enumerate(sys_.frame.rows.tolist()):
+            rep = reports[r] = PointReport(
+                point=tuple(points[r]), branch="degenerate" if degenerate[i] else "regular",
+                contact=True, lam=sys_.frame.lam.value_at(i), M=sys_.M.value_at(i),
+                K=sys_.K.value_at(i), D=sys_.D.value_at(i))
+            if degenerate[i]:
+                continue
+            rep.EQ1, rep.EQ2, *rep.residuals = eq[i]
+            if cfg.reconstruct:
+                try:
+                    rep.lnf = reconstruct_lnf(omega, metric, cfg.base, points[r],
+                                              quad_tol=cfg.quad_tol, eps_D=cfg.eps_D,
+                                              eps_contact=cfg.eps_contact)
+                    _, rep.V = reconstructed_V(sys_, rep.lnf, i)
+                except JetError as exc:
+                    rep.diagnostics["reconstruct_error"] = str(exc)
+            rep.diagnostics.update(jet_order=RESIDUAL_MIN_ORDER, budget_remaining=sys_.D.order)
 
-    return [one(p) for p in cfg.points]
+    return _chunked(cfg.points, _chunk_width(RESIDUAL_MIN_ORDER), records, _noncontact,
+                    _point_error)
 
 
 def cmd_singular(cfg: RunConfig) -> List[PointReport]:
     omega = OneForm.parse(cfg.omega_text)
     metric = MetricField.from_text(cfg.metric_text)
-    reports = []
-    for seg in cfg.probes:
-        try:
-            sp, error = locate_sigma(omega, metric, seg, root_tol=cfg.root_tol), None
-        except JetError as exc:
-            sp, error = None, str(exc)
-        if sp is None:
-            rep = PointReport(point=seg[0], branch="regular",
-                              error=error or "no Sigma crossing on probe")
-            rep.diagnostics["probe"] = [list(seg[0]), list(seg[1])]
-            reports.append(rep)
-            continue
-        rep = PointReport(point=sp.point, branch="noncontact", contact=False,
-                          lam=sp.lambda_residual)
-        rep.diagnostics["transversal"] = sp.transversal
-        rep.diagnostics["lambda_gradient_on_delta"] = sp.lambda_gradient_on_delta
-        try:
-            frame, c = build_singular_frame(omega, metric, sp.point,
-                                            SINGULAR_FRAME_ORDER)
-            q = sigma_invariants(c)
-            r1, r2 = lambda_identities(frame, c)
-            rep.Q112, rep.Q212 = q.Q112, q.Q212
-            rep.diagnostics["lambda_identity_residuals"] = [r1, r2]
-        except JetError as exc:
-            rep.error = str(exc)
-        reports.append(rep)
-    return reports
+
+    def probe_error(seg, text: str) -> PointReport:
+        return PointReport(point=seg[0], branch="regular", error=text,
+                           diagnostics={"probe": [list(seg[0]), list(seg[1])]})
+
+    def records(segments, reports):
+        for k, sp in enumerate(locate_sigma(omega, metric, segments, root_tol=cfg.root_tol)):
+            if sp is None:
+                continue
+            rep = reports[k] = PointReport(
+                point=sp.point, branch="noncontact", contact=False, lam=sp.lambda_residual,
+                diagnostics={"transversal": sp.transversal,
+                             "lambda_gradient_on_delta": sp.lambda_gradient_on_delta})
+            try:
+                frame, c = build_singular_frame(omega, metric, sp.point, SINGULAR_FRAME_ORDER)
+                q = sigma_invariants(c)
+                rep.Q112, rep.Q212 = q.Q112, q.Q212
+                rep.diagnostics["lambda_identity_residuals"] = list(lambda_identities(frame, c))
+            except JetError as exc:
+                rep.error = str(exc)
+
+    return _chunked(cfg.probes, _chunk_width(SIGMA_SCAN_ORDER, SIGMA_SCAN_NODES), records,
+                    lambda seg: probe_error(seg, "no Sigma crossing on probe"), probe_error)
 
 
 def main(argv=None) -> int:

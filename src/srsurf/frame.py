@@ -10,7 +10,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm, adjugate, curl, curl_and_defect
-from .jets import Jet, JetError, fail_where
+from .jets import Jet, JetError, fail_where, row_of
 
 JetVector = Tuple[Jet, Jet, Jet]
 
@@ -228,8 +228,8 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     contact = abs(lam.value) / omega_norm(w, g)
     rows = np.flatnonzero(~(contact < eps_contact))
     if not len(rows):
-        raise NoncontactError(f"point {lam.point} is noncontact "
-                              f"(|lambda| / |omega|_g = {np.max(contact):.3e})")
+        raise NoncontactError(f"point {row_of(lam.point)} is noncontact "
+                              f"(|lambda| / |omega|_g = {np.ravel(contact)[0]:.3e})")
     if len(rows) < np.size(contact):  # a batch keeps its contact points
         def take(j):
             return (Jet(kept, j.order, j.coeffs[:, rows]) if isinstance(j, Jet)

@@ -49,8 +49,6 @@ class InvariantValues:
     K: Jet
     a1: Jet
     a2: Jet
-    p1: Jet
-    p2: Jet
     p3: Jet
 
 
@@ -59,7 +57,7 @@ def invariants_at(omega: OneForm, metric: MetricField, point,
     """Frame, structure functions and invariants at a contact point (or the
     contact points of a batch), sharing one set of jets."""
     frame, c = build_contact_frame(omega, metric, point, order, eps_contact=eps_contact)
-    a1, a2, p1, p2, p3 = torsion_and_connection_coeffs(c)
+    a1, a2, _, _, p3 = torsion_and_connection_coeffs(c)
     vals = InvariantValues(M=invariant_M(c), K=invariant_K(c, frame),
-                           a1=a1, a2=a2, p1=p1, p2=p2, p3=p3)
+                           a1=a1, a2=a2, p3=p3)
     return vals, frame, c

@@ -101,12 +101,16 @@ def _as_point(point):
     return tuple(float(c) for c in point)
 
 
+def row_of(point, k: int = 0):
+    """The point, or row k of a batch, named as a one-point call names it."""
+    return point if type(point) is tuple else tuple(point[k].tolist())
+
+
 def fail_where(bad, point, what: str):
     """Raise JetError("<what> at <point>") where `bad` holds: at the point,
-    or at a batch's first such row, named as a one-point call names it."""
+    or at a batch's first such row (`row_of`)."""
     if (bad if type(point) is tuple else bad.any()):  # np.any is slow on a scalar
-        row = point if type(point) is tuple else tuple(point[np.argmax(bad)].tolist())
-        raise JetError(f"{what} at {row}")
+        raise JetError(f"{what} at {row_of(point, np.argmax(bad))}")
 
 
 def _series(terms):
@@ -162,6 +166,10 @@ class Jet:
     @property
     def value(self):
         return float(self.coeffs[0]) if self.coeffs.ndim == 1 else self.coeffs[0]
+
+    def value_at(self, row: int) -> float:
+        """The value at a batch's row `row`, or at the point."""
+        return float(self.coeffs[0] if self.coeffs.ndim == 1 else self.coeffs[0, row])
 
     def coeff(self, mi):
         """Taylor coefficient for multi-index mi (derivative / factorials)."""

@@ -207,15 +207,9 @@ def check_nonholonomity_properties() -> CheckResult:
 
 def check_cartan_degenerate() -> CheckResult:
     """The EQ-system denominator D vanishes identically on the y-only fixture."""
-    rng = _rng()
-    g = MetricField.identity()
-    omega = OneForm.parse(CARTAN)
-    devs = []
-    for p in _box_points(rng, 15):
-        sys_ = build_system(omega, g, p, RESIDUAL_MIN_ORDER)
-        devs.append(abs(sys_.D.value))
-        if not sys_.degenerate:
-            devs.append(1.0)
+    sys_ = build_system(OneForm.parse(CARTAN), MetricField.identity(),
+                        np.array(_box_points(_rng(), 15)), RESIDUAL_MIN_ORDER)
+    devs = np.abs(sys_.D.value).tolist() + [1.0] * int(np.sum(~sys_.degenerate))
     return _result("cartan-degenerate-branch", devs, 1e-12)
 
 
@@ -268,7 +262,7 @@ def check_singular_fixture() -> CheckResult:
     g = MetricField.identity()
     omega = OneForm.parse(OMEGA_1)
     devs = []
-    sp = locate_sigma(omega, g, ((-1, 0, 0), (1, 0, 0)))
+    sp = locate_sigma(omega, g, [((-1, 0, 0), (1, 0, 0))])[0]
     if sp is None or not sp.transversal:
         return CheckResult("singular-fixture", 1.0, 1e-6, False,
                            "Sigma root not found")

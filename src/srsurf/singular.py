@@ -5,7 +5,7 @@ the Sigma-invariants Q1_12, Q2_12."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 from scipy.optimize import brentq
@@ -49,44 +49,46 @@ class SigmaInvariants:
     Q212: float
 
 
-def locate_sigma(omega: OneForm, metric: MetricField, segment,
-                 root_tol: float = 1e-10) -> Optional[SigmaPoint]:
-    """Root of lambda along the straight segment (p0, p1), or None.
+def locate_sigma(omega: OneForm, metric: MetricField, segments,
+                 root_tol: float = 1e-10) -> List[Optional[SigmaPoint]]:
+    """The root of lambda along each straight segment (p0, p1), or None.
 
-    The segment is scanned for a sign change in one batch, then the
+    All the segments are scanned for a sign change in one batch, then each
     bracketed root is polished (Brent).  It is accepted when |lambda| /
     |omega|_g <= root_tol and is transversal when |d(lambda)|_Delta| /
     |omega|_g > TRANSVERSALITY_EPS.
     """
-    p0, p1 = (np.array(p, dtype=float) for p in segment)
-
-    def lam(t):  # at one t, or at a batch of them
-        return nonholonomity(omega, metric, p0 + np.multiply.outer(t, p1 - p0),
-                             SIGMA_SCAN_ORDER).value
-
+    ends = np.array(segments, dtype=float)
     ts = np.linspace(0.0, 1.0, SIGMA_SCAN_NODES)
-    vals = lam(ts).tolist()
-    for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
-        if fa == 0.0 or fa * fb < 0.0:
-            t_root = a if fa == 0.0 else \
-                brentq(lam, a, b, xtol=1e-15, rtol=8.9e-16)
-            break
-    else:
-        if vals[-1] != 0.0:
+    scan = ends[:, :1] + ts[:, None] * (ends[:, 1:] - ends[:, :1])
+    scans = nonholonomity(omega, metric, scan.reshape(-1, 3), SIGMA_SCAN_ORDER).value
+
+    def root(p0, p1, vals):  # on one segment, from its scan values
+        def lam(t):
+            return nonholonomity(omega, metric, p0 + t * (p1 - p0), SIGMA_SCAN_ORDER).value
+
+        for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
+            if fa == 0.0 or fa * fb < 0.0:
+                t_root = a if fa == 0.0 else \
+                    brentq(lam, a, b, xtol=1e-15, rtol=8.9e-16)
+                break
+        else:
+            if vals[-1] != 0.0:
+                return None
+            t_root = ts[-1]
+        point = tuple(float(c) for c in p0 + t_root * (p1 - p0))
+        w, g, e1, e2, lam_jet = basis_and_lambda(omega, metric, point,
+                                                 TRANSVERSALITY_ORDER)
+        residual = abs(lam_jet.value)
+        scale = omega_norm(w, g)
+        if residual / scale > root_tol:
             return None
-        t_root = ts[-1]
-    point = tuple(float(c) for c in p0 + t_root * (p1 - p0))
-    w, g, e1, e2, lam_jet = basis_and_lambda(omega, metric, point,
-                                             TRANSVERSALITY_ORDER)
-    residual = abs(lam_jet.value)
-    scale = omega_norm(w, g)
-    if residual / scale > root_tol:
-        return None
-    grad_norm = float(np.hypot(directional_derivative(lam_jet, e1).value,
-                               directional_derivative(lam_jet, e2).value))
-    return SigmaPoint(point=point, lambda_residual=residual,
-                      transversal=bool(grad_norm / scale > TRANSVERSALITY_EPS),
-                      lambda_gradient_on_delta=grad_norm)
+        grad_norm = float(np.hypot(directional_derivative(lam_jet, e1).value,
+                                   directional_derivative(lam_jet, e2).value))
+        return SigmaPoint(point=point, lambda_residual=residual,
+                          transversal=bool(grad_norm / scale > TRANSVERSALITY_EPS),
+                          lambda_gradient_on_delta=grad_norm)
+    return [root(p0, p1, v) for (p0, p1), v in zip(ends, scans.reshape(len(ends), -1).tolist())]
 
 
 def _jet_quotient(w, mu: Jet):

@@ -12,7 +12,7 @@ import numpy as np
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
 from .frame import AdaptedFrame, StructureFunctions, jvec_values, lie_bracket
 from .invariants import INVARIANTS_ORDER, directional_derivative, invariants_at
-from .jets import Jet, JetError
+from .jets import Jet, JetError, row_of
 
 # Least jet orders, from the derivative budget: D and EQ differentiate K
 # once, the residuals differentiate EQ once more.
@@ -29,7 +29,7 @@ class SymmetrySystem:
     D: Jet
     EQ1: Optional[Jet]
     EQ2: Optional[Jet]
-    degenerate: bool
+    degenerate: bool  # for a batch, one per contact row (frame.rows)
     frame: AdaptedFrame
     C: StructureFunctions
     M: Jet
@@ -43,17 +43,19 @@ def build_system(omega: OneForm, metric: MetricField, point,
     numerators by D.  The degeneracy test is relative to the product of the
     in-plane gradient norms ||(E1K, E2K)|| * ||(E1M, E2M)|| (|D| <= eps_D *
     scale flags degenerate), so that both near-parallel gradients and
-    vanishing gradients are reported as degenerate."""
+    vanishing gradients are reported as degenerate, in a batch row by row; a
+    degenerate row's EQ divides by a stand-in D = 1 and means nothing."""
     vals, frame, c = invariants_at(omega, metric, point, order, eps_contact=eps_contact)
     m, k = vals.M, vals.K
     e1k, e2k, e3k = (directional_derivative(k, e) for e in frame.frame)
     e1m, e2m, e3m = (directional_derivative(m, e) for e in frame.frame)
     d = e1k * e2m - e2k * e1m
     scale = (np.hypot(e1k.value, e2k.value) * np.hypot(e1m.value, e2m.value))
-    degenerate = bool(abs(d.value) <= eps_D * scale)
+    degenerate = abs(d.value) <= eps_D * scale
     eq1 = eq2 = None
-    if not degenerate:
-        rd = d.reciprocal()
+    if not degenerate.all():
+        rd = (d._like(np.where(degenerate, np.eye(len(d.coeffs), 1), d.coeffs))
+              if degenerate.any() else d).reciprocal()
         eq1 = (e3k * e1m - e1k * e3m) * rd
         eq2 = (e3k * e2m - e2k * e3m) * rd
     return SymmetrySystem(D=d, EQ1=eq1, EQ2=eq2, degenerate=degenerate,
@@ -61,11 +63,11 @@ def build_system(omega: OneForm, metric: MetricField, point,
 
 
 def integrability_residuals(sys_: SymmetrySystem):
-    """The three compatibility residuals of the EQ system; zero (numerically)
-    whenever a symmetry exists.  Needs one derivative level beyond the EQ
-    system: build the system at order RESIDUAL_MIN_ORDER or higher."""
-    if sys_.degenerate:
-        raise DegeneratePointError(f"system degenerate at {sys_.D.point}")
+    """The three compatibility residuals of the EQ system, per contact row of a
+    batch; zero (numerically) whenever a symmetry exists.  Needs one derivative
+    level beyond the EQ system: build it at order RESIDUAL_MIN_ORDER or higher."""
+    if sys_.degenerate.all():
+        raise DegeneratePointError(f"system degenerate at {row_of(sys_.D.point)}")
     fr, c = sys_.frame, sys_.C
     eq1, eq2 = sys_.EQ1, sys_.EQ2
     # Signs follow from the bracket relations [E_b, E_c] = -C^a_{bc} E_a
@@ -81,7 +83,7 @@ def integrability_residuals(sys_: SymmetrySystem):
 def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
     """Coordinate gradient of ln f from E1 lnf = EQ1, E2 lnf = EQ2 and
     E3 lnf = 0: d(ln f) = EQ1 eta1 + EQ2 eta2 in the dual coframe."""
-    if sys_.degenerate:
+    if sys_.degenerate.any():
         raise DegeneratePointError("no EQ system at a degenerate point")
     eta = np.array([jvec_values(e) for e in sys_.frame.coframe])
     return sys_.EQ1.value * eta[0] + sys_.EQ2.value * eta[1]
@@ -138,7 +140,6 @@ class SymmetryField:
     point: tuple
     f_value: float
     V: tuple  # component values
-    lambda_mult: float
     VK: float
     VM: float
     E3f: float
@@ -152,12 +153,12 @@ def assemble_V(f, e1f, e2f, frame):
     return tuple(-e2f * a + e1f * b + f * c for a, b, c in zip(*frame))
 
 
-def reconstructed_V(sys_: SymmetrySystem, lnf: float):
+def reconstructed_V(sys_: SymmetrySystem, lnf: float, row: int = 0):
     """(f, V) from a reconstructed ln f: f = e^{ln f}, E1 f = f EQ1 and
-    E2 f = f EQ2, as values."""
+    E2 f = f EQ2, as values; for a batch, at its row `row`."""
     fv = float(np.exp(lnf))
-    return fv, assemble_V(fv, fv * sys_.EQ1.value, fv * sys_.EQ2.value,
-                          [jvec_values(e) for e in sys_.frame.frame])
+    return fv, assemble_V(fv, fv * sys_.EQ1.value_at(row), fv * sys_.EQ2.value_at(row),
+                          [tuple(c.value_at(row) for c in e) for e in sys_.frame.frame])
 
 
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
@@ -183,7 +184,6 @@ def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
         d2 = np.linalg.norm([br2[i].value + lam_mult * frame.E1[i].value
                              for i in range(3)])
         out.append(SymmetryField(
-            point=tuple(p), f_value=fj.value, V=jvec_values(v),
-            lambda_mult=lam_mult, VK=vk, VM=vm, E3f=e3f.value,
+            point=tuple(p), f_value=fj.value, V=jvec_values(v), VK=vk, VM=vm, E3f=e3f.value,
             bracket_defect_1=float(d1), bracket_defect_2=float(d2)))
     return out

@@ -1,17 +1,22 @@
-"""The batch axis of Jet and the chunked `srsurf invariants`: every batch
-column, and every record of a chunked call, equals its one-point result bit
-for bit."""
+"""The batch axis of Jet and the chunked subcommands: every batch column,
+and every record of a chunked `invariants`, `symmetry` or `singular` call,
+equals its one-point (one-probe) result bit for bit."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from srsurf import Jet, JetError, MAX_ORDER, MetricField, OneForm, delta_basis, n_coeffs
-from srsurf.cli import INVARIANTS_CHUNK, main
+from srsurf import (Jet, JetError, MAX_ORDER, MetricField, OneForm, build_contact_frame,
+                    build_system, delta_basis, integrability_residuals, n_coeffs)
+from srsurf.cli import INVARIANTS_CHUNK, _chunk_width, main
 from srsurf.frame import omega_norm
+from srsurf.invariants import INVARIANTS_ORDER
+from srsurf.singular import SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER
+from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
-from conftest import HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1
+from conftest import AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1
 
 SIGMA_METRIC = "1 + x^2\n0\n0\n1\n0\n1\n"  # with OMEGA_1: Sigma = {x = 0}
 
@@ -225,3 +230,145 @@ def test_transcendental_form(capsys, tmp_path):
     points = np.random.default_rng(8).uniform(-1, 1, (30, 3))
     _assert_one_point_records(capsys, "dz + sin(x)*exp(y)*dx + ln(2 + z)*dy - x*dy",
                               points, metric)
+
+
+def test_batch_wide_errors_name_the_first_row(euclid):
+    """An error of a whole batch names its first row, as a one-point call
+    on that row names it: a batch with no contact point, and the residuals
+    of a batch whose every row is degenerate."""
+    def error(call, point):
+        with pytest.raises(JetError) as info:
+            call(point)
+        return str(info.value)
+
+    def contact_frame(points):
+        return build_contact_frame(OneForm.parse(OMEGA_1), euclid, points)
+
+    def residuals(points):
+        return integrability_residuals(build_system(
+            OneForm.parse(HEISENBERG), euclid, points, RESIDUAL_MIN_ORDER))
+
+    sigma = np.array([[0.0, 0.1, 0.2], [0.0, 0.3, 0.4]])
+    noncontact = error(contact_frame, sigma)
+    assert noncontact == error(contact_frame, tuple(sigma[0]))
+    assert noncontact.startswith("point (0.0, 0.1, 0.2) is noncontact")
+    rows = np.array([[0.3, 0.4, 0.1], [-0.5, 0.2, 0.7], [0.9, -0.6, 0.0]])
+    degenerate = error(residuals, rows)
+    assert degenerate == error(residuals, tuple(rows[0]))
+    assert degenerate == "system degenerate at (0.3, 0.4, 0.1)"
+
+
+# -- chunked `srsurf symmetry` and `srsurf singular` ---------------------------
+
+SYMMETRY_CHUNK = _chunk_width(RESIDUAL_MIN_ORDER)
+# not positive definite at x <= 0; with the axial form, degenerate at y = 0
+BAD_METRIC = "x 0 0 1 0 1"
+
+
+def test_chunk_width_rule():
+    """One rule for every order: 128 KiB over 8 bytes per product-table term
+    and batch row."""
+    assert INVARIANTS_CHUNK == _chunk_width(INVARIANTS_ORDER) == 195
+    assert SYMMETRY_CHUNK == 35
+    assert _chunk_width(SIGMA_SCAN_ORDER, SIGMA_SCAN_NODES) == 70
+
+
+def _cli(capsys, argv):
+    assert main([str(a) for a in argv]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def _points_option(p):
+    return ["--points=" + ",".join(repr(float(c)) for c in p)]
+
+
+def _assert_one_call_per_item(capsys, argv, items, batch=None):
+    """One call of `argv` with every item's options (or with `batch`)
+    prints, byte for byte, what one call per item prints; returns that."""
+    lines = _cli(capsys, argv + (batch or [a for item in items for a in item]))
+    assert len(lines) == len(items)
+    for item, line in zip(items, lines):
+        assert [line] == _cli(capsys, argv + item), item
+    return lines
+
+
+def _branches(lines):
+    return {('"error"' in line, json.loads(line)["branch"]) for line in lines}
+
+
+@pytest.fixture
+def metric_file(tmp_path):
+    def write(text):
+        path = tmp_path / "metric.txt"
+        path.write_text(text)
+        return path
+    return write
+
+
+@pytest.mark.parametrize("n", [1, SYMMETRY_CHUNK - 1, SYMMETRY_CHUNK, SYMMETRY_CHUNK + 1])
+def test_symmetry_chunk_lengths(capsys, metric_file, n):
+    # degenerate rows at x = 0 or y = 0, noncontact rows below --tol-contact 0.6
+    points = np.random.default_rng(n).uniform(-1, 1, (n, 3))
+    points[::4, 0] = 0.0
+    points[1::5, 1] = 0.0
+    argv = ["symmetry", "--omega", AXIAL_FORM, "--metric-file",
+            metric_file("\n".join(AXIAL_METRIC)), "--tol-contact", "0.6"]
+    lines = _assert_one_call_per_item(capsys, argv, [_points_option(p) for p in points])
+    if n > 1:
+        assert _branches(lines) == {(False, "regular"), (False, "degenerate"),
+                                    (False, "noncontact")}
+
+
+def test_symmetry_rows_with_errors_rerun_one_point_at_a_time(capsys, metric_file):
+    points = np.random.default_rng(7).uniform(-0.5, 1.5, (SYMMETRY_CHUNK + 5, 3))
+    points[::3, 1] = 0.0
+    argv = ["symmetry", "--omega", AXIAL_FORM, "--metric-file", metric_file(BAD_METRIC)]
+    lines = _assert_one_call_per_item(capsys, argv, [_points_option(p) for p in points])
+    assert _branches(lines) == {(True, "regular"), (False, "regular"), (False, "degenerate")}
+    assert sum('"error"' in line for line in lines) == sum(points[:, 0] <= 0)
+
+
+def test_symmetry_chunks_on_sigma(capsys, metric_file):
+    # a first chunk wholly on Sigma = {x = 0}, a second partly on it, and a
+    # third with a point where the metric is not positive definite
+    w = SYMMETRY_CHUNK
+    points = np.random.default_rng(9).uniform(-1, 1, (2 * w + 4, 3))
+    points[:w, 0] = 0.0
+    points[w:2 * w:3, 0] = 0.0
+    points[-1, 2] = 30.0
+    argv = ["symmetry", "--omega", OMEGA_1, "--metric-file",
+            metric_file("\n".join(OFF_DIAGONAL_METRIC))]
+    lines = _assert_one_call_per_item(capsys, argv, [_points_option(p) for p in points])
+    assert all('"noncontact"' in line for line in lines[:w])
+    assert _branches(lines[w:2 * w]) == {(False, "regular"), (False, "noncontact")}
+    assert '"error"' in lines[-1]
+
+
+def test_symmetry_reconstruct_grid(capsys, metric_file):
+    argv = ["symmetry", "--omega", AXIAL_FORM, "--metric-file",
+            metric_file("\n".join(AXIAL_METRIC)), "--reconstruct", "--base", "0.1,0.2,0.3"]
+    grid = [(x, y, 0.2) for x in (-0.5, 0.0, 0.5) for y in (-0.5, 0.0, 0.5)]
+    lines = _assert_one_call_per_item(capsys, argv, [_points_option(p) for p in grid],
+                                      batch=["--grid", "x=-0.5:0.5:3, y=-0.5:0.5:3, z=0.2"])
+    assert sum('"V"' in line for line in lines) == 4
+    assert sum('"degenerate"' in line for line in lines) == 5
+
+
+PROBES = ["-1,0.2,0.3 : 1,0.1,0.2", "-0.5,-0.4,0.1 : 0.7,0.3,-0.5",
+          "-1,0,-1 : 1,0,-1.5", "0.5,0,0 : 1,0,0", "-0.8,0.9,0.9 : 0.3,-0.9,0.1",
+          "1,0.5,-0.5 : -1,0.5,-0.5", "-0.2,0,0 : 0.9,0.1,0", "-1,-1,-1 : 1,1,1"]
+
+
+@pytest.mark.parametrize("bad_scan", [False, True])
+def test_singular_probes_in_one_batch(capsys, metric_file, bad_scan):
+    # g33 = 2 + z is not positive definite at z <= -2: the third probe reaches
+    # it if bad_scan
+    probes = PROBES[:2] + ["-1,0,-1 : 1,0,-3"] * bad_scan + PROBES[2 + bad_scan:]
+    argv = ["singular", "--omega", OMEGA_1, "--metric-file",
+            metric_file("1 + x^2\n0\n0\n1\n0\n2 + z\n")]
+    lines = _assert_one_call_per_item(capsys, argv, [["--probe=" + p] for p in probes])
+    records = [json.loads(line) for line in lines]
+    assert records[3]["error"] == "no Sigma crossing on probe"
+    assert sum("Q112" in r for r in records) == 7 - bad_scan
+    if bad_scan:
+        assert records[2]["error"].startswith("metric not positive definite at")

@@ -20,7 +20,7 @@ from conftest import (OFF_DIAGONAL_METRIC, SPECIAL_FORM, SPECIAL_METRIC,
 # -- locate_sigma ----------------------------------------------------------
 
 def test_locate_sigma_omega1(omega1, euclid):
-    sp = locate_sigma(omega1, euclid, ((-1, 0, 0), (1, 0, 0)))
+    sp = locate_sigma(omega1, euclid, [((-1, 0, 0), (1, 0, 0))])[0]
     assert sp is not None
     assert np.allclose(sp.point, (0, 0, 0), atol=1e-9)
     assert sp.lambda_residual < 1e-10
@@ -29,15 +29,15 @@ def test_locate_sigma_omega1(omega1, euclid):
 
 
 def test_locate_sigma_offset_segment(omega1, euclid):
-    sp = locate_sigma(omega1, euclid, ((-0.8, 0.4, -0.2), (0.9, 0.4, -0.2)))
+    sp = locate_sigma(omega1, euclid, [((-0.8, 0.4, -0.2), (0.9, 0.4, -0.2))])[0]
     assert sp is not None
     assert abs(sp.point[0]) < 1e-9
     assert sp.point[1] == pytest.approx(0.4)
 
 
 def test_locate_sigma_none_for_contact_forms(omega0, heisenberg, euclid):
-    assert locate_sigma(omega0, euclid, ((-1, -1, -1), (1, 1, 1))) is None
-    assert locate_sigma(heisenberg, euclid, ((-1, -1, 0), (1, 1, 0))) is None
+    assert locate_sigma(omega0, euclid, [((-1, -1, -1), (1, 1, 1))])[0] is None
+    assert locate_sigma(heisenberg, euclid, [((-1, -1, 0), (1, 1, 0))])[0] is None
 
 
 # -- characteristic field --------------------------------------------------
