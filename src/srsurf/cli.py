@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from pathlib import Path
 from typing import List
 
 import numpy as np
@@ -14,7 +15,7 @@ from .fields import MetricField, OneForm
 from .frame import NoncontactError
 from .invariants import INVARIANTS_ORDER, invariants_at
 from .jets import JetError, _mul_table
-from .report import (PointReport, RunConfig, csv_header, csv_row, parse_grid,
+from .report import (PointReport, csv_header, csv_row, parse_grid, parse_point,
                      parse_points, parse_probe)
 from .selftest import run_selftest
 from .singular import (SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
@@ -85,36 +86,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    """The run configuration from the options the subcommand has; the
-    others keep their RunConfig defaults."""
-    cfg = RunConfig(omega_text=args.omega, out_format=args.format,
-                    reconstruct=getattr(args, "reconstruct", False))
-    for name, option in RunConfig.TOLERANCE_OPTIONS.items():
-        value = getattr(args, option[2:].replace("-", "_"), None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if args.metric_file:
-        with open(args.metric_file) as fh:
-            cfg.metric_text = fh.read()
-    for chunk in getattr(args, "points", []):
-        cfg.points.extend(parse_points(chunk))
+def _inputs(args):
+    """(omega, metric, items) of a subcommand, its options checked in a fixed order:
+    the metric file, the points, grid, probes and base, the options --reconstruct
+    needs, the tolerances (NaN is not positive); then omega and the metric entries."""
+    metric_text = Path(args.metric_file).read_text() if args.metric_file else ""
+    items = [p for text in getattr(args, "points", []) for p in parse_points(text)]
     if getattr(args, "grid", None):
-        cfg.points.extend(parse_grid(args.grid))
-    for probe in getattr(args, "probe", []):
-        cfg.probes.append(parse_probe(probe))
-    if getattr(args, "base", None):
-        cfg.base = parse_points(args.base)[0]
-    if getattr(args, "tol_quad", None) is not None and not cfg.reconstruct:
+        items += parse_grid(args.grid)
+    items += [parse_probe(text) for text in getattr(args, "probe", [])]
+    base = getattr(args, "base", None) and parse_point(args.base)
+    reconstruct = getattr(args, "reconstruct", False)
+    if getattr(args, "tol_quad", None) is not None and not reconstruct:
         raise ValueError("--tol-quad requires --reconstruct")
-    cfg.validate()
-    return cfg
+    for name, value in vars(args).items():
+        if name.startswith("tol_") and value is not None and not value > 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be positive")
+    if reconstruct != bool(base):
+        raise ValueError("--reconstruct and --base need each other")
+    return OneForm.parse(args.omega), MetricField.from_text(metric_text), items
 
 
-def _emit(reports: List[PointReport], cfg: RunConfig, path):
+def _given(args, *names) -> dict:
+    """The keywords among `names` whose options were given: the library's defaults are the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _emit(reports: List[PointReport], out_format: str, path):
     """Render every record, then write them all, so that a record that
     cannot be rendered (a non-finite value in JSON) writes nothing."""
-    if cfg.out_format == "csv":
+    if out_format == "csv":
         lines = [csv_header()] + [csv_row(r) for r in reports]
     else:
         lines = [r.to_json() for r in reports]
@@ -157,13 +158,12 @@ def _point_error(p, text: str) -> PointReport:
     return PointReport(point=tuple(p), branch="regular", error=text)
 
 
-def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
-    omega = OneForm.parse(cfg.omega_text)
-    metric = MetricField.from_text(cfg.metric_text)
+def cmd_invariants(args) -> List[PointReport]:
+    omega, metric, points = _inputs(args)
+    tols = _given(args, "tol_contact")
 
     def records(points, reports):
-        vals, frame, _ = invariants_at(omega, metric, _batch(points), INVARIANTS_ORDER,
-                                       eps_contact=cfg.eps_contact)
+        vals, frame, _ = invariants_at(omega, metric, _batch(points), INVARIANTS_ORDER, **tols)
         budget = min(vals.M.order, vals.K.order)  # the least left in what is reported
         for i, r in enumerate(frame.rows.tolist()):
             reports[r] = PointReport(
@@ -171,16 +171,17 @@ def cmd_invariants(cfg: RunConfig) -> List[PointReport]:
                 lam=frame.lam.value_at(i), M=vals.M.value_at(i), K=vals.K.value_at(i),
                 diagnostics={"jet_order": INVARIANTS_ORDER, "budget_remaining": budget})
 
-    return _chunked(cfg.points, INVARIANTS_CHUNK, records, _noncontact, _point_error)
+    return _chunked(points, INVARIANTS_CHUNK, records, _noncontact, _point_error)
 
 
-def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
-    omega = OneForm.parse(cfg.omega_text)
-    metric = MetricField.from_text(cfg.metric_text)
+def cmd_symmetry(args) -> List[PointReport]:
+    omega, metric, points = _inputs(args)
+    base = parse_point(args.base) if args.reconstruct else None
+    tols = _given(args, "tol_degenerate", "tol_contact")
+    lnf_tols = _given(args, "tol_quad", "tol_degenerate", "tol_contact")
 
     def records(points, reports):
-        sys_ = build_system(omega, metric, _batch(points), RESIDUAL_MIN_ORDER,
-                            eps_D=cfg.eps_D, eps_contact=cfg.eps_contact)
+        sys_ = build_system(omega, metric, _batch(points), RESIDUAL_MIN_ORDER, **tols)
         degenerate = np.atleast_1d(sys_.degenerate)
         eq = None if degenerate.all() else np.reshape(  # per row: EQ1, EQ2 and the residuals
             [sys_.EQ1.value, sys_.EQ2.value, *integrability_residuals(sys_)], (5, -1)).T.tolist()
@@ -192,30 +193,28 @@ def cmd_symmetry(cfg: RunConfig) -> List[PointReport]:
             if degenerate[i]:
                 continue
             rep.EQ1, rep.EQ2, *rep.residuals = eq[i]
-            if cfg.reconstruct:
+            if base:
                 try:
-                    rep.lnf = reconstruct_lnf(omega, metric, cfg.base, points[r],
-                                              quad_tol=cfg.quad_tol, eps_D=cfg.eps_D,
-                                              eps_contact=cfg.eps_contact)
+                    rep.lnf = reconstruct_lnf(omega, metric, base, points[r], **lnf_tols)
                     _, rep.V = reconstructed_V(sys_, rep.lnf, i)
                 except JetError as exc:
                     rep.diagnostics["reconstruct_error"] = str(exc)
             rep.diagnostics.update(jet_order=RESIDUAL_MIN_ORDER, budget_remaining=sys_.D.order)
 
-    return _chunked(cfg.points, _chunk_width(RESIDUAL_MIN_ORDER), records, _noncontact,
+    return _chunked(points, _chunk_width(RESIDUAL_MIN_ORDER), records, _noncontact,
                     _point_error)
 
 
-def cmd_singular(cfg: RunConfig) -> List[PointReport]:
-    omega = OneForm.parse(cfg.omega_text)
-    metric = MetricField.from_text(cfg.metric_text)
+def cmd_singular(args) -> List[PointReport]:
+    omega, metric, probes = _inputs(args)
+    tols = _given(args, "tol_root")
 
     def probe_error(seg, text: str) -> PointReport:
         return PointReport(point=seg[0], branch="regular", error=text,
                            diagnostics={"probe": [list(seg[0]), list(seg[1])]})
 
     def records(segments, reports):
-        for k, sp in enumerate(locate_sigma(omega, metric, segments, root_tol=cfg.root_tol)):
+        for k, sp in enumerate(locate_sigma(omega, metric, segments, **tols)):
             if sp is None:
                 continue
             rep = reports[k] = PointReport(
@@ -230,7 +229,7 @@ def cmd_singular(cfg: RunConfig) -> List[PointReport]:
             except JetError as exc:
                 rep.error = str(exc)
 
-    return _chunked(cfg.probes, _chunk_width(SIGMA_SCAN_ORDER, SIGMA_SCAN_NODES), records,
+    return _chunked(probes, _chunk_width(SIGMA_SCAN_ORDER, SIGMA_SCAN_NODES), records,
                     lambda seg: probe_error(seg, "no Sigma crossing on probe"), probe_error)
 
 
@@ -255,11 +254,9 @@ def main(argv=None) -> int:
         return EXIT_OK if ok else EXIT_SELFTEST
 
     try:
-        cfg = _config_from_args(args)
-        handler = {"invariants": cmd_invariants,
-                   "symmetry": cmd_symmetry,
+        handler = {"invariants": cmd_invariants, "symmetry": cmd_symmetry,
                    "singular": cmd_singular}[args.command]
-        _emit(handler(cfg), cfg, args.out)
+        _emit(handler(args), args.format, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

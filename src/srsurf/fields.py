@@ -284,11 +284,14 @@ class MetricField:
     def evaluate(self, point, order: int = DEFAULT_ORDER):
         g11, g12, g13, g22, g23, g33 = jets = self._fn(point, order)
         a, b, c, d, e, f = (j.value for j in jets)
-        # leading minors g11, cofactor 33, det g; one that is inf or NaN fails, unwarned
+        # leading minors g11, cofactor 33, det g: each positive (not NaN), then finite; unwarned
         with np.errstate(over="ignore", invalid="ignore"):
             adj = adjugate(((a, b, c), (b, d, e), (c, e, f)))
-            ok = (a > 0) & (adj[2][2] > 0) & (a * adj[0][0] + b * adj[0][1] + c * adj[0][2] > 0)
-            fail_where(np.logical_not(ok), g11.point, "metric not positive definite")
+            m1, m2, m3 = a, adj[2][2], a * adj[0][0] + b * adj[0][1] + c * adj[0][2]
+            fail_where(np.logical_not((m1 > 0) & (m2 > 0) & (m3 > 0)), g11.point,
+                       "metric not positive definite")
+            fail_where((m1 == np.inf) | (m2 == np.inf) | (m3 == np.inf), g11.point,
+                       "metric out of range")
         return ((g11, g12, g13), (g12, g22, g23), (g13, g23, g33))
 
 

@@ -13,6 +13,7 @@ from .fields import DEFAULT_ORDER, MetricField, OneForm, adjugate, curl, curl_an
 from .jets import Jet, JetError, fail_where, row_of
 
 JetVector = Tuple[Jet, Jet, Jet]
+TOL_CONTACT = 1e-9  # least |lambda| / |omega|_g of a contact point (--tol-contact)
 
 
 class NoncontactError(JetError):
@@ -215,18 +216,18 @@ def adapted_frame(g, e1: JetVector, e2: JetVector, e3: JetVector, eta3: JetVecto
 
 
 def build_contact_frame(omega: OneForm, metric: MetricField, point,
-                        order: int = DEFAULT_ORDER, eps_contact: float = 1e-9):
+                        order: int = DEFAULT_ORDER, tol_contact: float = TOL_CONTACT):
     """Adapted frame and structure functions at a contact point.
 
     eta3 = -omega / lambda (normalized so d(eta3)(E1, E2) = 1), E3 is the
     Reeb field of eta3, eta1/eta2 complete the dual coframe
     (`adapted_frame`).  A point is contact when |lambda| / |omega|_g >=
-    eps_contact, a ratio that omega -> e^phi omega leaves unchanged; the
+    tol_contact, a ratio that omega -> e^phi omega leaves unchanged; the
     frame of a batch covers its contact points, `frame.rows`, if any.
     """
     w, g, e1, e2, lam = basis_and_lambda(omega, metric, point, order)
     contact = abs(lam.value) / omega_norm(w, g)
-    rows = np.flatnonzero(~(contact < eps_contact))
+    rows = np.flatnonzero(~(contact < tol_contact))
     if not len(rows):
         raise NoncontactError(f"point {row_of(lam.point)} is noncontact "
                               f"(|lambda| / |omega|_g = {np.ravel(contact)[0]:.3e})")

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm
-from .frame import AdaptedFrame, JetVector, StructureFunctions, build_contact_frame
+from .frame import TOL_CONTACT, AdaptedFrame, JetVector, StructureFunctions, build_contact_frame
 from .jets import Jet
 
 # Least jet order of M and K: E3 needs d(eta3), the structure functions
@@ -53,10 +53,10 @@ class InvariantValues:
 
 
 def invariants_at(omega: OneForm, metric: MetricField, point,
-                  order: int = DEFAULT_ORDER, eps_contact: float = 1e-9):
+                  order: int = DEFAULT_ORDER, tol_contact: float = TOL_CONTACT):
     """Frame, structure functions and invariants at a contact point (or the
     contact points of a batch), sharing one set of jets."""
-    frame, c = build_contact_frame(omega, metric, point, order, eps_contact=eps_contact)
+    frame, c = build_contact_frame(omega, metric, point, order, tol_contact=tol_contact)
     a1, a2, _, _, p3 = torsion_and_connection_coeffs(c)
     vals = InvariantValues(M=invariant_M(c), K=invariant_K(c, frame),
                            a1=a1, a2=a2, p3=p3)

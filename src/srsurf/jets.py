@@ -114,11 +114,18 @@ def fail_where(bad, point, what: str):
 
 
 def _series(terms):
-    """A univariate jet method from its series terms(v, order, ...) at each value."""
+    """A univariate jet method from its series terms(v, order, ...) at each value;
+    a series term that overflows a float raises JetError."""
+    def at(v, order, args):
+        try:
+            return terms(v, order, *args)
+        except (OverflowError, ZeroDivisionError):  # 1 / v ** k after v ** k underflows
+            raise JetError(f"Taylor series of {terms.__name__} at {v} overflows a float") from None
+
     def compose(self: "Jet", *args) -> "Jet":
         v = self.value
-        return self.compose_series(terms(v, self.order, *args) if isinstance(v, float) else
-                                   np.array([terms(x, self.order, *args) for x in v.tolist()]).T)
+        return self.compose_series(at(v, self.order, args) if isinstance(v, float) else
+                                   np.array([at(x, self.order, args) for x in v.tolist()]).T)
     return compose
 
 

@@ -1,4 +1,4 @@
-"""Report records and run configuration for the command-line front end."""
+"""Report records and input parsing for the command-line front end."""
 
 from __future__ import annotations
 
@@ -65,33 +65,6 @@ def csv_header() -> str:
 def csv_row(r: PointReport) -> str:
     vals = [*r.point, *(getattr(r, c) for c in CSV_COLUMNS)]
     return ",".join("" if v is None else str(v) for v in vals)
-
-
-@dataclass
-class RunConfig:
-    # The command-line option that sets each tolerance (not a field).
-    TOLERANCE_OPTIONS = {"eps_contact": "--tol-contact", "eps_D": "--tol-degenerate",
-                         "root_tol": "--tol-root", "quad_tol": "--tol-quad"}
-    omega_text: str = ""
-    metric_text: str = ""
-    eps_contact: float = 1e-9
-    eps_D: float = 1e-9
-    root_tol: float = 1e-10
-    quad_tol: float = 1e-9
-    points: List[Point] = field(default_factory=list)
-    probes: List[Segment] = field(default_factory=list)
-    reconstruct: bool = False
-    base: Optional[Point] = None
-    out_format: str = "json"
-
-    def validate(self):
-        if self.out_format not in ("json", "csv"):
-            raise ValueError(f"unknown output format {self.out_format!r}")
-        for name, option in self.TOLERANCE_OPTIONS.items():
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise ValueError(f"{option} must be positive")
-        if self.reconstruct != (self.base is not None):
-            raise ValueError("--reconstruct and --base need each other")
 
 
 def _finite(text: str) -> float:

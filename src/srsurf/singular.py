@@ -27,6 +27,7 @@ SINGULAR_FRAME_ORDER = TRANSVERSALITY_ORDER + 1
 
 # Thresholds (of ratios that omega -> c omega leaves unchanged).
 SIGMA_SCAN_NODES = 33      # equally spaced lambda samples on a probe segment
+TOL_ROOT = 1e-10           # a root: |lambda| / |omega|_g at most it
 TRANSVERSALITY_EPS = 1e-8  # transversal: |d(lambda)|_Delta| / |omega|_g above it
 CHARACTERISTIC_TOL = 1e-6  # w, omega(w) and w mod omega(w) below it vanish
 
@@ -50,12 +51,12 @@ class SigmaInvariants:
 
 
 def locate_sigma(omega: OneForm, metric: MetricField, segments,
-                 root_tol: float = 1e-10) -> List[Optional[SigmaPoint]]:
+                 tol_root: float = TOL_ROOT) -> List[Optional[SigmaPoint]]:
     """The root of lambda along each straight segment (p0, p1), or None.
 
     All the segments are scanned for a sign change in one batch, then each
     bracketed root is polished (Brent).  It is accepted when |lambda| /
-    |omega|_g <= root_tol and is transversal when |d(lambda)|_Delta| /
+    |omega|_g <= tol_root and is transversal when |d(lambda)|_Delta| /
     |omega|_g > TRANSVERSALITY_EPS.
     """
     ends = np.array(segments, dtype=float)
@@ -81,7 +82,7 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
                                                  TRANSVERSALITY_ORDER)
         residual = abs(lam_jet.value)
         scale = omega_norm(w, g)
-        if residual / scale > root_tol:
+        if residual / scale > tol_root:
             return None
         grad_norm = float(np.hypot(directional_derivative(lam_jet, e1).value,
                                    directional_derivative(lam_jet, e2).value))

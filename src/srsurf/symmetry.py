@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
-from .frame import AdaptedFrame, StructureFunctions, jvec_values, lie_bracket
+from .frame import TOL_CONTACT, AdaptedFrame, StructureFunctions, jvec_values, lie_bracket
 from .invariants import INVARIANTS_ORDER, directional_derivative, invariants_at
 from .jets import Jet, JetError, row_of
 
@@ -18,6 +18,9 @@ from .jets import Jet, JetError, row_of
 # once, the residuals differentiate EQ once more.
 EQ_ORDER = INVARIANTS_ORDER + 1
 RESIDUAL_MIN_ORDER = EQ_ORDER + 1
+
+TOL_DEGENERATE = 1e-9  # |D| / (in-plane gradient norms) at or below it: degenerate
+TOL_QUAD = 1e-9        # absolute error bound of the ln f quadrature
 
 
 class DegeneratePointError(JetError):
@@ -37,21 +40,21 @@ class SymmetrySystem:
 
 
 def build_system(omega: OneForm, metric: MetricField, point,
-                 order: int = DEFAULT_ORDER, eps_D: float = 1e-9,
-                 eps_contact: float = 1e-9) -> SymmetrySystem:
+                 order: int = DEFAULT_ORDER, tol_degenerate: float = TOL_DEGENERATE,
+                 tol_contact: float = TOL_CONTACT) -> SymmetrySystem:
     """D = E1K E2M - E2K E1M; EQ1, EQ2 as the quotients of the cross
     numerators by D.  The degeneracy test is relative to the product of the
-    in-plane gradient norms ||(E1K, E2K)|| * ||(E1M, E2M)|| (|D| <= eps_D *
-    scale flags degenerate), so that both near-parallel gradients and
+    in-plane gradient norms ||(E1K, E2K)|| * ||(E1M, E2M)|| (|D| <=
+    tol_degenerate * scale flags degenerate), so that both near-parallel gradients and
     vanishing gradients are reported as degenerate, in a batch row by row; a
     degenerate row's EQ divides by a stand-in D = 1 and means nothing."""
-    vals, frame, c = invariants_at(omega, metric, point, order, eps_contact=eps_contact)
+    vals, frame, c = invariants_at(omega, metric, point, order, tol_contact=tol_contact)
     m, k = vals.M, vals.K
     e1k, e2k, e3k = (directional_derivative(k, e) for e in frame.frame)
     e1m, e2m, e3m = (directional_derivative(m, e) for e in frame.frame)
     d = e1k * e2m - e2k * e1m
     scale = (np.hypot(e1k.value, e2k.value) * np.hypot(e1m.value, e2m.value))
-    degenerate = abs(d.value) <= eps_D * scale
+    degenerate = abs(d.value) <= tol_degenerate * scale
     eq1 = eq2 = None
     if not degenerate.all():
         rd = (d._like(np.where(degenerate, np.eye(len(d.coeffs), 1), d.coeffs))
@@ -90,15 +93,15 @@ def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
 
 
 def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
-                    quad_tol: float = 1e-9, eps_D: float = 1e-9,
-                    eps_contact: float = 1e-9, max_depth: int = 14) -> float:
+                    tol_quad: float = TOL_QUAD, tol_degenerate: float = TOL_DEGENERATE,
+                    tol_contact: float = TOL_CONTACT, max_depth: int = 14) -> float:
     """ln f(target) with ln f(base) = 0: the line integral of the coordinate
     gradient (the EQ system at EQ_ORDER) along base -> target by QUADPACK's
     QAGS (`scipy.integrate.quad`, 21-point Gauss-Kronrod, at most
-    2 ** max_depth panels) to an absolute error estimate below quad_tol,
+    2 ** max_depth panels) to an absolute error estimate below tol_quad,
     else JetError.  A segment that meets a degenerate point is retried once
     via base + delta/2 + |delta|/2 e_k, k = argmin |delta_k|, else raised;
-    one that meets a noncontact point (eps_contact, as in build_system)
+    one that meets a noncontact point (tol_contact, as in build_system)
     raises NoncontactError."""
     base, target = (np.array(p, dtype=float) for p in (base, target))
     delta = target - base
@@ -109,19 +112,19 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
     def segment(a: np.ndarray, d: np.ndarray) -> float:  # from a to a + d
         def integrand(t: float) -> float:
             sys_ = build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER,
-                                eps_D=eps_D, eps_contact=eps_contact)
+                                tol_degenerate=tol_degenerate, tol_contact=tol_contact)
             if sys_.degenerate:
                 raise DegeneratePointError(
                     f"degenerate point on segment at t = {t:.6f}")
             return float(d @ frame_to_coordinate_gradient(sys_))
 
         value, abserr, info, *failed = quad(
-            integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=0.0,
+            integrand, 0.0, 1.0, epsabs=tol_quad, epsrel=0.0,
             limit=2 ** max_depth, full_output=1)
         if failed:
             raise JetError(f"quadrature did not converge on panel t = [0, 1]: "
                            f"abserr = {abserr:.3e}, neval = {info['neval']}, "
-                           f"quad_tol = {quad_tol:g}, max_depth = {max_depth}")
+                           f"tol_quad = {tol_quad:g}, max_depth = {max_depth}")
         return value
 
     try:

@@ -354,6 +354,25 @@ def test_symmetry_reconstruct_grid(capsys, metric_file):
     assert sum('"degenerate"' in line for line in lines) == 5
 
 
+@pytest.mark.parametrize("reconstruct", [[], ["--reconstruct", "--base", "1,0.5,0.2"]])
+def test_symmetry_series_overflow_in_a_chunk(capsys, metric_file, reconstruct):
+    # g's scale e^(-100 x) makes 1 / |u|_g for E1's unnormalized seed u
+    # overflow in its order-5 Taylor series from x = 0.3 on, and in its
+    # order-4 one (ln f's quadrature) near the base at x = 1
+    argv = ["symmetry", "--omega", "dz + y*dx", "--metric-file",
+            metric_file("exp(-100*x)\n0\n0\nexp(-100*x)*(1 + y^2)\n0\nexp(-100*x)\n"),
+            *reconstruct]
+    points = [(x / 10, 0.5, 0.2) for x in (-2, -1, 0, 1, 3, 4, 5)]
+    records = [json.loads(line) for line in _assert_one_call_per_item(
+        capsys, argv, [_points_option(p) for p in points])]
+    overflows = [r["error"].startswith("Taylor series of pow at ") for r in records[4:]]
+    assert len(overflows) == 3 and all(overflows)
+    for r in records[:4]:
+        assert r["branch"] == "regular" and "error" not in r and "lnf" not in r
+        if reconstruct:
+            assert r["diagnostics"]["reconstruct_error"].startswith("Taylor series of pow at ")
+
+
 PROBES = ["-1,0.2,0.3 : 1,0.1,0.2", "-0.5,-0.4,0.1 : 0.7,0.3,-0.5",
           "-1,0,-1 : 1,0,-1.5", "0.5,0,0 : 1,0,0", "-0.8,0.9,0.9 : 0.3,-0.9,0.1",
           "1,0.5,-0.5 : -1,0.5,-0.5", "-0.2,0,0 : 0.9,0.1,0", "-1,-1,-1 : 1,1,1"]

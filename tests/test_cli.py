@@ -233,6 +233,40 @@ def test_overflowing_metric_entry_is_not_positive_definite(capsys, tmp_path,
         assert rec["error"] == f"metric not positive definite at {tuple(rec['point'])}"
 
 
+@pytest.mark.parametrize("command, where", [
+    ("invariants", ["--points", "0.1,0.2,0.3; 0.4,0.5,0.6"]),
+    ("symmetry", ["--points", "0.1,0.2,0.3; 0.4,0.5,0.6"]),
+    ("singular", ["--probe", "0.1,0.2,0.3 : 1,1,1", "--probe", "0,0,0 : 1,1,1"]),
+])
+def test_metric_with_infinite_minors_is_out_of_range(capsys, tmp_path, command, where):
+    # positive definite, but the cofactor 33 and det g overflow to +inf
+    metric = tmp_path / "metric.txt"
+    metric.write_text("1e200 0 0 1e200 0 1e200")
+    code, out, err = run_cli(capsys, command, "--omega", CARTAN,
+                             "--metric-file", str(metric), *where)
+    assert (code, err) == (0, "")
+    recs = ndjson(out)
+    assert len(recs) == 2
+    for rec in recs:
+        assert rec["error"] == f"metric out of range at {tuple(rec['point'])}"
+
+
+def test_series_overflow_is_an_error_record(capsys, tmp_path):
+    # with g of scale 1e-12, 1 / |u|_g for E1's unnormalized seed
+    # u = (g n) x omega overflows in its order-5 Taylor series, which
+    # symmetry needs and invariants does not
+    metric = tmp_path / "metric.txt"
+    metric.write_text("1e-12*(1 + x^2)\n0\n0\n1e-12\n0\n1e-12\n")
+    argv = ["--omega", "dz + y*dx", "--points", "0.4,0.7,-0.2", "--metric-file", str(metric)]
+    code, out, err = run_cli(capsys, "symmetry", *argv)
+    assert (code, err) == (0, "")
+    (rec,) = ndjson(out)
+    assert rec["error"].startswith("Taylor series of pow at ")
+    code, out, err = run_cli(capsys, "invariants", *argv)
+    assert (code, err) == (0, "")
+    assert ndjson(out)[0]["branch"] == "regular"
+
+
 def test_nonfinite_record_writes_nothing(capsys, monkeypatch):
     good = PointReport(point=(0.0, 0.0, 0.0), lam=1.0)
     bad = PointReport(point=(1.0, 0.0, 0.0), lam=float("nan"))
@@ -258,6 +292,14 @@ def test_reconstruct_option_without_reconstruct_exits_1(capsys, option, value):
                              "--points", "1,0,0", option, value)
     assert code == 1
     assert out == "" and "--reconstruct" in err
+
+
+@pytest.mark.parametrize("base", [";", "0,0,0;1,1,1"])
+def test_base_takes_exactly_one_point(capsys, base):
+    code, out, err = run_cli(capsys, "symmetry", "--omega", HEISENBERG, "--points",
+                             "1,0,0", "--reconstruct", "--base", base)
+    assert (code, out) == (1, "")
+    assert err == f"error: point must have 3 coordinates: {base!r}\n"
 
 
 # Every option of every subcommand, with a value, and the options each

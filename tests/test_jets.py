@@ -97,6 +97,20 @@ def test_sqrt_domain_error():
         Jet.constant(0.0, (0, 0, 0), 3).log()
 
 
+@pytest.mark.parametrize("method, value, args", [
+    ("pow", 2.7e-60, (-0.5,)),   # v ** (r - 5) is above the largest float
+    ("reciprocal", 1e-200, ()),  # v ** 2 underflows to 0 before 1 / v ** 2
+    ("exp", 1000.0, ()),
+])
+def test_series_overflow_raises_jet_error(method, value, args):
+    message = rf"^Taylor series of {method} at {value} overflows a float$"
+    with pytest.raises(JetError, match=message):
+        getattr(Jet.constant(value, (0, 0, 0), 5), method)(*args)
+    batch = Jet.constant(np.array([1.0, value, 2.0]), np.zeros((3, 3)), 5)
+    with pytest.raises(JetError, match=message):
+        getattr(batch, method)(*args)
+
+
 def test_exp_taylor_coefficients():
     x = Jet.variable(0, (0, 0, 0), 4)
     e = x.exp()

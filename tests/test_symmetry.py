@@ -166,16 +166,16 @@ def test_reconstruct_lnf_raises_when_quadrature_does_not_converge(axial):
     # Gauss-Kronrod panel is a real quadrature error (about 5e-3) and not
     # only rounding, which can come out exactly 0 on a short one
     omega, metric = axial
-    with pytest.raises(JetError, match=r"did not converge on panel t = \[0, 1\].*quad_tol = 1e-300"):
+    with pytest.raises(JetError, match=r"did not converge on panel t = \[0, 1\].*tol_quad = 1e-300"):
         reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0),
-                        quad_tol=1e-300, max_depth=0)
+                        tol_quad=1e-300, max_depth=0)
 
 
 def test_reconstruct_lnf_failure_reports_progress(axial):
     omega, metric = axial
     with pytest.raises(JetError, match=r"abserr = \S+, neval = 21,"):
         reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0),
-                        quad_tol=1e-300, max_depth=0)
+                        tol_quad=1e-300, max_depth=0)
 
 
 def test_reconstruct_lnf_one_kronrod_panel(axial, system_points):
@@ -249,7 +249,7 @@ def test_reconstruct_quadrature_convergence(axial):
     base, p = (0.0, 0.0, 0.0), AXIAL_POINTS[2]
     lam_prog = _axial_lambda(omega, metric)
     want = math.log(lam_prog(base).value / lam_prog(p).value)
-    errs = [abs(reconstruct_lnf(omega, metric, base, p, quad_tol=tol) - want)
+    errs = [abs(reconstruct_lnf(omega, metric, base, p, tol_quad=tol) - want)
             for tol in (1e-3, 1e-6, 1e-9)]
     assert errs[-1] <= errs[0] + 1e-12
     assert errs[-1] < 1e-8
