@@ -195,7 +195,8 @@ def cmd_symmetry(args) -> List[PointReport]:
             rep.EQ1, rep.EQ2, *rep.residuals = eq[i]
             if base:
                 try:
-                    rep.lnf = reconstruct_lnf(omega, metric, base, points[r], **lnf_tols)
+                    rep.lnf, rep.diagnostics["reconstruct"] = reconstruct_lnf(
+                        omega, metric, base, points[r], **lnf_tols)
                     _, rep.V = reconstructed_V(sys_, rep.lnf, i)
                 except JetError as exc:
                     rep.diagnostics["reconstruct_error"] = str(exc)

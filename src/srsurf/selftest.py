@@ -248,7 +248,7 @@ def check_symmetry_reconstruction() -> CheckResult:
             devs.append(abs(eq.value - ref))
         devs += [abs(r) for r in integrability_residuals(sys_)]
     base, target = (0.1, 0.2, 0.0), (0.9, -0.4, 0.3)
-    lnf = reconstruct_lnf(omega, g, base, target)
+    lnf, _ = reconstruct_lnf(omega, g, base, target)
     ref = math.log(nonholonomity(omega, g, base).value
                    / nonholonomity(omega, g, target).value)
     devs.append(abs(lnf - ref))

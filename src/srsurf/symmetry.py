@@ -5,6 +5,7 @@ and verification of the symmetry field V."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -92,27 +93,55 @@ def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
     return sys_.EQ1.value * eta[0] + sys_.EQ2.value * eta[1]
 
 
+@lru_cache(maxsize=1)
+def _first_panel() -> tuple:
+    """QUADPACK's first-panel nodes on [0, 1] in its own order, from a dry run of quad."""
+    from scipy.integrate import quad  # kept out of the CLI's start-up
+    nodes = []
+    quad(lambda t: nodes.append(t) or 0.0, 0.0, 1.0)
+    return tuple(nodes)
+
+
 def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
                     tol_quad: float = TOL_QUAD, tol_degenerate: float = TOL_DEGENERATE,
-                    tol_contact: float = TOL_CONTACT, max_depth: int = 14) -> float:
-    """ln f(target) with ln f(base) = 0: the line integral of the coordinate
-    gradient (the EQ system at EQ_ORDER) along base -> target by QUADPACK's
-    QAGS (`scipy.integrate.quad`, 21-point Gauss-Kronrod, at most
+                    tol_contact: float = TOL_CONTACT, max_depth: int = 14):
+    """(ln f(target), info) with ln f(base) = 0: the line integral of the
+    coordinate gradient (the EQ system at EQ_ORDER) along base -> target by
+    QUADPACK's QAGS (`scipy.integrate.quad`, 21-point Gauss-Kronrod, at most
     2 ** max_depth panels) to an absolute error estimate below tol_quad,
-    else JetError.  A segment that meets a degenerate point is retried once
-    via base + delta/2 + |delta|/2 e_k, k = argmin |delta_k|, else raised;
-    one that meets a noncontact point (tol_contact, as in build_system)
-    raises NoncontactError."""
+    else JetError.  The 21 nodes of QUADPACK's first panel are one batched
+    build_system, each node's value the float a one-point system gives; a
+    batch with a noncontact or degenerate row, or one that raises or meets
+    a floating-point fault, is dropped, and every node then takes its own
+    system.  A segment that meets a degenerate point is retried once via
+    base + delta/2 + |delta|/2 e_k, k = argmin |delta_k|, else raised; one
+    that meets a noncontact point (tol_contact, as in build_system) raises
+    NoncontactError.  info holds quad's neval and abserr, summed over the
+    legs of a detour, the route ("direct" or "detour") and `batched`, the
+    integrand values the batch served."""
     base, target = (np.array(p, dtype=float) for p in (base, target))
     delta = target - base
     if not delta.any():
-        return 0.0
-    from scipy.integrate import quad  # kept out of the CLI's start-up
+        return 0.0, {"neval": 0, "abserr": 0.0, "route": "direct", "batched": 0}
+    from scipy.integrate import quad
+    tols = {"tol_degenerate": tol_degenerate, "tol_contact": tol_contact}
 
-    def segment(a: np.ndarray, d: np.ndarray) -> float:  # from a to a + d
+    def segment(a: np.ndarray, d: np.ndarray):  # from a to a + d: (value, info)
+        ts = _first_panel()
+        try:  # a floating-point fault drops the batch, so only the one-point path warns
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                sys_ = build_system(omega, metric, a + np.array(ts)[:, None] * d, EQ_ORDER, **tols)
+                grad = frame_to_coordinate_gradient(sys_)  # raises at a degenerate row
+            stored = ({t: float(d @ grad[:, k].copy())  # contiguous, summed as one point's
+                       for k, t in enumerate(ts)} if len(sys_.frame.rows) == len(ts) else {})
+        except (JetError, ValueError, FloatingPointError):
+            stored = {}
+        batched = len(stored)
+
         def integrand(t: float) -> float:
-            sys_ = build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER,
-                                tol_degenerate=tol_degenerate, tol_contact=tol_contact)
+            if t in stored:
+                return stored.pop(t)
+            sys_ = build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER, **tols)
             if sys_.degenerate:
                 raise DegeneratePointError(
                     f"degenerate point on segment at t = {t:.6f}")
@@ -125,17 +154,19 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
             raise JetError(f"quadrature did not converge on panel t = [0, 1]: "
                            f"abserr = {abserr:.3e}, neval = {info['neval']}, "
                            f"tol_quad = {tol_quad:g}, max_depth = {max_depth}")
-        return value
+        return value, {"neval": info["neval"], "abserr": abserr, "batched": batched - len(stored)}
 
     try:
-        return segment(base, delta)
+        value, info = segment(base, delta)
+        return value, dict(info, route="direct")
     except DegeneratePointError as direct:
         leg = 0.5 * delta
         leg[np.argmin(np.abs(delta))] += 0.5 * np.linalg.norm(delta)
         try:
-            return segment(base, leg) + segment(base + leg, delta - leg)
+            (v1, info1), (v2, info2) = segment(base, leg), segment(base + leg, delta - leg)
         except DegeneratePointError:
             raise direct from None
+        return v1 + v2, dict({k: info1[k] + info2[k] for k in info1}, route="detour")
 
 
 @dataclass

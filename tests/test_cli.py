@@ -371,6 +371,24 @@ def test_symmetry_reconstruct(capsys, axial_metric_file):
     assert len(rec["V"]) == 3
 
 
+def test_reconstruct_diagnostics(capsys, axial_metric_file):
+    # from (0, -0.5, 0) the segment to (1, 0.5, 0) has its midpoint on the
+    # degenerate plane y = 0 and detours; neval and abserr are quad's, summed
+    # over the legs, and batched counts the values the first panels' batches served
+    code, out, _ = run_cli(capsys, "symmetry", "--omega", CARTAN,
+                           "--metric-file", axial_metric_file,
+                           "--points", "0.4,0.7,-0.2; 1,0.5,0",
+                           "--reconstruct", "--base", "0,-0.5,0")
+    assert code == 0
+    direct, detour = (rec["diagnostics"]["reconstruct"] for rec in ndjson(out))
+    for info in (direct, detour):
+        assert set(info) == {"neval", "abserr", "route", "batched"}
+        assert type(info["neval"]) is type(info["batched"]) is int
+        assert isinstance(info["abserr"], float) and 0 <= info["abserr"] < 1e-9
+    assert (direct["route"], direct["neval"], direct["batched"]) == ("direct", 21, 21)
+    assert (detour["route"], detour["neval"], detour["batched"]) == ("detour", 42, 42)
+
+
 def test_reconstruct_honours_tol_contact(capsys, axial_metric_file):
     # the base is noncontact at --tol-contact 0.5, and so is the segment's
     # midpoint: the target gets an error, not an ln f

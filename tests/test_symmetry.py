@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from srsurf import (BudgetExhausted, DegeneratePointError, FieldProgram,
                     JetError, MetricField, OneForm, assemble_and_verify_V, build_system,
                     frame_to_coordinate_gradient, integrability_residuals,
                     nonholonomity, reconstruct_lnf)
-from srsurf.symmetry import RESIDUAL_MIN_ORDER, reconstructed_V
+from srsurf.symmetry import EQ_ORDER, RESIDUAL_MIN_ORDER, TOL_QUAD, reconstructed_V
 
-from conftest import AXIAL_FORM, AXIAL_METRIC, box_points
+from conftest import AXIAL_FORM, AXIAL_METRIC, HEISENBERG, box_points
 
 
 @pytest.fixture
@@ -33,17 +34,44 @@ def _axial_lambda(omega, metric):
 
 @pytest.fixture
 def system_points(monkeypatch):
-    """The points of every build_system call that reconstruct_lnf makes
-    during the test."""
+    """Every build_system call that reconstruct_lnf makes during the test, in
+    order, as ("batch", rows) or ("scalar", [point]), each point a tuple."""
     points = []
     build = srsurf.symmetry.build_system
 
     def counted(omega, metric, point, *args, **kwargs):
-        points.append(point)
+        points.append(("batch", [tuple(r) for r in point.tolist()])
+                      if isinstance(point, np.ndarray) else ("scalar", [tuple(point)]))
         return build(omega, metric, point, *args, **kwargs)
 
     monkeypatch.setattr(srsurf.symmetry, "build_system", counted)
     return points
+
+
+def _quad_nodes():
+    """The nodes QUADPACK's first panel on [0, 1] asks for, in its order."""
+    from scipy.integrate import quad
+    nodes = []
+    quad(lambda t: nodes.append(t) or 0.0, 0.0, 1.0)
+    return nodes
+
+
+def _one_system_per_node(omega, metric, base, target, tol_quad=TOL_QUAD, **tols):
+    """(ln f, neval) by QAGS with a one-point build_system at every node, on
+    the direct segment only: the reference for reconstruct_lnf's batch."""
+    from scipy.integrate import quad
+    a = np.array(base, dtype=float)
+    d = np.array(target, dtype=float) - a
+
+    def integrand(t):
+        sys_ = build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER, **tols)
+        if sys_.degenerate:
+            raise DegeneratePointError(f"degenerate point on segment at t = {t:.6f}")
+        return float(d @ frame_to_coordinate_gradient(sys_))
+
+    value, _, info, *_ = quad(integrand, 0.0, 1.0, epsabs=tol_quad, epsrel=0.0,
+                              limit=2 ** 14, full_output=1)
+    return value, info["neval"]
 
 
 # -- build_system ----------------------------------------------------------
@@ -156,7 +184,7 @@ def test_reconstruct_lnf_oracle(axial):
     lam_prog = _axial_lambda(omega, metric)
     lam0 = lam_prog(base).value
     for p in AXIAL_POINTS:
-        got = reconstruct_lnf(omega, metric, base, p)
+        got, _ = reconstruct_lnf(omega, metric, base, p)
         want = math.log(lam0 / lam_prog(p).value)
         assert abs(got - want) < 1e-8
 
@@ -180,9 +208,60 @@ def test_reconstruct_lnf_failure_reports_progress(axial):
 
 def test_reconstruct_lnf_one_kronrod_panel(axial, system_points):
     # the integrand is smooth, so QAGS stops after its first 21 nodes
+    # and the batch of those 21 nodes serves them all
     omega, metric = axial
-    reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), AXIAL_POINTS[0])
-    assert len(system_points) == 21 == len(set(system_points))
+    _, info = reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), AXIAL_POINTS[0])
+    assert [kind for kind, _ in system_points] == ["batch"]
+    rows = system_points[0][1]
+    assert len(rows) == 21 == len(set(rows))
+    assert info["neval"] == info["batched"] == 21
+
+
+def test_reconstruct_lnf_equals_one_system_per_node(axial):
+    # the batch gives each first-panel node the float its own system gives,
+    # so ln f is the same float; under a tight tol_quad QAGS bisects, and
+    # the nodes of the later panels take their own systems
+    omega, metric = axial
+    base = (0.0, 0.0, 0.0)
+    for p in AXIAL_POINTS:
+        assert (reconstruct_lnf(omega, metric, base, p)[0]
+                == _one_system_per_node(omega, metric, base, p)[0])
+    target = (2.0, 1.5, 0.3)
+    lnf, info = reconstruct_lnf(omega, metric, base, target, tol_quad=1e-12)
+    want, neval = _one_system_per_node(omega, metric, base, target, tol_quad=1e-12)
+    assert lnf == want
+    assert info["neval"] == neval > 21 and info["batched"] == 21
+
+
+RADIAL_100 = "(1 + x^2 + y^2)^100"
+
+
+@pytest.mark.parametrize("omega, metric, base, target, tols, text", [
+    # a first-panel node other than the midpoint is noncontact, or its metric
+    # is not positive definite (for x >= 1)
+    (AXIAL_FORM, AXIAL_METRIC, (0.1, 0.1, 0.0), (1.6, 1.6, 0.0), {"tol_contact": 0.5},
+     "noncontact"),
+    (AXIAL_FORM, ("1 - x", "0", "0", "1", "0", "1"), (0.0, 0.5, 0.0), (1.5, 0.5, 0.1), {},
+     "metric not positive definite"),
+    # the midpoint's metric is out of range, and the outer nodes' jet products
+    # overflow before their metric is checked
+    (HEISENBERG, (RADIAL_100, "0", "0", RADIAL_100, "0", RADIAL_100), (0.0, 0.0, 0.0),
+     (40.0, 0.0, 0.0), {}, "metric out of range at (20.0, 0.0, 0.0)"),
+], ids=["noncontact", "not-positive-definite", "out-of-range"])
+def test_reconstruct_lnf_batch_keeps_error_text(omega, metric, base, target, tols, text):
+    # the batch is dropped, and the one-point path raises at the first
+    # failing node in QUADPACK's order: the same error, and no warning
+    omega, metric = OneForm.parse(omega), MetricField.from_upper_triangle(metric)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(JetError) as want:
+            _one_system_per_node(omega, metric, base, target, **tols)
+        with pytest.raises(JetError) as got:
+            reconstruct_lnf(omega, metric, base, target, **tols)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert text in str(got.value)
+    assert caught == []
 
 
 def test_reconstruct_lnf_closed_form(axial):
@@ -192,7 +271,7 @@ def test_reconstruct_lnf_closed_form(axial):
     lam0 = lam_prog(base).value
     for p in AXIAL_POINTS:
         want = math.log(lam0 / lam_prog(p).value)
-        assert abs(reconstruct_lnf(omega, metric, base, p) - want) < 1e-12
+        assert abs(reconstruct_lnf(omega, metric, base, p)[0] - want) < 1e-12
 
 
 def test_reconstruct_lnf_detours_around_degenerate_segment(axial, system_points):
@@ -200,14 +279,20 @@ def test_reconstruct_lnf_detours_around_degenerate_segment(axial, system_points)
     # Kronrod node t = 0.5 is on it; the route through the waypoint
     # (0.5, 0.5, 0) leaves the plane, and f = -sqrt(1 + x^2 + y^2) there
     omega, metric = axial
-    got = reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
+    got, _ = reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert abs(got - 0.5 * math.log(2)) < 1e-12
-    # the direct segment fails at its first node, the midpoint; each leg
-    # then takes one 21-point panel, starting at its own midpoint
-    assert len(system_points) == 43
-    assert system_points[0] == (0.5, 0.0, 0.0)
-    assert system_points[1] == (0.25, 0.25, 0.0)
-    assert system_points[22] == (0.75, 0.25, 0.0)
+    # the direct segment's batch holds the degenerate midpoint and is
+    # dropped, and its one-point call fails at its first node, the midpoint;
+    # each leg then takes one batch of its 21-point panel, at the points
+    # one call per node would take, starting at the leg's own midpoint
+    assert [(kind, len(rows)) for kind, rows in system_points] == [
+        ("batch", 21), ("scalar", 1), ("batch", 21), ("batch", 21)]
+    assert system_points[0][1][0] == (0.5, 0.0, 0.0)
+    assert system_points[1][1] == [(0.5, 0.0, 0.0)]
+    leg = np.array([0.5, 0.5, 0.0])
+    for a, d, (_, rows) in ((np.zeros(3), leg, system_points[2]),
+                            (leg, np.array([1.0, 0.0, 0.0]) - leg, system_points[3])):
+        assert rows == [tuple((a + t * d).tolist()) for t in _quad_nodes()]
 
 
 def test_reconstruct_lnf_detour_failure_raises_direct_error(heisenberg, euclid,
@@ -215,9 +300,13 @@ def test_reconstruct_lnf_detour_failure_raises_direct_error(heisenberg, euclid,
     # degenerate everywhere: the direct segment fails at its midpoint, the
     # detour at the midpoint of its first leg, and the direct segment's
     # error is raised again, with the detour's as its suppressed context
+    # (each segment's batch is dropped first)
     with pytest.raises(DegeneratePointError) as info:
         reconstruct_lnf(heisenberg, euclid, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
-    assert system_points == [(0.5, 0.0, 0.0), (0.25, 0.25, 0.0)]
+    assert [(kind, rows[0]) for kind, rows in system_points] == [
+        ("batch", (0.5, 0.0, 0.0)), ("scalar", (0.5, 0.0, 0.0)),
+        ("batch", (0.25, 0.25, 0.0)), ("scalar", (0.25, 0.25, 0.0))]
+    assert [len(rows) for _, rows in system_points] == [21, 1, 21, 1]
     assert info.value.__suppress_context__
     assert isinstance(info.value.__context__, DegeneratePointError)
 
@@ -231,16 +320,16 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 def test_reconstruct_lnf_base_equals_target(axial):
     omega, metric = axial
-    assert reconstruct_lnf(omega, metric, (0.2, 0.3, 0.1), (0.2, 0.3, 0.1)) == 0.0
+    assert reconstruct_lnf(omega, metric, (0.2, 0.3, 0.1), (0.2, 0.3, 0.1))[0] == 0.0
 
 
 def test_reconstruct_lnf_path_independence(axial):
     omega, metric = axial
     base = (0.0, 0.0, 0.0)
     t1, t2 = AXIAL_POINTS[0], AXIAL_POINTS[1]
-    d_direct = reconstruct_lnf(omega, metric, t1, t2)
-    d_via_base = (reconstruct_lnf(omega, metric, base, t2)
-                  - reconstruct_lnf(omega, metric, base, t1))
+    d_direct, _ = reconstruct_lnf(omega, metric, t1, t2)
+    d_via_base = (reconstruct_lnf(omega, metric, base, t2)[0]
+                  - reconstruct_lnf(omega, metric, base, t1)[0])
     assert abs(d_direct - d_via_base) < 1e-7
 
 
@@ -249,7 +338,7 @@ def test_reconstruct_quadrature_convergence(axial):
     base, p = (0.0, 0.0, 0.0), AXIAL_POINTS[2]
     lam_prog = _axial_lambda(omega, metric)
     want = math.log(lam_prog(base).value / lam_prog(p).value)
-    errs = [abs(reconstruct_lnf(omega, metric, base, p, tol_quad=tol) - want)
+    errs = [abs(reconstruct_lnf(omega, metric, base, p, tol_quad=tol)[0] - want)
             for tol in (1e-3, 1e-6, 1e-9)]
     assert errs[-1] <= errs[0] + 1e-12
     assert errs[-1] < 1e-8
@@ -300,7 +389,7 @@ def test_reconstruction_branch_assembles_symmetry(axial):
     lam0 = lam_prog(base).value
     for p in AXIAL_POINTS:
         sys_ = build_system(omega, metric, p)
-        f, v = reconstructed_V(sys_, reconstruct_lnf(omega, metric, base, p))
+        f, v = reconstructed_V(sys_, reconstruct_lnf(omega, metric, base, p)[0])
         # f is normalized to f(base) = 1, so f = lambda(base)/lambda and
         # V is the corresponding multiple of the true symmetry dz
         want_f = lam0 / lam_prog(p).value
