@@ -130,15 +130,17 @@ def _emit(reports: List[PointReport], out_format: str, path):
 def _chunked(items, width: int, records, default, failed) -> List[PointReport]:
     """The records of `items`, `width` at a time: each starts as `default(item)`;
     `records(chunk, reports)` sets those a batch covers (none on NoncontactError).
-    A chunk that raises JetError or ValueError runs again item by item, so that
-    each error record, `failed(item, text)`, keeps its own text."""
+    A float that overflows, or divides to inf or NaN, raises FloatingPointError
+    inside a chunk.  A chunk that raises it, JetError or ValueError runs again
+    item by item, so that each error record, `failed(item, text)`, keeps its own text."""
     def run(chunk):
         reports = [default(item) for item in chunk]
         try:
-            records(chunk, reports)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                records(chunk, reports)
         except NoncontactError:
             pass
-        except (JetError, ValueError) as exc:
+        except (JetError, ValueError, FloatingPointError) as exc:
             if len(chunk) > 1:
                 return [r for item in chunk for r in run([item])]
             return [failed(chunk[0], str(exc))]
@@ -198,7 +200,7 @@ def cmd_symmetry(args) -> List[PointReport]:
                     rep.lnf, rep.diagnostics["reconstruct"] = reconstruct_lnf(
                         omega, metric, base, points[r], **lnf_tols)
                     _, rep.V = reconstructed_V(sys_, rep.lnf, i)
-                except JetError as exc:
+                except (JetError, FloatingPointError) as exc:
                     rep.diagnostics["reconstruct_error"] = str(exc)
             rep.diagnostics.update(jet_order=RESIDUAL_MIN_ORDER, budget_remaining=sys_.D.order)
 

@@ -126,66 +126,67 @@ def unit(g, u: JetVector):
 
 
 def kernel_basis(w: JetVector, g, v: JetVector):
-    """(E1, E2) = (unit(v), unit(omega x g E1)) for v in ker omega.  E2 lies
-    in ker omega, is g-orthogonal to E1, and E1 x (omega x g E1) = omega, so
-    (E1, E2, g^-1 omega) is positively oriented."""
+    """(E1, E2, g E1, g E2) with (E1, E2) = (unit(v), unit(omega x g E1)) for
+    v in ker omega.  E2 lies in ker omega, is g-orthogonal to E1, and
+    E1 x (omega x g E1) = omega, so (E1, E2, g^-1 omega) is positively
+    oriented."""
     e1, ge1 = unit(g, v)
-    return e1, unit(g, jvec_cross(w, ge1))[0]
+    e2, ge2 = unit(g, jvec_cross(w, ge1))
+    return e1, e2, ge1, ge2
+
+
+def quadratic_form(w: JetVector, g):
+    """(adj(g) omega, q, |omega|_g) from one adjugate of the jets g, with w the
+    jets of omega: q = omega^T adj(g) omega as a jet, and |omega|_g =
+    sqrt(q / det g) from the values (one per point of a batch); lambda /
+    |omega|_g and d(lambda) / |omega|_g do not change under omega -> c omega."""
+    adj = adjugate(g)
+    aw = metric_apply(adj, w)
+    q = jvec_dot(w, aw)
+    return aw, q, np.sqrt(q.value / jvec_dot(jvec_values(g[0]), jvec_values(adj[0])))
+
+
+def lambda_jet(w: JetVector, q: Jet) -> Jet:
+    """lambda = -mu / sqrt(q) from the jets w = omega and q = omega^T adj(g)
+    omega (`quadratic_form`), with mu = omega . curl(omega); consumes one jet
+    order.  For any g-orthonormal, positively oriented E1, E2 in ker omega,
+    E1 x E2 = omega / sqrt(q), so omega([E1, E2]) = -curl(omega) . (E1 x E2)
+    is this, whatever the gauge."""
+    return -(curl_and_defect(w)[1] * q.pow(-0.5))
 
 
 def delta_basis(w: JetVector, g):
-    """Oriented g-orthonormal basis (E1, E2) of ker omega, from the jets
-    w = omega and g = metric evaluated at one point (or batch) and order.
+    """(E1, E2, g E1, g E2, lambda, |omega|_g) from the jets w = omega and
+    g evaluated at one point (or batch) and order, all from one
+    `quadratic_form`: an oriented g-orthonormal basis of ker omega with its
+    covectors (`kernel_basis`), lambda (`lambda_jet`) and |omega|_g.
 
     E1 is the normalized g-orthogonal projection onto the kernel of the
     coordinate field e_s with the largest projection norm
     |p_s|^2 = g_ss - omega_s^2 / |omega|_g^2 (tie-break x, y, z), chosen at
-    each point: E1 = unit((g n) x omega) with n = omega x g e_s, whose
-    g-product with e_s is |n|_g^2 > 0.  E2 = unit(omega x g E1) completes the
-    basis with (E1, E2, g^-1 omega) positively oriented (`kernel_basis`).
-    Any other gauge is a rotation of this one, which M and K do not see.
+    each point; a point where it is at most 1e-24 max_s g_ss is rejected.
+    E1 = unit(u) with u = (q e_s - omega_s adj(g) omega) / q(p): the
+    projection times q / q(p), a positive factor that is 1 at the point p,
+    so u does not scale with g.  (For symmetric g, q e_s - omega_s adj(g)
+    omega = (g n) x omega with n = omega x g e_s.)  Any other gauge is a
+    rotation of this one, which M and K do not see.
     """
-    wnorm2 = omega_norm(w, g) ** 2
-    norms = np.array([g[i][i].value - w[i].value ** 2 / wnorm2 for i in range(3)])
-    fail_where(norms.max(axis=0) <= 1e-24, w[0].point, "degenerate projection seed")
-    # component i of g e_s is g[i][s]; a batch takes s point by point
-    s = norms.argmax(axis=0)
-    n = jvec_cross(w, [Jet._new(row[0].point, row[0].order,
-                                np.choose(s, [j.coeffs for j in row])) for row in g])
-    return kernel_basis(w, g, jvec_cross(metric_apply(g, n), w))
-
-
-def lambda_jet(w: JetVector, g) -> Jet:
-    """lambda = -mu / sqrt(omega^T adj(g) omega) from the jets w = omega and
-    g, with mu = omega . curl(omega); consumes one jet order.  For any
-    g-orthonormal, positively oriented E1, E2 in ker omega, E1 x E2 =
-    omega / sqrt(omega^T adj(g) omega), so omega([E1, E2]) =
-    -curl(omega) . (E1 x E2) is this, whatever the gauge."""
-    return -(curl_and_defect(w)[1] * jvec_dot(w, metric_apply(adjugate(g), w)).pow(-0.5))
-
-
-def basis_and_lambda(omega: OneForm, metric: MetricField, point,
-                     order: int = DEFAULT_ORDER):
-    """(w, g, E1, E2, lambda) at a point, evaluating omega and g once."""
-    w = omega.evaluate(point, order)
-    g = metric.evaluate(point, order)
-    e1, e2 = delta_basis(w, g)
-    return w, g, e1, e2, lambda_jet(w, g)
-
-
-def omega_norm(w: JetVector, g):
-    """|omega|_g = sqrt(omega^T adj(g) omega / det g) from the values of the
-    jets w = omega and g (one per point of a batch); lambda / |omega|_g and
-    d(lambda) / |omega|_g do not change under omega -> c omega."""
-    wv, gv = jvec_values(w), [jvec_values(row) for row in g]
-    adj = adjugate(gv)
-    return np.sqrt(jvec_dot(wv, metric_apply(adj, wv)) / jvec_dot(gv[0], adj[0]))
+    aw, q, norm = quadratic_form(w, g)
+    diag = np.array([g[i][i].value for i in range(3)])
+    norms = diag - np.array([c.value ** 2 for c in w]) / norm ** 2
+    fail_where(norms.max(axis=0) <= 1e-24 * diag.max(axis=0), w[0].point,
+               "degenerate projection seed")
+    s = norms.argmax(axis=0)  # a batch takes s point by point
+    ws, qv = w[0]._like(np.choose(s, [c.coeffs for c in w])), q.value
+    u = tuple(q._like((q.coeffs * (s == i) - (ws * a).coeffs) / qv) for i, a in enumerate(aw))
+    return (*kernel_basis(w, g, u), lambda_jet(w, q), norm)
 
 
 def nonholonomity(omega: OneForm, metric: MetricField, point,
                   order: int = DEFAULT_ORDER) -> Jet:
     """lambda as a jet (`lambda_jet`); vanishes exactly on Sigma."""
-    return lambda_jet(omega.evaluate(point, order), metric.evaluate(point, order))
+    w = omega.evaluate(point, order)
+    return lambda_jet(w, quadratic_form(w, metric.evaluate(point, order))[1])
 
 
 def structure_functions(frame: AdaptedFrame) -> StructureFunctions:
@@ -204,12 +205,13 @@ def structure_functions(frame: AdaptedFrame) -> StructureFunctions:
     return StructureFunctions(**vals)
 
 
-def adapted_frame(g, e1: JetVector, e2: JetVector, e3: JetVector, eta3: JetVector,
-                  lam: Jet, kind: str, rows: Optional[np.ndarray] = None):
+def adapted_frame(e1: JetVector, e2: JetVector, ge1: JetVector, ge2: JetVector,
+                  e3: JetVector, eta3: JetVector, lam: Jet, kind: str,
+                  rows: Optional[np.ndarray] = None):
     """(frame, C): the frame with its dual coframe eta^a = g E_a - g(E_a, E3) eta3,
-    a = 1, 2 (E1, E2 g-orthonormal in ker eta3, eta3(E3) = 1), and its C."""
-    eta1, eta2 = (jvec_sub(ge, jvec_scale(jvec_dot(ge, e3), eta3))
-                  for ge in (metric_apply(g, e1), metric_apply(g, e2)))
+    a = 1, 2, from the covectors g E1, g E2 (E1, E2 g-orthonormal in ker eta3,
+    eta3(E3) = 1), and its C."""
+    eta1, eta2 = (jvec_sub(ge, jvec_scale(jvec_dot(ge, e3), eta3)) for ge in (ge1, ge2))
     frame = AdaptedFrame(E1=e1, E2=e2, E3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
                          lam=lam, kind=kind, rows=rows)
     return frame, structure_functions(frame)
@@ -225,8 +227,9 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     tol_contact, a ratio that omega -> e^phi omega leaves unchanged; the
     frame of a batch covers its contact points, `frame.rows`, if any.
     """
-    w, g, e1, e2, lam = basis_and_lambda(omega, metric, point, order)
-    contact = abs(lam.value) / omega_norm(w, g)
+    w = omega.evaluate(point, order)
+    e1, e2, ge1, ge2, lam, norm = delta_basis(w, metric.evaluate(point, order))
+    contact = abs(lam.value) / norm
     rows = np.flatnonzero(~(contact < tol_contact))
     if not len(rows):
         raise NoncontactError(f"point {row_of(lam.point)} is noncontact "
@@ -236,7 +239,7 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
             return (Jet(kept, j.order, j.coeffs[:, rows]) if isinstance(j, Jet)
                     else tuple(map(take, j)))
         kept = lam.point[rows]
-        w, g, e1, e2, lam = take((w, g, e1, e2, lam))
+        w, e1, e2, ge1, ge2, lam = take((w, e1, e2, ge1, ge2, lam))
 
     eta3 = jvec_div(w, -lam)
     # Reeb field: d(eta3)(U, V) = b . (U x V) with b = curl(eta3), so
@@ -244,4 +247,4 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     # = -sqrt(omega^T adj(g) omega) / lambda is nonzero at a contact point.
     b = curl(eta3)
     e3 = jvec_div(b, jvec_dot(eta3, b))
-    return adapted_frame(g, e1, e2, e3, eta3, lam, "contact", rows)
+    return adapted_frame(e1, e2, ge1, ge2, e3, eta3, lam, "contact", rows)

@@ -47,9 +47,6 @@ def invariant_K(c: StructureFunctions, frame: AdaptedFrame) -> Jet:
 class InvariantValues:
     M: Jet
     K: Jet
-    a1: Jet
-    a2: Jet
-    p3: Jet
 
 
 def invariants_at(omega: OneForm, metric: MetricField, point,
@@ -57,7 +54,4 @@ def invariants_at(omega: OneForm, metric: MetricField, point,
     """Frame, structure functions and invariants at a contact point (or the
     contact points of a batch), sharing one set of jets."""
     frame, c = build_contact_frame(omega, metric, point, order, tol_contact=tol_contact)
-    a1, a2, _, _, p3 = torsion_and_connection_coeffs(c)
-    vals = InvariantValues(M=invariant_M(c), K=invariant_K(c, frame),
-                           a1=a1, a2=a2, p3=p3)
-    return vals, frame, c
+    return InvariantValues(M=invariant_M(c), K=invariant_K(c, frame)), frame, c

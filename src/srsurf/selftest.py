@@ -13,7 +13,7 @@ from typing import List
 import numpy as np
 
 from .fields import FieldProgram, MetricField, OneForm, curl
-from .frame import (basis_and_lambda, build_contact_frame, jvec_cross, jvec_dot,
+from .frame import (build_contact_frame, delta_basis, jvec_cross, jvec_dot,
                     jvec_values, metric_dot, nonholonomity, structure_functions)
 from .invariants import directional_derivative, invariant_K, invariant_M, invariants_at
 from .jets import MAX_ORDER, BudgetExhausted, Jet
@@ -194,7 +194,7 @@ def check_nonholonomity_properties() -> CheckResult:
         omega = OneForm.parse(text)
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
         for p in _box_points(rng, 8, scale=1.2):
-            _, _, e1, e2, lam = basis_and_lambda(omega, g, p)
+            e1, e2, _, _, lam, _ = delta_basis(omega.evaluate(p), g.evaluate(p))
             lam_s = nonholonomity(scaled, g, p)
             factor = math.exp(phi(p, 1).value)
             devs.append(abs(lam_s.value - factor * lam.value)
@@ -268,7 +268,7 @@ def check_singular_fixture() -> CheckResult:
                            "Sigma root not found")
     devs.append(float(np.linalg.norm(sp.point)))
     for p in [(0.5, 0, 0), (0, 0, 0), (0, 0.4, 0.2)]:
-        v = jvec_values(characteristic_field(omega, p))
+        v = jvec_values(characteristic_field(omega.evaluate(p)))
         devs.append(float(np.linalg.norm(np.subtract(v, (0.0, 1.0, 0.0)))))
     for p in [(0.3, 0, 0), (0, 0.5, -0.3)]:
         frame, c = build_singular_frame(omega, g, p)

@@ -11,10 +11,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm, curl_and_defect
-from .frame import (AdaptedFrame, StructureFunctions, adapted_frame,
-                    basis_and_lambda, jvec_cross, jvec_div, jvec_dot,
-                    jvec_values, kernel_basis, lambda_jet, nonholonomity,
-                    omega_norm)
+from .frame import (AdaptedFrame, StructureFunctions, adapted_frame, delta_basis,
+                    jvec_cross, jvec_div, jvec_dot, jvec_values, kernel_basis,
+                    lambda_jet, nonholonomity, quadratic_form)
 from .invariants import directional_derivative
 from .jets import Jet, JetError, _mul_table, n_coeffs
 
@@ -78,10 +77,9 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
                 return None
             t_root = ts[-1]
         point = tuple(float(c) for c in p0 + t_root * (p1 - p0))
-        w, g, e1, e2, lam_jet = basis_and_lambda(omega, metric, point,
-                                                 TRANSVERSALITY_ORDER)
+        e1, e2, _, _, lam_jet, scale = delta_basis(omega.evaluate(point, TRANSVERSALITY_ORDER),
+                                                   metric.evaluate(point, TRANSVERSALITY_ORDER))
         residual = abs(lam_jet.value)
-        scale = omega_norm(w, g)
         if residual / scale > tol_root:
             return None
         grad_norm = float(np.hypot(directional_derivative(lam_jet, e1).value,
@@ -110,18 +108,15 @@ def _jet_quotient(w, mu: Jet):
     return tuple(Jet._new(mu.point, n - 1, c.copy()) for c in u.T), r
 
 
-def characteristic_field(omega: OneForm, point, order: int = DEFAULT_ORDER,
-                         *, form=None):
-    """V = w / omega(w) with w the (d omega)-vector spanning ker(d omega).
+def characteristic_field(form):
+    """V = w / omega(w) from the jets `form` of omega at a point, with w the
+    (d omega)-vector spanning ker(d omega); consumes one jet order.
 
     Where w and omega(w) both vanish (on Sigma for a special form), V is the
-    exact quotient `_jet_quotient`, one order lower; the form is not special
-    there if omega(w) has no linear part or the remainder is above
-    CHARACTERISTIC_TOL times the largest coefficient of w.  `form`, the jets
-    of omega at the point at `order`, saves evaluating it.
+    exact quotient `_jet_quotient`, one order lower still; the form is not
+    special there if omega(w) has no linear part or the remainder is above
+    CHARACTERISTIC_TOL times the largest coefficient of w.
     """
-    if form is None:
-        form = omega.evaluate(point, order)
     # omega -> c omega scales |omega|, w and omega(w) by c, c and c^2, so
     # every test below compares ratios
     size = float(np.linalg.norm(jvec_values(form)))
@@ -157,21 +152,21 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     """
     w = omega.evaluate(point, order)
     g = metric.evaluate(point, order)
-    lam = lambda_jet(w, g)
+    _, q, norm = quadratic_form(w, g)
+    lam = lambda_jet(w, q)
     # D = d(lambda) x omega is annihilated by omega and d(lambda), and zero
     # where d(lambda)|_Delta is; with E1 along D, E2 = unit(omega x g E1) and
     # d(lambda) . (omega x g D) = g(D, D), so E2(lambda) > 0
     direction = jvec_cross(tuple(lam.partial(a) for a in range(3)), w)
     transversal = any(jvec_values(direction))
     if transversal:
-        e1, e2 = kernel_basis(w, g, direction)
-        transversal = (directional_derivative(lam, e2).value / omega_norm(w, g)
-                       > TRANSVERSALITY_EPS)
+        e1, e2, ge1, ge2 = kernel_basis(w, g, direction)
+        transversal = directional_derivative(lam, e2).value / norm > TRANSVERSALITY_EPS
     if not transversal:
         raise SingularFrameError(
             f"d(lambda)|_Delta vanishes at {lam.point}: not transversal")
-    e3 = characteristic_field(omega, point, order, form=w)
-    return adapted_frame(g, e1, e2, e3, jvec_div(w, jvec_dot(w, e3)), lam, "singular")
+    e3 = characteristic_field(w)
+    return adapted_frame(e1, e2, ge1, ge2, e3, jvec_div(w, jvec_dot(w, e3)), lam, "singular")
 
 
 def lambda_identities(frame: AdaptedFrame, c: StructureFunctions):

@@ -22,6 +22,7 @@ RESIDUAL_MIN_ORDER = EQ_ORDER + 1
 
 TOL_DEGENERATE = 1e-9  # |D| / (in-plane gradient norms) at or below it: degenerate
 TOL_QUAD = 1e-9        # absolute error bound of the ln f quadrature
+MAX_DEPTH = 14         # the ln f quadrature takes at most 2 ** MAX_DEPTH panels
 
 
 class DegeneratePointError(JetError):
@@ -104,11 +105,11 @@ def _first_panel() -> tuple:
 
 def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
                     tol_quad: float = TOL_QUAD, tol_degenerate: float = TOL_DEGENERATE,
-                    tol_contact: float = TOL_CONTACT, max_depth: int = 14):
+                    tol_contact: float = TOL_CONTACT):
     """(ln f(target), info) with ln f(base) = 0: the line integral of the
     coordinate gradient (the EQ system at EQ_ORDER) along base -> target by
     QUADPACK's QAGS (`scipy.integrate.quad`, 21-point Gauss-Kronrod, at most
-    2 ** max_depth panels) to an absolute error estimate below tol_quad,
+    2 ** MAX_DEPTH panels) to an absolute error estimate below tol_quad,
     else JetError.  The 21 nodes of QUADPACK's first panel are one batched
     build_system, each node's value the float a one-point system gives; a
     batch with a noncontact or degenerate row, or one that raises or meets
@@ -128,7 +129,7 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 
     def segment(a: np.ndarray, d: np.ndarray):  # from a to a + d: (value, info)
         ts = _first_panel()
-        try:  # a floating-point fault drops the batch, so only the one-point path warns
+        try:  # a floating-point fault drops the batch, so only the one-point path meets it
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 sys_ = build_system(omega, metric, a + np.array(ts)[:, None] * d, EQ_ORDER, **tols)
                 grad = frame_to_coordinate_gradient(sys_)  # raises at a degenerate row
@@ -149,11 +150,11 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 
         value, abserr, info, *failed = quad(
             integrand, 0.0, 1.0, epsabs=tol_quad, epsrel=0.0,
-            limit=2 ** max_depth, full_output=1)
+            limit=2 ** MAX_DEPTH, full_output=1)
         if failed:
             raise JetError(f"quadrature did not converge on panel t = [0, 1]: "
                            f"abserr = {abserr:.3e}, neval = {info['neval']}, "
-                           f"tol_quad = {tol_quad:g}, max_depth = {max_depth}")
+                           f"tol_quad = {tol_quad:g}, max_depth = {MAX_DEPTH}")
         return value, {"neval": info["neval"], "abserr": abserr, "batched": batched - len(stored)}
 
     try:

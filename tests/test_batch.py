@@ -11,7 +11,7 @@ import pytest
 from srsurf import (Jet, JetError, MAX_ORDER, MetricField, OneForm, build_contact_frame,
                     build_system, delta_basis, integrability_residuals, n_coeffs)
 from srsurf.cli import INVARIANTS_CHUNK, _chunk_width, main
-from srsurf.frame import omega_norm
+from srsurf.frame import quadratic_form
 from srsurf.invariants import INVARIANTS_ORDER
 from srsurf.singular import SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
@@ -120,8 +120,8 @@ def test_omega_norm_matches_the_solve():
         g = (q * rng.uniform(0.5, 2.0, 3)) @ q.T * 10 ** rng.uniform(-3, 3)
         g = (g + g.T) / 2
         w = rng.normal(size=3) * 10 ** rng.uniform(-3, 3)
-        got = omega_norm(tuple(Jet.constant(c, point, 1) for c in w),
-                         tuple(tuple(Jet.constant(c, point, 1) for c in row) for row in g))
+        got = quadratic_form(tuple(Jet.constant(c, point, 1) for c in w),
+                             tuple(tuple(Jet.constant(c, point, 1) for c in row) for row in g))[2]
         want = math.sqrt(w @ np.linalg.solve(g, w))
         assert abs(got / want - 1) <= 1e-15
 
@@ -198,8 +198,9 @@ def test_rows_with_errors_rerun_one_point_at_a_time(capsys, tmp_path):
 @pytest.mark.parametrize("omega, metric, message", [
     ("x*dy + x*dz", "1 0 0 1 0 1", "one-form vanishes at"),
     (HEISENBERG, "x 0 0 1 0 1", "metric not positive definite at"),
-    # positive definite, but every projection norm is below 1e-24 at x = 0
-    (HEISENBERG, "1e-30+x^2 0 0 1e-30+x^2 0 1e-30+x^2", "degenerate projection seed at"),
+    # positive definite, but at x = 0 omega = dz and every projection norm is
+    # below 1e-24 max_s g_ss
+    ("dz + x*dy", "1e-30+x^2 0 0 1e-30+x^2 0 1", "degenerate projection seed at"),
 ])
 def test_batch_error_names_its_first_failing_row(omega, metric, message):
     rows = np.array([[1.0, 0.5, 0.0], [0.0, 0.25, 0.0], [-1.0, 0.0, 0.0]])
@@ -219,7 +220,7 @@ def test_seed_axis_varies_from_row_to_row(capsys, tmp_path):
     # the seed of delta_basis: the largest g_ss - omega_s^2 / |omega|_g^2
     w = OneForm.parse(HEISENBERG).evaluate(points, 1)
     g = MetricField.from_text(metric.read_text()).evaluate(points, 1)
-    norms = [g[i][i].value - w[i].value ** 2 / omega_norm(w, g) ** 2 for i in range(3)]
+    norms = [g[i][i].value - w[i].value ** 2 / quadratic_form(w, g)[2] ** 2 for i in range(3)]
     assert len(set(np.argmax(norms, axis=0))) == 2
     _assert_one_point_records(capsys, HEISENBERG, points, metric)
 
@@ -356,12 +357,13 @@ def test_symmetry_reconstruct_grid(capsys, metric_file):
 
 @pytest.mark.parametrize("reconstruct", [[], ["--reconstruct", "--base", "1,0.5,0.2"]])
 def test_symmetry_series_overflow_in_a_chunk(capsys, metric_file, reconstruct):
-    # g's scale e^(-100 x) makes 1 / |u|_g for E1's unnormalized seed u
-    # overflow in its order-5 Taylor series from x = 0.3 on, and in its
-    # order-4 one (ln f's quadrature) near the base at x = 1
+    # g's scale c, about 1 for x < 0 and e^(-225 x) for x > 0, makes lambda's
+    # 1 / sqrt(q), q = omega^T adj(g) omega of scale c^2, overflow in its
+    # order-5 Taylor series from x = 0.3 on, and in its order-4 one (ln f's
+    # quadrature) near the base at x = 1
+    c = "exp(-112.5*(x + sqrt(x^2 + 0.01)))"
     argv = ["symmetry", "--omega", "dz + y*dx", "--metric-file",
-            metric_file("exp(-100*x)\n0\n0\nexp(-100*x)*(1 + y^2)\n0\nexp(-100*x)\n"),
-            *reconstruct]
+            metric_file(f"{c}\n0\n0\n{c}*(1 + y^2)\n0\n{c}\n"), *reconstruct]
     points = [(x / 10, 0.5, 0.2) for x in (-2, -1, 0, 1, 3, 4, 5)]
     records = [json.loads(line) for line in _assert_one_call_per_item(
         capsys, argv, [_points_option(p) for p in points])]

@@ -2,6 +2,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srsurf import selftest
@@ -86,6 +87,47 @@ def test_contact_test_is_scale_free(capsys):
     assert scaled["branch"] == "regular" and scaled["contact"] is True
     for key in ("M", "K"):
         assert abs(scaled[key] - plain[key]) <= 1e-8 * abs(plain[key])
+
+
+# g -> c g scales lambda and K by c^-1, M by c^-2, D by c^-4 and EQ by c^-1/2
+METRIC_SCALE_LAWS = {"lam": -1.0, "K": -1.0, "M": -2.0, "D": -4.0, "EQ1": -0.5, "EQ2": -0.5}
+
+
+def _regular_records(capsys, tmp_path, command, omega, metric, points, c=1.0):
+    """The records of a call under the metric entries `metric` with {c} set to c,
+    each of them regular."""
+    metric_file = tmp_path / "metric.txt"
+    metric_file.write_text("\n".join(e.format(c=repr(c)) for e in metric))
+    code, out, err = run_cli(capsys, command, "--omega", omega, "--points", points,
+                             "--metric-file", str(metric_file))
+    assert (code, err) == (0, "")
+    recs = ndjson(out)
+    assert all(r["branch"] == "regular" and "error" not in r for r in recs)
+    return recs
+
+
+@pytest.mark.parametrize("command, omega, metric, points, c", [
+    # g = 1e-30 I: every projection norm of the seed is 1e-30 or less
+    ("invariants", HEISENBERG, "{c} 0 0 {c} 0 {c}".split(), "0,0.25,0; 1,0.5,0; -1,0,0", 1e-30),
+    # a scale at which (g n) x omega, the seed unnormalized, overflows at order 5
+    ("symmetry", "dz + y*dx", ["{c}*(1 + x^2)", "0", "0", "{c}", "0", "{c}"], "0.4,0.7,-0.2",
+     1e-12),
+])
+def test_metric_scale_law(capsys, tmp_path, command, omega, metric, points, c):
+    plain, scaled = (_regular_records(capsys, tmp_path, command, omega, metric, points, scale)
+                     for scale in (1.0, c))
+    for p, s in zip(plain, scaled):
+        for key, power in METRIC_SCALE_LAWS.items():
+            if key in p:
+                assert s[key] == pytest.approx(p[key] * c ** power, rel=1e-12)
+
+
+def test_steep_metric_scale_gives_regular_records(capsys, tmp_path):
+    # (g n) x omega, E1's seed unnormalized, overflows at order 5 here from x = 0.3 on
+    c = "exp(-100*x)"
+    _regular_records(capsys, tmp_path, "symmetry", "dz + y*dx",
+                     [c, "0", "0", f"{c}*(1 + y^2)", "0", c],
+                     "; ".join(f"{x / 10},0.5,0.2" for x in (-2, -1, 0, 1, 3, 4, 5)))
 
 
 def test_invariants_grid_and_csv(capsys):
@@ -252,11 +294,11 @@ def test_metric_with_infinite_minors_is_out_of_range(capsys, tmp_path, command, 
 
 
 def test_series_overflow_is_an_error_record(capsys, tmp_path):
-    # with g of scale 1e-12, 1 / |u|_g for E1's unnormalized seed
-    # u = (g n) x omega overflows in its order-5 Taylor series, which
+    # with g of scale 1e-30, lambda's 1 / sqrt(q), q = omega^T adj(g) omega
+    # of scale 1e-60, overflows in its order-5 Taylor series, which
     # symmetry needs and invariants does not
     metric = tmp_path / "metric.txt"
-    metric.write_text("1e-12*(1 + x^2)\n0\n0\n1e-12\n0\n1e-12\n")
+    metric.write_text("1e-30*(1 + x^2)\n0\n0\n1e-30\n0\n1e-30\n")
     argv = ["--omega", "dz + y*dx", "--points", "0.4,0.7,-0.2", "--metric-file", str(metric)]
     code, out, err = run_cli(capsys, "symmetry", *argv)
     assert (code, err) == (0, "")
@@ -265,6 +307,33 @@ def test_series_overflow_is_an_error_record(capsys, tmp_path):
     code, out, err = run_cli(capsys, "invariants", *argv)
     assert (code, err) == (0, "")
     assert ndjson(out)[0]["branch"] == "regular"
+
+
+@pytest.mark.parametrize("command", ["invariants", "symmetry"])
+def test_float_fault_is_an_error_record(capsys, command):
+    # omega is of scale e^400 at x = 1, where omega^T adj(g) omega overflows;
+    # the chunk runs again point by point, and the other points keep their records
+    code, out, err = run_cli(capsys, command, "--omega", "exp(400*x)*dz + exp(400*x)*y*dx",
+                             "--points", "0.1,0.5,0.2; 1,0.5,0.2; 0.2,0.5,0.2")
+    assert (code, err) == (0, "")
+    recs = ndjson(out)
+    assert [r.get("error") for r in recs] == [None, "overflow encountered in multiply", None]
+    assert recs[0]["contact"] is recs[2]["contact"] is True
+
+
+def test_float_fault_in_reconstruct_is_a_diagnostic(capsys, tmp_path, monkeypatch):
+    def faulting(*args, **kwargs):
+        return float(np.float64(1e300) * np.float64(1e300)), {}
+    monkeypatch.setattr("srsurf.cli.reconstruct_lnf", faulting)
+    metric = tmp_path / "metric.txt"
+    metric.write_text(AXIAL_METRIC_TEXT)
+    code, out, err = run_cli(capsys, "symmetry", "--omega", "dz + y*dx", "--metric-file",
+                             str(metric), "--points", "0.4,0.7,-0.2", "--reconstruct",
+                             "--base", "0,0,0")
+    assert (code, err) == (0, "")
+    (rec,) = ndjson(out)
+    assert rec["diagnostics"]["reconstruct_error"] == "overflow encountered in scalar multiply"
+    assert "lnf" not in rec and rec["branch"] == "regular" and "EQ1" in rec
 
 
 def test_nonfinite_record_writes_nothing(capsys, monkeypatch):

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srsurf import (FieldProgram, Jet, JetError, MetricField, NoncontactError,
-                    OneForm, build_contact_frame, delta_basis, lie_bracket,
-                    nonholonomity)
-from srsurf.frame import jvec_dot, jvec_values, metric_dot
+                    OneForm, build_contact_frame, build_system, delta_basis,
+                    integrability_residuals, invariants_at, lie_bracket,
+                    n_coeffs, nonholonomity)
+from srsurf.frame import (jvec_cross, jvec_dot, jvec_values, metric_apply, metric_dot,
+                          quadratic_form, unit)
 from srsurf.selftest import GAUGE_ANGLE, turn
 
-from conftest import (CARTAN, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1,
-                      assert_adapted, box_points)
+from conftest import (AXIAL_FORM, AXIAL_METRIC, CARTAN, HEISENBERG, OFF_DIAGONAL_METRIC,
+                      OMEGA_1, assert_adapted, box_points)
 
 
 def _vals(u):
@@ -31,7 +34,7 @@ def _field(point, fns, order=4):
 
 def test_delta_basis_origin(heisenberg, cartan, euclid):
     for w in (heisenberg, cartan):
-        e1, e2 = delta_basis(w.evaluate((0, 0, 0)), euclid.evaluate((0, 0, 0)))
+        e1, e2 = delta_basis(w.evaluate((0, 0, 0)), euclid.evaluate((0, 0, 0)))[:2]
         assert np.allclose(_vals(e1), [1, 0, 0], atol=1e-14)
         assert np.allclose(_vals(e2), [0, 1, 0], atol=1e-14)
 
@@ -39,7 +42,7 @@ def test_delta_basis_origin(heisenberg, cartan, euclid):
 def test_delta_basis_seed_override(heisenberg, euclid):
     # at (0,1,0) the documented largest-projection rule seeds from y
     w, g = heisenberg.evaluate((0, 1, 0)), euclid.evaluate((0, 1, 0))
-    e1, e2 = delta_basis(w, g)
+    e1, e2 = delta_basis(w, g)[:2]
     assert np.allclose(_vals(e1), [0, 1, 0], atol=1e-14)
     # E2 = unit(omega x E1) with omega = (1, 0, 1) there
     r = 1 / math.sqrt(2)
@@ -52,7 +55,7 @@ def test_delta_basis_orthonormal_random(heisenberg, euclid, rng):
     for metric in (euclid, g):
         for p in box_points(rng, 10):
             w, gm = heisenberg.evaluate(p), metric.evaluate(p)
-            e1, e2 = delta_basis(w, gm)
+            e1, e2 = delta_basis(w, gm)[:2]
             assert abs(metric_dot(gm, e1, e1).value - 1) < 1e-10
             assert abs(metric_dot(gm, e2, e2).value - 1) < 1e-10
             assert abs(metric_dot(gm, e1, e2).value) < 1e-10
@@ -64,6 +67,54 @@ def test_delta_basis_vanishing_form(euclid):
     w = OneForm.parse("x*dx + y*dy + z*dz")
     with pytest.raises(JetError):
         delta_basis(w.evaluate((0, 0, 0)), euclid.evaluate((0, 0, 0)))
+
+
+def _old_seed(w, g, s):
+    """E1's seed as first written: (g n) x omega with n = omega x g e_s."""
+    return jvec_cross(metric_apply(g, jvec_cross(w, tuple(g[i][s] for i in range(3)))), w)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
+def test_seed_is_the_projection_seed(seed, g_exp, w_exp):
+    # q e_s - omega_s adj(g) omega = (g (omega x g e_s)) x omega for symmetric g,
+    # coefficient by coefficient, and both give delta_basis's E1, on random
+    # order-2 jets of omega and of an SPD g at scales 10^-6..10^6
+    rng, point, order = np.random.default_rng(seed), (0.0, 0.0, 0.0), 2
+    a = rng.normal(size=(3, 3))
+    g0 = (a @ a.T + 0.1 * np.eye(3)) * 10 ** g_exp
+    dg = rng.normal(size=(3, 3, n_coeffs(order))) * 0.3 * 10 ** g_exp
+    dg[..., 0] = g0
+    dg = (dg + dg.transpose(1, 0, 2)) / 2
+    g = tuple(tuple(Jet(point, order, dg[i, j]) for j in range(3)) for i in range(3))
+    w = tuple(Jet(point, order, c) for c in rng.normal(size=(3, n_coeffs(order))) * 10 ** w_exp)
+    aw, q, norm = quadratic_form(w, g)
+    s = int(np.argmax([g[i][i].value - w[i].value ** 2 / norm ** 2 for i in range(3)]))
+    old = np.array([c.coeffs for c in _old_seed(w, g, s)])
+    new = np.array([(q * float(i == s) - w[s] * aw[i]).coeffs for i in range(3)])
+    assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+    want = np.array([c.coeffs for c in unit(g, _old_seed(w, g, s))[0]])
+    got = np.array([c.coeffs for c in delta_basis(w, g)[0]])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_jet_product_counts(monkeypatch):
+    # one adj(g) omega per frame gives lambda, |omega|_g and E1's seed, and
+    # the coframe takes the covectors g E1, g E2 that `unit` formed
+    omega, metric = OneForm.parse(AXIAL_FORM), MetricField.from_upper_triangle(AXIAL_METRIC)
+    count, mul = [0], Jet.__mul__
+
+    def counted(self, other):
+        count[0] += 1
+        return mul(self, other)
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    monkeypatch.setattr(Jet, "__rmul__", counted)
+    p = (0.4, 0.3, 0.1)
+    invariants_at(omega, metric, p, 3)
+    assert count[0] == 198
+    count[0] = 0
+    integrability_residuals(build_system(omega, metric, p, 5))
+    assert count[0] == 253
 
 
 # -- lie_bracket -----------------------------------------------------------
@@ -122,7 +173,7 @@ def test_nonholonomity_oracles(heisenberg, cartan, omega1, euclid):
 
 def _bracket_lambda(w, g, theta=0.0):
     """omega([E1, E2]) in the delta_basis gauge turned by the angle theta."""
-    e1, e2 = turn(theta, *delta_basis(w, g))
+    e1, e2 = turn(theta, *delta_basis(w, g)[:2])
     return jvec_dot(w, lie_bracket(e1, e2))
 
 

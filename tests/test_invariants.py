@@ -38,18 +38,21 @@ def test_invariant_M_closed_forms(heisenberg, cartan, euclid, rng):
 
 
 def test_torsion_coeff_examples(heisenberg, cartan, euclid):
-    v, _, _ = invariants_at(heisenberg, euclid, (0, 0, 0))
-    assert abs(v.a1.value) < 1e-12 and abs(v.a2.value) < 1e-12
-    assert abs(v.p3.value - 1.0) < 1e-12
-    v, _, _ = invariants_at(cartan, euclid, (0, 0, 0))
-    assert abs(v.a1.value + 0.5) < 1e-12
-    assert abs(v.a2.value) < 1e-12
+    _, _, c = invariants_at(heisenberg, euclid, (0, 0, 0))
+    a1, a2, _, _, p3 = torsion_and_connection_coeffs(c)
+    assert abs(a1.value) < 1e-12 and abs(a2.value) < 1e-12
+    assert abs(p3.value - 1.0) < 1e-12
+    _, _, c = invariants_at(cartan, euclid, (0, 0, 0))
+    a1, a2, _, _, _ = torsion_and_connection_coeffs(c)
+    assert abs(a1.value + 0.5) < 1e-12
+    assert abs(a2.value) < 1e-12
 
 
 def test_M_equals_a1sq_plus_a2sq(heisenberg, euclid, rng):
     for p in box_points(rng, 8):
         v, _, c = invariants_at(heisenberg, euclid, p)
-        assert v.M.value == v.a1.value ** 2 + v.a2.value ** 2
+        a1, a2, _, _, _ = torsion_and_connection_coeffs(c)
+        assert v.M.value == a1.value ** 2 + a2.value ** 2
 
 
 def test_K_regression_pins(heisenberg, cartan, euclid):

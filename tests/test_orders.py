@@ -11,7 +11,7 @@ from srsurf import (BudgetExhausted, MAX_ORDER, MIN_ORDER, MetricField,
                     directional_derivative, integrability_residuals,
                     invariants_at, lambda_identities, nonholonomity,
                     sigma_invariants)
-from srsurf.frame import basis_and_lambda
+from srsurf.frame import delta_basis
 from srsurf.invariants import INVARIANTS_ORDER
 from srsurf.singular import (SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
                              TRANSVERSALITY_ORDER)
@@ -36,7 +36,7 @@ def _lambda(omega, g, p, order):
 
 
 def _lambda_on_delta(omega, g, p, order):
-    _, _, e1, e2, lam = basis_and_lambda(omega, g, p, order)
+    e1, e2, _, _, lam, _ = delta_basis(omega.evaluate(p, order), g.evaluate(p, order))
     return (directional_derivative(lam, e1).value,
             directional_derivative(lam, e2).value)
 

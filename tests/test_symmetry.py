@@ -189,21 +189,21 @@ def test_reconstruct_lnf_oracle(axial):
         assert abs(got - want) < 1e-8
 
 
-def test_reconstruct_lnf_raises_when_quadrature_does_not_converge(axial):
+def test_reconstruct_lnf_raises_when_quadrature_does_not_converge(axial, monkeypatch):
     # a long segment, so that the error estimate of one 21-point
     # Gauss-Kronrod panel is a real quadrature error (about 5e-3) and not
     # only rounding, which can come out exactly 0 on a short one
     omega, metric = axial
+    monkeypatch.setattr("srsurf.symmetry.MAX_DEPTH", 0)
     with pytest.raises(JetError, match=r"did not converge on panel t = \[0, 1\].*tol_quad = 1e-300"):
-        reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0),
-                        tol_quad=1e-300, max_depth=0)
+        reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0), tol_quad=1e-300)
 
 
-def test_reconstruct_lnf_failure_reports_progress(axial):
+def test_reconstruct_lnf_failure_reports_progress(axial, monkeypatch):
     omega, metric = axial
+    monkeypatch.setattr("srsurf.symmetry.MAX_DEPTH", 0)
     with pytest.raises(JetError, match=r"abserr = \S+, neval = 21,"):
-        reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0),
-                        tol_quad=1e-300, max_depth=0)
+        reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (10.0, 10.0, 0.0), tol_quad=1e-300)
 
 
 def test_reconstruct_lnf_one_kronrod_panel(axial, system_points):
