@@ -36,6 +36,7 @@ def _chunk_width(order: int, rows: int = 1) -> int:
 
 
 INVARIANTS_CHUNK = _chunk_width(INVARIANTS_ORDER)
+SINGULAR_FRAME_CHUNK = _chunk_width(SINGULAR_FRAME_ORDER)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -212,28 +213,38 @@ def cmd_singular(args) -> List[PointReport]:
     omega, metric, probes = _inputs(args)
     tols = _given(args, "tol_root")
 
-    def probe_error(seg, text: str) -> PointReport:
-        return PointReport(point=seg[0], branch="regular", error=text,
-                           diagnostics={"probe": [list(seg[0]), list(seg[1])]})
+    def probe_error(seg, text: str) -> List[PointReport]:
+        return [PointReport(point=seg[0], branch="regular", error=text,
+                            diagnostics={"probe": [list(seg[0]), list(seg[1])]})]
+
+    def frames(roots, _):  # `_chunked` records: the roots' Q and lambda-identity residuals
+        frame, c = build_singular_frame(omega, metric, _batch([r.point for r in roots]),
+                                        SINGULAR_FRAME_ORDER)
+        q = sigma_invariants(c)
+        values = np.reshape([q.Q112, q.Q212, *lambda_identities(frame, c)], (4, -1)).T.tolist()
+        for rep, (rep.Q112, rep.Q212, *residuals) in zip(roots, values):
+            rep.diagnostics["lambda_identity_residuals"] = residuals
 
     def records(segments, reports):
-        for k, sp in enumerate(locate_sigma(omega, metric, segments, **tols)):
-            if sp is None:
-                continue
-            rep = reports[k] = PointReport(
-                point=sp.point, branch="noncontact", contact=False, lam=sp.lambda_residual,
-                diagnostics={"transversal": sp.transversal,
-                             "lambda_gradient_on_delta": sp.lambda_gradient_on_delta})
-            try:
-                frame, c = build_singular_frame(omega, metric, sp.point, SINGULAR_FRAME_ORDER)
-                q = sigma_invariants(c)
-                rep.Q112, rep.Q212 = q.Q112, q.Q212
-                rep.diagnostics["lambda_identity_residuals"] = list(lambda_identities(frame, c))
-            except JetError as exc:
-                rep.error = str(exc)
+        roots = []
+        for k, points in enumerate(locate_sigma(omega, metric, segments, **tols)):
+            if points:  # one record per root; none keeps the default error record
+                roots += [PointReport(
+                    point=sp.point, branch="noncontact", contact=False, lam=sp.lambda_residual,
+                    diagnostics={"transversal": sp.transversal,
+                                 "lambda_gradient_on_delta": sp.lambda_gradient_on_delta,
+                                 "sigma": {"candidate": sp.candidate, "margin": sp.margin,
+                                           "newton_iterations": sp.newton_iterations,
+                                           "converged": sp.converged}}) for sp in points]
+                reports[k] = roots[-len(points):]
+        # all the roots' frames, a batch at a time; a batch that raises runs
+        # again root by root, and a root whose own frame raises gets its error
+        _chunked(roots, SINGULAR_FRAME_CHUNK, frames, lambda rep: rep,
+                 lambda rep, text: setattr(rep, "error", text))
 
-    return _chunked(probes, _chunk_width(SIGMA_SCAN_ORDER, SIGMA_SCAN_NODES), records,
-                    lambda seg: probe_error(seg, "no Sigma crossing on probe"), probe_error)
+    return [r for reports in _chunked(
+        probes, _chunk_width(SIGMA_SCAN_ORDER, SIGMA_SCAN_NODES), records,
+        lambda seg: probe_error(seg, "no Sigma crossing on probe"), probe_error) for r in reports]
 
 
 def main(argv=None) -> int:

@@ -262,11 +262,11 @@ def check_singular_fixture() -> CheckResult:
     g = MetricField.identity()
     omega = OneForm.parse(OMEGA_1)
     devs = []
-    sp = locate_sigma(omega, g, [((-1, 0, 0), (1, 0, 0))])[0]
-    if sp is None or not sp.transversal:
+    roots = locate_sigma(omega, g, [((-1, 0, 0), (1, 0, 0))])[0]
+    if [sp.transversal for sp in roots] != [True]:
         return CheckResult("singular-fixture", 1.0, 1e-6, False,
                            "Sigma root not found")
-    devs.append(float(np.linalg.norm(sp.point)))
+    devs.append(float(np.linalg.norm(roots[0].point)))
     for p in [(0.5, 0, 0), (0, 0, 0), (0, 0.4, 0.2)]:
         v = jvec_values(characteristic_field(omega.evaluate(p)))
         devs.append(float(np.linalg.norm(np.subtract(v, (0.0, 1.0, 0.0)))))

@@ -4,18 +4,18 @@ the Sigma-invariants Q1_12, Q2_12."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm, curl_and_defect
-from .frame import (AdaptedFrame, StructureFunctions, adapted_frame, delta_basis,
-                    jvec_cross, jvec_div, jvec_dot, jvec_values, kernel_basis,
-                    lambda_jet, nonholonomity, quadratic_form)
+from .frame import (AdaptedFrame, StructureFunctions, adapted_frame, jvec_cross, jvec_div,
+                    jvec_dot, jvec_values, kernel_basis, lambda_jet, metric_dot,
+                    nonholonomity, quadratic_form)
 from .invariants import directional_derivative
-from .jets import Jet, JetError, _mul_table, n_coeffs
+from .jets import Jet, JetError, _mul_table, multi_indices, n_coeffs, row_of
 
 # Least jet orders, from the derivative budget: lambda takes one level (the
 # curl of omega in its numerator); d(lambda) one more; the singular frame's
@@ -29,6 +29,7 @@ SIGMA_SCAN_NODES = 33      # equally spaced lambda samples on a probe segment
 TOL_ROOT = 1e-10           # a root: |lambda| / |omega|_g at most it
 TRANSVERSALITY_EPS = 1e-8  # transversal: |d(lambda)|_Delta| / |omega|_g above it
 CHARACTERISTIC_TOL = 1e-6  # w, omega(w) and w mod omega(w) below it vanish
+NEWTON_MAX_ITER = 64       # more than bisection needs to shrink a scan bracket to an ulp
 
 
 class SingularFrameError(JetError):
@@ -41,6 +42,10 @@ class SigmaPoint:
     lambda_residual: float
     transversal: bool
     lambda_gradient_on_delta: float
+    candidate: str  # "sign_change" | "minimum"
+    newton_iterations: int
+    margin: float  # |lambda| / |omega|_g
+    converged: bool
 
 
 @dataclass
@@ -49,45 +54,102 @@ class SigmaInvariants:
     Q212: float
 
 
-def locate_sigma(omega: OneForm, metric: MetricField, segments,
-                 tol_root: float = TOL_ROOT) -> List[Optional[SigmaPoint]]:
-    """The root of lambda along each straight segment (p0, p1), or None.
+def _along(c, d, k: int):
+    """d^k lambda / dt^k along p + t d, from lambda's Taylor coefficients c (a column per row)."""
+    lo = n_coeffs(k - 1)
+    return math.factorial(k) * sum(c[lo + j] * np.prod(d ** m, axis=1)
+                                   for j, m in enumerate(multi_indices(k)[lo:]))
 
-    All the segments are scanned for a sign change in one batch, then each
-    bracketed root is polished (Brent).  It is accepted when |lambda| /
-    |omega|_g <= tol_root and is transversal when |d(lambda)|_Delta| /
-    |omega|_g > TRANSVERSALITY_EPS.
+
+def _polish(omega, metric, p0, d, t, lo, hi, rising, kind):
+    """Safeguarded Newton (Press et al., `rtsafe`) on f = d^k lambda / dt^k, k =
+    `kind`, along p0 + t d, row by row from t in [lo, hi], with f < 0 on the
+    side of lo where `rising`: each step is one batched `nonholonomity` per
+    kind, at TRANSVERSALITY_ORDER + k, on the rows still open.  A Newton step
+    that leaves [lo, hi] is a bisection.  A row stops at f = 0 or a step of at
+    most 1e-15 + 8.9e-16 |t|, and reports its last evaluated t, lambda's value
+    and gradient there, its steps, and whether it stopped within
+    NEWTON_MAX_ITER."""
+    n = len(t)
+    lam, f, slope, grad, steps, rows = (np.zeros(n), np.zeros(n), np.zeros(n), np.zeros((3, n)),
+                                        np.zeros(n, int), np.arange(n))
+    for _ in range(NEWTON_MAX_ITER):
+        for k in (0, 1):
+            r = rows[kind[rows] == k]
+            if len(r):
+                c = nonholonomity(omega, metric, p0[r] + t[r, None] * d[r],
+                                  TRANSVERSALITY_ORDER + k).coeffs
+                lam[r], grad[:, r], f[r], slope[r] = c[0], c[1:4], _along(c, d[r], k), \
+                    _along(c, d[r], k + 1)
+        steps[rows] += 1
+        tr, fr = t[rows], f[rows]
+        up = (fr < 0) == rising[rows]  # the zero of f lies above t
+        lo[rows], hi[rows] = np.where(up, tr, lo[rows]), np.where(up, hi[rows], tr)
+        with np.errstate(all="ignore"):
+            new = tr - fr / slope[rows]
+        new = np.where((new >= lo[rows]) & (new <= hi[rows]), new, 0.5 * (lo[rows] + hi[rows]))
+        stop = (fr == 0) | (np.abs(new - tr) <= 1e-15 + 8.9e-16 * np.abs(tr))
+        t[rows], rows = np.where(stop, tr, new), rows[~stop]
+        if not len(rows):
+            break
+    return t, lam, grad, steps, ~np.isin(np.arange(n), rows)
+
+
+def locate_sigma(omega: OneForm, metric: MetricField, segments,
+                 tol_root: float = TOL_ROOT) -> List[List[SigmaPoint]]:
+    """The roots of lambda on each straight segment (p0, p1), in order along it.
+
+    One batch scans every segment at SIGMA_SCAN_NODES nodes.  The candidates:
+    each sign change of lambda between nodes, each run of nodes where lambda is
+    0 (its first node), and each interior local minimum of |lambda| / |omega|_g
+    that ends no sign change (a tangential Sigma).  `_polish` takes the first
+    two kinds to a zero of lambda and the minima to one of d(lambda)/dt.  A
+    candidate is a root when |lambda| / |omega|_g <= tol_root, or a sign change
+    whose polish did not converge (`SigmaPoint.converged`).  A sign change
+    is transversal when |d(lambda)|_Delta| / |omega|_g > TRANSVERSALITY_EPS,
+    with |d(lambda)|_Delta| = |d(lambda) x omega|_g / sqrt(omega^T adj(g) omega)
+    from values; a minimum never is.
     """
     ends = np.array(segments, dtype=float)
     ts = np.linspace(0.0, 1.0, SIGMA_SCAN_NODES)
-    scan = ends[:, :1] + ts[:, None] * (ends[:, 1:] - ends[:, :1])
-    scans = nonholonomity(omega, metric, scan.reshape(-1, 3), SIGMA_SCAN_ORDER).value
-
-    def root(p0, p1, vals):  # on one segment, from its scan values
-        def lam(t):
-            return nonholonomity(omega, metric, p0 + t * (p1 - p0), SIGMA_SCAN_ORDER).value
-
-        for a, b, fa, fb in zip(ts, ts[1:], vals, vals[1:]):
-            if fa == 0.0 or fa * fb < 0.0:
-                t_root = a if fa == 0.0 else \
-                    brentq(lam, a, b, xtol=1e-15, rtol=8.9e-16)
-                break
-        else:
-            if vals[-1] != 0.0:
-                return None
-            t_root = ts[-1]
-        point = tuple(float(c) for c in p0 + t_root * (p1 - p0))
-        e1, e2, _, _, lam_jet, scale = delta_basis(omega.evaluate(point, TRANSVERSALITY_ORDER),
-                                                   metric.evaluate(point, TRANSVERSALITY_ORDER))
-        residual = abs(lam_jet.value)
-        if residual / scale > tol_root:
-            return None
-        grad_norm = float(np.hypot(directional_derivative(lam_jet, e1).value,
-                                   directional_derivative(lam_jet, e2).value))
-        return SigmaPoint(point=point, lambda_residual=residual,
-                          transversal=bool(grad_norm / scale > TRANSVERSALITY_EPS),
-                          lambda_gradient_on_delta=grad_norm)
-    return [root(p0, p1, v) for (p0, p1), v in zip(ends, scans.reshape(len(ends), -1).tolist())]
+    scan = (ends[:, :1] + ts[:, None] * (ends[:, 1:] - ends[:, :1])).reshape(-1, 3)
+    w = omega.evaluate(scan, SIGMA_SCAN_ORDER)
+    _, q, norm = quadratic_form(w, metric.evaluate(scan, SIGMA_SCAN_ORDER))
+    lam = lambda_jet(w, q).value.reshape(len(ends), -1)
+    ratio, sign = np.abs(lam) / norm.reshape(lam.shape), np.sign(lam)
+    change = sign[:, :-1] * sign[:, 1:] < 0
+    zero = (sign == 0) & np.diff(sign == 0, prepend=False)  # the first node of a run of zeros
+    (s, i), (zs, zi) = np.nonzero(change), np.nonzero(zero)
+    ms, mi = np.nonzero((ratio[:, 1:-1] < ratio[:, :-2]) & (ratio[:, 1:-1] <= ratio[:, 2:])
+                        & (sign[:, 1:-1] != 0) & ~change[:, :-1] & ~change[:, 1:])
+    a, b, mi = lam[s, i], lam[s, i + 1], mi + 1
+    # per candidate: segment, kind (1: a minimum), bracket, start (a sign change
+    # at the secant) and whether f < 0 below the root (`_polish`)
+    seg, kind = np.r_[s, zs, ms], np.repeat([0, 0, 1], [len(s), len(zs), len(ms)])
+    lo, hi = np.r_[ts[i], ts[zi], ts[mi - 1]], np.r_[ts[i + 1], ts[zi], ts[mi + 1]]
+    t = np.r_[ts[i] + (ts[i + 1] - ts[i]) * (a / (a - b)), ts[zi], ts[mi]]
+    rising = np.r_[a < 0, np.zeros(len(zi), bool), lam[ms, mi] > 0]
+    out = [[] for _ in ends]
+    if not len(t):
+        return out
+    p0, d = ends[seg, 0], ends[seg, 1] - ends[seg, 0]
+    t, lam_t, grad, steps, converged = _polish(omega, metric, p0, d, t, lo, hi, rising, kind)
+    points = p0 + t[:, None] * d
+    w, g = omega.evaluate(points, SIGMA_SCAN_ORDER), metric.evaluate(points, SIGMA_SCAN_ORDER)
+    _, q, scale = quadratic_form(w, g)
+    cross = jvec_cross(grad, jvec_values(w))
+    grad_norm = np.sqrt(metric_dot(tuple(map(jvec_values, g)), cross, cross) / q.value)
+    margin = np.abs(lam_t) / scale
+    transversal = (kind == 0) & (grad_norm / scale > TRANSVERSALITY_EPS)
+    # a sign change brackets a zero of lambda: unconverged, it is kept and says so
+    keep = (margin <= tol_root) | ((kind == 0) & ~converged)
+    for j in np.lexsort((t, seg)):
+        if keep[j]:
+            out[seg[j]].append(SigmaPoint(
+                tuple(points[j].tolist()), abs(float(lam_t[j])), bool(transversal[j]),
+                float(grad_norm[j]), ("sign_change", "minimum")[kind[j]], int(steps[j]),
+                float(margin[j]), bool(converged[j])))
+    return out
 
 
 def _jet_quotient(w, mu: Jet):
@@ -109,21 +171,33 @@ def _jet_quotient(w, mu: Jet):
 
 
 def characteristic_field(form):
-    """V = w / omega(w) from the jets `form` of omega at a point, with w the
-    (d omega)-vector spanning ker(d omega); consumes one jet order.
+    """V = w / omega(w) from the jets `form` of omega at a point (or batch), with
+    w the (d omega)-vector spanning ker(d omega); consumes one jet order.
 
     Where w and omega(w) both vanish (on Sigma for a special form), V is the
     exact quotient `_jet_quotient`, one order lower still; the form is not
     special there if omega(w) has no linear part or the remainder is above
-    CHARACTERISTIC_TOL times the largest coefficient of w.
+    CHARACTERISTIC_TOL times the largest coefficient of w.  A batch takes each
+    row's branch, and is one order lower wherever a row takes the quotient.
     """
+    return _characteristic(*curl_and_defect(form), np.sqrt(sum(v * v for v in jvec_values(form))))
+
+
+def _characteristic(w, omw: Jet, size):
+    """`characteristic_field` from w, omega(w) and |omega| (one per row)."""
     # omega -> c omega scales |omega|, w and omega(w) by c, c and c^2, so
     # every test below compares ratios
-    size = float(np.linalg.norm(jvec_values(form)))
-    w, omw = curl_and_defect(form)
-    w_max = max(abs(c.value) for c in w)
-    if abs(omw.value) > CHARACTERISTIC_TOL * size * (size + w_max):
+    w_max = np.max(np.abs(jvec_values(w)), axis=0)
+    if np.all(np.abs(omw.value) > CHARACTERISTIC_TOL * size * (size + w_max)):
         return jvec_div(w, omw)
+    if type(omw.point) is not tuple:  # row by row, each row's jets as one point's
+        def row(j, r):
+            return Jet._new(row_of(omw.point, r), j.order, j.coeffs[:, r])
+        cols = [_characteristic(tuple(row(c, r) for c in w), row(omw, r), size[r])
+                for r in range(len(size))]
+        m = min(v[0].order for v in cols)
+        return tuple(Jet._new(omw.point, m, np.stack([v[a].coeffs[:n_coeffs(m)] for v in cols],
+                                                     axis=1)) for a in range(3))
     if w_max > CHARACTERISTIC_TOL * size:
         raise SingularFrameError(
             f"omega(w) = 0 with w != 0 at {omw.point}: no normalized "
@@ -142,7 +216,8 @@ def characteristic_field(form):
 
 def build_singular_frame(omega: OneForm, metric: MetricField, point,
                          order: int = DEFAULT_ORDER):
-    """Adapted frame at/near Sigma for a special form omega.
+    """Adapted frame at/near Sigma for a special form omega, at a point or a
+    batch (an (N, 3) array, as `build_contact_frame` takes).
 
     E1 spans Delta intersected with ker(d lambda), oriented so that
     E2(lambda) > 0; E2 completes the oriented orthonormal basis of Delta; E3
@@ -158,13 +233,13 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     # where d(lambda)|_Delta is; with E1 along D, E2 = unit(omega x g E1) and
     # d(lambda) . (omega x g D) = g(D, D), so E2(lambda) > 0
     direction = jvec_cross(tuple(lam.partial(a) for a in range(3)), w)
-    transversal = any(jvec_values(direction))
-    if transversal:
+    transversal = np.any(jvec_values(direction), axis=0)
+    if np.all(transversal):
         e1, e2, ge1, ge2 = kernel_basis(w, g, direction)
         transversal = directional_derivative(lam, e2).value / norm > TRANSVERSALITY_EPS
-    if not transversal:
-        raise SingularFrameError(
-            f"d(lambda)|_Delta vanishes at {lam.point}: not transversal")
+    if not np.all(transversal):
+        raise SingularFrameError(f"d(lambda)|_Delta vanishes at "
+                                 f"{row_of(lam.point, np.argmin(transversal))}: not transversal")
     e3 = characteristic_field(w)
     return adapted_frame(e1, e2, ge1, ge2, e3, jvec_div(w, jvec_dot(w, e3)), lam, "singular")
 

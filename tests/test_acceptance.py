@@ -224,8 +224,7 @@ def test_criterion6_injected_true_symmetry():
 # -- criterion 7: singular fixture -----------------------------------------
 
 def test_criterion7_singular_fixture():
-    sp = locate_sigma(OMEGA_1, EUCLID, [((-1, 0, 0), (1, 0, 0))])[0]
-    assert sp is not None
+    (sp,) = locate_sigma(OMEGA_1, EUCLID, [((-1, 0, 0), (1, 0, 0))])[0]
     assert abs(sp.point[0]) < 1e-10
     assert sp.transversal
 

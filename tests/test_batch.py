@@ -8,15 +8,18 @@ import math
 import numpy as np
 import pytest
 
+import srsurf.cli
 from srsurf import (Jet, JetError, MAX_ORDER, MetricField, OneForm, build_contact_frame,
-                    build_system, delta_basis, integrability_residuals, n_coeffs)
+                    build_singular_frame, build_system, delta_basis, integrability_residuals,
+                    lambda_identities, locate_sigma, n_coeffs, sigma_invariants)
 from srsurf.cli import INVARIANTS_CHUNK, _chunk_width, main
 from srsurf.frame import quadratic_form
 from srsurf.invariants import INVARIANTS_ORDER
-from srsurf.singular import SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER
+from srsurf.singular import SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
-from conftest import AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1
+from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1,
+                      SPECIAL_FORM, SPECIAL_METRIC, TURNED_FORM, TURNED_METRIC)
 
 SIGMA_METRIC = "1 + x^2\n0\n0\n1\n0\n1\n"  # with OMEGA_1: Sigma = {x = 0}
 
@@ -393,3 +396,63 @@ def test_singular_probes_in_one_batch(capsys, metric_file, bad_scan):
     assert sum("Q112" in r for r in records) == 7 - bad_scan
     if bad_scan:
         assert records[2]["error"].startswith("metric not positive definite at")
+
+
+# -- batched singular frames -------------------------------------------------
+
+def _sigma_values(omega, metric, points):
+    """Q112, Q212 and the two lambda-identity residuals, one row per point."""
+    frame, c = build_singular_frame(omega, metric, points, SINGULAR_FRAME_ORDER)
+    q = sigma_invariants(c)
+    return np.reshape([q.Q112, q.Q212, *lambda_identities(frame, c)], (4, -1)).T
+
+
+@pytest.mark.parametrize("form, metric", [(SPECIAL_FORM, SPECIAL_METRIC),
+                                          (TURNED_FORM, TURNED_METRIC)])
+def test_singular_frames_in_one_batch(form, metric):
+    # Sigma = {x = -sin(y)}: one root on each probe, Q nonzero
+    omega, g = OneForm.parse(form), MetricField.from_upper_triangle(metric)
+    probes = [((-1.5, y, z), (1.5, y + 0.1, z - 0.2))
+              for y, z in ((0.3, -0.2), (-0.7, 0.4), (1.1, 0.1), (0.0, -0.5), (-1.2, 0.3))]
+    points = np.array([sp.point for roots in locate_sigma(omega, g, probes) for sp in roots])
+    assert len(points) == len(probes)
+    batch = _sigma_values(omega, g, points)
+    alone = np.vstack([_sigma_values(omega, g, tuple(p)) for p in points])
+    assert np.array_equal(batch, alone)  # bit for bit
+    assert np.abs(batch[:, :2]).min() > 1e-3
+
+
+def test_singular_frames_mix_both_branches_of_e3():
+    # off Sigma E3 = w / omega(w); on it, the exact quotient, one order lower
+    omega, g = OneForm.parse(OMEGA_1), MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
+    points = np.array([[0.3, 0.0, 0.0], [0.0, 0.2, -0.4], [-0.25, 0.4, 0.1], [0.0, -0.7, 0.5]])
+    batch = _sigma_values(omega, g, points)
+    assert np.array_equal(batch, np.vstack([_sigma_values(omega, g, tuple(p)) for p in points]))
+
+
+@pytest.mark.parametrize("omega, probes, error", [
+    # lambda is proportional to -x^2 (x - 0.5): the root at x = 0 is tangential
+    ("dy + (x^4/4 - x^3/6)*dz", ["0.3,0,0 : 0.9,0.2,0.1", "-0.35,0,0 : 0.2,0.1,0",
+                                 "1,0.5,0.2 : 0.2,-0.3,0"], "not transversal"),
+    # Sigma = {x = 0} (special) and {y - 2 = z (x^2 + z^2)}, where w != 0
+    ("dy + (x^2 + z^2)*dz + x*y*z*dx", ["-1,0.3,0.2 : 1,0.3,0.2", "0.5,1.5,0.1 : 0.5,2.5,0.1",
+                                        "-1,-0.4,0.5 : 0.8,0.1,-0.2"],
+     "no normalized characteristic field"),
+])
+def test_singular_frame_batch_falls_back_root_by_root(capsys, monkeypatch, omega, probes, error):
+    sizes = []
+
+    def counted(omega, metric, point, order):
+        sizes.append(len(point) if isinstance(point, np.ndarray) else 1)
+        return build_singular_frame(omega, metric, point, order)
+
+    monkeypatch.setattr(srsurf.cli, "build_singular_frame", counted)
+    argv = ["singular", "--omega", omega]
+    lines = _assert_one_call_per_item(capsys, argv, [["--probe=" + p] for p in probes])
+    assert sizes[:4] == [3, 1, 1, 1]  # the batch, then each root on its own
+    records = [json.loads(line) for line in lines]
+    with pytest.raises(JetError) as alone:  # the root's own frame
+        build_singular_frame(OneForm.parse(omega), MetricField.identity(),
+                             tuple(records[1]["point"]), SINGULAR_FRAME_ORDER)
+    assert records[1]["error"] == str(alone.value) and str(alone.value).endswith(error)
+    assert "Q112" in records[0] and "Q112" in records[2]

@@ -29,7 +29,13 @@ def test_workload_records_pass_the_gate(capsys, tmp_path, name):
         assert check.check_call(code, out, call.expected, wl.oracle) == (0, [])
 
 
+# Layers the program no longer calls, whose names the tracer keeps until the
+# benchmark re-maps them: Sigma roots are polished by a batched Newton in
+# `singular._polish`, not by scipy's `brentq`.
+RETIRED = {"srsurf.singular.brentq"}
+
+
 def test_every_traced_layer_exists():
     with tracing.Tracer().installed() as tracer:
         pass
-    assert tracer.absent == set()
+    assert tracer.absent == RETIRED

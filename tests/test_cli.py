@@ -1,5 +1,9 @@
 import json
+import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +575,84 @@ def test_singular_error_formats_plain_floats(capsys):
     assert rec["error"] == ("d(lambda)|_Delta vanishes at (0.0, 0.0, 0.0): "
                             "not transversal")
     assert "np.float64" not in out
+
+
+def test_singular_every_sign_change_is_a_root(capsys):
+    # lambda is proportional to -(3 x^2 - 0.25): two sign changes on the probe
+    code, out, _ = run_cli(capsys, "singular", "--omega", "dy + (x^2-0.25)*x*dz",
+                           "--probe", "-1,0.1,0 : 1,0.1,0")
+    assert code == 0
+    first, second = ndjson(out)
+    root = math.sqrt(1 / 12)  # 0.288675...
+    assert first["point"] == pytest.approx([-root, 0.1, 0.0], abs=1e-12)
+    assert second["point"] == pytest.approx([root, 0.1, 0.0], abs=1e-12)
+    for rec in (first, second):
+        assert rec["diagnostics"]["transversal"] is True and "Q112" in rec
+        assert rec["diagnostics"]["sigma"]["candidate"] == "sign_change"
+
+
+def test_singular_tangential_sigma_is_a_minimum(capsys):
+    # lambda is proportional to -x^2: it touches 0 at x = 0, between two scan
+    # nodes, without a sign change
+    code, out, _ = run_cli(capsys, "singular", "--omega", "dy + x^3*dz",
+                           "--probe", "-1,0,0 : 0.9,0,0")
+    assert code == 0
+    (rec,) = ndjson(out)
+    assert rec["point"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+    assert rec["diagnostics"]["transversal"] is False
+    assert rec["diagnostics"]["sigma"]["candidate"] == "minimum"
+    assert rec["error"].endswith("not transversal")
+
+
+def test_singular_sigma_diagnostics_schema(capsys):
+    # lambda is proportional to -x^2 (x - 0.5): tangential at x = 0, crossing at 0.5
+    f = "x^4/4 - x^3/6"
+    probes = ["-0.35,0,0 : 0.9,0.2,0.1", "-1,0.2,0.1 : 0.9,0.2,0.1", "0.2,-1,0 : 0.7,1,0.5"]
+    code, out, _ = run_cli(capsys, "singular", "--omega", f"dy + ({f})*dz",
+                           *[a for p in probes for a in ("--probe", p)])
+    assert code == 0
+    records = ndjson(out)
+    assert [r["diagnostics"]["sigma"]["candidate"] for r in records] == [
+        "minimum", "sign_change", "minimum", "sign_change", "sign_change"]
+    for rec in records:
+        sigma = rec["diagnostics"]["sigma"]
+        assert set(sigma) == {"candidate", "newton_iterations", "margin", "converged"}
+        assert type(sigma["newton_iterations"]) is int and sigma["newton_iterations"] >= 1
+        assert type(sigma["margin"]) is float and 0.0 <= sigma["margin"] <= 1e-10
+        assert sigma["converged"] is True
+        x = rec["point"][0]  # |omega| = |(0, 1, f(x))| under the Euclidean metric
+        norm = math.hypot(1.0, x ** 4 / 4 - x ** 3 / 6)
+        assert sigma["margin"] == pytest.approx(rec["lam"] / norm, rel=1e-12, abs=0)
+
+
+def test_singular_unconverged_root_says_so(capsys, monkeypatch):
+    # with one Newton step the polish stops short: the bracketed root is
+    # still reported, as not converged, whatever its margin
+    monkeypatch.setattr("srsurf.singular.NEWTON_MAX_ITER", 1)
+    code, out, _ = run_cli(capsys, "singular", "--omega", "dy + (x^2-0.25)*x*dz",
+                           "--probe", "-1,0.1,0 : 1,0.1,0")
+    assert code == 0
+    records = ndjson(out)
+    assert len(records) == 2
+    for rec in records:
+        sigma = rec["diagnostics"]["sigma"]
+        assert (sigma["converged"], sigma["newton_iterations"]) == (False, 1)
+        assert sigma["margin"] > 1e-10
+
+
+def test_singular_and_invariants_import_no_scipy():
+    # scipy is loaded only by ln f's quadrature (`symmetry --reconstruct`)
+    code = ("import sys\n"
+            "from srsurf.cli import main\n"
+            "main(['singular', '--omega', 'dy + x^2*dz', '--probe', '-1,0,0 : 1,0,0'])\n"
+            "main(['invariants', '--omega', 'dz + y*dx', '--points', '0.1,0.2,0.3'])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3 and '"Q112"' in lines[0] and '"K"' in lines[1]
+    assert lines[2] == "[]"
 
 
 # -- selftest subcommand ---------------------------------------------------
