@@ -4,8 +4,8 @@ and verification of the symmetry field V."""
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -94,13 +94,81 @@ def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
     return sys_.EQ1.value * eta[0] + sys_.EQ2.value * eta[1]
 
 
-@lru_cache(maxsize=1)
-def _first_panel() -> tuple:
-    """QUADPACK's first-panel nodes on [0, 1] in its own order, from a dry run of quad."""
-    from scipy.integrate import quad  # kept out of the CLI's start-up
-    nodes = []
-    quad(lambda t: nodes.append(t) or 0.0, 0.0, 1.0)
-    return tuple(nodes)
+# QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (dqk21): the Kronrod abscissae, outermost
+# first, with the 10-point Gauss ones at the odd places; their weights; the Gauss weights.
+XGK = np.array([0.9956571630258081, 0.9739065285171717, 0.9301574913557082, 0.8650633666889845,
+                0.7808177265864169, 0.6794095682990244, 0.5627571346686047, 0.4333953941292472,
+                0.2943928627014602, 0.14887433898163122, 0.0])
+WGK = np.array([0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+                0.07503967481091996, 0.0931254545836976, 0.10938715880229764, 0.12349197626206584,
+                0.13470921731147334, 0.14277593857706009, 0.14773910490133849, 0.1494455540029169])
+WG = np.array([0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+               0.26926671930999635, 0.29552422471475287])
+PAIRS = np.r_[1:10:2, 0:10:2]  # dqk21 takes the centre, the Gauss pairs, then the Kronrod ones
+NODES = np.r_[0.0, np.outer(XGK[PAIRS], (-1.0, 1.0)).ravel()]  # in dqk21's order
+EPS, UFLOW = np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _qk21(f: np.ndarray, h: float):
+    """dqk21 on a panel of half-length h from its 21 integrand values in NODES
+    order: (result, abserr, resabs, resasc), each sum in dqk21's order."""
+    def total(first, terms):  # first + terms[0] + terms[1] + ..., in order, as dqk21's loops add
+        return np.concatenate(([first], terms)).cumsum()[-1]
+    f1, f2 = f[1::2], f[2::2]  # the pairs, in PAIRS order
+    resg = total(0.0, WG * (f1 + f2)[:5])
+    resk = total(WGK[10] * f[0], WGK[PAIRS] * (f1 + f2))
+    resabs = total(abs(WGK[10] * f[0]), WGK[PAIRS] * (abs(f1) + abs(f2))) * abs(h)
+    reskh = resk * 0.5
+    resasc = total(WGK[10] * abs(f[0] - reskh),  # pairs in XGK order
+                   (WGK[PAIRS] * (abs(f1 - reskh) + abs(f2 - reskh)))[np.argsort(PAIRS)]) * abs(h)
+    abserr = abs((resk - resg) * h)
+    if resasc != 0 and abserr != 0:
+        abserr = resasc * min(1.0, (200 * abserr / resasc) ** 1.5)
+    if resabs > UFLOW / (50 * EPS):
+        abserr = max(50 * EPS * resabs, abserr)
+    return resk * h, abserr, resabs, resasc
+
+
+def _qag(f, tol_quad: float):
+    """QUADPACK's QAG (dqage) with dqk21 over [0, 1], without QAGS's epsilon
+    extrapolation: (integral, abserr, neval, rounds) to abserr <= tol_quad in at
+    most 2 ** MAX_DEPTH panels, else JetError.  A round calls f once, on the
+    first panel's 21 nodes, then on the 42 of the halves of the panel with the
+    largest error, each panel's in NODES order."""
+    def run(a, b):  # [a, b, result, abserr, resabs, resasc] of each panel [a_k, b_k]
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        values = np.reshape(f((c[:, None] + h[:, None] * NODES).ravel()), (len(c), 21))
+        return [[ak, bk, *_qk21(v, hk)] for ak, bk, v, hk in zip(a, b, values, h)]
+
+    limit, iroff1, iroff2, order = 2 ** MAX_DEPTH, 0, 0, [0]
+    panels = run(np.zeros(1), np.ones(1))  # each round adds one panel: len(panels) rounds
+    _, _, _, errsum, defabs, resabs = panels[0]  # dqage's names for dqk21's resabs, resasc
+    stop = limit == 1 or tol_quad < errsum <= 50 * EPS * defabs
+    done = (errsum <= tol_quad and errsum != resabs) or errsum == 0
+    while not (stop or done):  # bisect the panel with the largest error
+        k = order.pop()
+        a1, b2, area, errmax = panels[k][:4]
+        (_, b1, area1, error1, _, defab1), (a2, _, area2, error2, _, defab2) = halves = run(
+            np.r_[a1, 0.5 * (a1 + b2)], np.r_[0.5 * (a1 + b2), b2])
+        area12, erro12 = area1 + area2, error1 + error2
+        errsum = errsum + erro12 - errmax
+        if defab1 != error1 and defab2 != error2:  # QUADPACK's roundoff counters
+            iroff1 += abs(area - area12) <= 1e-5 * abs(area12) and erro12 >= 0.99 * errmax
+            iroff2 += len(panels) >= 10 and erro12 > errmax
+        done = errsum <= tol_quad
+        stop = not done and (  # roundoff, the panel limit, or a panel too small to bisect
+            iroff1 >= 6 or iroff2 >= 20 or len(panels) + 1 == limit
+            or max(abs(a1), abs(b2)) <= (1 + 100 * EPS) * (abs(a2) + 1000 * UFLOW))
+        panels[k], new = halves[::-1] if error2 > error1 else halves  # the larger error keeps k
+        panels.append(new)
+        for i in (len(panels) - 1, k):  # as dqpsrt orders them: ties go to the newest
+            insort(order, i, key=lambda i: panels[i][3])
+    neval = 42 * len(panels) - 21
+    if stop:
+        raise JetError(f"quadrature did not converge on panel t = [0, 1]: "
+                       f"abserr = {errsum:.3e}, neval = {neval}, "
+                       f"tol_quad = {tol_quad:g}, max_depth = {MAX_DEPTH}")
+    return float(np.cumsum([p[2] for p in panels])[-1]), float(errsum), neval, len(panels)
 
 
 def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
@@ -108,54 +176,48 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
                     tol_contact: float = TOL_CONTACT):
     """(ln f(target), info) with ln f(base) = 0: the line integral of the
     coordinate gradient (the EQ system at EQ_ORDER) along base -> target by
-    QUADPACK's QAGS (`scipy.integrate.quad`, 21-point Gauss-Kronrod, at most
-    2 ** MAX_DEPTH panels) to an absolute error estimate below tol_quad,
-    else JetError.  The 21 nodes of QUADPACK's first panel are one batched
-    build_system, each node's value the float a one-point system gives; a
-    batch with a noncontact or degenerate row, or one that raises or meets
-    a floating-point fault, is dropped, and every node then takes its own
-    system.  A segment that meets a degenerate point is retried once via
-    base + delta/2 + |delta|/2 e_k, k = argmin |delta_k|, else raised; one
-    that meets a noncontact point (tol_contact, as in build_system) raises
-    NoncontactError.  info holds quad's neval and abserr, summed over the
-    legs of a detour, the route ("direct" or "detour") and `batched`, the
-    integrand values the batch served."""
+    QUADPACK's QAG (`_qag`: 21-point Gauss-Kronrod panels, at most
+    2 ** MAX_DEPTH of them) to an absolute error estimate below tol_quad,
+    else JetError.  Each round's nodes are one batched build_system, each
+    node's value the float a one-point system gives.  A node that fails
+    raises the error its own system gives, the first in QUADPACK's order:
+    a float fault raises FloatingPointError.  A segment that meets a
+    degenerate point is retried once via base + delta/2 + |delta|/2 e_k,
+    k = argmin |delta_k|, else raised; one that meets a noncontact point
+    (tol_contact, as in build_system) raises NoncontactError.  info holds
+    QUADPACK's neval and abserr and the batched build_system calls, rounds,
+    each summed over the legs of a detour, and the route ("direct" or "detour")."""
     base, target = (np.array(p, dtype=float) for p in (base, target))
     delta = target - base
     if not delta.any():
-        return 0.0, {"neval": 0, "abserr": 0.0, "route": "direct", "batched": 0}
-    from scipy.integrate import quad
+        return 0.0, {"neval": 0, "abserr": 0.0, "route": "direct", "rounds": 0}
     tols = {"tol_degenerate": tol_degenerate, "tol_contact": tol_contact}
 
     def segment(a: np.ndarray, d: np.ndarray):  # from a to a + d: (value, info)
-        ts = _first_panel()
-        try:  # a floating-point fault drops the batch, so only the one-point path meets it
+        def integrand(ts: np.ndarray) -> list:  # d . grad ln f at a + t d, t in ts
+            def one(t):  # node t's own system: a failing node's error names it
+                return build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER, **tols)
+
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                sys_ = build_system(omega, metric, a + np.array(ts)[:, None] * d, EQ_ORDER, **tols)
-                grad = frame_to_coordinate_gradient(sys_)  # raises at a degenerate row
-            stored = ({t: float(d @ grad[:, k].copy())  # contiguous, summed as one point's
-                       for k, t in enumerate(ts)} if len(sys_.frame.rows) == len(ts) else {})
-        except (JetError, ValueError, FloatingPointError):
-            stored = {}
-        batched = len(stored)
+                try:
+                    sys_ = build_system(omega, metric, a + ts[:, None] * d, EQ_ORDER, **tols)
+                    ok = np.zeros(len(ts), dtype=bool)
+                    ok[sys_.frame.rows] = ~sys_.degenerate
+                    if ok.all():
+                        return [float(d @ g) for g in frame_to_coordinate_gradient(sys_).T.copy()]
+                except (JetError, ValueError, FloatingPointError):  # the first node failing alone
+                    bad = next((t for t in ts if one(t).degenerate), None)
+                    if bad is None:
+                        raise
+                else:  # the first noncontact or degenerate row; a noncontact one raises alone
+                    k = int(np.argmin(ok))
+                    if k not in sys_.frame.rows:
+                        one(ts[k])
+                    bad = ts[k]
+                raise DegeneratePointError(f"degenerate point on segment at t = {bad:.6f}")
 
-        def integrand(t: float) -> float:
-            if t in stored:
-                return stored.pop(t)
-            sys_ = build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER, **tols)
-            if sys_.degenerate:
-                raise DegeneratePointError(
-                    f"degenerate point on segment at t = {t:.6f}")
-            return float(d @ frame_to_coordinate_gradient(sys_))
-
-        value, abserr, info, *failed = quad(
-            integrand, 0.0, 1.0, epsabs=tol_quad, epsrel=0.0,
-            limit=2 ** MAX_DEPTH, full_output=1)
-        if failed:
-            raise JetError(f"quadrature did not converge on panel t = [0, 1]: "
-                           f"abserr = {abserr:.3e}, neval = {info['neval']}, "
-                           f"tol_quad = {tol_quad:g}, max_depth = {MAX_DEPTH}")
-        return value, {"neval": info["neval"], "abserr": abserr, "batched": batched - len(stored)}
+        value, abserr, neval, rounds = _qag(integrand, tol_quad)
+        return value, {"neval": neval, "abserr": abserr, "rounds": rounds}
 
     try:
         value, info = segment(base, delta)

@@ -446,8 +446,8 @@ def test_symmetry_reconstruct(capsys, axial_metric_file):
 
 def test_reconstruct_diagnostics(capsys, axial_metric_file):
     # from (0, -0.5, 0) the segment to (1, 0.5, 0) has its midpoint on the
-    # degenerate plane y = 0 and detours; neval and abserr are quad's, summed
-    # over the legs, and batched counts the values the first panels' batches served
+    # degenerate plane y = 0 and detours; neval, abserr and rounds (the
+    # batched build_system calls) are summed over the legs
     code, out, _ = run_cli(capsys, "symmetry", "--omega", CARTAN,
                            "--metric-file", axial_metric_file,
                            "--points", "0.4,0.7,-0.2; 1,0.5,0",
@@ -455,11 +455,11 @@ def test_reconstruct_diagnostics(capsys, axial_metric_file):
     assert code == 0
     direct, detour = (rec["diagnostics"]["reconstruct"] for rec in ndjson(out))
     for info in (direct, detour):
-        assert set(info) == {"neval", "abserr", "route", "batched"}
-        assert type(info["neval"]) is type(info["batched"]) is int
+        assert set(info) == {"neval", "abserr", "route", "rounds"}
+        assert type(info["neval"]) is type(info["rounds"]) is int
         assert isinstance(info["abserr"], float) and 0 <= info["abserr"] < 1e-9
-    assert (direct["route"], direct["neval"], direct["batched"]) == ("direct", 21, 21)
-    assert (detour["route"], detour["neval"], detour["batched"]) == ("detour", 42, 42)
+    assert (direct["route"], direct["neval"], direct["rounds"]) == ("direct", 21, 1)
+    assert (detour["route"], detour["neval"], detour["rounds"]) == ("detour", 42, 2)
 
 
 def test_reconstruct_honours_tol_contact(capsys, axial_metric_file):
@@ -640,19 +640,27 @@ def test_singular_unconverged_root_says_so(capsys, monkeypatch):
         assert sigma["margin"] > 1e-10
 
 
-def test_singular_and_invariants_import_no_scipy():
-    # scipy is loaded only by ln f's quadrature (`symmetry --reconstruct`)
+def test_singular_and_invariants_import_no_scipy(tmp_path):
+    # no subcommand loads scipy, ln f's quadrature (`symmetry --reconstruct`)
+    # included: scipy is a test dependency only
+    metric = tmp_path / "metric.txt"
+    metric.write_text(AXIAL_METRIC_TEXT)
     code = ("import sys\n"
+            "import srsurf.symmetry\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
             "from srsurf.cli import main\n"
             "main(['singular', '--omega', 'dy + x^2*dz', '--probe', '-1,0,0 : 1,0,0'])\n"
             "main(['invariants', '--omega', 'dz + y*dx', '--points', '0.1,0.2,0.3'])\n"
+            f"main(['symmetry', '--omega', 'dz + y*dx', '--metric-file', {str(metric)!r},\n"
+            "      '--points', '0.4,0.7,-0.2', '--reconstruct', '--base', '0,0,0'])\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
     lines = out.stdout.splitlines()
-    assert len(lines) == 3 and '"Q112"' in lines[0] and '"K"' in lines[1]
-    assert lines[2] == "[]"
+    assert len(lines) == 5 and '"Q112"' in lines[1] and '"K"' in lines[2]
+    assert '"lnf"' in lines[3] and '"reconstruct"' in lines[3]
+    assert lines[0] == lines[4] == "[]"
 
 
 # -- selftest subcommand ---------------------------------------------------

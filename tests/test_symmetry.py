@@ -1,7 +1,10 @@
 import math
+import os
 import subprocess
 import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from srsurf import (BudgetExhausted, DegeneratePointError, FieldProgram,
                     JetError, MetricField, OneForm, assemble_and_verify_V, build_system,
                     frame_to_coordinate_gradient, integrability_residuals,
                     nonholonomity, reconstruct_lnf)
-from srsurf.symmetry import EQ_ORDER, RESIDUAL_MIN_ORDER, TOL_QUAD, reconstructed_V
+from srsurf.symmetry import (EQ_ORDER, RESIDUAL_MIN_ORDER, TOL_QUAD, WG, WGK, XGK, _qag,
+                             reconstructed_V)
 
 from conftest import AXIAL_FORM, AXIAL_METRIC, HEISENBERG, box_points
 
@@ -207,30 +211,43 @@ def test_reconstruct_lnf_failure_reports_progress(axial, monkeypatch):
 
 
 def test_reconstruct_lnf_one_kronrod_panel(axial, system_points):
-    # the integrand is smooth, so QAGS stops after its first 21 nodes
-    # and the batch of those 21 nodes serves them all
+    # the integrand is smooth, so QAG stops after its first 21 nodes,
+    # which are one batch
     omega, metric = axial
     _, info = reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), AXIAL_POINTS[0])
     assert [kind for kind, _ in system_points] == ["batch"]
     rows = system_points[0][1]
     assert len(rows) == 21 == len(set(rows))
-    assert info["neval"] == info["batched"] == 21
+    assert (info["neval"], info["rounds"]) == (21, 1)
 
 
-def test_reconstruct_lnf_equals_one_system_per_node(axial):
-    # the batch gives each first-panel node the float its own system gives,
-    # so ln f is the same float; under a tight tol_quad QAGS bisects, and
-    # the nodes of the later panels take their own systems
+def test_reconstruct_lnf_info_schema(axial):
+    omega, metric = axial
+    lnf, info = reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), AXIAL_POINTS[0])
+    assert type(lnf) is float
+    assert set(info) == {"neval", "abserr", "route", "rounds"}
+    assert type(info["neval"]) is type(info["rounds"]) is int
+    assert type(info["abserr"]) is float and 0 < info["abserr"] <= TOL_QUAD
+    assert info["route"] == "direct"
+
+
+def test_reconstruct_lnf_equals_one_system_per_node(axial, system_points):
+    # the batch gives each node the float its own system gives, so ln f is
+    # the float scipy's QAGS gives with one system per node; under a tight
+    # tol_quad QAG bisects once, as QAGS does, and the two halves' 42 nodes
+    # are one batch
     omega, metric = axial
     base = (0.0, 0.0, 0.0)
     for p in AXIAL_POINTS:
         assert (reconstruct_lnf(omega, metric, base, p)[0]
                 == _one_system_per_node(omega, metric, base, p)[0])
     target = (2.0, 1.5, 0.3)
+    del system_points[:]
     lnf, info = reconstruct_lnf(omega, metric, base, target, tol_quad=1e-12)
+    assert [(kind, len(rows)) for kind, rows in system_points] == [("batch", 21), ("batch", 42)]
     want, neval = _one_system_per_node(omega, metric, base, target, tol_quad=1e-12)
     assert lnf == want
-    assert info["neval"] == neval > 21 and info["batched"] == 21
+    assert info["neval"] == neval == 63 and info["rounds"] == 2
 
 
 RADIAL_100 = "(1 + x^2 + y^2)^100"
@@ -281,17 +298,15 @@ def test_reconstruct_lnf_detours_around_degenerate_segment(axial, system_points)
     omega, metric = axial
     got, _ = reconstruct_lnf(omega, metric, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert abs(got - 0.5 * math.log(2)) < 1e-12
-    # the direct segment's batch holds the degenerate midpoint and is
-    # dropped, and its one-point call fails at its first node, the midpoint;
-    # each leg then takes one batch of its 21-point panel, at the points
-    # one call per node would take, starting at the leg's own midpoint
-    assert [(kind, len(rows)) for kind, rows in system_points] == [
-        ("batch", 21), ("scalar", 1), ("batch", 21), ("batch", 21)]
+    # the direct segment's batch starts at the degenerate midpoint, and its
+    # mask raises there with no one-point call; each leg then takes one
+    # batch of its 21-point panel, at the points one call per node would
+    # take, starting at the leg's own midpoint
+    assert [(kind, len(rows)) for kind, rows in system_points] == [("batch", 21)] * 3
     assert system_points[0][1][0] == (0.5, 0.0, 0.0)
-    assert system_points[1][1] == [(0.5, 0.0, 0.0)]
     leg = np.array([0.5, 0.5, 0.0])
-    for a, d, (_, rows) in ((np.zeros(3), leg, system_points[2]),
-                            (leg, np.array([1.0, 0.0, 0.0]) - leg, system_points[3])):
+    for a, d, (_, rows) in ((np.zeros(3), leg, system_points[1]),
+                            (leg, np.array([1.0, 0.0, 0.0]) - leg, system_points[2])):
         assert rows == [tuple((a + t * d).tolist()) for t in _quad_nodes()]
 
 
@@ -300,21 +315,22 @@ def test_reconstruct_lnf_detour_failure_raises_direct_error(heisenberg, euclid,
     # degenerate everywhere: the direct segment fails at its midpoint, the
     # detour at the midpoint of its first leg, and the direct segment's
     # error is raised again, with the detour's as its suppressed context
-    # (each segment's batch is dropped first)
-    with pytest.raises(DegeneratePointError) as info:
+    # (each from its segment's batch)
+    with pytest.raises(DegeneratePointError, match=r"at t = 0\.500000$") as info:
         reconstruct_lnf(heisenberg, euclid, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0))
     assert [(kind, rows[0]) for kind, rows in system_points] == [
-        ("batch", (0.5, 0.0, 0.0)), ("scalar", (0.5, 0.0, 0.0)),
-        ("batch", (0.25, 0.25, 0.0)), ("scalar", (0.25, 0.25, 0.0))]
-    assert [len(rows) for _, rows in system_points] == [21, 1, 21, 1]
+        ("batch", (0.5, 0.0, 0.0)), ("batch", (0.25, 0.25, 0.0))]
+    assert [len(rows) for _, rows in system_points] == [21, 21]
     assert info.value.__suppress_context__
     assert isinstance(info.value.__context__, DegeneratePointError)
 
 
 def test_cli_import_leaves_out_scipy_integrate():
-    code = "import sys, srsurf.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import sys, srsurf.cli, srsurf.symmetry; "
+            "print('scipy.integrate' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert out.stdout.strip() == "False"
 
 
@@ -342,6 +358,80 @@ def test_reconstruct_quadrature_convergence(axial):
             for tol in (1e-3, 1e-6, 1e-9)]
     assert errs[-1] <= errs[0] + 1e-12
     assert errs[-1] < 1e-8
+
+
+def test_reconstruct_lnf_unreachable_tolerance_fails_fast(axial):
+    # 1e-14 is below what rounding lets this segment's panels reach: QUADPACK's
+    # roundoff counters stop the bisection, long before a panel is too small
+    # to bisect or a node lands on a degenerate point
+    omega, metric = axial
+    start = time.perf_counter()
+    with pytest.raises(JetError, match=r"^quadrature did not converge on panel t = \[0, 1\]"):
+        reconstruct_lnf(omega, metric, (0.1, 0.2, 0.0), (2.5, -1.9, 0.4), tol_quad=1e-14)
+    assert time.perf_counter() - start < 1.0
+
+
+# -- the QK21 rule and the QAG driver ---------------------------------------
+
+def test_qk21_constants_rederived():
+    # the Gauss abscissae and weights from leggauss(10), the Kronrod weights
+    # from the Legendre moment equations on the 21 nodes, and the Kronrod
+    # abscissae by what defines them: the rule integrates every polynomial of
+    # degree up to 31 exactly (Laurie, Math. Comp. 66, 1997)
+    legendre = np.polynomial.legendre
+    x, w = legendre.leggauss(10)
+    assert np.abs(XGK[1:10:2] - x[:4:-1]).max() <= 1e-15
+    assert np.abs(WG - w[:4:-1]).max() <= 1e-15
+    nodes = np.r_[XGK, -XGK[:10]]
+    moments = np.eye(21)[0] * 2  # the integrals of P_0, ..., P_20 over [-1, 1]
+    weights = np.linalg.solve(legendre.legvander(nodes, 20).T, moments)
+    assert np.abs(weights - np.r_[WGK, WGK[:10]]).max() <= 1e-15
+    exact = legendre.legvander(nodes, 31)[:, 21:].T @ np.r_[WGK, WGK[:10]]
+    assert np.abs(exact).max() <= 1e-15
+
+
+def test_qag_asks_for_quadpacks_nodes():
+    # the first panel's nodes in QUADPACK's order, bit for bit, as one call
+    calls = []
+    value, abserr, neval, rounds = _qag(lambda ts: calls.append(ts.tolist()) or 0 * ts, 1e-9)
+    assert calls == [_quad_nodes()]
+    assert (value, abserr, neval, rounds) == (0.0, 0.0, 21, 1)
+
+
+@pytest.mark.parametrize("f", [math.exp, lambda t: math.cos(3 * t), lambda t: 1 / (1 + t * t)],
+                         ids=["exp", "cos", "rational"])
+def test_qk21_matches_scipy_quad(f):
+    # one panel each: QK21's value and error estimate, against QUADPACK's own
+    from scipy.integrate import quad
+    value, abserr, neval, _ = _qag(lambda ts: [f(t) for t in ts.tolist()], 1e-9)
+    want, want_err = quad(f, 0.0, 1.0, epsabs=1e-9, epsrel=0.0)
+    assert neval == 21
+    assert abs(value - want) <= 1e-15 * abs(want)
+    assert abs(abserr - want_err) <= 1e-15 * want_err
+
+
+def test_qag_bisects_as_quadpack():
+    # sin(40 t) takes 4 panels at 1e-12; QAGS's extrapolation does not
+    # change this integral's course, so QAG's bookkeeping meets scipy's
+    from scipy.integrate import quad
+    calls = []
+
+    def f(ts):
+        calls.append(len(ts))
+        return [math.sin(40 * t) for t in ts.tolist()]
+
+    value, abserr, neval, rounds = _qag(f, 1e-12)
+    want, want_err, info = quad(lambda t: math.sin(40 * t), 0.0, 1.0, epsabs=1e-12,
+                                epsrel=0.0, limit=2 ** 14, full_output=1)
+    assert (value, abserr, neval) == (want, want_err, info["neval"])
+    assert calls == [21] + [42] * (rounds - 1)
+
+
+def test_qag_stops_where_a_panel_is_too_small_to_bisect():
+    # a jump at t = 1/3: each bisection halves the error, so the roundoff
+    # counters stay at 0, until the panel at the jump is too small to bisect
+    with pytest.raises(JetError, match=r"did not converge .* neval = 1995,"):
+        _qag(lambda ts: (ts > 1 / 3).astype(float), 1e-300)
 
 
 # -- V assembly and verification ------------------------------------------
