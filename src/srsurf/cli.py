@@ -149,10 +149,6 @@ def _chunked(items, width: int, records, default, failed) -> List[PointReport]:
     return [r for i in range(0, len(items), width) for r in run(items[i:i + width])]
 
 
-def _batch(points):  # a point alone stays a point: the one-point jets are faster
-    return np.array(points, dtype=float) if len(points) > 1 else points[0]
-
-
 def _noncontact(p) -> PointReport:
     return PointReport(point=tuple(p), branch="noncontact", contact=False)
 
@@ -166,7 +162,7 @@ def cmd_invariants(args) -> List[PointReport]:
     tols = _given(args, "tol_contact")
 
     def records(points, reports):
-        vals, frame, _ = invariants_at(omega, metric, _batch(points), INVARIANTS_ORDER, **tols)
+        vals, frame, _ = invariants_at(omega, metric, points, INVARIANTS_ORDER, **tols)
         budget = min(vals.M.order, vals.K.order)  # the least left in what is reported
         for i, r in enumerate(frame.rows.tolist()):
             reports[r] = PointReport(
@@ -184,10 +180,10 @@ def cmd_symmetry(args) -> List[PointReport]:
     lnf_tols = _given(args, "tol_quad", "tol_degenerate", "tol_contact")
 
     def records(points, reports):
-        sys_ = build_system(omega, metric, _batch(points), RESIDUAL_MIN_ORDER, **tols)
-        degenerate = np.atleast_1d(sys_.degenerate)
-        eq = None if degenerate.all() else np.reshape(  # per row: EQ1, EQ2 and the residuals
-            [sys_.EQ1.value, sys_.EQ2.value, *integrability_residuals(sys_)], (5, -1)).T.tolist()
+        sys_ = build_system(omega, metric, points, RESIDUAL_MIN_ORDER, **tols)
+        degenerate = sys_.degenerate
+        eq = None if degenerate.all() else np.array(  # per row: EQ1, EQ2 and the residuals
+            [sys_.EQ1.value, sys_.EQ2.value, *integrability_residuals(sys_)]).T.tolist()
         for i, r in enumerate(sys_.frame.rows.tolist()):
             rep = reports[r] = PointReport(
                 point=tuple(points[r]), branch="degenerate" if degenerate[i] else "regular",
@@ -218,10 +214,10 @@ def cmd_singular(args) -> List[PointReport]:
                             diagnostics={"probe": [list(seg[0]), list(seg[1])]})]
 
     def frames(roots, _):  # `_chunked` records: the roots' Q and lambda-identity residuals
-        frame, c = build_singular_frame(omega, metric, _batch([r.point for r in roots]),
+        frame, c = build_singular_frame(omega, metric, np.array([r.point for r in roots]),
                                         SINGULAR_FRAME_ORDER)
         q = sigma_invariants(c)
-        values = np.reshape([q.Q112, q.Q212, *lambda_identities(frame, c)], (4, -1)).T.tolist()
+        values = np.array([q.Q112, q.Q212, *lambda_identities(frame, c)]).T.tolist()
         for rep, (rep.Q112, rep.Q212, *residuals) in zip(roots, values):
             rep.diagnostics["lambda_identity_residuals"] = residuals
 

@@ -10,7 +10,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm, adjugate, curl, curl_and_defect
-from .jets import Jet, JetError, fail_where, row_of
+from .jets import Jet, JetError, _as_point, fail_where, row_of
 
 JetVector = Tuple[Jet, Jet, Jet]
 TOL_CONTACT = 1e-9  # least |lambda| / |omega|_g of a contact point (--tol-contact)
@@ -185,6 +185,7 @@ def delta_basis(w: JetVector, g):
 def nonholonomity(omega: OneForm, metric: MetricField, point,
                   order: int = DEFAULT_ORDER) -> Jet:
     """lambda as a jet (`lambda_jet`); vanishes exactly on Sigma."""
+    point = _as_point(point)  # one array for the jets of omega and g
     w = omega.evaluate(point, order)
     return lambda_jet(w, quadratic_form(w, metric.evaluate(point, order))[1])
 
@@ -227,14 +228,15 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     tol_contact, a ratio that omega -> e^phi omega leaves unchanged; the
     frame of a batch covers its contact points, `frame.rows`, if any.
     """
+    point = _as_point(point)  # one array for the jets of omega and g
     w = omega.evaluate(point, order)
     e1, e2, ge1, ge2, lam, norm = delta_basis(w, metric.evaluate(point, order))
     contact = abs(lam.value) / norm
     rows = np.flatnonzero(~(contact < tol_contact))
     if not len(rows):
-        raise NoncontactError(f"point {row_of(lam.point)} is noncontact "
-                              f"(|lambda| / |omega|_g = {np.ravel(contact)[0]:.3e})")
-    if len(rows) < np.size(contact):  # a batch keeps its contact points
+        raise NoncontactError(f"point {row_of(point)} is noncontact "
+                              f"(|lambda| / |omega|_g = {contact[0]:.3e})")
+    if len(rows) < len(contact):  # the frame keeps the contact points
         def take(j):
             return (Jet(kept, j.order, j.coeffs[:, rows]) if isinstance(j, Jet)
                     else tuple(map(take, j)))

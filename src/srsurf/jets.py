@@ -7,9 +7,10 @@ product of two jets is known only to the lower of their orders, and
 differentiating a jet of order 0 is a hard error rather than silent
 garbage.
 
-A jet holds one point (a float 3-tuple) or a batch of N points (an (N, 3)
-array its jets share, coefficients (n_coeffs, N), values per point), each
-column its point's jet bit for bit: series come from `math` point by point.
+A jet holds a batch of N points, an (N, 3) float array, with coefficients
+(n_coeffs, N) and one value per point; a point alone is a batch of one.
+Each column is its point's jet bit for bit, whatever the batch: products sum
+their terms in one order, and series come from `math` point by point.
 """
 
 from __future__ import annotations
@@ -73,11 +74,12 @@ def _mul_table(order: int, batch: int = 0):
 @lru_cache(maxsize=None)
 def _partial_map(order: int, axis: int):
     """(src, scale): d/d(axis) of an order-`order` jet sends
-    coeffs[src[k]] * scale[k] to coefficient k of an order-(order - 1) jet."""
+    coeffs[src[k]] * scale[k] to coefficient k of an order-(order - 1) jet;
+    scale is a column, one factor per row of coefficients."""
     e = tuple(int(a == axis) for a in range(3))
     up = [tuple(m + d for m, d in zip(mi, e)) for mi in multi_indices(order - 1)]
     return (np.array([_index_map(order)[mi] for mi in up]),
-            np.array([mi[axis] for mi in up], dtype=float))
+            np.array([[mi[axis]] for mi in up], dtype=float))
 
 
 def n_coeffs(order: int) -> int:
@@ -90,26 +92,23 @@ def _check_order(order: int):
 
 
 def _as_point(point):
-    """A float 3-tuple, or an (N >= 1, 3) float array for a batch; kept if already one."""
-    if isinstance(point, np.ndarray) and point.ndim == 2:
-        if len(point) and point.shape[1] == 3:
-            return np.asarray(point, dtype=float)
-        raise JetError(f"a batch of points must have shape (N, 3), got {point.shape}")
-    if type(point) is tuple and len(point) == 3 and \
-            type(point[0]) is type(point[1]) is type(point[2]) is float:
-        return point
-    return tuple(float(c) for c in point)
+    """An (N >= 1, 3) float array, kept if already one; a point of three
+    coordinates is a batch of one."""
+    p = np.atleast_2d(np.asarray(point, dtype=float))
+    if p.ndim != 2 or not len(p) or p.shape[1] != 3:
+        raise JetError(f"a batch of points must have shape (N, 3), got {p.shape}")
+    return p
 
 
 def row_of(point, k: int = 0):
-    """The point, or row k of a batch, named as a one-point call names it."""
-    return point if type(point) is tuple else tuple(point[k].tolist())
+    """Row k of a batch as a tuple of floats, the name of that point."""
+    return tuple(point[k].tolist())
 
 
 def fail_where(bad, point, what: str):
-    """Raise JetError("<what> at <point>") where `bad` holds: at the point,
-    or at a batch's first such row (`row_of`)."""
-    if (bad if type(point) is tuple else bad.any()):  # np.any is slow on a scalar
+    """Raise JetError("<what> at <point>") at the first row of the batch
+    `point` where `bad` holds (`row_of`)."""
+    if np.count_nonzero(bad):  # cheaper than bad.any() on a few rows
         raise JetError(f"{what} at {row_of(point, np.argmax(bad))}")
 
 
@@ -123,9 +122,8 @@ def _series(terms):
             raise JetError(f"Taylor series of {terms.__name__} at {v} overflows a float") from None
 
     def compose(self: "Jet", *args) -> "Jet":
-        v = self.value
-        return self.compose_series(at(v, self.order, args) if isinstance(v, float) else
-                                   np.array([at(x, self.order, args) for x in v.tolist()]).T)
+        return self.compose_series(
+            np.array([at(x, self.order, args) for x in self.value.tolist()]).T)
     return compose
 
 
@@ -141,13 +139,14 @@ class Jet:
     __slots__ = ("point", "order", "coeffs")
 
     def __init__(self, point, order: int, coeffs: np.ndarray):
+        """coeffs: (n_coeffs(order), N), or n_coeffs(order) numbers at a batch of one."""
         _check_order(order)
         self.point = _as_point(point)
         self.order = order
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        n = n_coeffs(order)
-        if self.coeffs.shape != ((n,) if type(self.point) is tuple else (n, len(self.point))):
+        c, n = np.asarray(coeffs, dtype=float), n_coeffs(order)
+        if c.shape[:1] != (n,) or c.ndim > 2 or c.size != n * len(self.point):
             raise JetError("coefficient array has wrong shape for order and point")
+        self.coeffs = c.reshape(n, -1)
 
     # -- constructors ------------------------------------------------------
 
@@ -155,40 +154,40 @@ class Jet:
     def constant(value, point, order: int) -> "Jet":
         _check_order(order)
         point = _as_point(point)
-        c = np.zeros(n_coeffs(order) if type(point) is tuple else (n_coeffs(order), len(point)))
+        c = np.zeros((n_coeffs(order), len(point)))
         c[0] = value
-        return Jet(point, order, c)
+        return Jet._new(point, order, c)
 
     @staticmethod
     def variable(axis: int, point, order: int) -> "Jet":
         if axis not in (0, 1, 2):
             raise JetError(f"axis must be 0, 1 or 2, got {axis}")
-        point = _as_point(point)
-        jet = Jet.constant(point[axis] if type(point) is tuple else point[:, axis], point, order)
+        jet = Jet.constant(0.0, point, order)
+        jet.coeffs[0] = jet.point[:, axis]
         jet.coeffs[axis + 1] = 1.0  # the first-degree indices are x, y, z
         return jet
 
     # -- basic queries -----------------------------------------------------
 
     @property
-    def value(self):
-        return float(self.coeffs[0]) if self.coeffs.ndim == 1 else self.coeffs[0]
+    def value(self) -> np.ndarray:
+        """The values, one per point."""
+        return self.coeffs[0]
 
     def value_at(self, row: int) -> float:
-        """The value at a batch's row `row`, or at the point."""
-        return float(self.coeffs[0] if self.coeffs.ndim == 1 else self.coeffs[0, row])
+        """The value at row `row` of the batch, as a float."""
+        return float(self.coeffs[0, row])
 
-    def coeff(self, mi):
-        """Taylor coefficient for multi-index mi (derivative / factorials)."""
+    def coeff(self, mi) -> np.ndarray:
+        """Taylor coefficient for multi-index mi (derivative / factorials), one per point."""
         mi = tuple(mi)
         if sum(mi) > self.order:
             raise BudgetExhausted(
                 f"no coefficient {mi} in a jet of order {self.order}")
-        c = self.coeffs[_index_map(self.order)[mi]]
-        return float(c) if c.ndim == 0 else c
+        return self.coeffs[_index_map(self.order)[mi]]
 
-    def partial_value(self, mi) -> float:
-        """Mixed partial derivative value (coefficient times factorials)."""
+    def partial_value(self, mi) -> np.ndarray:
+        """Mixed partial derivative value (coefficient times factorials), one per point."""
         mi = tuple(mi)
         fact = math.factorial(mi[0]) * math.factorial(mi[1]) * math.factorial(mi[2])
         return self.coeff(mi) * fact
@@ -201,8 +200,8 @@ class Jet:
 
     @classmethod
     def _new(cls, point, order: int, coeffs: np.ndarray) -> "Jet":
-        """Unchecked constructor for results of operations on valid jets: a
-        float-tuple point, 0 <= order <= MAX_ORDER and n_coeffs(order)
+        """Unchecked constructor for results of operations on valid jets: an
+        (N, 3) float point, 0 <= order <= MAX_ORDER and (n_coeffs(order), N)
         float coeffs."""
         jet = object.__new__(cls)
         jet.point, jet.order, jet.coeffs = point, order, coeffs
@@ -212,10 +211,10 @@ class Jet:
         return Jet._new(self.point, self.order, coeffs)
 
     def _truncated(self, other: "Jet"):
-        """(order, a, b): the lower order of two jets at one point (for a
-        batch, one shared array) and their coefficients, cut to that order."""
+        """(order, a, b): the lower order of two jets at one batch of points
+        (one array, or equal ones) and their coefficients, cut to that order."""
         p, q = self.point, other.point
-        if p is not q and not (type(p) is type(q) is tuple and p == q):
+        if p is not q and not np.array_equal(p, q):
             raise JetError(f"base point mismatch: {p} vs {q}")
         if self.order == other.order:
             return self.order, self.coeffs, other.coeffs
@@ -252,26 +251,25 @@ class Jet:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return self._like(self.coeffs * float(other))
+        if not isinstance(other, Jet):  # a number, or one per point: `out` keeps the shape
+            return self._like(np.multiply(self.coeffs, np.asarray(other, dtype=float),
+                                          out=np.empty(self.coeffs.shape)))
         order, a, b = self._truncated(other)
-        if a.ndim == 1:
-            ia, ib, io = _mul_table(order)
-            return Jet._new(self.point, order,
-                            np.bincount(io, weights=a[ia] * b[ib], minlength=len(a)))
         ia, ib, io = _mul_table(order, a.shape[1])
-        out = np.bincount(io, weights=(a[ia] * b[ib]).ravel(), minlength=a.size)
+        # `take` gathers rows faster than indexing does, at every width
+        out = np.bincount(io, weights=(a.take(ia, 0) * b.take(ib, 0)).ravel(), minlength=a.size)
         return Jet._new(self.point, order, out.reshape(a.shape))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self._like(self.coeffs / float(other))
+            return self._like(np.divide(self.coeffs, np.asarray(other, dtype=float),
+                                        out=np.empty(self.coeffs.shape)))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * float(other)
+        return self.reciprocal() * other
 
     def __pow__(self, exponent):
         """Integral exponents (2, 2.0, Fraction(2)) multiply, so they work
@@ -363,7 +361,5 @@ class Jet:
         if self.order < 1:
             raise BudgetExhausted("cannot differentiate: jet budget exhausted")
         src, scale = _partial_map(self.order, axis)
-        c = self.coeffs[src]
-        return Jet._new(self.point, self.order - 1,
-                        c * scale if c.ndim == 1 else c * scale[:, None])
+        return Jet._new(self.point, self.order - 1, self.coeffs.take(src, 0) * scale)
 

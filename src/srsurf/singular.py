@@ -15,7 +15,7 @@ from .frame import (AdaptedFrame, StructureFunctions, adapted_frame, jvec_cross,
                     jvec_dot, jvec_values, kernel_basis, lambda_jet, metric_dot,
                     nonholonomity, quadratic_form)
 from .invariants import directional_derivative
-from .jets import Jet, JetError, _mul_table, multi_indices, n_coeffs, row_of
+from .jets import Jet, JetError, _as_point, _mul_table, multi_indices, n_coeffs, row_of
 
 # Least jet orders, from the derivative budget: lambda takes one level (the
 # curl of omega in its numerator); d(lambda) one more; the singular frame's
@@ -153,25 +153,25 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
 
 
 def _jet_quotient(w, mu: Jet):
-    """(u, r): u, one order below mu, fits w = u mu degree by degree by
-    least squares against the linear part of mu (mu(p) is dropped), and r
-    is the largest coefficient, degree 1 and up, of the remainder w - u mu."""
+    """(u, r) at a batch of one: u, one order below mu, fits w = u mu degree
+    by degree by least squares against the linear part of mu (mu(p) is
+    dropped); r is the largest coefficient, degree 1 and up, of w - u mu."""
     n, nu = mu.order, n_coeffs(mu.order - 1)
     ia, ib, io = _mul_table(n)
     keep = (ia < nu) & (ib > 0)
     mul = np.zeros((len(mu.coeffs), nu))  # column j: the coefficients of x^j mu
-    mul[io[keep], ia[keep]] = mu.coeffs[ib[keep]]
-    wc, u, r = np.stack([c.coeffs for c in w], axis=1), np.zeros((nu, 3)), 0.0
+    mul[io[keep], ia[keep]] = mu.coeffs[ib[keep], 0]
+    wc, u, r = np.concatenate([c.coeffs for c in w], axis=1), np.zeros((nu, 3)), 0.0
     for d in range(n):  # degree d of u fits degree d + 1 of w
         lo, hi, top = n_coeffs(d - 1), n_coeffs(d), n_coeffs(d + 1)
         rhs = wc[hi:top] - mul[hi:top, :lo] @ u[:lo]
         u[lo:hi] = np.linalg.lstsq(mul[hi:top, lo:hi], rhs, rcond=None)[0]
         r = max(r, np.abs(rhs - mul[hi:top, lo:hi] @ u[lo:hi]).max())
-    return tuple(Jet._new(mu.point, n - 1, c.copy()) for c in u.T), r
+    return tuple(Jet._new(mu.point, n - 1, u[:, [a]]) for a in range(3)), r
 
 
 def characteristic_field(form):
-    """V = w / omega(w) from the jets `form` of omega at a point (or batch), with
+    """V = w / omega(w) from the jets `form` of omega at a batch of points, with
     w the (d omega)-vector spanning ker(d omega); consumes one jet order.
 
     Where w and omega(w) both vanish (on Sigma for a special form), V is the
@@ -190,34 +190,32 @@ def _characteristic(w, omw: Jet, size):
     w_max = np.max(np.abs(jvec_values(w)), axis=0)
     if np.all(np.abs(omw.value) > CHARACTERISTIC_TOL * size * (size + w_max)):
         return jvec_div(w, omw)
-    if type(omw.point) is not tuple:  # row by row, each row's jets as one point's
+    if len(size) > 1:  # row by row, each row a batch of one
         def row(j, r):
-            return Jet._new(row_of(omw.point, r), j.order, j.coeffs[:, r])
-        cols = [_characteristic(tuple(row(c, r) for c in w), row(omw, r), size[r])
+            return Jet._new(omw.point[r:r + 1], j.order, j.coeffs[:, r:r + 1])
+        cols = [_characteristic(tuple(row(c, r) for c in w), row(omw, r), size[r:r + 1])
                 for r in range(len(size))]
         m = min(v[0].order for v in cols)
-        return tuple(Jet._new(omw.point, m, np.stack([v[a].coeffs[:n_coeffs(m)] for v in cols],
-                                                     axis=1)) for a in range(3))
-    if w_max > CHARACTERISTIC_TOL * size:
+        return tuple(Jet._new(omw.point, m, np.hstack([v[a].coeffs[:n_coeffs(m)] for v in cols]))
+                     for a in range(3))
+    at = row_of(omw.point)
+    if w_max[0] > CHARACTERISTIC_TOL * size[0]:
         raise SingularFrameError(
-            f"omega(w) = 0 with w != 0 at {omw.point}: no normalized "
-            "characteristic field")
+            f"omega(w) = 0 with w != 0 at {at}: no normalized characteristic field")
     w_scale = max(np.abs(c.coeffs).max() for c in w)
-    if max(abs(omw.partial(a).value) for a in range(3)) <= \
-            CHARACTERISTIC_TOL * size * w_scale:
-        raise SingularFrameError(
-            f"omega(w) has no linear part at {omw.point}: not special")
+    if max(abs(omw.partial(a).value_at(0)) for a in range(3)) <= \
+            CHARACTERISTIC_TOL * size[0] * w_scale:
+        raise SingularFrameError(f"omega(w) has no linear part at {at}: not special")
     v, remainder = _jet_quotient(w, omw)
     if remainder > CHARACTERISTIC_TOL * w_scale:
-        raise SingularFrameError(
-            f"omega(w) does not divide w at {omw.point}: not special")
+        raise SingularFrameError(f"omega(w) does not divide w at {at}: not special")
     return v
 
 
 def build_singular_frame(omega: OneForm, metric: MetricField, point,
                          order: int = DEFAULT_ORDER):
     """Adapted frame at/near Sigma for a special form omega, at a point or a
-    batch (an (N, 3) array, as `build_contact_frame` takes).
+    batch (an (N, 3) array), as `build_contact_frame` takes them.
 
     E1 spans Delta intersected with ker(d lambda), oriented so that
     E2(lambda) > 0; E2 completes the oriented orthonormal basis of Delta; E3
@@ -225,8 +223,8 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     E2(lambda) / |omega|_g above TRANSVERSALITY_EPS.  Needs order
     SINGULAR_FRAME_ORDER for the structure functions.
     """
-    w = omega.evaluate(point, order)
-    g = metric.evaluate(point, order)
+    point = _as_point(point)  # one array for the jets of omega and g
+    w, g = omega.evaluate(point, order), metric.evaluate(point, order)
     _, q, norm = quadratic_form(w, g)
     lam = lambda_jet(w, q)
     # D = d(lambda) x omega is annihilated by omega and d(lambda), and zero

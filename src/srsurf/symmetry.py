@@ -13,7 +13,7 @@ import numpy as np
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
 from .frame import TOL_CONTACT, AdaptedFrame, StructureFunctions, jvec_values, lie_bracket
 from .invariants import INVARIANTS_ORDER, directional_derivative, invariants_at
-from .jets import Jet, JetError, row_of
+from .jets import Jet, JetError, _as_point, row_of
 
 # Least jet orders, from the derivative budget: D and EQ differentiate K
 # once, the residuals differentiate EQ once more.
@@ -34,7 +34,7 @@ class SymmetrySystem:
     D: Jet
     EQ1: Optional[Jet]
     EQ2: Optional[Jet]
-    degenerate: bool  # for a batch, one per contact row (frame.rows)
+    degenerate: np.ndarray  # one per contact row (frame.rows)
     frame: AdaptedFrame
     C: StructureFunctions
     M: Jet
@@ -179,7 +179,7 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
     QUADPACK's QAG (`_qag`: 21-point Gauss-Kronrod panels, at most
     2 ** MAX_DEPTH of them) to an absolute error estimate below tol_quad,
     else JetError.  Each round's nodes are one batched build_system, each
-    node's value the float a one-point system gives.  A node that fails
+    node's value the float its own system gives.  A node that fails
     raises the error its own system gives, the first in QUADPACK's order:
     a float fault raises FloatingPointError.  A segment that meets a
     degenerate point is retried once via base + delta/2 + |delta|/2 e_k,
@@ -195,26 +195,27 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 
     def segment(a: np.ndarray, d: np.ndarray):  # from a to a + d: (value, info)
         def integrand(ts: np.ndarray) -> list:  # d . grad ln f at a + t d, t in ts
-            def one(t):  # node t's own system: a failing node's error names it
-                return build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER, **tols)
+            nodes = a + ts[:, None] * d
+
+            def alone(k):  # node k's own system: a failing node's error names it
+                return build_system(omega, metric, nodes[k:k + 1], EQ_ORDER, **tols).degenerate[0]
 
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 try:
-                    sys_ = build_system(omega, metric, a + ts[:, None] * d, EQ_ORDER, **tols)
+                    sys_ = build_system(omega, metric, nodes, EQ_ORDER, **tols)
                     ok = np.zeros(len(ts), dtype=bool)
                     ok[sys_.frame.rows] = ~sys_.degenerate
                     if ok.all():
                         return [float(d @ g) for g in frame_to_coordinate_gradient(sys_).T.copy()]
                 except (JetError, ValueError, FloatingPointError):  # the first node failing alone
-                    bad = next((t for t in ts if one(t).degenerate), None)
-                    if bad is None:
+                    k = next((k for k in range(len(ts)) if alone(k)), None)
+                    if k is None:
                         raise
                 else:  # the first noncontact or degenerate row; a noncontact one raises alone
                     k = int(np.argmin(ok))
                     if k not in sys_.frame.rows:
-                        one(ts[k])
-                    bad = ts[k]
-                raise DegeneratePointError(f"degenerate point on segment at t = {bad:.6f}")
+                        alone(k)
+                raise DegeneratePointError(f"degenerate point on segment at t = {ts[k]:.6f}")
 
         value, abserr, neval, rounds = _qag(integrand, tol_quad)
         return value, {"neval": neval, "abserr": abserr, "rounds": rounds}
@@ -251,8 +252,8 @@ def assemble_V(f, e1f, e2f, frame):
 
 
 def reconstructed_V(sys_: SymmetrySystem, lnf: float, row: int = 0):
-    """(f, V) from a reconstructed ln f: f = e^{ln f}, E1 f = f EQ1 and
-    E2 f = f EQ2, as values; for a batch, at its row `row`."""
+    """(f, V) at the system's row `row` from a reconstructed ln f there:
+    f = e^{ln f}, E1 f = f EQ1 and E2 f = f EQ2, as floats."""
     fv = float(np.exp(lnf))
     return fv, assemble_V(fv, fv * sys_.EQ1.value_at(row), fv * sys_.EQ2.value_at(row),
                           [tuple(c.value_at(row) for c in e) for e in sys_.frame.frame])
@@ -261,26 +262,25 @@ def reconstructed_V(sys_: SymmetrySystem, lnf: float, row: int = 0):
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
                           f: FieldProgram, order: int = DEFAULT_ORDER):
     """Assemble V (`assemble_V`) from the injected scalar program `f` at
-    each point and verify it, all in jets: the report holds
-    |VK|, |VM|, |E3 f| and the bracket defects ||[E1,V] - lambda E2||,
-    ||[E2,V] + lambda E1||.  A V from a reconstructed ln f comes from
-    `reconstructed_V`."""
-    out = []
-    for p in points:
-        vals, frame, _ = invariants_at(omega, metric, p, order)
-        fj = f(p, order)
-        e1f, e2f, e3f = (directional_derivative(fj, e) for e in frame.frame)
-        v = assemble_V(fj, e1f, e2f, frame.frame)
-        vk = directional_derivative(vals.K, v).value
-        vm = directional_derivative(vals.M, v).value
-        br1 = lie_bracket(frame.E1, v)
-        br2 = lie_bracket(frame.E2, v)
-        lam_mult = sum(frame.eta2[i].value * br1[i].value for i in range(3))
-        d1 = np.linalg.norm([br1[i].value - lam_mult * frame.E2[i].value
-                             for i in range(3)])
-        d2 = np.linalg.norm([br2[i].value + lam_mult * frame.E1[i].value
-                             for i in range(3)])
-        out.append(SymmetryField(
-            point=tuple(p), f_value=fj.value, V=jvec_values(v), VK=vk, VM=vm, E3f=e3f.value,
-            bracket_defect_1=float(d1), bracket_defect_2=float(d2)))
-    return out
+    the points and verify it, all in jets of one batch: each point's report
+    holds |VK|, |VM|, |E3 f| and the bracket defects ||[E1,V] - lambda E2||,
+    ||[E2,V] + lambda E1||.  A noncontact point raises NoncontactError, the
+    first one's own.  A V from a reconstructed ln f comes from `reconstructed_V`."""
+    points = _as_point(points)
+    vals, frame, _ = invariants_at(omega, metric, points, order)
+    for k in np.setdiff1d(np.arange(len(points)), frame.rows)[:1]:  # raises the first
+        invariants_at(omega, metric, points[k:k + 1], order)  # noncontact point's own error
+    fj = f(points, order)
+    e1f, e2f, e3f = (directional_derivative(fj, e) for e in frame.frame)
+    v = assemble_V(fj, e1f, e2f, frame.frame)
+    vk, vm = (directional_derivative(inv, v).value for inv in (vals.K, vals.M))
+    br1, br2 = lie_bracket(frame.E1, v), lie_bracket(frame.E2, v)
+    lam_mult = sum(frame.eta2[i].value * br1[i].value for i in range(3))
+    d1 = np.array([br1[i].value - lam_mult * frame.E2[i].value for i in range(3)])
+    d2 = np.array([br2[i].value + lam_mult * frame.E1[i].value for i in range(3)])
+    vs = np.array(jvec_values(v))
+    return [SymmetryField(
+        point=row_of(points, k), f_value=float(fj.value[k]), V=tuple(vs[:, k].tolist()),
+        VK=float(vk[k]), VM=float(vm[k]), E3f=float(e3f.value[k]),
+        bracket_defect_1=float(np.linalg.norm(d1[:, k])),
+        bracket_defect_2=float(np.linalg.norm(d2[:, k]))) for k in range(len(points))]

@@ -90,7 +90,7 @@ def assert_adapted(frame, w, gm, tol=1e-10):
     for a, eta in enumerate(frame.coframe):
         for b, e in enumerate(frame.frame):
             assert abs(jvec_dot(eta, e).value - (a == b)) < tol
-    g = np.array([[gij.value for gij in row] for row in gm])
-    omega_sharp = np.linalg.solve(g, jvec_values(w))
-    assert np.linalg.det([jvec_values(frame.E1), jvec_values(frame.E2),
+    g = np.array([[gij.value[0] for gij in row] for row in gm])
+    omega_sharp = np.linalg.solve(g, np.ravel(jvec_values(w)))
+    assert np.linalg.det([np.ravel(jvec_values(frame.E1)), np.ravel(jvec_values(frame.E2)),
                           omega_sharp]) > 0

@@ -2,6 +2,7 @@
 and every record of a chunked `invariants`, `symmetry` or `singular` call,
 equals its one-point (one-probe) result bit for bit."""
 
+import itertools
 import json
 import math
 
@@ -11,7 +12,7 @@ import pytest
 import srsurf.cli
 from srsurf import (Jet, JetError, MAX_ORDER, MetricField, OneForm, build_contact_frame,
                     build_singular_frame, build_system, delta_basis, integrability_residuals,
-                    lambda_identities, locate_sigma, n_coeffs, sigma_invariants)
+                    lambda_identities, locate_sigma, multi_indices, n_coeffs, sigma_invariants)
 from srsurf.cli import INVARIANTS_CHUNK, _chunk_width, main
 from srsurf.frame import quadratic_form
 from srsurf.invariants import INVARIANTS_ORDER
@@ -35,11 +36,12 @@ def _ufunc_disagreements(rng):
     return v[bad][:40]
 
 
-def _batch_and_columns(order, rng):
-    """Three jets a, b, c of one batch (a and c with positive values, c one
-    order lower), and the same jets one point at a time."""
-    values = np.concatenate([rng.uniform(0.3, 3.0, 24), _ufunc_disagreements(rng)])
-    points = rng.uniform(-1, 1, (len(values), 3))
+def _batch_and_columns(order, rng, width):
+    """Three jets a, b, c of one batch of `width` points (a and c with
+    positive values, c one order lower), and the same jets one point at a
+    time, each a batch of one."""
+    values = np.concatenate([_ufunc_disagreements(rng), rng.uniform(0.3, 3.0, width)])[:width]
+    points = rng.uniform(-1, 1, (width, 3))
     batch = []
     for k, m in enumerate((order, order, max(order - 1, 1))):
         coeffs = rng.uniform(-1, 1, (n_coeffs(m), len(points)))
@@ -68,19 +70,48 @@ OPERATIONS = {
 }
 
 
+def _loop_product(a, b):
+    """Coefficients of a * b, one order the lower of theirs, term by term in
+    graded order for every column at once: the reference for Jet.__mul__."""
+    order = min(a.order, b.order)
+    mis = multi_indices(order)
+    index = {mi: k for k, mi in enumerate(mis)}
+    out = np.zeros((len(mis), a.coeffs.shape[1]))
+    for i, p in enumerate(mis):
+        for j, q in enumerate(mis):
+            s = (p[0] + q[0], p[1] + q[1], p[2] + q[2])
+            if sum(s) <= order:
+                out[index[s]] += a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+# a point alone, an ln f panel's nodes and an `invariants` chunk
+WIDTHS = (1, 21, 195)
+
+
 @pytest.mark.parametrize("name", sorted(OPERATIONS))
 def test_batch_columns_are_the_one_point_jets(name):
     op = OPERATIONS[name]
-    for order in range(1, MAX_ORDER + 1):
-        batch, columns = _batch_and_columns(order, np.random.default_rng(order))
+    for width, order in itertools.product(WIDTHS, range(1, MAX_ORDER + 1)):
+        batch, columns = _batch_and_columns(order, np.random.default_rng(order), width)
         got = op(*batch)
-        assert got.coeffs.shape == (n_coeffs(got.order), len(columns))
+        assert got.coeffs.shape == (n_coeffs(got.order), width)
         assert got.point is batch[0].point
         for i, jets in enumerate(columns):
             want = op(*jets)
             assert got.order == want.order
-            assert np.array_equal(got.coeffs[:, i], want.coeffs), (order, i)
-            assert got.value[i] == want.value
+            assert np.array_equal(got.coeffs[:, i], want.coeffs[:, 0]), (width, order, i)
+            assert got.value[i] == want.value[0]
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_products_are_the_loop_products(width):
+    for order in range(1, MAX_ORDER + 1):
+        a, b, c = _batch_and_columns(order, np.random.default_rng(order), width)[0]
+        for x, y in ((a, b), (b, a), (b, c), (c, a), (a, a)):
+            got = x * y
+            assert got.order == min(x.order, y.order)
+            assert np.array_equal(got.coeffs, _loop_product(x, y)), (order, x.order, y.order)
 
 
 def test_batch_value_and_seeds():
@@ -101,8 +132,8 @@ def test_batch_errors():
     # the first bad point's error, as one point at a time
     with pytest.raises(JetError, match=r"sqrt of jet with non-positive value -0\.5"):
         x.sqrt()
-    with pytest.raises(JetError, match="base point mismatch"):
-        x + Jet.variable(0, points.copy(), 2)  # a batch shares one point array
+    # jets combine at one point array, or at equal ones
+    assert np.array_equal((x + Jet.variable(0, points.copy(), 2)).coeffs, (x + x).coeffs)
     with pytest.raises(JetError, match="base point mismatch"):
         x + Jet.variable(0, (0.5, 0.0, 0.0), 2)
     for bad in (np.zeros((0, 3)), np.zeros((2, 2))):

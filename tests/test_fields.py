@@ -253,7 +253,7 @@ def test_contact_defect_conformal_scaling(heisenberg, omega1, rng):
     for omega in (heisenberg, omega1):
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
         for p in box_points(rng, 5, scale=1.5):
-            factor = math.exp(2 * phi(p).value)
+            factor = math.exp(2 * phi(p).value[0])
             lhs = _defect(scaled, p)
             rhs = factor * _defect(omega, p)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
@@ -298,7 +298,7 @@ def test_scale_evaluates_the_factor_once(heisenberg):
 def test_metric_identity_default():
     g = MetricField.from_text("")
     m = g.evaluate((1, 2, 3))
-    vals = [[m[i][j].value for j in range(3)] for i in range(3)]
+    vals = [[m[i][j].value[0] for j in range(3)] for i in range(3)]
     assert np.allclose(vals, np.eye(3))
 
 

@@ -120,7 +120,7 @@ def test_EK_jets_match_finite_differences(heisenberg, euclid, rng):
         v, frame, c = invariants_at(heisenberg, euclid, p, order=5)
         for e in (frame.E1, frame.E2, frame.E3):
             jet_val = directional_derivative(v.K, e).value
-            evals = [c_.value for c_ in e]
+            evals = [c_.value[0] for c_ in e]
             pp = tuple(p[i] + h * evals[i] for i in range(3))
             pm = tuple(p[i] - h * evals[i] for i in range(3))
             kp, _, _ = invariants_at(heisenberg, euclid, pp)

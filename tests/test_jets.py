@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -252,7 +253,7 @@ def test_mixed_partials_match_finite_differences(rng):
 def _loop_partial(jet, axis):
     """Coefficients of d/d(axis), one order lower, one at a time."""
     imap = _index_map(jet.order)
-    out = np.zeros(n_coeffs(jet.order - 1))
+    out = np.zeros((n_coeffs(jet.order - 1), jet.coeffs.shape[1]))
     for k, mi in enumerate(multi_indices(jet.order - 1)):
         up = list(mi)
         up[axis] += 1
@@ -314,11 +315,29 @@ def test_public_constructor_checks():
         Jet(point, 3, np.zeros(n_coeffs(3) - 1))
 
 
-def test_results_keep_a_point_of_plain_floats():
-    x = Jet.variable(0, np.array([1, 2, 3]), 3)
-    for result in (x * x, x + 1, -x, x.partial(0), x.exp(), x / 2, x ** 3):
-        assert type(result.point) is tuple
-        assert all(type(c) is float for c in result.point)
+def test_every_point_is_a_batch():
+    for point, width in ((np.array([1, 2, 3]), 1), ((1, 2, 3), 1), ([[1, 2, 3], [4, 5, 6]], 2)):
+        x = Jet.variable(0, point, 3)
+        for result in (x * x, x + 1, -x, x.partial(0), x.exp(), x / 2, x ** 3):
+            assert type(result.point) is np.ndarray and result.point.dtype == float
+            assert result.point.shape == (width, 3)
+            assert result.value.shape == (width,)
+    # a point and a batch of one at the same coordinates combine
+    alone = [Jet.variable(axis, (0.7, -0.3, 1.1), 4) for axis in range(3)]
+    batch = [Jet.variable(axis, np.array([[0.7, -0.3, 1.1]]), 4) for axis in range(3)]
+    for a, b in itertools.permutations(range(3), 2):
+        mixed = (alone[a] * batch[b]).exp() + batch[a] / alone[b]
+        same = (alone[a] * alone[b]).exp() + alone[a] / alone[b]
+        assert np.array_equal(mixed.coeffs, same.coeffs)
+    with pytest.raises(JetError, match="base point mismatch"):
+        alone[0] + Jet.variable(0, (0.7, -0.3, 1.2), 4)
+    with pytest.raises(JetError, match="base point mismatch"):
+        alone[0] * Jet.variable(0, [(0.7, -0.3, 1.1)] * 2, 4)
+    # a number operand is one number, or one per point
+    assert np.array_equal((alone[0] * np.array([2.0])).coeffs, (alone[0] * 2.0).coeffs)
+    for op in (alone[0].__mul__, alone[0].__truediv__):
+        with pytest.raises(ValueError):
+            op(np.ones(3))
 
 
 def test_integer_power_squares(monkeypatch):
@@ -331,7 +350,7 @@ def test_integer_power_squares(monkeypatch):
 
     monkeypatch.setattr(Jet, "__mul__", counted)
     k, v = 100000, 1.000001
-    assert math.isclose(FieldProgram.parse(f"x^{k}")((v, 0.0, 0.0)).value,
+    assert math.isclose(FieldProgram.parse(f"x^{k}")((v, 0.0, 0.0)).value[0],
                         v ** k, rel_tol=1e-9)
     assert 0 < len(calls) <= 2 * math.ceil(math.log2(k))
 
@@ -359,6 +378,6 @@ def test_number_operands_are_unchecked_constants(monkeypatch):
         for got, want in ((a + c, a + k), (c + a, k + a), (a - c, a - k),
                           (c - a, k - a)):
             assert np.array_equal(got.coeffs, want.coeffs)
-            assert got.point == want.point and got.order == want.order == 3
+            assert np.array_equal(got.point, want.point) and got.order == want.order == 3
     # compose_series: the leading constant and every Horner step
     assert np.array_equal(a.exp().coeffs, want_exp.coeffs)

@@ -42,17 +42,17 @@ def test_locate_sigma_none_for_contact_forms(omega0, heisenberg, euclid):
 
 def test_characteristic_field_omega0(omega0):
     v = characteristic_field(omega0.evaluate((0.7, -0.4, 1.2)))
-    assert np.allclose(jvec_values(v), [0, 0, 1], atol=1e-12)
+    assert np.allclose(np.ravel(jvec_values(v)), [0, 0, 1], atol=1e-12)
 
 
 def test_characteristic_field_omega1_off_sigma(omega1):
     v = characteristic_field(omega1.evaluate((0.5, 0.0, 0.0)))
-    assert np.allclose(jvec_values(v), [0, 1, 0], atol=1e-12)
+    assert np.allclose(np.ravel(jvec_values(v)), [0, 1, 0], atol=1e-12)
 
 
 def test_characteristic_field_omega1_on_sigma(omega1):
     v = characteristic_field(omega1.evaluate((0.0, 0.3, -0.1)))
-    assert np.allclose(jvec_values(v), [0, 1, 0], atol=1e-13)
+    assert np.allclose(np.ravel(jvec_values(v)), [0, 1, 0], atol=1e-13)
 
 
 @pytest.mark.parametrize("c", ["1e-12", "1e6"])
@@ -91,7 +91,7 @@ def evaluated_points(monkeypatch):
     evaluate = OneForm.evaluate
 
     def counted(self, point, order):
-        points.append(point)
+        points.append(tuple(np.ravel(point).tolist()))
         return evaluate(self, point, order)
 
     monkeypatch.setattr(OneForm, "evaluate", counted)
@@ -131,12 +131,24 @@ def test_characteristic_field_not_special(text, why, c):
         characteristic_field(omega.evaluate((0.0, 0.0, 0.0)))
 
 
+def test_characteristic_field_error_names_the_point():
+    # on Sigma = {x = 0} of dy + x^3 dz, omega(w) = -3x^2 has no linear part
+    omega = OneForm.parse("dy + x^3*dz")
+    want = "omega(w) has no linear part at (0.0, 0.0, 0.0): not special"
+    with pytest.raises(SingularFrameError) as alone:
+        characteristic_field(omega.evaluate((0.0, 0.0, 0.0)))
+    assert str(alone.value) == want
+    with pytest.raises(SingularFrameError) as row:  # row 1 of a batch; row 0 is regular
+        characteristic_field(omega.evaluate(np.array([[0.5, 0.1, 0.0], [0.0, 0.0, 0.0]])))
+    assert str(row.value) == want
+
+
 # -- singular frame --------------------------------------------------------
 
 def test_singular_frame_origin(omega1, euclid):
     frame, c = build_singular_frame(omega1, euclid, (0, 0, 0))
-    assert np.allclose(jvec_values(frame.E1), [0, 0, 1], atol=1e-12)
-    assert np.allclose(jvec_values(frame.E3), [0, 1, 0], atol=1e-13)
+    assert np.allclose(np.ravel(jvec_values(frame.E1)), [0, 0, 1], atol=1e-12)
+    assert np.allclose(np.ravel(jvec_values(frame.E3)), [0, 1, 0], atol=1e-13)
     assert frame.kind == "singular"
     q = sigma_invariants(c)
     assert abs(q.Q112) < 1e-12 and abs(q.Q212) < 1e-12
@@ -201,7 +213,7 @@ def test_coframe_change_consistency(omega1, euclid):
     for p in ((0.0, 0.0, 0.0), (0.0, 0.4, 0.2)):
         f0, _ = build_singular_frame(omega1, euclid, p)
         f1, _ = build_singular_frame(scaled, euclid, p)
-        factor = math.exp(-phi(p).value)
+        factor = math.exp(-phi(p).value[0])
         for a in range(3):
             assert abs(f0.eta3[a].value - factor * f1.eta3[a].value) < 1e-8
 
@@ -212,7 +224,7 @@ def test_lambda_conformal_homogeneity(omega1, euclid, rng):
     for p in box_points(rng, 10):
         lam0 = nonholonomity(omega1, euclid, p).value
         lam1 = nonholonomity(scaled, euclid, p).value
-        want = math.exp(phi(p).value) * lam0
+        want = math.exp(phi(p).value[0]) * lam0
         assert abs(lam1 - want) <= 1e-9 * (1 + abs(want))
 
 

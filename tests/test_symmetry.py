@@ -71,7 +71,7 @@ def _one_system_per_node(omega, metric, base, target, tol_quad=TOL_QUAD, **tols)
         sys_ = build_system(omega, metric, tuple((a + t * d).tolist()), EQ_ORDER, **tols)
         if sys_.degenerate:
             raise DegeneratePointError(f"degenerate point on segment at t = {t:.6f}")
-        return float(d @ frame_to_coordinate_gradient(sys_))
+        return float(d @ frame_to_coordinate_gradient(sys_)[:, 0])
 
     value, _, info, *_ = quad(integrand, 0.0, 1.0, epsabs=tol_quad, epsrel=0.0,
                               limit=2 ** 14, full_output=1)
@@ -109,8 +109,8 @@ def test_axial_system_matches_lambda_oracle(axial):
                          lam.partial_value((0, 1, 0)),
                          lam.partial_value((0, 0, 1))])
         for eq, e in ((sys_.EQ1, sys_.frame.E1), (sys_.EQ2, sys_.frame.E2)):
-            ev = np.array([c.value for c in e])
-            want = -float(ev @ grad) / lam.value
+            ev = np.array([c.value[0] for c in e])
+            want = -float(ev @ grad[:, 0]) / lam.value
             assert abs(eq.value - want) < 1e-10 * (1 + abs(want))
 
 
@@ -168,10 +168,10 @@ def test_frame_to_coordinate_gradient_consistency(axial):
     omega, metric = axial
     for p in AXIAL_POINTS:
         sys_ = build_system(omega, metric, p)
-        g = frame_to_coordinate_gradient(sys_)
-        b = np.array([[c.value for c in e]
+        g = frame_to_coordinate_gradient(sys_)[:, 0]
+        b = np.array([[c.value[0] for c in e]
                       for e in (sys_.frame.E1, sys_.frame.E2, sys_.frame.E3)])
-        assert np.allclose(b @ g, [sys_.EQ1.value, sys_.EQ2.value, 0.0],
+        assert np.allclose(b @ g, [sys_.EQ1.value[0], sys_.EQ2.value[0], 0.0],
                            atol=1e-12)
 
 
@@ -186,10 +186,10 @@ def test_reconstruct_lnf_oracle(axial):
     omega, metric = axial
     base = (0.0, 0.0, 0.0)
     lam_prog = _axial_lambda(omega, metric)
-    lam0 = lam_prog(base).value
+    lam0 = lam_prog(base).value[0]
     for p in AXIAL_POINTS:
         got, _ = reconstruct_lnf(omega, metric, base, p)
-        want = math.log(lam0 / lam_prog(p).value)
+        want = math.log(lam0 / lam_prog(p).value[0])
         assert abs(got - want) < 1e-8
 
 
@@ -285,9 +285,9 @@ def test_reconstruct_lnf_closed_form(axial):
     omega, metric = axial
     base = (0.0, 0.0, 0.0)
     lam_prog = _axial_lambda(omega, metric)
-    lam0 = lam_prog(base).value
+    lam0 = lam_prog(base).value[0]
     for p in AXIAL_POINTS:
-        want = math.log(lam0 / lam_prog(p).value)
+        want = math.log(lam0 / lam_prog(p).value[0])
         assert abs(reconstruct_lnf(omega, metric, base, p)[0] - want) < 1e-12
 
 
@@ -353,7 +353,7 @@ def test_reconstruct_quadrature_convergence(axial):
     omega, metric = axial
     base, p = (0.0, 0.0, 0.0), AXIAL_POINTS[2]
     lam_prog = _axial_lambda(omega, metric)
-    want = math.log(lam_prog(base).value / lam_prog(p).value)
+    want = math.log(lam_prog(base).value[0] / lam_prog(p).value[0])
     errs = [abs(reconstruct_lnf(omega, metric, base, p, tol_quad=tol)[0] - want)
             for tol in (1e-3, 1e-6, 1e-9)]
     assert errs[-1] <= errs[0] + 1e-12
@@ -476,13 +476,13 @@ def test_reconstruction_branch_assembles_symmetry(axial):
     omega, metric = axial
     base = (0.0, 0.0, 0.0)
     lam_prog = _axial_lambda(omega, metric)
-    lam0 = lam_prog(base).value
+    lam0 = lam_prog(base).value[0]
     for p in AXIAL_POINTS:
         sys_ = build_system(omega, metric, p)
         f, v = reconstructed_V(sys_, reconstruct_lnf(omega, metric, base, p)[0])
         # f is normalized to f(base) = 1, so f = lambda(base)/lambda and
         # V is the corresponding multiple of the true symmetry dz
-        want_f = lam0 / lam_prog(p).value
+        want_f = lam0 / lam_prog(p).value[0]
         assert abs(f - want_f) < 1e-7
         scale = -lam0  # sign flip from normalizing the negative true f
         assert np.allclose(v, [0, 0, scale], atol=1e-6)
