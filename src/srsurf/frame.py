@@ -182,12 +182,18 @@ def delta_basis(w: JetVector, g):
     return (*kernel_basis(w, g, u), lambda_jet(w, q), norm)
 
 
+def lambda_evaluation(omega: OneForm, metric: MetricField, point, order: int):
+    """(w, g, q, |omega|_g, lambda) at a point or batch, from one evaluation of omega and g."""
+    point = _as_point(point)  # one array for the jets of omega and g
+    w, g = omega.evaluate(point, order), metric.evaluate(point, order)
+    _, q, norm = quadratic_form(w, g)
+    return w, g, q, norm, lambda_jet(w, q)
+
+
 def nonholonomity(omega: OneForm, metric: MetricField, point,
                   order: int = DEFAULT_ORDER) -> Jet:
     """lambda as a jet (`lambda_jet`); vanishes exactly on Sigma."""
-    point = _as_point(point)  # one array for the jets of omega and g
-    w = omega.evaluate(point, order)
-    return lambda_jet(w, quadratic_form(w, metric.evaluate(point, order))[1])
+    return lambda_evaluation(omega, metric, point, order)[-1]
 
 
 def structure_functions(frame: AdaptedFrame) -> StructureFunctions:

@@ -108,8 +108,12 @@ def parse_grid(text: str) -> List[Point]:
         if name in axes:
             raise ValueError(f"axis {name!r} specified twice")
         if ":" in spec:
-            lo, hi, cnt = spec.split(":")
-            n = int(cnt)
+            try:
+                lo, hi, cnt = spec.split(":")
+                n = int(cnt)
+            except ValueError:
+                raise ValueError(f"grid range must be start:stop:count with an integer "
+                                 f"count on axis {name!r}, got {spec!r}") from None
             if n < 1:
                 raise ValueError(f"grid count must be >= 1 on axis {name!r}")
             axes[name] = list(np.linspace(_finite(lo), _finite(hi), n))

@@ -12,10 +12,10 @@ import numpy as np
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm, curl_and_defect
 from .frame import (AdaptedFrame, StructureFunctions, adapted_frame, jvec_cross, jvec_div,
-                    jvec_dot, jvec_values, kernel_basis, lambda_jet, metric_dot,
-                    nonholonomity, quadratic_form)
+                    jvec_dot, jvec_values, kernel_basis, lambda_evaluation, metric_dot,
+                    nonholonomity)
 from .invariants import directional_derivative
-from .jets import Jet, JetError, _as_point, _mul_table, multi_indices, n_coeffs, row_of
+from .jets import Jet, JetError, _mul_table, multi_indices, n_coeffs, row_of
 
 # Least jet orders, from the derivative budget: lambda takes one level (the
 # curl of omega in its numerator); d(lambda) one more; the singular frame's
@@ -62,25 +62,21 @@ def _along(c, d, k: int):
 
 
 def _polish(omega, metric, p0, d, t, lo, hi, rising, kind):
-    """Safeguarded Newton (Press et al., `rtsafe`) on f = d^k lambda / dt^k, k =
-    `kind`, along p0 + t d, row by row from t in [lo, hi], with f < 0 on the
-    side of lo where `rising`: each step is one batched `nonholonomity` per
-    kind, at TRANSVERSALITY_ORDER + k, on the rows still open.  A Newton step
-    that leaves [lo, hi] is a bisection.  A row stops at f = 0 or a step of at
-    most 1e-15 + 8.9e-16 |t|, and reports its last evaluated t, lambda's value
-    and gradient there, its steps, and whether it stopped within
-    NEWTON_MAX_ITER."""
+    """(t, steps, converged): safeguarded Newton (Press et al., `rtsafe`) on f =
+    d^k lambda / dt^k, k = `kind`, along p0 + t d, row by row from t in [lo, hi],
+    with f < 0 on the side of lo where `rising`.  Each step is one batched
+    `nonholonomity` per kind, at TRANSVERSALITY_ORDER + k, on the rows still
+    open; a Newton step that leaves [lo, hi] is a bisection.  A row converged
+    if it stopped, at f = 0 or a step of at most 1e-15 + 8.9e-16 |t|, within NEWTON_MAX_ITER."""
     n = len(t)
-    lam, f, slope, grad, steps, rows = (np.zeros(n), np.zeros(n), np.zeros(n), np.zeros((3, n)),
-                                        np.zeros(n, int), np.arange(n))
+    f, slope, steps, rows = np.zeros(n), np.zeros(n), np.zeros(n, int), np.arange(n)
     for _ in range(NEWTON_MAX_ITER):
         for k in (0, 1):
             r = rows[kind[rows] == k]
             if len(r):
                 c = nonholonomity(omega, metric, p0[r] + t[r, None] * d[r],
                                   TRANSVERSALITY_ORDER + k).coeffs
-                lam[r], grad[:, r], f[r], slope[r] = c[0], c[1:4], _along(c, d[r], k), \
-                    _along(c, d[r], k + 1)
+                f[r], slope[r] = _along(c, d[r], k), _along(c, d[r], k + 1)
         steps[rows] += 1
         tr, fr = t[rows], f[rows]
         up = (fr < 0) == rising[rows]  # the zero of f lies above t
@@ -92,7 +88,18 @@ def _polish(omega, metric, p0, d, t, lo, hi, rising, kind):
         t[rows], rows = np.where(stop, tr, new), rows[~stop]
         if not len(rows):
             break
-    return t, lam, grad, steps, ~np.isin(np.arange(n), rows)
+    return t, steps, ~np.isin(np.arange(n), rows)
+
+
+def _on_delta(w, g, q: Jet, norm, lam: Jet):
+    """(D, |d(lambda)|_Delta|, transversal) from one `lambda_evaluation`: the
+    jets D = d(lambda) x omega, and from values |D|_g / sqrt(q), which is the
+    frame's E2(lambda) since |omega x g D|_g = |D|_g sqrt(q) for omega(D) = 0;
+    a row is transversal where it is above TRANSVERSALITY_EPS |omega|_g."""
+    d = jvec_cross(tuple(lam.partial(a) for a in range(3)), w)
+    dv = jvec_values(d)
+    size = np.sqrt(metric_dot(tuple(map(jvec_values, g)), dv, dv) / q.value)
+    return d, size, size / norm > TRANSVERSALITY_EPS
 
 
 def locate_sigma(omega: OneForm, metric: MetricField, segments,
@@ -103,19 +110,16 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     each sign change of lambda between nodes, each run of nodes where lambda is
     0 (its first node), and each interior local minimum of |lambda| / |omega|_g
     that ends no sign change (a tangential Sigma).  `_polish` takes the first
-    two kinds to a zero of lambda and the minima to one of d(lambda)/dt.  A
-    candidate is a root when |lambda| / |omega|_g <= tol_root, or a sign change
-    whose polish did not converge (`SigmaPoint.converged`).  A sign change
-    is transversal when |d(lambda)|_Delta| / |omega|_g > TRANSVERSALITY_EPS,
-    with |d(lambda)|_Delta| = |d(lambda) x omega|_g / sqrt(omega^T adj(g) omega)
-    from values; a minimum never is.
+    two kinds to a zero of lambda and the minima to one of d(lambda)/dt; one
+    evaluation at TRANSVERSALITY_ORDER then gives |lambda|, |omega|_g and
+    `_on_delta` there.  A root has |lambda| / |omega|_g <= tol_root, or is a
+    sign change whose polish did not converge (`SigmaPoint.converged`).
     """
     ends = np.array(segments, dtype=float)
     ts = np.linspace(0.0, 1.0, SIGMA_SCAN_NODES)
     scan = (ends[:, :1] + ts[:, None] * (ends[:, 1:] - ends[:, :1])).reshape(-1, 3)
-    w = omega.evaluate(scan, SIGMA_SCAN_ORDER)
-    _, q, norm = quadratic_form(w, metric.evaluate(scan, SIGMA_SCAN_ORDER))
-    lam = lambda_jet(w, q).value.reshape(len(ends), -1)
+    *_, norm, lam = lambda_evaluation(omega, metric, scan, SIGMA_SCAN_ORDER)
+    lam = lam.value.reshape(len(ends), -1)
     ratio, sign = np.abs(lam) / norm.reshape(lam.shape), np.sign(lam)
     change = sign[:, :-1] * sign[:, 1:] < 0
     zero = (sign == 0) & np.diff(sign == 0, prepend=False)  # the first node of a run of zeros
@@ -133,83 +137,77 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     if not len(t):
         return out
     p0, d = ends[seg, 0], ends[seg, 1] - ends[seg, 0]
-    t, lam_t, grad, steps, converged = _polish(omega, metric, p0, d, t, lo, hi, rising, kind)
+    t, steps, converged = _polish(omega, metric, p0, d, t, lo, hi, rising, kind)
     points = p0 + t[:, None] * d
-    w, g = omega.evaluate(points, SIGMA_SCAN_ORDER), metric.evaluate(points, SIGMA_SCAN_ORDER)
-    _, q, scale = quadratic_form(w, g)
-    cross = jvec_cross(grad, jvec_values(w))
-    grad_norm = np.sqrt(metric_dot(tuple(map(jvec_values, g)), cross, cross) / q.value)
-    margin = np.abs(lam_t) / scale
-    transversal = (kind == 0) & (grad_norm / scale > TRANSVERSALITY_EPS)
+    w, g, q, scale, lam = lambda_evaluation(omega, metric, points, TRANSVERSALITY_ORDER)
+    _, grad_norm, transversal = _on_delta(w, g, q, scale, lam)
+    margin = np.abs(lam.value) / scale
     # a sign change brackets a zero of lambda: unconverged, it is kept and says so
     keep = (margin <= tol_root) | ((kind == 0) & ~converged)
     for j in np.lexsort((t, seg)):
         if keep[j]:
             out[seg[j]].append(SigmaPoint(
-                tuple(points[j].tolist()), abs(float(lam_t[j])), bool(transversal[j]),
+                tuple(points[j].tolist()), abs(lam.value_at(j)), bool(transversal[j]),
                 float(grad_norm[j]), ("sign_change", "minimum")[kind[j]], int(steps[j]),
                 float(margin[j]), bool(converged[j])))
     return out
 
 
 def _jet_quotient(w, mu: Jet):
-    """(u, r) at a batch of one: u, one order below mu, fits w = u mu degree
-    by degree by least squares against the linear part of mu (mu(p) is
-    dropped); r is the largest coefficient, degree 1 and up, of w - u mu."""
+    """(u, r) per row: u, the (3, n_coeffs(mu.order - 1), N) coefficients of w / mu,
+    fits w = u mu degree by degree by least squares against the linear part of
+    mu (mu(p) is dropped), a degree one stacked solve for all rows; r is the
+    row's largest coefficient, degree 1 and up, of w - u mu."""
     n, nu = mu.order, n_coeffs(mu.order - 1)
     ia, ib, io = _mul_table(n)
     keep = (ia < nu) & (ib > 0)
-    mul = np.zeros((len(mu.coeffs), nu))  # column j: the coefficients of x^j mu
-    mul[io[keep], ia[keep]] = mu.coeffs[ib[keep], 0]
-    wc, u, r = np.concatenate([c.coeffs for c in w], axis=1), np.zeros((nu, 3)), 0.0
+    mul = np.zeros((mu.coeffs.shape[1], len(mu.coeffs), nu))  # [row, :, j]: x^j mu
+    mul[:, io[keep], ia[keep]] = mu.coeffs[ib[keep]].T
+    wc = np.stack([c.coeffs.T for c in w], axis=2)
+    u, r = np.zeros((len(wc), nu, 3)), np.zeros(len(wc))
     for d in range(n):  # degree d of u fits degree d + 1 of w
         lo, hi, top = n_coeffs(d - 1), n_coeffs(d), n_coeffs(d + 1)
-        rhs = wc[hi:top] - mul[hi:top, :lo] @ u[:lo]
-        u[lo:hi] = np.linalg.lstsq(mul[hi:top, lo:hi], rhs, rcond=None)[0]
-        r = max(r, np.abs(rhs - mul[hi:top, lo:hi] @ u[lo:hi]).max())
-    return tuple(Jet._new(mu.point, n - 1, u[:, [a]]) for a in range(3)), r
+        a = mul[:, hi:top, lo:hi]
+        rhs = wc[:, hi:top] - mul[:, hi:top, :lo] @ u[:, :lo]
+        u[:, lo:hi] = np.linalg.pinv(a) @ rhs
+        r = np.maximum(r, np.abs(rhs - a @ u[:, lo:hi]).max(axis=(1, 2)))
+    return u.T, r
 
 
 def characteristic_field(form):
     """V = w / omega(w) from the jets `form` of omega at a batch of points, with
     w the (d omega)-vector spanning ker(d omega); consumes one jet order.
 
-    Where w and omega(w) both vanish (on Sigma for a special form), V is the
-    exact quotient `_jet_quotient`, one order lower still; the form is not
-    special there if omega(w) has no linear part or the remainder is above
-    CHARACTERISTIC_TOL times the largest coefficient of w.  A batch takes each
-    row's branch, and is one order lower wherever a row takes the quotient.
+    A row where omega(w) vanishes (on Sigma for a special form) takes the
+    exact quotient `_jet_quotient`, and then the batch is one order lower.  The
+    form is not special there if w does not vanish, omega(w) has no linear
+    part or the remainder is above CHARACTERISTIC_TOL times the largest
+    coefficient of w: the first such row raises its first failing test.
     """
-    return _characteristic(*curl_and_defect(form), np.sqrt(sum(v * v for v in jvec_values(form))))
-
-
-def _characteristic(w, omw: Jet, size):
-    """`characteristic_field` from w, omega(w) and |omega| (one per row)."""
+    w, omw = curl_and_defect(form)
+    size = np.sqrt(sum(v * v for v in jvec_values(form)))
     # omega -> c omega scales |omega|, w and omega(w) by c, c and c^2, so
     # every test below compares ratios
     w_max = np.max(np.abs(jvec_values(w)), axis=0)
-    if np.all(np.abs(omw.value) > CHARACTERISTIC_TOL * size * (size + w_max)):
-        return jvec_div(w, omw)
-    if len(size) > 1:  # row by row, each row a batch of one
-        def row(j, r):
-            return Jet._new(omw.point[r:r + 1], j.order, j.coeffs[:, r:r + 1])
-        cols = [_characteristic(tuple(row(c, r) for c in w), row(omw, r), size[r:r + 1])
-                for r in range(len(size))]
-        m = min(v[0].order for v in cols)
-        return tuple(Jet._new(omw.point, m, np.hstack([v[a].coeffs[:n_coeffs(m)] for v in cols]))
-                     for a in range(3))
-    at = row_of(omw.point)
-    if w_max[0] > CHARACTERISTIC_TOL * size[0]:
-        raise SingularFrameError(
-            f"omega(w) = 0 with w != 0 at {at}: no normalized characteristic field")
-    w_scale = max(np.abs(c.coeffs).max() for c in w)
-    if max(abs(omw.partial(a).value_at(0)) for a in range(3)) <= \
-            CHARACTERISTIC_TOL * size[0] * w_scale:
-        raise SingularFrameError(f"omega(w) has no linear part at {at}: not special")
-    v, remainder = _jet_quotient(w, omw)
-    if remainder > CHARACTERISTIC_TOL * w_scale:
-        raise SingularFrameError(f"omega(w) does not divide w at {at}: not special")
-    return v
+    sigma = ~(np.abs(omw.value) > CHARACTERISTIC_TOL * size * (size + w_max))
+    # a Sigma row divides by a stand-in 1, and takes the quotient below
+    v = jvec_div(w, omw._like(np.where(sigma, np.eye(len(omw.coeffs), 1), omw.coeffs)))
+    if not sigma.any():
+        return v
+    u, remainder = _jet_quotient(w, omw)
+    w_scale = np.abs(np.concatenate([c.coeffs for c in w])).max(axis=0)
+    fails = sigma & np.array([w_max > CHARACTERISTIC_TOL * size,
+                              np.abs(omw.coeffs[1:4]).max(axis=0)
+                              <= CHARACTERISTIC_TOL * size * w_scale,
+                              remainder > CHARACTERISTIC_TOL * w_scale])
+    if fails.any():
+        row = np.argmax(fails.any(axis=0))
+        text = ("omega(w) = 0 with w != 0 at {}: no normalized characteristic field",
+                "omega(w) has no linear part at {}: not special",
+                "omega(w) does not divide w at {}: not special")[np.argmax(fails[:, row])]
+        raise SingularFrameError(text.format(row_of(omw.point, row)))
+    return tuple(Jet._new(omw.point, omw.order - 1, np.where(sigma, ua, va.coeffs[:len(ua)]))
+                 for ua, va in zip(u, v))
 
 
 def build_singular_frame(omega: OneForm, metric: MetricField, point,
@@ -219,25 +217,17 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
 
     E1 spans Delta intersected with ker(d lambda), oriented so that
     E2(lambda) > 0; E2 completes the oriented orthonormal basis of Delta; E3
-    is the characteristic field.  Sigma must be transversal there:
-    E2(lambda) / |omega|_g above TRANSVERSALITY_EPS.  Needs order
-    SINGULAR_FRAME_ORDER for the structure functions.
+    is the characteristic field.  Sigma must be transversal there (`_on_delta`).
+    Needs order SINGULAR_FRAME_ORDER for the structure functions.
     """
-    point = _as_point(point)  # one array for the jets of omega and g
-    w, g = omega.evaluate(point, order), metric.evaluate(point, order)
-    _, q, norm = quadratic_form(w, g)
-    lam = lambda_jet(w, q)
-    # D = d(lambda) x omega is annihilated by omega and d(lambda), and zero
-    # where d(lambda)|_Delta is; with E1 along D, E2 = unit(omega x g E1) and
-    # d(lambda) . (omega x g D) = g(D, D), so E2(lambda) > 0
-    direction = jvec_cross(tuple(lam.partial(a) for a in range(3)), w)
-    transversal = np.any(jvec_values(direction), axis=0)
-    if np.all(transversal):
-        e1, e2, ge1, ge2 = kernel_basis(w, g, direction)
-        transversal = directional_derivative(lam, e2).value / norm > TRANSVERSALITY_EPS
+    w, g, q, norm, lam = lambda_evaluation(omega, metric, point, order)
+    direction, _, transversal = _on_delta(w, g, q, norm, lam)
     if not np.all(transversal):
         raise SingularFrameError(f"d(lambda)|_Delta vanishes at "
                                  f"{row_of(lam.point, np.argmin(transversal))}: not transversal")
+    # D is annihilated by omega and d(lambda); with E1 along D,
+    # E2 = unit(omega x g E1) and d(lambda) . (omega x g D) = g(D, D) > 0
+    e1, e2, ge1, ge2 = kernel_basis(w, g, direction)
     e3 = characteristic_field(w)
     return adapted_frame(e1, e2, ge1, ge2, e3, jvec_div(w, jvec_dot(w, e3)), lam, "singular")
 

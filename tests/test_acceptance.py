@@ -41,52 +41,63 @@ def sample_points(n, seed, scale=2.0):
     return [tuple(rng.uniform(-scale, scale, 3).tolist()) for _ in range(n)]
 
 
+def contact_invariants(omega, points):
+    """(M, K, frame, C) at a batch of points, every one of them contact: a
+    batch's columns are its points' own values bit for bit."""
+    v, frame, c = invariants_at(omega, EUCLID, np.array(points))
+    assert len(frame.rows) == len(points), "a sample point is noncontact"
+    return v.M.value, v.K.value, frame, c
+
+
 # -- criterion 1: Heisenberg invariants ------------------------------------
 
 def test_criterion1_heisenberg_M():
-    for p in sample_points(100, 1):
-        v, _, _ = invariants_at(HEIS, EUCLID, p)
+    pts = sample_points(100, 1)
+    for p, m in zip(pts, contact_invariants(HEIS, pts)[0]):
         want = heis_M(*p)
-        assert abs(v.M.value - want) <= 1e-8 * (1 + abs(want))
+        assert abs(m - want) <= 1e-8 * (1 + abs(want)), (
+            f"M at {p}: computed {m!r}, closed form {want!r}")
 
 
 def test_criterion1_heisenberg_K():
-    for p in sample_points(100, 1):
-        v, _, _ = invariants_at(HEIS, EUCLID, p)
+    pts = sample_points(100, 1)
+    for p, k in zip(pts, contact_invariants(HEIS, pts)[1]):
         want = heis_K(*p)
-        assert abs(v.K.value - want) <= 1e-8 * (1 + abs(want)), (
-            f"K at {p}: computed {v.K.value!r}, closed form {want!r}")
+        assert abs(k - want) <= 1e-8 * (1 + abs(want)), (
+            f"K at {p}: computed {k!r}, closed form {want!r}")
 
 
 # -- criterion 2: Cartan invariants ----------------------------------------
 
 def test_criterion2_cartan_M():
-    for p in sample_points(100, 2):
-        v, _, _ = invariants_at(CARTAN, EUCLID, p)
+    pts = sample_points(100, 2)
+    for p, m in zip(pts, contact_invariants(CARTAN, pts)[0]):
         want = cartan_M(*p)
-        assert abs(v.M.value - want) <= 1e-8 * (1 + abs(want))
+        assert abs(m - want) <= 1e-8 * (1 + abs(want)), (
+            f"M at {p}: computed {m!r}, closed form {want!r}")
 
 
 def test_criterion2_cartan_K():
-    for p in sample_points(100, 2):
-        v, _, _ = invariants_at(CARTAN, EUCLID, p)
+    pts = sample_points(100, 2)
+    for p, k in zip(pts, contact_invariants(CARTAN, pts)[1]):
         want = cartan_K(*p)
-        assert abs(v.K.value - want) <= 1e-8 * (1 + abs(want)), (
-            f"K at {p}: computed {v.K.value!r}, closed form {want!r}")
+        assert abs(k - want) <= 1e-8 * (1 + abs(want)), (
+            f"K at {p}: computed {k!r}, closed form {want!r}")
 
 
 # -- criterion 3: frame identities -----------------------------------------
 
 def test_criterion3_frame_identities():
     for omega, seed in ((HEIS, 31), (CARTAN, 32)):
-        for p in sample_points(50, seed):
-            v, frame, c = invariants_at(omega, EUCLID, p)
-            a1, a2, _, _, _ = torsion_and_connection_coeffs(c)
-            assert abs(c.C3_12.value - 1.0) < 1e-8
-            assert abs(c.C3_23.value) < 1e-8
-            assert abs(c.C3_31.value) < 1e-8
-            assert abs(c.C1_31.value - c.C2_23.value) < 1e-8
-            assert abs(a1.value ** 2 + a2.value ** 2 - v.M.value) < 1e-12
+        pts = sample_points(50, seed)
+        m, _, _, c = contact_invariants(omega, pts)
+        a1, a2, _, _, _ = torsion_and_connection_coeffs(c)
+        for i, p in enumerate(pts):
+            assert abs(c.C3_12.value[i] - 1.0) < 1e-8, p
+            assert abs(c.C3_23.value[i]) < 1e-8, p
+            assert abs(c.C3_31.value[i]) < 1e-8, p
+            assert abs(c.C1_31.value[i] - c.C2_23.value[i]) < 1e-8, p
+            assert abs(a1.value[i] ** 2 + a2.value[i] ** 2 - m[i]) < 1e-12, p
 
 
 # -- criterion 4: gauge/orientation invariance -----------------------------
@@ -95,15 +106,14 @@ def test_criterion4_gauge_invariance():
     phi = FieldProgram.parse("x + 2*y")
     for omega, seed in ((HEIS, 41), (CARTAN, 42)):
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
-        for p in sample_points(25, seed):
-            v0, frame, _ = invariants_at(omega, EUCLID, p)
-            for variant in (scaled, -omega):
-                v1, _, _ = invariants_at(variant, EUCLID, p)
-                assert abs(v1.M.value - v0.M.value) <= 1e-8 * (1 + abs(v0.M.value))
-                assert abs(v1.K.value - v0.K.value) <= 1e-8 * (1 + abs(v0.K.value))
-            _, _, m2, k2 = rotated(frame, 0.7)
-            assert abs(m2.value - v0.M.value) <= 1e-8 * (1 + abs(v0.M.value))
-            assert abs(k2.value - v0.K.value) <= 1e-8 * (1 + abs(v0.K.value))
+        pts = sample_points(25, seed)
+        m0, k0, frame, _ = contact_invariants(omega, pts)
+        _, _, m2, k2 = rotated(frame, 0.7)
+        variants = [contact_invariants(v, pts)[:2] for v in (scaled, -omega)]
+        for m1, k1 in variants + [(m2.value, k2.value)]:
+            for i, p in enumerate(pts):
+                assert abs(m1[i] - m0[i]) <= 1e-8 * (1 + abs(m0[i])), p
+                assert abs(k1[i] - k0[i]) <= 1e-8 * (1 + abs(k0[i])), p
 
 
 # -- criterion 5: symmetry system -----------------------------------------
@@ -116,14 +126,10 @@ def test_criterion4_gauge_invariance():
 # stated values describe.
 
 def _nondegenerate_points(omega, metric, n):
-    pts = []
-    for p in sample_points(400, 5):
-        sys_ = build_system(omega, metric, p)
-        if not sys_.degenerate:
-            pts.append(p)
-            if len(pts) == n:
-                break
-    return pts
+    """The first n of 400 sample points where the system is not degenerate."""
+    pts = sample_points(400, 5)
+    sys_ = build_system(omega, metric, np.array(pts))
+    return [pts[r] for r, bad in zip(sys_.frame.rows, sys_.degenerate) if not bad][:n]
 
 
 def test_criterion5_residuals_at_nondegenerate_points():
@@ -138,20 +144,23 @@ def test_criterion5_residuals_at_nondegenerate_points():
     pts = _nondegenerate_points(AXIAL, AXIAL_G, 50)
     assert len(pts) == 50, (
         f"protocol needs 50 non-degenerate points, found {len(pts)}/400")
-    for p in pts:
-        r = integrability_residuals(build_system(AXIAL, AXIAL_G, p, RESIDUAL_MIN_ORDER))
+    residuals = integrability_residuals(build_system(AXIAL, AXIAL_G, np.array(pts),
+                                                     RESIDUAL_MIN_ORDER))
+    for p, r in zip(pts, np.transpose(residuals)):
         assert max(abs(v) for v in r) < 1e-6, f"residuals {r} at {p}"
 
 
 def test_criterion5_reconstructed_gradient():
-    for p in sample_points(20, 51, scale=1.5):
-        sys_ = build_system(HEIS, EUCLID, p)
-        assert sys_.degenerate, f"Heisenberg point {p} reported non-degenerate"
-        with pytest.raises(DegeneratePointError):
-            frame_to_coordinate_gradient(sys_)
+    pts = sample_points(20, 51, scale=1.5)
+    sys_ = build_system(HEIS, EUCLID, np.array(pts))
+    for p, degenerate in zip(pts, sys_.degenerate):
+        assert degenerate, f"Heisenberg point {p} reported non-degenerate"
+    with pytest.raises(DegeneratePointError):
+        frame_to_coordinate_gradient(sys_)
 
+    grads = frame_to_coordinate_gradient(build_system(AXIAL, AXIAL_G, np.array(pts)))
+    for p, grad in zip(pts, grads.T):
         want = np.array([p[0], p[1], 0.0]) / (1 + p[0] ** 2 + p[1] ** 2)
-        grad = frame_to_coordinate_gradient(build_system(AXIAL, AXIAL_G, p))[:, 0]
         assert np.allclose(grad, want, atol=1e-6), f"gradient {grad} at {p}"
 
 
@@ -183,10 +192,12 @@ def test_criterion5_injected_V_verifies():
 # -- criterion 6: symmetry system, Cartan ----------------------------------
 
 def test_criterion6_cartan_degenerate():
-    for p in sample_points(50, 6):
-        sys_ = build_system(CARTAN, EUCLID, p)
-        assert sys_.degenerate
-        assert abs(sys_.D.value) < 1e-12
+    pts = sample_points(50, 6)
+    sys_ = build_system(CARTAN, EUCLID, np.array(pts))
+    assert len(sys_.frame.rows) == len(pts)
+    for p, degenerate, d in zip(pts, sys_.degenerate, sys_.D.value):
+        assert degenerate, p
+        assert abs(d) < 1e-12, p
 
 
 def test_criterion6_injected_f_y():
@@ -253,15 +264,16 @@ def test_criterion8_nonholonomity_properties():
     phi = FieldProgram.parse("x + 2*y")
     for omega, seed in ((HEIS, 81), (OMEGA_1, 82)):
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
-        for p in sample_points(50, seed):
-            lam = nonholonomity(omega, EUCLID, p).value
-            lam_s = nonholonomity(scaled, EUCLID, p).value
-            want = math.exp(phi(p).value[0]) * lam
-            assert abs(lam_s - want) <= 1e-9 * (1 + abs(want))
-            e1, e2 = delta_basis(omega.evaluate(p), EUCLID.evaluate(p))[:2]
-            b = curl(omega.evaluate(p))
-            val = jvec_dot(b, jvec_cross(jvec_values(e1), jvec_values(e2))).value
-            assert abs(val + lam) <= 1e-9 * (1 + abs(lam))
+        pts = np.array(sample_points(50, seed))
+        lam = nonholonomity(omega, EUCLID, pts).value
+        lam_s = nonholonomity(scaled, EUCLID, pts).value
+        e1, e2 = delta_basis(omega.evaluate(pts), EUCLID.evaluate(pts))[:2]
+        b = curl(omega.evaluate(pts))
+        vals = jvec_dot(b, jvec_cross(jvec_values(e1), jvec_values(e2))).value
+        for i, (p, phi_p) in enumerate(zip(pts.tolist(), phi(pts).value)):
+            want = math.exp(phi_p) * lam[i]
+            assert abs(lam_s[i] - want) <= 1e-9 * (1 + abs(want)), p
+            assert abs(vals[i] + lam[i]) <= 1e-9 * (1 + abs(lam[i])), p
 
 
 # -- criterion 9: jet oracle -----------------------------------------------

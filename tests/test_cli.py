@@ -13,7 +13,8 @@ from srsurf import selftest
 from srsurf.cli import main
 from srsurf.report import (PointReport, parse_grid, parse_points, parse_probe)
 
-from conftest import AXIAL_METRIC, CARTAN, HEISENBERG, OMEGA_1
+from conftest import (AXIAL_METRIC, CARTAN, HEISENBERG, OMEGA_1, SPECIAL_FORM,
+                      SPECIAL_METRIC)
 
 AXIAL_METRIC_TEXT = "".join(e + "\n" for e in AXIAL_METRIC)
 
@@ -51,6 +52,11 @@ def test_parse_grid():
         parse_grid("x=0:1:3, y=0")
     with pytest.raises(ValueError):
         parse_grid("x=0, x=1, y=0, z=0")
+    for spec in ("0:1", "0:1:5:7", "0:1:2.5"):  # a range names its form and axis
+        with pytest.raises(ValueError) as err:
+            parse_grid(f"x=0, y={spec}, z=0")
+        assert str(err.value) == (f"grid range must be start:stop:count with an integer "
+                                  f"count on axis 'y', got {spec!r}")
 
 
 # -- invariants subcommand -------------------------------------------------
@@ -189,6 +195,8 @@ def test_bad_grid_exits_1(capsys):
     code, _, err = run_cli(capsys, "invariants", "--omega", HEISENBERG,
                            "--grid", "x=1:2, y=0, z=0")
     assert code == 1
+    assert err == ("error: grid range must be start:stop:count with an integer "
+                   "count on axis 'x', got '1:2'\n")
 
 
 
@@ -593,15 +601,35 @@ def test_singular_every_sign_change_is_a_root(capsys):
 
 def test_singular_tangential_sigma_is_a_minimum(capsys):
     # lambda is proportional to -x^2: it touches 0 at x = 0, between two scan
-    # nodes, without a sign change
-    code, out, _ = run_cli(capsys, "singular", "--omega", "dy + x^3*dz",
-                           "--probe", "-1,0,0 : 0.9,0,0")
+    # nodes, without a sign change, and d(lambda) vanishes there, so the root
+    # record and its frame both find Sigma not transversal
+    for probe in ("-1,0,0 : 0.9,0,0", "-0.5,0,0 : 1,0,0"):
+        code, out, _ = run_cli(capsys, "singular", "--omega", "dy + x^3*dz",
+                               "--probe", probe)
+        assert code == 0
+        (rec,) = ndjson(out)
+        assert rec["point"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+        assert rec["diagnostics"]["transversal"] is False
+        assert rec["diagnostics"]["sigma"]["candidate"] == "minimum"
+        assert rec["error"] == "d(lambda)|_Delta vanishes at (0.0, 0.0, 0.0): not transversal"
+
+
+def test_singular_probe_tangent_to_a_transversal_sigma(capsys, tmp_path):
+    # the probe touches Sigma = {x = -sin(y)} at y = 1 without crossing it:
+    # its root is a minimum of |lambda|, but Sigma is transversal there, so
+    # the record says so and has its Q
+    metric = tmp_path / "metric.txt"
+    metric.write_text("".join(e + "\n" for e in SPECIAL_METRIC))
+    code, out, _ = run_cli(
+        capsys, "singular", "--omega", SPECIAL_FORM, "--metric-file", str(metric),
+        "--probe=-0.6793802930474546,0.7,0.0 : -1.0629949302138337,1.41,0.0")
     assert code == 0
     (rec,) = ndjson(out)
-    assert rec["point"] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
-    assert rec["diagnostics"]["transversal"] is False
+    assert rec["point"] == pytest.approx([-math.sin(1.0), 1.0, 0.0], abs=1e-12)
     assert rec["diagnostics"]["sigma"]["candidate"] == "minimum"
-    assert rec["error"].endswith("not transversal")
+    assert rec["diagnostics"]["transversal"] is True
+    assert rec["diagnostics"]["lambda_gradient_on_delta"] > 0.3
+    assert "error" not in rec and "Q112" in rec and "Q212" in rec
 
 
 def test_singular_sigma_diagnostics_schema(capsys):

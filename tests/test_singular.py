@@ -10,6 +10,8 @@ from srsurf import (MAX_ORDER, FieldProgram, MetricField, OneForm,
                     sigma_invariants)
 from srsurf.fields import curl
 from srsurf.frame import jvec_cross, jvec_dot, jvec_values
+from srsurf import singular
+from srsurf.report import parse_probe
 from srsurf.singular import SINGULAR_FRAME_ORDER
 
 from conftest import (OFF_DIAGONAL_METRIC, SPECIAL_FORM, SPECIAL_METRIC,
@@ -141,6 +143,41 @@ def test_characteristic_field_error_names_the_point():
     with pytest.raises(SingularFrameError) as row:  # row 1 of a batch; row 0 is regular
         characteristic_field(omega.evaluate(np.array([[0.5, 0.1, 0.0], [0.0, 0.0, 0.0]])))
     assert str(row.value) == want
+    # a batch raises its first failing row's own text, even where a later row
+    # fails a test that comes earlier: on y dy + x^3 dz, w = (0, -3x^2, 0) and
+    # omega(w) = -3 y x^2 vanish at (0, 1, 0), where omega(w) has no linear
+    # part, and at (1, 0, 0) omega(w) = 0 but w does not
+    omega = OneForm.parse("y*dy + x^3*dz")
+    texts = {(0.0, 1.0, 0.0): "omega(w) has no linear part at (0.0, 1.0, 0.0): not special",
+             (1.0, 0.0, 0.0): "omega(w) = 0 with w != 0 at (1.0, 0.0, 0.0): "
+                              "no normalized characteristic field"}
+    for first, later in (list(texts), list(texts)[::-1]):
+        for p in (first, later):
+            with pytest.raises(SingularFrameError) as alone:
+                characteristic_field(omega.evaluate(p))
+            assert str(alone.value) == texts[p]
+        with pytest.raises(SingularFrameError) as batch:
+            characteristic_field(omega.evaluate(np.array([(0.5, 1.0, 0.0), first, later])))
+        assert str(batch.value) == texts[first]
+
+
+def test_characteristic_field_takes_one_quotient_per_batch(omega1, monkeypatch):
+    # Sigma = {x = 0}: the Sigma rows of a batch share one stacked quotient,
+    # and each column is its point's field bit for bit
+    calls, quotient = [], singular._jet_quotient
+
+    def counted(w, mu):
+        calls.append(len(mu.value))
+        return quotient(w, mu)
+
+    monkeypatch.setattr(singular, "_jet_quotient", counted)
+    points = [(0.0, 0.3, -0.1), (0.5, 0.1, 0.0), (0.0, -0.7, 0.5), (0.0, 0.2, 0.4)]
+    batch = characteristic_field(omega1.evaluate(points, 4))
+    assert calls == [4] and batch[0].order == 2
+    for k, p in enumerate(points):
+        alone = characteristic_field(omega1.evaluate(p, 4))
+        for a in range(3):
+            assert np.array_equal(batch[a].coeffs[:, k], alone[a].coeffs[:10, 0])
 
 
 # -- singular frame --------------------------------------------------------
@@ -193,6 +230,31 @@ def test_singular_frame_transversality_below_tolerance(heisenberg, euclid, p):
     assert any(jvec_values(jvec_cross(heisenberg.evaluate(p, 2), dlam)))
     with pytest.raises(SingularFrameError, match="not transversal"):
         build_singular_frame(heisenberg, euclid, p)
+
+
+@pytest.mark.parametrize("form, metric, probes", [
+    # lambda is proportional to -x^2 (x - 0.5): tangential at x = 0, crossing at 0.5
+    ("dy + (x^4/4 - x^3/6)*dz", None, ["-0.35,0,0 : 0.9,0.2,0.1", "-1,0.2,0.1 : 0.9,0.2,0.1"]),
+    # d(lambda) vanishes on Sigma = {x = 0}
+    ("dy + x^3*dz", None, ["-0.5,0,0 : 1,0,0", "-1,0.3,0.2 : 1,0.3,0.2"]),
+    # Sigma = {x = -sin(y)}: a tangent probe and a crossing
+    (SPECIAL_FORM, SPECIAL_METRIC, ["-0.6793802930474546,0.7,0.0 : -1.0629949302138337,1.41,0.0",
+                                    "-1.5,0.3,-0.2 : 1.5,0.4,-0.4"]),
+])
+def test_root_transversality_is_the_frames(form, metric, probes):
+    # a root is transversal exactly where its frame passes the transversality test
+    omega = OneForm.parse(form)
+    g = MetricField.identity() if metric is None else MetricField.from_upper_triangle(metric)
+    roots = [sp for found in locate_sigma(omega, g, [parse_probe(p) for p in probes])
+             for sp in found]
+    assert len(roots) >= len(probes)
+    for sp in roots:
+        try:
+            build_singular_frame(omega, g, sp.point, SINGULAR_FRAME_ORDER)
+            passes = True
+        except SingularFrameError as exc:
+            passes = not str(exc).endswith("not transversal")
+        assert passes == sp.transversal, sp
 
 
 # -- Sigma invariants ------------------------------------------------------
