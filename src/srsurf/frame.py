@@ -107,7 +107,9 @@ class StructureFunctions:
 
 
 def lie_bracket(v: JetVector, w: JetVector) -> JetVector:
-    """[V, W]^a = V^b d_b W^a - W^b d_b V^a; consumes one jet order."""
+    """[V, W]^a = V^b d_b W^a - W^b d_b V^a of V, W cut to their least order; consumes one order."""
+    m = min(c.order for c in (*v, *w))
+    v, w = (tuple(c.cut(m) for c in u) for u in (v, w))
     out = []
     for a in range(3):
         acc = None
@@ -146,20 +148,24 @@ def quadratic_form(w: JetVector, g):
     return aw, q, np.sqrt(q.value / jvec_dot(jvec_values(g[0]), jvec_values(adj[0])))
 
 
-def lambda_jet(w: JetVector, q: Jet) -> Jet:
-    """lambda = -mu / sqrt(q) from the jets w = omega and q = omega^T adj(g)
-    omega (`quadratic_form`), with mu = omega . curl(omega); consumes one jet
-    order.  For any g-orthonormal, positively oriented E1, E2 in ker omega,
-    E1 x E2 = omega / sqrt(q), so omega([E1, E2]) = -curl(omega) . (E1 x E2)
-    is this, whatever the gauge."""
-    return -(curl_and_defect(w)[1] * q.pow(-0.5))
+def lambda_jets(w: JetVector, g):
+    """(w, g, adj(g) omega, q, |omega|_g, lambda) from the jets w = omega and g
+    at one order N: g, adj(g) omega and q (`quadratic_form`) cut to N - 1, the
+    order of lambda = -mu / sqrt(q) with mu = omega . curl(omega).  For any
+    g-orthonormal, positively oriented E1, E2 in ker omega, E1 x E2 = omega /
+    sqrt(q), so omega([E1, E2]) = -curl(omega) . (E1 x E2) is lambda, whatever
+    the gauge."""
+    n = w[0].order - 1
+    g = tuple(tuple(c.cut(n) for c in row) for row in g)
+    aw, q, norm = quadratic_form(tuple(c.cut(n) for c in w), g)
+    return w, g, aw, q, norm, -(curl_and_defect(w)[1] * q.pow(-0.5))
 
 
 def delta_basis(w: JetVector, g):
     """(E1, E2, g E1, g E2, lambda, |omega|_g) from the jets w = omega and
-    g evaluated at one point (or batch) and order, all from one
-    `quadratic_form`: an oriented g-orthonormal basis of ker omega with its
-    covectors (`kernel_basis`), lambda (`lambda_jet`) and |omega|_g.
+    g evaluated at one point (or batch) and order N, all from one
+    `lambda_jets`: an oriented g-orthonormal basis of ker omega with its
+    covectors (`kernel_basis`), lambda and |omega|_g, all at order N - 1.
 
     E1 is the normalized g-orthogonal projection onto the kernel of the
     coordinate field e_s with the largest projection norm
@@ -171,28 +177,26 @@ def delta_basis(w: JetVector, g):
     omega = (g n) x omega with n = omega x g e_s.)  Any other gauge is a
     rotation of this one, which M and K do not see.
     """
-    aw, q, norm = quadratic_form(w, g)
+    w, g, aw, q, norm, lam = lambda_jets(w, g)
     diag = np.array([g[i][i].value for i in range(3)])
     norms = diag - np.array([c.value ** 2 for c in w]) / norm ** 2
     fail_where(norms.max(axis=0) <= 1e-24 * diag.max(axis=0), w[0].point,
                "degenerate projection seed")
     s = norms.argmax(axis=0)  # a batch takes s point by point
-    ws, qv = w[0]._like(np.choose(s, [c.coeffs for c in w])), q.value
+    ws, qv = q._like(np.choose(s, [c.coeffs[:len(q.coeffs)] for c in w])), q.value
     u = tuple(q._like((q.coeffs * (s == i) - (ws * a).coeffs) / qv) for i, a in enumerate(aw))
-    return (*kernel_basis(w, g, u), lambda_jet(w, q), norm)
+    return (*kernel_basis(w, g, u), lam, norm)
 
 
 def lambda_evaluation(omega: OneForm, metric: MetricField, point, order: int):
-    """(w, g, q, |omega|_g, lambda) at a point or batch, from one evaluation of omega and g."""
+    """`lambda_jets` at a point or batch, from one evaluation of omega and g."""
     point = _as_point(point)  # one array for the jets of omega and g
-    w, g = omega.evaluate(point, order), metric.evaluate(point, order)
-    _, q, norm = quadratic_form(w, g)
-    return w, g, q, norm, lambda_jet(w, q)
+    return lambda_jets(omega.evaluate(point, order), metric.evaluate(point, order))
 
 
 def nonholonomity(omega: OneForm, metric: MetricField, point,
                   order: int = DEFAULT_ORDER) -> Jet:
-    """lambda as a jet (`lambda_jet`); vanishes exactly on Sigma."""
+    """lambda as a jet (`lambda_jets`); vanishes exactly on Sigma."""
     return lambda_evaluation(omega, metric, point, order)[-1]
 
 

@@ -219,8 +219,11 @@ class Jet:
         if self.order == other.order:
             return self.order, self.coeffs, other.coeffs
         order = min(self.order, other.order)
-        n = n_coeffs(order)
-        return order, self.coeffs[:n], other.coeffs[:n]
+        return order, self.cut(order).coeffs, other.cut(order).coeffs
+
+    def cut(self, order: int) -> "Jet":
+        """The jet at a lower order, 0 included: a view of its leading coefficients."""
+        return Jet._new(self.point, order, self.coeffs[:n_coeffs(order)])
 
     @staticmethod
     def _coerce(other, template: "Jet"):

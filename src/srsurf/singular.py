@@ -139,7 +139,7 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     p0, d = ends[seg, 0], ends[seg, 1] - ends[seg, 0]
     t, steps, converged = _polish(omega, metric, p0, d, t, lo, hi, rising, kind)
     points = p0 + t[:, None] * d
-    w, g, q, scale, lam = lambda_evaluation(omega, metric, points, TRANSVERSALITY_ORDER)
+    w, g, _, q, scale, lam = lambda_evaluation(omega, metric, points, TRANSVERSALITY_ORDER)
     _, grad_norm, transversal = _on_delta(w, g, q, scale, lam)
     margin = np.abs(lam.value) / scale
     # a sign change brackets a zero of lambda: unconverged, it is kept and says so
@@ -220,7 +220,7 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     is the characteristic field.  Sigma must be transversal there (`_on_delta`).
     Needs order SINGULAR_FRAME_ORDER for the structure functions.
     """
-    w, g, q, norm, lam = lambda_evaluation(omega, metric, point, order)
+    w, g, _, q, norm, lam = lambda_evaluation(omega, metric, point, order)
     direction, _, transversal = _on_delta(w, g, q, norm, lam)
     if not np.all(transversal):
         raise SingularFrameError(f"d(lambda)|_Delta vanishes at "

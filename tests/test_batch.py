@@ -391,11 +391,11 @@ def test_symmetry_reconstruct_grid(capsys, metric_file):
 
 @pytest.mark.parametrize("reconstruct", [[], ["--reconstruct", "--base", "1,0.5,0.2"]])
 def test_symmetry_series_overflow_in_a_chunk(capsys, metric_file, reconstruct):
-    # g's scale c, about 1 for x < 0 and e^(-225 x) for x > 0, makes lambda's
+    # g's scale c, about 1 for x < 0 and e^(-280 x) for x > 0, makes lambda's
     # 1 / sqrt(q), q = omega^T adj(g) omega of scale c^2, overflow in its
-    # order-5 Taylor series from x = 0.3 on, and in its order-4 one (ln f's
+    # order-4 Taylor series from x = 0.3 on, and in its order-3 one (ln f's
     # quadrature) near the base at x = 1
-    c = "exp(-112.5*(x + sqrt(x^2 + 0.01)))"
+    c = "exp(-140*(x + sqrt(x^2 + 0.01)))"
     argv = ["symmetry", "--omega", "dz + y*dx", "--metric-file",
             metric_file(f"{c}\n0\n0\n{c}*(1 + y^2)\n0\n{c}\n"), *reconstruct]
     points = [(x / 10, 0.5, 0.2) for x in (-2, -1, 0, 1, 3, 4, 5)]

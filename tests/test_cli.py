@@ -122,6 +122,10 @@ def _regular_records(capsys, tmp_path, command, omega, metric, points, c=1.0):
     # a scale at which (g n) x omega, the seed unnormalized, overflows at order 5
     ("symmetry", "dz + y*dx", ["{c}*(1 + x^2)", "0", "0", "{c}", "0", "{c}"], "0.4,0.7,-0.2",
      1e-12),
+    # a scale at which lambda's 1 / sqrt(q) would overflow at order 5, omega's;
+    # it is formed at order 4
+    ("symmetry", "dz + y*dx", ["{c}*(1 + x^2)", "0", "0", "{c}", "0", "{c}"], "0.4,0.7,-0.2",
+     1e-30),
 ])
 def test_metric_scale_law(capsys, tmp_path, command, omega, metric, points, c):
     plain, scaled = (_regular_records(capsys, tmp_path, command, omega, metric, points, scale)
@@ -306,16 +310,16 @@ def test_metric_with_infinite_minors_is_out_of_range(capsys, tmp_path, command, 
 
 
 def test_series_overflow_is_an_error_record(capsys, tmp_path):
-    # with g of scale 1e-30, lambda's 1 / sqrt(q), q = omega^T adj(g) omega
-    # of scale 1e-60, overflows in its order-5 Taylor series, which
+    # with g of scale 1e-40, lambda's 1 / sqrt(q), q = omega^T adj(g) omega
+    # of scale 1e-80, overflows in its order-4 Taylor series, which
     # symmetry needs and invariants does not
     metric = tmp_path / "metric.txt"
-    metric.write_text("1e-30*(1 + x^2)\n0\n0\n1e-30\n0\n1e-30\n")
+    metric.write_text("1e-40*(1 + x^2)\n0\n0\n1e-40\n0\n1e-40\n")
     argv = ["--omega", "dz + y*dx", "--points", "0.4,0.7,-0.2", "--metric-file", str(metric)]
     code, out, err = run_cli(capsys, "symmetry", *argv)
     assert (code, err) == (0, "")
     (rec,) = ndjson(out)
-    assert rec["error"].startswith("Taylor series of pow at ")
+    assert rec["error"] == "Taylor series of pow at 1.6499999999999998e-80 overflows a float"
     code, out, err = run_cli(capsys, "invariants", *argv)
     assert (code, err) == (0, "")
     assert ndjson(out)[0]["branch"] == "regular"

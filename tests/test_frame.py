@@ -78,8 +78,9 @@ def _old_seed(w, g, s):
 @given(st.integers(0, 2 ** 32 - 1), st.floats(-6.0, 6.0), st.floats(-6.0, 6.0))
 def test_seed_is_the_projection_seed(seed, g_exp, w_exp):
     # q e_s - omega_s adj(g) omega = (g (omega x g e_s)) x omega for symmetric g,
-    # coefficient by coefficient, and both give delta_basis's E1, on random
-    # order-2 jets of omega and of an SPD g at scales 10^-6..10^6
+    # coefficient by coefficient, and both give delta_basis's E1, which is one
+    # order lower, on random order-2 jets of omega and of an SPD g at scales
+    # 10^-6..10^6
     rng, point, order = np.random.default_rng(seed), (0.0, 0.0, 0.0), 2
     a = rng.normal(size=(3, 3))
     g0 = (a @ a.T + 0.1 * np.eye(3)) * 10 ** g_exp
@@ -93,28 +94,32 @@ def test_seed_is_the_projection_seed(seed, g_exp, w_exp):
     old = np.array([c.coeffs for c in _old_seed(w, g, s)])
     new = np.array([(q * float(i == s) - w[s] * aw[i]).coeffs for i in range(3)])
     assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
-    want = np.array([c.coeffs for c in unit(g, _old_seed(w, g, s))[0]])
+    want = np.array([c.coeffs[:n_coeffs(order - 1)] for c in unit(g, _old_seed(w, g, s))[0]])
     got = np.array([c.coeffs for c in delta_basis(w, g)[0]])
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_jet_product_counts(monkeypatch):
     # one adj(g) omega per frame gives lambda, |omega|_g and E1's seed, and
-    # the coframe takes the covectors g E1, g E2 that `unit` formed
+    # the coframe takes the covectors g E1, g E2 that `unit` formed; the
+    # terms, the coefficient products at each product's result order, show
+    # each jet formed at the order its consumers keep, on any machine
     omega, metric = OneForm.parse(AXIAL_FORM), MetricField.from_upper_triangle(AXIAL_METRIC)
-    count, mul = [0], Jet.__mul__
+    count, mul = [0, 0], Jet.__mul__
 
     def counted(self, other):
         count[0] += 1
+        if isinstance(other, Jet):
+            count[1] += math.comb(min(self.order, other.order) + 6, 6)
         return mul(self, other)
     monkeypatch.setattr(Jet, "__mul__", counted)
     monkeypatch.setattr(Jet, "__rmul__", counted)
     p = (0.4, 0.3, 0.1)
     invariants_at(omega, metric, p, 3)
-    assert count[0] == 198
-    count[0] = 0
+    assert count == [195, 2834]
+    count[:] = [0, 0]
     integrability_residuals(build_system(omega, metric, p, 5))
-    assert count[0] == 253
+    assert count == [250, 25961]
 
 
 # -- lie_bracket -----------------------------------------------------------
@@ -189,7 +194,7 @@ def test_bracket_lambda_so2_invariant(heisenberg, euclid, rng):
 def test_nonholonomity_identity_matches_bracket(rng):
     # lambda = -(omega . curl omega) / sqrt(omega^T adj(g) omega) against
     # omega([E1, E2]) in the gauge turned by three constant angles and by a
-    # point-dependent one
+    # point-dependent one, the brackets from jets one order higher
     metric = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
     angle = FieldProgram.parse(GAUGE_ANGLE)
     forms = [OneForm.parse(t) for t in
@@ -197,7 +202,7 @@ def test_nonholonomity_identity_matches_bracket(rng):
     for omega in forms:
         for p in box_points(rng, 4):
             for order in (1, 3, 5):
-                w, g = omega.evaluate(p, order), metric.evaluate(p, order)
+                w, g = omega.evaluate(p, order + 1), metric.evaluate(p, order + 1)
                 lam = nonholonomity(omega, metric, p, order)
                 assert lam.order == order - 1
                 for theta in (0.0, 1.1, -2.6, angle(p, order)):

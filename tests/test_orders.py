@@ -2,16 +2,23 @@
 code that uses up its derivative budget: one order less raises
 BudgetExhausted, and at the constant the values equal those at MAX_ORDER
 bit for bit (a degree-d Taylor coefficient depends only on input
-coefficients of degree <= d)."""
+coefficients of degree <= d).  The same fact lets the frame form each jet
+at the order its consumers keep, with the leading coefficients of the
+quantity formed from uncut jets."""
 
+from functools import reduce
+from operator import add
+
+import numpy as np
 import pytest
 
-from srsurf import (BudgetExhausted, MAX_ORDER, MIN_ORDER, MetricField,
-                    OneForm, build_singular_frame, build_system,
+from srsurf import (BudgetExhausted, Jet, MAX_ORDER, MIN_ORDER, MetricField,
+                    OneForm, build_contact_frame, build_singular_frame, build_system,
                     directional_derivative, integrability_residuals,
-                    invariants_at, lambda_identities, nonholonomity,
+                    invariants_at, lambda_identities, lie_bracket, nonholonomity,
                     sigma_invariants)
-from srsurf.frame import delta_basis
+from srsurf.fields import curl_and_defect
+from srsurf.frame import delta_basis, kernel_basis, quadratic_form
 from srsurf.invariants import INVARIANTS_ORDER
 from srsurf.singular import (SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
                              TRANSVERSALITY_ORDER)
@@ -90,3 +97,49 @@ def test_least_order(name, fn, order, expected, fixtures):
         want = repr(fn(omega, g, p, MAX_ORDER))  # repr tells -0.0 from 0.0
         for k in range(order, MAX_ORDER):
             assert repr(fn(omega, g, p, k)) == want, (name, text, p, k)
+
+
+def _uncut_basis(w, g):
+    """delta_basis's (E1, E2, g E1, g E2, lambda) at one point with every jet
+    formed at the order of w and g."""
+    aw, q, norm = quadratic_form(w, g)
+    s = np.argmax([g[i][i].value - w[i].value ** 2 / norm ** 2 for i in range(3)])
+    u = tuple((q * float(i == s) - w[s] * a) / q.value for i, a in enumerate(aw))
+    return (*kernel_basis(w, g, u), -(curl_and_defect(w)[1] * q.pow(-0.5)))
+
+
+def _uncut_bracket(v, w):
+    """lie_bracket with the products formed at the orders of v and w."""
+    return tuple(reduce(add, (v[b] * w[a].partial(b) - w[b] * v[a].partial(b)
+                              for b in range(3))) for a in range(3))
+
+
+def _jets(x):
+    return [x] if isinstance(x, Jet) else [j for y in x for j in _jets(y)]
+
+
+def _assert_leading(got, want, order, what):
+    """Each jet of got is at `order` and equals the leading coefficients of
+    its jet in want (array_equal takes 0.0 == -0.0)."""
+    got, want = _jets(got), _jets(want)
+    assert len(got) == len(want), what
+    for j, ref in zip(got, want):
+        assert j.order == order, what
+        assert np.array_equal(j.coeffs, ref.coeffs[:len(j.coeffs)]), what
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES))
+def test_frame_jets_at_the_order_kept(fixture):
+    text, metric, p = FIXTURES[fixture]
+    omega = OneForm.parse(text)
+    g = MetricField.identity() if metric is None \
+        else MetricField.from_upper_triangle(metric)
+    for n in range(3, MAX_ORDER + 1):
+        w, gn = omega.evaluate(p, n), g.evaluate(p, n)
+        got = delta_basis(w, gn)
+        _assert_leading(got[:5], _uncut_basis(w, gn), n - 1, (fixture, n, "delta_basis"))
+        frame, _ = build_contact_frame(omega, g, p, n)
+        e1, e2, e3 = frame.frame
+        for u, v, order in ((e1, e2, n - 2), (e2, e3, n - 3), (e3, e1, n - 3)):
+            _assert_leading(lie_bracket(u, v), _uncut_bracket(u, v), order,
+                            (fixture, n, "lie_bracket"))
