@@ -29,14 +29,19 @@ EXIT_CONFIG = 1
 EXIT_SELFTEST = 2
 
 
-def _chunk_width(order: int, rows: int = 1) -> int:
-    """Items per batch: the most whose product temporaries (a float per product-table
-    term and batch row, `rows` rows per item) stay under glibc's 128 KiB mmap threshold."""
+def _chunk_width(order: int, rows: int) -> int:
+    """Items per batch: the most whose largest jet product, at `order` with `rows` float
+    rows per item (batch rows times stacked components), keeps its temporaries (a float
+    per table term and row) within glibc's 128 KiB mmap threshold, above which it slows."""
     return 128 * 1024 // (8 * len(_mul_table(order)[0]) * rows)
 
 
-INVARIANTS_CHUNK = _chunk_width(INVARIANTS_ORDER)
-SINGULAR_FRAME_CHUNK = _chunk_width(SINGULAR_FRAME_ORDER)
+# each chunk's largest products: a frame's (3,)-stacks one order below omega, a system's
+# bracket (3, 3)-stacks two below, and the order-0 (3,)-stacks of a probe's scan nodes
+INVARIANTS_CHUNK = _chunk_width(INVARIANTS_ORDER - 1, 3)
+SINGULAR_FRAME_CHUNK = _chunk_width(SINGULAR_FRAME_ORDER - 1, 3)
+SYMMETRY_CHUNK = _chunk_width(RESIDUAL_MIN_ORDER - 2, 9)
+PROBE_CHUNK = _chunk_width(SIGMA_SCAN_ORDER - 1, 3 * SIGMA_SCAN_NODES)
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -90,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _inputs(args):
     """(omega, metric, items) of a subcommand, its options checked in a fixed order:
     the metric file, the points, grid, probes and base, the options --reconstruct
-    needs, the tolerances (NaN is not positive); then omega and the metric entries."""
+    needs, the tolerances (NaN and inf fail); then omega and the metric entries."""
     metric_text = Path(args.metric_file).read_text() if args.metric_file else ""
     items = [p for text in getattr(args, "points", []) for p in parse_points(text)]
     if getattr(args, "grid", None):
@@ -101,8 +106,8 @@ def _inputs(args):
     if getattr(args, "tol_quad", None) is not None and not reconstruct:
         raise ValueError("--tol-quad requires --reconstruct")
     for name, value in vars(args).items():
-        if name.startswith("tol_") and value is not None and not value > 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be positive")
+        if name.startswith("tol_") and value is not None and not 0 < value < np.inf:
+            raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
     if reconstruct != bool(base):
         raise ValueError("--reconstruct and --base need each other")
     return OneForm.parse(args.omega), MetricField.from_text(metric_text), items
@@ -201,8 +206,7 @@ def cmd_symmetry(args) -> List[PointReport]:
                     rep.diagnostics["reconstruct_error"] = str(exc)
             rep.diagnostics.update(jet_order=RESIDUAL_MIN_ORDER, budget_remaining=sys_.D.order)
 
-    return _chunked(points, _chunk_width(RESIDUAL_MIN_ORDER), records, _noncontact,
-                    _point_error)
+    return _chunked(points, SYMMETRY_CHUNK, records, _noncontact, _point_error)
 
 
 def cmd_singular(args) -> List[PointReport]:
@@ -238,9 +242,8 @@ def cmd_singular(args) -> List[PointReport]:
         _chunked(roots, SINGULAR_FRAME_CHUNK, frames, lambda rep: rep,
                  lambda rep, text: setattr(rep, "error", text))
 
-    return [r for reports in _chunked(
-        probes, _chunk_width(SIGMA_SCAN_ORDER, SIGMA_SCAN_NODES), records,
-        lambda seg: probe_error(seg, "no Sigma crossing on probe"), probe_error) for r in reports]
+    return [r for reports in _chunked(probes, PROBE_CHUNK, records, lambda seg: probe_error(
+        seg, "no Sigma crossing on probe"), probe_error) for r in reports]
 
 
 def main(argv=None) -> int:

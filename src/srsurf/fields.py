@@ -3,7 +3,7 @@
 An expression is Python's expression syntax with `^` for powers, held to a
 whitelist (README, "Expression syntax").  Each expression is parsed by the
 stdlib `ast` and checked against the whitelist, and each field is compiled
-once into one function (point, order) -> the jets of all its components,
+once into one function (point, order) -> one jet of all its components,
 which seeds the coordinate jets once per call.  A derived field (e^phi omega,
 -1/lambda, ...) is a plain (point, order) closure over these.
 """
@@ -34,6 +34,8 @@ _NAMESPACE = {"__builtins__": {},
 # other jet operation.
 _CONSTANT = "_c"
 _PARAMETERS = ast.parse(f"lambda x, y, z, {_CONSTANT}: 0", mode="eval").body.args
+# i + 1 and i + 2 mod 3: (u x v)[i] = u[NEXT] v[AFTER] - u[AFTER] v[NEXT] at i
+NEXT, AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 class ParseError(ValueError):
@@ -152,8 +154,8 @@ class _Parsed:
 
 def _compile(body):
     """Compile a checked expression once into a function (point, order) ->
-    its jets, at one point or an (N, 3) batch.  Each call seeds the three
-    coordinate jets once; a one-form or metric returns them as a tuple."""
+    its jet, at one point or an (N, 3) batch.  Each call seeds the three
+    coordinate jets once; a tuple's jets are stacked into one (`Jet.stack`)."""
     tree = ast.Expression(ast.Lambda(_PARAMETERS, body))
     fn = eval(compile(ast.fix_missing_locations(tree), "<expression>", "eval"),
               _NAMESPACE)
@@ -161,7 +163,8 @@ def _compile(body):
     def at(point, order):
         x = Jet.variable(0, point, int(order))
         y, z = (Jet.variable(axis, x.point, x.order) for axis in (1, 2))
-        return fn(x, y, z, lambda value: Jet.constant(value, x.point, x.order))
+        jets = fn(x, y, z, lambda value: Jet.constant(value, x.point, x.order))
+        return Jet.stack(jets) if isinstance(jets, tuple) else jets
     return at
 
 
@@ -187,7 +190,7 @@ class FieldProgram:
 
 class OneForm:
     """omega = f1 dx + f2 dy + f3 dz, held as one function
-    (point, order) -> (f1, f2, f3) jets."""
+    (point, order) -> the jet (f1, f2, f3) of shape (3,)."""
 
     def __init__(self, fn):
         self._fn = fn
@@ -221,28 +224,24 @@ class OneForm:
             sums[d] = ast.BinOp(sums[d], op, coeff)
         return OneForm(_compile(ast.Tuple([sums[d] for d in _DIFFERENTIALS], ast.Load())))
 
-    def evaluate(self, point, order: int = DEFAULT_ORDER):
-        jets = self._fn(point, order)
-        f1, f2, f3 = (abs(j.value) < 1e-300 for j in jets)
-        fail_where(f1 & f2 & f3, jets[0].point, "one-form vanishes")
-        return jets
+    def evaluate(self, point, order: int = DEFAULT_ORDER) -> Jet:
+        w = self._fn(point, order)
+        fail_where((abs(w.value) < 1e-300).all(axis=0), w.point, "one-form vanishes")
+        return w
 
     def scale(self, factor) -> "OneForm":
         """factor * omega, for a scalar field factor(point, order) -> Jet,
         which is evaluated once per evaluation of the form."""
-        def scaled(p, n):
-            s = factor(p, n)
-            return tuple(s * c for c in self._fn(p, n))
-        return OneForm(scaled)
+        return OneForm(lambda p, n: factor(p, n) * self._fn(p, n))
 
     def __neg__(self) -> "OneForm":
-        return OneForm(lambda p, n: tuple(-c for c in self._fn(p, n)))
+        return OneForm(lambda p, n: -self._fn(p, n))
 
 
 class MetricField:
-    """Ambient 3x3 symmetric metric, held as one function (point, order) ->
-    its upper triangle g11, g12, g13, g22, g23, g33; only its restriction to
-    the plane distribution matters downstream.  Defaults to the identity."""
+    """Ambient 3x3 symmetric metric, held as one function (point, order) -> its
+    upper triangle g11, g12, g13, g22, g23, g33 as a jet of shape (6,); only its
+    restriction to the plane distribution matters.  Defaults to the identity."""
 
     def __init__(self, fn):
         self._fn = fn
@@ -281,39 +280,42 @@ class MetricField:
         return MetricField.from_upper_triangle(block.split("\n") if "\n" in block
                                                else block.split())
 
-    def evaluate(self, point, order: int = DEFAULT_ORDER):
-        g11, g12, g13, g22, g23, g33 = jets = self._fn(point, order)
-        a, b, c, d, e, f = (j.value for j in jets)
+    def evaluate(self, point, order: int = DEFAULT_ORDER) -> Jet:
+        """g as a jet of shape (3, 3), after its values pass the checks."""
+        upper = self._fn(point, order)
+        a, b, c, d, e, f = upper.value
         # leading minors g11, cofactor 33, det g: each positive (not NaN), then finite; unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            adj = adjugate(((a, b, c), (b, d, e), (c, e, f)))
-            m1, m2, m3 = a, adj[2][2], a * adj[0][0] + b * adj[0][1] + c * adj[0][2]
-            fail_where(np.logical_not((m1 > 0) & (m2 > 0) & (m3 > 0)), g11.point,
+            m1, m2 = a, a * d - b * b
+            m3 = a * (d * f - e * e) + b * (e * c - b * f) + c * (b * e - d * c)
+            fail_where(np.logical_not((m1 > 0) & (m2 > 0) & (m3 > 0)), upper.point,
                        "metric not positive definite")
-            fail_where((m1 == np.inf) | (m2 == np.inf) | (m3 == np.inf), g11.point,
+            fail_where((m1 == np.inf) | (m2 == np.inf) | (m3 == np.inf), upper.point,
                        "metric out of range")
-        return ((g11, g12, g13), (g12, g22, g23), (g13, g23, g33))
+        return upper[[[0, 1, 2], [1, 3, 4], [2, 4, 5]]]  # the symmetric 3x3 of the upper triangle
 
 
-def adjugate(g):
-    """adj(g) of a symmetric 3x3 g of jets or of values, from 6 cofactors."""
-    (a, b, c), (_, d, e), (_, _, f) = g
-    a01, a02, a12 = e * c - b * f, b * e - d * c, c * b - e * a
-    return ((d * f - e * e, a01, a02), (a01, f * a - c * c, a12), (a02, a12, a * d - b * b))
+def adjugate(g: Jet) -> Jet:
+    """adj(g) of a symmetric g of shape (3, 3), from its six cofactors
+    g[i1, j1] g[i2, j2] - g[i1, j2] g[i2, j1] (i1 = i + 1, i2 = i + 2 mod 3,
+    and so j1, j2) at i <= j, three to a stacked product."""
+    upper = (([0, 1, 2], [0, 1, 2]), ([0, 0, 1], [1, 2, 2]))  # (i, j): the diagonal; 01, 02, 12
+    c = Jet.stack([g[NEXT[i], NEXT[j]] * g[AFTER[i], AFTER[j]]
+                   - g[NEXT[i], AFTER[j]] * g[AFTER[i], NEXT[j]] for i, j in upper])
+    return c[[[0, 1, 1], [1, 0, 1], [1, 1, 0]], [[0, 0, 1], [0, 1, 2], [1, 2, 2]]]
 
 
-def curl(f):
+def curl(f: Jet) -> Jet:
     """(beta23, beta31, beta12) of d(f1 dx + f2 dy + f3 dz) in the dy^dz,
-    dz^dx, dx^dy basis from the jets f = (f1, f2, f3), with no 1/2 factor:
+    dz^dx, dx^dy basis from the jet f = (f1, f2, f3), with no 1/2 factor:
     d(f)(U, V) = curl(f) . (U x V) = U f(V) - V f(U) - f([U, V])."""
-    return (f[2].partial(1) - f[1].partial(2),
-            f[0].partial(2) - f[2].partial(0),
-            f[1].partial(0) - f[0].partial(1))
+    d = f.grad()  # d[a, i] = d_a f_i
+    return d[NEXT, AFTER] - d[AFTER, NEXT]
 
 
-def curl_and_defect(f):
-    """(curl(f), mu) from the jets f = omega, with mu = omega . curl(omega)
+def curl_and_defect(f: Jet):
+    """(curl(f), mu) from the jet f = omega, with mu = omega . curl(omega)
     the contact defect: the coefficient of omega ^ d(omega) against
     dx^dy^dz, zero exactly on the singular locus."""
     b = curl(f)
-    return b, f[0] * b[0] + f[1] * b[1] + f[2] * b[2]
+    return b, (f * b).sum()

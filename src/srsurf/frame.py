@@ -5,14 +5,14 @@ and the structure functions — all in jet arithmetic."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .fields import DEFAULT_ORDER, MetricField, OneForm, adjugate, curl, curl_and_defect
+from .fields import (AFTER, DEFAULT_ORDER, NEXT, MetricField, OneForm, adjugate, curl,
+                     curl_and_defect)
 from .jets import Jet, JetError, _as_point, fail_where, row_of
 
-JetVector = Tuple[Jet, Jet, Jet]
 TOL_CONTACT = 1e-9  # least |lambda| / |omega|_g of a contact point (--tol-contact)
 
 
@@ -21,58 +21,17 @@ class NoncontactError(JetError):
 
 
 # --------------------------------------------------------------------------
-# small dense jet linear algebra
-
-
-def jvec_sub(u: JetVector, v: JetVector) -> JetVector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def jvec_scale(s, u: JetVector) -> JetVector:
-    return tuple(s * a for a in u)
-
-
-def jvec_dot(u: JetVector, v: JetVector) -> Jet:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def jvec_cross(u: JetVector, v: JetVector) -> JetVector:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
-def jvec_values(u: JetVector):
-    return tuple(a.value for a in u)
-
-
-def jvec_div(u: JetVector, s: Jet) -> JetVector:
-    """u / s with one reciprocal of s."""
-    r = s.reciprocal()
-    return tuple(c * r for c in u)
-
-
-def metric_apply(g, u: JetVector) -> JetVector:
-    """g u: the covector of a vector."""
-    return tuple(g[i][0] * u[0] + g[i][1] * u[1] + g[i][2] * u[2] for i in range(3))
-
-
-def metric_dot(g, u: JetVector, v: JetVector) -> Jet:
-    return jvec_dot(u, metric_apply(g, v))
-
-
-# --------------------------------------------------------------------------
 # frame data
 
 
 @dataclass
 class AdaptedFrame:
-    E1: JetVector
-    E2: JetVector
-    E3: JetVector
-    eta1: JetVector
-    eta2: JetVector
-    eta3: JetVector
+    E1: Jet  # the frame E_a and its dual coframe eta^a: jets of shape (3,)
+    E2: Jet
+    E3: Jet
+    eta1: Jet
+    eta2: Jet
+    eta3: Jet
     lam: Jet
     kind: str  # "contact" | "singular"
     rows: Optional[np.ndarray] = None  # the rows of a batch's points it covers
@@ -106,62 +65,57 @@ class StructureFunctions:
 # constructions
 
 
-def lie_bracket(v: JetVector, w: JetVector) -> JetVector:
-    """[V, W]^a = V^b d_b W^a - W^b d_b V^a of V, W cut to their least order; consumes one order."""
-    m = min(c.order for c in (*v, *w))
-    v, w = (tuple(c.cut(m) for c in u) for u in (v, w))
-    out = []
-    for a in range(3):
-        acc = None
-        for b in range(3):
-            term = v[b] * w[a].partial(b) - w[b] * v[a].partial(b)
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return tuple(out)
+def lie_bracket(v: Jet, w: Jet) -> Jet:
+    """[V, W]^a = V^b d_b W^a - W^b d_b V^a of V, W cut to their least order,
+    the terms summed over b as differences; consumes one order."""
+    m = min(v.order, w.order)
+    v, w = v.cut(m), w.cut(m)
+    return (v[:, None] * w.grad() - w[:, None] * v.grad()).sum()
 
 
-def unit(g, u: JetVector):
-    """(u / |u|_g, g u / |u|_g): a g-unit vector and its covector."""
-    gu = metric_apply(g, u)
-    r = jvec_dot(u, gu).pow(-0.5)
-    return jvec_scale(r, u), jvec_scale(r, gu)
+def unit(g: Jet, u: Jet):
+    """(u / |u|_g, g u / |u|_g): a g-unit vector and its covector, with g u
+    formed as three (3,)-stacked products g[j] u^j of the symmetric g."""
+    gu = g[0] * u[0] + g[1] * u[1] + g[2] * u[2]
+    r = (u * gu).sum().pow(-0.5)
+    return r * u, r * gu
 
 
-def kernel_basis(w: JetVector, g, v: JetVector):
+def kernel_basis(w: Jet, g: Jet, v: Jet):
     """(E1, E2, g E1, g E2) with (E1, E2) = (unit(v), unit(omega x g E1)) for
     v in ker omega.  E2 lies in ker omega, is g-orthogonal to E1, and
     E1 x (omega x g E1) = omega, so (E1, E2, g^-1 omega) is positively
     oriented."""
     e1, ge1 = unit(g, v)
-    e2, ge2 = unit(g, jvec_cross(w, ge1))
+    e2, ge2 = unit(g, w[NEXT] * ge1[AFTER] - w[AFTER] * ge1[NEXT])
     return e1, e2, ge1, ge2
 
 
-def quadratic_form(w: JetVector, g):
-    """(adj(g) omega, q, |omega|_g) from one adjugate of the jets g, with w the
-    jets of omega: q = omega^T adj(g) omega as a jet, and |omega|_g =
+def quadratic_form(w: Jet, g: Jet):
+    """(adj(g) omega, q, |omega|_g) from one adjugate of the jet g, with w the
+    jet of omega: q = omega^T adj(g) omega as a jet, and |omega|_g =
     sqrt(q / det g) from the values (one per point of a batch); lambda /
     |omega|_g and d(lambda) / |omega|_g do not change under omega -> c omega."""
     adj = adjugate(g)
-    aw = metric_apply(adj, w)
-    q = jvec_dot(w, aw)
-    return aw, q, np.sqrt(q.value / jvec_dot(jvec_values(g[0]), jvec_values(adj[0])))
+    aw = adj[0] * w[0] + adj[1] * w[1] + adj[2] * w[2]
+    q = (w * aw).sum()
+    det = g.value[0] * adj.value[0]
+    return aw, q, np.sqrt(q.value / (det[0] + det[1] + det[2]))
 
 
-def lambda_jets(w: JetVector, g):
+def lambda_jets(w: Jet, g: Jet):
     """(w, g, adj(g) omega, q, |omega|_g, lambda) from the jets w = omega and g
     at one order N: g, adj(g) omega and q (`quadratic_form`) cut to N - 1, the
     order of lambda = -mu / sqrt(q) with mu = omega . curl(omega).  For any
     g-orthonormal, positively oriented E1, E2 in ker omega, E1 x E2 = omega /
     sqrt(q), so omega([E1, E2]) = -curl(omega) . (E1 x E2) is lambda, whatever
     the gauge."""
-    n = w[0].order - 1
-    g = tuple(tuple(c.cut(n) for c in row) for row in g)
-    aw, q, norm = quadratic_form(tuple(c.cut(n) for c in w), g)
+    g = g.cut(w.order - 1)
+    aw, q, norm = quadratic_form(w.cut(g.order), g)
     return w, g, aw, q, norm, -(curl_and_defect(w)[1] * q.pow(-0.5))
 
 
-def delta_basis(w: JetVector, g):
+def delta_basis(w: Jet, g: Jet):
     """(E1, E2, g E1, g E2, lambda, |omega|_g) from the jets w = omega and
     g evaluated at one point (or batch) and order N, all from one
     `lambda_jets`: an oriented g-orthonormal basis of ker omega with its
@@ -178,13 +132,14 @@ def delta_basis(w: JetVector, g):
     rotation of this one, which M and K do not see.
     """
     w, g, aw, q, norm, lam = lambda_jets(w, g)
-    diag = np.array([g[i][i].value for i in range(3)])
-    norms = diag - np.array([c.value ** 2 for c in w]) / norm ** 2
-    fail_where(norms.max(axis=0) <= 1e-24 * diag.max(axis=0), w[0].point,
+    diag = np.diagonal(g.value).T
+    norms = diag - w.value ** 2 / norm ** 2
+    fail_where(norms.max(axis=0) <= 1e-24 * diag.max(axis=0), w.point,
                "degenerate projection seed")
     s = norms.argmax(axis=0)  # a batch takes s point by point
-    ws, qv = q._like(np.choose(s, [c.coeffs[:len(q.coeffs)] for c in w])), q.value
-    u = tuple(q._like((q.coeffs * (s == i) - (ws * a).coeffs) / qv) for i, a in enumerate(aw))
+    ws = q._like(w.coeffs[:len(q.coeffs), s, np.arange(len(s))])
+    e_s = q.coeffs[:, None] * (s == np.arange(3)[:, None])
+    u = aw._like((e_s - (ws * aw).coeffs) / q.value)
     return (*kernel_basis(w, g, u), lam, norm)
 
 
@@ -201,28 +156,20 @@ def nonholonomity(omega: OneForm, metric: MetricField, point,
 
 
 def structure_functions(frame: AdaptedFrame) -> StructureFunctions:
-    """C^a_{bc} = -eta^a([E_b, E_c])."""
-    e = frame.frame
-    eta = frame.coframe
-    brackets = {
-        "23": lie_bracket(e[1], e[2]),
-        "31": lie_bracket(e[2], e[0]),
-        "12": lie_bracket(e[0], e[1]),
-    }
-    vals = {}
-    for a in range(3):
-        for bc, br in brackets.items():
-            vals[f"C{a + 1}_{bc}"] = -jvec_dot(eta[a], br)
-    return StructureFunctions(**vals)
+    """C^a_{bc} = -eta^a([E_b, E_c]), for each bracket at once over a; the
+    coframe, stacked at its least order, is at or above every bracket's."""
+    e1, e2, e3 = frame.frame
+    eta = Jet.stack(frame.coframe)  # eta[a, i] = eta^a_i
+    c23, c31, c12 = (-(eta * lie_bracket(u, v)).sum(-1) for u, v in ((e2, e3), (e3, e1), (e1, e2)))
+    return StructureFunctions(*(c[a] for a in range(3) for c in (c23, c31, c12)))
 
 
-def adapted_frame(e1: JetVector, e2: JetVector, ge1: JetVector, ge2: JetVector,
-                  e3: JetVector, eta3: JetVector, lam: Jet, kind: str,
-                  rows: Optional[np.ndarray] = None):
+def adapted_frame(e1: Jet, e2: Jet, ge1: Jet, ge2: Jet, e3: Jet, eta3: Jet, lam: Jet,
+                  kind: str, rows: Optional[np.ndarray] = None):
     """(frame, C): the frame with its dual coframe eta^a = g E_a - g(E_a, E3) eta3,
     a = 1, 2, from the covectors g E1, g E2 (E1, E2 g-orthonormal in ker eta3,
     eta3(E3) = 1), and its C."""
-    eta1, eta2 = (jvec_sub(ge, jvec_scale(jvec_dot(ge, e3), eta3)) for ge in (ge1, ge2))
+    eta1, eta2 = (ge - (ge * e3).sum() * eta3 for ge in (ge1, ge2))
     frame = AdaptedFrame(E1=e1, E2=e2, E3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
                          lam=lam, kind=kind, rows=rows)
     return frame, structure_functions(frame)
@@ -247,16 +194,14 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
         raise NoncontactError(f"point {row_of(point)} is noncontact "
                               f"(|lambda| / |omega|_g = {contact[0]:.3e})")
     if len(rows) < len(contact):  # the frame keeps the contact points
-        def take(j):
-            return (Jet(kept, j.order, j.coeffs[:, rows]) if isinstance(j, Jet)
-                    else tuple(map(take, j)))
         kept = lam.point[rows]
-        w, e1, e2, ge1, ge2, lam = take((w, e1, e2, ge1, ge2, lam))
+        w, e1, e2, ge1, ge2, lam = (Jet(kept, j.order, j.coeffs[..., rows])
+                                    for j in (w, e1, e2, ge1, ge2, lam))
 
-    eta3 = jvec_div(w, -lam)
+    eta3 = w * (-lam).reciprocal()
     # Reeb field: d(eta3)(U, V) = b . (U x V) with b = curl(eta3), so
     # d(eta3)(b, .) = 0 and E3 = b / eta3(b), where eta3(b) = mu / lambda^2
     # = -sqrt(omega^T adj(g) omega) / lambda is nonzero at a contact point.
     b = curl(eta3)
-    e3 = jvec_div(b, jvec_dot(eta3, b))
+    e3 = b * (eta3 * b).sum().reciprocal()
     return adapted_frame(e1, e2, ge1, ge2, e3, eta3, lam, "contact", rows)

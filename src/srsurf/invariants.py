@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm
-from .frame import TOL_CONTACT, AdaptedFrame, JetVector, StructureFunctions, build_contact_frame
+from .frame import TOL_CONTACT, AdaptedFrame, StructureFunctions, build_contact_frame
 from .jets import Jet
 
 # Least jet order of M and K: E3 needs d(eta3), the structure functions
@@ -14,9 +14,9 @@ from .jets import Jet
 INVARIANTS_ORDER = 3
 
 
-def directional_derivative(f: Jet, e: JetVector) -> Jet:
-    """E(f) = E^a d_a f as a jet; consumes one derivative level."""
-    return e[0] * f.partial(0) + e[1] * f.partial(1) + e[2] * f.partial(2)
+def directional_derivative(f: Jet, e: Jet) -> Jet:
+    """E(f) = E^a d_a f of a scalar f along a vector e, as a jet; consumes one derivative level."""
+    return (e * f.grad()).sum()
 
 
 def torsion_and_connection_coeffs(c: StructureFunctions):

@@ -7,16 +7,21 @@ product of two jets is known only to the lower of their orders, and
 differentiating a jet of order 0 is a hard error rather than silent
 garbage.
 
-A jet holds a batch of N points, an (N, 3) float array, with coefficients
-(n_coeffs, N) and one value per point; a point alone is a batch of one.
-Each column is its point's jet bit for bit, whatever the batch: products sum
-their terms in one order, and series come from `math` point by point.
+A jet holds a batch of N points, an (N, 3) float array, and has a shape:
+its coefficients are (n_coeffs, *shape, N), one value per component and
+point.  A point alone is a batch of one, and a scalar is a jet of shape ();
+a 3-vector is a jet of shape (3,) and a 3x3 matrix one of shape (3, 3).
+Arithmetic broadcasts over the component axes as numpy does, indexing picks
+components, and `sum` adds along a component axis in index order.  Each
+column and component is its own scalar jet bit for bit, whatever the batch
+or stack: products sum their terms in one order, and series come from
+`math` point by point.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -54,12 +59,12 @@ def _index_map(order: int):
 
 
 @lru_cache(maxsize=32)  # bounded: a batch's table grows with its size
-def _mul_table(order: int, batch: int = 0):
-    """Triples (ia, ib, iout) with mi[iout] = mi[ia] + mi[ib]; for a batch
-    of N points, iout indexes the flattened (n_coeffs, N) result."""
-    if batch:
+def _mul_table(order: int, width: int = 0):
+    """Triples (ia, ib, iout) with mi[iout] = mi[ia] + mi[ib]; for `width` floats
+    per coefficient (components times points), iout indexes the flat result."""
+    if width:
         ia, ib, io = _mul_table(order)
-        return ia, ib, (io[:, None] * batch + np.arange(batch)).ravel()
+        return ia, ib, (io[:, None] * width + np.arange(width)).ravel()
     mis = multi_indices(order)
     imap = _index_map(order)
     table = []
@@ -72,14 +77,13 @@ def _mul_table(order: int, batch: int = 0):
 
 
 @lru_cache(maxsize=None)
-def _partial_map(order: int, axis: int):
-    """(src, scale): d/d(axis) of an order-`order` jet sends
-    coeffs[src[k]] * scale[k] to coefficient k of an order-(order - 1) jet;
-    scale is a column, one factor per row of coefficients."""
-    e = tuple(int(a == axis) for a in range(3))
-    up = [tuple(m + d for m, d in zip(mi, e)) for mi in multi_indices(order - 1)]
-    return (np.array([_index_map(order)[mi] for mi in up]),
-            np.array([[mi[axis]] for mi in up], dtype=float))
+def _partial_map(order: int):
+    """(src, scale), each (n_coeffs(order - 1), 3): d/d(axis) of an
+    order-`order` jet sends coeffs[src[k, axis]] * scale[k, axis] to
+    coefficient k of an order-(order - 1) jet."""
+    mis, imap = multi_indices(order - 1), _index_map(order)
+    src = [[imap[i + 1, j, k], imap[i, j + 1, k], imap[i, j, k + 1]] for i, j, k in mis]
+    return np.array(src), np.array(mis, dtype=float) + 1.0
 
 
 def n_coeffs(order: int) -> int:
@@ -122,13 +126,14 @@ def _series(terms):
             raise JetError(f"Taylor series of {terms.__name__} at {v} overflows a float") from None
 
     def compose(self: "Jet", *args) -> "Jet":
-        return self.compose_series(
-            np.array([at(x, self.order, args) for x in self.value.tolist()]).T)
+        series = [at(x, self.order, args) for x in self.value.ravel().tolist()]
+        return self.compose_series(np.array(series).T.reshape(-1, *self.value.shape))
     return compose
 
 
 class Jet:
-    """Taylor expansion of a scalar at a base point, truncated at `order`.
+    """Taylor expansion of a scalar, vector or matrix at a base point,
+    truncated at `order`.
 
     Jets are immutable values; all arithmetic returns new instances.  The
     order is the derivative budget: `partial` costs one order, and the
@@ -139,14 +144,16 @@ class Jet:
     __slots__ = ("point", "order", "coeffs")
 
     def __init__(self, point, order: int, coeffs: np.ndarray):
-        """coeffs: (n_coeffs(order), N), or n_coeffs(order) numbers at a batch of one."""
+        """coeffs: (n_coeffs(order), *shape, N), or n_coeffs(order) numbers
+        for a scalar at a batch of one."""
         _check_order(order)
         self.point = _as_point(point)
         self.order = order
-        c, n = np.asarray(coeffs, dtype=float), n_coeffs(order)
-        if c.shape[:1] != (n,) or c.ndim > 2 or c.size != n * len(self.point):
+        c = np.asarray(coeffs, dtype=float)
+        c = c[:, None] if c.ndim == 1 else c
+        if c.shape[:1] != (n_coeffs(order),) or c.shape[-1] != len(self.point):
             raise JetError("coefficient array has wrong shape for order and point")
-        self.coeffs = c.reshape(n, -1)
+        self.coeffs = c
 
     # -- constructors ------------------------------------------------------
 
@@ -170,12 +177,17 @@ class Jet:
     # -- basic queries -----------------------------------------------------
 
     @property
+    def shape(self) -> tuple:
+        """The component axes: () for a scalar, (3,) for a 3-vector."""
+        return self.coeffs.shape[1:-1]
+
+    @property
     def value(self) -> np.ndarray:
-        """The values, one per point."""
+        """The values, (*shape, N): one per component and point."""
         return self.coeffs[0]
 
     def value_at(self, row: int) -> float:
-        """The value at row `row` of the batch, as a float."""
+        """The value of a scalar at row `row` of the batch, as a float."""
         return float(self.coeffs[0, row])
 
     def coeff(self, mi) -> np.ndarray:
@@ -193,7 +205,7 @@ class Jet:
         return self.coeff(mi) * fact
 
     def __repr__(self):
-        return (f"Jet(point={self.point}, order={self.order}, "
+        return (f"Jet(point={self.point}, order={self.order}, shape={self.shape}, "
                 f"value={self.value!r})")
 
     # -- helpers -----------------------------------------------------------
@@ -201,8 +213,8 @@ class Jet:
     @classmethod
     def _new(cls, point, order: int, coeffs: np.ndarray) -> "Jet":
         """Unchecked constructor for results of operations on valid jets: an
-        (N, 3) float point, 0 <= order <= MAX_ORDER and (n_coeffs(order), N)
-        float coeffs."""
+        (N, 3) float point, 0 <= order <= MAX_ORDER and (n_coeffs(order),
+        *shape, N) float coeffs."""
         jet = object.__new__(cls)
         jet.point, jet.order, jet.coeffs = point, order, coeffs
         return jet
@@ -212,18 +224,49 @@ class Jet:
 
     def _truncated(self, other: "Jet"):
         """(order, a, b): the lower order of two jets at one batch of points
-        (one array, or equal ones) and their coefficients, cut to that order."""
+        (one array, or equal ones) and their coefficients, cut to that order,
+        with as many component axes, so that they broadcast as numpy's do."""
         p, q = self.point, other.point
         if p is not q and not np.array_equal(p, q):
             raise JetError(f"base point mismatch: {p} vs {q}")
-        if self.order == other.order:
-            return self.order, self.coeffs, other.coeffs
-        order = min(self.order, other.order)
-        return order, self.cut(order).coeffs, other.cut(order).coeffs
+        order, a, b = self.order, self.coeffs, other.coeffs
+        if order != other.order:
+            order, n = min(order, other.order), min(len(a), len(b))
+            a, b = a[:n], b[:n]
+        if a.ndim != b.ndim:  # component axes align from the right, before the points
+            m = max(a.ndim, b.ndim)
+            a, b = (c.reshape(c.shape[:1] + (1,) * (m - c.ndim) + c.shape[1:]) for c in (a, b))
+        return order, a, b
 
     def cut(self, order: int) -> "Jet":
         """The jet at a lower order, 0 included: a view of its leading coefficients."""
         return Jet._new(self.point, order, self.coeffs[:n_coeffs(order)])
+
+    # -- components --------------------------------------------------------
+
+    def __getitem__(self, key) -> "Jet":
+        """The components at `key`, a numpy index into the component axes."""
+        key = key if isinstance(key, tuple) else (key,)
+        if sum(k is not None for k in key) > self.coeffs.ndim - 2:
+            raise JetError(f"index {key} has more axes than a jet of shape {self.shape}")
+        return self._like(self.coeffs[(slice(None), *key)])
+
+    def sum(self, axis: int = 0) -> "Jet":
+        """The sum along a component axis, added in index order: ((c0 + c1) + c2)."""
+        c, axes = self.coeffs, self.coeffs.ndim - 2
+        if not -axes <= axis < axes:
+            raise JetError(f"no component axis {axis} in a jet of shape {self.shape}")
+        at = (slice(None),) * (axis % axes + 1)
+        return self._like(reduce(np.add, [c[at + (k,)] for k in range(c.shape[len(at)])]))
+
+    @staticmethod
+    def stack(jets) -> "Jet":
+        """Jets of one shape at one batch of points as one jet with a new
+        first component axis, at their least order."""
+        order, p = min(j.order for j in jets), jets[0].point
+        if any(j.point is not p and not np.array_equal(j.point, p) for j in jets):
+            raise JetError(f"base point mismatch in a stack at {p}")
+        return Jet._new(p, order, np.stack([j.coeffs[:n_coeffs(order)] for j in jets], axis=1))
 
     @staticmethod
     def _coerce(other, template: "Jet"):
@@ -258,10 +301,13 @@ class Jet:
             return self._like(np.multiply(self.coeffs, np.asarray(other, dtype=float),
                                           out=np.empty(self.coeffs.shape)))
         order, a, b = self._truncated(other)
-        ia, ib, io = _mul_table(order, a.shape[1])
+        ia, ib, _ = _mul_table(order)
         # `take` gathers rows faster than indexing does, at every width
-        out = np.bincount(io, weights=(a.take(ia, 0) * b.take(ib, 0)).ravel(), minlength=a.size)
-        return Jet._new(self.point, order, out.reshape(a.shape))
+        terms = a.take(ia, 0) * b.take(ib, 0)  # broadcast over the component axes
+        width = terms.size // len(ia)
+        out = np.bincount(_mul_table(order, width)[2], weights=terms.ravel(),
+                          minlength=len(a) * width)
+        return Jet._new(self.point, order, out.reshape((len(a),) + terms.shape[1:]))
 
     __rmul__ = __mul__
 
@@ -361,8 +407,13 @@ class Jet:
         """Jet of the partial derivative along `axis`, one order lower."""
         if axis not in (0, 1, 2):
             raise JetError(f"axis must be 0, 1 or 2, got {axis}")
+        return self.grad()[axis]
+
+    def grad(self) -> "Jet":
+        """The partial derivatives along x, y and z as one jet of shape
+        (3, *shape), one order lower: grad()[a] is partial(a)."""
         if self.order < 1:
             raise BudgetExhausted("cannot differentiate: jet budget exhausted")
-        src, scale = _partial_map(self.order, axis)
+        src, scale = _partial_map(self.order)
+        scale = scale.reshape(scale.shape + (1,) * (self.coeffs.ndim - 1))
         return Jet._new(self.point, self.order - 1, self.coeffs.take(src, 0) * scale)
-

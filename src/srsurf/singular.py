@@ -10,10 +10,9 @@ from typing import List
 
 import numpy as np
 
-from .fields import DEFAULT_ORDER, MetricField, OneForm, curl_and_defect
-from .frame import (AdaptedFrame, StructureFunctions, adapted_frame, jvec_cross, jvec_div,
-                    jvec_dot, jvec_values, kernel_basis, lambda_evaluation, metric_dot,
-                    nonholonomity)
+from .fields import AFTER, DEFAULT_ORDER, NEXT, MetricField, OneForm, curl_and_defect
+from .frame import (AdaptedFrame, StructureFunctions, adapted_frame, kernel_basis,
+                    lambda_evaluation, nonholonomity)
 from .invariants import directional_derivative
 from .jets import Jet, JetError, _mul_table, multi_indices, n_coeffs, row_of
 
@@ -91,14 +90,16 @@ def _polish(omega, metric, p0, d, t, lo, hi, rising, kind):
     return t, steps, ~np.isin(np.arange(n), rows)
 
 
-def _on_delta(w, g, q: Jet, norm, lam: Jet):
+def _on_delta(w: Jet, g: Jet, q: Jet, norm, lam: Jet):
     """(D, |d(lambda)|_Delta|, transversal) from one `lambda_evaluation`: the
-    jets D = d(lambda) x omega, and from values |D|_g / sqrt(q), which is the
+    jet D = d(lambda) x omega, and from values |D|_g / sqrt(q), which is the
     frame's E2(lambda) since |omega x g D|_g = |D|_g sqrt(q) for omega(D) = 0;
     a row is transversal where it is above TRANSVERSALITY_EPS |omega|_g."""
-    d = jvec_cross(tuple(lam.partial(a) for a in range(3)), w)
-    dv = jvec_values(d)
-    size = np.sqrt(metric_dot(tuple(map(jvec_values, g)), dv, dv) / q.value)
+    dl = lam.grad()
+    d = dl[NEXT] * w[AFTER] - dl[AFTER] * w[NEXT]
+    dv, gv = d.value, g.value
+    dgd = dv * (gv[0] * dv[0] + gv[1] * dv[1] + gv[2] * dv[2])
+    size = np.sqrt((dgd[0] + dgd[1] + dgd[2]) / q.value)
     return d, size, size / norm > TRANSVERSALITY_EPS
 
 
@@ -153,8 +154,8 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     return out
 
 
-def _jet_quotient(w, mu: Jet):
-    """(u, r) per row: u, the (3, n_coeffs(mu.order - 1), N) coefficients of w / mu,
+def _jet_quotient(w: Jet, mu: Jet):
+    """(u, r) per row: u, the (n_coeffs(mu.order - 1), 3, N) coefficients of w / mu,
     fits w = u mu degree by degree by least squares against the linear part of
     mu (mu(p) is dropped), a degree one stacked solve for all rows; r is the
     row's largest coefficient, degree 1 and up, of w - u mu."""
@@ -163,7 +164,7 @@ def _jet_quotient(w, mu: Jet):
     keep = (ia < nu) & (ib > 0)
     mul = np.zeros((mu.coeffs.shape[1], len(mu.coeffs), nu))  # [row, :, j]: x^j mu
     mul[:, io[keep], ia[keep]] = mu.coeffs[ib[keep]].T
-    wc = np.stack([c.coeffs.T for c in w], axis=2)
+    wc = w.coeffs.transpose(2, 0, 1)
     u, r = np.zeros((len(wc), nu, 3)), np.zeros(len(wc))
     for d in range(n):  # degree d of u fits degree d + 1 of w
         lo, hi, top = n_coeffs(d - 1), n_coeffs(d), n_coeffs(d + 1)
@@ -171,10 +172,10 @@ def _jet_quotient(w, mu: Jet):
         rhs = wc[:, hi:top] - mul[:, hi:top, :lo] @ u[:, :lo]
         u[:, lo:hi] = np.linalg.pinv(a) @ rhs
         r = np.maximum(r, np.abs(rhs - a @ u[:, lo:hi]).max(axis=(1, 2)))
-    return u.T, r
+    return u.transpose(1, 2, 0), r
 
 
-def characteristic_field(form):
+def characteristic_field(form: Jet) -> Jet:
     """V = w / omega(w) from the jets `form` of omega at a batch of points, with
     w the (d omega)-vector spanning ker(d omega); consumes one jet order.
 
@@ -185,17 +186,17 @@ def characteristic_field(form):
     coefficient of w: the first such row raises its first failing test.
     """
     w, omw = curl_and_defect(form)
-    size = np.sqrt(sum(v * v for v in jvec_values(form)))
+    size = np.sqrt(sum(form.value * form.value))
     # omega -> c omega scales |omega|, w and omega(w) by c, c and c^2, so
     # every test below compares ratios
-    w_max = np.max(np.abs(jvec_values(w)), axis=0)
+    w_max = np.abs(w.value).max(axis=0)
     sigma = ~(np.abs(omw.value) > CHARACTERISTIC_TOL * size * (size + w_max))
     # a Sigma row divides by a stand-in 1, and takes the quotient below
-    v = jvec_div(w, omw._like(np.where(sigma, np.eye(len(omw.coeffs), 1), omw.coeffs)))
+    v = w * omw._like(np.where(sigma, np.eye(len(omw.coeffs), 1), omw.coeffs)).reciprocal()
     if not sigma.any():
         return v
     u, remainder = _jet_quotient(w, omw)
-    w_scale = np.abs(np.concatenate([c.coeffs for c in w])).max(axis=0)
+    w_scale = np.abs(w.coeffs).max(axis=(0, 1))
     fails = sigma & np.array([w_max > CHARACTERISTIC_TOL * size,
                               np.abs(omw.coeffs[1:4]).max(axis=0)
                               <= CHARACTERISTIC_TOL * size * w_scale,
@@ -206,8 +207,7 @@ def characteristic_field(form):
                 "omega(w) has no linear part at {}: not special",
                 "omega(w) does not divide w at {}: not special")[np.argmax(fails[:, row])]
         raise SingularFrameError(text.format(row_of(omw.point, row)))
-    return tuple(Jet._new(omw.point, omw.order - 1, np.where(sigma, ua, va.coeffs[:len(ua)]))
-                 for ua, va in zip(u, v))
+    return Jet._new(v.point, v.order - 1, np.where(sigma, u, v.coeffs[:len(u)]))
 
 
 def build_singular_frame(omega: OneForm, metric: MetricField, point,
@@ -229,7 +229,7 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     # E2 = unit(omega x g E1) and d(lambda) . (omega x g D) = g(D, D) > 0
     e1, e2, ge1, ge2 = kernel_basis(w, g, direction)
     e3 = characteristic_field(w)
-    return adapted_frame(e1, e2, ge1, ge2, e3, jvec_div(w, jvec_dot(w, e3)), lam, "singular")
+    return adapted_frame(e1, e2, ge1, ge2, e3, w * (w * e3).sum().reciprocal(), lam, "singular")
 
 
 def lambda_identities(frame: AdaptedFrame, c: StructureFunctions):

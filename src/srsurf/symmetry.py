@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
-from .frame import TOL_CONTACT, AdaptedFrame, StructureFunctions, jvec_values, lie_bracket
+from .frame import TOL_CONTACT, AdaptedFrame, StructureFunctions, lie_bracket
 from .invariants import INVARIANTS_ORDER, directional_derivative, invariants_at
 from .jets import Jet, JetError, _as_point, row_of
 
@@ -90,8 +90,8 @@ def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
     E3 lnf = 0: d(ln f) = EQ1 eta1 + EQ2 eta2 in the dual coframe."""
     if sys_.degenerate.any():
         raise DegeneratePointError("no EQ system at a degenerate point")
-    eta = np.array([jvec_values(e) for e in sys_.frame.coframe])
-    return sys_.EQ1.value * eta[0] + sys_.EQ2.value * eta[1]
+    eta1, eta2, _ = sys_.frame.coframe
+    return sys_.EQ1.value * eta1.value + sys_.EQ2.value * eta2.value
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (dqk21): the Kronrod abscissae, outermost
@@ -247,16 +247,16 @@ class SymmetryField:
 
 def assemble_V(f, e1f, e2f, frame):
     """V = -E2(f) E1 + E1(f) E2 + f E3 from f, E1(f), E2(f) and the frame
-    (E1, E2, E3), all jets or all values."""
-    return tuple(-e2f * a + e1f * b + f * c for a, b, c in zip(*frame))
+    (E1, E2, E3): scalar jets and jets of shape (3,), or floats and arrays (3,)."""
+    return -e2f * frame[0] + e1f * frame[1] + f * frame[2]
 
 
 def reconstructed_V(sys_: SymmetrySystem, lnf: float, row: int = 0):
     """(f, V) at the system's row `row` from a reconstructed ln f there:
     f = e^{ln f}, E1 f = f EQ1 and E2 f = f EQ2, as floats."""
     fv = float(np.exp(lnf))
-    return fv, assemble_V(fv, fv * sys_.EQ1.value_at(row), fv * sys_.EQ2.value_at(row),
-                          [tuple(c.value_at(row) for c in e) for e in sys_.frame.frame])
+    return fv, tuple(assemble_V(fv, fv * sys_.EQ1.value_at(row), fv * sys_.EQ2.value_at(row),
+                                [e.value[:, row] for e in sys_.frame.frame]).tolist())
 
 
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
@@ -274,13 +274,11 @@ def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
     e1f, e2f, e3f = (directional_derivative(fj, e) for e in frame.frame)
     v = assemble_V(fj, e1f, e2f, frame.frame)
     vk, vm = (directional_derivative(inv, v).value for inv in (vals.K, vals.M))
-    br1, br2 = lie_bracket(frame.E1, v), lie_bracket(frame.E2, v)
-    lam_mult = sum(frame.eta2[i].value * br1[i].value for i in range(3))
-    d1 = np.array([br1[i].value - lam_mult * frame.E2[i].value for i in range(3)])
-    d2 = np.array([br2[i].value + lam_mult * frame.E1[i].value for i in range(3)])
-    vs = np.array(jvec_values(v))
+    br1, br2 = (lie_bracket(e, v).value for e in (frame.E1, frame.E2))
+    lam_mult = sum(frame.eta2.value * br1)
+    d1, d2 = br1 - lam_mult * frame.E2.value, br2 + lam_mult * frame.E1.value
     return [SymmetryField(
-        point=row_of(points, k), f_value=float(fj.value[k]), V=tuple(vs[:, k].tolist()),
+        point=row_of(points, k), f_value=float(fj.value[k]), V=tuple(v.value[:, k].tolist()),
         VK=float(vk[k]), VM=float(vm[k]), E3f=float(e3f.value[k]),
         bracket_defect_1=float(np.linalg.norm(d1[:, k])),
         bracket_defect_2=float(np.linalg.norm(d2[:, k]))) for k in range(len(points))]

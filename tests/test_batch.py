@@ -13,7 +13,7 @@ import srsurf.cli
 from srsurf import (Jet, JetError, MAX_ORDER, MetricField, OneForm, build_contact_frame,
                     build_singular_frame, build_system, delta_basis, integrability_residuals,
                     lambda_identities, locate_sigma, multi_indices, n_coeffs, sigma_invariants)
-from srsurf.cli import INVARIANTS_CHUNK, _chunk_width, main
+from srsurf.cli import INVARIANTS_CHUNK, PROBE_CHUNK, SYMMETRY_CHUNK, _chunk_width, main
 from srsurf.frame import quadratic_form
 from srsurf.invariants import INVARIANTS_ORDER
 from srsurf.singular import SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER
@@ -154,8 +154,10 @@ def test_omega_norm_matches_the_solve():
         g = (q * rng.uniform(0.5, 2.0, 3)) @ q.T * 10 ** rng.uniform(-3, 3)
         g = (g + g.T) / 2
         w = rng.normal(size=3) * 10 ** rng.uniform(-3, 3)
-        got = quadratic_form(tuple(Jet.constant(c, point, 1) for c in w),
-                             tuple(tuple(Jet.constant(c, point, 1) for c in row) for row in g))[2]
+        def jet(values):  # a constant jet of the shape of `values`
+            return (Jet.stack([jet(v) for v in values]) if np.ndim(values)
+                    else Jet.constant(values, point, 1))
+        got = quadratic_form(jet(w), jet(g))[2]
         want = math.sqrt(w @ np.linalg.solve(g, w))
         assert abs(got / want - 1) <= 1e-15
 
@@ -295,17 +297,16 @@ def test_batch_wide_errors_name_the_first_row(euclid):
 
 # -- chunked `srsurf symmetry` and `srsurf singular` ---------------------------
 
-SYMMETRY_CHUNK = _chunk_width(RESIDUAL_MIN_ORDER)
 # not positive definite at x <= 0; with the axial form, degenerate at y = 0
 BAD_METRIC = "x 0 0 1 0 1"
 
 
 def test_chunk_width_rule():
-    """One rule for every order: 128 KiB over 8 bytes per product-table term
-    and batch row."""
-    assert INVARIANTS_CHUNK == _chunk_width(INVARIANTS_ORDER) == 195
-    assert SYMMETRY_CHUNK == 35
-    assert _chunk_width(SIGMA_SCAN_ORDER, SIGMA_SCAN_NODES) == 70
+    """One rule for every chunk: 128 KiB over 8 bytes per product-table term
+    and float row of the chunk's largest product, at the order it runs at."""
+    assert INVARIANTS_CHUNK == _chunk_width(INVARIANTS_ORDER - 1, 3) == 195
+    assert SYMMETRY_CHUNK == _chunk_width(RESIDUAL_MIN_ORDER - 2, 9) == 21
+    assert PROBE_CHUNK == _chunk_width(SIGMA_SCAN_ORDER - 1, 3 * SIGMA_SCAN_NODES) == 165
 
 
 def _cli(capsys, argv):

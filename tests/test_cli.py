@@ -261,6 +261,13 @@ def test_nonfinite_input_exits_1(capsys, command, option, value, message):
     ("symmetry", "--tol-degenerate", "-1"),
     ("singular", "--tol-root", "-1"),
     ("symmetry", "--tol-quad", "0"),
+    # a tolerance that overflows to inf would make every point noncontact
+    # (degenerate, a root) without a word
+    ("invariants", "--tol-contact", "inf"),
+    ("invariants", "--tol-contact", "1e400"),
+    ("symmetry", "--tol-degenerate", "inf"),
+    ("singular", "--tol-root", "1e400"),
+    ("symmetry", "--tol-quad", "nan"),
 ])
 def test_nonpositive_tolerance_names_its_option(capsys, command, option, value):
     argv = [command, "--omega", CARTAN, f"{option}={value}"]
@@ -268,7 +275,7 @@ def test_nonpositive_tolerance_names_its_option(capsys, command, option, value):
              else ["--points", "1,0,0"])
     if option == "--tol-quad":
         argv += ["--reconstruct", "--base", "0,0,0"]
-    assert run_cli(capsys, *argv) == (1, "", f"error: {option} must be positive\n")
+    assert run_cli(capsys, *argv) == (1, "", f"error: {option} must be positive and finite\n")
 
 
 @pytest.mark.parametrize("command, where", [

@@ -8,8 +8,8 @@ from srsurf import (FieldProgram, Jet, JetError, MetricField, NoncontactError,
                     OneForm, build_contact_frame, build_system, delta_basis,
                     integrability_residuals, invariants_at, lie_bracket,
                     n_coeffs, nonholonomity)
-from srsurf.frame import (jvec_cross, jvec_dot, jvec_values, metric_apply, metric_dot,
-                          quadratic_form, unit)
+from srsurf.fields import AFTER, NEXT
+from srsurf.frame import quadratic_form, unit
 from srsurf.selftest import GAUGE_ANGLE, turn
 
 from conftest import (AXIAL_FORM, AXIAL_METRIC, CARTAN, HEISENBERG, OFF_DIAGONAL_METRIC,
@@ -21,13 +21,21 @@ def _vals(u):
 
 
 def _const_field(point, comps, order=4):
-    return tuple(Jet.constant(float(c), point, order) for c in comps)
+    return Jet.stack([Jet.constant(float(c), point, order) for c in comps])
 
 
 def _field(point, fns, order=4):
     """Vector field given by componentwise closures of coordinate jets."""
     x, y, z = (Jet.variable(axis, point, order) for axis in range(3))
-    return tuple(f(x, y, z) for f in fns)
+    return Jet.stack([f(x, y, z) for f in fns])
+
+
+def _cross(u, v):
+    return u[NEXT] * v[AFTER] - u[AFTER] * v[NEXT]
+
+
+def _metric_dot(g, u, v):
+    return (u * (g * v).sum(-1)).sum()
 
 
 # -- delta_basis -----------------------------------------------------------
@@ -56,11 +64,11 @@ def test_delta_basis_orthonormal_random(heisenberg, euclid, rng):
         for p in box_points(rng, 10):
             w, gm = heisenberg.evaluate(p), metric.evaluate(p)
             e1, e2 = delta_basis(w, gm)[:2]
-            assert abs(metric_dot(gm, e1, e1).value - 1) < 1e-10
-            assert abs(metric_dot(gm, e2, e2).value - 1) < 1e-10
-            assert abs(metric_dot(gm, e1, e2).value) < 1e-10
-            assert abs(jvec_dot(w, e1).value) < 1e-10
-            assert abs(jvec_dot(w, e2).value) < 1e-10
+            assert abs(_metric_dot(gm, e1, e1).value - 1) < 1e-10
+            assert abs(_metric_dot(gm, e2, e2).value - 1) < 1e-10
+            assert abs(_metric_dot(gm, e1, e2).value) < 1e-10
+            assert abs((w * e1).sum().value) < 1e-10
+            assert abs((w * e2).sum().value) < 1e-10
 
 
 def test_delta_basis_vanishing_form(euclid):
@@ -71,7 +79,7 @@ def test_delta_basis_vanishing_form(euclid):
 
 def _old_seed(w, g, s):
     """E1's seed as first written: (g n) x omega with n = omega x g e_s."""
-    return jvec_cross(metric_apply(g, jvec_cross(w, tuple(g[i][s] for i in range(3)))), w)
+    return _cross((g * _cross(w, g[:, s])).sum(-1), w)
 
 
 @settings(max_examples=50, deadline=None)
@@ -87,10 +95,10 @@ def test_seed_is_the_projection_seed(seed, g_exp, w_exp):
     dg = rng.normal(size=(3, 3, n_coeffs(order))) * 0.3 * 10 ** g_exp
     dg[..., 0] = g0
     dg = (dg + dg.transpose(1, 0, 2)) / 2
-    g = tuple(tuple(Jet(point, order, dg[i, j]) for j in range(3)) for i in range(3))
-    w = tuple(Jet(point, order, c) for c in rng.normal(size=(3, n_coeffs(order))) * 10 ** w_exp)
+    g = Jet(point, order, dg.transpose(2, 0, 1)[..., None])
+    w = Jet(point, order, rng.normal(size=(n_coeffs(order), 3, 1)) * 10 ** w_exp)
     aw, q, norm = quadratic_form(w, g)
-    s = int(np.argmax([g[i][i].value - w[i].value ** 2 / norm ** 2 for i in range(3)]))
+    s = int(np.argmax([g[i, i].value - w[i].value ** 2 / norm ** 2 for i in range(3)]))
     old = np.array([c.coeffs for c in _old_seed(w, g, s)])
     new = np.array([(q * float(i == s) - w[s] * aw[i]).coeffs for i in range(3)])
     assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
@@ -99,27 +107,43 @@ def test_seed_is_the_projection_seed(seed, g_exp, w_exp):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+# Jet's arithmetic, its derivatives and series, and its component methods
+JET_OPS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+           "__truediv__", "__rtruediv__", "__pow__", "partial", "grad", "reciprocal", "pow",
+           "sqrt", "exp", "log", "sin", "cos", "__getitem__", "sum", "stack")
+
+
 def test_jet_product_counts(monkeypatch):
     # one adj(g) omega per frame gives lambda, |omega|_g and E1's seed, and
     # the coframe takes the covectors g E1, g E2 that `unit` formed; the
-    # terms, the coefficient products at each product's result order, show
-    # each jet formed at the order its consumers keep, on any machine
+    # terms, the coefficient products at each product's result order times
+    # its components, show each jet formed at the order its consumers keep,
+    # on any machine.  A stacked product is one call: with one jet per
+    # component the same work took 429 calls and 195 products, and 557 and 250.
     omega, metric = OneForm.parse(AXIAL_FORM), MetricField.from_upper_triangle(AXIAL_METRIC)
-    count, mul = [0, 0], Jet.__mul__
+    count = {"calls": 0, "products": 0, "terms": 0}
 
-    def counted(self, other):
-        count[0] += 1
-        if isinstance(other, Jet):
-            count[1] += math.comb(min(self.order, other.order) + 6, 6)
-        return mul(self, other)
-    monkeypatch.setattr(Jet, "__mul__", counted)
-    monkeypatch.setattr(Jet, "__rmul__", counted)
+    def counting(name, fn):
+        def counted(*args):
+            count["calls"] += 1
+            a, b = (args + (None,))[:2]
+            if name.endswith("mul__") and isinstance(b, Jet):
+                count["products"] += 1
+                count["terms"] += (math.comb(min(a.order, b.order) + 6, 6)
+                                   * math.prod(np.broadcast_shapes(a.shape, b.shape)))
+            return fn(*args)
+        return counted
+    for name in JET_OPS:
+        fn = vars(Jet)[name]
+        static = isinstance(fn, staticmethod)
+        counted = counting(name, fn.__func__ if static else fn)
+        monkeypatch.setattr(Jet, name, staticmethod(counted) if static else counted)
     p = (0.4, 0.3, 0.1)
     invariants_at(omega, metric, p, 3)
-    assert count == [195, 2834]
-    count[:] = [0, 0]
+    assert count == {"calls": 189, "products": 57, "terms": 2834}
+    count.update(calls=0, products=0, terms=0)
     integrability_residuals(build_system(omega, metric, p, 5))
-    assert count == [250, 25961]
+    assert count == {"calls": 267, "products": 92, "terms": 25961}
 
 
 # -- lie_bracket -----------------------------------------------------------
@@ -179,7 +203,7 @@ def test_nonholonomity_oracles(heisenberg, cartan, omega1, euclid):
 def _bracket_lambda(w, g, theta=0.0):
     """omega([E1, E2]) in the delta_basis gauge turned by the angle theta."""
     e1, e2 = turn(theta, *delta_basis(w, g)[:2])
-    return jvec_dot(w, lie_bracket(e1, e2))
+    return (w * lie_bracket(e1, e2)).sum()
 
 
 def test_bracket_lambda_so2_invariant(heisenberg, euclid, rng):
@@ -272,8 +296,8 @@ def test_deta3_on_e1_e2_is_one(heisenberg, cartan, euclid, rng):
             b = (eta3[2].partial(1) - eta3[1].partial(2),
                  eta3[0].partial(2) - eta3[2].partial(0),
                  eta3[1].partial(0) - eta3[0].partial(1))
-            u = np.ravel(jvec_values(frame.E1))
-            v = np.ravel(jvec_values(frame.E2))
+            u = np.ravel(frame.E1.value)
+            v = np.ravel(frame.E2.value)
             cross = np.cross(u, v)
             val = sum(b[i].value * cross[i] for i in range(3))
             assert abs(val - 1.0) < 1e-9

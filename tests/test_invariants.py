@@ -6,7 +6,6 @@ from srsurf import (FieldProgram, Jet, MetricField, NoncontactError, OneForm,
                     build_contact_frame, directional_derivative, invariant_K,
                     invariant_M, invariants_at, lie_bracket,
                     torsion_and_connection_coeffs)
-from srsurf.frame import jvec_dot
 from srsurf.selftest import GAUGE_ANGLE, rotated
 
 from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC,
@@ -16,7 +15,7 @@ from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC,
 def test_directional_derivative_example():
     p = (3.0, 0.0, 0.0)
     x = Jet.variable(0, p, 4)
-    e = tuple(Jet.constant(float(v), p, 4) for v in (1, 0, 0))
+    e = Jet.stack([Jet.constant(float(v), p, 4) for v in (1, 0, 0)])
     assert abs(directional_derivative(x * x, e).value - 6.0) < 1e-14
 
 
@@ -109,7 +108,7 @@ def test_point_dependent_gauge_invariance(text, rng):
     for p in box_points(rng, 6):
         v0, frame, _ = invariants_at(omega, metric, p)
         turned, _, m, k = rotated(frame, angle(p))
-        lam = jvec_dot(omega.evaluate(p), lie_bracket(turned.E1, turned.E2))
+        lam = (omega.evaluate(p) * lie_bracket(turned.E1, turned.E2)).sum()
         for got, want in ((m, v0.M), (k, v0.K), (lam, frame.lam)):
             assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from srsurf import (BudgetExhausted, FieldProgram, Jet, JetError, MAX_ORDER,
+from srsurf import (BudgetExhausted, FieldProgram, Jet, JetError, MAX_ORDER, lie_bracket,
                     multi_indices, n_coeffs)
 from srsurf.jets import _index_map, _mul_table
 
@@ -304,6 +304,91 @@ def test_prefix_law(jets):
         assert d.order == m - 1
         assert np.array_equal(d.coeffs,
                               big_a.partial(axis).coeffs[:n_coeffs(m - 1)])
+
+
+# -- a component axis is the scalar jets side by side, bit for bit ----------
+
+@st.composite
+def stacked_jets(draw):
+    """(u, v, s): jets of shape (3,), (3,) and () at a batch of 1, 2, 21 or 195
+    points, each at its own order in 0..MAX_ORDER, with coefficients spread
+    over six decades so that the order of a sum shows in its last bits."""
+    width = draw(st.sampled_from([1, 2, 21, 195]))
+    orders = [draw(st.integers(0, MAX_ORDER)) for _ in range(3)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    point = rng.uniform(-1, 1, (width, 3))
+
+    def jet(shape, order):
+        size = (n_coeffs(MAX_ORDER), *shape, width)
+        coeffs = rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size)
+        return Jet(point, MAX_ORDER, coeffs).cut(order)
+    return jet((3,), orders[0]), jet((3,), orders[1]), jet((), orders[2])
+
+
+def _same(got, want):
+    assert got.order == want.order and got.shape == want.shape
+    assert np.array_equal(got.coeffs, want.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacked_jets())
+def test_component_axis_is_the_scalar_ops(jets):
+    u, v, s = jets
+    for k in range(3):
+        _same((u * v)[k], u[k] * v[k])  # the stacked product
+        _same((s * u)[k], s * u[k])  # the broadcast scalar x vector product
+        _same((u * s)[k], u[k] * s)
+        _same((u - v)[k], u[k] - v[k])
+    _same(u.sum(), (u[0] + u[1]) + u[2])  # the component sum, in index order
+    outer = u[:, None] * v  # a (3, 3) stack: outer[i, j] = u[i] * v[j]
+    for j in range(3):
+        _same(outer.sum(0)[j], (u[0] * v[j] + u[1] * v[j]) + u[2] * v[j])
+        _same(outer.sum(-1)[j], (u[j] * v[0] + u[j] * v[1]) + u[j] * v[2])
+    if u.order:
+        d = u.grad()
+        for a in range(3):
+            _same(u.partial(a), d[a])
+            for k in range(3):
+                assert np.array_equal(d[a, k].coeffs, _loop_partial(u[k], a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacked_jets())
+def test_bracket_sums_its_differences(jets):
+    # [V, W]^a = sum_b (V^b d_b W^a - W^b d_b V^a) with the differences
+    # summed in order, as the scalar form added them; A.sum() - B.sum()
+    # would round differently
+    v, w, _ = jets
+    if min(v.order, w.order) < 1:
+        with pytest.raises(BudgetExhausted):
+            lie_bracket(v, w)
+        return
+    m = min(v.order, w.order)
+    v, w = v.cut(m), w.cut(m)
+    br = lie_bracket(v, w)
+    for a in range(3):
+        terms = [v[b] * w[a].partial(b) - w[b] * v[a].partial(b) for b in range(3)]
+        _same(br[a], (terms[0] + terms[1]) + terms[2])
+
+
+def test_component_sum_keeps_the_sign_of_zero():
+    # (-0.0 + -0.0) + -0.0 is -0.0, as scalar jets add; numpy's sum starts from +0.0
+    zeros = Jet((0.0, 0.0, 0.0), 2, np.full((n_coeffs(2), 3, 1), -0.0))
+    assert np.signbit(zeros.sum().coeffs).all()
+    # a component index or axis never reaches the points or the coefficients
+    for bad in (lambda: zeros.sum(1), lambda: zeros.sum(-2), lambda: zeros.sum()[0],
+                lambda: zeros[0, 0]):
+        with pytest.raises(JetError):
+            bad()
+
+
+def test_bracket_trap_is_real():
+    # the two sums of a bracket's products, then their difference, differ
+    # from the bracket in the last bits
+    rng = np.random.default_rng(0)
+    v, w = (Jet(np.zeros((2, 3)), 3, rng.normal(size=(n_coeffs(3), 3, 2))) for _ in range(2))
+    a, b = v[:, None] * w.grad(), w[:, None] * v.grad()
+    assert not np.array_equal((a.sum() - b.sum()).coeffs, lie_bracket(v, w).coeffs)
 
 
 def test_public_constructor_checks():

@@ -104,7 +104,7 @@ def _uncut_basis(w, g):
     formed at the order of w and g."""
     aw, q, norm = quadratic_form(w, g)
     s = np.argmax([g[i][i].value - w[i].value ** 2 / norm ** 2 for i in range(3)])
-    u = tuple((q * float(i == s) - w[s] * a) / q.value for i, a in enumerate(aw))
+    u = Jet.stack([(q * float(i == s) - w[s] * a) / q.value for i, a in enumerate(aw)])
     return (*kernel_basis(w, g, u), -(curl_and_defect(w)[1] * q.pow(-0.5)))
 
 
@@ -115,7 +115,10 @@ def _uncut_bracket(v, w):
 
 
 def _jets(x):
-    return [x] if isinstance(x, Jet) else [j for y in x for j in _jets(y)]
+    """The scalar jets of x: a jet's components, or those of a tuple's jets."""
+    if isinstance(x, Jet) and not x.shape:
+        return [x]
+    return [j for y in x for j in _jets(y)]
 
 
 def _assert_leading(got, want, order, what):

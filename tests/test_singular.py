@@ -9,7 +9,6 @@ from srsurf import (MAX_ORDER, FieldProgram, MetricField, OneForm,
                     lambda_identities, locate_sigma, nonholonomity,
                     sigma_invariants)
 from srsurf.fields import curl
-from srsurf.frame import jvec_cross, jvec_dot, jvec_values
 from srsurf import singular
 from srsurf.report import parse_probe
 from srsurf.singular import SINGULAR_FRAME_ORDER
@@ -44,17 +43,17 @@ def test_locate_sigma_none_for_contact_forms(omega0, heisenberg, euclid):
 
 def test_characteristic_field_omega0(omega0):
     v = characteristic_field(omega0.evaluate((0.7, -0.4, 1.2)))
-    assert np.allclose(np.ravel(jvec_values(v)), [0, 0, 1], atol=1e-12)
+    assert np.allclose(np.ravel(v.value), [0, 0, 1], atol=1e-12)
 
 
 def test_characteristic_field_omega1_off_sigma(omega1):
     v = characteristic_field(omega1.evaluate((0.5, 0.0, 0.0)))
-    assert np.allclose(np.ravel(jvec_values(v)), [0, 1, 0], atol=1e-12)
+    assert np.allclose(np.ravel(v.value), [0, 1, 0], atol=1e-12)
 
 
 def test_characteristic_field_omega1_on_sigma(omega1):
     v = characteristic_field(omega1.evaluate((0.0, 0.3, -0.1)))
-    assert np.allclose(np.ravel(jvec_values(v)), [0, 1, 0], atol=1e-13)
+    assert np.allclose(np.ravel(v.value), [0, 1, 0], atol=1e-13)
 
 
 @pytest.mark.parametrize("c", ["1e-12", "1e6"])
@@ -62,8 +61,8 @@ def test_characteristic_field_is_scale_free(omega1, c):
     # omega -> c omega scales V = w / omega(w) by 1/c, off and on Sigma
     scaled = OneForm.parse(f"{c}*dy + {c}*x^2*dz")
     for p in [(0.5, 0.1, 0.0), (0.0, 0.3, -0.1)]:
-        want = jvec_values(characteristic_field(omega1.evaluate(p)))
-        got = np.array(jvec_values(characteristic_field(scaled.evaluate(p)))) * float(c)
+        want = characteristic_field(omega1.evaluate(p)).value
+        got = characteristic_field(scaled.evaluate(p)).value * float(c)
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -72,11 +71,11 @@ def test_characteristic_field_contract(omega1, rng):
     for _ in range(6):
         p = tuple(rng.uniform(0.2, 1.5, 3))
         v = characteristic_field(omega1.evaluate(p))
-        b = jvec_values(curl(omega1.evaluate(p)))
-        contraction = jvec_cross(jvec_values(v), b)  # d(omega)(V, .)
+        b = curl(omega1.evaluate(p)).value
+        contraction = np.cross(v.value, b, axis=0)  # d(omega)(V, .)
         assert max(abs(c) for c in contraction) < 1e-9
         w = omega1.evaluate(p)
-        assert abs(jvec_dot(w, v).value - 1.0) < 1e-12
+        assert abs((w * v).sum().value - 1.0) < 1e-12
 
 
 def test_characteristic_field_nonexistent():
@@ -184,8 +183,8 @@ def test_characteristic_field_takes_one_quotient_per_batch(omega1, monkeypatch):
 
 def test_singular_frame_origin(omega1, euclid):
     frame, c = build_singular_frame(omega1, euclid, (0, 0, 0))
-    assert np.allclose(np.ravel(jvec_values(frame.E1)), [0, 0, 1], atol=1e-12)
-    assert np.allclose(np.ravel(jvec_values(frame.E3)), [0, 1, 0], atol=1e-13)
+    assert np.allclose(np.ravel(frame.E1.value), [0, 0, 1], atol=1e-12)
+    assert np.allclose(np.ravel(frame.E3.value), [0, 1, 0], atol=1e-13)
     assert frame.kind == "singular"
     q = sigma_invariants(c)
     assert abs(q.Q112) < 1e-12 and abs(q.Q212) < 1e-12
@@ -212,7 +211,7 @@ def test_singular_frame_duality(omega1, euclid):
     for a, eta in enumerate(frame.coframe):
         for b, e in enumerate(frame.frame):
             want = 1.0 if a == b else 0.0
-            assert abs(jvec_dot(eta, e).value - want) < 1e-9
+            assert abs((eta * e).sum().value - want) < 1e-9
 
 
 def test_singular_frame_transversality_failure(heisenberg, euclid):
@@ -226,8 +225,7 @@ def test_singular_frame_transversality_failure(heisenberg, euclid):
 def test_singular_frame_transversality_below_tolerance(heisenberg, euclid, p):
     # next to the critical point d(lambda)|_Delta is nonzero but tiny
     lam = nonholonomity(heisenberg, euclid, p, 2)
-    dlam = tuple(lam.partial(a) for a in range(3))
-    assert any(jvec_values(jvec_cross(heisenberg.evaluate(p, 2), dlam)))
+    assert np.cross(heisenberg.evaluate(p, 2).value, lam.grad().value, axis=0).any()
     with pytest.raises(SingularFrameError, match="not transversal"):
         build_singular_frame(heisenberg, euclid, p)
 
@@ -296,7 +294,7 @@ def test_domega_on_delta_is_minus_lambda(omega1, heisenberg, euclid, rng):
         for p in box_points(rng, 5):
             e1, e2 = delta_basis(omega.evaluate(p), euclid.evaluate(p))[:2]
             b = curl(omega.evaluate(p))
-            val = jvec_dot(b, jvec_cross(jvec_values(e1), jvec_values(e2))).value
+            val = (b.value * np.cross(e1.value, e2.value, axis=0)).sum(axis=0)
             lam = nonholonomity(omega, euclid, p).value
             assert abs(val + lam) < 1e-9
 
@@ -312,8 +310,8 @@ def _sigma_frame(form, metric, p, order=4):
 def test_special_form_frame_on_sigma(order):
     frame, c = _sigma_frame(SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT, order)
     # w = omega(w) d_z, so E3 = d_z in every coefficient
-    e3 = np.stack([e.coeffs for e in frame.E3])
-    e3[2, 0] -= 1.0
+    e3 = frame.E3.coeffs.copy()
+    e3[0, 2] -= 1.0
     assert np.abs(e3).max() < 1e-13
     assert directional_derivative(frame.lam, frame.E2).value > 0
     q = sigma_invariants(c)
@@ -349,5 +347,5 @@ def test_turned_fixture_is_the_pullback():
                  (MetricField.from_upper_triangle(TURNED_METRIC),
                   MetricField.from_upper_triangle(metric))):
         for p in ((0.3, -0.2, 0.5), TURNED_POINT):
-            for ja, jb in zip(np.ravel(a.evaluate(p, 3)), np.ravel(b.evaluate(p, 3))):
-                assert np.allclose(ja.coeffs, jb.coeffs, rtol=1e-14, atol=1e-14)
+            assert np.allclose(a.evaluate(p, 3).coeffs, b.evaluate(p, 3).coeffs,
+                               rtol=1e-14, atol=1e-14)
