@@ -24,7 +24,6 @@ from .symmetry import (DegeneratePointError, SymmetryField, SymmetrySystem,
 from .singular import (SigmaInvariants, SigmaPoint, SingularFrameError,
                        build_singular_frame, characteristic_field,
                        lambda_identities, locate_sigma, sigma_invariants)
-from .report import PointReport
 
 __version__ = "1.0.0"
 
@@ -32,7 +31,7 @@ __all__ = [
     "AdaptedFrame", "BudgetExhausted", "DEFAULT_ORDER",
     "DegeneratePointError", "FieldProgram", "InvariantValues", "Jet",
     "JetError", "MAX_ORDER", "MIN_ORDER", "MetricField", "NoncontactError",
-    "OneForm", "ParseError", "PointReport",
+    "OneForm", "ParseError",
     "SigmaInvariants", "SigmaPoint", "SingularFrameError",
     "StructureFunctions", "SymmetryField", "SymmetrySystem",
     "assemble_and_verify_V", "build_contact_frame", "build_singular_frame",

@@ -6,8 +6,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
@@ -15,12 +15,11 @@ from .fields import MetricField, OneForm
 from .frame import NoncontactError
 from .invariants import INVARIANTS_ORDER, invariants_at
 from .jets import JetError, _mul_table
-from .report import (PointReport, csv_header, csv_row, parse_grid, parse_point,
-                     parse_points, parse_probe)
+from .report import (CSV_HEADER, map_arrays, parse_grid, parse_point, parse_points, parse_probe,
+                     render)
 from .selftest import run_selftest
 from .singular import (SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
-                       build_singular_frame, lambda_identities, locate_sigma,
-                       sigma_invariants)
+                       build_singular_frame, lambda_identities, locate_sigma, sigma_invariants)
 from .symmetry import (RESIDUAL_MIN_ORDER, build_system, integrability_residuals,
                        reconstruct_lnf, reconstructed_V)
 
@@ -36,30 +35,16 @@ def _chunk_width(order: int, rows: int) -> int:
     return 128 * 1024 // (8 * len(_mul_table(order)[0]) * rows)
 
 
-# each chunk's largest products: a frame's (3,)-stacks one order below omega, a system's
-# bracket (3, 3)-stacks two below, and the order-0 (3,)-stacks of a probe's scan nodes
-INVARIANTS_CHUNK = _chunk_width(INVARIANTS_ORDER - 1, 3)
+# `invariants` batches 400 points, a width measured end to end (README); the rule sizes
+# the others by their largest products: a frame's (3,)-stacks one order below omega, a
+# system's bracket (3, 3)-stacks two below, and the order-0 (3,)-stacks of scan nodes
+INVARIANTS_CHUNK = 400
 SINGULAR_FRAME_CHUNK = _chunk_width(SINGULAR_FRAME_ORDER - 1, 3)
 SYMMETRY_CHUNK = _chunk_width(RESIDUAL_MIN_ORDER - 2, 9)
 PROBE_CHUNK = _chunk_width(SIGMA_SCAN_ORDER - 1, 3 * SIGMA_SCAN_NODES)
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--omega", required=True, help="1-form, e.g. 'dz + y*dx - x*dy'")
-    p.add_argument("--metric-file", help="file with 6 upper-triangle metric entries")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="output file (default stdout)")
-
-
-def _add_pointwise(p: argparse.ArgumentParser):
-    """The options of the subcommands that work point by point."""
-    _add_common(p)
-    p.add_argument("--points", action="append", default=[],
-                   help="semicolon-separated points 'x,y,z;x,y,z' (repeatable)")
-    p.add_argument("--grid", help="grid spec 'x=-1:1:5, y=-1:1:5, z=0'")
-    p.add_argument("--tol-contact", type=float)
-
-
+@cache  # one parser per process: argparse keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="srsurf",
@@ -67,22 +52,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "adapted frames, invariants M and K, symmetry obstructions "
                     "and singular-locus invariants.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="lambda, M, K per point")
-    _add_pointwise(p)
-
-    p = sub.add_parser("symmetry",
-                       help="symmetry system D/EQ/residuals per point")
-    _add_pointwise(p)
+    for name, text in (("invariants", "lambda, M, K per point"),
+                       ("symmetry", "symmetry system D/EQ/residuals per point"),
+                       ("singular", "Sigma roots and Q-invariants on probes")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--omega", required=True, help="1-form, e.g. 'dz + y*dx - x*dy'")
+        p.add_argument("--metric-file", help="file with 6 upper-triangle metric entries")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--out", help="output file (default stdout)")
+        if name != "singular":  # the subcommands that work point by point
+            p.add_argument("--points", action="append", default=[],
+                           help="semicolon-separated points 'x,y,z;x,y,z' (repeatable)")
+            p.add_argument("--grid", help="grid spec 'x=-1:1:5, y=-1:1:5, z=0'")
+            p.add_argument("--tol-contact", type=float)
+    p = sub.choices["symmetry"]
     p.add_argument("--tol-degenerate", type=float)
     p.add_argument("--reconstruct", action="store_true",
                    help="reconstruct ln f relative to --base")
     p.add_argument("--base", help="base point for ln f reconstruction")
     p.add_argument("--tol-quad", type=float,
                    help="ln f quadrature tolerance (with --reconstruct)")
-
-    p = sub.add_parser("singular", help="Sigma roots and Q-invariants on probes")
-    _add_common(p)
+    p = sub.choices["singular"]
     p.add_argument("--probe", action="append", default=[],
                    help="segment 'x0,y0,z0 : x1,y1,z1' (repeatable)")
     p.add_argument("--tol-root", type=float)
@@ -93,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _inputs(args):
-    """(omega, metric, items) of a subcommand, its options checked in a fixed order:
+    """(omega, metric, items, base) of a subcommand, its options checked in a fixed order:
     the metric file, the points, grid, probes and base, the options --reconstruct
     needs, the tolerances (NaN and inf fail); then omega and the metric entries."""
     metric_text = Path(args.metric_file).read_text() if args.metric_file else ""
@@ -110,7 +100,8 @@ def _inputs(args):
             raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
     if reconstruct != bool(base):
         raise ValueError("--reconstruct and --base need each other")
-    return OneForm.parse(args.omega), MetricField.from_text(metric_text), items
+    return (OneForm.parse(args.omega), MetricField.from_text(metric_text),
+            np.array(items, dtype=float), base)
 
 
 def _given(args, *names) -> dict:
@@ -118,132 +109,142 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _emit(reports: List[PointReport], out_format: str, path):
-    """Render every record, then write them all, so that a record that
-    cannot be rendered (a non-finite value in JSON) writes nothing."""
-    if out_format == "csv":
-        lines = [csv_header()] + [csv_row(r) for r in reports]
-    else:
-        lines = [r.to_json() for r in reports]
+def _emit(chunks, out_format: str, path):
+    """Render every record, then write them all, so that a record that cannot be rendered
+    (a non-finite value in JSON) writes nothing.  A chunk is a list of blocks (rows, record):
+    the records at the places `rows` of the chunk, as `report.render` takes them."""
+    csv = out_format == "csv"
+    lines = [CSV_HEADER] if csv else []
+    for blocks in chunks:
+        part = [None] * sum(len(rows) for rows, _ in blocks)
+        for rows, record in blocks:
+            for r, line in zip(rows, render(record, csv) if len(rows) else ()):
+                part[r] = line
+        lines += part
     text = "".join(line + "\n" for line in lines)
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        Path(path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _chunked(items, width: int, records, default, failed) -> List[PointReport]:
-    """The records of `items`, `width` at a time: each starts as `default(item)`;
-    `records(chunk, reports)` sets those a batch covers (none on NoncontactError).
-    A float that overflows, or divides to inf or NaN, raises FloatingPointError
-    inside a chunk.  A chunk that raises it, JetError or ValueError runs again
-    item by item, so that each error record, `failed(item, text)`, keeps its own text."""
+def _chunked(items, width: int, records, failed, noncontact=None) -> list:
+    """The blocks `records(chunk)` of the array `items`, `width` at a time.  A float that
+    overflows, or divides to inf or NaN, raises FloatingPointError inside a chunk.  A
+    chunk that raises it, JetError or ValueError runs again item by item, so that each
+    error record, `failed(item, text)`, keeps its own text; a chunk with no contact
+    point (NoncontactError) gets `noncontact(chunk)`, if given."""
     def run(chunk):
-        reports = [default(item) for item in chunk]
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                records(chunk, reports)
-        except NoncontactError:
-            pass
+                return [records(chunk)]
         except (JetError, ValueError, FloatingPointError) as exc:
+            if noncontact and isinstance(exc, NoncontactError):
+                return [noncontact(chunk)]
             if len(chunk) > 1:
-                return [r for item in chunk for r in run([item])]
-            return [failed(chunk[0], str(exc))]
-        return reports
-    return [r for i in range(0, len(items), width) for r in run(items[i:i + width])]
+                return [blocks for i in range(len(chunk)) for blocks in run(chunk[i:i + 1])]
+            return [failed(chunk, str(exc))]
+    return [blocks for i in range(0, len(items), width) for blocks in run(items[i:i + width])]
 
 
-def _noncontact(p) -> PointReport:
-    return PointReport(point=tuple(p), branch="noncontact", contact=False)
+def _at(record: dict, rows) -> dict:
+    return map_arrays(record, lambda a: a[rows])
 
 
-def _point_error(p, text: str) -> PointReport:
-    return PointReport(point=tuple(p), branch="regular", error=text)
+def _noncontact(points, contact=()) -> list:
+    """The noncontact records of a chunk: its rows not in `contact`."""
+    rows = np.delete(np.arange(len(points)), contact)
+    return [(rows, {"point": list(points[rows].T), "branch": "noncontact", "contact": False})]
 
 
-def cmd_invariants(args) -> List[PointReport]:
-    omega, metric, points = _inputs(args)
+def _point_error(chunk, text: str) -> list:  # the branch of an error record means nothing
+    return [([0], {"point": list(chunk.T), "branch": "regular", "error": text})]
+
+
+def cmd_invariants(args) -> list:
+    omega, metric, points, _ = _inputs(args)
     tols = _given(args, "tol_contact")
 
-    def records(points, reports):
+    def records(points):
         vals, frame, _ = invariants_at(omega, metric, points, INVARIANTS_ORDER, **tols)
-        budget = min(vals.M.order, vals.K.order)  # the least left in what is reported
-        for i, r in enumerate(frame.rows.tolist()):
-            reports[r] = PointReport(
-                point=tuple(points[r]), branch="regular", contact=True,
-                lam=frame.lam.value_at(i), M=vals.M.value_at(i), K=vals.K.value_at(i),
-                diagnostics={"jet_order": INVARIANTS_ORDER, "budget_remaining": budget})
+        rows, budget = frame.rows, min(vals.M.order, vals.K.order)  # the least order left
+        return _noncontact(points, rows) + [(rows, dict(
+            point=list(points[rows].T), branch="regular", contact=True, lam=frame.lam.value,
+            M=vals.M.value, K=vals.K.value,
+            diagnostics={"jet_order": INVARIANTS_ORDER, "budget_remaining": budget}))]
 
-    return _chunked(points, INVARIANTS_CHUNK, records, _noncontact, _point_error)
+    return _chunked(points, INVARIANTS_CHUNK, records, _point_error, _noncontact)
 
 
-def cmd_symmetry(args) -> List[PointReport]:
-    omega, metric, points = _inputs(args)
-    base = parse_point(args.base) if args.reconstruct else None
+def cmd_symmetry(args) -> list:
+    omega, metric, points, base = _inputs(args)
     tols = _given(args, "tol_degenerate", "tol_contact")
     lnf_tols = _given(args, "tol_quad", "tol_degenerate", "tol_contact")
 
-    def records(points, reports):
+    def records(points):
         sys_ = build_system(omega, metric, points, RESIDUAL_MIN_ORDER, **tols)
-        degenerate = sys_.degenerate
-        eq = None if degenerate.all() else np.array(  # per row: EQ1, EQ2 and the residuals
-            [sys_.EQ1.value, sys_.EQ2.value, *integrability_residuals(sys_)]).T.tolist()
-        for i, r in enumerate(sys_.frame.rows.tolist()):
-            rep = reports[r] = PointReport(
-                point=tuple(points[r]), branch="degenerate" if degenerate[i] else "regular",
-                contact=True, lam=sys_.frame.lam.value_at(i), M=sys_.M.value_at(i),
-                K=sys_.K.value_at(i), D=sys_.D.value_at(i))
-            if degenerate[i]:
-                continue
-            rep.EQ1, rep.EQ2, *rep.residuals = eq[i]
-            if base:
-                try:
-                    rep.lnf, rep.diagnostics["reconstruct"] = reconstruct_lnf(
-                        omega, metric, base, points[r], **lnf_tols)
-                    _, rep.V = reconstructed_V(sys_, rep.lnf, i)
-                except (JetError, FloatingPointError) as exc:
-                    rep.diagnostics["reconstruct_error"] = str(exc)
-            rep.diagnostics.update(jet_order=RESIDUAL_MIN_ORDER, budget_remaining=sys_.D.order)
+        rows, degenerate = sys_.frame.rows, sys_.degenerate
+        record = dict(point=list(points[rows].T), branch="degenerate", contact=True,
+                      lam=sys_.frame.lam.value, M=sys_.M.value, K=sys_.K.value, D=sys_.D.value)
+        blocks = _noncontact(points, rows) + [(rows[degenerate], _at(record, degenerate))]
+        if degenerate.all():
+            return blocks
+        record.update(branch="regular", EQ1=sys_.EQ1.value, EQ2=sys_.EQ2.value,
+                      residuals=list(integrability_residuals(sys_)), diagnostics={
+                          "jet_order": RESIDUAL_MIN_ORDER, "budget_remaining": sys_.D.order})
+        if not base:
+            return blocks + [(rows[~degenerate], _at(record, ~degenerate))]
+        for i in np.flatnonzero(~degenerate):  # one target at a time
+            rep = _at(record, [i])
+            try:
+                rep["lnf"], rep["diagnostics"]["reconstruct"] = reconstruct_lnf(
+                    omega, metric, base, points[rows[i]], **lnf_tols)
+                _, rep["V"] = reconstructed_V(sys_, rep["lnf"], i)
+            except (JetError, FloatingPointError) as exc:
+                rep["diagnostics"]["reconstruct_error"] = str(exc)
+            blocks.append(([rows[i]], rep))
+        return blocks
 
-    return _chunked(points, SYMMETRY_CHUNK, records, _noncontact, _point_error)
+    return _chunked(points, SYMMETRY_CHUNK, records, _point_error, _noncontact)
 
 
-def cmd_singular(args) -> List[PointReport]:
-    omega, metric, probes = _inputs(args)
+def cmd_singular(args) -> list:
+    omega, metric, probes, _ = _inputs(args)
     tols = _given(args, "tol_root")
 
-    def probe_error(seg, text: str) -> List[PointReport]:
-        return [PointReport(point=seg[0], branch="regular", error=text,
-                            diagnostics={"probe": [list(seg[0]), list(seg[1])]})]
+    def probe_errors(segments, rows, text: str) -> list:
+        return [(rows, {"point": list(segments[:, 0].T), "branch": "regular", "error": text,
+                        "diagnostics": {"probe": [list(s.T) for s in segments.swapaxes(0, 1)]}})]
 
-    def frames(roots, _):  # `_chunked` records: the roots' Q and lambda-identity residuals
-        frame, c = build_singular_frame(omega, metric, np.array([r.point for r in roots]),
-                                        SINGULAR_FRAME_ORDER)
-        q = sigma_invariants(c)
-        values = np.array([q.Q112, q.Q212, *lambda_identities(frame, c)]).T.tolist()
-        for rep, (rep.Q112, rep.Q212, *residuals) in zip(roots, values):
-            rep.diagnostics["lambda_identity_residuals"] = residuals
+    def records(segments):
+        found = locate_sigma(omega, metric, segments, **tols)
+        start = np.cumsum([0] + [max(len(probe), 1) for probe in found])  # each probe's place
+        none = [k for k, probe in enumerate(found) if not probe]
+        blocks = probe_errors(segments[none], start[none], "no Sigma crossing on probe")
+        roots = [sp for probe in found for sp in probe]
+        if not roots:
+            return blocks
+        at = np.concatenate([start[k] + np.arange(len(probe)) for k, probe in enumerate(found)])
+        values = {k: np.array([getattr(sp, k) for sp in roots]) for k in vars(roots[0])}
+        points, lam = values.pop("point"), values.pop("lambda_residual")
+        diagnostics = {k: values.pop(k) for k in ("transversal", "lambda_gradient_on_delta")}
+        record = dict(point=list(points.T), branch="noncontact", contact=False, lam=lam,
+                      diagnostics=dict(diagnostics, sigma=values))  # the rest of SigmaPoint
 
-    def records(segments, reports):
-        roots = []
-        for k, points in enumerate(locate_sigma(omega, metric, segments, **tols)):
-            if points:  # one record per root; none keeps the default error record
-                roots += [PointReport(
-                    point=sp.point, branch="noncontact", contact=False, lam=sp.lambda_residual,
-                    diagnostics={"transversal": sp.transversal,
-                                 "lambda_gradient_on_delta": sp.lambda_gradient_on_delta,
-                                 "sigma": {"candidate": sp.candidate, "margin": sp.margin,
-                                           "newton_iterations": sp.newton_iterations,
-                                           "converged": sp.converged}}) for sp in points]
-                reports[k] = roots[-len(points):]
-        # all the roots' frames, a batch at a time; a batch that raises runs
-        # again root by root, and a root whose own frame raises gets its error
-        _chunked(roots, SINGULAR_FRAME_CHUNK, frames, lambda rep: rep,
-                 lambda rep, text: setattr(rep, "error", text))
+        def frames(idx):  # the roots' Q and lambda-identity residuals
+            frame, c = build_singular_frame(omega, metric, points[idx], SINGULAR_FRAME_ORDER)
+            q, rep = sigma_invariants(c), _at(record, idx)
+            rep["diagnostics"]["lambda_identity_residuals"] = list(lambda_identities(frame, c))
+            return [(at[idx], dict(rep, Q112=q.Q112, Q212=q.Q212))]
 
-    return [r for reports in _chunked(probes, PROBE_CHUNK, records, lambda seg: probe_error(
-        seg, "no Sigma crossing on probe"), probe_error) for r in reports]
+        def failed(idx, text: str):  # a root whose own frame raises gets its error
+            return [(at[idx], dict(_at(record, idx), error=text))]
+
+        # all the roots' frames, a batch at a time; a batch that raises runs again root by root
+        return blocks + [b for part in _chunked(np.arange(len(roots)), SINGULAR_FRAME_CHUNK,
+                                               frames, failed) for b in part]
+
+    return _chunked(probes, PROBE_CHUNK, records, lambda seg, text: probe_errors(seg, [0], text))
 
 
 def main(argv=None) -> int:

@@ -5,66 +5,65 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
-from typing import List, Optional, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import List, Tuple
 
 import numpy as np
 
 SCHEMA = "srs/1"
 
 Point = Tuple[float, float, float]
-Segment = Tuple[Point, Point]
 
 
-@dataclass
-class PointReport:
-    point: Point
-    branch: str = "regular"  # regular | degenerate | noncontact
-    contact: Optional[bool] = None
-    lam: Optional[float] = None
-    M: Optional[float] = None
-    K: Optional[float] = None
-    D: Optional[float] = None
-    EQ1: Optional[float] = None
-    EQ2: Optional[float] = None
-    residuals: Optional[Tuple[float, float, float]] = None
-    lnf: Optional[float] = None
-    V: Optional[Tuple[float, float, float]] = None
-    Q112: Optional[float] = None
-    Q212: Optional[float] = None
-    error: Optional[str] = None
-    diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The fields that are set, vectors as lists; None and {} are left out."""
-        out = {"schema": SCHEMA}
-        for key in _FIELDS:
-            val = getattr(self, key)
-            if val is not None and val != {}:
-                out[key] = list(val) if isinstance(val, tuple) else val
-        return out
-
-    def to_json(self) -> str:
-        """One JSON line; a non-finite value raises ValueError, because
-        NaN and Infinity are not JSON."""
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
+# A record's scalar fields, in CSV column order after the point's x, y, z; the
+# vectors (residuals, V) and the diagnostics have no column.
+CSV_COLUMNS = tuple("branch contact lam M K D EQ1 EQ2 lnf Q112 Q212 error".split())
+CSV_HEADER = "x,y,z," + ",".join(CSV_COLUMNS)
 
 
-_FIELDS = tuple(f.name for f in fields(PointReport))
-# CSV flattens scalars only: the point is its x,y,z columns, and the vectors
-# and diagnostics have none.
-CSV_COLUMNS = tuple(f.name for f in fields(PointReport)
-                    if f.type in ("str", "Optional[bool]", "Optional[float]",
-                                  "Optional[str]"))
+_SLOT = re.compile(r'"\\u0000(\d+)"')  # a slot of the template, as json.dumps writes it
+# a column's values as text, by their type: as json writes them, and as str() does
+_JSON = {float: float.__repr__, int: int.__repr__, bool: ("false", "true").__getitem__,
+         str: encode_basestring_ascii}
+_CSV = {float: float.__repr__, int: int.__repr__, bool: bool.__repr__, str: str}
 
 
-def csv_header() -> str:
-    return "x,y,z," + ",".join(CSV_COLUMNS)
+def map_arrays(record, f):
+    """The fields of `record`, with f(a) in place of each array a in them."""
+    if isinstance(record, dict):
+        return {k: map_arrays(v, f) for k, v in record.items()}
+    if isinstance(record, list):
+        return [map_arrays(v, f) for v in record]
+    return f(record) if isinstance(record, np.ndarray) else record
 
 
-def csv_row(r: PointReport) -> str:
-    vals = [*r.point, *(getattr(r, c) for c in CSV_COLUMNS)]
-    return ",".join("" if v is None else str(v) for v in vals)
+def render(fields: dict, csv: bool = False) -> List[str]:
+    """The lines of the records `fields` gives, each field a constant or an array
+    of one value per record, which fills a slot of one %-template.  The JSON one is
+    json.dumps of the fields, so key order, separators and escapes are json's own,
+    and floats are written by float.__repr__, as json writes them; a non-finite
+    value raises ValueError, since NaN and inf are not JSON.  CSV writes str()."""
+    columns = {}
+
+    def slot(a):  # a column of values, and its place in the template
+        columns[f"\0{len(columns)}"] = a.tolist()
+        return f"\0{len(columns) - 1}"
+
+    fields = map_arrays({"schema": SCHEMA, **fields}, slot)
+    if csv:
+        cells = [*fields["point"], *(fields.get(c, "") for c in CSV_COLUMNS)]
+        template = ",".join("%s" if c in columns else str(c).replace("%", "%%") for c in cells)
+        order = [c for c in cells if c in columns]
+    else:
+        parts = _SLOT.split(json.dumps(fields, sort_keys=True, allow_nan=False).replace("%", "%%"))
+        template, order = "%s".join(parts[::2]), ["\0" + k for k in parts[1::2]]
+    texts = {}
+    for k in set(order):
+        kind = type(columns[k][0])
+        texts[k] = text = list(map((_CSV if csv else _JSON)[kind], columns[k]))
+        if kind is float and not csv and "n" in "".join(text):  # no finite float has an n
+            raise ValueError("Out of range float values are not JSON compliant")
+    return [template % row for row in zip(*map(texts.__getitem__, order))]
 
 
 def _finite(text: str) -> float:
@@ -86,7 +85,7 @@ def parse_points(text: str) -> List[Point]:
     return [parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def parse_probe(text: str) -> Segment:
+def parse_probe(text: str) -> Tuple[Point, Point]:
     """Segment syntax: 'x0,y0,z0 : x1,y1,z1'."""
     parts = text.split(":")
     if len(parts) != 2:

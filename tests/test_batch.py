@@ -13,9 +13,9 @@ import srsurf.cli
 from srsurf import (Jet, JetError, MAX_ORDER, MetricField, OneForm, build_contact_frame,
                     build_singular_frame, build_system, delta_basis, integrability_residuals,
                     lambda_identities, locate_sigma, multi_indices, n_coeffs, sigma_invariants)
-from srsurf.cli import INVARIANTS_CHUNK, PROBE_CHUNK, SYMMETRY_CHUNK, _chunk_width, main
+from srsurf.cli import (INVARIANTS_CHUNK, PROBE_CHUNK, SINGULAR_FRAME_CHUNK, SYMMETRY_CHUNK,
+                        _chunk_width, main)
 from srsurf.frame import quadratic_form
-from srsurf.invariants import INVARIANTS_ORDER
 from srsurf.singular import SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
@@ -302,9 +302,11 @@ BAD_METRIC = "x 0 0 1 0 1"
 
 
 def test_chunk_width_rule():
-    """One rule for every chunk: 128 KiB over 8 bytes per product-table term
-    and float row of the chunk's largest product, at the order it runs at."""
-    assert INVARIANTS_CHUNK == _chunk_width(INVARIANTS_ORDER - 1, 3) == 195
+    """`invariants` takes 400 points a batch, a width measured end to end; the
+    rule sizes the others: 128 KiB over 8 bytes per product-table term and
+    float row of the chunk's largest product, at the order it runs at."""
+    assert INVARIANTS_CHUNK == 400
+    assert SINGULAR_FRAME_CHUNK == _chunk_width(SINGULAR_FRAME_ORDER - 1, 3) == 195
     assert SYMMETRY_CHUNK == _chunk_width(RESIDUAL_MIN_ORDER - 2, 9) == 21
     assert PROBE_CHUNK == _chunk_width(SIGMA_SCAN_ORDER - 1, 3 * SIGMA_SCAN_NODES) == 165
 

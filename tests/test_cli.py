@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import srsurf.cli
 from srsurf import selftest
 from srsurf.cli import main
-from srsurf.report import (PointReport, parse_grid, parse_points, parse_probe)
+from srsurf.report import map_arrays, parse_grid, parse_points, parse_probe, render
 
 from conftest import (AXIAL_METRIC, CARTAN, HEISENBERG, OMEGA_1, SPECIAL_FORM,
                       SPECIAL_METRIC)
@@ -359,16 +361,60 @@ def test_float_fault_in_reconstruct_is_a_diagnostic(capsys, tmp_path, monkeypatc
     assert "lnf" not in rec and rec["branch"] == "regular" and "EQ1" in rec
 
 
-def test_nonfinite_record_writes_nothing(capsys, monkeypatch):
-    good = PointReport(point=(0.0, 0.0, 0.0), lam=1.0)
-    bad = PointReport(point=(1.0, 0.0, 0.0), lam=float("nan"))
-    with pytest.raises(ValueError):
-        bad.to_json()
-    monkeypatch.setattr("srsurf.cli.cmd_invariants", lambda cfg: [good, bad])
-    code, out, err = run_cli(capsys, "invariants", "--omega", HEISENBERG)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
+def _poisoned(monkeypatch, place: str, value: float) -> list:
+    """The argv of a call with `value` put by a patched library function into
+    a scalar field, a vector, or a diagnostics value of its last record: an
+    array of values, or (`reconstruct.abserr`) a one-record constant."""
+    def last(a):  # a copy of `a` with `value` last
+        a = np.array(a, dtype=float)
+        a[-1] = value
+        return a
+
+    cli = srsurf.cli
+    if place == "scalar":  # M
+        def invariants_at(*args, original=cli.invariants_at, **kwargs):
+            vals, frame, c = original(*args, **kwargs)
+            vals.M.coeffs[0] = last(vals.M.coeffs[0])
+            return vals, frame, c
+        monkeypatch.setattr(cli, "invariants_at", invariants_at)
+        return ["invariants", "--omega", HEISENBERG, "--points", "1,0,0; 0,0,0"]
+    if place == "vector":  # the second integrability residual
+        def residuals(sys_, original=cli.integrability_residuals):
+            r1, r2, r3 = original(sys_)
+            return r1, last(r2), r3
+        monkeypatch.setattr(cli, "integrability_residuals", residuals)
+        return ["symmetry", "--omega", CARTAN, "--metric-file", "metric.txt",
+                "--points", "0.4,0.7,-0.2"]
+    if place == "diagnostics":  # sigma.margin
+        def locate_sigma(*args, original=cli.locate_sigma, **kwargs):
+            return [[dataclasses.replace(sp, margin=value) for sp in roots]
+                    for roots in original(*args, **kwargs)]
+        monkeypatch.setattr(cli, "locate_sigma", locate_sigma)
+        return ["singular", "--omega", OMEGA_1, "--probe", "-1,0.2,0.1 : 1,0.2,0.1"]
+
+    def reconstruct_lnf(*args, original=cli.reconstruct_lnf, **kwargs):
+        lnf, info = original(*args, **kwargs)
+        return lnf, dict(info, abserr=value)
+    monkeypatch.setattr(cli, "reconstruct_lnf", reconstruct_lnf)
+    return ["symmetry", "--omega", CARTAN, "--metric-file", "metric.txt",
+            "--points", "0.4,0.7,-0.2", "--reconstruct", "--base", "0,0,0"]
+
+
+def test_nonfinite_record_writes_nothing(capsys, tmp_path, monkeypatch):
+    # NaN, +inf and -inf, each in a scalar field, a vector and a diagnostics
+    # value: exit 1, nothing on stdout, and no --out file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "metric.txt").write_text(AXIAL_METRIC_TEXT)
+    for place in ("scalar", "vector", "diagnostics", "diagnostics constant"):
+        for value in (math.nan, math.inf, -math.inf):
+            with monkeypatch.context() as patch:
+                argv = _poisoned(patch, place, value)
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, out) == (1, ""), (place, value)
+                assert err == "error: Out of range float values are not JSON compliant\n"
+                assert run_cli(capsys, *argv, "--out", "out.ndjson")[:2] == (1, "")
+                assert not (tmp_path / "out.ndjson").exists()
+            assert run_cli(capsys, *argv)[0] == 0  # the same call, unpatched
 
 
 def test_reconstruct_without_base_exits_1(capsys):
@@ -768,12 +814,160 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
 # -- report round-trip -----------------------------------------------------
 
 def test_point_report_round_trip():
-    rep = PointReport(point=(1.0, 2.0, 3.0), branch="regular", contact=True,
-                      lam=2.0, M=0.5, K=1.5, D=0.01, EQ1=0.1, EQ2=-0.2,
-                      residuals=(1e-12, 0.0, -1e-12), lnf=0.25,
-                      V=(0.0, 0.0, 1.0), diagnostics={"jet_order": 4})
-    assert json.loads(rep.to_json()) == {
+    # every field, an array of one value per record or a constant, comes back
+    # as json reads it, written as json.dumps writes it
+    column = lambda *values: np.array(values)  # noqa: E731
+    record = dict(point=[column(1.0, -1.0), 2.0, column(3.0, 3.5)], branch="regular",
+                  contact=True, lam=column(2.0, 1e300), M=0.5, K=column(1.5, -0.0), D=0.01,
+                  EQ1=0.1, EQ2=column(-0.2, 5e-324), residuals=[column(1e-12, 0.0), 0.0, -1e-12],
+                  lnf=0.25, V=(0.0, 0.0, 1.0), error=column("a", "b%\"\n\u00e9"),
+                  diagnostics={"jet_order": column(4, 5), "ok": column(True, False)})
+    first, second = render(record)
+    assert json.loads(first) == {
         "schema": "srs/1", "point": [1.0, 2.0, 3.0], "branch": "regular",
         "contact": True, "lam": 2.0, "M": 0.5, "K": 1.5, "D": 0.01,
         "EQ1": 0.1, "EQ2": -0.2, "residuals": [1e-12, 0.0, -1e-12],
-        "lnf": 0.25, "V": [0.0, 0.0, 1.0], "diagnostics": {"jet_order": 4}}
+        "lnf": 0.25, "V": [0.0, 0.0, 1.0], "error": "a",
+        "diagnostics": {"jet_order": 4, "ok": True}}
+    for line, k in ((first, 0), (second, 1)):
+        want = map_arrays(record, lambda a: a[k].item())
+        assert line == json.dumps(dict(want, schema="srs/1"), sort_keys=True, allow_nan=False)
+    assert render(record, csv=True) == [
+        "1.0,2.0,3.0,regular,True,2.0,0.5,1.5,0.01,0.1,-0.2,0.25,,,a",
+        "-1.0,2.0,3.5,regular,True,1e+300,0.5,-0.0,0.01,0.1,5e-324,0.25,,,b%\"\n\u00e9"]
+
+
+def _lines_of_every_shape(capsys, tmp_path, monkeypatch):
+    """The JSON lines of calls that give each record shape, and the shapes:
+    each record's branch and its keys, those of diagnostics with a dot."""
+    metric = tmp_path / "metric.txt"
+    metric.write_text(AXIAL_METRIC_TEXT)
+    bad_metric = tmp_path / "bad.txt"
+    bad_metric.write_text("x 0 0 1 0 1")  # not positive definite at x <= 0
+    axial = ["--omega", CARTAN, "--metric-file", str(metric)]
+    calls = [
+        ["invariants", "--omega", OMEGA_1, "--points", "0,0.3,0.1; 1,0,0"],
+        ["invariants", "--omega", OMEGA_1, "--metric-file", str(bad_metric),
+         "--points", "-1,0,0; 1,0.2,0"],
+        ["symmetry", *axial, "--points", "0.4,0.7,-0.2; 0,0.3,0.1"],
+        ["symmetry", "--omega", CARTAN, "--points", "0.3,0.4,0.1"],
+        ["symmetry", *axial, "--points", "0.4,0.7,-0.2", "--reconstruct", "--base", "0,0,0"],
+        ["symmetry", *axial, "--tol-contact", "0.5", "--reconstruct", "--base", "2,2,0",
+         "--points", "0.1,0.1,0; 2,2,0"],
+        ["singular", "--omega", OMEGA_1, "--probe", "-1,0.2,0.1 : 1,0.2,0.1",
+         "--probe", "0.5,0,0 : 1,0,0"],
+        ["singular", "--omega", "dy + x^3*dz", "--probe", "-1,0,0 : 1,0,0"],
+        ["singular", "--omega", OMEGA_1, "--metric-file", str(bad_metric),
+         "--probe", "-1,0,0 : 1,0,0"],
+    ]
+    lines = []
+    for argv in calls:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        lines += out.splitlines()
+    with monkeypatch.context() as patch:  # ln f found, V not
+        def failing(*args):
+            raise FloatingPointError("overflow encountered in exp")
+        patch.setattr(srsurf.cli, "reconstructed_V", failing)
+        lines += run_cli(capsys, *calls[4])[1].splitlines()
+
+    def shape(rec):
+        return rec["branch"], frozenset([*rec, *(f"diagnostics.{k}" for k in
+                                                 rec.get("diagnostics", {}))])
+    return lines, {shape(json.loads(line)) for line in lines}
+
+
+def test_every_record_shape_is_canonical_json(capsys, tmp_path, monkeypatch):
+    # each line is what json.dumps(sort_keys=True) writes of its own record
+    lines, shapes = _lines_of_every_shape(capsys, tmp_path, monkeypatch)
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True, allow_nan=False)
+    base = {"schema", "point", "branch"}
+    system = base | {"contact", "lam", "M", "K", "D"}
+    regular = system | {"EQ1", "EQ2", "residuals", "diagnostics", "diagnostics.jet_order",
+                        "diagnostics.budget_remaining"}
+    found = {"lnf", "diagnostics.reconstruct"}
+    root = base | {"contact", "lam", "diagnostics", "diagnostics.transversal",
+                   "diagnostics.lambda_gradient_on_delta", "diagnostics.sigma"}
+    assert shapes == {
+        ("noncontact", frozenset(base | {"contact"})),
+        ("regular", frozenset(base | {"error"})),  # an error record
+        ("regular", frozenset(base | {"contact", "lam", "M", "K", "diagnostics",
+                                      "diagnostics.jet_order",
+                                      "diagnostics.budget_remaining"})),
+        ("regular", frozenset(regular)),
+        ("degenerate", frozenset(system)),
+        ("regular", frozenset(regular | found | {"V"})),
+        ("regular", frozenset(regular | {"diagnostics.reconstruct_error"})),
+        ("regular", frozenset(regular | found | {"diagnostics.reconstruct_error"})),
+        ("noncontact", frozenset(root | {"Q112", "Q212",
+                                         "diagnostics.lambda_identity_residuals"})),
+        ("noncontact", frozenset(root | {"error"})),
+        ("regular", frozenset(base | {"error", "diagnostics", "diagnostics.probe"})),
+    }
+
+
+def test_error_text_is_written_as_json_writes_it(capsys, monkeypatch):
+    # a %, a quote, a newline and a non-ASCII character, in JSON and in CSV
+    text = '50% "off"\nat \u03bb = 0'
+
+    def failing(*args, **kwargs):
+        raise ValueError(text)
+    monkeypatch.setattr(srsurf.cli, "invariants_at", failing)
+    argv = ["invariants", "--omega", HEISENBERG, "--points", "1,0,0; 0,0,0"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for line, point in zip(out.splitlines(), ([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])):
+        assert line == json.dumps({"schema": "srs/1", "point": point, "branch": "regular",
+                                   "error": text}, sort_keys=True)
+    _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert out.split("\n", 1)[1] == f"1.0,0.0,0.0,regular,,,,,,,,,,,{text}\n" \
+                                    f"0.0,0.0,0.0,regular,,,,,,,,,,,{text}\n"
+
+
+# -- one parser per process -------------------------------------------------
+
+@pytest.mark.parametrize("first, first_code, second", [
+    (["invariants", "--omega", HEISENBERG, "--points", "1,0,0"], 0,
+     ["invariants", "--omega", HEISENBERG, "--points", "0,0.5,0; 0.2,0,0"]),
+    (["singular", "--omega", OMEGA_1, "--probe", "-1,0.2,0.1 : 1,0.2,0.1"], 0,
+     ["singular", "--omega", OMEGA_1, "--probe", "0.5,0,0 : 1,0,0"]),
+    (["invariants", "--omega", "dz + q*dx", "--points", "0,0,0"], 1,
+     ["invariants", "--omega", HEISENBERG, "--grid", "x=0:1:2, y=0, z=0"]),
+])
+def test_reused_parser_keeps_calls_independent(capsys, first, first_code, second):
+    # argparse's append action copies its default list before it appends, so
+    # the one parser of the process keeps nothing of a call for the next
+    srsurf.cli._build_parser.cache_clear()
+    alone = run_cli(capsys, *second)  # on a parser of its own
+    parser = srsurf.cli._build_parser()
+    assert run_cli(capsys, *first)[0] == first_code
+    assert run_cli(capsys, *second) == alone and alone[0] == 0 and alone[1]
+    assert srsurf.cli._build_parser() is parser
+    assert parser.parse_args(["singular", "--omega", OMEGA_1]).probe == []
+
+
+# -- CSV, pinned for every subcommand ---------------------------------------
+
+CSV_HEADER = "x,y,z,branch,contact,lam,M,K,D,EQ1,EQ2,lnf,Q112,Q212,error"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["symmetry", "--omega", CARTAN, "--metric-file", "metric.txt",
+      "--points", "0.4,0.7,-0.2", "--reconstruct", "--base", "0,0,0"],
+     ["0.4,0.7,-0.2,regular,True,0.778498944161523,0.06713710760255023,1.671480646687258,"
+      "0.09830249551684314,0.4242424242424241,-0.18872701676642978,0.25038764395624463,,,"]),
+    (["symmetry", "--omega", CARTAN, "--points", "0.3,0.4,0.1"],
+     ["0.3,0.4,0.1,degenerate,True,0.9284766908852593,0.06384485091498286,"
+      "1.9768133174791913,0.0,,,,,,"]),
+    (["singular", "--omega", OMEGA_1, "--probe", "-1,0.2,0.1 : 1,0.2,0.1",
+      "--probe", "0.5,0,0 : 1,0,0"],
+     ["0.0,0.2,0.1,noncontact,False,0.0,,,,,,,-0.0,-0.0,",
+      "0.5,0.0,0.0,regular,,,,,,,,,,,no Sigma crossing on probe"]),
+])
+def test_symmetry_and_singular_csv(capsys, tmp_path, monkeypatch, argv, rows):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "metric.txt").write_text(AXIAL_METRIC_TEXT)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [CSV_HEADER, *rows]
