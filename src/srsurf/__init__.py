@@ -11,12 +11,10 @@ from .jets import (BudgetExhausted, Jet, JetError, MAX_ORDER, MIN_ORDER,
                    multi_indices, n_coeffs)
 from .fields import (DEFAULT_ORDER, FieldProgram, MetricField, OneForm,
                      ParseError)
-from .frame import (AdaptedFrame, NoncontactError, StructureFunctions,
-                    build_contact_frame, delta_basis, lie_bracket,
-                    nonholonomity)
+from .frame import (AdaptedFrame, NoncontactError, build_contact_frame,
+                    delta_basis, lie_bracket, nonholonomity)
 from .invariants import (InvariantValues, directional_derivative, invariant_K,
-                         invariant_M, invariants_at,
-                         torsion_and_connection_coeffs)
+                         invariant_M, invariants_at)
 from .symmetry import (DegeneratePointError, SymmetryField, SymmetrySystem,
                        assemble_and_verify_V, build_system,
                        frame_to_coordinate_gradient, integrability_residuals,
@@ -33,7 +31,7 @@ __all__ = [
     "JetError", "MAX_ORDER", "MIN_ORDER", "MetricField", "NoncontactError",
     "OneForm", "ParseError",
     "SigmaInvariants", "SigmaPoint", "SingularFrameError",
-    "StructureFunctions", "SymmetryField", "SymmetrySystem",
+    "SymmetryField", "SymmetrySystem",
     "assemble_and_verify_V", "build_contact_frame", "build_singular_frame",
     "build_system", "characteristic_field",
     "delta_basis", "directional_derivative", "frame_to_coordinate_gradient",
@@ -41,5 +39,4 @@ __all__ = [
     "lambda_identities", "lie_bracket", "locate_sigma",
     "multi_indices", "n_coeffs", "nonholonomity",
     "reconstruct_lnf", "sigma_invariants",
-    "torsion_and_connection_coeffs",
 ]

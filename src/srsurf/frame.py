@@ -26,39 +26,11 @@ class NoncontactError(JetError):
 
 @dataclass
 class AdaptedFrame:
-    E1: Jet  # the frame E_a and its dual coframe eta^a: jets of shape (3,)
-    E2: Jet
-    E3: Jet
-    eta1: Jet
-    eta2: Jet
-    eta3: Jet
+    E: Jet  # E[a] is the frame field E_{a+1}: a jet of shape (3, 3)
+    eta: Jet  # eta[a] is the dual coframe's eta^{a+1}, eta[a](E[b]) = delta_ab: (3, 3)
     lam: Jet
     kind: str  # "contact" | "singular"
     rows: Optional[np.ndarray] = None  # the rows of a batch's points it covers
-
-    @property
-    def frame(self):
-        return (self.E1, self.E2, self.E3)
-
-    @property
-    def coframe(self):
-        return (self.eta1, self.eta2, self.eta3)
-
-
-@dataclass
-class StructureFunctions:
-    """The nine C^a_{bc}, (bc) in {23, 31, 12}, as jets; C = -c where the
-    c's are the bracket constants [E_b, E_c] = c^a_{bc} E_a."""
-
-    C1_23: Jet
-    C1_31: Jet
-    C1_12: Jet
-    C2_23: Jet
-    C2_31: Jet
-    C2_12: Jet
-    C3_23: Jet
-    C3_31: Jet
-    C3_12: Jet
 
 
 # --------------------------------------------------------------------------
@@ -155,29 +127,32 @@ def nonholonomity(omega: OneForm, metric: MetricField, point,
     return lambda_evaluation(omega, metric, point, order)[-1]
 
 
-def structure_functions(frame: AdaptedFrame) -> StructureFunctions:
-    """C^a_{bc} = -eta^a([E_b, E_c]), for each bracket at once over a; the
-    coframe, stacked at its least order, is at or above every bracket's."""
-    e1, e2, e3 = frame.frame
-    eta = Jet.stack(frame.coframe)  # eta[a, i] = eta^a_i
-    c23, c31, c12 = (-(eta * lie_bracket(u, v)).sum(-1) for u, v in ((e2, e3), (e3, e1), (e1, e2)))
-    return StructureFunctions(*(c[a] for a in range(3) for c in (c23, c31, c12)))
+def structure_functions(e1: Jet, e2: Jet, e3: Jet, eta: Jet):
+    """C = (C12, C23_31) with C^a_{bc} = -eta^a([E_b, E_c]), eta[a] = eta^{a+1}:
+    C12[a] = C^{a+1}_12, C23_31[0][a] = C^{a+1}_23 and C23_31[1][a] =
+    C^{a+1}_31.  Each bracket takes its fields at their own orders, before
+    any stack: from jets of order N a contact frame has E1, E2 at N - 1 and
+    E3 at N - 2, so C12 is at N - 2, one order above C23_31, as K, which
+    differentiates it, needs; from the stacked E it would be at N - 3."""
+    c12 = -(eta * lie_bracket(e1, e2)).sum(-1)
+    c23_31 = -(eta * Jet.stack([lie_bracket(e2, e3), lie_bracket(e3, e1)])[:, None]).sum(-1)
+    return c12, c23_31
 
 
 def adapted_frame(e1: Jet, e2: Jet, ge1: Jet, ge2: Jet, e3: Jet, eta3: Jet, lam: Jet,
                   kind: str, rows: Optional[np.ndarray] = None):
     """(frame, C): the frame with its dual coframe eta^a = g E_a - g(E_a, E3) eta3,
     a = 1, 2, from the covectors g E1, g E2 (E1, E2 g-orthonormal in ker eta3,
-    eta3(E3) = 1), and its C."""
+    eta3(E3) = 1), and its C (`structure_functions`)."""
     eta1, eta2 = (ge - (ge * e3).sum() * eta3 for ge in (ge1, ge2))
-    frame = AdaptedFrame(E1=e1, E2=e2, E3=e3, eta1=eta1, eta2=eta2, eta3=eta3,
-                         lam=lam, kind=kind, rows=rows)
-    return frame, structure_functions(frame)
+    eta = Jet.stack([eta1, eta2, eta3])
+    frame = AdaptedFrame(Jet.stack([e1, e2, e3]), eta, lam, kind, rows)
+    return frame, structure_functions(e1, e2, e3, eta)
 
 
 def build_contact_frame(omega: OneForm, metric: MetricField, point,
                         order: int = DEFAULT_ORDER, tol_contact: float = TOL_CONTACT):
-    """Adapted frame and structure functions at a contact point.
+    """Adapted frame and structure functions (`adapted_frame`) at a contact point.
 
     eta3 = -omega / lambda (normalized so d(eta3)(E1, E2) = 1), E3 is the
     Reeb field of eta3, eta1/eta2 complete the dual coframe

@@ -1,12 +1,12 @@
-"""Scalar invariants M and K and the section-level torsion/connection
-coefficients of the adapted coframe."""
+"""Scalar invariants M and K of the adapted coframe, from its structure
+functions C (`frame.structure_functions`)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .fields import DEFAULT_ORDER, MetricField, OneForm
-from .frame import TOL_CONTACT, AdaptedFrame, StructureFunctions, build_contact_frame
+from .frame import TOL_CONTACT, AdaptedFrame, build_contact_frame
 from .jets import Jet
 
 # Least jet order of M and K: E3 needs d(eta3), the structure functions
@@ -15,32 +15,28 @@ INVARIANTS_ORDER = 3
 
 
 def directional_derivative(f: Jet, e: Jet) -> Jet:
-    """E(f) = E^a d_a f of a scalar f along a vector e, as a jet; consumes one derivative level."""
-    return (e * f.grad()).sum()
+    """E(f) = E^i d_i f of a scalar f along the vectors e, the last axis of e,
+    as a jet: E_a(f) for every a is directional_derivative(f, frame.E);
+    consumes one derivative level."""
+    return (e * f.grad()).sum(-1)
 
 
-def torsion_and_connection_coeffs(c: StructureFunctions):
-    """(a1, a2, p1, p2, p3) at the constructed section (fiber angle 0)."""
-    a1 = (c.C1_23 - c.C2_31) / 2.0
-    a2 = c.C1_31
-    p1 = c.C1_12
-    p2 = c.C2_12
-    p3 = -(c.C1_23 + c.C2_31) / 2.0
-    return a1, a2, p1, p2, p3
-
-
-def invariant_M(c: StructureFunctions) -> Jet:
-    """M = ((C1_23 - C2_31)/2)^2 + (C1_31)^2."""
-    a1, a2, _, _, _ = torsion_and_connection_coeffs(c)
+def invariant_M(c) -> Jet:
+    """M = ((C1_23 - C2_31)/2)^2 + (C1_31)^2 from C = (C12, C23_31)
+    (`frame.structure_functions`)."""
+    c23_31 = c[1]
+    a1, a2 = (c23_31[0, 0] - c23_31[1, 1]) / 2.0, c23_31[1, 0]
     return a1 * a1 + a2 * a2
 
 
-def invariant_K(c: StructureFunctions, frame: AdaptedFrame) -> Jet:
+def invariant_K(c, frame: AdaptedFrame) -> Jet:
     """K = E1 C2_12 - E2 C1_12 + (C1_12)^2 + (C2_12)^2 - (C1_23 + C2_31)/2."""
-    return (directional_derivative(c.C2_12, frame.E1)
-            - directional_derivative(c.C1_12, frame.E2)
-            + c.C1_12 * c.C1_12 + c.C2_12 * c.C2_12
-            - (c.C1_23 + c.C2_31) / 2.0)
+    c12, c23_31 = c
+    c1_12, c2_12 = c12[0], c12[1]
+    return (directional_derivative(c2_12, frame.E[0])
+            - directional_derivative(c1_12, frame.E[1])
+            + c1_12 * c1_12 + c2_12 * c2_12
+            - (c23_31[0, 0] + c23_31[1, 1]) / 2.0)
 
 
 @dataclass

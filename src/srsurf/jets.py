@@ -58,13 +58,9 @@ def _index_map(order: int):
     return {mi: k for k, mi in enumerate(multi_indices(order))}
 
 
-@lru_cache(maxsize=32)  # bounded: a batch's table grows with its size
-def _mul_table(order: int, width: int = 0):
-    """Triples (ia, ib, iout) with mi[iout] = mi[ia] + mi[ib]; for `width` floats
-    per coefficient (components times points), iout indexes the flat result."""
-    if width:
-        ia, ib, io = _mul_table(order)
-        return ia, ib, (io[:, None] * width + np.arange(width)).ravel()
+@lru_cache(maxsize=None)
+def _mul_table(order: int):
+    """Triples (ia, ib, iout) with mi[iout] = mi[ia] + mi[ib]."""
     mis = multi_indices(order)
     imap = _index_map(order)
     table = []
@@ -74,6 +70,13 @@ def _mul_table(order: int, width: int = 0):
             if sum(s) <= order:
                 table.append((ia, ib, imap[s]))
     return tuple(np.array(table).T.copy())
+
+
+@lru_cache(maxsize=32)  # bounded: a batch's index grows with its size
+def _mul_out(order: int, width: int):
+    """`_mul_table`'s iout for `width` floats per coefficient (components
+    times points): the index of each term in the flat result."""
+    return (_mul_table(order)[2][:, None] * width + np.arange(width)).ravel()
 
 
 @lru_cache(maxsize=None)
@@ -305,7 +308,7 @@ class Jet:
         # `take` gathers rows faster than indexing does, at every width
         terms = a.take(ia, 0) * b.take(ib, 0)  # broadcast over the component axes
         width = terms.size // len(ia)
-        out = np.bincount(_mul_table(order, width)[2], weights=terms.ravel(),
+        out = np.bincount(_mul_out(order, width), weights=terms.ravel(),
                           minlength=len(a) * width)
         return Jet._new(self.point, order, out.reshape((len(a),) + terms.shape[1:]))
 

@@ -90,11 +90,15 @@ def turn(theta, u, v):
 
 def rotated(frame, theta):
     """(frame, C, M, K) of `frame` with (E1, E2) and (eta1, eta2) turned by
-    the angle theta (`turn`), so the coframe stays dual; M and K do not see it."""
-    e1, e2 = turn(theta, frame.E1, frame.E2)
-    eta1, eta2 = turn(theta, frame.eta1, frame.eta2)
-    frame = replace(frame, E1=e1, E2=e2, eta1=eta1, eta2=eta2)
-    c = structure_functions(frame)
+    the angle theta (`turn`), so the coframe stays dual; M and K do not see it.
+    The turned E1, E2 are at the order of the stacked E, one below the
+    frame's own, so K needs a frame from jets of order
+    `invariants.INVARIANTS_ORDER` + 1."""
+    e, eta = frame.E, frame.eta
+    e1, e2 = turn(theta, e[0], e[1])
+    eta = Jet.stack([*turn(theta, eta[0], eta[1]), eta[2]])
+    frame = replace(frame, E=Jet.stack([e1, e2, e[2]]), eta=eta)
+    c = structure_functions(e1, e2, e[2], eta)
     return frame, c, invariant_M(c), invariant_K(c, frame)
 
 
@@ -139,16 +143,13 @@ def check_frame_identities() -> CheckResult:
     for text in (HEISENBERG, CARTAN):
         pts = rng.uniform(-2, 2, (10, 3))
         frame, c = build_contact_frame(OneForm.parse(text), g, pts)
-        gm = g.evaluate(pts)
-        ge1, ge2 = (gm[0] * e[0] + gm[1] * e[1] + gm[2] * e[2] for e in (frame.E1, frame.E2))
-        devs += [abs((frame.E1 * ge1).sum().value - 1),
-                 abs((frame.E2 * ge2).sum().value - 1),
-                 abs((frame.E1 * ge2).sum().value),
-                 abs(c.C3_12.value - 1), abs(c.C3_23.value), abs(c.C3_31.value),
-                 abs(c.C1_31.value - c.C2_23.value)]
-        devs += [abs((eta * e).sum().value - (a == b)) for a, eta in enumerate(frame.coframe)
-                 for b, e in enumerate(frame.frame)]
-        a1, a2 = (c.C1_23.value - c.C2_31.value) / 2, c.C1_31.value
+        e, gm = frame.E, g.evaluate(pts)
+        ge = (gm * e[:2, :, None]).sum(1)  # g E1, g E2
+        c12, c23_31 = (part.value for part in c)
+        devs += [abs((e[:2] * ge).sum(-1).value - 1), abs((e[0] * ge[1]).sum().value),
+                 abs(c12[2] - 1), abs(c23_31[:, 2]), abs(c23_31[1, 0] - c23_31[0, 1])]
+        devs.append(abs((frame.eta[:, None] * e).sum(-1).value - np.eye(3)[..., None]))
+        a1, a2 = (c23_31[0, 0] - c23_31[1, 1]) / 2, c23_31[1, 0]
         devs.append(abs(invariant_M(c).value - (a1 * a1 + a2 * a2)))
     return _result("frame-identities", devs, 1e-8)
 
@@ -225,9 +226,8 @@ def check_symmetry_reconstruction() -> CheckResult:
     sys_ = build_system(omega, g, pts, RESIDUAL_MIN_ORDER)
     lam, ok = sys_.frame.lam, ~sys_.degenerate
     devs = [1.0] * int(np.count_nonzero(~ok))
-    for eq, e in ((sys_.EQ1, sys_.frame.E1), (sys_.EQ2, sys_.frame.E2)):
-        ref = -directional_derivative(lam, e).value / lam.value
-        devs.append(abs(eq.value - ref)[ok])
+    refs = -directional_derivative(lam, sys_.frame.E[:2]).value / lam.value
+    devs += [abs(eq.value - ref)[ok] for eq, ref in zip((sys_.EQ1, sys_.EQ2), refs)]
     devs += [abs(r)[ok] for r in integrability_residuals(sys_)]
     base, target = (0.1, 0.2, 0.0), (0.9, -0.4, 0.3)
     lnf, lam = reconstruct_lnf(omega, g, base, target)[0], nonholonomity(omega, g, [base, target])
@@ -251,8 +251,7 @@ def check_singular_fixture() -> CheckResult:
     devs.append(np.linalg.norm(np.subtract(v, [[0.0], [1.0], [0.0]]), axis=0))
     frame, c = build_singular_frame(omega, g, [(0.3, 0, 0), (0, 0.5, -0.3)])
     r1, r2 = lambda_identities(frame, c)
-    devs += [abs(r1), abs(r2), abs(c.C3_12.value + frame.lam.value),
-             abs(c.C3_23.value), abs(c.C3_31.value)]
+    devs += [abs(r1), abs(r2), abs(c[0].value[2] + frame.lam.value), abs(c[1].value[:, 2])]
     q = sigma_invariants(build_singular_frame(omega, g, (0, 0, 0))[1])
     devs += [abs(q.Q112), abs(q.Q212)]
     scaled = omega.scale(lambda p, n: (nonholonomity(omega, g, p, n) ** 2).exp())
@@ -262,7 +261,7 @@ def check_singular_fixture() -> CheckResult:
                        for f, m, p in ((SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT),
                                        (TURNED_FORM, TURNED_METRIC, TURNED_POINT)))
     for order in range(SINGULAR_FRAME_ORDER, MAX_ORDER + 1):
-        e3 = build_singular_frame(*special, order)[0].E3.coeffs.copy()
+        e3 = build_singular_frame(*special, order)[0].E[2].coeffs.copy()
         e3[0, 2] -= 1.0  # E3 = d_z
         devs.append(float(np.abs(e3).max()))
     q, q2 = (sigma_invariants(build_singular_frame(*f)[1]) for f in (special, turned))

@@ -11,8 +11,7 @@ from typing import List
 import numpy as np
 
 from .fields import AFTER, DEFAULT_ORDER, NEXT, MetricField, OneForm, curl_and_defect
-from .frame import (AdaptedFrame, StructureFunctions, adapted_frame, kernel_basis,
-                    lambda_evaluation, nonholonomity)
+from .frame import AdaptedFrame, adapted_frame, kernel_basis, lambda_evaluation, nonholonomity
 from .invariants import directional_derivative
 from .jets import Jet, JetError, _mul_table, multi_indices, n_coeffs, row_of
 
@@ -232,19 +231,17 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     return adapted_frame(e1, e2, ge1, ge2, e3, w * (w * e3).sum().reciprocal(), lam, "singular")
 
 
-def lambda_identities(frame: AdaptedFrame, c: StructureFunctions):
+def lambda_identities(frame: AdaptedFrame, c):
     """Residuals of the singular-frame identities: E1(lambda) = 0 and
     lambda_3 = -lambda (C1_31 - C2_23), from d(d eta3) = 0 with
     d eta3 = C3_12 eta1^eta2 = -lambda eta1^eta2."""
-    lam = frame.lam
-    r1 = directional_derivative(lam, frame.E1).value
-    lam3 = directional_derivative(lam, frame.E3).value
-    r2 = lam3 + lam.value * (c.C1_31.value - c.C2_23.value)
-    return r1, r2
+    lam, c23_31 = frame.lam, c[1].value
+    r1, lam3 = directional_derivative(lam, frame.E[::2]).value  # E1, E3 of lambda
+    return r1, lam3 + lam.value * (c23_31[1, 0] - c23_31[0, 1])
 
 
-def sigma_invariants(c: StructureFunctions) -> SigmaInvariants:
+def sigma_invariants(c) -> SigmaInvariants:
     """Q1_12 = C1_12 restricted to Sigma, Q2_12 = C2_12 restricted to Sigma
     (invariants of the surface along the singular locus), from the structure
     functions of a singular frame built at a Sigma point."""
-    return SigmaInvariants(Q112=c.C1_12.value, Q212=c.C2_12.value)
+    return SigmaInvariants(Q112=c[0].value[0], Q212=c[0].value[1])

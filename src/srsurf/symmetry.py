@@ -10,8 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import DEFAULT_ORDER, FieldProgram, MetricField, OneForm
-from .frame import TOL_CONTACT, AdaptedFrame, StructureFunctions, lie_bracket
+from .fields import AFTER, DEFAULT_ORDER, NEXT, FieldProgram, MetricField, OneForm
+from .frame import TOL_CONTACT, AdaptedFrame, lie_bracket
 from .invariants import INVARIANTS_ORDER, directional_derivative, invariants_at
 from .jets import Jet, JetError, _as_point, row_of
 
@@ -36,7 +36,7 @@ class SymmetrySystem:
     EQ2: Optional[Jet]
     degenerate: np.ndarray  # one per contact row (frame.rows)
     frame: AdaptedFrame
-    C: StructureFunctions
+    C: tuple  # (C12, C23_31), `frame.structure_functions`
     M: Jet
     K: Jet
 
@@ -45,24 +45,24 @@ def build_system(omega: OneForm, metric: MetricField, point,
                  order: int = DEFAULT_ORDER, tol_degenerate: float = TOL_DEGENERATE,
                  tol_contact: float = TOL_CONTACT) -> SymmetrySystem:
     """D = E1K E2M - E2K E1M; EQ1, EQ2 as the quotients of the cross
-    numerators by D.  The degeneracy test is relative to the product of the
+    numerators by D, all three from one cross product (E K) x (E M) =
+    (-EQ2 D, EQ1 D, D).  The degeneracy test is relative to the product of the
     in-plane gradient norms ||(E1K, E2K)|| * ||(E1M, E2M)|| (|D| <=
     tol_degenerate * scale flags degenerate), so that both near-parallel gradients and
     vanishing gradients are reported as degenerate, in a batch row by row; a
     degenerate row's EQ divides by a stand-in D = 1 and means nothing."""
     vals, frame, c = invariants_at(omega, metric, point, order, tol_contact=tol_contact)
     m, k = vals.M, vals.K
-    e1k, e2k, e3k = (directional_derivative(k, e) for e in frame.frame)
-    e1m, e2m, e3m = (directional_derivative(m, e) for e in frame.frame)
-    d = e1k * e2m - e2k * e1m
-    scale = (np.hypot(e1k.value, e2k.value) * np.hypot(e1m.value, e2m.value))
+    ek, em = (directional_derivative(f, frame.E) for f in (k, m))  # E_a K, E_a M
+    cross = ek[NEXT] * em[AFTER] - ek[AFTER] * em[NEXT]
+    d = cross[2]
+    scale = np.hypot(*ek.value[:2]) * np.hypot(*em.value[:2])
     degenerate = abs(d.value) <= tol_degenerate * scale
     eq1 = eq2 = None
     if not degenerate.all():
         rd = (d._like(np.where(degenerate, np.eye(len(d.coeffs), 1), d.coeffs))
               if degenerate.any() else d).reciprocal()
-        eq1 = (e3k * e1m - e1k * e3m) * rd
-        eq2 = (e3k * e2m - e2k * e3m) * rd
+        eq1, eq2 = cross[1] * rd, -cross[0] * rd
     return SymmetrySystem(D=d, EQ1=eq1, EQ2=eq2, degenerate=degenerate,
                           frame=frame, C=c, M=m, K=k)
 
@@ -73,15 +73,15 @@ def integrability_residuals(sys_: SymmetrySystem):
     level beyond the EQ system: build it at order RESIDUAL_MIN_ORDER or higher."""
     if sys_.degenerate.all():
         raise DegeneratePointError(f"system degenerate at {row_of(sys_.D.point)}")
-    fr, c = sys_.frame, sys_.C
+    (c12, c23_31), e = sys_.C, sys_.frame.E
     eq1, eq2 = sys_.EQ1, sys_.EQ2
+    e_eq1 = directional_derivative(eq1, e[1:])  # E2 EQ1, E3 EQ1
+    e_eq2 = directional_derivative(eq2, e[::2])  # E1 EQ2, E3 EQ2
     # Signs follow from the bracket relations [E_b, E_c] = -C^a_{bc} E_a
     # applied to ln f; injected true symmetries drive all three to zero.
-    r1 = (directional_derivative(eq2, fr.E1) - directional_derivative(eq1, fr.E2)
-          + c.C1_12 * eq1 + c.C2_12 * eq2)
-    r2 = directional_derivative(eq1, fr.E3) + c.C1_31 * eq1 + c.C2_31 * eq2
-    r3 = (-directional_derivative(eq2, fr.E3)
-          + c.C1_23 * eq1 + c.C2_23 * eq2)
+    r1 = e_eq2[0] - e_eq1[0] + c12[0] * eq1 + c12[1] * eq2
+    r2 = e_eq1[1] + c23_31[1, 0] * eq1 + c23_31[1, 1] * eq2
+    r3 = -e_eq2[1] + c23_31[0, 0] * eq1 + c23_31[0, 1] * eq2
     return r1.value, r2.value, r3.value
 
 
@@ -90,8 +90,8 @@ def frame_to_coordinate_gradient(sys_: SymmetrySystem) -> np.ndarray:
     E3 lnf = 0: d(ln f) = EQ1 eta1 + EQ2 eta2 in the dual coframe."""
     if sys_.degenerate.any():
         raise DegeneratePointError("no EQ system at a degenerate point")
-    eta1, eta2, _ = sys_.frame.coframe
-    return sys_.EQ1.value * eta1.value + sys_.EQ2.value * eta2.value
+    eta = sys_.frame.eta.value
+    return sys_.EQ1.value * eta[0] + sys_.EQ2.value * eta[1]
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule on [-1, 1] (dqk21): the Kronrod abscissae, outermost
@@ -247,7 +247,8 @@ class SymmetryField:
 
 def assemble_V(f, e1f, e2f, frame):
     """V = -E2(f) E1 + E1(f) E2 + f E3 from f, E1(f), E2(f) and the frame
-    (E1, E2, E3): scalar jets and jets of shape (3,), or floats and arrays (3,)."""
+    E, E[a] = E_{a+1}: scalar jets and a jet of shape (3, 3), or floats and an
+    array (3, 3)."""
     return -e2f * frame[0] + e1f * frame[1] + f * frame[2]
 
 
@@ -256,7 +257,7 @@ def reconstructed_V(sys_: SymmetrySystem, lnf: float, row: int = 0):
     f = e^{ln f}, E1 f = f EQ1 and E2 f = f EQ2, as floats."""
     fv = float(np.exp(lnf))
     return fv, tuple(assemble_V(fv, fv * sys_.EQ1.value_at(row), fv * sys_.EQ2.value_at(row),
-                                [e.value[:, row] for e in sys_.frame.frame]).tolist())
+                                sys_.frame.E.value[..., row]).tolist())
 
 
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
@@ -268,17 +269,18 @@ def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
     first one's own.  A V from a reconstructed ln f comes from `reconstructed_V`."""
     points = _as_point(points)
     vals, frame, _ = invariants_at(omega, metric, points, order)
-    for k in np.setdiff1d(np.arange(len(points)), frame.rows)[:1]:  # raises the first
+    for k in np.delete(np.arange(len(points)), frame.rows)[:1]:  # raises the first
         invariants_at(omega, metric, points[k:k + 1], order)  # noncontact point's own error
     fj = f(points, order)
-    e1f, e2f, e3f = (directional_derivative(fj, e) for e in frame.frame)
-    v = assemble_V(fj, e1f, e2f, frame.frame)
+    e = frame.E
+    ef = directional_derivative(fj, e)  # E_a f
+    v = assemble_V(fj, ef[0], ef[1], e)
     vk, vm = (directional_derivative(inv, v).value for inv in (vals.K, vals.M))
-    br1, br2 = (lie_bracket(e, v).value for e in (frame.E1, frame.E2))
-    lam_mult = sum(frame.eta2.value * br1)
-    d1, d2 = br1 - lam_mult * frame.E2.value, br2 + lam_mult * frame.E1.value
+    br1, br2 = (lie_bracket(e[a], v).value for a in (0, 1))
+    lam_mult = sum(frame.eta.value[1] * br1)
+    d1, d2 = br1 - lam_mult * e.value[1], br2 + lam_mult * e.value[0]
     return [SymmetryField(
         point=row_of(points, k), f_value=float(fj.value[k]), V=tuple(v.value[:, k].tolist()),
-        VK=float(vk[k]), VM=float(vm[k]), E3f=float(e3f.value[k]),
+        VK=float(vk[k]), VM=float(vm[k]), E3f=float(ef.value[2, k]),
         bracket_defect_1=float(np.linalg.norm(d1[:, k])),
         bracket_defect_2=float(np.linalg.norm(d2[:, k]))) for k in range(len(points))]

@@ -19,8 +19,7 @@ from srsurf import (DegeneratePointError, FieldProgram, Jet, MetricField,
                     build_singular_frame, characteristic_field, delta_basis,
                     frame_to_coordinate_gradient, integrability_residuals,
                     invariants_at, lambda_identities, locate_sigma,
-                    nonholonomity, reconstruct_lnf, sigma_invariants,
-                    torsion_and_connection_coeffs)
+                    nonholonomity, reconstruct_lnf, sigma_invariants)
 from srsurf.fields import curl
 from srsurf.selftest import rotated
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
@@ -90,13 +89,14 @@ def test_criterion3_frame_identities():
     for omega, seed in ((HEIS, 31), (CARTAN, 32)):
         pts = sample_points(50, seed)
         m, _, _, c = contact_invariants(omega, pts)
-        a1, a2, _, _, _ = torsion_and_connection_coeffs(c)
+        c12, c23_31 = (part.value for part in c)
+        a1, a2 = (c23_31[0, 0] - c23_31[1, 1]) / 2, c23_31[1, 0]  # (C1_23 - C2_31)/2, C1_31
         for i, p in enumerate(pts):
-            assert abs(c.C3_12.value[i] - 1.0) < 1e-8, p
-            assert abs(c.C3_23.value[i]) < 1e-8, p
-            assert abs(c.C3_31.value[i]) < 1e-8, p
-            assert abs(c.C1_31.value[i] - c.C2_23.value[i]) < 1e-8, p
-            assert abs(a1.value[i] ** 2 + a2.value[i] ** 2 - m[i]) < 1e-12, p
+            assert abs(c12[2, i] - 1.0) < 1e-8, p  # C3_12
+            assert abs(c23_31[0, 2, i]) < 1e-8, p  # C3_23
+            assert abs(c23_31[1, 2, i]) < 1e-8, p  # C3_31
+            assert abs(c23_31[1, 0, i] - c23_31[0, 1, i]) < 1e-8, p  # C1_31 - C2_23
+            assert abs(a1[i] ** 2 + a2[i] ** 2 - m[i]) < 1e-12, p
 
 
 # -- criterion 4: gauge/orientation invariance -----------------------------

@@ -750,6 +750,19 @@ def test_singular_and_invariants_import_no_scipy(tmp_path):
 
 # -- selftest subcommand ---------------------------------------------------
 
+def test_selftest_imports_no_numpy_ma():
+    # every subcommand runs without numpy.ma, which the selftest's
+    # injected-symmetry check would load through np.setdiff1d
+    code = ("import sys\n"
+            "from srsurf.cli import main\n"
+            "code = main(['selftest'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--json")
     assert code == 0

@@ -4,8 +4,7 @@ import pytest
 
 from srsurf import (FieldProgram, Jet, MetricField, NoncontactError, OneForm,
                     build_contact_frame, directional_derivative, invariant_K,
-                    invariant_M, invariants_at, lie_bracket,
-                    torsion_and_connection_coeffs)
+                    invariant_M, invariants_at, lie_bracket)
 from srsurf.selftest import GAUGE_ANGLE, rotated
 
 from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC,
@@ -36,22 +35,30 @@ def test_invariant_M_closed_forms(heisenberg, cartan, euclid, rng):
         assert abs(v.M.value - cartan_M(*p)) < 1e-9 * (1 + cartan_M(*p))
 
 
+def _torsion(c):
+    """(a1, a2, p3) = ((C1_23 - C2_31)/2, C1_31, -(C1_23 + C2_31)/2), the
+    torsion coefficients and the connection's p3 at the constructed section."""
+    c23_31 = c[1].value
+    return ((c23_31[0, 0] - c23_31[1, 1]) / 2, c23_31[1, 0],
+            -(c23_31[0, 0] + c23_31[1, 1]) / 2)
+
+
 def test_torsion_coeff_examples(heisenberg, cartan, euclid):
     _, _, c = invariants_at(heisenberg, euclid, (0, 0, 0))
-    a1, a2, _, _, p3 = torsion_and_connection_coeffs(c)
-    assert abs(a1.value) < 1e-12 and abs(a2.value) < 1e-12
-    assert abs(p3.value - 1.0) < 1e-12
+    a1, a2, p3 = _torsion(c)
+    assert abs(a1) < 1e-12 and abs(a2) < 1e-12
+    assert abs(p3 - 1.0) < 1e-12
     _, _, c = invariants_at(cartan, euclid, (0, 0, 0))
-    a1, a2, _, _, _ = torsion_and_connection_coeffs(c)
-    assert abs(a1.value + 0.5) < 1e-12
-    assert abs(a2.value) < 1e-12
+    a1, a2, _ = _torsion(c)
+    assert abs(a1 + 0.5) < 1e-12
+    assert abs(a2) < 1e-12
 
 
 def test_M_equals_a1sq_plus_a2sq(heisenberg, euclid, rng):
     for p in box_points(rng, 8):
         v, _, c = invariants_at(heisenberg, euclid, p)
-        a1, a2, _, _, _ = torsion_and_connection_coeffs(c)
-        assert v.M.value == a1.value ** 2 + a2.value ** 2
+        a1, a2, _ = _torsion(c)
+        assert v.M.value == a1 ** 2 + a2 ** 2
 
 
 def test_K_regression_pins(heisenberg, cartan, euclid):
@@ -108,7 +115,7 @@ def test_point_dependent_gauge_invariance(text, rng):
     for p in box_points(rng, 6):
         v0, frame, _ = invariants_at(omega, metric, p)
         turned, _, m, k = rotated(frame, angle(p))
-        lam = (omega.evaluate(p) * lie_bracket(turned.E1, turned.E2)).sum()
+        lam = (omega.evaluate(p) * lie_bracket(turned.E[0], turned.E[1])).sum()
         for got, want in ((m, v0.M), (k, v0.K), (lam, frame.lam)):
             assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
 
@@ -117,9 +124,8 @@ def test_EK_jets_match_finite_differences(heisenberg, euclid, rng):
     h = 1e-4
     for p in box_points(rng, 4, scale=1.0):
         v, frame, c = invariants_at(heisenberg, euclid, p, order=5)
-        for e in (frame.E1, frame.E2, frame.E3):
-            jet_val = directional_derivative(v.K, e).value
-            evals = [c_.value[0] for c_ in e]
+        for e, jet_val in zip(frame.E.value[..., 0], directional_derivative(v.K, frame.E).value):
+            evals = e.tolist()
             pp = tuple(p[i] + h * evals[i] for i in range(3))
             pm = tuple(p[i] - h * evals[i] for i in range(3))
             kp, _, _ = invariants_at(heisenberg, euclid, pp)

@@ -12,13 +12,14 @@ from operator import add
 import numpy as np
 import pytest
 
+import srsurf.frame
 from srsurf import (BudgetExhausted, Jet, MAX_ORDER, MIN_ORDER, MetricField,
                     OneForm, build_contact_frame, build_singular_frame, build_system,
                     directional_derivative, integrability_residuals,
-                    invariants_at, lambda_identities, lie_bracket, nonholonomity,
+                    invariants_at, lambda_identities, nonholonomity,
                     sigma_invariants)
 from srsurf.fields import curl_and_defect
-from srsurf.frame import delta_basis, kernel_basis, quadratic_form
+from srsurf.frame import delta_basis, kernel_basis, quadratic_form, structure_functions
 from srsurf.invariants import INVARIANTS_ORDER
 from srsurf.singular import (SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
                              TRANSVERSALITY_ORDER)
@@ -132,17 +133,29 @@ def _assert_leading(got, want, order, what):
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES))
-def test_frame_jets_at_the_order_kept(fixture):
+def test_frame_jets_at_the_order_kept(fixture, monkeypatch):
+    # E1 and E2 come at n - 1 and E3 at n - 2, so C12 is bracketed from E1
+    # and E2 before they are stacked: from the stacked E it would be at n - 3
     text, metric, p = FIXTURES[fixture]
     omega = OneForm.parse(text)
     g = MetricField.identity() if metric is None \
         else MetricField.from_upper_triangle(metric)
+    fields = []  # the arguments of the frame's structure_functions call
+
+    def spy(*args):
+        fields[:] = args
+        return structure_functions(*args)
+    monkeypatch.setattr(srsurf.frame, "structure_functions", spy)
     for n in range(3, MAX_ORDER + 1):
         w, gn = omega.evaluate(p, n), g.evaluate(p, n)
         got = delta_basis(w, gn)
         _assert_leading(got[:5], _uncut_basis(w, gn), n - 1, (fixture, n, "delta_basis"))
-        frame, _ = build_contact_frame(omega, g, p, n)
-        e1, e2, e3 = frame.frame
-        for u, v, order in ((e1, e2, n - 2), (e2, e3, n - 3), (e3, e1, n - 3)):
-            _assert_leading(lie_bracket(u, v), _uncut_bracket(u, v), order,
-                            (fixture, n, "lie_bracket"))
+        frame, (c12, c23_31) = build_contact_frame(omega, g, p, n)
+        e1, e2, e3, eta = fields
+        assert [e.order for e in (e1, e2, e3)] == [n - 1, n - 1, n - 2], (fixture, n)
+        assert eta is frame.eta and eta.order == n - 2, (fixture, n)
+        _assert_leading(frame.E, (e1, e2, e3), n - 2, (fixture, n, "E"))
+        for c, pairs, order in ((c12, [(e1, e2)], n - 2), (c23_31, [(e2, e3), (e3, e1)], n - 3)):
+            want = [[-(eta[a] * Jet.stack(_uncut_bracket(u, v))).sum() for a in range(3)]
+                    for u, v in pairs]
+            _assert_leading(c, want, order, (fixture, n, "structure_functions"))

@@ -11,7 +11,7 @@ import pytest
 
 import srsurf.symmetry
 from srsurf import (BudgetExhausted, DegeneratePointError, FieldProgram,
-                    JetError, MetricField, OneForm, assemble_and_verify_V, build_system,
+                    JetError, MAX_ORDER, MetricField, OneForm, assemble_and_verify_V, build_system,
                     frame_to_coordinate_gradient, integrability_residuals,
                     nonholonomity, reconstruct_lnf)
 from srsurf.symmetry import (EQ_ORDER, RESIDUAL_MIN_ORDER, TOL_QUAD, WG, WGK, XGK, _qag,
@@ -108,8 +108,7 @@ def test_axial_system_matches_lambda_oracle(axial):
         grad = np.array([lam.partial_value((1, 0, 0)),
                          lam.partial_value((0, 1, 0)),
                          lam.partial_value((0, 0, 1))])
-        for eq, e in ((sys_.EQ1, sys_.frame.E1), (sys_.EQ2, sys_.frame.E2)):
-            ev = np.array([c.value[0] for c in e])
+        for eq, ev in zip((sys_.EQ1, sys_.EQ2), sys_.frame.E.value[:2, :, 0]):
             want = -float(ev @ grad[:, 0]) / lam.value
             assert abs(eq.value - want) < 1e-10 * (1 + abs(want))
 
@@ -118,18 +117,44 @@ def test_quotient_identity(axial):
     omega, metric = axial
     sys_ = build_system(omega, metric, AXIAL_POINTS[0])
     # EQ1 * D and EQ2 * D reproduce their numerators
-    fr = sys_.frame
     from srsurf import directional_derivative as dd
-    e1k = dd(sys_.K, fr.E1)
-    e2k = dd(sys_.K, fr.E2)
-    e3k = dd(sys_.K, fr.E3)
-    e1m = dd(sys_.M, fr.E1)
-    e2m = dd(sys_.M, fr.E2)
-    e3m = dd(sys_.M, fr.E3)
-    num1 = e3k.value * e1m.value - e1k.value * e3m.value
-    num2 = e3k.value * e2m.value - e2k.value * e3m.value
+    e1k, e2k, e3k = dd(sys_.K, sys_.frame.E).value
+    e1m, e2m, e3m = dd(sys_.M, sys_.frame.E).value
+    num1 = e3k * e1m - e1k * e3m
+    num2 = e3k * e2m - e2k * e3m
     assert abs(sys_.EQ1.value * sys_.D.value - num1) < 1e-10 * (1 + abs(num1))
     assert abs(sys_.EQ2.value * sys_.D.value - num2) < 1e-10 * (1 + abs(num2))
+
+
+def test_stacked_system_is_the_scalar_formulas(axial):
+    # D, the EQ numerators and the residuals from stacked E and C equal, bit
+    # for bit, the scalar formulas on separate directional derivatives, each
+    # residual added as ((E_b EQ - E_c EQ) + C eq1) + C eq2, on a batch whose
+    # rows on the planes x = 0 and y = 0 are degenerate
+    from srsurf import directional_derivative as dd
+    omega, metric = axial
+    pts = np.array([(0.4, 0.7, -0.2), (0.0, 0.5, 0.1), (0.8, -0.6, 0.3), (0.3, 0.0, -0.4),
+                    (-0.3, 0.5, 0.1)])
+    for order in range(EQ_ORDER, MAX_ORDER + 1):
+        sys_ = build_system(omega, metric, pts, order)
+        assert 0 < np.count_nonzero(sys_.degenerate) < len(pts)
+        e = [sys_.frame.E[a] for a in range(3)]
+        e1k, e2k, e3k = (dd(sys_.K, ea) for ea in e)
+        e1m, e2m, e3m = (dd(sys_.M, ea) for ea in e)
+        d = e1k * e2m - e2k * e1m
+        assert np.array_equal(sys_.D.coeffs, d.coeffs)
+        ok = ~sys_.degenerate
+        rd = d._like(np.where(ok, d.coeffs, np.eye(len(d.coeffs), 1))).reciprocal()
+        for eq, num in ((sys_.EQ1, e3k * e1m - e1k * e3m), (sys_.EQ2, e3k * e2m - e2k * e3m)):
+            assert np.array_equal(eq.coeffs[..., ok], (num * rd).coeffs[..., ok])
+        if order < RESIDUAL_MIN_ORDER:
+            continue
+        (c12, c23_31), eq1, eq2 = sys_.C, sys_.EQ1, sys_.EQ2
+        want = [((dd(eq2, e[0]) - dd(eq1, e[1])) + c12[0] * eq1) + c12[1] * eq2,
+                (dd(eq1, e[2]) + c23_31[1, 0] * eq1) + c23_31[1, 1] * eq2,
+                (-dd(eq2, e[2]) + c23_31[0, 0] * eq1) + c23_31[0, 1] * eq2]
+        for got, r in zip(integrability_residuals(sys_), want):
+            assert np.array_equal(got[ok], r.value[ok])
 
 
 # -- integrability residuals ----------------------------------------------
@@ -169,8 +194,7 @@ def test_frame_to_coordinate_gradient_consistency(axial):
     for p in AXIAL_POINTS:
         sys_ = build_system(omega, metric, p)
         g = frame_to_coordinate_gradient(sys_)[:, 0]
-        b = np.array([[c.value[0] for c in e]
-                      for e in (sys_.frame.E1, sys_.frame.E2, sys_.frame.E3)])
+        b = sys_.frame.E.value[..., 0]
         assert np.allclose(b @ g, [sys_.EQ1.value[0], sys_.EQ2.value[0], 0.0],
                            atol=1e-12)
 
