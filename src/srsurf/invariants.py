@@ -31,8 +31,7 @@ def invariant_M(c) -> Jet:
 
 def invariant_K(c, frame: AdaptedFrame) -> Jet:
     """K = E1 C2_12 - E2 C1_12 + (C1_12)^2 + (C2_12)^2 - (C1_23 + C2_31)/2."""
-    c12, c23_31 = c
-    c1_12, c2_12 = c12[0], c12[1]
+    (c1_12, c2_12, _), c23_31 = c
     return (directional_derivative(c2_12, frame.E[0])
             - directional_derivative(c1_12, frame.E[1])
             + c1_12 * c1_12 + c2_12 * c2_12

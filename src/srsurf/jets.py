@@ -14,8 +14,8 @@ a 3-vector is a jet of shape (3,) and a 3x3 matrix one of shape (3, 3).
 Arithmetic broadcasts over the component axes as numpy does, indexing picks
 components, and `sum` adds along a component axis in index order.  Each
 column and component is its own scalar jet bit for bit, whatever the batch
-or stack: products sum their terms in one order, and series come from
-`math` point by point.
+or stack: products sum their terms in one order, and a series is an array
+expression of numpy functions that give a value the same bits at any width.
 """
 
 from __future__ import annotations
@@ -119,18 +119,30 @@ def fail_where(bad, point, what: str):
         raise JetError(f"{what} at {row_of(point, np.argmax(bad))}")
 
 
-def _series(terms):
-    """A univariate jet method from its series terms(v, order, ...) at each value;
-    a series term that overflows a float raises JetError."""
-    def at(v, order, args):
-        try:
-            return terms(v, order, *args)
-        except (OverflowError, ZeroDivisionError):  # 1 / v ** k after v ** k underflows
-            raise JetError(f"Taylor series of {terms.__name__} at {v} overflows a float") from None
+def _refuse(bad, v, text: str):
+    """Raise JetError(text), its {} the first value of v (in `ravel` order) where `bad` holds."""
+    if np.count_nonzero(bad):
+        raise JetError(text.format(float(v.flat[np.argmax(bad)])))
 
+
+@lru_cache(maxsize=32)  # bounded: one entry per exponent and order
+def _binomials(r: float, order: int) -> tuple:  # binom(r, k) for k = 0..order
+    return tuple(math.prod((r - j) / (j + 1) for j in range(k)) for k in range(order + 1))
+
+
+def _series(terms):
+    """A univariate jet method f from terms(v, order, ...) = (factor, scale, series) at the
+    values v, None for 1: f(v + u) = factor * sum_k series[k] * (scale * u)^k, u nilpotent.
+    After a float fault in them, a factor, scale or series[0] not finite raises JetError."""
+    overflow = f"Taylor series of {terms.__name__} at {{}} overflows a float"
     def compose(self: "Jet", *args) -> "Jet":
-        series = [at(x, self.order, args) for x in self.value.ravel().tolist()]
-        return self.compose_series(np.array(series).T.reshape(-1, *self.value.shape))
+        v, faults = self.value, []
+        with np.errstate(all="call", under="ignore", call=lambda *fault: faults.append(fault)):
+            factor, scale, series = terms(v, self.order, *args)
+        if faults:  # only then look for the values at fault
+            finite = [np.isfinite(x) for x in (factor, scale, series[0]) if x is not None]
+            _refuse(~reduce(np.logical_and, finite), v, overflow)
+        return self.compose_series(series, scale, factor)
     return compose
 
 
@@ -254,6 +266,10 @@ class Jet:
             raise JetError(f"index {key} has more axes than a jet of shape {self.shape}")
         return self._like(self.coeffs[(slice(None), *key)])
 
+    def __iter__(self):
+        """The components along the first axis, `a, b, c = v`; a scalar raises JetError."""
+        return (self[k] for k in range(self.coeffs.shape[1]))
+
     def sum(self, axis: int = 0) -> "Jet":
         """The sum along a component axis, added in index order: ((c0 + c1) + c2)."""
         c, axes = self.coeffs, self.coeffs.ndim - 2
@@ -343,66 +359,50 @@ class Jet:
 
     # -- univariate compositions ------------------------------------------
 
-    def compose_series(self, series) -> "Jet":
-        """Horner evaluation of sum_k series[k] * (self - value)^k."""
-        u = self._like(self.coeffs.copy())
-        u.coeffs[0] = 0.0  # nilpotent part; safe: u is a fresh array
-        result = Jet._coerce(series[-1], self)
-        for d in reversed(series[:-1]):
-            result = result * u + d
-        return result
+    def compose_series(self, series, scale=None, factor=None) -> "Jet":
+        """factor * sum_k series[k] * (scale * (self - value))^k by Horner's rule, None for 1."""
+        w = self.coeffs.copy() if scale is None else self.coeffs * scale
+        w[0] = 0.0  # the nilpotent part; safe: w is a fresh array
+        coeffs = w * series[-1]
+        coeffs[0] = series[-2] if len(series) > 1 else series[0]  # order 0: w is 0
+        for c in reversed(series[:-2]):
+            coeffs = (self._like(coeffs) * self._like(w)).coeffs
+            coeffs[0] = c
+        return self._like(coeffs if factor is None else np.multiply(coeffs, factor, out=coeffs))
 
     @_series
     def reciprocal(v, order):
-        if v == 0.0:
-            raise JetError("division by a jet with zero value")
-        return [(-1.0) ** k / v ** (k + 1) for k in range(order + 1)]
+        _refuse(v == 0.0, v, "division by a jet with zero value")
+        return None, (s := 1.0 / v), [(s, -s)[k % 2] for k in range(order + 1)]
 
     @_series
     def sqrt(v, order):
-        if v <= 0.0:
-            raise JetError(f"sqrt of jet with non-positive value {v}")
-        series, c = [], math.sqrt(v)
-        coeff = 1.0
-        for k in range(order + 1):
-            series.append(coeff * c / v ** k)
-            coeff *= (0.5 - k) / (k + 1)
-        return series
+        _refuse(v <= 0.0, v, "sqrt of jet with non-positive value {}")
+        return np.sqrt(v), 1.0 / v, _binomials(0.5, order)
 
     @_series
     def exp(v, order):
-        e = math.exp(v)
-        return [e / math.factorial(k) for k in range(order + 1)]
+        return np.exp(v), None, [1.0 / math.factorial(k) for k in range(order + 1)]
 
     @_series
     def log(v, order):
-        if v <= 0.0:
-            raise JetError(f"log of jet with non-positive value {v}")
-        series = [math.log(v)]
-        for k in range(1, order + 1):
-            series.append((-1.0) ** (k + 1) / (k * v ** k))
-        return series
+        _refuse(v <= 0.0, v, "log of jet with non-positive value {}")
+        return None, 1.0 / v, [np.log(v), *((-1.0) ** (k + 1) / k for k in range(1, order + 1))]
 
     @_series
     def sin(v, order):
-        cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
-        return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+        s, c = np.sin(v), np.cos(v)
+        return None, None, [(s, c, -s, -c)[k % 4] / math.factorial(k) for k in range(order + 1)]
 
     @_series
     def cos(v, order):
-        cycle = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
-        return [cycle[k % 4] / math.factorial(k) for k in range(order + 1)]
+        s, c = np.sin(v), np.cos(v)
+        return None, None, [(c, -s, -c, s)[k % 4] / math.factorial(k) for k in range(order + 1)]
 
     @_series
-    def pow(v, order, r: float):
-        """Real power r; requires a positive value."""
-        if v <= 0.0:
-            raise JetError(f"real power of jet with non-positive value {v}")
-        series, coeff = [], 1.0
-        for k in range(order + 1):
-            series.append(coeff * v ** (r - k))
-            coeff *= (r - k) / (k + 1)
-        return series
+    def pow(v, order, r: float):  # a real power r of positive values
+        _refuse(v <= 0.0, v, "real power of jet with non-positive value {}")
+        return np.power(v, r), 1.0 / v, _binomials(r, order)
 
     # -- differentiation ---------------------------------------------------
 

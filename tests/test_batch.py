@@ -27,8 +27,9 @@ SIGMA_METRIC = "1 + x^2\n0\n0\n1\n0\n1\n"  # with OMEGA_1: Sigma = {x = 0}
 
 def _ufunc_disagreements(rng):
     """Values at which numpy's exp, log or x ** -0.5 differ from math's in
-    the last bit on this machine (none on some): a batch that took its
-    series from numpy would show there."""
+    the last bit on this machine (none on some): where a batch and its
+    one-point jets took a value's series from different code paths, the
+    bits would differ there first."""
     v = rng.uniform(0.3, 3.0, 20000)
     bad = ((np.exp(v) != [math.exp(x) for x in v])
            | (np.log(v) != [math.log(x) for x in v])
@@ -394,22 +395,21 @@ def test_symmetry_reconstruct_grid(capsys, metric_file):
 
 @pytest.mark.parametrize("reconstruct", [[], ["--reconstruct", "--base", "1,0.5,0.2"]])
 def test_symmetry_series_overflow_in_a_chunk(capsys, metric_file, reconstruct):
-    # g's scale c, about 1 for x < 0 and e^(-280 x) for x > 0, makes lambda's
-    # 1 / sqrt(q), q = omega^T adj(g) omega of scale c^2, overflow in its
-    # order-4 Taylor series from x = 0.3 on, and in its order-3 one (ln f's
-    # quadrature) near the base at x = 1
-    c = "exp(-140*(x + sqrt(x^2 + 0.01)))"
+    # g11's term 1e-300 e^(8000 (x - 0.2)) is below an ulp of g11 for x <= 0.1, but
+    # the Taylor series of its exp overflows a float where x passes 0.289: at the
+    # last three targets, and on every ln f segment towards the base at x = 1
+    g11 = "1 + (x - 0.5)^2 + 1e-300*exp(8000*(x - 0.2))"
     argv = ["symmetry", "--omega", "dz + y*dx", "--metric-file",
-            metric_file(f"{c}\n0\n0\n{c}*(1 + y^2)\n0\n{c}\n"), *reconstruct]
+            metric_file(f"{g11}\n0\n0\n1 + y^2\n0\n1\n"), *reconstruct]
     points = [(x / 10, 0.5, 0.2) for x in (-2, -1, 0, 1, 3, 4, 5)]
     records = [json.loads(line) for line in _assert_one_call_per_item(
         capsys, argv, [_points_option(p) for p in points])]
-    overflows = [r["error"].startswith("Taylor series of pow at ") for r in records[4:]]
+    overflows = [r["error"].startswith("Taylor series of exp at ") for r in records[4:]]
     assert len(overflows) == 3 and all(overflows)
     for r in records[:4]:
         assert r["branch"] == "regular" and "error" not in r and "lnf" not in r
         if reconstruct:
-            assert r["diagnostics"]["reconstruct_error"].startswith("Taylor series of pow at ")
+            assert r["diagnostics"]["reconstruct_error"].startswith("Taylor series of exp at ")
 
 
 PROBES = ["-1,0.2,0.3 : 1,0.1,0.2", "-0.5,-0.4,0.1 : 0.7,0.3,-0.5",

@@ -318,20 +318,19 @@ def test_metric_with_infinite_minors_is_out_of_range(capsys, tmp_path, command, 
         assert rec["error"] == f"metric out of range at {tuple(rec['point'])}"
 
 
-def test_series_overflow_is_an_error_record(capsys, tmp_path):
-    # with g of scale 1e-40, lambda's 1 / sqrt(q), q = omega^T adj(g) omega
-    # of scale 1e-80, overflows in its order-4 Taylor series, which
-    # symmetry needs and invariants does not
-    metric = tmp_path / "metric.txt"
-    metric.write_text("1e-40*(1 + x^2)\n0\n0\n1e-40\n0\n1e-40\n")
-    argv = ["--omega", "dz + y*dx", "--points", "0.4,0.7,-0.2", "--metric-file", str(metric)]
-    code, out, err = run_cli(capsys, "symmetry", *argv)
-    assert (code, err) == (0, "")
-    (rec,) = ndjson(out)
-    assert rec["error"] == "Taylor series of pow at 1.6499999999999998e-80 overflows a float"
-    code, out, err = run_cli(capsys, "invariants", *argv)
-    assert (code, err) == (0, "")
-    assert ndjson(out)[0]["branch"] == "regular"
+@pytest.mark.parametrize("command", ["invariants", "symmetry"])
+def test_metric_of_scale_1e_minus_40_follows_the_laws(capsys, tmp_path, command):
+    # lambda's 1 / sqrt(q), q = omega^T adj(g) omega of scale 1e-80, is a series
+    # in powers of u / q(p): at order 4, as symmetry needs it, 1 / q(p)^4 would
+    # overflow, and the series in scaled form does not
+    metric = ["{c}*(1 + x^2)", "0", "0", "{c}", "0", "{c}"]
+    plain, scaled = (_regular_records(capsys, tmp_path, command, "dz + y*dx", metric,
+                                      "0.4,0.7,-0.2", c) for c in (1.0, 1e-40))
+    keys = {"invariants": {"lam", "M", "K"}, "symmetry": set(METRIC_SCALE_LAWS)}[command]
+    for p, s in zip(plain, scaled):
+        assert keys <= p.keys() and keys <= s.keys()
+        for key in keys:
+            assert s[key] == pytest.approx(p[key] * 1e-40 ** METRIC_SCALE_LAWS[key], rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["invariants", "symmetry"])
@@ -963,16 +962,33 @@ def test_reused_parser_keeps_calls_independent(capsys, first, first_code, second
 # -- CSV, pinned for every subcommand ---------------------------------------
 
 CSV_HEADER = "x,y,z,branch,contact,lam,M,K,D,EQ1,EQ2,lnf,Q112,Q212,error"
+# the rows before the series took their terms from numpy in scaled form: the
+# numbers moved in the last bits, and stay within 1e-12 of these
+MATH_SERIES_ROWS = [
+    "0.4,0.7,-0.2,regular,True,0.778498944161523,0.06713710760255023,1.671480646687258,"
+    "0.09830249551684314,0.4242424242424241,-0.18872701676642978,0.25038764395624463,,,",
+    "0.3,0.4,0.1,degenerate,True,0.9284766908852593,0.06384485091498286,"
+    "1.9768133174791913,0.0,,,,,,",
+    "0.0,0.2,0.1,noncontact,False,0.0,,,,,,,-0.0,-0.0,",
+    "0.5,0.0,0.0,regular,,,,,,,,,,,no Sigma crossing on probe"]
+
+
+def _near(row: str, want: str) -> bool:
+    """Each field of a CSV row equal to `want`'s, numbers within 1e-12 relative."""
+    got, near = row.split(","), want.split(",")
+    return len(got) == len(near) and all(
+        a == b or (a not in ("", "True", "False") and b and
+                   float(a) == pytest.approx(float(b), rel=1e-12)) for a, b in zip(got, near))
 
 
 @pytest.mark.parametrize("argv, rows", [
     (["symmetry", "--omega", CARTAN, "--metric-file", "metric.txt",
       "--points", "0.4,0.7,-0.2", "--reconstruct", "--base", "0,0,0"],
-     ["0.4,0.7,-0.2,regular,True,0.778498944161523,0.06713710760255023,1.671480646687258,"
-      "0.09830249551684314,0.4242424242424241,-0.18872701676642978,0.25038764395624463,,,"]),
+     ["0.4,0.7,-0.2,regular,True,0.778498944161523,0.06713710760255019,1.6714806466872587,"
+      "0.0983024955168431,0.42424242424242414,-0.18872701676642983,0.2503876439562446,,,"]),
     (["symmetry", "--omega", CARTAN, "--points", "0.3,0.4,0.1"],
      ["0.3,0.4,0.1,degenerate,True,0.9284766908852593,0.06384485091498286,"
-      "1.9768133174791913,0.0,,,,,,"]),
+      "1.976813317479191,0.0,,,,,,"]),
     (["singular", "--omega", OMEGA_1, "--probe", "-1,0.2,0.1 : 1,0.2,0.1",
       "--probe", "0.5,0,0 : 1,0,0"],
      ["0.0,0.2,0.1,noncontact,False,0.0,,,,,,,-0.0,-0.0,",
@@ -984,3 +1000,4 @@ def test_symmetry_and_singular_csv(capsys, tmp_path, monkeypatch, argv, rows):
     code, out, _ = run_cli(capsys, *argv, "--format", "csv")
     assert code == 0
     assert out.splitlines() == [CSV_HEADER, *rows]
+    assert all(any(_near(row, want) for want in MATH_SERIES_ROWS) for row in rows)

@@ -120,7 +120,9 @@ def test_jet_product_counts(monkeypatch):
     # its components, show each jet formed at the order its consumers keep,
     # on any machine.  A stacked product is one call: with one jet per
     # component the same work took 429 calls and 195 products, and 557 and 250;
-    # with a frame of six (3,)-jets and nine named C's, 197 and 57, and 275 and 92.
+    # with a frame of six (3,)-jets and nine named C's, 197 and 57, and 275 and 92;
+    # with each series' first Horner step a jet product with a constant and its
+    # terms added as constant jets, 194, 56 and 2,834, and 268, 81 and 25,961.
     omega, metric = OneForm.parse(AXIAL_FORM), MetricField.from_upper_triangle(AXIAL_METRIC)
     count = {"calls": 0, "products": 0, "terms": 0}
 
@@ -141,10 +143,18 @@ def test_jet_product_counts(monkeypatch):
         monkeypatch.setattr(Jet, name, staticmethod(counted) if static else counted)
     p = (0.4, 0.3, 0.1)
     invariants_at(omega, metric, p, 3)
-    assert count == {"calls": 194, "products": 56, "terms": 2834}
+    assert count == {"calls": 181, "products": 51, "terms": 2715}
     count.update(calls=0, products=0, terms=0)
     integrability_residuals(build_system(omega, metric, p, 5))
-    assert count == {"calls": 268, "products": 81, "terms": 25961}
+    assert count == {"calls": 243, "products": 75, "terms": 25030}
+    # unpacking a (3,) jet is a stack and three indices, with no fourth ending in IndexError
+    count.update(calls=0, products=0, terms=0)
+    x = [Jet.variable(axis, p, 2) for axis in range(3)]
+    a, b, c = Jet.stack(x)
+    assert count == {"calls": 4, "products": 0, "terms": 0}
+    assert all(np.array_equal(u.coeffs, v.coeffs) for u, v in zip((a, b, c), x))
+    with pytest.raises(JetError, match="more axes than a jet of shape"):
+        a, b = x[0]
 
 
 # -- lie_bracket -----------------------------------------------------------

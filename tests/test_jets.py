@@ -99,17 +99,27 @@ def test_sqrt_domain_error():
 
 
 @pytest.mark.parametrize("method, value, args", [
-    ("pow", 2.7e-60, (-0.5,)),   # v ** (r - 5) is above the largest float
-    ("reciprocal", 1e-200, ()),  # v ** 2 underflows to 0 before 1 / v ** 2
+    ("pow", 2.7e-60, (-0.5,)),   # v ** (r - 5) would be above the largest float
+    ("reciprocal", 1e-200, ()),  # 1 / v ** 2 would divide by an underflowed 0
     ("exp", 1000.0, ()),
+    ("sin", math.inf, ()),  # the value itself is not finite
 ])
 def test_series_overflow_raises_jet_error(method, value, args):
-    message = rf"^Taylor series of {method} at {value} overflows a float$"
-    with pytest.raises(JetError, match=message):
-        getattr(Jet.constant(value, (0, 0, 0), 5), method)(*args)
+    # a series in scaled form, f(v) times powers of u / v, overflows only where
+    # f(v) or 1 / v does: the two small values give their exact finite jets
+    alone = Jet.constant(value, (0, 0, 0), 5)
     batch = Jet.constant(np.array([1.0, value, 2.0]), np.zeros((3, 3)), 5)
-    with pytest.raises(JetError, match=message):
-        getattr(batch, method)(*args)
+    if method in ("exp", "sin"):
+        message = rf"^Taylor series of {method} at {value} overflows a float$"
+        for jet in (alone, batch):
+            with pytest.raises(JetError, match=message):
+                getattr(jet, method)()
+        return
+    want = 1.0 / value if method == "reciprocal" else value ** -0.5
+    for jet, row in ((alone, 0), (batch, 1)):
+        got = getattr(jet, method)(*args).coeffs
+        assert math.isclose(got[0, row], want, rel_tol=1e-15)
+        assert np.count_nonzero(got[1:]) == 0
 
 
 def test_exp_taylor_coefficients():
@@ -466,3 +476,104 @@ def test_number_operands_are_unchecked_constants(monkeypatch):
             assert np.array_equal(got.point, want.point) and got.order == want.order == 3
     # compose_series: the leading constant and every Horner step
     assert np.array_equal(a.exp().coeffs, want_exp.coeffs)
+
+
+# -- univariate series in scaled form ---------------------------------------
+
+SCALE_LAWS = {  # f(c x) from f(x)
+    "reciprocal": lambda f, c: f * (1.0 / c), "sqrt": lambda f, c: f * math.sqrt(c),
+    "pow": lambda f, c: f * c ** -0.5, "log": lambda f, c: f + math.log(c),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SCALE_LAWS))
+@pytest.mark.parametrize("c", [1e200, 1e-200])
+def test_series_at_any_scale(method, c):
+    rng, args = np.random.default_rng(7), (-0.5,) if method == "pow" else ()
+    for order in range(1, MAX_ORDER + 1):
+        coeffs = rng.uniform(-0.3, 0.3, (n_coeffs(order), 2))
+        coeffs[0] = 1.0
+        plain = Jet(np.zeros((2, 3)), order, coeffs)
+        got = getattr(Jet(plain.point, order, coeffs * c), method)(*args).coeffs
+        want = SCALE_LAWS[method](getattr(plain, method)(*args), c).coeffs
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (order, method)
+
+
+def _math_terms(method, v, order, r):
+    """The Taylor coefficients f^(k)(v) / k! of one value from `math`: the
+    per-point reference for the series in scaled form."""
+    k = range(order + 1)
+    if method in ("sqrt", "pow", "reciprocal"):
+        r, b = {"sqrt": 0.5, "reciprocal": -1.0}.get(method, r), [1.0]
+        for j in k[:-1]:
+            b.append(b[-1] * (r - j) / (j + 1))
+        return [b[j] * v ** (r - j) for j in k]
+    if method == "log":
+        return [math.log(v)] + [(-1.0) ** (j + 1) / (j * v ** j) for j in k[1:]]
+    if method == "exp":
+        return [math.exp(v) / math.factorial(j) for j in k]
+    cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
+    return [cycle[(j + (method == "cos")) % 4] / math.factorial(j) for j in k]
+
+
+@st.composite
+def series_cases(draw):
+    method = draw(st.sampled_from(["reciprocal", "sqrt", "pow", "log", "exp", "sin", "cos"]))
+    order, width = draw(st.integers(0, MAX_ORDER)), draw(st.integers(1, 3))
+    lo, hi = (-5.0, 5.0) if method in ("exp", "sin", "cos") else (0.1, 10.0)
+    values = draw(st.lists(st.floats(lo, hi), min_size=width, max_size=width))
+    if method == "reciprocal":
+        values = [v * draw(st.sampled_from([1, -1])) for v in values]
+    rest = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_coeffs(max(order, 1)) - 1,
+                         max_size=n_coeffs(max(order, 1)) - 1))
+    coeffs = np.array([values] + [[x] * width for x in rest])
+    jet = Jet(np.zeros((width, 3)), max(order, 1), coeffs).cut(order)
+    return method, jet, draw(st.floats(-2.5, 2.5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_cases())
+def test_series_are_the_math_series(case):
+    method, jet, r = case
+    got = getattr(jet, method)(*((r,) if method == "pow" else ()))
+    u = jet._like(jet.coeffs.copy())
+    u.coeffs[0] = 0.0
+    terms = np.array([_math_terms(method, v, jet.order, r) for v in jet.value.tolist()]).T
+    want = jet._like(np.zeros(jet.coeffs.shape))
+    want.coeffs[0] = terms[-1]
+    for c in terms[-2::-1]:  # Horner's rule with jet products, as the series did point by point
+        want = want * u
+        want.coeffs[0] += c
+    assert got.order == jet.order
+    assert np.abs(got.coeffs - want.coeffs).max() <= 1e-14 * np.abs(want.coeffs).max()
+
+
+UFUNCS = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt,
+          "power -0.5": lambda v: np.power(v, -0.5), "power -1.5": lambda v: np.power(v, -1.5)}
+
+
+@pytest.mark.parametrize("name", sorted(UFUNCS))
+def test_numpy_functions_give_the_same_bits_at_any_width(name):
+    # a batch column equals its one-point jet only because numpy's SIMD loops
+    # give an element the same bits whatever the width or stride of its array
+    f = UFUNCS[name]
+    v = np.random.default_rng(3).uniform(-30, 30, 4096)  # spanning e^-30..e^30 where positive
+    v = v if name in ("exp", "sin", "cos") else np.exp(v)
+    whole = f(v)
+    for width in (1, 7, 400):
+        parts = np.concatenate([f(v[i:i + width]) for i in range(0, len(v), width)])
+        assert np.array_equal(parts, whole), width
+    strided = np.repeat(v, 3)[1::3]
+    assert not strided.flags.contiguous and np.array_equal(f(strided), whole)
+    # a float fault is flagged at any width and place: series find overflows by the flag
+    bad = {"exp": 1000.0, "log": -1.0, "sqrt": -1.0, "sin": np.inf, "cos": np.inf,
+           "power -0.5": -1.0, "power -1.5": 1e-250}[name]
+    for width in (1, 7, 400, 4096):
+        for place in {0, width // 2, width - 1}:
+            x = v[:width].copy()
+            x[place] = bad
+            faults = []
+            with np.errstate(all="call", call=lambda kind, flag: faults.append(kind)):
+                f(x)
+            assert faults, (width, place)
