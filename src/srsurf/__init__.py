@@ -13,24 +13,23 @@ from .fields import (DEFAULT_ORDER, FieldProgram, MetricField, OneForm,
                      ParseError)
 from .frame import (AdaptedFrame, NoncontactError, build_contact_frame,
                     delta_basis, lie_bracket, nonholonomity)
-from .invariants import (InvariantValues, directional_derivative, invariant_K,
-                         invariant_M, invariants_at)
+from .invariants import directional_derivative, invariant_K, invariant_M, invariants_at
 from .symmetry import (DegeneratePointError, SymmetryField, SymmetrySystem,
                        assemble_and_verify_V, build_system,
                        frame_to_coordinate_gradient, integrability_residuals,
                        reconstruct_lnf)
-from .singular import (SigmaInvariants, SigmaPoint, SingularFrameError,
-                       build_singular_frame, characteristic_field,
-                       lambda_identities, locate_sigma, sigma_invariants)
+from .singular import (SigmaRoots, SingularFrameError, build_singular_frame,
+                       characteristic_field, lambda_identities, locate_sigma,
+                       sigma_invariants)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AdaptedFrame", "BudgetExhausted", "DEFAULT_ORDER",
-    "DegeneratePointError", "FieldProgram", "InvariantValues", "Jet",
+    "DegeneratePointError", "FieldProgram", "Jet",
     "JetError", "MAX_ORDER", "MIN_ORDER", "MetricField", "NoncontactError",
     "OneForm", "ParseError",
-    "SigmaInvariants", "SigmaPoint", "SingularFrameError",
+    "SigmaRoots", "SingularFrameError",
     "SymmetryField", "SymmetrySystem",
     "assemble_and_verify_V", "build_contact_frame", "build_singular_frame",
     "build_system", "characteristic_field",

@@ -166,11 +166,11 @@ def cmd_invariants(args) -> list:
     tols = _given(args, "tol_contact")
 
     def records(points):
-        vals, frame, _ = invariants_at(omega, metric, points, INVARIANTS_ORDER, **tols)
-        rows, budget = frame.rows, min(vals.M.order, vals.K.order)  # the least order left
+        m, k, frame, _ = invariants_at(omega, metric, points, INVARIANTS_ORDER, **tols)
+        rows, budget = frame.rows, min(m.order, k.order)  # the least order left
         return _noncontact(points, rows) + [(rows, dict(
             point=list(points[rows].T), branch="regular", contact=True, lam=frame.lam.value,
-            M=vals.M.value, K=vals.K.value,
+            M=m.value, K=k.value,
             diagnostics={"jet_order": INVARIANTS_ORDER, "budget_remaining": budget}))]
 
     return _chunked(points, INVARIANTS_CHUNK, records, _point_error, _noncontact)
@@ -217,31 +217,29 @@ def cmd_singular(args) -> list:
                         "diagnostics": {"probe": [list(s.T) for s in segments.swapaxes(0, 1)]}})]
 
     def records(segments):
-        found = locate_sigma(omega, metric, segments, **tols)
-        start = np.cumsum([0] + [max(len(probe), 1) for probe in found])  # each probe's place
-        none = [k for k, probe in enumerate(found) if not probe]
-        blocks = probe_errors(segments[none], start[none], "no Sigma crossing on probe")
-        roots = [sp for probe in found for sp in probe]
-        if not roots:
-            return blocks
-        at = np.concatenate([start[k] + np.arange(len(probe)) for k, probe in enumerate(found)])
-        values = {k: np.array([getattr(sp, k) for sp in roots]) for k in vars(roots[0])}
-        points, lam = values.pop("point"), values.pop("lambda_residual")
+        values = vars(locate_sigma(omega, metric, segments, **tols)).copy()
+        segment, points, lam = (values.pop(k) for k in ("segment", "point", "lambda_residual"))
+        none = np.flatnonzero(np.bincount(segment, minlength=len(segments)) == 0)
+        # each record's place: by probe, and a probe's roots in order along it
+        order = np.argsort(np.r_[segment, none], kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(len(order))
+        blocks = probe_errors(segments[none], at[len(segment):], "no Sigma crossing on probe")
         diagnostics = {k: values.pop(k) for k in ("transversal", "lambda_gradient_on_delta")}
         record = dict(point=list(points.T), branch="noncontact", contact=False, lam=lam,
-                      diagnostics=dict(diagnostics, sigma=values))  # the rest of SigmaPoint
+                      diagnostics=dict(diagnostics, sigma=values))  # the rest of SigmaRoots
 
         def frames(idx):  # the roots' Q and lambda-identity residuals
             frame, c = build_singular_frame(omega, metric, points[idx], SINGULAR_FRAME_ORDER)
-            q, rep = sigma_invariants(c), _at(record, idx)
+            (q112, q212), rep = sigma_invariants(c), _at(record, idx)
             rep["diagnostics"]["lambda_identity_residuals"] = list(lambda_identities(frame, c))
-            return [(at[idx], dict(rep, Q112=q.Q112, Q212=q.Q212))]
+            return [(at[idx], dict(rep, Q112=q112, Q212=q212))]
 
         def failed(idx, text: str):  # a root whose own frame raises gets its error
             return [(at[idx], dict(_at(record, idx), error=text))]
 
         # all the roots' frames, a batch at a time; a batch that raises runs again root by root
-        return blocks + [b for part in _chunked(np.arange(len(roots)), SINGULAR_FRAME_CHUNK,
+        return blocks + [b for part in _chunked(np.arange(len(segment)), SINGULAR_FRAME_CHUNK,
                                                frames, failed) for b in part]
 
     return _chunked(probes, PROBE_CHUNK, records, lambda seg, text: probe_errors(seg, [0], text))

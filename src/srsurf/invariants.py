@@ -3,8 +3,6 @@ functions C (`frame.structure_functions`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import DEFAULT_ORDER, MetricField, OneForm
 from .frame import TOL_CONTACT, AdaptedFrame, build_contact_frame
 from .jets import Jet
@@ -38,15 +36,9 @@ def invariant_K(c, frame: AdaptedFrame) -> Jet:
             - (c23_31[0, 0] + c23_31[1, 1]) / 2.0)
 
 
-@dataclass
-class InvariantValues:
-    M: Jet
-    K: Jet
-
-
 def invariants_at(omega: OneForm, metric: MetricField, point,
                   order: int = DEFAULT_ORDER, tol_contact: float = TOL_CONTACT):
-    """Frame, structure functions and invariants at a contact point (or the
-    contact points of a batch), sharing one set of jets."""
+    """(M, K, frame, C) at a contact point (or the contact points of a batch):
+    the invariants, the frame and its structure functions, sharing one set of jets."""
     frame, c = build_contact_frame(omega, metric, point, order, tol_contact=tol_contact)
-    return InvariantValues(M=invariant_M(c), K=invariant_K(c, frame)), frame, c
+    return invariant_M(c), invariant_K(c, frame), frame, c

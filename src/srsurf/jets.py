@@ -201,10 +201,6 @@ class Jet:
         """The values, (*shape, N): one per component and point."""
         return self.coeffs[0]
 
-    def value_at(self, row: int) -> float:
-        """The value of a scalar at row `row` of the batch, as a float."""
-        return float(self.coeffs[0, row])
-
     def coeff(self, mi) -> np.ndarray:
         """Taylor coefficient for multi-index mi (derivative / factorials), one per point."""
         mi = tuple(mi)

@@ -14,8 +14,9 @@ import numpy as np
 
 from .fields import AFTER, NEXT, FieldProgram, MetricField, OneForm, curl
 from .frame import build_contact_frame, delta_basis, nonholonomity, structure_functions
-from .invariants import directional_derivative, invariant_K, invariant_M, invariants_at
-from .jets import MAX_ORDER, BudgetExhausted, Jet
+from .invariants import (INVARIANTS_ORDER, directional_derivative, invariant_K, invariant_M,
+                         invariants_at)
+from .jets import MAX_ORDER, BudgetExhausted, Jet, JetError
 from .singular import (SINGULAR_FRAME_ORDER, build_singular_frame,
                        characteristic_field, lambda_identities, locate_sigma,
                        sigma_invariants)
@@ -93,8 +94,10 @@ def rotated(frame, theta):
     the angle theta (`turn`), so the coframe stays dual; M and K do not see it.
     The turned E1, E2 are at the order of the stacked E, one below the
     frame's own, so K needs a frame from jets of order
-    `invariants.INVARIANTS_ORDER` + 1."""
+    `invariants.INVARIANTS_ORDER` + 1, else JetError."""
     e, eta = frame.E, frame.eta
+    if e.order + 2 < INVARIANTS_ORDER + 1:  # a frame's E is two orders below its jets
+        raise JetError(f"rotated needs jets of order {INVARIANTS_ORDER + 1}, got {e.order + 2}")
     e1, e2 = turn(theta, e[0], e[1])
     eta = Jet.stack([*turn(theta, eta[0], eta[1]), eta[2]])
     frame = replace(frame, E=Jet.stack([e1, e2, e[2]]), eta=eta)
@@ -128,9 +131,9 @@ def check_invariant_M_K_closed_forms() -> CheckResult:
                 (OneForm.parse(CARTAN), cartan_M, cartan_K))
     pts = _rng().uniform(-2, 2, (20, 3))
     for omega, m_ref, k_ref in fixtures:
-        vals, frame, _ = invariants_at(omega, g, pts)
+        m, k, frame, _ = invariants_at(omega, g, pts)
         x, y, z = pts[frame.rows].T
-        for got, ref in ((vals.M, m_ref(x, y, z)), (vals.K, k_ref(x, y, z))):
+        for got, ref in ((m, m_ref(x, y, z)), (k, k_ref(x, y, z))):
             devs.append(abs(got.value - ref) / (1 + abs(ref)))
     return _result("invariant-M-K-closed-forms", devs, 1e-8)
 
@@ -165,12 +168,11 @@ def check_gauge_invariance() -> CheckResult:
         omega = OneForm.parse(text)
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
         pts = rng.uniform(-1.5, 1.5, (8, 3))
-        ref, frame, _ = invariants_at(omega, g, pts)
-        got = [invariants_at(form, g, pts)[0] for form in (scaled, -omega)]
-        got = [(v.M, v.K) for v in got] + [rotated(frame, a)[2:] for a in (0.7, theta(pts))]
-        for m, k in got:
-            devs.append(abs(m.value - ref.M.value) / (1 + abs(ref.M.value)))
-            devs.append(abs(k.value - ref.K.value) / (1 + abs(ref.K.value)))
+        m0, k0, frame, _ = invariants_at(omega, g, pts)
+        got = [invariants_at(form, g, pts)[:2] for form in (scaled, -omega)]
+        for m, k in got + [rotated(frame, a)[2:] for a in (0.7, theta(pts))]:
+            devs.append(abs(m.value - m0.value) / (1 + abs(m0.value)))
+            devs.append(abs(k.value - k0.value) / (1 + abs(k0.value)))
     return _result("gauge-invariance-M-K", devs, 1e-8)
 
 
@@ -209,10 +211,9 @@ def check_injected_symmetries() -> CheckResult:
     devs = []
     pts = _rng().uniform(-1.5, 1.5, (12, 3))
     for text, f in ((HEISENBERG, "sqrt(1 + x^2 + y^2)"), (CARTAN, "-sqrt(1 + y^2)*y")):
-        for r in assemble_and_verify_V(OneForm.parse(text), g, pts, f=FieldProgram.parse(f),
-                                       order=RESIDUAL_MIN_ORDER):
-            devs += [abs(r.VK), abs(r.VM), abs(r.E3f),
-                     r.bracket_defect_1, r.bracket_defect_2]
+        r = assemble_and_verify_V(OneForm.parse(text), g, pts, f=FieldProgram.parse(f),
+                                  order=RESIDUAL_MIN_ORDER)
+        devs += [abs(r.VK), abs(r.VM), abs(r.E3f), r.bracket_defect_1, r.bracket_defect_2]
     return _result("injected-symmetry-verification", devs, 1e-7)
 
 
@@ -242,21 +243,20 @@ def check_singular_fixture() -> CheckResult:
     g = MetricField.identity()
     omega = OneForm.parse(OMEGA_1)
     devs = []
-    roots = locate_sigma(omega, g, [((-1, 0, 0), (1, 0, 0))])[0]
-    if [sp.transversal for sp in roots] != [True]:
+    roots = locate_sigma(omega, g, [((-1, 0, 0), (1, 0, 0))])
+    if roots.transversal.tolist() != [True]:
         return CheckResult("singular-fixture", 1.0, 1e-6, False,
                            "Sigma root not found")
-    devs.append(float(np.linalg.norm(roots[0].point)))
+    devs.append(float(np.linalg.norm(roots.point[0])))
     v = characteristic_field(omega.evaluate([(0.5, 0, 0), (0, 0, 0), (0, 0.4, 0.2)])).value
     devs.append(np.linalg.norm(np.subtract(v, [[0.0], [1.0], [0.0]]), axis=0))
     frame, c = build_singular_frame(omega, g, [(0.3, 0, 0), (0, 0.5, -0.3)])
     r1, r2 = lambda_identities(frame, c)
     devs += [abs(r1), abs(r2), abs(c[0].value[2] + frame.lam.value), abs(c[1].value[:, 2])]
-    q = sigma_invariants(build_singular_frame(omega, g, (0, 0, 0))[1])
-    devs += [abs(q.Q112), abs(q.Q212)]
+    q = np.array(sigma_invariants(build_singular_frame(omega, g, (0, 0, 0))[1]))
+    devs.append(abs(q))
     scaled = omega.scale(lambda p, n: (nonholonomity(omega, g, p, n) ** 2).exp())
-    q2 = sigma_invariants(build_singular_frame(scaled, g, (0, 0, 0))[1])
-    devs += [abs(q2.Q112 - q.Q112), abs(q2.Q212 - q.Q212)]
+    devs.append(abs(np.array(sigma_invariants(build_singular_frame(scaled, g, (0, 0, 0))[1])) - q))
     special, turned = ((OneForm.parse(f), MetricField.from_upper_triangle(m), p)
                        for f, m, p in ((SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT),
                                        (TURNED_FORM, TURNED_METRIC, TURNED_POINT)))
@@ -264,8 +264,8 @@ def check_singular_fixture() -> CheckResult:
         e3 = build_singular_frame(*special, order)[0].E[2].coeffs.copy()
         e3[0, 2] -= 1.0  # E3 = d_z
         devs.append(float(np.abs(e3).max()))
-    q, q2 = (sigma_invariants(build_singular_frame(*f)[1]) for f in (special, turned))
-    devs += [abs(q2.Q112 / q.Q112 - 1.0), abs(q2.Q212 / q.Q212 - 1.0)]
+    q, q2 = (np.array(sigma_invariants(build_singular_frame(*f)[1])) for f in (special, turned))
+    devs.append(abs(q2 / q - 1.0))
     return _result("singular-fixture", devs, 1e-6)
 
 

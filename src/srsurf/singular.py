@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -34,22 +33,21 @@ class SingularFrameError(JetError):
     """Singular-frame construction failed (transversality or field)."""
 
 
-@dataclass
-class SigmaPoint:
-    point: tuple
-    lambda_residual: float
-    transversal: bool
-    lambda_gradient_on_delta: float
-    candidate: str  # "sign_change" | "minimum"
-    newton_iterations: int
-    margin: float  # |lambda| / |omega|_g
-    converged: bool
+CANDIDATES = np.array(("sign_change", "minimum"))  # by candidate kind
 
 
 @dataclass
-class SigmaInvariants:
-    Q112: float
-    Q212: float
+class SigmaRoots:
+    """The roots of `locate_sigma`, a column each, a row per root."""
+    segment: np.ndarray  # the index of the root's segment
+    point: np.ndarray  # (n, 3)
+    lambda_residual: np.ndarray  # |lambda|
+    transversal: np.ndarray
+    lambda_gradient_on_delta: np.ndarray
+    candidate: np.ndarray  # "sign_change" | "minimum"
+    newton_iterations: np.ndarray
+    margin: np.ndarray  # |lambda| / |omega|_g
+    converged: np.ndarray
 
 
 def _along(c, d, k: int):
@@ -103,8 +101,9 @@ def _on_delta(w: Jet, g: Jet, q: Jet, norm, lam: Jet):
 
 
 def locate_sigma(omega: OneForm, metric: MetricField, segments,
-                 tol_root: float = TOL_ROOT) -> List[List[SigmaPoint]]:
-    """The roots of lambda on each straight segment (p0, p1), in order along it.
+                 tol_root: float = TOL_ROOT) -> SigmaRoots:
+    """The roots of lambda on the straight segments (p0, p1), by segment and
+    in order along each.
 
     One batch scans every segment at SIGMA_SCAN_NODES nodes.  The candidates:
     each sign change of lambda between nodes, each run of nodes where lambda is
@@ -113,7 +112,7 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     two kinds to a zero of lambda and the minima to one of d(lambda)/dt; one
     evaluation at TRANSVERSALITY_ORDER then gives |lambda|, |omega|_g and
     `_on_delta` there.  A root has |lambda| / |omega|_g <= tol_root, or is a
-    sign change whose polish did not converge (`SigmaPoint.converged`).
+    sign change whose polish did not converge (`SigmaRoots.converged`).
     """
     ends = np.array(segments, dtype=float)
     ts = np.linspace(0.0, 1.0, SIGMA_SCAN_NODES)
@@ -133,9 +132,10 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     lo, hi = np.r_[ts[i], ts[zi], ts[mi - 1]], np.r_[ts[i + 1], ts[zi], ts[mi + 1]]
     t = np.r_[ts[i] + (ts[i + 1] - ts[i]) * (a / (a - b)), ts[zi], ts[mi]]
     rising = np.r_[a < 0, np.zeros(len(zi), bool), lam[ms, mi] > 0]
-    out = [[] for _ in ends]
-    if not len(t):
-        return out
+    if not len(t):  # no root: each column empty, as a full one's dtype and shape
+        none = np.zeros(0)
+        return SigmaRoots(seg, np.zeros((0, 3)), none, none > 0, none, CANDIDATES[kind],
+                          kind, none, none > 0)
     p0, d = ends[seg, 0], ends[seg, 1] - ends[seg, 0]
     t, steps, converged = _polish(omega, metric, p0, d, t, lo, hi, rising, kind)
     points = p0 + t[:, None] * d
@@ -144,13 +144,10 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     margin = np.abs(lam.value) / scale
     # a sign change brackets a zero of lambda: unconverged, it is kept and says so
     keep = (margin <= tol_root) | ((kind == 0) & ~converged)
-    for j in np.lexsort((t, seg)):
-        if keep[j]:
-            out[seg[j]].append(SigmaPoint(
-                tuple(points[j].tolist()), abs(lam.value_at(j)), bool(transversal[j]),
-                float(grad_norm[j]), ("sign_change", "minimum")[kind[j]], int(steps[j]),
-                float(margin[j]), bool(converged[j])))
-    return out
+    j = np.lexsort((t, seg))
+    j = j[keep[j]]
+    return SigmaRoots(seg[j], points[j], np.abs(lam.value[j]), transversal[j], grad_norm[j],
+                      CANDIDATES[kind[j]], steps[j], margin[j], converged[j])
 
 
 def _jet_quotient(w: Jet, mu: Jet):
@@ -240,8 +237,8 @@ def lambda_identities(frame: AdaptedFrame, c):
     return r1, lam3 + lam.value * (c23_31[1, 0] - c23_31[0, 1])
 
 
-def sigma_invariants(c) -> SigmaInvariants:
-    """Q1_12 = C1_12 restricted to Sigma, Q2_12 = C2_12 restricted to Sigma
-    (invariants of the surface along the singular locus), from the structure
-    functions of a singular frame built at a Sigma point."""
-    return SigmaInvariants(Q112=c[0].value[0], Q212=c[0].value[1])
+def sigma_invariants(c):
+    """(Q1_12, Q2_12): Q1_12 = C1_12 restricted to Sigma, Q2_12 = C2_12
+    restricted to Sigma (invariants of the surface along the singular locus),
+    from the structure functions of a singular frame built at a Sigma point."""
+    return c[0].value[0], c[0].value[1]

@@ -51,8 +51,7 @@ def build_system(omega: OneForm, metric: MetricField, point,
     tol_degenerate * scale flags degenerate), so that both near-parallel gradients and
     vanishing gradients are reported as degenerate, in a batch row by row; a
     degenerate row's EQ divides by a stand-in D = 1 and means nothing."""
-    vals, frame, c = invariants_at(omega, metric, point, order, tol_contact=tol_contact)
-    m, k = vals.M, vals.K
+    m, k, frame, c = invariants_at(omega, metric, point, order, tol_contact=tol_contact)
     ek, em = (directional_derivative(f, frame.E) for f in (k, m))  # E_a K, E_a M
     cross = ek[NEXT] * em[AFTER] - ek[AFTER] * em[NEXT]
     d = cross[2]
@@ -235,14 +234,15 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 
 @dataclass
 class SymmetryField:
-    point: tuple
-    f_value: float
-    V: tuple  # component values
-    VK: float
-    VM: float
-    E3f: float
-    bracket_defect_1: float
-    bracket_defect_2: float
+    """The report of `assemble_and_verify_V`, a column each, a row per point."""
+    point: np.ndarray  # (N, 3)
+    f_value: np.ndarray
+    V: np.ndarray  # (3, N) component values
+    VK: np.ndarray
+    VM: np.ndarray
+    E3f: np.ndarray
+    bracket_defect_1: np.ndarray
+    bracket_defect_2: np.ndarray
 
 
 def assemble_V(f, e1f, e2f, frame):
@@ -256,31 +256,29 @@ def reconstructed_V(sys_: SymmetrySystem, lnf: float, row: int = 0):
     """(f, V) at the system's row `row` from a reconstructed ln f there:
     f = e^{ln f}, E1 f = f EQ1 and E2 f = f EQ2, as floats."""
     fv = float(np.exp(lnf))
-    return fv, tuple(assemble_V(fv, fv * sys_.EQ1.value_at(row), fv * sys_.EQ2.value_at(row),
+    return fv, tuple(assemble_V(fv, fv * sys_.EQ1.value[row], fv * sys_.EQ2.value[row],
                                 sys_.frame.E.value[..., row]).tolist())
 
 
 def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
                           f: FieldProgram, order: int = DEFAULT_ORDER):
     """Assemble V (`assemble_V`) from the injected scalar program `f` at
-    the points and verify it, all in jets of one batch: each point's report
-    holds |VK|, |VM|, |E3 f| and the bracket defects ||[E1,V] - lambda E2||,
+    the points and verify it, all in jets of one batch: the report holds, per
+    point, VK, VM, E3 f and the bracket defects ||[E1,V] - lambda E2||,
     ||[E2,V] + lambda E1||.  A noncontact point raises NoncontactError, the
     first one's own.  A V from a reconstructed ln f comes from `reconstructed_V`."""
     points = _as_point(points)
-    vals, frame, _ = invariants_at(omega, metric, points, order)
-    for k in np.delete(np.arange(len(points)), frame.rows)[:1]:  # raises the first
-        invariants_at(omega, metric, points[k:k + 1], order)  # noncontact point's own error
+    m, k, frame, _ = invariants_at(omega, metric, points, order)
+    for row in np.delete(np.arange(len(points)), frame.rows)[:1]:  # raises the first
+        invariants_at(omega, metric, points[row:row + 1], order)  # noncontact point's own error
     fj = f(points, order)
     e = frame.E
     ef = directional_derivative(fj, e)  # E_a f
     v = assemble_V(fj, ef[0], ef[1], e)
-    vk, vm = (directional_derivative(inv, v).value for inv in (vals.K, vals.M))
+    vk, vm = (directional_derivative(inv, v).value for inv in (k, m))
     br1, br2 = (lie_bracket(e[a], v).value for a in (0, 1))
     lam_mult = sum(frame.eta.value[1] * br1)
-    d1, d2 = br1 - lam_mult * e.value[1], br2 + lam_mult * e.value[0]
-    return [SymmetryField(
-        point=row_of(points, k), f_value=float(fj.value[k]), V=tuple(v.value[:, k].tolist()),
-        VK=float(vk[k]), VM=float(vm[k]), E3f=float(ef.value[2, k]),
-        bracket_defect_1=float(np.linalg.norm(d1[:, k])),
-        bracket_defect_2=float(np.linalg.norm(d2[:, k]))) for k in range(len(points))]
+    d = np.stack([br1 - lam_mult * e.value[1], br2 + lam_mult * e.value[0]]).swapaxes(1, 2)
+    # ||d|| per point by one dot product each, as np.linalg.norm takes a vector's
+    defects = np.sqrt(d[..., None, :] @ d[..., None])[..., 0, 0]
+    return SymmetryField(points, fj.value, v.value, vk, vm, ef.value[2], *defects)

@@ -42,9 +42,9 @@ def sample_points(n, seed, scale=2.0):
 def contact_invariants(omega, points):
     """(M, K, frame, C) at a batch of points, every one of them contact: a
     batch's columns are its points' own values bit for bit."""
-    v, frame, c = invariants_at(omega, EUCLID, np.array(points))
+    m, k, frame, c = invariants_at(omega, EUCLID, np.array(points))
     assert len(frame.rows) == len(points), "a sample point is noncontact"
-    return v.M.value, v.K.value, frame, c
+    return m.value, k.value, frame, c
 
 
 # -- criterion 1: Heisenberg invariants ------------------------------------
@@ -181,11 +181,11 @@ def test_criterion5_lnf_half_ln2():
 def test_criterion5_injected_V_verifies():
     f = FieldProgram.parse("sqrt(1 + x^2 + y^2)")
     pts = sample_points(50, 52)
-    for rep in assemble_and_verify_V(HEIS, EUCLID, pts, f=f, order=5):
-        assert abs(rep.VK) < 1e-6
-        assert abs(rep.VM) < 1e-6
-        assert rep.bracket_defect_1 < 1e-6
-        assert rep.bracket_defect_2 < 1e-6
+    rep = assemble_and_verify_V(HEIS, EUCLID, pts, f=f, order=5)
+    assert np.all(abs(rep.VK) < 1e-6)
+    assert np.all(abs(rep.VM) < 1e-6)
+    assert np.all(rep.bracket_defect_1 < 1e-6)
+    assert np.all(rep.bracket_defect_2 < 1e-6)
 
 
 # -- criterion 6: symmetry system, Cartan ----------------------------------
@@ -208,15 +208,14 @@ def test_criterion6_injected_f_y():
         return -y(q, n) / nonholonomity(CARTAN, EUCLID, q, n)
 
     pts = sample_points(20, 61)
-    for rep in assemble_and_verify_V(CARTAN, EUCLID, pts, f=f, order=5):
-        assert np.allclose(rep.V, [1, 0, 0], atol=1e-6), (
-            f"V = {rep.V} at {rep.point}")
-        assert abs(rep.VK) < 1e-6, f"VK = {rep.VK!r} at {rep.point}"
-        assert abs(rep.VM) < 1e-6, f"VM = {rep.VM!r} at {rep.point}"
-        assert rep.bracket_defect_1 < 1e-6, (
-            f"bracket defect 1 = {rep.bracket_defect_1!r} at {rep.point}")
-        assert rep.bracket_defect_2 < 1e-6, (
-            f"bracket defect 2 = {rep.bracket_defect_2!r} at {rep.point}")
+    rep = assemble_and_verify_V(CARTAN, EUCLID, pts, f=f, order=5)
+    for p, v, vk, vm, d1, d2 in zip(rep.point, rep.V.T, rep.VK, rep.VM,
+                                    rep.bracket_defect_1, rep.bracket_defect_2):
+        assert np.allclose(v, [1, 0, 0], atol=1e-6), f"V = {v} at {p}"
+        assert abs(vk) < 1e-6, f"VK = {vk!r} at {p}"
+        assert abs(vm) < 1e-6, f"VM = {vm!r} at {p}"
+        assert d1 < 1e-6, f"bracket defect 1 = {d1!r} at {p}"
+        assert d2 < 1e-6, f"bracket defect 2 = {d2!r} at {p}"
 
 
 def test_criterion6_injected_true_symmetry():
@@ -224,19 +223,20 @@ def test_criterion6_injected_true_symmetry():
     # symmetry of this fixture and passes the same verification
     f = FieldProgram.parse("-y * sqrt(1 + y^2)")
     pts = sample_points(20, 61)
-    for rep in assemble_and_verify_V(CARTAN, EUCLID, pts, f=f, order=5):
-        assert abs(rep.VK) < 1e-6
-        assert abs(rep.VM) < 1e-6
-        assert rep.bracket_defect_1 < 1e-6
-        assert rep.bracket_defect_2 < 1e-6
+    rep = assemble_and_verify_V(CARTAN, EUCLID, pts, f=f, order=5)
+    assert np.all(abs(rep.VK) < 1e-6)
+    assert np.all(abs(rep.VM) < 1e-6)
+    assert np.all(rep.bracket_defect_1 < 1e-6)
+    assert np.all(rep.bracket_defect_2 < 1e-6)
 
 
 # -- criterion 7: singular fixture -----------------------------------------
 
 def test_criterion7_singular_fixture():
-    (sp,) = locate_sigma(OMEGA_1, EUCLID, [((-1, 0, 0), (1, 0, 0))])[0]
-    assert abs(sp.point[0]) < 1e-10
-    assert sp.transversal
+    roots = locate_sigma(OMEGA_1, EUCLID, [((-1, 0, 0), (1, 0, 0))])
+    (x, _, _), = roots.point
+    assert abs(x) < 1e-10
+    assert roots.transversal.tolist() == [True]
 
     for p in ((0.0, 0.2, 0.1), (0.4, 0.2, 0.1)):
         v = characteristic_field(OMEGA_1.evaluate(p))
@@ -248,13 +248,13 @@ def test_criterion7_singular_fixture():
         assert abs(r1) < 1e-8
         assert abs(r2) < 1e-8
 
-    q = sigma_invariants(build_singular_frame(OMEGA_1, EUCLID, (0, 0, 0))[1])
-    assert abs(q.Q112) < 1e-12 and abs(q.Q212) < 1e-12
+    q112, q212 = sigma_invariants(build_singular_frame(OMEGA_1, EUCLID, (0, 0, 0))[1])
+    assert abs(q112) < 1e-12 and abs(q212) < 1e-12
 
     scaled = OMEGA_1.scale(lambda p, n: (nonholonomity(OMEGA_1, EUCLID, p, n) ** 2).exp())
-    q1 = sigma_invariants(build_singular_frame(scaled, EUCLID, (0, 0, 0))[1])
-    assert abs(q.Q112 - q1.Q112) < 1e-6
-    assert abs(q.Q212 - q1.Q212) < 1e-6
+    q112_1, q212_1 = sigma_invariants(build_singular_frame(scaled, EUCLID, (0, 0, 0))[1])
+    assert abs(q112 - q112_1) < 1e-6
+    assert abs(q212 - q212_1) < 1e-6
 
 
 # -- criterion 8: nonholonomity properties ---------------------------------

@@ -2,6 +2,7 @@
 and every record of a chunked `invariants`, `symmetry` or `singular` call,
 equals its one-point (one-probe) result bit for bit."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 
 import srsurf.cli
-from srsurf import (Jet, JetError, MAX_ORDER, MetricField, OneForm, build_contact_frame,
+from srsurf import (FieldProgram, Jet, JetError, MAX_ORDER, MetricField, OneForm, SigmaRoots,
+                    SymmetryField, assemble_and_verify_V, build_contact_frame,
                     build_singular_frame, build_system, delta_basis, integrability_residuals,
                     lambda_identities, locate_sigma, multi_indices, n_coeffs, sigma_invariants)
 from srsurf.cli import (INVARIANTS_CHUNK, PROBE_CHUNK, SINGULAR_FRAME_CHUNK, SYMMETRY_CHUNK,
                         _chunk_width, main)
 from srsurf.frame import quadratic_form
+from srsurf.report import parse_probe
 from srsurf.singular import SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
@@ -432,13 +435,84 @@ def test_singular_probes_in_one_batch(capsys, metric_file, bad_scan):
         assert records[2]["error"].startswith("metric not positive definite at")
 
 
+# lambda is proportional to 3x^2 - 0.25: two roots on the first probe, none on
+# the second, one on the third
+SPLIT_FORM = "dy + (x^2-0.25)*x*dz"
+SPLIT_PROBES = ["-1,0.1,0 : 1,0.1,0", "0.6,0,0 : 1,0,0", "0.1,0,0 : 0.9,0.2,0"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_singular_records_keep_probe_order(capsys, fmt):
+    # each probe's records (two, a "no Sigma crossing" one, one) in its place,
+    # in every order of the probes, as one call per probe prints them
+    argv = ["singular", "--omega", SPLIT_FORM, "--format", fmt]
+    alone = {p: _cli(capsys, argv + ["--probe=" + p]) for p in SPLIT_PROBES}
+    header = alone[SPLIT_PROBES[0]][:fmt == "csv"]
+    assert [len(lines) - len(header) for lines in alone.values()] == [2, 1, 1]
+    assert "no Sigma crossing on probe" in alone[SPLIT_PROBES[1]][-1]
+    for probes in itertools.permutations(SPLIT_PROBES):
+        want = header + [line for p in probes for line in alone[p][len(header):]]
+        assert _cli(capsys, argv + ["--probe=" + p for p in probes]) == want, probes
+
+
+@pytest.mark.parametrize("form, metric, probes", [
+    (SPLIT_FORM, None, SPLIT_PROBES),
+    # lambda is proportional to -x^2 (x - 0.5): a tangential root at x = 0
+    ("dy + (x^4/4 - x^3/6)*dz", None, ["-0.35,0,0 : 0.9,0.2,0.1", "0.6,0,0 : 1,0,0",
+                                       "-1,0.2,0.1 : 0.9,0.2,0.1"]),
+    (OMEGA_1, AXIAL_METRIC, PROBES),
+])
+def test_locate_sigma_columns_are_the_per_segment_calls(form, metric, probes):
+    omega = OneForm.parse(form)
+    g = MetricField.identity() if metric is None else MetricField.from_upper_triangle(metric)
+    segments = [parse_probe(p) for p in probes]
+    batch = locate_sigma(omega, g, segments)
+    alone = [locate_sigma(omega, g, [s]) for s in segments]
+    for field in dataclasses.fields(SigmaRoots):
+        column = getattr(batch, field.name)
+        parts = [getattr(roots, field.name) for roots in alone]
+        if field.name == "segment":  # renumbered: each call has one segment, 0
+            assert all(np.array_equal(part, np.zeros_like(part)) for part in parts)
+            parts = [np.full_like(part, k) for k, part in enumerate(parts)]
+        want = np.concatenate(parts)
+        assert column.dtype == want.dtype and np.array_equal(column, want), field.name
+    assert len(batch.segment) > 0
+
+
+def test_empty_sigma_roots_has_the_columns_of_a_full_one():
+    omega, g = OneForm.parse(OMEGA_1), MetricField.identity()
+    full = locate_sigma(omega, g, [((-1, 0, 0), (1, 0, 0))])
+    empty = locate_sigma(omega, g, [((0.5, 0, 0), (1, 0, 0)), ((0.2, 0, 0), (0.4, 0, 0))])
+    for field in dataclasses.fields(SigmaRoots):
+        a, b = getattr(empty, field.name), getattr(full, field.name)
+        assert a.dtype == b.dtype and a.shape == (0, *b.shape[1:]), field.name
+    assert empty.point.shape == (0, 3)
+    for name, kind in (("segment", "i"), ("newton_iterations", "i"), ("transversal", "b"),
+                       ("converged", "b"), ("candidate", "U"), ("margin", "f")):
+        assert getattr(empty, name).dtype.kind == kind, name
+
+
+def test_assemble_and_verify_V_columns_are_the_per_point_calls():
+    omega, g = OneForm.parse(AXIAL_FORM), MetricField.from_upper_triangle(AXIAL_METRIC)
+    f = FieldProgram.parse("sqrt(1 + x^2 + y^2) + x*z")  # not a symmetry: nothing is 0
+    points = np.random.default_rng(7).uniform(-1, 1, (9, 3))
+    batch = assemble_and_verify_V(omega, g, points, f, order=RESIDUAL_MIN_ORDER)
+    alone = [assemble_and_verify_V(omega, g, p, f, order=RESIDUAL_MIN_ORDER) for p in points]
+    assert batch.V.shape == (3, len(points)) and batch.point.shape == (len(points), 3)
+    for field in dataclasses.fields(SymmetryField):
+        column = getattr(batch, field.name)
+        axis = 0 if field.name == "point" else -1  # V is (3, N), point (N, 3)
+        want = np.concatenate([getattr(rep, field.name) for rep in alone], axis=axis)
+        assert np.array_equal(column, want), field.name  # bit for bit
+    assert np.abs(batch.VK).min() > 1e-6 and batch.bracket_defect_1.min() > 1e-6
+
+
 # -- batched singular frames -------------------------------------------------
 
 def _sigma_values(omega, metric, points):
     """Q112, Q212 and the two lambda-identity residuals, one row per point."""
     frame, c = build_singular_frame(omega, metric, points, SINGULAR_FRAME_ORDER)
-    q = sigma_invariants(c)
-    return np.reshape([q.Q112, q.Q212, *lambda_identities(frame, c)], (4, -1)).T
+    return np.reshape([*sigma_invariants(c), *lambda_identities(frame, c)], (4, -1)).T
 
 
 @pytest.mark.parametrize("form, metric", [(SPECIAL_FORM, SPECIAL_METRIC),
@@ -448,7 +522,7 @@ def test_singular_frames_in_one_batch(form, metric):
     omega, g = OneForm.parse(form), MetricField.from_upper_triangle(metric)
     probes = [((-1.5, y, z), (1.5, y + 0.1, z - 0.2))
               for y, z in ((0.3, -0.2), (-0.7, 0.4), (1.1, 0.1), (0.0, -0.5), (-1.2, 0.3))]
-    points = np.array([sp.point for roots in locate_sigma(omega, g, probes) for sp in roots])
+    points = locate_sigma(omega, g, probes).point
     assert len(points) == len(probes)
     batch = _sigma_values(omega, g, points)
     alone = np.vstack([_sigma_values(omega, g, tuple(p)) for p in points])

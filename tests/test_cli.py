@@ -138,6 +138,46 @@ def test_metric_scale_law(capsys, tmp_path, command, omega, metric, points, c):
                 assert s[key] == pytest.approx(p[key] * c ** power, rel=1e-12)
 
 
+# omega -> -omega keeps lambda, M, K, EQ1, r3 and Q112, and changes the sign of
+# D, EQ2, r1, r2 and Q212 (README, "Conventions")
+OMEGA_SIGN_LAWS = {"lam": 1, "M": 1, "K": 1, "D": -1, "EQ1": 1, "EQ2": -1, "Q112": 1, "Q212": -1}
+RESIDUAL_SIGN_LAWS = (-1, -1, 1)
+SIGN_POINTS = ["--points", "0.4,0.3,0.1; 1.0,-0.5,0.2; -0.7,0.8,0.0; 0.2,0.9,-0.3"]
+
+
+@pytest.mark.parametrize("command, omega, minus, metric, items, residuals", [
+    # dz is a symmetry of these two, so their residuals are roundoff
+    ("symmetry", "dz + y*dx + x^2*y*dy", "-dz - y*dx - x^2*y*dy", AXIAL_METRIC, SIGN_POINTS, 0),
+    ("symmetry", "dz + y*dx", "-dz - y*dx", AXIAL_METRIC, SIGN_POINTS, 0),
+    # no dz symmetry: each of the 4 x 3 residuals is 0.09 or more
+    ("symmetry", "dz + y*dx + x^2*z*dy", "-dz - y*dx - x^2*z*dy", AXIAL_METRIC, SIGN_POINTS, 12),
+    ("singular", SPECIAL_FORM, "-dz - (x + sin(y))^2*dx", SPECIAL_METRIC,
+     ["--probe", "-1.5,0.3,-0.2 : 1.5,0.4,-0.4"], 0),
+])
+def test_omega_sign_parity(capsys, tmp_path, command, omega, minus, metric, items, residuals):
+    metric_file = tmp_path / "metric.txt"
+    metric_file.write_text("\n".join(metric))
+    plain, flipped = (ndjson(run_cli(capsys, command, "--omega", form, "--metric-file",
+                                     str(metric_file), *items)[1]) for form in (omega, minus))
+    assert len(plain) == len(flipped) > 0
+    checked = 0
+    for p, f in zip(plain, flipped):
+        assert "error" not in p and p["branch"] == f["branch"]
+        for key, sign in OMEGA_SIGN_LAWS.items():
+            if key in p:
+                assert f[key] == pytest.approx(sign * p[key], rel=1e-12), key
+        for r, s, sign in zip(p.get("residuals", ()), f.get("residuals", ()),
+                              RESIDUAL_SIGN_LAWS):
+            if abs(r) > 1e-8:  # far above roundoff
+                assert s == pytest.approx(sign * r, rel=1e-12)
+                checked += 1
+    assert checked == residuals
+    if command == "singular":
+        (p,) = plain
+        assert (p["Q112"], p["Q212"]) == pytest.approx((0.012158842068662523,
+                                                        -0.8874547580771941), rel=1e-12)
+
+
 def test_steep_metric_scale_gives_regular_records(capsys, tmp_path):
     # (g n) x omega, E1's seed unnormalized, overflows at order 5 here from x = 0.3 on
     c = "exp(-100*x)"
@@ -372,9 +412,9 @@ def _poisoned(monkeypatch, place: str, value: float) -> list:
     cli = srsurf.cli
     if place == "scalar":  # M
         def invariants_at(*args, original=cli.invariants_at, **kwargs):
-            vals, frame, c = original(*args, **kwargs)
-            vals.M.coeffs[0] = last(vals.M.coeffs[0])
-            return vals, frame, c
+            m, k, frame, c = original(*args, **kwargs)
+            m.coeffs[0] = last(m.coeffs[0])
+            return m, k, frame, c
         monkeypatch.setattr(cli, "invariants_at", invariants_at)
         return ["invariants", "--omega", HEISENBERG, "--points", "1,0,0; 0,0,0"]
     if place == "vector":  # the second integrability residual
@@ -386,8 +426,8 @@ def _poisoned(monkeypatch, place: str, value: float) -> list:
                 "--points", "0.4,0.7,-0.2"]
     if place == "diagnostics":  # sigma.margin
         def locate_sigma(*args, original=cli.locate_sigma, **kwargs):
-            return [[dataclasses.replace(sp, margin=value) for sp in roots]
-                    for roots in original(*args, **kwargs)]
+            roots = original(*args, **kwargs)
+            return dataclasses.replace(roots, margin=last(roots.margin))
         monkeypatch.setattr(cli, "locate_sigma", locate_sigma)
         return ["singular", "--omega", OMEGA_1, "--probe", "-1,0.2,0.1 : 1,0.2,0.1"]
 
@@ -809,6 +849,16 @@ def test_readme_library_block_runs():
     code = readme_library_block()
     assert "import" in code
     exec(compile(code, "README.md (Library)", "exec"), {})
+
+
+def test_public_names_exist():
+    # Python reads a stale __all__ entry only at a star import
+    import srsurf
+    assert len(set(srsurf.__all__)) == len(srsurf.__all__)
+    assert [name for name in srsurf.__all__ if not hasattr(srsurf, name)] == []
+    namespace = {}
+    exec("from srsurf import *", namespace)
+    assert set(srsurf.__all__) <= set(namespace)
 
 
 def test_readme_commands_run(capsys, tmp_path, monkeypatch):

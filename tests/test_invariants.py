@@ -2,9 +2,10 @@ import math
 
 import pytest
 
-from srsurf import (FieldProgram, Jet, MetricField, NoncontactError, OneForm,
+from srsurf import (FieldProgram, Jet, JetError, MetricField, NoncontactError, OneForm,
                     build_contact_frame, directional_derivative, invariant_K,
                     invariant_M, invariants_at, lie_bracket)
+from srsurf.invariants import INVARIANTS_ORDER
 from srsurf.selftest import GAUGE_ANGLE, rotated
 
 from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC,
@@ -19,20 +20,20 @@ def test_directional_derivative_example():
 
 
 def test_invariant_M_examples(heisenberg, cartan, euclid):
-    v, _, _ = invariants_at(heisenberg, euclid, (0, 0, 0))
-    assert abs(v.M.value) < 1e-12
-    v, _, _ = invariants_at(heisenberg, euclid, (1, 0, 0))
-    assert abs(v.M.value - 9 / 64) < 1e-12
-    v, _, _ = invariants_at(cartan, euclid, (0, 0, 0))
-    assert abs(v.M.value - 0.25) < 1e-12
+    m, *_ = invariants_at(heisenberg, euclid, (0, 0, 0))
+    assert abs(m.value) < 1e-12
+    m, *_ = invariants_at(heisenberg, euclid, (1, 0, 0))
+    assert abs(m.value - 9 / 64) < 1e-12
+    m, *_ = invariants_at(cartan, euclid, (0, 0, 0))
+    assert abs(m.value - 0.25) < 1e-12
 
 
 def test_invariant_M_closed_forms(heisenberg, cartan, euclid, rng):
     for p in box_points(rng, 12):
-        v, _, _ = invariants_at(heisenberg, euclid, p)
-        assert abs(v.M.value - heis_M(*p)) < 1e-9 * (1 + heis_M(*p))
-        v, _, _ = invariants_at(cartan, euclid, p)
-        assert abs(v.M.value - cartan_M(*p)) < 1e-9 * (1 + cartan_M(*p))
+        m, *_ = invariants_at(heisenberg, euclid, p)
+        assert abs(m.value - heis_M(*p)) < 1e-9 * (1 + heis_M(*p))
+        m, *_ = invariants_at(cartan, euclid, p)
+        assert abs(m.value - cartan_M(*p)) < 1e-9 * (1 + cartan_M(*p))
 
 
 def _torsion(c):
@@ -44,11 +45,11 @@ def _torsion(c):
 
 
 def test_torsion_coeff_examples(heisenberg, cartan, euclid):
-    _, _, c = invariants_at(heisenberg, euclid, (0, 0, 0))
+    *_, c = invariants_at(heisenberg, euclid, (0, 0, 0))
     a1, a2, p3 = _torsion(c)
     assert abs(a1) < 1e-12 and abs(a2) < 1e-12
     assert abs(p3 - 1.0) < 1e-12
-    _, _, c = invariants_at(cartan, euclid, (0, 0, 0))
+    *_, c = invariants_at(cartan, euclid, (0, 0, 0))
     a1, a2, _ = _torsion(c)
     assert abs(a1 + 0.5) < 1e-12
     assert abs(a2) < 1e-12
@@ -56,20 +57,20 @@ def test_torsion_coeff_examples(heisenberg, cartan, euclid):
 
 def test_M_equals_a1sq_plus_a2sq(heisenberg, euclid, rng):
     for p in box_points(rng, 8):
-        v, _, c = invariants_at(heisenberg, euclid, p)
+        m, _, _, c = invariants_at(heisenberg, euclid, p)
         a1, a2, _ = _torsion(c)
-        assert v.M.value == a1 ** 2 + a2 ** 2
+        assert m.value == a1 ** 2 + a2 ** 2
 
 
 def test_K_regression_pins(heisenberg, cartan, euclid):
     # closed-form oracles derived by hand for these two fixtures:
     # Heisenberg K(0) = 6, Cartan K(0, y, 0) = (5 + 2y^2) / (2 (1 + y^2)^2)
-    v, _, _ = invariants_at(heisenberg, euclid, (0, 0, 0))
-    assert abs(v.K.value - 6.0) < 1e-10
-    v, _, _ = invariants_at(cartan, euclid, (0, 0, 0))
-    assert abs(v.K.value - 2.5) < 1e-10
-    v, _, _ = invariants_at(cartan, euclid, (0, 1, 0))
-    assert abs(v.K.value - 7 / 8) < 1e-10
+    _, k, _, _ = invariants_at(heisenberg, euclid, (0, 0, 0))
+    assert abs(k.value - 6.0) < 1e-10
+    _, k, _, _ = invariants_at(cartan, euclid, (0, 0, 0))
+    assert abs(k.value - 2.5) < 1e-10
+    _, k, _, _ = invariants_at(cartan, euclid, (0, 1, 0))
+    assert abs(k.value - 7 / 8) < 1e-10
 
 
 def test_gauge_invariance_quantified(heisenberg, cartan, euclid, rng):
@@ -80,29 +81,42 @@ def test_gauge_invariance_quantified(heisenberg, cartan, euclid, rng):
             scaled = omega.scale(lambda p, n: phi(p, n).exp())
             for p in pts:
                 try:
-                    v0, _, _ = invariants_at(omega, euclid, p)
-                    v1, _, _ = invariants_at(scaled, euclid, p)
+                    m0, k0, _, _ = invariants_at(omega, euclid, p)
+                    m1, k1, _, _ = invariants_at(scaled, euclid, p)
                 except NoncontactError:
                     continue
-                assert abs(v1.M.value - v0.M.value) <= 1e-8 * (1 + abs(v0.M.value))
-                assert abs(v1.K.value - v0.K.value) <= 1e-8 * (1 + abs(v0.K.value))
+                assert abs(m1.value - m0.value) <= 1e-8 * (1 + abs(m0.value))
+                assert abs(k1.value - k0.value) <= 1e-8 * (1 + abs(k0.value))
 
 
 def test_sign_flip_invariance(heisenberg, euclid, rng):
     for p in box_points(rng, 6):
-        v0, _, _ = invariants_at(heisenberg, euclid, p)
-        v1, _, _ = invariants_at(-heisenberg, euclid, p)
-        assert abs(v1.M.value - v0.M.value) < 1e-10
-        assert abs(v1.K.value - v0.K.value) < 1e-10
+        m0, k0, _, _ = invariants_at(heisenberg, euclid, p)
+        m1, k1, _, _ = invariants_at(-heisenberg, euclid, p)
+        assert abs(m1.value - m0.value) < 1e-10
+        assert abs(k1.value - k0.value) < 1e-10
 
 
 def test_so2_invariance(cartan, euclid, rng):
     for p in box_points(rng, 6):
-        v0, frame, _ = invariants_at(cartan, euclid, p)
+        m0, k0, frame, _ = invariants_at(cartan, euclid, p)
         for theta in rng.uniform(0, 2 * math.pi, 2):
             _, _, m1, k1 = rotated(frame, float(theta))
-            assert abs(m1.value - v0.M.value) < 1e-9
-            assert abs(k1.value - v0.K.value) < 1e-9
+            assert abs(m1.value - m0.value) < 1e-9
+            assert abs(k1.value - k0.value) < 1e-9
+
+
+def test_rotated_names_the_jet_order_it_needs(heisenberg, euclid):
+    # K of the turned frame differentiates C12, taken from E at the stacked order
+    p = (0.3, 0.2, 0.1)
+    frame, _ = build_contact_frame(heisenberg, euclid, p, INVARIANTS_ORDER)
+    with pytest.raises(JetError) as err:
+        rotated(frame, 0.7)
+    assert type(err.value) is JetError
+    want = f"rotated needs jets of order {INVARIANTS_ORDER + 1}, got {INVARIANTS_ORDER}"
+    assert str(err.value) == want
+    frame, _ = build_contact_frame(heisenberg, euclid, p, INVARIANTS_ORDER + 1)
+    assert rotated(frame, 0.7)[3].order == 0
 
 
 @pytest.mark.parametrize("text", [HEISENBERG, AXIAL_FORM])
@@ -113,32 +127,32 @@ def test_point_dependent_gauge_invariance(text, rng):
     metric = MetricField.from_upper_triangle(OFF_DIAGONAL_METRIC)
     angle = FieldProgram.parse(GAUGE_ANGLE)
     for p in box_points(rng, 6):
-        v0, frame, _ = invariants_at(omega, metric, p)
+        m0, k0, frame, _ = invariants_at(omega, metric, p)
         turned, _, m, k = rotated(frame, angle(p))
         lam = (omega.evaluate(p) * lie_bracket(turned.E[0], turned.E[1])).sum()
-        for got, want in ((m, v0.M), (k, v0.K), (lam, frame.lam)):
+        for got, want in ((m, m0), (k, k0), (lam, frame.lam)):
             assert abs(got.value - want.value) <= 1e-12 * abs(want.value)
 
 
 def test_EK_jets_match_finite_differences(heisenberg, euclid, rng):
     h = 1e-4
     for p in box_points(rng, 4, scale=1.0):
-        v, frame, c = invariants_at(heisenberg, euclid, p, order=5)
-        for e, jet_val in zip(frame.E.value[..., 0], directional_derivative(v.K, frame.E).value):
+        _, k, frame, _ = invariants_at(heisenberg, euclid, p, order=5)
+        for e, jet_val in zip(frame.E.value[..., 0], directional_derivative(k, frame.E).value):
             evals = e.tolist()
             pp = tuple(p[i] + h * evals[i] for i in range(3))
             pm = tuple(p[i] - h * evals[i] for i in range(3))
-            kp, _, _ = invariants_at(heisenberg, euclid, pp)
-            km, _, _ = invariants_at(heisenberg, euclid, pm)
-            fd = (kp.K.value - km.K.value) / (2 * h)
+            kp = invariants_at(heisenberg, euclid, pp)[1]
+            km = invariants_at(heisenberg, euclid, pm)[1]
+            fd = (kp.value - km.value) / (2 * h)
             assert abs(jet_val - fd) <= 1e-5 * (1 + abs(fd))
 
 
 def test_nonidentity_metric_changes_K(cartan, euclid):
     g = MetricField.from_upper_triangle(AXIAL_METRIC)
-    v0, _, _ = invariants_at(cartan, euclid, (0.5, 0.2, 0.0))
-    v1, _, _ = invariants_at(cartan, g, (0.5, 0.2, 0.0))
-    assert abs(v0.K.value - v1.K.value) > 1e-4
+    k0 = invariants_at(cartan, euclid, (0.5, 0.2, 0.0))[1]
+    k1 = invariants_at(cartan, g, (0.5, 0.2, 0.0))[1]
+    assert abs(k0.value - k1.value) > 1e-4
 
 
 def _sympy_M_K(sp, coords, omega, e1, e2):

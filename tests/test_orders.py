@@ -50,14 +50,13 @@ def _lambda_on_delta(omega, g, p, order):
 
 
 def _invariants(omega, g, p, order):
-    vals, _, _ = invariants_at(omega, g, p, order)
-    return vals.M.value, vals.K.value
+    m, k, _, _ = invariants_at(omega, g, p, order)
+    return m.value, k.value
 
 
 def _singular(omega, g, p, order):
     frame, c = build_singular_frame(omega, g, p, order)
-    q = sigma_invariants(c)
-    return (q.Q112, q.Q212, *lambda_identities(frame, c))
+    return (*sigma_invariants(c), *lambda_identities(frame, c))
 
 
 def _system(omega, g, p, order):

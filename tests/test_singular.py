@@ -21,22 +21,23 @@ from conftest import (OFF_DIAGONAL_METRIC, SPECIAL_FORM, SPECIAL_METRIC,
 # -- locate_sigma ----------------------------------------------------------
 
 def test_locate_sigma_omega1(omega1, euclid):
-    (sp,) = locate_sigma(omega1, euclid, [((-1, 0, 0), (1, 0, 0))])[0]
-    assert np.allclose(sp.point, (0, 0, 0), atol=1e-9)
-    assert sp.lambda_residual < 1e-10
-    assert sp.transversal
-    assert sp.lambda_gradient_on_delta > 1e-3
+    roots = locate_sigma(omega1, euclid, [((-1, 0, 0), (1, 0, 0))])
+    assert roots.segment.tolist() == [0]
+    assert np.allclose(roots.point, (0, 0, 0), atol=1e-9)
+    assert roots.lambda_residual < 1e-10
+    assert roots.transversal
+    assert roots.lambda_gradient_on_delta > 1e-3
 
 
 def test_locate_sigma_offset_segment(omega1, euclid):
-    (sp,) = locate_sigma(omega1, euclid, [((-0.8, 0.4, -0.2), (0.9, 0.4, -0.2))])[0]
-    assert abs(sp.point[0]) < 1e-9
-    assert sp.point[1] == pytest.approx(0.4)
+    (point,) = locate_sigma(omega1, euclid, [((-0.8, 0.4, -0.2), (0.9, 0.4, -0.2))]).point
+    assert abs(point[0]) < 1e-9
+    assert point[1] == pytest.approx(0.4)
 
 
 def test_locate_sigma_none_for_contact_forms(omega0, heisenberg, euclid):
-    assert locate_sigma(omega0, euclid, [((-1, -1, -1), (1, 1, 1))])[0] == []
-    assert locate_sigma(heisenberg, euclid, [((-1, -1, 0), (1, 1, 0))])[0] == []
+    assert len(locate_sigma(omega0, euclid, [((-1, -1, -1), (1, 1, 1))]).segment) == 0
+    assert len(locate_sigma(heisenberg, euclid, [((-1, -1, 0), (1, 1, 0))]).segment) == 0
 
 
 # -- characteristic field --------------------------------------------------
@@ -186,8 +187,8 @@ def test_singular_frame_origin(omega1, euclid):
     assert np.allclose(np.ravel(frame.E[0].value), [0, 0, 1], atol=1e-12)
     assert np.allclose(np.ravel(frame.E[2].value), [0, 1, 0], atol=1e-13)
     assert frame.kind == "singular"
-    q = sigma_invariants(c)
-    assert abs(q.Q112) < 1e-12 and abs(q.Q212) < 1e-12
+    q112, q212 = sigma_invariants(c)
+    assert abs(q112) < 1e-12 and abs(q212) < 1e-12
 
 
 def test_singular_frame_near_sigma_identities(omega1, euclid):
@@ -241,16 +242,15 @@ def test_root_transversality_is_the_frames(form, metric, probes):
     # a root is transversal exactly where its frame passes the transversality test
     omega = OneForm.parse(form)
     g = MetricField.identity() if metric is None else MetricField.from_upper_triangle(metric)
-    roots = [sp for found in locate_sigma(omega, g, [parse_probe(p) for p in probes])
-             for sp in found]
-    assert len(roots) >= len(probes)
-    for sp in roots:
+    roots = locate_sigma(omega, g, [parse_probe(p) for p in probes])
+    assert len(roots.segment) >= len(probes)
+    for point, transversal in zip(roots.point, roots.transversal):
         try:
-            build_singular_frame(omega, g, sp.point, SINGULAR_FRAME_ORDER)
+            build_singular_frame(omega, g, point, SINGULAR_FRAME_ORDER)
             passes = True
         except SingularFrameError as exc:
             passes = not str(exc).endswith("not transversal")
-        assert passes == sp.transversal, sp
+        assert passes == transversal, point
 
 
 # -- Sigma invariants ------------------------------------------------------
@@ -258,10 +258,10 @@ def test_root_transversality_is_the_frames(form, metric, probes):
 def test_sigma_invariants_rescale_invariance(omega1, euclid):
     scaled = omega1.scale(lambda p, n: (nonholonomity(omega1, euclid, p, n) ** 2).exp())
     for p in ((0.0, 0.0, 0.0), (0.0, 0.5, -0.3)):
-        q0 = sigma_invariants(build_singular_frame(omega1, euclid, p)[1])
-        q1 = sigma_invariants(build_singular_frame(scaled, euclid, p)[1])
-        assert abs(q0.Q112 - q1.Q112) < 1e-6
-        assert abs(q0.Q212 - q1.Q212) < 1e-6
+        q112_0, q212_0 = sigma_invariants(build_singular_frame(omega1, euclid, p)[1])
+        q112_1, q212_1 = sigma_invariants(build_singular_frame(scaled, euclid, p)[1])
+        assert abs(q112_0 - q112_1) < 1e-6
+        assert abs(q212_0 - q212_1) < 1e-6
 
 
 def test_coframe_change_consistency(omega1, euclid):
@@ -312,9 +312,9 @@ def test_special_form_frame_on_sigma(order):
     e3[0, 2] -= 1.0
     assert np.abs(e3).max() < 1e-13
     assert directional_derivative(frame.lam, frame.E[1]).value > 0
-    q = sigma_invariants(c)
-    assert q.Q112 == pytest.approx(0.0087890, abs=1e-7)
-    assert q.Q212 == pytest.approx(-0.75248, abs=1e-5)
+    q112, q212 = sigma_invariants(c)
+    assert q112 == pytest.approx(0.0087890, abs=1e-7)
+    assert q212 == pytest.approx(-0.75248, abs=1e-5)
 
 
 def _shear_preimage(p):
@@ -330,12 +330,13 @@ def _shear_preimage(p):
                          ids=["turn", "shear"])
 def test_sigma_invariants_under_pullback(phi):
     # Q(Phi*omega, Phi*g)(q) = Q(omega, g)(Phi(q)) for orientation-preserving Phi
-    want = sigma_invariants(_sigma_frame(SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT)[1])
+    want_q112, want_q212 = sigma_invariants(
+        _sigma_frame(SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT)[1])
     form, metric = pullback(SPECIAL_FORM, SPECIAL_METRIC, phi)
     q = TURNED_POINT if phi[0] == "-x" else _shear_preimage(SPECIAL_POINT)
-    got = sigma_invariants(_sigma_frame(form, metric, q)[1])
-    assert got.Q112 == pytest.approx(want.Q112, rel=1e-12, abs=0)
-    assert got.Q212 == pytest.approx(want.Q212, rel=1e-12, abs=0)
+    got_q112, got_q212 = sigma_invariants(_sigma_frame(form, metric, q)[1])
+    assert got_q112 == pytest.approx(want_q112, rel=1e-12, abs=0)
+    assert got_q212 == pytest.approx(want_q212, rel=1e-12, abs=0)
 
 
 def test_turned_fixture_is_the_pullback():

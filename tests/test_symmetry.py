@@ -466,33 +466,32 @@ def test_injected_axial_symmetry(axial):
     def f(q, n):
         return -1 / nonholonomity(omega, metric, q, n)
 
-    for rep in assemble_and_verify_V(omega, metric, AXIAL_POINTS, f=f, order=5):
-        assert np.allclose(rep.V, [0, 0, 1], atol=1e-12)
-        assert abs(rep.VK) < 1e-10
-        assert abs(rep.VM) < 1e-10
-        assert abs(rep.E3f) < 1e-10
-        assert rep.bracket_defect_1 < 1e-10
-        assert rep.bracket_defect_2 < 1e-10
+    rep = assemble_and_verify_V(omega, metric, AXIAL_POINTS, f=f, order=5)
+    assert rep.V.shape == (3, len(AXIAL_POINTS))
+    assert np.allclose(rep.V.T, [0, 0, 1], atol=1e-12)
+    assert np.all(abs(rep.VK) < 1e-10)
+    assert np.all(abs(rep.VM) < 1e-10)
+    assert np.all(abs(rep.E3f) < 1e-10)
+    assert np.all(rep.bracket_defect_1 < 1e-10)
+    assert np.all(rep.bracket_defect_2 < 1e-10)
 
 
 def test_injected_heisenberg_symmetry(heisenberg, euclid, rng):
     f = FieldProgram.parse("sqrt(1 + x^2 + y^2)")
     pts = [(0.0, 0.0, 0.0)] + box_points(rng, 10)
-    reports = assemble_and_verify_V(heisenberg, euclid, pts, f=f, order=5)
-    assert np.allclose(reports[0].V, [0, 0, -2], atol=1e-12)
-    for rep in reports:
-        assert abs(rep.VK) < 1e-7
-        assert abs(rep.VM) < 1e-7
-        assert abs(rep.E3f) < 1e-7
-        assert rep.bracket_defect_1 < 1e-7
-        assert rep.bracket_defect_2 < 1e-7
+    rep = assemble_and_verify_V(heisenberg, euclid, pts, f=f, order=5)
+    assert np.allclose(rep.V[:, 0], [0, 0, -2], atol=1e-12)
+    assert np.all(abs(rep.VK) < 1e-7)
+    assert np.all(abs(rep.VM) < 1e-7)
+    assert np.all(abs(rep.E3f) < 1e-7)
+    assert np.all(rep.bracket_defect_1 < 1e-7)
+    assert np.all(rep.bracket_defect_2 < 1e-7)
 
 
 def test_injected_zero_f_gives_zero_V(heisenberg, euclid):
     f = FieldProgram.parse("0")
-    rep = assemble_and_verify_V(heisenberg, euclid, [(0.5, 0.2, 0.1)],
-                                f=f, order=5)[0]
-    assert np.allclose(rep.V, [0, 0, 0], atol=1e-15)
+    rep = assemble_and_verify_V(heisenberg, euclid, [(0.5, 0.2, 0.1)], f=f, order=5)
+    assert np.allclose(rep.V, 0, atol=1e-15)
     assert rep.bracket_defect_1 < 1e-12 and rep.bracket_defect_2 < 1e-12
 
 
