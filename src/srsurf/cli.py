@@ -14,12 +14,12 @@ import numpy as np
 from .fields import MetricField, OneForm
 from .frame import NoncontactError
 from .invariants import INVARIANTS_ORDER, invariants_at
-from .jets import JetError, _mul_table
+from .jets import JetError
 from .report import (CSV_HEADER, map_arrays, parse_grid, parse_point, parse_points, parse_probe,
                      render)
 from .selftest import run_selftest
-from .singular import (SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
-                       build_singular_frame, lambda_identities, locate_sigma, sigma_invariants)
+from .singular import (SINGULAR_FRAME_ORDER, build_singular_frame, lambda_identities,
+                       locate_sigma, sigma_invariants)
 from .symmetry import (RESIDUAL_MIN_ORDER, build_system, integrability_residuals,
                        reconstruct_lnf, reconstructed_V)
 
@@ -28,20 +28,7 @@ EXIT_CONFIG = 1
 EXIT_SELFTEST = 2
 
 
-def _chunk_width(order: int, rows: int) -> int:
-    """Items per batch: the most whose largest jet product, at `order` with `rows` float
-    rows per item (batch rows times stacked components), keeps its temporaries (a float
-    per table term and row) within glibc's 128 KiB mmap threshold, above which it slows."""
-    return 128 * 1024 // (8 * len(_mul_table(order)[0]) * rows)
-
-
-# `invariants` batches 400 points, a width measured end to end (README); the rule sizes
-# the others by their largest products: a frame's (3,)-stacks one order below omega, a
-# system's bracket (3, 3)-stacks two below, and the order-0 (3,)-stacks of scan nodes
-INVARIANTS_CHUNK = 400
-SINGULAR_FRAME_CHUNK = _chunk_width(SINGULAR_FRAME_ORDER - 1, 3)
-SYMMETRY_CHUNK = _chunk_width(RESIDUAL_MIN_ORDER - 2, 9)
-PROBE_CHUNK = _chunk_width(SIGMA_SCAN_ORDER - 1, 3 * SIGMA_SCAN_NODES)
+CHUNK = 400  # items per batch in every subcommand, a width measured end to end (README)
 
 
 @cache  # one parser per process: argparse keeps no state between calls
@@ -128,23 +115,24 @@ def _emit(chunks, out_format: str, path):
         sys.stdout.write(text)
 
 
-def _chunked(items, width: int, records, failed, noncontact=None) -> list:
-    """The blocks `records(chunk)` of the array `items`, `width` at a time.  A float that
-    overflows, or divides to inf or NaN, raises FloatingPointError inside a chunk.  A
-    chunk that raises it, JetError or ValueError runs again item by item, so that each
-    error record, `failed(item, text)`, keeps its own text; a chunk with no contact
-    point (NoncontactError) gets `noncontact(chunk)`, if given."""
+def _chunked(items, records, failed) -> list:
+    """The blocks `records(chunk)` of the array `items`, CHUNK at a time.  A float that
+    overflows, or divides to inf or NaN, raises FloatingPointError inside a chunk.  A chunk
+    that raises it, JetError or ValueError runs again as its two halves, down to one item,
+    whose error record `failed(item, text)` keeps its own text; a chunk of noncontact
+    points (NoncontactError, which only points raise) gets their `_noncontact` records."""
     def run(chunk):
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 return [records(chunk)]
+        except NoncontactError:
+            return [_noncontact(chunk)]
         except (JetError, ValueError, FloatingPointError) as exc:
-            if noncontact and isinstance(exc, NoncontactError):
-                return [noncontact(chunk)]
             if len(chunk) > 1:
-                return [blocks for i in range(len(chunk)) for blocks in run(chunk[i:i + 1])]
+                half = len(chunk) // 2
+                return run(chunk[:half]) + run(chunk[half:])
             return [failed(chunk, str(exc))]
-    return [blocks for i in range(0, len(items), width) for blocks in run(items[i:i + width])]
+    return [blocks for i in range(0, len(items), CHUNK) for blocks in run(items[i:i + CHUNK])]
 
 
 def _at(record: dict, rows) -> dict:
@@ -173,7 +161,7 @@ def cmd_invariants(args) -> list:
             M=m.value, K=k.value,
             diagnostics={"jet_order": INVARIANTS_ORDER, "budget_remaining": budget}))]
 
-    return _chunked(points, INVARIANTS_CHUNK, records, _point_error, _noncontact)
+    return _chunked(points, records, _point_error)
 
 
 def cmd_symmetry(args) -> list:
@@ -205,7 +193,7 @@ def cmd_symmetry(args) -> list:
             blocks.append(([rows[i]], rep))
         return blocks
 
-    return _chunked(points, SYMMETRY_CHUNK, records, _point_error, _noncontact)
+    return _chunked(points, records, _point_error)
 
 
 def cmd_singular(args) -> list:
@@ -238,11 +226,11 @@ def cmd_singular(args) -> list:
         def failed(idx, text: str):  # a root whose own frame raises gets its error
             return [(at[idx], dict(_at(record, idx), error=text))]
 
-        # all the roots' frames, a batch at a time; a batch that raises runs again root by root
-        return blocks + [b for part in _chunked(np.arange(len(segment)), SINGULAR_FRAME_CHUNK,
-                                               frames, failed) for b in part]
+        # all the roots' frames, a batch at a time; a batch that raises runs again by halves
+        return blocks + [b for part in _chunked(np.arange(len(segment)), frames, failed)
+                         for b in part]
 
-    return _chunked(probes, PROBE_CHUNK, records, lambda seg, text: probe_errors(seg, [0], text))
+    return _chunked(probes, records, lambda seg, text: probe_errors(seg, [0], text))
 
 
 def main(argv=None) -> int:

@@ -103,7 +103,7 @@ def _as_point(point):
     coordinates is a batch of one."""
     p = np.atleast_2d(np.asarray(point, dtype=float))
     if p.ndim != 2 or not len(p) or p.shape[1] != 3:
-        raise JetError(f"a batch of points must have shape (N, 3), got {p.shape}")
+        raise JetError(f"a batch of points must have shape (N, 3), N >= 1, got {np.shape(point)}")
     return p
 
 

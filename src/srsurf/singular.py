@@ -115,6 +115,8 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     sign change whose polish did not converge (`SigmaRoots.converged`).
     """
     ends = np.array(segments, dtype=float)
+    if ends.ndim != 3 or not len(ends) or ends.shape[1:] != (2, 3):
+        raise JetError(f"segments must have shape (N, 2, 3), N >= 1, got {ends.shape}")
     ts = np.linspace(0.0, 1.0, SIGMA_SCAN_NODES)
     scan = (ends[:, :1] + ts[:, None] * (ends[:, 1:] - ends[:, :1])).reshape(-1, 3)
     *_, norm, lam = lambda_evaluation(omega, metric, scan, SIGMA_SCAN_ORDER)

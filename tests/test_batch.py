@@ -14,12 +14,13 @@ import srsurf.cli
 from srsurf import (FieldProgram, Jet, JetError, MAX_ORDER, MetricField, OneForm, SigmaRoots,
                     SymmetryField, assemble_and_verify_V, build_contact_frame,
                     build_singular_frame, build_system, delta_basis, integrability_residuals,
-                    lambda_identities, locate_sigma, multi_indices, n_coeffs, sigma_invariants)
-from srsurf.cli import (INVARIANTS_CHUNK, PROBE_CHUNK, SINGULAR_FRAME_CHUNK, SYMMETRY_CHUNK,
-                        _chunk_width, main)
+                    invariants_at, lambda_identities, locate_sigma, multi_indices, n_coeffs,
+                    sigma_invariants)
+from srsurf.cli import CHUNK, main
 from srsurf.frame import quadratic_form
+from srsurf.jets import _as_point
 from srsurf.report import parse_probe
-from srsurf.singular import SIGMA_SCAN_NODES, SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER
+from srsurf.singular import SINGULAR_FRAME_ORDER
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
 from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1,
@@ -201,8 +202,7 @@ def _sigma_fixture_points(n, rng):
     return points
 
 
-@pytest.mark.parametrize("n", [1, INVARIANTS_CHUNK - 1, INVARIANTS_CHUNK,
-                               INVARIANTS_CHUNK + 1])
+@pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1])
 def test_chunk_lengths(capsys, sigma_metric, n):
     points = _sigma_fixture_points(n, np.random.default_rng(n))
     lines = _assert_one_point_records(capsys, OMEGA_1, points, sigma_metric)
@@ -210,7 +210,7 @@ def test_chunk_lengths(capsys, sigma_metric, n):
 
 
 def test_chunk_of_sigma_points_only(capsys, sigma_metric):
-    points = _sigma_fixture_points(INVARIANTS_CHUNK + 3, np.random.default_rng(3))
+    points = _sigma_fixture_points(CHUNK + 3, np.random.default_rng(3))
     points[:, 0] = 0.0
     lines = _assert_one_point_records(capsys, OMEGA_1, points, sigma_metric)
     assert all('"noncontact"' in line for line in lines)
@@ -306,13 +306,19 @@ BAD_METRIC = "x 0 0 1 0 1"
 
 
 def test_chunk_width_rule():
-    """`invariants` takes 400 points a batch, a width measured end to end; the
-    rule sizes the others: 128 KiB over 8 bytes per product-table term and
-    float row of the chunk's largest product, at the order it runs at."""
-    assert INVARIANTS_CHUNK == 400
-    assert SINGULAR_FRAME_CHUNK == _chunk_width(SINGULAR_FRAME_ORDER - 1, 3) == 195
-    assert SYMMETRY_CHUNK == _chunk_width(RESIDUAL_MIN_ORDER - 2, 9) == 21
-    assert PROBE_CHUNK == _chunk_width(SIGMA_SCAN_ORDER - 1, 3 * SIGMA_SCAN_NODES) == 165
+    """Every subcommand takes 400 items a batch, a width measured end to end."""
+    assert CHUNK == 400
+
+
+# the symmetry tests below batch 21 points, so that a few dozen points cross
+# chunk boundaries without hundreds of one-point calls
+SYMMETRY_WIDTH = 21
+
+
+@pytest.fixture
+def symmetry_width(monkeypatch):
+    monkeypatch.setattr(srsurf.cli, "CHUNK", SYMMETRY_WIDTH)
+    return SYMMETRY_WIDTH
 
 
 def _cli(capsys, argv):
@@ -347,8 +353,8 @@ def metric_file(tmp_path):
     return write
 
 
-@pytest.mark.parametrize("n", [1, SYMMETRY_CHUNK - 1, SYMMETRY_CHUNK, SYMMETRY_CHUNK + 1])
-def test_symmetry_chunk_lengths(capsys, metric_file, n):
+@pytest.mark.parametrize("n", [1, SYMMETRY_WIDTH - 1, SYMMETRY_WIDTH, SYMMETRY_WIDTH + 1])
+def test_symmetry_chunk_lengths(capsys, metric_file, symmetry_width, n):
     # degenerate rows at x = 0 or y = 0, noncontact rows below --tol-contact 0.6
     points = np.random.default_rng(n).uniform(-1, 1, (n, 3))
     points[::4, 0] = 0.0
@@ -361,8 +367,9 @@ def test_symmetry_chunk_lengths(capsys, metric_file, n):
                                     (False, "noncontact")}
 
 
-def test_symmetry_rows_with_errors_rerun_one_point_at_a_time(capsys, metric_file):
-    points = np.random.default_rng(7).uniform(-0.5, 1.5, (SYMMETRY_CHUNK + 5, 3))
+def test_symmetry_rows_with_errors_rerun_one_point_at_a_time(capsys, metric_file,
+                                                             symmetry_width):
+    points = np.random.default_rng(7).uniform(-0.5, 1.5, (symmetry_width + 5, 3))
     points[::3, 1] = 0.0
     argv = ["symmetry", "--omega", AXIAL_FORM, "--metric-file", metric_file(BAD_METRIC)]
     lines = _assert_one_call_per_item(capsys, argv, [_points_option(p) for p in points])
@@ -370,10 +377,10 @@ def test_symmetry_rows_with_errors_rerun_one_point_at_a_time(capsys, metric_file
     assert sum('"error"' in line for line in lines) == sum(points[:, 0] <= 0)
 
 
-def test_symmetry_chunks_on_sigma(capsys, metric_file):
+def test_symmetry_chunks_on_sigma(capsys, metric_file, symmetry_width):
     # a first chunk wholly on Sigma = {x = 0}, a second partly on it, and a
     # third with a point where the metric is not positive definite
-    w = SYMMETRY_CHUNK
+    w = symmetry_width
     points = np.random.default_rng(9).uniform(-1, 1, (2 * w + 4, 3))
     points[:w, 0] = 0.0
     points[w:2 * w:3, 0] = 0.0
@@ -492,6 +499,21 @@ def test_empty_sigma_roots_has_the_columns_of_a_full_one():
         assert getattr(empty, name).dtype.kind == kind, name
 
 
+@pytest.mark.parametrize("empty", [[], np.zeros((0, 3)), np.zeros((0, 2, 3))])
+def test_empty_input_fails_naming_its_shape(empty):
+    # no batch is empty: np.bincount over an empty product table gives int64
+    omega, g = OneForm.parse(OMEGA_1), MetricField.identity()
+    f = FieldProgram.parse("x")
+    calls = {"a batch of points must have shape (N, 3)": (
+                 _as_point, lambda p: assemble_and_verify_V(omega, g, p, f)),
+             "segments must have shape (N, 2, 3)": (lambda s: locate_sigma(omega, g, s),)}
+    for text, funcs in calls.items():
+        for call in funcs:
+            with pytest.raises(JetError) as info:
+                call(empty)
+            assert str(info.value) == f"{text}, N >= 1, got {np.shape(empty)}"
+
+
 def test_assemble_and_verify_V_columns_are_the_per_point_calls():
     omega, g = OneForm.parse(AXIAL_FORM), MetricField.from_upper_triangle(AXIAL_METRIC)
     f = FieldProgram.parse("sqrt(1 + x^2 + y^2) + x*z")  # not a symmetry: nothing is 0
@@ -557,10 +579,77 @@ def test_singular_frame_batch_falls_back_root_by_root(capsys, monkeypatch, omega
     monkeypatch.setattr(srsurf.cli, "build_singular_frame", counted)
     argv = ["singular", "--omega", omega]
     lines = _assert_one_call_per_item(capsys, argv, [["--probe=" + p] for p in probes])
-    assert sizes[:4] == [3, 1, 1, 1]  # the batch, then each root on its own
+    assert sizes[:4] == [3, 1, 2, 1]  # the batch, then its halves down to the failing root
     records = [json.loads(line) for line in lines]
     with pytest.raises(JetError) as alone:  # the root's own frame
         build_singular_frame(OneForm.parse(omega), MetricField.identity(),
                              tuple(records[1]["point"]), SINGULAR_FRAME_ORDER)
     assert records[1]["error"] == str(alone.value) and str(alone.value).endswith(error)
     assert "Q112" in records[0] and "Q112" in records[2]
+
+
+# -- records do not depend on the chunk width ----------------------------------
+
+TANGENT_FORM = "dy + (x^4/4 - x^3/6)*dz"  # lambda ~ -x^2 (x - 0.5)
+MIXED_POINTS = np.random.default_rng(11).uniform(-1, 1, (16, 3)).round(3)
+MIXED_POINTS[::4, 1] = 0.0
+# (argv, metric, items, the (error, branch) pairs of the records)
+WIDTH_CASES = {
+    # with BAD_METRIC: regular, degenerate (symmetry, y = 0), noncontact (below
+    # --tol-contact 0.8) and error (x <= 0) points
+    "invariants": (["invariants", "--omega", AXIAL_FORM, "--tol-contact", "0.8"], BAD_METRIC,
+                   [_points_option(p) for p in MIXED_POINTS],
+                   {(True, "regular"), (False, "regular"), (False, "noncontact")}),
+    "symmetry": (["symmetry", "--omega", AXIAL_FORM, "--tol-contact", "0.8"], BAD_METRIC,
+                 [_points_option(p) for p in MIXED_POINTS],
+                 {(True, "regular"), (False, "regular"), (False, "noncontact"),
+                  (False, "degenerate")}),
+    "reconstruct": (["symmetry", "--omega", AXIAL_FORM, "--reconstruct", "--base", "0.1,0.2,0.3"],
+                    "\n".join(AXIAL_METRIC), [_points_option(p) for p in MIXED_POINTS[:6]],
+                    {(False, "regular"), (False, "degenerate")}),
+    # two roots, a scan where g33 = 2 + z is not positive definite, no
+    # crossing, one root
+    "singular": (["singular", "--omega", SPLIT_FORM], "1\n0\n0\n1\n0\n2 + z\n",
+                 [["--probe=" + p] for p in (SPLIT_PROBES[0], "-1,0,-1 : 1,0,-3",
+                                             *SPLIT_PROBES[1:], SPLIT_PROBES[0])],
+                 {(True, "regular"), (False, "noncontact")}),
+    # a root whose frame fails (tangential, at x = 0), alone and beside a good root
+    "singular-frames": (["singular", "--omega", TANGENT_FORM], "1 0 0 1 0 1",
+                        [["--probe=" + p] for p in ("0.3,0,0 : 0.9,0.2,0.1",
+                                                    "-0.35,0,0 : 0.2,0.1,0",
+                                                    "-1,0.1,0 : 1,0.1,0", "0.6,0,0 : 1,0,0",
+                                                    "1,0.5,0.2 : 0.2,-0.3,0")],
+                        {(True, "regular"), (False, "noncontact"), (True, "noncontact")}),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(WIDTH_CASES))
+def test_records_do_not_depend_on_the_chunk_width(capsys, monkeypatch, metric_file, case, fmt):
+    argv, metric, items, branches = WIDTH_CASES[case]
+    argv = argv + ["--metric-file", metric_file(metric), "--format", fmt]
+    argv += [a for item in items for a in item]
+    want = _cli(capsys, argv)
+    if fmt == "json":
+        assert _branches(want) == branches
+    for width in (1, 2, 3, 7):  # each chunk of points, probes and roots split every way
+        monkeypatch.setattr(srsurf.cli, "CHUNK", width)
+        assert _cli(capsys, argv) == want, width
+
+
+def test_one_failing_point_costs_a_few_batches(capsys, monkeypatch, metric_file):
+    # a failing chunk runs again as its halves: 1 + 2 ceil(log2 400) = 19 batches
+    # at most for one bad point, where one call per point would be 401
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return invariants_at(*args, **kwargs)
+
+    monkeypatch.setattr(srsurf.cli, "invariants_at", counted)
+    points = _sigma_fixture_points(CHUNK, np.random.default_rng(12))
+    points[137, 0] = -3.0  # the metric is not positive definite at x <= -2
+    lines = _invariants(capsys, OMEGA_1, points, metric_file("x + 2\n0\n0\n1\n0\n1\n"))
+    errors = [i for i, line in enumerate(lines) if '"error"' in line]
+    assert errors == [137] and "metric not positive definite at" in lines[137]
+    assert calls[0] == CHUNK and len(calls) <= 1 + 2 * math.ceil(math.log2(CHUNK))

@@ -246,6 +246,32 @@ def test_bad_grid_exits_1(capsys):
 
 
 
+@pytest.mark.parametrize("omega, argv, metric, message", [
+    (HEISENBERG, ["--grid", "x=0, y 1, z=0"], "", "bad grid axis spec: ' y 1'"),
+    (HEISENBERG, ["--grid", "x=-1:1:0, y=0, z=0"], "", "grid count must be >= 1 on axis 'x'"),
+    ("dz + x^(1/0)*dy", ["--points", "0,0,0"], "",
+     "zero denominator in exponent (at position 10)"),
+    (HEISENBERG, ["--points", "0,0,0"], "1 0 0 1 0",
+     "metric needs exactly 6 upper-triangle entries"),
+])
+def test_bad_input_names_its_fault_and_exits_1(capsys, tmp_path, omega, argv, metric, message):
+    path = tmp_path / "metric.txt"
+    path.write_text(metric)
+    code, out, err = run_cli(capsys, "invariants", "--omega", omega,
+                             "--metric-file", str(path), *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_indented_expression_parses(capsys):
+    # leading whitespace, an indent to Python, is skipped; positions stay the text's own
+    plain = run_cli(capsys, "invariants", "--omega", HEISENBERG, "--points", "0.3,0.1,0.2")
+    assert plain[0] == 0 and plain[1]
+    assert run_cli(capsys, "invariants", "--omega", " \t" + HEISENBERG,
+                   "--points", "0.3,0.1,0.2") == plain
+    code, _, err = run_cli(capsys, "invariants", "--omega", "  dz + q*dx", "--points", "0,0,0")
+    assert (code, err) == (1, "error: unknown identifier 'q' (at position 7)\n")
+
+
 def test_json_metric_numbers_are_the_constants_they_denote(capsys, tmp_path):
     outs = []
     for name, text in (("text", "2 0 0 1 0 1"), ("json", "[2, 0, 0, 1, 0, 1]")):

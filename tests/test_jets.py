@@ -73,6 +73,8 @@ def test_base_point_mismatch():
     b = Jet.variable(0, (1, 0, 0), 4)
     with pytest.raises(JetError):
         a + b
+    with pytest.raises(JetError, match="base point mismatch in a stack"):
+        Jet.stack([a, b])
 
 
 def test_division_by_zero_value():

@@ -11,13 +11,14 @@ import pytest
 
 import srsurf.symmetry
 from srsurf import (BudgetExhausted, DegeneratePointError, FieldProgram,
-                    JetError, MAX_ORDER, MetricField, OneForm, assemble_and_verify_V, build_system,
+                    JetError, MAX_ORDER, MetricField, NoncontactError, OneForm,
+                    assemble_and_verify_V, build_contact_frame, build_system,
                     frame_to_coordinate_gradient, integrability_residuals,
                     nonholonomity, reconstruct_lnf)
 from srsurf.symmetry import (EQ_ORDER, RESIDUAL_MIN_ORDER, TOL_QUAD, WG, WGK, XGK, _qag,
                              reconstructed_V)
 
-from conftest import AXIAL_FORM, AXIAL_METRIC, HEISENBERG, box_points
+from conftest import AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OMEGA_1, box_points
 
 
 @pytest.fixture
@@ -493,6 +494,18 @@ def test_injected_zero_f_gives_zero_V(heisenberg, euclid):
     rep = assemble_and_verify_V(heisenberg, euclid, [(0.5, 0.2, 0.1)], f=f, order=5)
     assert np.allclose(rep.V, 0, atol=1e-15)
     assert rep.bracket_defect_1 < 1e-12 and rep.bracket_defect_2 < 1e-12
+
+
+def test_noncontact_point_raises_its_own_error(euclid):
+    # Sigma of OMEGA_1 is {x = 0}: a batch names its first point there
+    omega, f = OneForm.parse(OMEGA_1), FieldProgram.parse("1")
+    points = [(0.5, 0.2, 0.1), (0.0, 0.3, -0.2), (0.0, -0.4, 0.6)]
+    with pytest.raises(NoncontactError) as batch:
+        assemble_and_verify_V(omega, euclid, points, f, order=5)
+    with pytest.raises(NoncontactError) as alone:
+        build_contact_frame(omega, euclid, points[1])
+    assert str(batch.value) == str(alone.value)
+    assert str(alone.value).startswith("point (0.0, 0.3, -0.2) is noncontact")
 
 
 def test_reconstruction_branch_assembles_symmetry(axial):
