@@ -240,9 +240,10 @@ def main(argv=None) -> int:
         results = run_selftest()
         ok = all(r.passed for r in results)
         if args.as_json:
-            doc = {"schema": "srs/1", "passed": ok,
-                   "checks": [asdict(r) for r in results]}
-            print(json.dumps(doc, sort_keys=True))
+            doc = {"schema": "srs/1", "passed": ok, "checks": [  # a non-finite max_dev is null
+                dict(asdict(r), max_dev=r.max_dev if np.isfinite(r.max_dev) else None)
+                for r in results]}
+            print(json.dumps(doc, sort_keys=True, allow_nan=False))
         else:
             for r in results:
                 status = "PASS" if r.passed else "FAIL"

@@ -1,14 +1,14 @@
 """Built-in fixture checks for the CLI selftest subcommand.
 
 Each check exercises a pinned fixture with known closed-form or oracle
-values and reports its maximum deviation against a tolerance.
+values and gives its deviations from them; `ALL_CHECKS` gives each its
+name and tolerance, and `run_selftest` makes every verdict.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import List
 
 import numpy as np
 
@@ -72,12 +72,6 @@ class CheckResult:
     note: str = ""
 
 
-def _result(name, devs, tol, note=""):
-    """devs: numbers, or arrays of them (one per point)."""
-    m = max((float(np.max(d)) for d in devs), default=0.0)
-    return CheckResult(name=name, max_dev=m, tol=tol, passed=m < tol, note=note)
-
-
 def _rng():
     return np.random.default_rng(20240817)
 
@@ -105,13 +99,12 @@ def rotated(frame, theta):
     return frame, c, invariant_M(c), invariant_K(c, frame)
 
 
-def check_jet_oracle() -> CheckResult:
+def jet_oracle():
     """Jet partials of sample expressions vs central finite differences."""
     rng = _rng()
     exprs = ["x^2*y + sin(z)", "sqrt(1 + x^2 + y^2)", "exp(x*y)/(1 + z^2)",
              "cos(x)*ln(2 + y)"]
     progs = [FieldProgram.parse(e) for e in exprs]
-    devs = []
     h = 1e-5
     for prog in progs:
         p = rng.uniform(-1, 1, (3, 3))
@@ -119,14 +112,12 @@ def check_jet_oracle() -> CheckResult:
         for axis, e in enumerate(h * np.eye(3)):
             fd = (prog(p + e, 1).value - prog(p - e, 1).value) / (2 * h)
             mi = tuple(int(a == axis) for a in range(3))
-            devs.append(abs(j.partial_value(mi) - fd) / (1 + abs(fd)))
-    return _result("jet-vs-finite-difference", devs, 1e-5)
+            yield abs(j.partial_value(mi) - fd) / (1 + abs(fd))
 
 
-def check_invariant_M_K_closed_forms() -> CheckResult:
+def invariant_M_K_closed_forms():
     """M and K against the closed forms for the two contact fixtures."""
     g = MetricField.identity()
-    devs = []
     fixtures = ((OneForm.parse(HEISENBERG), heis_M, heis_K),
                 (OneForm.parse(CARTAN), cartan_M, cartan_K))
     pts = _rng().uniform(-2, 2, (20, 3))
@@ -134,36 +125,32 @@ def check_invariant_M_K_closed_forms() -> CheckResult:
         m, k, frame, _ = invariants_at(omega, g, pts)
         x, y, z = pts[frame.rows].T
         for got, ref in ((m, m_ref(x, y, z)), (k, k_ref(x, y, z))):
-            devs.append(abs(got.value - ref) / (1 + abs(ref)))
-    return _result("invariant-M-K-closed-forms", devs, 1e-8)
+            yield abs(got.value - ref) / (1 + abs(ref))
 
 
-def check_frame_identities() -> CheckResult:
+def frame_identities():
     """Orthonormality, duality, C3 row and C1_31 = C2_23 on both fixtures."""
     rng = _rng()
     g = MetricField.identity()
-    devs = []
     for text in (HEISENBERG, CARTAN):
         pts = rng.uniform(-2, 2, (10, 3))
         frame, c = build_contact_frame(OneForm.parse(text), g, pts)
         e, gm = frame.E, g.evaluate(pts)
         ge = (gm * e[:2, :, None]).sum(1)  # g E1, g E2
         c12, c23_31 = (part.value for part in c)
-        devs += [abs((e[:2] * ge).sum(-1).value - 1), abs((e[0] * ge[1]).sum().value),
-                 abs(c12[2] - 1), abs(c23_31[:, 2]), abs(c23_31[1, 0] - c23_31[0, 1])]
-        devs.append(abs((frame.eta[:, None] * e).sum(-1).value - np.eye(3)[..., None]))
+        yield from [abs((e[:2] * ge).sum(-1).value - 1), abs((e[0] * ge[1]).sum().value),
+                    abs(c12[2] - 1), abs(c23_31[:, 2]), abs(c23_31[1, 0] - c23_31[0, 1])]
+        yield abs((frame.eta[:, None] * e).sum(-1).value - np.eye(3)[..., None])
         a1, a2 = (c23_31[0, 0] - c23_31[1, 1]) / 2, c23_31[1, 0]
-        devs.append(abs(invariant_M(c).value - (a1 * a1 + a2 * a2)))
-    return _result("frame-identities", devs, 1e-8)
+        yield abs(invariant_M(c).value - (a1 * a1 + a2 * a2))
 
 
-def check_gauge_invariance() -> CheckResult:
+def gauge_invariance():
     """M and K under rescaling, sign flip and constant or point-dependent re-gauging."""
     rng = _rng()
     g = MetricField.identity()
     phi = FieldProgram.parse("x + 2*y")
     theta = FieldProgram.parse(GAUGE_ANGLE)
-    devs = []
     for text in (HEISENBERG, CARTAN):
         omega = OneForm.parse(text)
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
@@ -171,17 +158,15 @@ def check_gauge_invariance() -> CheckResult:
         m0, k0, frame, _ = invariants_at(omega, g, pts)
         got = [invariants_at(form, g, pts)[:2] for form in (scaled, -omega)]
         for m, k in got + [rotated(frame, a)[2:] for a in (0.7, theta(pts))]:
-            devs.append(abs(m.value - m0.value) / (1 + abs(m0.value)))
-            devs.append(abs(k.value - k0.value) / (1 + abs(k0.value)))
-    return _result("gauge-invariance-M-K", devs, 1e-8)
+            yield abs(m.value - m0.value) / (1 + abs(m0.value))
+            yield abs(k.value - k0.value) / (1 + abs(k0.value))
 
 
-def check_nonholonomity_properties() -> CheckResult:
+def nonholonomity_properties():
     """lambda homogeneity under e^phi and d(omega)(E1,E2) = -lambda."""
     rng = _rng()
     g = MetricField.identity()
     phi = FieldProgram.parse("x + 2*y")
-    devs = []
     for text in (HEISENBERG, CARTAN, OMEGA_1):
         omega = OneForm.parse(text)
         scaled = omega.scale(lambda p, n: phi(p, n).exp())
@@ -190,34 +175,29 @@ def check_nonholonomity_properties() -> CheckResult:
         e1, e2, _, _, lam, _ = delta_basis(w, g.evaluate(pts))
         lam_s = nonholonomity(scaled, g, pts)
         factor = np.exp(phi(pts, 1).value)
-        devs.append(abs(lam_s.value - factor * lam.value) / (1 + abs(factor * lam.value)))
+        yield abs(lam_s.value - factor * lam.value) / (1 + abs(factor * lam.value))
         e1xe2 = e1[NEXT] * e2[AFTER] - e1[AFTER] * e2[NEXT]
-        devs.append(abs((curl(w) * e1xe2).sum().value + lam.value)
-                    / (1 + abs(lam.value)))
-    return _result("nonholonomity-properties", devs, 1e-9)
+        yield abs((curl(w) * e1xe2).sum().value + lam.value) / (1 + abs(lam.value))
 
 
-def check_cartan_degenerate() -> CheckResult:
+def cartan_degenerate():
     """The EQ-system denominator D vanishes identically on the y-only fixture."""
     sys_ = build_system(OneForm.parse(CARTAN), MetricField.identity(),
                         _rng().uniform(-2, 2, (15, 3)), RESIDUAL_MIN_ORDER)
-    devs = np.abs(sys_.D.value).tolist() + [1.0] * int(np.sum(~sys_.degenerate))
-    return _result("cartan-degenerate-branch", devs, 1e-12)
+    return [np.abs(sys_.D.value), [1.0] * int(np.sum(~sys_.degenerate))]
 
 
-def check_injected_symmetries() -> CheckResult:
+def injected_symmetries():
     """Injected true symmetries verify: VK, VM, E3 f and bracket defects."""
     g = MetricField.identity()
-    devs = []
     pts = _rng().uniform(-1.5, 1.5, (12, 3))
     for text, f in ((HEISENBERG, "sqrt(1 + x^2 + y^2)"), (CARTAN, "-sqrt(1 + y^2)*y")):
         r = assemble_and_verify_V(OneForm.parse(text), g, pts, f=FieldProgram.parse(f),
                                   order=RESIDUAL_MIN_ORDER)
-        devs += [abs(r.VK), abs(r.VM), abs(r.E3f), r.bracket_defect_1, r.bracket_defect_2]
-    return _result("injected-symmetry-verification", devs, 1e-7)
+        yield from [abs(r.VK), abs(r.VM), abs(r.E3f), r.bracket_defect_1, r.bracket_defect_2]
 
 
-def check_symmetry_reconstruction() -> CheckResult:
+def symmetry_reconstruction():
     """Regular fixture with a known symmetry (z-translation): EQ equals
     -E(lambda)/lambda, residuals vanish, and the reconstructed ln f equals
     ln(lambda(base)/lambda(target))."""
@@ -226,85 +206,82 @@ def check_symmetry_reconstruction() -> CheckResult:
     pts = [(0.4, 0.3, 0.1), (1.0, -0.5, 0.2), (-0.7, 0.8, 0.0), (0.2, 0.9, -0.3)]
     sys_ = build_system(omega, g, pts, RESIDUAL_MIN_ORDER)
     lam, ok = sys_.frame.lam, ~sys_.degenerate
-    devs = [1.0] * int(np.count_nonzero(~ok))
+    yield from [1.0] * int(np.count_nonzero(~ok))
     refs = -directional_derivative(lam, sys_.frame.E[:2]).value / lam.value
-    devs += [abs(eq.value - ref)[ok] for eq, ref in zip((sys_.EQ1, sys_.EQ2), refs)]
-    devs += [abs(r)[ok] for r in integrability_residuals(sys_)]
+    yield from [abs(eq.value - ref)[ok] for eq, ref in zip((sys_.EQ1, sys_.EQ2), refs)]
+    yield from [abs(r)[ok] for r in integrability_residuals(sys_)]
     base, target = (0.1, 0.2, 0.0), (0.9, -0.4, 0.3)
     lnf, lam = reconstruct_lnf(omega, g, base, target)[0], nonholonomity(omega, g, [base, target])
-    devs.append(abs(lnf - math.log(lam.value[0] / lam.value[1])))
-    return _result("symmetry-reconstruction-fixture", devs, 1e-7)
+    yield abs(lnf - math.log(lam.value[0] / lam.value[1]))
 
 
-def check_singular_fixture() -> CheckResult:
+def singular_fixture():
     """Sigma location, characteristic field, lambda identities, Q and its
     rescale invariance for the singular fixture; E3 = d_z at every order and
     Q under (x, y, z) -> (-x, -y, z) for the special form with nonzero Q."""
     g = MetricField.identity()
     omega = OneForm.parse(OMEGA_1)
-    devs = []
     roots = locate_sigma(omega, g, [((-1, 0, 0), (1, 0, 0))])
     if roots.transversal.tolist() != [True]:
-        return CheckResult("singular-fixture", 1.0, 1e-6, False,
-                           "Sigma root not found")
-    devs.append(float(np.linalg.norm(roots.point[0])))
+        raise JetError("Sigma root not found")
+    yield np.linalg.norm(roots.point[0])
     v = characteristic_field(omega.evaluate([(0.5, 0, 0), (0, 0, 0), (0, 0.4, 0.2)])).value
-    devs.append(np.linalg.norm(np.subtract(v, [[0.0], [1.0], [0.0]]), axis=0))
+    yield np.linalg.norm(np.subtract(v, [[0.0], [1.0], [0.0]]), axis=0)
     frame, c = build_singular_frame(omega, g, [(0.3, 0, 0), (0, 0.5, -0.3)])
     r1, r2 = lambda_identities(frame, c)
-    devs += [abs(r1), abs(r2), abs(c[0].value[2] + frame.lam.value), abs(c[1].value[:, 2])]
+    yield from [abs(r1), abs(r2), abs(c[0].value[2] + frame.lam.value), abs(c[1].value[:, 2])]
     q = np.array(sigma_invariants(build_singular_frame(omega, g, (0, 0, 0))[1]))
-    devs.append(abs(q))
+    yield abs(q)
     scaled = omega.scale(lambda p, n: (nonholonomity(omega, g, p, n) ** 2).exp())
-    devs.append(abs(np.array(sigma_invariants(build_singular_frame(scaled, g, (0, 0, 0))[1])) - q))
+    yield abs(np.array(sigma_invariants(build_singular_frame(scaled, g, (0, 0, 0))[1])) - q)
     special, turned = ((OneForm.parse(f), MetricField.from_upper_triangle(m), p)
                        for f, m, p in ((SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT),
                                        (TURNED_FORM, TURNED_METRIC, TURNED_POINT)))
     for order in range(SINGULAR_FRAME_ORDER, MAX_ORDER + 1):
         e3 = build_singular_frame(*special, order)[0].E[2].coeffs.copy()
         e3[0, 2] -= 1.0  # E3 = d_z
-        devs.append(float(np.abs(e3).max()))
+        yield np.abs(e3).max()
     q, q2 = (np.array(sigma_invariants(build_singular_frame(*f)[1])) for f in (special, turned))
-    devs.append(abs(q2 / q - 1.0))
-    return _result("singular-fixture", devs, 1e-6)
+    yield abs(q2 / q - 1.0)
 
 
-def check_budget_failure_mode() -> CheckResult:
+def budget_failure_mode():
     """Designed failure: residuals at jet order 2 must exhaust the budget."""
     g = MetricField.from_upper_triangle(AXIAL_METRIC)
     omega = OneForm.parse(AXIAL_FORM)
     try:
         integrability_residuals(build_system(omega, g, (0.4, 0.3, 0.1), order=2))
     except BudgetExhausted:
-        return CheckResult("budget-exhaustion-designed-failure", 0.0, 1.0, True)
-    except Exception as exc:  # pragma: no cover
-        return CheckResult("budget-exhaustion-designed-failure", 1.0, 1.0,
-                           False, f"unexpected error {exc!r}")
-    return CheckResult("budget-exhaustion-designed-failure", 1.0, 1.0, False,
-                       "no error raised")
+        return [0.0]
+    return [1.0]
 
 
+# (name, tolerance, deviations): a row passes when its largest deviation is below its tolerance
 ALL_CHECKS = (
-    check_jet_oracle,
-    check_invariant_M_K_closed_forms,
-    check_frame_identities,
-    check_gauge_invariance,
-    check_nonholonomity_properties,
-    check_cartan_degenerate,
-    check_injected_symmetries,
-    check_symmetry_reconstruction,
-    check_singular_fixture,
-    check_budget_failure_mode,
+    ("jet-vs-finite-difference", 1e-5, jet_oracle),
+    ("invariant-M-K-closed-forms", 1e-8, invariant_M_K_closed_forms),
+    ("frame-identities", 1e-8, frame_identities),
+    ("gauge-invariance-M-K", 1e-8, gauge_invariance),
+    ("nonholonomity-properties", 1e-9, nonholonomity_properties),
+    ("cartan-degenerate-branch", 1e-12, cartan_degenerate),
+    ("injected-symmetry-verification", 1e-7, injected_symmetries),
+    ("symmetry-reconstruction-fixture", 1e-7, symmetry_reconstruction),
+    ("singular-fixture", 1e-6, singular_fixture),
+    ("budget-exhaustion-designed-failure", 1.0, budget_failure_mode),
 )
 
 
-def run_selftest() -> List[CheckResult]:
+def run_selftest() -> list[CheckResult]:
+    """One result per row of ALL_CHECKS.  Its deviations are numbers, or arrays of them
+    (one per point), and a NaN among them fails the row; so does a row that checks nothing
+    or raises, the latter with max_dev inf and the error's text in its note."""
     results = []
-    for fn in ALL_CHECKS:
+    for name, tol, deviations in ALL_CHECKS:
         try:
-            results.append(fn())
+            devs = np.concatenate([[], *map(np.ravel, deviations())])  # [] if it gives none
+            max_dev, note = (float(np.max(devs)), "") if devs.size else \
+                (math.nan, "no deviation: checked nothing")
         except Exception as exc:
-            results.append(CheckResult(name=fn.__name__.replace("check_", "").replace("_", "-"),
-                                       max_dev=math.inf, tol=0.0, passed=False,
-                                       note=f"error: {exc}"))
+            max_dev, note = math.inf, f"error: {exc}"
+        results.append(CheckResult(name, max_dev, tol, max_dev < tol, note))
     return results

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,14 @@ def euclid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(7041998)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity: Python's json writes
+    them, but they are not JSON, so no output of the CLI may hold them."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def box_points(rng, n, scale=2.0):

@@ -4,7 +4,6 @@ equals its one-point (one-probe) result bit for bit."""
 
 import dataclasses
 import itertools
-import json
 import math
 
 import numpy as np
@@ -24,7 +23,7 @@ from srsurf.singular import SINGULAR_FRAME_ORDER
 from srsurf.symmetry import RESIDUAL_MIN_ORDER
 
 from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OFF_DIAGONAL_METRIC, OMEGA_1,
-                      SPECIAL_FORM, SPECIAL_METRIC, TURNED_FORM, TURNED_METRIC)
+                      SPECIAL_FORM, SPECIAL_METRIC, TURNED_FORM, TURNED_METRIC, strict_json)
 
 SIGMA_METRIC = "1 + x^2\n0\n0\n1\n0\n1\n"  # with OMEGA_1: Sigma = {x = 0}
 
@@ -341,7 +340,7 @@ def _assert_one_call_per_item(capsys, argv, items, batch=None):
 
 
 def _branches(lines):
-    return {('"error"' in line, json.loads(line)["branch"]) for line in lines}
+    return {('"error"' in line, strict_json(line)["branch"]) for line in lines}
 
 
 @pytest.fixture
@@ -412,7 +411,7 @@ def test_symmetry_series_overflow_in_a_chunk(capsys, metric_file, reconstruct):
     argv = ["symmetry", "--omega", "dz + y*dx", "--metric-file",
             metric_file(f"{g11}\n0\n0\n1 + y^2\n0\n1\n"), *reconstruct]
     points = [(x / 10, 0.5, 0.2) for x in (-2, -1, 0, 1, 3, 4, 5)]
-    records = [json.loads(line) for line in _assert_one_call_per_item(
+    records = [strict_json(line) for line in _assert_one_call_per_item(
         capsys, argv, [_points_option(p) for p in points])]
     overflows = [r["error"].startswith("Taylor series of exp at ") for r in records[4:]]
     assert len(overflows) == 3 and all(overflows)
@@ -435,7 +434,7 @@ def test_singular_probes_in_one_batch(capsys, metric_file, bad_scan):
     argv = ["singular", "--omega", OMEGA_1, "--metric-file",
             metric_file("1 + x^2\n0\n0\n1\n0\n2 + z\n")]
     lines = _assert_one_call_per_item(capsys, argv, [["--probe=" + p] for p in probes])
-    records = [json.loads(line) for line in lines]
+    records = [strict_json(line) for line in lines]
     assert records[3]["error"] == "no Sigma crossing on probe"
     assert sum("Q112" in r for r in records) == 7 - bad_scan
     if bad_scan:
@@ -580,7 +579,7 @@ def test_singular_frame_batch_falls_back_root_by_root(capsys, monkeypatch, omega
     argv = ["singular", "--omega", omega]
     lines = _assert_one_call_per_item(capsys, argv, [["--probe=" + p] for p in probes])
     assert sizes[:4] == [3, 1, 2, 1]  # the batch, then its halves down to the failing root
-    records = [json.loads(line) for line in lines]
+    records = [strict_json(line) for line in lines]
     with pytest.raises(JetError) as alone:  # the root's own frame
         build_singular_frame(OneForm.parse(omega), MetricField.identity(),
                              tuple(records[1]["point"]), SINGULAR_FRAME_ORDER)
