@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from functools import cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ EXIT_SELFTEST = 2
 
 
 CHUNK = 400  # items per batch in every subcommand, a width measured end to end (README)
+_compiled = lru_cache(maxsize=16)(lambda parse, text: parse(text))  # errors are not cached
 
 
 @cache  # one parser per process: argparse keeps no state between calls
@@ -87,7 +88,7 @@ def _inputs(args):
             raise ValueError(f"--{name.replace('_', '-')} must be positive and finite")
     if reconstruct != bool(base):
         raise ValueError("--reconstruct and --base need each other")
-    return (OneForm.parse(args.omega), MetricField.from_text(metric_text),
+    return (_compiled(OneForm.parse, args.omega), _compiled(MetricField.from_text, metric_text),
             np.array(items, dtype=float), base)
 
 

@@ -155,7 +155,8 @@ class _Parsed:
 def _compile(body):
     """Compile a checked expression once into a function (point, order) ->
     its jet, at one point or an (N, 3) batch.  Each call seeds the three
-    coordinate jets once; a tuple's jets are stacked into one (`Jet.stack`)."""
+    coordinate jets once, and each number as `Jet._coerce` does, unchecked;
+    a tuple's jets are stacked into one (`Jet.stack`)."""
     tree = ast.Expression(ast.Lambda(_PARAMETERS, body))
     fn = eval(compile(ast.fix_missing_locations(tree), "<expression>", "eval"),
               _NAMESPACE)
@@ -163,7 +164,7 @@ def _compile(body):
     def at(point, order):
         x = Jet.variable(0, point, int(order))
         y, z = (Jet.variable(axis, x.point, x.order) for axis in (1, 2))
-        jets = fn(x, y, z, lambda value: Jet.constant(value, x.point, x.order))
+        jets = fn(x, y, z, lambda value: Jet._coerce(value, x))
         return Jet.stack(jets) if isinstance(jets, tuple) else jets
     return at
 

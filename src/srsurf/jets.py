@@ -130,6 +130,14 @@ def _binomials(r: float, order: int) -> tuple:  # binom(r, k) for k = 0..order
     return tuple(math.prod((r - j) / (j + 1) for j in range(k)) for k in range(order + 1))
 
 
+def _trig(v, order: int, shift: int):
+    """The Taylor terms (s, c, -s, -c)[j % 4] / k!, j = k + shift, of sin (shift 0) or cos
+    (shift 1) at v: one gather of (s, c) by j % 2, one division by +-k!, as (-a)/b == a/(-b)."""
+    j = np.arange(order + 1) + shift
+    divisors = np.array([(-1) ** (i // 2) * math.factorial(k) for k, i in enumerate(j)], float)
+    return np.stack((np.sin(v), np.cos(v)))[j % 2] / divisors.reshape(-1, *[1] * v.ndim)
+
+
 def _series(terms):
     """A univariate jet method f from terms(v, order, ...) = (factor, scale, series) at the
     values v, None for 1: f(v + u) = factor * sum_k series[k] * (scale * u)^k, u nilpotent.
@@ -356,13 +364,16 @@ class Jet:
     # -- univariate compositions ------------------------------------------
 
     def compose_series(self, series, scale=None, factor=None) -> "Jet":
-        """factor * sum_k series[k] * (scale * (self - value))^k by Horner's rule, None for 1."""
+        """factor * sum_k series[k] * (scale * (self - value))^k by Horner's rule, None for 1;
+        w (no constant term) multiplies bracket B_k k more times: B_k is formed to order n - k."""
         w = self.coeffs.copy() if scale is None else self.coeffs * scale
         w[0] = 0.0  # the nilpotent part; safe: w is a fresh array
-        coeffs = w * series[-1]
+        bracket = np.zeros(w.shape)  # each B_k in its leading rows, zeros past its order
+        coeffs = np.multiply(w[:n_coeffs(1)], series[-1], out=bracket[:n_coeffs(1)])
         coeffs[0] = series[-2] if len(series) > 1 else series[0]  # order 0: w is 0
-        for c in reversed(series[:-2]):
-            coeffs = (self._like(coeffs) * self._like(w)).coeffs
+        for m, c in enumerate(reversed(series[:-2]), 2):  # B_(n-m) at order m
+            bracket[:len(coeffs)], n = coeffs, n_coeffs(m)
+            coeffs = (Jet._new(self.point, m, bracket[:n]) * Jet._new(self.point, m, w[:n])).coeffs
             coeffs[0] = c
         return self._like(coeffs if factor is None else np.multiply(coeffs, factor, out=coeffs))
 
@@ -387,13 +398,11 @@ class Jet:
 
     @_series
     def sin(v, order):
-        s, c = np.sin(v), np.cos(v)
-        return None, None, [(s, c, -s, -c)[k % 4] / math.factorial(k) for k in range(order + 1)]
+        return None, None, _trig(v, order, 0)
 
     @_series
     def cos(v, order):
-        s, c = np.sin(v), np.cos(v)
-        return None, None, [(c, -s, -c, s)[k % 4] / math.factorial(k) for k in range(order + 1)]
+        return None, None, _trig(v, order, 1)
 
     @_series
     def pow(v, order, r: float):  # a real power r of positive values

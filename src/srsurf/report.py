@@ -82,7 +82,14 @@ def parse_point(text: str) -> Point:
 
 def parse_points(text: str) -> List[Point]:
     """Semicolon-separated list of comma-separated triples."""
-    return [parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
+    chunks = text.split(";")
+    try:  # chunks of three finite numbers are split at once; any other text point by point
+        v = list(map(float, text.replace(";", ",").split(",")))
+        if all(chunk.count(",") == 2 for chunk in chunks) and all(map(math.isfinite, v)):
+            return list(zip(v[::3], v[1::3], v[2::3]))
+    except ValueError:
+        pass
+    return [parse_point(chunk) for chunk in chunks if chunk.strip()]
 
 
 def parse_probe(text: str) -> Tuple[Point, Point]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import AFTER, DEFAULT_ORDER, NEXT, MetricField, OneForm, curl_and_defect
-from .frame import AdaptedFrame, adapted_frame, kernel_basis, lambda_evaluation, nonholonomity
+from .frame import AdaptedFrame, adapted_frame, kernel_basis, lambda_evaluation
 from .invariants import directional_derivative
 from .jets import Jet, JetError, _mul_table, multi_indices, n_coeffs, row_of
 
@@ -58,33 +58,36 @@ def _along(c, d, k: int):
 
 
 def _polish(omega, metric, p0, d, t, lo, hi, rising, kind):
-    """(t, steps, converged): safeguarded Newton (Press et al., `rtsafe`) on f =
-    d^k lambda / dt^k, k = `kind`, along p0 + t d, row by row from t in [lo, hi],
-    with f < 0 on the side of lo where `rising`.  Each step is one batched
-    `nonholonomity` per kind, at TRANSVERSALITY_ORDER + k, on the rows still
-    open; a Newton step that leaves [lo, hi] is a bisection.  A row converged
-    if it stopped, at f = 0 or a step of at most 1e-15 + 8.9e-16 |t|, within NEWTON_MAX_ITER."""
+    """(t, steps, converged, columns): safeguarded Newton (Press et al., `rtsafe`)
+    on f = d^k lambda / dt^k, k = `kind`, along p0 + t d, row by row from t in
+    [lo, hi], with f < 0 on the side of lo where `rising`.  Each step is one
+    batched `lambda_evaluation` of a kind's rows still open, at
+    TRANSVERSALITY_ORDER + k; a Newton step that leaves [lo, hi] is a bisection.
+    A row converged if it stopped, at f = 0 or a step of at most 1e-15 + 8.9e-16
+    |t|, within NEWTON_MAX_ITER; its |lambda|, |omega|_g and `_on_delta` come from that step."""
     n = len(t)
-    f, slope, steps, rows = np.zeros(n), np.zeros(n), np.zeros(n, int), np.arange(n)
-    for _ in range(NEWTON_MAX_ITER):
-        for k in (0, 1):
-            r = rows[kind[rows] == k]
-            if len(r):
-                c = nonholonomity(omega, metric, p0[r] + t[r, None] * d[r],
-                                  TRANSVERSALITY_ORDER + k).coeffs
-                f[r], slope[r] = _along(c, d[r], k), _along(c, d[r], k + 1)
-        steps[rows] += 1
-        tr, fr = t[rows], f[rows]
-        up = (fr < 0) == rising[rows]  # the zero of f lies above t
-        lo[rows], hi[rows] = np.where(up, tr, lo[rows]), np.where(up, hi[rows], tr)
-        with np.errstate(all="ignore"):
-            new = tr - fr / slope[rows]
-        new = np.where((new >= lo[rows]) & (new <= hi[rows]), new, 0.5 * (lo[rows] + hi[rows]))
-        stop = (fr == 0) | (np.abs(new - tr) <= 1e-15 + 8.9e-16 * np.abs(tr))
-        t[rows], rows = np.where(stop, tr, new), rows[~stop]
-        if not len(rows):
-            break
-    return t, steps, ~np.isin(np.arange(n), rows)
+    steps, columns, converged = np.zeros(n, int), np.zeros((4, n)), np.ones(n, bool)
+    for k in (0, 1):
+        rows = np.flatnonzero(kind == k)
+        for _ in range(NEWTON_MAX_ITER):
+            if not len(rows):
+                break
+            w, g, _, q, norm, lam = lambda_evaluation(
+                omega, metric, p0[rows] + t[rows, None] * d[rows], TRANSVERSALITY_ORDER + k)
+            f, slope = _along(lam.coeffs, d[rows], k), _along(lam.coeffs, d[rows], k + 1)
+            steps[rows] += 1
+            tr = t[rows]
+            up = (f < 0) == rising[rows]  # the zero of f lies above t
+            lo[rows], hi[rows] = np.where(up, tr, lo[rows]), np.where(up, hi[rows], tr)
+            with np.errstate(all="ignore"):
+                new = tr - f / slope
+            new = np.where((new >= lo[rows]) & (new <= hi[rows]), new, 0.5 * (lo[rows] + hi[rows]))
+            stop = (f == 0) | (np.abs(new - tr) <= 1e-15 + 8.9e-16 * np.abs(tr))
+            if stop.any():  # a row that goes on is written again at a later step
+                columns[:, rows] = np.abs(lam.value), norm, *_on_delta(w, g, q, norm, lam)[1:]
+            t[rows], rows = np.where(stop, tr, new), rows[~stop]
+        converged[rows] = False
+    return t, steps, converged, columns
 
 
 def _on_delta(w: Jet, g: Jet, q: Jet, norm, lam: Jet):
@@ -109,10 +112,10 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     each sign change of lambda between nodes, each run of nodes where lambda is
     0 (its first node), and each interior local minimum of |lambda| / |omega|_g
     that ends no sign change (a tangential Sigma).  `_polish` takes the first
-    two kinds to a zero of lambda and the minima to one of d(lambda)/dt; one
-    evaluation at TRANSVERSALITY_ORDER then gives |lambda|, |omega|_g and
-    `_on_delta` there.  A root has |lambda| / |omega|_g <= tol_root, or is a
-    sign change whose polish did not converge (`SigmaRoots.converged`).
+    two kinds to a zero of lambda and the minima to one of d(lambda)/dt, with
+    |lambda|, |omega|_g and `_on_delta` at its last step, but an unconverged row,
+    which moved after it, is evaluated anew.  A root has |lambda| / |omega|_g <=
+    tol_root, or is a sign change whose polish did not converge (`converged`).
     """
     ends = np.array(segments, dtype=float)
     if ends.ndim != 3 or not len(ends) or ends.shape[1:] != (2, 3):
@@ -134,21 +137,20 @@ def locate_sigma(omega: OneForm, metric: MetricField, segments,
     lo, hi = np.r_[ts[i], ts[zi], ts[mi - 1]], np.r_[ts[i + 1], ts[zi], ts[mi + 1]]
     t = np.r_[ts[i] + (ts[i + 1] - ts[i]) * (a / (a - b)), ts[zi], ts[mi]]
     rising = np.r_[a < 0, np.zeros(len(zi), bool), lam[ms, mi] > 0]
-    if not len(t):  # no root: each column empty, as a full one's dtype and shape
-        none = np.zeros(0)
-        return SigmaRoots(seg, np.zeros((0, 3)), none, none > 0, none, CANDIDATES[kind],
-                          kind, none, none > 0)
     p0, d = ends[seg, 0], ends[seg, 1] - ends[seg, 0]
-    t, steps, converged = _polish(omega, metric, p0, d, t, lo, hi, rising, kind)
+    t, steps, converged, columns = _polish(omega, metric, p0, d, t, lo, hi, rising, kind)
     points = p0 + t[:, None] * d
-    w, g, _, q, scale, lam = lambda_evaluation(omega, metric, points, TRANSVERSALITY_ORDER)
-    _, grad_norm, transversal = _on_delta(w, g, q, scale, lam)
-    margin = np.abs(lam.value) / scale
+    if not converged.all():
+        w, g, _, q, norm, lam = lambda_evaluation(omega, metric, points[~converged],
+                                                  TRANSVERSALITY_ORDER)
+        columns[:, ~converged] = np.abs(lam.value), norm, *_on_delta(w, g, q, norm, lam)[1:]
+    lam, scale, grad_norm, transversal = columns
+    margin = lam / scale
     # a sign change brackets a zero of lambda: unconverged, it is kept and says so
     keep = (margin <= tol_root) | ((kind == 0) & ~converged)
     j = np.lexsort((t, seg))
     j = j[keep[j]]
-    return SigmaRoots(seg[j], points[j], np.abs(lam.value[j]), transversal[j], grad_norm[j],
+    return SigmaRoots(seg[j], points[j], lam[j], transversal[j] > 0, grad_norm[j],
                       CANDIDATES[kind[j]], steps[j], margin[j], converged[j])
 
 

@@ -13,7 +13,8 @@ import pytest
 import srsurf.cli
 from srsurf import selftest
 from srsurf.cli import main
-from srsurf.report import map_arrays, parse_grid, parse_points, parse_probe, render
+from srsurf.fields import OneForm, ParseError
+from srsurf.report import map_arrays, parse_grid, parse_point, parse_points, parse_probe, render
 
 from conftest import (AXIAL_METRIC, CARTAN, HEISENBERG, OMEGA_1, SPECIAL_FORM,
                       SPECIAL_METRIC, strict_json)
@@ -37,6 +38,29 @@ def test_parse_points():
     assert parse_points("1,2,3; 4,5,6") == [(1, 2, 3), (4, 5, 6)]
     with pytest.raises(ValueError):
         parse_points("1,2")
+
+
+POINT_TEXTS = ["1,2,3", "1,2,3;4,5,6", "-0.0,1e-300,1e300;7,8,9", "1, 2 ,3; 4,5,6",
+               "1 .5,2,3", "- 1,2,3", ";1,2,3;;4,5,6;", " ; 1,2,3 ; ", "", " ", "1_0,2,3",
+               "1,nan,3", "inf,0,0;1,2,3", "1,2,3;1e999,0,0", "1,2", "1,2,3;4,5", "1,2,3,4",
+               "1,2,3,4;5,6", "1,,3", "1,,2,3", ",1,2", "1,a,3", "1,2,3;x", "1;2;3", "1,2,3:4,5,6"]
+
+
+@pytest.mark.parametrize("text", POINT_TEXTS)
+def test_parse_points_is_the_point_by_point_parse(text):
+    # a regular text is split once; any other takes the loop, for its error text
+    def point_by_point():
+        return [parse_point(chunk) for chunk in text.split(";") if chunk.strip()]
+    try:
+        want = point_by_point()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_points(text)
+        assert str(got.value) == str(exc)
+    else:
+        got = parse_points(text)
+        assert got == want and all(map(math.isfinite, np.ravel(got)))
+        assert [list(map(type, p)) for p in got] == [[float] * 3] * len(got)
 
 
 def test_parse_probe():
@@ -815,6 +839,43 @@ def test_singular_sigma_diagnostics_schema(capsys):
         x = rec["point"][0]  # |omega| = |(0, 1, f(x))| under the Euclidean metric
         norm = math.hypot(1.0, x ** 4 / 4 - x ** 3 / 6)
         assert sigma["margin"] == pytest.approx(rec["lam"] / norm, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("text", ["dx + y*", "dx + (y", "dx + q*dy", "y*dx + 2"])
+def test_a_bad_omega_raises_the_same_parse_error_each_call(capsys, text):
+    # a field text compiles once per process, but an error is not kept: each call
+    # raises it anew, with its text and position
+    before = srsurf.cli._compiled.cache_info().currsize
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ParseError) as exc:
+            srsurf.cli._compiled(OneForm.parse, text)
+        errors.append((str(exc.value), exc.value.pos))
+    assert errors[0] == errors[1]
+    with pytest.raises(ParseError) as exc:
+        OneForm.parse(text)
+    assert errors[0] == (str(exc.value), exc.value.pos)
+    outputs = [run_cli(capsys, "singular", "--omega", text, "--probe", "-1,0,0 : 1,0,0")
+               for _ in range(2)]
+    assert outputs[0] == outputs[1] == (1, "", f"error: {errors[0][0]}\n")
+    assert srsurf.cli._compiled.cache_info().currsize == before
+
+
+def test_a_cached_field_gives_the_records_of_a_fresh_parse(capsys, tmp_path):
+    metric = tmp_path / "metric.txt"
+    metric.write_text(AXIAL_METRIC_TEXT)
+    calls = [("singular", "--omega", SPECIAL_FORM, "--metric-file", str(metric),
+              "--probe", "-1.5,0.3,-0.2 : 1.5,0.4,-0.4"),
+             ("invariants", "--omega", "dz + y*dx + x^2*y*dy", "--metric-file", str(metric),
+              "--points", "0.4,0.3,0.1; 0.1,-0.2,0.3"),
+             ("symmetry", "--omega", "dz + y*dx + x^2*y*dy", "--points", "0.4,0.3,0.1")]
+    srsurf.cli._compiled.cache_clear()
+    fresh = [run_cli(capsys, *argv) for argv in calls]
+    info = srsurf.cli._compiled.cache_info()
+    cached = [run_cli(capsys, *argv) for argv in calls]
+    assert srsurf.cli._compiled.cache_info().hits == info.hits + 2 * len(calls)
+    assert srsurf.cli._compiled.cache_info().misses == info.misses
+    assert cached == fresh and all(code == 0 and out for code, out, _ in fresh)
 
 
 def test_singular_unconverged_root_says_so(capsys, monkeypatch):

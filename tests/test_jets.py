@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from srsurf import (BudgetExhausted, FieldProgram, Jet, JetError, MAX_ORDER, lie_bracket,
                     multi_indices, n_coeffs)
+from srsurf import jets
 from srsurf.jets import _index_map, _mul_table
 
 
@@ -579,3 +580,51 @@ def test_numpy_functions_give_the_same_bits_at_any_width(name):
             with np.errstate(all="call", call=lambda kind, flag: faults.append(kind)):
                 f(x)
             assert faults, (width, place)
+
+
+# -- Horner brackets at their orders, and sin/cos in one gather ---------------
+
+def _uncut_compose(self, series, scale=None, factor=None):
+    """Horner's rule with every bracket at the jet's order: the reference for compose_series."""
+    w = self.coeffs.copy() if scale is None else self.coeffs * scale
+    w[0] = 0.0
+    coeffs = w * series[-1]
+    coeffs[0] = series[-2] if len(series) > 1 else series[0]
+    for c in reversed(series[:-2]):
+        coeffs = (self._like(coeffs) * self._like(w)).coeffs
+        coeffs[0] = c
+    return self._like(coeffs if factor is None else np.multiply(coeffs, factor, out=coeffs))
+
+
+SERIES = {"reciprocal": (), "sqrt": (), "exp": (), "log": (), "sin": (), "cos": (),
+          "pow 0.5": (0.5,), "pow -0.5": (-0.5,), "pow 1/3": (1 / 3,)}
+
+
+@pytest.mark.parametrize("width", [1, 21, 400])
+@pytest.mark.parametrize("name", sorted(SERIES))
+def test_horner_brackets_at_their_orders_are_the_uncut_horner(name, width, monkeypatch):
+    rng = np.random.default_rng(width)
+    for order, shape in itertools.product(range(MAX_ORDER + 1), [(), (3,)]):
+        coeffs = rng.uniform(-0.4, 0.4, (n_coeffs(order), *shape, width))
+        coeffs[0] = rng.uniform(0.5, 2.0, (*shape, width))  # in every series' domain
+        jet = Jet._new(np.zeros((width, 3)), order, coeffs)  # order 0 as `cut` makes it
+        method = getattr(Jet, name.split()[0])
+        got = method(jet, *SERIES[name])
+        with monkeypatch.context() as m:
+            m.setattr(Jet, "compose_series", _uncut_compose)
+            want = method(jet, *SERIES[name])
+        assert got.order == want.order == order
+        assert got.coeffs.shape == want.coeffs.shape
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), (order, shape)
+
+
+@pytest.mark.parametrize("name", ["sin", "cos"])
+def test_sin_cos_terms_are_the_per_term_form(name):
+    v = np.random.default_rng(5).uniform(-20, 20, (3, 21))
+    v[0, :4] = (0.0, -0.0, np.pi, -np.pi / 2)
+    s, c = np.sin(v), np.cos(v)
+    per_term = {"sin": (s, c, -s, -c), "cos": (c, -s, -c, s)}[name]
+    for order in range(MAX_ORDER + 1):
+        want = np.array([per_term[k % 4] / math.factorial(k) for k in range(order + 1)])
+        got = jets._trig(v, order, ("sin", "cos").index(name))
+        assert got.tobytes() == want.tobytes(), order

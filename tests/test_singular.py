@@ -40,6 +40,56 @@ def test_locate_sigma_none_for_contact_forms(omega0, heisenberg, euclid):
     assert len(locate_sigma(heisenberg, euclid, [((-1, -1, 0), (1, 1, 0))]).segment) == 0
 
 
+# (form, metric or None for the identity, probes, NEWTON_MAX_ITER, the roots' candidates
+# and convergence); the root columns come from each row's last Newton step
+ROOT_CASES = {
+    "sign change": ("dy + x^2*dz", OFF_DIAGONAL_METRIC, ["-1,0.1,0.2 : 0.7,0.3,-0.1"], 64,
+                    [("sign_change", True)]),
+    "zero run": ("dy + x^2*dz", None, ["0,-1,0 : 0,1,0.5"], 64, [("sign_change", True)]),
+    "tangential minimum": ("dy + x^3*dz", None, ["-0.53,0.1,0 : 0.61,0.2,0.1"], 64,
+                           [("minimum", True)]),
+    "unconverged": ("dy + (x^2-0.25)*x*dz", None, ["-1,0.1,0 : 1,0.1,0"], 1,
+                    [("sign_change", False)] * 2),
+    "all kinds at once": ("dy + (x^4/4 - x^3/6)*dz", None, [
+        "-0.35,0,0 : 0.9,0.2,0.1", "0,-1,0 : 0,1,0.5", "0.2,-1,0 : 0.7,1,0.5"], 64,
+        [("minimum", True), ("sign_change", True), ("sign_change", True), ("sign_change", True)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_root_columns_are_a_fresh_evaluation(case, monkeypatch):
+    # |lambda|, |omega|_g and d(lambda)|_Delta at a root are those of a new evaluation
+    # at TRANSVERSALITY_ORDER, bit for bit, though only an unconverged row is evaluated
+    # after its polish: every other takes them from the Newton step that stopped it
+    form, metric, probes, max_iter, want = ROOT_CASES[case]
+    omega = OneForm.parse(form)
+    g = MetricField.identity() if metric is None else MetricField.from_upper_triangle(metric)
+    monkeypatch.setattr(singular, "NEWTON_MAX_ITER", max_iter)
+    evaluations = []
+
+    def counted(*args):
+        evaluations.append(len(args[2]))
+        return singular_evaluation(*args)
+    singular_evaluation = singular.lambda_evaluation
+    monkeypatch.setattr(singular, "lambda_evaluation", counted)
+    roots = locate_sigma(omega, g, [parse_probe(p) for p in probes])
+    monkeypatch.undo()
+    assert list(zip(roots.candidate, roots.converged)) == want
+    w, gm, _, q, norm, lam = singular.lambda_evaluation(omega, g, roots.point,
+                                                        singular.TRANSVERSALITY_ORDER)
+    _, size, transversal = singular._on_delta(w, gm, q, norm, lam)
+    assert roots.lambda_residual.tobytes() == np.abs(lam.value).tobytes()
+    assert roots.margin.tobytes() == (np.abs(lam.value) / norm).tobytes()
+    assert roots.lambda_gradient_on_delta.tobytes() == size.tobytes()
+    assert roots.transversal.dtype == bool and np.array_equal(roots.transversal, transversal)
+    # the scan, each kind's steps, and one evaluation of the unconverged rows, if any
+    steps = [roots.newton_iterations[roots.candidate == c].max(initial=0)
+             for c in ("sign_change", "minimum")]
+    assert len(evaluations) == 1 + sum(steps) + (not roots.converged.all())
+    if not roots.converged.all():
+        assert evaluations[-1] == sum(~roots.converged)
+
+
 # -- characteristic field --------------------------------------------------
 
 def test_characteristic_field_omega0(omega0):
