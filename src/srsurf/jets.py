@@ -29,6 +29,7 @@ MIN_ORDER = 1
 MAX_ORDER = 6
 
 VARIABLES = ("x", "y", "z")
+_ALL = slice(None)
 
 
 class JetError(Exception):
@@ -61,9 +62,7 @@ def _index_map(order: int):
 @lru_cache(maxsize=None)
 def _mul_table(order: int):
     """Triples (ia, ib, iout) with mi[iout] = mi[ia] + mi[ib]."""
-    mis = multi_indices(order)
-    imap = _index_map(order)
-    table = []
+    mis, imap, table = multi_indices(order), _index_map(order), []
     for ia, a in enumerate(mis):
         for ib, b in enumerate(mis):
             s = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
@@ -74,19 +73,27 @@ def _mul_table(order: int):
 
 @lru_cache(maxsize=32)  # bounded: a batch's index grows with its size
 def _mul_out(order: int, width: int):
-    """`_mul_table`'s iout for `width` floats per coefficient (components
-    times points): the index of each term in the flat result."""
+    """Each `_mul_table` term's flat index, `width` floats (components x points) a row."""
     return (_mul_table(order)[2][:, None] * width + np.arange(width)).ravel()
 
 
+def _product(order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The coefficients of the order-`order` product of two jets' coefficient arrays
+    with as many axes, which broadcast; only their leading n_coeffs(order) rows are read."""
+    ia, ib, _ = _mul_table(order)  # `take` gathers rows faster than indexing, at every width
+    terms = a.take(ia, 0) * b.take(ib, 0)  # broadcast over the component axes
+    out = np.bincount(_mul_out(order, terms.size // len(ia)), weights=terms.ravel())
+    return out.reshape((-1,) + terms.shape[1:])
+
+
 @lru_cache(maxsize=None)
-def _partial_map(order: int):
-    """(src, scale), each (n_coeffs(order - 1), 3): d/d(axis) of an
-    order-`order` jet sends coeffs[src[k, axis]] * scale[k, axis] to
-    coefficient k of an order-(order - 1) jet."""
+def _partial_map(order: int, ndim: int):
+    """(src, scale): d/d(axis) of an order-`order` jet with `ndim` coefficient axes sends
+    coeffs[src[k, axis]] * scale[k, axis] to coefficient k of an order-(order - 1) jet; src
+    is (n_coeffs(order - 1), 3), and scale too, with ndim - 1 more axes of length 1."""
     mis, imap = multi_indices(order - 1), _index_map(order)
     src = [[imap[i + 1, j, k], imap[i, j + 1, k], imap[i, j, k + 1]] for i, j, k in mis]
-    return np.array(src), np.array(mis, dtype=float) + 1.0
+    return np.array(src), np.array(mis, float).reshape(len(mis), 3, *[1] * (ndim - 1)) + 1.0
 
 
 def n_coeffs(order: int) -> int:
@@ -143,15 +150,24 @@ def _series(terms):
     values v, None for 1: f(v + u) = factor * sum_k series[k] * (scale * u)^k, u nilpotent.
     After a float fault in them, a factor, scale or series[0] not finite raises JetError."""
     overflow = f"Taylor series of {terms.__name__} at {{}} overflows a float"
+    guarded = np.errstate(all="raise", under="ignore")(terms)  # one errstate, made once
     def compose(self: "Jet", *args) -> "Jet":
-        v, faults = self.value, []
-        with np.errstate(all="call", under="ignore", call=lambda *fault: faults.append(fault)):
-            factor, scale, series = terms(v, self.order, *args)
-        if faults:  # only then look for the values at fault
+        try:
+            factor, scale, series = guarded(self.value, self.order, *args)
+        except FloatingPointError:  # only then form them again and look for the values at fault
+            with np.errstate(all="ignore"):
+                factor, scale, series = terms(self.value, self.order, *args)
             finite = [np.isfinite(x) for x in (factor, scale, series[0]) if x is not None]
-            _refuse(~reduce(np.logical_and, finite), v, overflow)
+            _refuse(~reduce(np.logical_and, finite), self.value, overflow)
         return self.compose_series(series, scale, factor)
     return compose
+
+
+def _jet(point, order: int, coeffs: np.ndarray) -> "Jet":
+    """The one unchecked constructor, of results of operations on valid jets."""
+    jet = object.__new__(Jet)
+    jet.point, jet.order, jet.coeffs = point, order, coeffs
+    return jet
 
 
 class Jet:
@@ -186,7 +202,7 @@ class Jet:
         point = _as_point(point)
         c = np.zeros((n_coeffs(order), len(point)))
         c[0] = value
-        return Jet._new(point, order, c)
+        return _jet(point, order, c)
 
     @staticmethod
     def variable(axis: int, point, order: int) -> "Jet":
@@ -220,8 +236,7 @@ class Jet:
     def partial_value(self, mi) -> np.ndarray:
         """Mixed partial derivative value (coefficient times factorials), one per point."""
         mi = tuple(mi)
-        fact = math.factorial(mi[0]) * math.factorial(mi[1]) * math.factorial(mi[2])
-        return self.coeff(mi) * fact
+        return self.coeff(mi) * math.prod(map(math.factorial, mi))
 
     def __repr__(self):
         return (f"Jet(point={self.point}, order={self.order}, shape={self.shape}, "
@@ -229,17 +244,10 @@ class Jet:
 
     # -- helpers -----------------------------------------------------------
 
-    @classmethod
-    def _new(cls, point, order: int, coeffs: np.ndarray) -> "Jet":
-        """Unchecked constructor for results of operations on valid jets: an
-        (N, 3) float point, 0 <= order <= MAX_ORDER and (n_coeffs(order),
-        *shape, N) float coeffs."""
-        jet = object.__new__(cls)
-        jet.point, jet.order, jet.coeffs = point, order, coeffs
-        return jet
+    _new = staticmethod(_jet)
 
     def _like(self, coeffs) -> "Jet":
-        return Jet._new(self.point, self.order, coeffs)
+        return _jet(self.point, self.order, coeffs)
 
     def _truncated(self, other: "Jet"):
         """(order, a, b): the lower order of two jets at one batch of points
@@ -252,23 +260,33 @@ class Jet:
         if order != other.order:
             order, n = min(order, other.order), min(len(a), len(b))
             a, b = a[:n], b[:n]
-        if a.ndim != b.ndim:  # component axes align from the right, before the points
-            m = max(a.ndim, b.ndim)
-            a, b = (c.reshape(c.shape[:1] + (1,) * (m - c.ndim) + c.shape[1:]) for c in (a, b))
+        if a.ndim < b.ndim:  # component axes align from the right, before the points
+            a = a[(_ALL,) + (None,) * (b.ndim - a.ndim)]
+        elif b.ndim < a.ndim:
+            b = b[(_ALL,) + (None,) * (a.ndim - b.ndim)]
         return order, a, b
 
     def cut(self, order: int) -> "Jet":
         """The jet at a lower order, 0 included: a view of its leading coefficients."""
-        return Jet._new(self.point, order, self.coeffs[:n_coeffs(order)])
+        if not 0 <= order <= self.order:
+            raise (BudgetExhausted if order > 0 else JetError)(
+                f"no order-{order} cut of a jet of order {self.order}")
+        return _jet(self.point, order, self.coeffs[:n_coeffs(order)])
 
     # -- components --------------------------------------------------------
 
     def __getitem__(self, key) -> "Jet":
-        """The components at `key`, a numpy index into the component axes."""
+        """The components at `key`, a numpy index into the component axes; `...` spans them."""
         key = key if isinstance(key, tuple) else (key,)
-        if sum(k is not None for k in key) > self.coeffs.ndim - 2:
+        axes = self.coeffs.ndim - 2
+        if len(key) > axes and sum(k is not None and k is not ... for k in key) > axes:
             raise JetError(f"index {key} has more axes than a jet of shape {self.shape}")
-        return self._like(self.coeffs[(slice(None), *key)])
+        try:  # numpy takes one `...`: this one keeps the key off the point axis
+            return _jet(self.point, self.order, self.coeffs[(_ALL, *key, ...)])
+        except IndexError:
+            if any(k is ... for k in key):  # by identity: keys hold numpy arrays
+                return _jet(self.point, self.order, self.coeffs[(_ALL, *key, _ALL)])
+            raise
 
     def __iter__(self):
         """The components along the first axis, `a, b, c = v`; a scalar raises JetError."""
@@ -279,8 +297,11 @@ class Jet:
         c, axes = self.coeffs, self.coeffs.ndim - 2
         if not -axes <= axis < axes:
             raise JetError(f"no component axis {axis} in a jet of shape {self.shape}")
-        at = (slice(None),) * (axis % axes + 1)
-        return self._like(reduce(np.add, [c[at + (k,)] for k in range(c.shape[len(at)])]))
+        at = (_ALL,) * (axis % axes + 1)
+        total = c[at + (0,)] + c[at + (1,)] if c.shape[len(at)] > 1 else c[at + (0,)]
+        for k in range(2, c.shape[len(at)]):
+            total += c[at + (k,)]
+        return _jet(self.point, self.order, total)
 
     @staticmethod
     def stack(jets) -> "Jet":
@@ -289,7 +310,8 @@ class Jet:
         order, p = min(j.order for j in jets), jets[0].point
         if any(j.point is not p and not np.array_equal(j.point, p) for j in jets):
             raise JetError(f"base point mismatch in a stack at {p}")
-        return Jet._new(p, order, np.stack([j.coeffs[:n_coeffs(order)] for j in jets], axis=1))
+        n = n_coeffs(order)
+        return _jet(p, order, np.concatenate([j.coeffs[:n, None] for j in jets], axis=1))
 
     @staticmethod
     def _coerce(other, template: "Jet"):
@@ -299,45 +321,39 @@ class Jet:
             return other
         c = np.zeros(template.coeffs.shape)
         c[0] = other
-        return template._like(c)
+        return _jet(template.point, template.order, c)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         order, a, b = self._truncated(Jet._coerce(other, self))
-        return Jet._new(self.point, order, a + b)
+        return _jet(self.point, order, a + b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._like(-self.coeffs)
+        return _jet(self.point, self.order, -self.coeffs)
 
     def __sub__(self, other):
         order, a, b = self._truncated(Jet._coerce(other, self))
-        return Jet._new(self.point, order, a - b)
+        return _jet(self.point, order, a - b)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):  # a number, or one per point: `out` keeps the shape
-            return self._like(np.multiply(self.coeffs, np.asarray(other, dtype=float),
-                                          out=np.empty(self.coeffs.shape)))
+            return _jet(self.point, self.order, np.multiply(
+                self.coeffs, np.asarray(other, dtype=float), out=np.empty(self.coeffs.shape)))
         order, a, b = self._truncated(other)
-        ia, ib, _ = _mul_table(order)
-        # `take` gathers rows faster than indexing does, at every width
-        terms = a.take(ia, 0) * b.take(ib, 0)  # broadcast over the component axes
-        width = terms.size // len(ia)
-        out = np.bincount(_mul_out(order, width), weights=terms.ravel(),
-                          minlength=len(a) * width)
-        return Jet._new(self.point, order, out.reshape((len(a),) + terms.shape[1:]))
+        return _jet(self.point, order, _product(order, a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            return self._like(np.divide(self.coeffs, np.asarray(other, dtype=float),
-                                        out=np.empty(self.coeffs.shape)))
+            return _jet(self.point, self.order, np.divide(
+                self.coeffs, np.asarray(other, dtype=float), out=np.empty(self.coeffs.shape)))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -372,8 +388,8 @@ class Jet:
         coeffs = np.multiply(w[:n_coeffs(1)], series[-1], out=bracket[:n_coeffs(1)])
         coeffs[0] = series[-2] if len(series) > 1 else series[0]  # order 0: w is 0
         for m, c in enumerate(reversed(series[:-2]), 2):  # B_(n-m) at order m
-            bracket[:len(coeffs)], n = coeffs, n_coeffs(m)
-            coeffs = (Jet._new(self.point, m, bracket[:n]) * Jet._new(self.point, m, w[:n])).coeffs
+            bracket[:len(coeffs)] = coeffs
+            coeffs = _product(m, bracket, w)
             coeffs[0] = c
         return self._like(coeffs if factor is None else np.multiply(coeffs, factor, out=coeffs))
 
@@ -422,6 +438,5 @@ class Jet:
         (3, *shape), one order lower: grad()[a] is partial(a)."""
         if self.order < 1:
             raise BudgetExhausted("cannot differentiate: jet budget exhausted")
-        src, scale = _partial_map(self.order)
-        scale = scale.reshape(scale.shape + (1,) * (self.coeffs.ndim - 1))
-        return Jet._new(self.point, self.order - 1, self.coeffs.take(src, 0) * scale)
+        src, scale = _partial_map(self.order, self.coeffs.ndim)
+        return _jet(self.point, self.order - 1, self.coeffs.take(src, 0) * scale)

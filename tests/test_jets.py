@@ -197,6 +197,17 @@ def test_coefficients_above_the_order_are_out_of_budget():
             d.partial_value(mi)
 
 
+def test_cut_stays_within_the_budget():
+    # a cut above the order would label an order-3 jet's 20 coefficients order 5
+    x = Jet.variable(0, (0.4, 0.3, 0.1), 3)
+    assert [x.cut(m).coeffs.shape for m in range(4)] == [(n_coeffs(m), 1) for m in range(4)]
+    with pytest.raises(BudgetExhausted, match="^no order-5 cut of a jet of order 3$"):
+        x.cut(5)
+    with pytest.raises(JetError, match="^no order--1 cut") as info:
+        x.cut(-1)
+    assert type(info.value) is JetError
+
+
 @st.composite
 def jet_pair(draw):
     point = tuple(draw(st.floats(-2, 2)) for _ in range(3))
@@ -393,6 +404,22 @@ def test_component_sum_keeps_the_sign_of_zero():
                 lambda: zeros[0, 0]):
         with pytest.raises(JetError):
             bad()
+
+
+def test_ellipsis_spans_the_component_axes_only():
+    # `m[..., 0]` is column 0 of a (3, 3) jet at every point, never point 0's coefficients
+    rng = np.random.default_rng(1)
+    m = Jet(np.zeros((2, 3)), 3, rng.normal(size=(n_coeffs(3), 3, 3, 2)))
+    column = m[..., 0]
+    assert column.shape == (3,) and column.point.shape == (2, 3)
+    assert np.array_equal(column.coeffs, m.coeffs[:, :, 0])
+    for key, want in (((0, ...), m[0]), ((..., 1, 2), m[1, 2]), ((...,), m),
+                      ((..., None), m[:, :, None]), ((np.array([2, 0]), ...), m[[2, 0]])):
+        _same(m[key], want)
+    _same(column * m[0], m[:, 0] * m[0])
+    _same(m[1, 2][...], m[1, 2])
+    with pytest.raises(JetError, match="more axes than a jet of shape"):
+        m[..., 0, 0, 0]
 
 
 def test_bracket_trap_is_real():
