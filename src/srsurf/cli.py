@@ -146,8 +146,14 @@ def _noncontact(points, contact=()) -> list:
     return [(rows, {"point": list(points[rows].T), "branch": "noncontact", "contact": False})]
 
 
-def _point_error(chunk, text: str) -> list:  # the branch of an error record means nothing
-    return [([0], {"point": list(chunk.T), "branch": "regular", "error": text})]
+def _error(items, text: str, rows=(0,)) -> list:
+    """The error records of points (N, 3) or probes (N, 2, 3), a probe's at its start,
+    at the places `rows`; the branch of an error record means nothing."""
+    probe = items.ndim == 3
+    record = dict(point=list((items[:, 0] if probe else items).T), branch="regular", error=text)
+    if probe:
+        record["diagnostics"] = {"probe": [list(s.T) for s in items.swapaxes(0, 1)]}
+    return [(rows, record)]
 
 
 def cmd_invariants(args) -> list:
@@ -162,7 +168,7 @@ def cmd_invariants(args) -> list:
             M=m.value, K=k.value,
             diagnostics={"jet_order": INVARIANTS_ORDER, "budget_remaining": budget}))]
 
-    return _chunked(points, records, _point_error)
+    return _chunked(points, records, _error)
 
 
 def cmd_symmetry(args) -> list:
@@ -194,26 +200,20 @@ def cmd_symmetry(args) -> list:
             blocks.append(([rows[i]], rep))
         return blocks
 
-    return _chunked(points, records, _point_error)
+    return _chunked(points, records, _error)
 
 
 def cmd_singular(args) -> list:
     omega, metric, probes, _ = _inputs(args)
     tols = _given(args, "tol_root")
 
-    def probe_errors(segments, rows, text: str) -> list:
-        return [(rows, {"point": list(segments[:, 0].T), "branch": "regular", "error": text,
-                        "diagnostics": {"probe": [list(s.T) for s in segments.swapaxes(0, 1)]}})]
-
     def records(segments):
         values = vars(locate_sigma(omega, metric, segments, **tols)).copy()
         segment, points, lam = (values.pop(k) for k in ("segment", "point", "lambda_residual"))
         none = np.flatnonzero(np.bincount(segment, minlength=len(segments)) == 0)
         # each record's place: by probe, and a probe's roots in order along it
-        order = np.argsort(np.r_[segment, none], kind="stable")
-        at = np.empty_like(order)
-        at[order] = np.arange(len(order))
-        blocks = probe_errors(segments[none], at[len(segment):], "no Sigma crossing on probe")
+        at = np.argsort(np.argsort(np.r_[segment, none], kind="stable"))
+        blocks = _error(segments[none], "no Sigma crossing on probe", at[len(segment):])
         diagnostics = {k: values.pop(k) for k in ("transversal", "lambda_gradient_on_delta")}
         record = dict(point=list(points.T), branch="noncontact", contact=False, lam=lam,
                       diagnostics=dict(diagnostics, sigma=values))  # the rest of SigmaRoots
@@ -231,7 +231,7 @@ def cmd_singular(args) -> list:
         return blocks + [b for part in _chunked(np.arange(len(segment)), frames, failed)
                          for b in part]
 
-    return _chunked(probes, records, lambda seg, text: probe_errors(seg, [0], text))
+    return _chunked(probes, records, _error)
 
 
 def main(argv=None) -> int:

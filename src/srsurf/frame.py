@@ -29,7 +29,6 @@ class AdaptedFrame:
     E: Jet  # E[a] is the frame field E_{a+1}: a jet of shape (3, 3)
     eta: Jet  # eta[a] is the dual coframe's eta^{a+1}, eta[a](E[b]) = delta_ab: (3, 3)
     lam: Jet
-    kind: str  # "contact" | "singular"
     rows: Optional[np.ndarray] = None  # the rows of a batch's points it covers
 
 
@@ -140,13 +139,13 @@ def structure_functions(e1: Jet, e2: Jet, e3: Jet, eta: Jet):
 
 
 def adapted_frame(e1: Jet, e2: Jet, ge1: Jet, ge2: Jet, e3: Jet, eta3: Jet, lam: Jet,
-                  kind: str, rows: Optional[np.ndarray] = None):
+                  rows: Optional[np.ndarray] = None):
     """(frame, C): the frame with its dual coframe eta^a = g E_a - g(E_a, E3) eta3,
     a = 1, 2, from the covectors g E1, g E2 (E1, E2 g-orthonormal in ker eta3,
     eta3(E3) = 1), and its C (`structure_functions`)."""
     eta1, eta2 = (ge - (ge * e3).sum() * eta3 for ge in (ge1, ge2))
     eta = Jet.stack([eta1, eta2, eta3])
-    frame = AdaptedFrame(Jet.stack([e1, e2, e3]), eta, lam, kind, rows)
+    frame = AdaptedFrame(Jet.stack([e1, e2, e3]), eta, lam, rows)
     return frame, structure_functions(e1, e2, e3, eta)
 
 
@@ -179,4 +178,4 @@ def build_contact_frame(omega: OneForm, metric: MetricField, point,
     # = -sqrt(omega^T adj(g) omega) / lambda is nonzero at a contact point.
     b = curl(eta3)
     e3 = b * (eta3 * b).sum().reciprocal()
-    return adapted_frame(e1, e2, ge1, ge2, e3, eta3, lam, "contact", rows)
+    return adapted_frame(e1, e2, ge1, ge2, e3, eta3, lam, rows)

@@ -137,14 +137,6 @@ def _binomials(r: float, order: int) -> tuple:  # binom(r, k) for k = 0..order
     return tuple(math.prod((r - j) / (j + 1) for j in range(k)) for k in range(order + 1))
 
 
-def _trig(v, order: int, shift: int):
-    """The Taylor terms (s, c, -s, -c)[j % 4] / k!, j = k + shift, of sin (shift 0) or cos
-    (shift 1) at v: one gather of (s, c) by j % 2, one division by +-k!, as (-a)/b == a/(-b)."""
-    j = np.arange(order + 1) + shift
-    divisors = np.array([(-1) ** (i // 2) * math.factorial(k) for k, i in enumerate(j)], float)
-    return np.stack((np.sin(v), np.cos(v)))[j % 2] / divisors.reshape(-1, *[1] * v.ndim)
-
-
 def _series(terms):
     """A univariate jet method f from terms(v, order, ...) = (factor, scale, series) at the
     values v, None for 1: f(v + u) = factor * sum_k series[k] * (scale * u)^k, u nilpotent.
@@ -243,8 +235,6 @@ class Jet:
                 f"value={self.value!r})")
 
     # -- helpers -----------------------------------------------------------
-
-    _new = staticmethod(_jet)
 
     def _like(self, coeffs) -> "Jet":
         return _jet(self.point, self.order, coeffs)
@@ -414,11 +404,13 @@ class Jet:
 
     @_series
     def sin(v, order):
-        return None, None, _trig(v, order, 0)
+        s, c = np.sin(v), np.cos(v)
+        return None, None, [(s, c, -s, -c)[k % 4] / math.factorial(k) for k in range(order + 1)]
 
     @_series
     def cos(v, order):
-        return None, None, _trig(v, order, 1)
+        s, c = np.sin(v), np.cos(v)
+        return None, None, [(c, -s, -c, s)[k % 4] / math.factorial(k) for k in range(order + 1)]
 
     @_series
     def pow(v, order, r: float):  # a real power r of positive values

@@ -12,7 +12,7 @@ import numpy as np
 from .fields import AFTER, DEFAULT_ORDER, NEXT, MetricField, OneForm, curl_and_defect
 from .frame import AdaptedFrame, adapted_frame, kernel_basis, lambda_evaluation
 from .invariants import directional_derivative
-from .jets import Jet, JetError, _mul_table, multi_indices, n_coeffs, row_of
+from .jets import Jet, JetError, _jet, _mul_table, multi_indices, n_coeffs, row_of
 
 # Least jet orders, from the derivative budget: lambda takes one level (the
 # curl of omega in its numerator); d(lambda) one more; the singular frame's
@@ -207,7 +207,7 @@ def characteristic_field(form: Jet) -> Jet:
                 "omega(w) has no linear part at {}: not special",
                 "omega(w) does not divide w at {}: not special")[np.argmax(fails[:, row])]
         raise SingularFrameError(text.format(row_of(omw.point, row)))
-    return Jet._new(v.point, v.order - 1, np.where(sigma, u, v.coeffs[:len(u)]))
+    return _jet(v.point, v.order - 1, np.where(sigma, u, v.coeffs[:len(u)]))
 
 
 def build_singular_frame(omega: OneForm, metric: MetricField, point,
@@ -229,7 +229,7 @@ def build_singular_frame(omega: OneForm, metric: MetricField, point,
     # E2 = unit(omega x g E1) and d(lambda) . (omega x g D) = g(D, D) > 0
     e1, e2, ge1, ge2 = kernel_basis(w, g, direction)
     e3 = characteristic_field(w)
-    return adapted_frame(e1, e2, ge1, ge2, e3, w * (w * e3).sum().reciprocal(), lam, "singular")
+    return adapted_frame(e1, e2, ge1, ge2, e3, w * (w * e3).sum().reciprocal(), lam)
 
 
 def lambda_identities(frame: AdaptedFrame, c):

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,8 +31,8 @@ class DegeneratePointError(JetError):
 @dataclass
 class SymmetrySystem:
     D: Jet
-    EQ1: Optional[Jet]
-    EQ2: Optional[Jet]
+    EQ1: Jet
+    EQ2: Jet
     degenerate: np.ndarray  # one per contact row (frame.rows)
     frame: AdaptedFrame
     C: tuple  # (C12, C23_31), `frame.structure_functions`
@@ -57,12 +56,8 @@ def build_system(omega: OneForm, metric: MetricField, point,
     d = cross[2]
     scale = np.hypot(*ek.value[:2]) * np.hypot(*em.value[:2])
     degenerate = abs(d.value) <= tol_degenerate * scale
-    eq1 = eq2 = None
-    if not degenerate.all():
-        rd = (d._like(np.where(degenerate, np.eye(len(d.coeffs), 1), d.coeffs))
-              if degenerate.any() else d).reciprocal()
-        eq1, eq2 = cross[1] * rd, -cross[0] * rd
-    return SymmetrySystem(D=d, EQ1=eq1, EQ2=eq2, degenerate=degenerate,
+    rd = d._like(np.where(degenerate, np.eye(len(d.coeffs), 1), d.coeffs)).reciprocal()
+    return SymmetrySystem(D=d, EQ1=cross[1] * rd, EQ2=-cross[0] * rd, degenerate=degenerate,
                           frame=frame, C=c, M=m, K=k)
 
 
@@ -179,10 +174,11 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
     2 ** MAX_DEPTH of them) to an absolute error estimate below tol_quad,
     else JetError.  Each round's nodes are one batched build_system, each
     node's value the float its own system gives.  A node that fails
-    raises the error its own system gives, the first in QUADPACK's order:
-    a float fault raises FloatingPointError.  A segment that meets a
-    degenerate point is retried once via base + delta/2 + |delta|/2 e_k,
-    k = argmin |delta_k|, else raised; one that meets a noncontact point
+    raises the error its own system gives, the first in QUADPACK's order,
+    which a batch that raises finds by halves: a float fault raises
+    FloatingPointError.  A segment that meets a degenerate point is
+    retried once via base + delta/2 + |delta|/2 e_k, k = argmin |delta_k|,
+    else raised; one that meets a noncontact point
     (tol_contact, as in build_system) raises NoncontactError.  info holds
     QUADPACK's neval and abserr and the batched build_system calls, rounds,
     each summed over the legs of a detour, and the route ("direct" or "detour")."""
@@ -194,29 +190,23 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 
     def segment(a: np.ndarray, d: np.ndarray):  # from a to a + d: (value, info)
         def integrand(ts: np.ndarray) -> list:  # d . grad ln f at a + t d, t in ts
-            nodes = a + ts[:, None] * d
+            try:
+                sys_ = build_system(omega, metric, a + ts[:, None] * d, EQ_ORDER, **tols)
+            except (JetError, ValueError, FloatingPointError):  # the first failing node, by halves
+                if len(ts) > 1:
+                    integrand(ts[:len(ts) // 2]), integrand(ts[len(ts) // 2:])
+                raise
+            ok = np.zeros(len(ts), dtype=bool)
+            ok[sys_.frame.rows] = ~sys_.degenerate
+            if ok.all():
+                return [float(d @ g) for g in frame_to_coordinate_gradient(sys_).T.copy()]
+            k = int(np.argmin(ok))  # the first noncontact or degenerate node
+            if k not in sys_.frame.rows:  # a noncontact one raises alone
+                integrand(ts[k:k + 1])
+            raise DegeneratePointError(f"degenerate point on segment at t = {ts[k]:.6f}")
 
-            def alone(k):  # node k's own system: a failing node's error names it
-                return build_system(omega, metric, nodes[k:k + 1], EQ_ORDER, **tols).degenerate[0]
-
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                try:
-                    sys_ = build_system(omega, metric, nodes, EQ_ORDER, **tols)
-                    ok = np.zeros(len(ts), dtype=bool)
-                    ok[sys_.frame.rows] = ~sys_.degenerate
-                    if ok.all():
-                        return [float(d @ g) for g in frame_to_coordinate_gradient(sys_).T.copy()]
-                except (JetError, ValueError, FloatingPointError):  # the first node failing alone
-                    k = next((k for k in range(len(ts)) if alone(k)), None)
-                    if k is None:
-                        raise
-                else:  # the first noncontact or degenerate row; a noncontact one raises alone
-                    k = int(np.argmin(ok))
-                    if k not in sys_.frame.rows:
-                        alone(k)
-                raise DegeneratePointError(f"degenerate point on segment at t = {ts[k]:.6f}")
-
-        value, abserr, neval, rounds = _qag(integrand, tol_quad)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            value, abserr, neval, rounds = _qag(integrand, tol_quad)
         return value, {"neval": neval, "abserr": abserr, "rounds": rounds}
 
     try:
@@ -236,7 +226,6 @@ def reconstruct_lnf(omega: OneForm, metric: MetricField, base, target,
 class SymmetryField:
     """The report of `assemble_and_verify_V`, a column each, a row per point."""
     point: np.ndarray  # (N, 3)
-    f_value: np.ndarray
     V: np.ndarray  # (3, N) component values
     VK: np.ndarray
     VM: np.ndarray
@@ -260,18 +249,18 @@ def reconstructed_V(sys_: SymmetrySystem, lnf: float, row: int = 0):
                                 sys_.frame.E.value[..., row]).tolist())
 
 
-def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
-                          f: FieldProgram, order: int = DEFAULT_ORDER):
+def assemble_and_verify_V(omega: OneForm, metric: MetricField, points, f: FieldProgram):
     """Assemble V (`assemble_V`) from the injected scalar program `f` at
-    the points and verify it, all in jets of one batch: the report holds, per
+    the points and verify it, all in jets of one batch at EQ_ORDER (VK
+    differentiates K once, as D does): the report holds, per
     point, VK, VM, E3 f and the bracket defects ||[E1,V] - lambda E2||,
     ||[E2,V] + lambda E1||.  A noncontact point raises NoncontactError, the
     first one's own.  A V from a reconstructed ln f comes from `reconstructed_V`."""
     points = _as_point(points)
-    m, k, frame, _ = invariants_at(omega, metric, points, order)
+    m, k, frame, _ = invariants_at(omega, metric, points, EQ_ORDER)
     for row in np.delete(np.arange(len(points)), frame.rows)[:1]:  # raises the first
-        invariants_at(omega, metric, points[row:row + 1], order)  # noncontact point's own error
-    fj = f(points, order)
+        invariants_at(omega, metric, points[row:row + 1], EQ_ORDER)  # noncontact point's own error
+    fj = f(points, EQ_ORDER)
     e = frame.E
     ef = directional_derivative(fj, e)  # E_a f
     v = assemble_V(fj, ef[0], ef[1], e)
@@ -281,4 +270,4 @@ def assemble_and_verify_V(omega: OneForm, metric: MetricField, points,
     d = np.stack([br1 - lam_mult * e.value[1], br2 + lam_mult * e.value[0]]).swapaxes(1, 2)
     # ||d|| per point by one dot product each, as np.linalg.norm takes a vector's
     defects = np.sqrt(d[..., None, :] @ d[..., None])[..., 0, 0]
-    return SymmetryField(points, fj.value, v.value, vk, vm, ef.value[2], *defects)
+    return SymmetryField(points, v.value, vk, vm, ef.value[2], *defects)

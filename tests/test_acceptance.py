@@ -181,7 +181,7 @@ def test_criterion5_lnf_half_ln2():
 def test_criterion5_injected_V_verifies():
     f = FieldProgram.parse("sqrt(1 + x^2 + y^2)")
     pts = sample_points(50, 52)
-    rep = assemble_and_verify_V(HEIS, EUCLID, pts, f=f, order=5)
+    rep = assemble_and_verify_V(HEIS, EUCLID, pts, f=f)
     assert np.all(abs(rep.VK) < 1e-6)
     assert np.all(abs(rep.VM) < 1e-6)
     assert np.all(rep.bracket_defect_1 < 1e-6)
@@ -208,7 +208,7 @@ def test_criterion6_injected_f_y():
         return -y(q, n) / nonholonomity(CARTAN, EUCLID, q, n)
 
     pts = sample_points(20, 61)
-    rep = assemble_and_verify_V(CARTAN, EUCLID, pts, f=f, order=5)
+    rep = assemble_and_verify_V(CARTAN, EUCLID, pts, f=f)
     for p, v, vk, vm, d1, d2 in zip(rep.point, rep.V.T, rep.VK, rep.VM,
                                     rep.bracket_defect_1, rep.bracket_defect_2):
         assert np.allclose(v, [1, 0, 0], atol=1e-6), f"V = {v} at {p}"
@@ -223,7 +223,7 @@ def test_criterion6_injected_true_symmetry():
     # symmetry of this fixture and passes the same verification
     f = FieldProgram.parse("-y * sqrt(1 + y^2)")
     pts = sample_points(20, 61)
-    rep = assemble_and_verify_V(CARTAN, EUCLID, pts, f=f, order=5)
+    rep = assemble_and_verify_V(CARTAN, EUCLID, pts, f=f)
     assert np.all(abs(rep.VK) < 1e-6)
     assert np.all(abs(rep.VM) < 1e-6)
     assert np.all(rep.bracket_defect_1 < 1e-6)

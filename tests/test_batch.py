@@ -517,8 +517,8 @@ def test_assemble_and_verify_V_columns_are_the_per_point_calls():
     omega, g = OneForm.parse(AXIAL_FORM), MetricField.from_upper_triangle(AXIAL_METRIC)
     f = FieldProgram.parse("sqrt(1 + x^2 + y^2) + x*z")  # not a symmetry: nothing is 0
     points = np.random.default_rng(7).uniform(-1, 1, (9, 3))
-    batch = assemble_and_verify_V(omega, g, points, f, order=RESIDUAL_MIN_ORDER)
-    alone = [assemble_and_verify_V(omega, g, p, f, order=RESIDUAL_MIN_ORDER) for p in points]
+    batch = assemble_and_verify_V(omega, g, points, f)
+    alone = [assemble_and_verify_V(omega, g, p, f) for p in points]
     assert batch.V.shape == (3, len(points)) and batch.point.shape == (len(points), 3)
     for field in dataclasses.fields(SymmetryField):
         column = getattr(batch, field.name)

@@ -258,7 +258,6 @@ def test_contact_frame_heisenberg_origin(heisenberg, euclid):
     frame, C = build_contact_frame(heisenberg, euclid, (0, 0, 0))
     assert np.allclose(_vals(frame.E[2]), [0, 0, -2], atol=1e-13)
     assert np.allclose(_vals(frame.eta[2]), [0, 0, -0.5], atol=1e-13)
-    assert frame.kind == "contact"
 
 
 def test_contact_frame_cartan_origin_structure(cartan, euclid):

@@ -634,7 +634,7 @@ def test_horner_brackets_at_their_orders_are_the_uncut_horner(name, width, monke
     for order, shape in itertools.product(range(MAX_ORDER + 1), [(), (3,)]):
         coeffs = rng.uniform(-0.4, 0.4, (n_coeffs(order), *shape, width))
         coeffs[0] = rng.uniform(0.5, 2.0, (*shape, width))  # in every series' domain
-        jet = Jet._new(np.zeros((width, 3)), order, coeffs)  # order 0 as `cut` makes it
+        jet = jets._jet(np.zeros((width, 3)), order, coeffs)  # order 0 as `cut` makes it
         method = getattr(Jet, name.split()[0])
         got = method(jet, *SERIES[name])
         with monkeypatch.context() as m:
@@ -643,15 +643,3 @@ def test_horner_brackets_at_their_orders_are_the_uncut_horner(name, width, monke
         assert got.order == want.order == order
         assert got.coeffs.shape == want.coeffs.shape
         assert got.coeffs.tobytes() == want.coeffs.tobytes(), (order, shape)
-
-
-@pytest.mark.parametrize("name", ["sin", "cos"])
-def test_sin_cos_terms_are_the_per_term_form(name):
-    v = np.random.default_rng(5).uniform(-20, 20, (3, 21))
-    v[0, :4] = (0.0, -0.0, np.pi, -np.pi / 2)
-    s, c = np.sin(v), np.cos(v)
-    per_term = {"sin": (s, c, -s, -c), "cos": (c, -s, -c, s)}[name]
-    for order in range(MAX_ORDER + 1):
-        want = np.array([per_term[k % 4] / math.factorial(k) for k in range(order + 1)])
-        got = jets._trig(v, order, ("sin", "cos").index(name))
-        assert got.tobytes() == want.tobytes(), order

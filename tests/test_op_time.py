@@ -47,3 +47,9 @@ def test_same_bits_tells_signed_zeros_apart():
     assert op_time.same_bits(zero, zero) and op_time.same_bits(zero * np.nan, zero * np.nan)
     assert not op_time.same_bits(zero, -zero)
     assert not op_time.same_bits(zero, zero.cut(1))
+
+
+def test_op_time_refuses_fewer_than_one_round():
+    run = run_op_time(ROOT / "src", ROOT / "src", "--rounds", "0")
+    assert run.returncode == 2 and not run.stdout
+    assert "--rounds: must be at least 1, got 0" in run.stderr

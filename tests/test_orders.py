@@ -6,6 +6,7 @@ coefficients of degree <= d).  The same fact lets the frame form each jet
 at the order its consumers keep, with the leading coefficients of the
 quantity formed from uncut jets."""
 
+import dataclasses
 from functools import reduce
 from operator import add
 
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 import srsurf.frame
-from srsurf import (BudgetExhausted, Jet, MAX_ORDER, MIN_ORDER, MetricField,
-                    OneForm, build_contact_frame, build_singular_frame, build_system,
-                    directional_derivative, integrability_residuals,
-                    invariants_at, lambda_identities, nonholonomity,
+import srsurf.symmetry
+from srsurf import (BudgetExhausted, FieldProgram, Jet, MAX_ORDER, MIN_ORDER, MetricField,
+                    OneForm, SymmetryField, assemble_and_verify_V, build_contact_frame,
+                    build_singular_frame, build_system, directional_derivative,
+                    integrability_residuals, invariants_at, lambda_identities, nonholonomity,
                     sigma_invariants)
 from srsurf.fields import curl_and_defect
 from srsurf.frame import delta_basis, kernel_basis, quadratic_form, structure_functions
@@ -25,7 +27,7 @@ from srsurf.singular import (SIGMA_SCAN_ORDER, SINGULAR_FRAME_ORDER,
                              TRANSVERSALITY_ORDER)
 from srsurf.symmetry import EQ_ORDER, RESIDUAL_MIN_ORDER
 
-from conftest import (AXIAL_FORM, AXIAL_METRIC, HEISENBERG, OMEGA_1,
+from conftest import (AXIAL_FORM, AXIAL_METRIC, CARTAN, HEISENBERG, OMEGA_1,
                       SPECIAL_FORM, SPECIAL_METRIC, SPECIAL_POINT)
 
 FIXTURES = {
@@ -97,6 +99,23 @@ def test_least_order(name, fn, order, expected, fixtures):
         want = repr(fn(omega, g, p, MAX_ORDER))  # repr tells -0.0 from 0.0
         for k in range(order, MAX_ORDER):
             assert repr(fn(omega, g, p, k)) == want, (name, text, p, k)
+
+
+@pytest.mark.parametrize("order", [5, 6])
+def test_assemble_and_verify_V_at_its_own_order(order, monkeypatch):
+    # assemble_and_verify_V runs at EQ_ORDER: a higher order gives every
+    # column bit for bit, on the selftest's injected symmetries
+    points = np.random.default_rng(11).uniform(-1.5, 1.5, (12, 3))
+    g = MetricField.identity()
+    for text, f in ((HEISENBERG, "sqrt(1 + x^2 + y^2)"), (CARTAN, "-sqrt(1 + y^2)*y")):
+        args = (OneForm.parse(text), g, points, FieldProgram.parse(f))
+        want = assemble_and_verify_V(*args)
+        with monkeypatch.context() as m:
+            m.setattr(srsurf.symmetry, "EQ_ORDER", order)
+            got = assemble_and_verify_V(*args)
+        for field in dataclasses.fields(SymmetryField):
+            assert (getattr(got, field.name).tobytes()
+                    == getattr(want, field.name).tobytes()), (text, field.name)
 
 
 def _uncut_basis(w, g):

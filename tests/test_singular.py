@@ -236,7 +236,6 @@ def test_singular_frame_origin(omega1, euclid):
     frame, c = build_singular_frame(omega1, euclid, (0, 0, 0))
     assert np.allclose(np.ravel(frame.E[0].value), [0, 0, 1], atol=1e-12)
     assert np.allclose(np.ravel(frame.E[2].value), [0, 1, 0], atol=1e-13)
-    assert frame.kind == "singular"
     q112, q212 = sigma_invariants(c)
     assert abs(q112) < 1e-12 and abs(q212) < 1e-12
 

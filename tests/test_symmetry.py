@@ -160,6 +160,19 @@ def test_stacked_system_is_the_scalar_formulas(axial):
 
 # -- integrability residuals ----------------------------------------------
 
+
+def test_all_degenerate_batch_takes_the_one_eq_path(cartan, euclid, rng):
+    # EQ divides by the stand-in D = 1 on every degenerate row, so a batch
+    # with no other row has finite EQ jets too, which nothing reads
+    sys_ = build_system(cartan, euclid, np.array(box_points(rng, 6)), RESIDUAL_MIN_ORDER)
+    assert sys_.degenerate.all()
+    for eq in (sys_.EQ1, sys_.EQ2):
+        assert eq.value.shape == (6,) and np.isfinite(eq.coeffs).all()
+    with pytest.raises(DegeneratePointError):
+        integrability_residuals(sys_)
+    with pytest.raises(DegeneratePointError):
+        frame_to_coordinate_gradient(sys_)
+
 def test_axial_residuals_vanish(axial):
     omega, metric = axial
     for p in AXIAL_POINTS:
@@ -305,6 +318,21 @@ def test_reconstruct_lnf_batch_keeps_error_text(omega, metric, base, target, tol
     assert text in str(got.value)
     assert caught == []
 
+
+
+def test_reconstruct_lnf_finds_a_failing_node_by_halves(system_points):
+    # g_xx = (x - 0.64)(x - 0.655) < 0 only at the last node of the first
+    # panel, x = 0.5 + XGK[8] / 2: each batch that holds it raises and runs
+    # again as its halves, 1 + 2 ceil(log2 21) = 11 calls at most, where one
+    # node at a time after the batch took 22
+    omega = OneForm.parse("dz + y*dx")
+    metric = MetricField.from_upper_triangle(("(x - 0.64)*(x - 0.655)", "0", "0", "1", "0", "1"))
+    with pytest.raises(JetError) as info:
+        reconstruct_lnf(omega, metric, (0.0, 0.5, 0.0), (1.0, 0.5, 0.0))
+    assert str(info.value) == "metric not positive definite at (0.6471964313507301, 0.5, 0.0)"
+    assert len(system_points) <= 1 + 2 * math.ceil(math.log2(21))
+    assert system_points[0][1] == [(t, 0.5, 0.0) for t in _quad_nodes()]
+    assert system_points[-1][1] == [(0.6471964313507301, 0.5, 0.0)]
 
 def test_reconstruct_lnf_closed_form(axial):
     omega, metric = axial
@@ -467,7 +495,7 @@ def test_injected_axial_symmetry(axial):
     def f(q, n):
         return -1 / nonholonomity(omega, metric, q, n)
 
-    rep = assemble_and_verify_V(omega, metric, AXIAL_POINTS, f=f, order=5)
+    rep = assemble_and_verify_V(omega, metric, AXIAL_POINTS, f=f)
     assert rep.V.shape == (3, len(AXIAL_POINTS))
     assert np.allclose(rep.V.T, [0, 0, 1], atol=1e-12)
     assert np.all(abs(rep.VK) < 1e-10)
@@ -480,7 +508,7 @@ def test_injected_axial_symmetry(axial):
 def test_injected_heisenberg_symmetry(heisenberg, euclid, rng):
     f = FieldProgram.parse("sqrt(1 + x^2 + y^2)")
     pts = [(0.0, 0.0, 0.0)] + box_points(rng, 10)
-    rep = assemble_and_verify_V(heisenberg, euclid, pts, f=f, order=5)
+    rep = assemble_and_verify_V(heisenberg, euclid, pts, f=f)
     assert np.allclose(rep.V[:, 0], [0, 0, -2], atol=1e-12)
     assert np.all(abs(rep.VK) < 1e-7)
     assert np.all(abs(rep.VM) < 1e-7)
@@ -491,7 +519,7 @@ def test_injected_heisenberg_symmetry(heisenberg, euclid, rng):
 
 def test_injected_zero_f_gives_zero_V(heisenberg, euclid):
     f = FieldProgram.parse("0")
-    rep = assemble_and_verify_V(heisenberg, euclid, [(0.5, 0.2, 0.1)], f=f, order=5)
+    rep = assemble_and_verify_V(heisenberg, euclid, [(0.5, 0.2, 0.1)], f=f)
     assert np.allclose(rep.V, 0, atol=1e-15)
     assert rep.bracket_defect_1 < 1e-12 and rep.bracket_defect_2 < 1e-12
 
@@ -501,7 +529,7 @@ def test_noncontact_point_raises_its_own_error(euclid):
     omega, f = OneForm.parse(OMEGA_1), FieldProgram.parse("1")
     points = [(0.5, 0.2, 0.1), (0.0, 0.3, -0.2), (0.0, -0.4, 0.6)]
     with pytest.raises(NoncontactError) as batch:
-        assemble_and_verify_V(omega, euclid, points, f, order=5)
+        assemble_and_verify_V(omega, euclid, points, f)
     with pytest.raises(NoncontactError) as alone:
         build_contact_frame(omega, euclid, points[1])
     assert str(batch.value) == str(alone.value)

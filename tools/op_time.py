@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from pair_time import SIDES, load_cli  # noqa: E402
+from pair_time import SIDES, at_least_one, load_cli  # noqa: E402
 
 OPS = {
     "scalar product": lambda J, a, b, c, v: a * b,
@@ -84,7 +84,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--a", type=Path, required=True, help="the first source tree (the base)")
     ap.add_argument("--b", type=Path, required=True, help="the second source tree")
-    ap.add_argument("--rounds", type=int, default=7, help="timed rounds per side and cell")
+    ap.add_argument("--rounds", type=at_least_one, default=7,
+                    help="timed rounds per side and cell")
     ap.add_argument("--widths", type=int, nargs="+", default=[1, 21, 400])
     ap.add_argument("--orders", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     ap.add_argument("--ops", nargs="+", choices=sorted(OPS), default=list(OPS))

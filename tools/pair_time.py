@@ -56,6 +56,14 @@ def run_pass(main, argvs) -> tuple:
     return time.perf_counter() - t0, outputs
 
 
+def at_least_one(text: str) -> int:
+    """An argparse type: an integer of 1 or more, so that a run times something."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def summary(times, wins: int) -> str:
     q1, median, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
     return f"median {median * 1e3:.3f} ms  quartiles {q1 * 1e3:.3f} .. {q3 * 1e3:.3f}  wins {wins}"
@@ -66,8 +74,8 @@ def main(argv=None) -> int:
     ap.add_argument("--a", type=Path, required=True, help="the first source tree (the base)")
     ap.add_argument("--b", type=Path, required=True, help="the second source tree")
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--calls", type=int, default=20, help="seed-2 calls a pass")
-    ap.add_argument("--rounds", type=int, default=20, help="timed passes per side")
+    ap.add_argument("--calls", type=at_least_one, default=20, help="seed-2 calls a pass")
+    ap.add_argument("--rounds", type=at_least_one, default=20, help="timed passes per side")
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
